@@ -18,6 +18,7 @@ precisely the global knowledge the distributed approaches do without.
 from __future__ import annotations
 
 from ..model.events import EventKey, SimpleEvent
+from ..model.matching import matches_involving as reference_matches_involving
 from ..model.operators import CorrelationOperator, root_operator
 from ..model.subscriptions import (
     AbstractSubscription,
@@ -136,6 +137,18 @@ class CentralizedNode(Node):
         assert self.node_id == self.network.center
         self.store_for(LOCAL).add(operator, covered=False)
 
+    def unsubscribe(self, sub_id: str) -> bool:
+        """Mirror of :meth:`subscribe`: the subscriber holds no matcher
+        and no per-sensor delivery index, only the registration."""
+        kept = [
+            entry for entry in self.local_subscriptions if entry[0].sub_id != sub_id
+        ]
+        if len(kept) == len(self.local_subscriptions):
+            return False
+        self.local_subscriptions = kept
+        self.retire_subscription(sub_id)
+        return True
+
     def retire_subscription(self, sub_id: str) -> None:
         """Cancellation: tell the centre to drop the operator.
 
@@ -224,7 +237,9 @@ class CentralizedNode(Node):
             if matcher is not None:
                 participants = matcher.matches_involving(event)
             else:
-                participants = self.matches_involving(operator, event)
+                participants = reference_matches_involving(
+                    operator, self.store, event
+                )
             if not participants:
                 continue
             self.network.delivery.record_complex(operator.subscription_id)

@@ -33,8 +33,11 @@ filter pulling raw events toward the divergence node).
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..model.advertisements import AdvertisementTable
 from ..model.events import SimpleEvent
+from ..model.matching import matches_involving as reference_matches_involving
 from ..model.operators import CorrelationOperator
 from ..network.network import Network
 from ..network.node import (
@@ -77,7 +80,11 @@ class MultiJoinNode(Node):
     def __init__(self, node_id: str, network: Network) -> None:
         super().__init__(node_id, network)
         self.roles: dict[str, str] = {}
-        self._ring_cache: dict[str, list[CorrelationOperator]] = {}
+        # Ring joins of the transit operators as ``[join, matcher]``
+        # entries, filled on first use.  A join's matcher is retained
+        # when the join first accepts an event (a join no stream here
+        # ever feeds costs no matcher) and stays None in reference mode.
+        self._ring_cache: dict[str, list[list[Any]]] = {}
         # Simple filters considered for dispatch toward the sensors, per
         # origin — used to pair-wise deduplicate the per-binary-join
         # filter dispatch (same-signature streams are shared).
@@ -85,7 +92,8 @@ class MultiJoinNode(Node):
 
     def on_crash(self) -> None:
         # Roles, ring pairings and the dispatch ledger all derive from
-        # the stored operators, which a crash just dropped.
+        # the stored operators, which a crash just dropped.  The ring
+        # matchers' references went with the engine crash() replaced.
         self.roles = {}
         self._ring_cache = {}
         self._dispatched_filters = {}
@@ -188,12 +196,12 @@ class MultiJoinNode(Node):
             self._repair_dispatched(origin)
 
     def on_operator_removed(self, operator: CorrelationOperator) -> None:
-        """Clear the operator's role and tear down its on-demand ring."""
+        """Clear the operator's role and release its ring's matchers."""
         self.roles.pop(operator.op_id, None)
-        joins = self._ring_cache.pop(operator.op_id, None)
-        if joins and self.matching is not None:
-            for join in joins:
-                self.matching.release(join)
+        engine = self.matching
+        for join, matcher in self._ring_cache.pop(operator.op_id, ()):
+            if matcher is not None and engine is not None:
+                engine.release(join)
 
     def on_operator_uncovered(
         self, record: StoredOperator, origin: str, store: SubscriptionStore
@@ -222,6 +230,7 @@ class MultiJoinNode(Node):
         if not self.ingest(event):
             return
         self._deliver_local(event)
+        engine = self.matching
         for neighbor in self.neighbors:
             if neighbor == origin:
                 continue
@@ -229,7 +238,9 @@ class MultiJoinNode(Node):
             if store is None:
                 continue
             outgoing: dict = {}
-            for operator in store.ops_for_sensor(event.sensor_id, False):
+            for operator, matcher in store.matched_for_sensor(
+                event.sensor_id, False
+            ):
                 role = self.roles.get(operator.op_id, TRANSIT)
                 if role == SPLIT:
                     continue  # its binary joins act instead
@@ -247,16 +258,27 @@ class MultiJoinNode(Node):
                 # approximation keep flowing to the user, true matches
                 # always pass, and nothing leaks across subscriptions.
                 if role == JOIN:
-                    joins = [operator]
+                    joins: list[list[Any]] = [[operator, matcher]]
                 else:
-                    joins = self._ring_cache.get(operator.op_id)
-                    if joins is None:
-                        joins = operator.binary_joins()
-                        self._ring_cache[operator.op_id] = joins
-                for join in joins:
+                    ring = self._ring_cache.get(operator.op_id)
+                    if ring is None:
+                        ring = self._ring_cache[operator.op_id] = [
+                            [join, None] for join in operator.binary_joins()
+                        ]
+                    joins = ring
+                for entry in joins:
+                    join, join_matcher = entry
                     if not join.accepts_some(event):
                         continue
-                    participants = self.matches_involving(join, event)
+                    if join_matcher is None and engine is not None:
+                        # Retained once, released in on_operator_removed.
+                        join_matcher = entry[1] = engine.retain(join)
+                    if join_matcher is not None:
+                        participants = join_matcher.matches_involving(event)
+                    else:
+                        participants = reference_matches_involving(
+                            join, self.store, event
+                        )
                     if not participants:
                         continue
                     assert join.main_slot is not None

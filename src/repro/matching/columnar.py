@@ -668,7 +668,8 @@ class ColumnarMatcher:
         if self._finite:
             return sweep_spatial(
                 self._slot_ids,
-                self.operator,
+                self.operator.delta_t,
+                self.operator.delta_l,
                 event,
                 ordered,
                 entries,
@@ -1163,6 +1164,11 @@ class ColumnarEngine:
                 yield matcher, chain.from_iterable(result.values())
             else:
                 yield matcher, chain.from_iterable(result)
+
+    def operators(self) -> list[CorrelationOperator]:
+        """Every retained operator, sorted by ``op_id`` (same contract
+        as :meth:`MatchingEngine.operators`)."""
+        return sorted(self._refs, key=lambda operator: operator.op_id)
 
     @property
     def n_matchers(self) -> int:

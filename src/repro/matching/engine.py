@@ -24,7 +24,13 @@ matching around *per-operator incremental state*:
 * live ingest routes through a per-sensor *interval-stabbing* segment
   index (:class:`_StabbingIndex`): one bisect per arriving value finds
   exactly the accepting slots across every registered matcher, instead
-  of evaluating each matcher's filters one by one.
+  of evaluating each matcher's filters one by one;
+* matchers are shared per *match structure* ``(slots, delta_t,
+  delta_l)`` — everything the sweeps read.  Clones of one question
+  (same filters, own subscription id and user node) index each arrival
+  once and sweep it once: the repeated probes of one arrival, which
+  reach a node through different per-origin stores and the local
+  delivery check, are answered from a one-entry memo.
 
 The engine mirrors the :class:`~repro.network.eventstore.EventStore`
 through its listener protocol (``event_added`` / ``horizon_advanced``),
@@ -38,10 +44,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Iterable
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..model.events import SimpleEvent
-from ..model.operators import CorrelationOperator
+from ..model.operators import CorrelationOperator, Slot
 from .spatial import combination_exists, participating
 from .timeline import Timeline
 
@@ -49,8 +56,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..network.eventstore import EventStore
 
 
-
 _INF = float("inf")
+
+Participants = Mapping[str, list[SimpleEvent]]
+"""Per-slot participants of a probe.  Read-only: one result object is
+handed to every subscription sharing the matcher."""
+
+_NO_MATCH: Participants = MappingProxyType({})
 
 
 def _result_order(event: SimpleEvent) -> tuple[float, tuple[str, int]]:
@@ -74,38 +86,68 @@ def _sort_if_tied(participants: list[SimpleEvent]) -> None:
         previous = event.timestamp
 
 
+def match_structure(
+    operator: CorrelationOperator,
+) -> tuple[tuple[Slot, ...], float, float]:
+    """Everything of an operator the sweeps read — the sharing key:
+    operators with equal structures get equal answers."""
+    return (operator.slots, operator.delta_t, operator.delta_l)
+
+
 class OperatorMatcher:
-    """Incremental per-operator matching state (Algorithm 5, stateful)."""
+    """Incremental matching state of one match structure (Algorithm 5,
+    stateful).
+
+    Built from an operator but keeps only its :func:`match_structure`,
+    so a :class:`MatchingEngine` hands the same matcher to every
+    operator with that structure, whatever its subscription id or
+    subscriber.
+    """
 
     __slots__ = (
-        "operator",
+        "structure",
         "_engine",
-        "_slots",
         "_slot_ids",
+        "_delta_t",
+        "_delta_l",
         "_timelines",
         "_by_sensor",
         "_finite",
         "_min_ts",
+        "_users",
+        "_memo_event",
+        "_memo_version",
+        "_memo",
     )
 
     def __init__(self, operator: CorrelationOperator, engine: "MatchingEngine") -> None:
-        self.operator = operator
+        self.structure = match_structure(operator)
         self._engine = engine
-        self._slots = operator.slots
         self._slot_ids = [slot.slot_id for slot in operator.slots]
+        self._delta_t = operator.delta_t
+        self._delta_l = operator.delta_l
         self._timelines = [Timeline() for _ in operator.slots]
         # Acceptance is only possible for slots that draw from the
         # event's sensor — index them so the hot paths touch nothing
         # else.  Because membership in this index already implies the
         # slot's sensor test, the per-event check reduces to attribute
-        # equality plus the bound interval predicate.
-        self._by_sensor: dict[str, list[tuple]] = {}
-        for index, (slot, timeline) in enumerate(zip(self._slots, self._timelines)):
-            entry = (slot.attribute, slot.interval.contains, timeline, index)
+        # equality plus the closed-interval bounds, compared inline.
+        by_sensor: dict[str, list[tuple]] = {}
+        for index, (slot, timeline) in enumerate(zip(operator.slots, self._timelines)):
+            interval = slot.interval
+            entry = (slot.attribute, interval.lo, interval.hi, timeline, index)
             for sensor_id in sorted(slot.sensors):
-                self._by_sensor.setdefault(sensor_id, []).append(entry)
+                by_sensor.setdefault(sensor_id, []).append(entry)
+        self._by_sensor = {
+            sensor_id: tuple(entries) for sensor_id, entries in by_sensor.items()
+        }
         self._finite = not math.isinf(operator.delta_l)
         self._min_ts = float("inf")  # earliest indexed timestamp
+        self._users = 0  # operators the engine resolves to this matcher
+        # One-entry probe memo, see matches_involving.
+        self._memo_event: SimpleEvent | None = None
+        self._memo_version = 0
+        self._memo: Participants = _NO_MATCH
 
     # ------------------------------------------------------------------
     # ingest path (live events route through the engine's stabbing
@@ -113,17 +155,18 @@ class OperatorMatcher:
     # ------------------------------------------------------------------
     def ingest(self, event: SimpleEvent) -> None:
         """Index one stored event; acceptance tested once per slot."""
-        for attribute, contains, timeline, _index in self._by_sensor.get(
+        self._memo_event = None
+        for attribute, lo, hi, timeline, _index in self._by_sensor.get(
             event.sensor_id, ()
         ):
-            if event.attribute == attribute and contains(event.value):
+            if event.attribute == attribute and lo <= event.value <= hi:
                 timeline.add(event)
                 if event.timestamp < self._min_ts:
                     self._min_ts = event.timestamp
 
     def backfill(self, store: "EventStore") -> None:
         """Index the store's current visible content (late registration)."""
-        for sensor_id in sorted(self.operator.sensors):
+        for sensor_id in self._by_sensor:
             for event in store.sensor_events(sensor_id):
                 self.ingest(event)
 
@@ -154,8 +197,9 @@ class OperatorMatcher:
         its trigger sweep crosses each scheduled departure.  Returns the
         number of dropped entries.
         """
+        self._memo_event = None
         dropped = 0
-        for _attribute, _contains, timeline, _index in self._by_sensor.get(
+        for _attribute, _lo, _hi, timeline, _index in self._by_sensor.get(
             sensor_id, ()
         ):
             dropped += timeline.drop_sensor(sensor_id, until)
@@ -166,16 +210,31 @@ class OperatorMatcher:
     # ------------------------------------------------------------------
     # query path
     # ------------------------------------------------------------------
-    def matches_involving(self, event: SimpleEvent) -> dict[str, list[SimpleEvent]]:
+    def matches_involving(self, event: SimpleEvent) -> Participants:
         """Participants of every match ``event`` takes part in.
 
         Same contract as the reference
-        :func:`repro.model.matching.matches_involving`.  (An earlier
-        revision memoised per (store version, event key); in tree
-        overlays an operator lives in exactly one per-origin store, so
-        the cache never hit and only cost its bookkeeping.)
+        :func:`repro.model.matching.matches_involving`, except that the
+        result is read-only: every operator sharing this matcher is
+        probed with the same arrival — clones sit in different
+        per-origin stores, and the local delivery check probes again —
+        and all of them get the one result swept for the first.  The
+        memo holds that single arrival and is void as soon as the
+        engine's ``version`` moves (an event added, the horizon
+        advanced, a sensor fenced).  A matcher serving a single
+        operator is probed once per arrival and keeps no memo: it would
+        only pin its last result in memory.
         """
-        return self._compute(event)
+        version = self._engine.version
+        if event is self._memo_event and version == self._memo_version:
+            return self._memo
+        found = self._compute(event)
+        result = MappingProxyType(found) if found else _NO_MATCH
+        if self._users > 1:
+            self._memo = result
+            self._memo_event = event
+            self._memo_version = version
+        return result
 
     def instance_exists(self, trigger: SimpleEvent) -> bool:
         """Does a match with maximum member ``trigger`` exist?
@@ -187,12 +246,11 @@ class OperatorMatcher:
         trigger.  Like the reference, it does *not* require the trigger
         itself to be stored.
         """
-        operator = self.operator
-        own_slot = operator.slot_for_event(trigger)
-        if own_slot is None:
+        own = self._own_slot_index(trigger)
+        if own is None:
             return False
         self._prune()
-        after = trigger.timestamp - operator.delta_t
+        after = trigger.timestamp - self._delta_t
         windows = [
             timeline.view(after, trigger.timestamp) for timeline in self._timelines
         ]
@@ -200,8 +258,7 @@ class OperatorMatcher:
             return False
         if not self._finite:
             return True
-        delta_l = operator.delta_l
-        own = self._slot_ids.index(own_slot.slot_id)
+        delta_l = self._delta_l
         location = trigger.location
         lists: list[list[SimpleEvent]] = []
         for i, window in enumerate(windows):
@@ -231,7 +288,7 @@ class OperatorMatcher:
         consumer, unions keys and never reads the order.
         """
         self._prune()
-        after = trigger_time - self.operator.delta_t
+        after = trigger_time - self._delta_t
         windows = [
             timeline.view(after, trigger_time) for timeline in self._timelines
         ]
@@ -239,7 +296,7 @@ class OperatorMatcher:
             return None
         kept = [list(w) for w in windows]
         if self._finite:
-            kept = participating(kept, self.operator.delta_l)
+            kept = participating(kept, self._delta_l)
             if kept is None:
                 return None
         out: dict[str, list[SimpleEvent]] = {}
@@ -250,10 +307,10 @@ class OperatorMatcher:
 
     def _own_slot_index(self, event: SimpleEvent) -> int | None:
         """Index of the first slot accepting ``event`` (reference order)."""
-        for attribute, contains, _timeline, index in self._by_sensor.get(
+        for attribute, lo, hi, _timeline, index in self._by_sensor.get(
             event.sensor_id, ()
         ):
-            if event.attribute == attribute and contains(event.value):
+            if event.attribute == attribute and lo <= event.value <= hi:
                 return index
         return None
 
@@ -268,7 +325,7 @@ class OperatorMatcher:
         horizon = self._engine.horizon
         if t0 <= horizon:
             return {}  # the arrival itself has already expired
-        delta_t = self.operator.delta_t
+        delta_t = self._delta_t
         after = t0 - delta_t
         if after < horizon:
             after = horizon
@@ -328,36 +385,20 @@ class OperatorMatcher:
             later.add(t0)
             ordered = sorted(later)
         if self._finite:
-            return self._sweep_spatial(event, ordered, entries, lo, hi, own, event_pos)
-        return self._sweep_plain(ordered, entries, lo, hi, own, event_pos)
-
-    def _sweep_plain(
-        self, ordered, entries, lo, hi, own: int, event_pos: int
-    ) -> dict[str, list[SimpleEvent]]:
+            return sweep_spatial(
+                self._slot_ids,
+                delta_t,
+                self._delta_l,
+                event,
+                ordered,
+                entries,
+                lo,
+                hi,
+                own,
+                event_pos,
+            )
         return sweep_plain(
-            self._slot_ids,
-            self.operator.delta_t,
-            ordered,
-            entries,
-            lo,
-            hi,
-            own,
-            event_pos,
-        )
-
-    def _sweep_spatial(
-        self, event, ordered, entries, lo, hi, own: int, event_pos: int
-    ) -> dict[str, list[SimpleEvent]]:
-        return sweep_spatial(
-            self._slot_ids,
-            self.operator,
-            event,
-            ordered,
-            entries,
-            lo,
-            hi,
-            own,
-            event_pos,
+            self._slot_ids, delta_t, ordered, entries, lo, hi, own, event_pos
         )
 
 
@@ -422,15 +463,22 @@ def sweep_plain(
 
 
 def sweep_spatial(
-    slot_ids, operator, event, ordered, entries, lo, hi, own: int, event_pos: int
+    slot_ids,
+    delta_t,
+    delta_l,
+    event,
+    ordered,
+    entries,
+    lo,
+    hi,
+    own: int,
+    event_pos: int,
 ) -> dict[str, list[SimpleEvent]]:
     """Finite ``delta_l``: grid-pruned combination search per trigger.
 
     Shared verbatim between the incremental matcher and the columnar
     core, same as :func:`sweep_plain`.
     """
-    delta_t = operator.delta_t
-    delta_l = operator.delta_l
     n = len(entries)
     key = event.key
     union: list[dict[tuple[str, int], SimpleEvent]] = [{} for _ in range(n)]
@@ -496,18 +544,20 @@ class _StabbingIndex:
         self._by_attr: dict[str, tuple[list[float], list[tuple]]] = {}
 
     def add(self, attribute, interval, timeline, matcher) -> None:
-        if interval.lo <= interval.hi:  # empty filters accept nothing
-            self._registrations.append(
-                (attribute, interval.lo, interval.hi, timeline, matcher)
-            )
-            self._dirty = True
+        # Empty filters are kept too (and skipped at rebuild): the index
+        # then stays non-empty for as long as any matcher draws from
+        # the sensor, which is what teardown relies on.
+        self._registrations.append(
+            (attribute, interval.lo, interval.hi, timeline, matcher)
+        )
+        self._dirty = True
 
     def discard(self, matcher) -> None:
         """Remove every registration of ``matcher`` (operator teardown)."""
-        kept = [reg for reg in self._registrations if reg[4] is not matcher]
-        if len(kept) != len(self._registrations):
-            self._registrations = kept
-            self._dirty = True
+        self._registrations = [
+            reg for reg in self._registrations if reg[4] is not matcher
+        ]
+        self._dirty = True
 
     def __bool__(self) -> bool:
         return bool(self._registrations)
@@ -529,7 +579,8 @@ class _StabbingIndex:
         self._dirty = False
         groups: dict[str, list[tuple]] = {}
         for attribute, lo, hi, timeline, matcher in self._registrations:
-            groups.setdefault(attribute, []).append((lo, hi, timeline, matcher))
+            if lo <= hi:  # empty filters accept nothing
+                groups.setdefault(attribute, []).append((lo, hi, timeline, matcher))
         by_attr: dict[str, tuple[list[float], list[tuple]]] = {}
         for attribute, regs in groups.items():
             bounds = sorted({x for lo, hi, _t, _m in regs for x in (lo, hi)})
@@ -553,9 +604,14 @@ class MatchingEngine:
     """Per-node registry of operator matchers, kept in lockstep with ``U``.
 
     One engine serves every operator a node stores, across all
-    per-origin subscription stores: matchers are shared by operator
-    *equality*, so the same fragment received from several neighbours is
-    indexed (and each arrival matched) once.
+    per-origin subscription stores and the local subscriptions.
+    Matchers are shared by match *structure* ``(slots, delta_t,
+    delta_l)``: every operator asking the same question — whichever
+    subscription, subscriber or neighbour it came from — resolves to
+    one :class:`OperatorMatcher`, so each arrival is indexed and swept
+    once per distinct question.  Callers never see the sharing:
+    :meth:`retain` / :meth:`release` count per operator, and
+    :meth:`operators` lists operators, not structures.
     """
 
     _PRUNE_SWEEP_EVERY = 256
@@ -565,7 +621,14 @@ class MatchingEngine:
     def __init__(self, store: "EventStore") -> None:
         self._store = store
         self.horizon = store.horizon
+        # Bumped on every change of the mirrored store content; the
+        # matchers' probe memos are keyed on it.
+        self.version = 0
+        # Two-level resolution: operator -> matcher rides the
+        # operator's cached hash (an identity hit for stored
+        # operators); only a miss builds and hashes the structure key.
         self._matchers: dict[CorrelationOperator, OperatorMatcher] = {}
+        self._shared: dict[tuple, OperatorMatcher] = {}
         self._ingest_index: dict[str, _StabbingIndex] = {}
         self._refs: dict[CorrelationOperator, int] = {}
         self._adds_since_sweep = 0
@@ -575,6 +638,7 @@ class MatchingEngine:
     # EventStore listener protocol
     # ------------------------------------------------------------------
     def event_added(self, event: SimpleEvent) -> None:
+        self.version += 1
         index = self._ingest_index.get(event.sensor_id)
         if index is not None:
             timestamp = event.timestamp
@@ -585,10 +649,11 @@ class MatchingEngine:
         self._adds_since_sweep += 1
         if self._adds_since_sweep >= self._PRUNE_SWEEP_EVERY:
             self._adds_since_sweep = 0
-            for matcher in self._matchers.values():
+            for matcher in self._shared.values():
                 matcher._prune()
 
     def horizon_advanced(self, horizon: float) -> None:
+        self.version += 1
         self.horizon = horizon
 
     def sensor_fenced(self, sensor_id: str) -> None:
@@ -598,26 +663,36 @@ class MatchingEngine:
         for matchers that never drew from the sensor; churn transitions
         are rare enough that the linear walk over matchers is noise.
         """
-        for matcher in self._matchers.values():
+        self.version += 1
+        for matcher in self._shared.values():
             matcher.fence_sensor(sensor_id)
 
     # ------------------------------------------------------------------
     def matcher(self, operator: CorrelationOperator) -> OperatorMatcher:
-        """Get or create (and backfill) the matcher for ``operator``."""
+        """The matcher answering for ``operator``.
+
+        Created and backfilled for the first operator of a structure;
+        every later one joins it as it is — the matcher already mirrors
+        the store, so a clone admitted mid-replay costs no backfill.
+        """
         found = self._matchers.get(operator)
         if found is None:
-            found = OperatorMatcher(operator, self)
+            found = self._shared.get(match_structure(operator))
+            if found is None:
+                found = OperatorMatcher(operator, self)
+                self._shared[found.structure] = found
+                found.backfill(self._store)
+                for slot, timeline in zip(operator.slots, found._timelines):
+                    for sensor_id in sorted(slot.sensors):
+                        self._ingest_index.setdefault(
+                            sensor_id, _StabbingIndex()
+                        ).add(slot.attribute, slot.interval, timeline, found)
+            found._users += 1
             self._matchers[operator] = found
-            found.backfill(self._store)
-            for slot, timeline in zip(found._slots, found._timelines):
-                for sensor_id in sorted(slot.sensors):
-                    self._ingest_index.setdefault(
-                        sensor_id, _StabbingIndex()
-                    ).add(slot.attribute, slot.interval, timeline, found)
         return found
 
     def register(self, operators: Iterable[CorrelationOperator] | CorrelationOperator) -> None:
-        """Eagerly create matchers (the ``SubscriptionStore.add`` hook)."""
+        """Eagerly resolve matchers without counting a reference."""
         if isinstance(operators, CorrelationOperator):
             self.matcher(operators)
         else:
@@ -630,46 +705,52 @@ class MatchingEngine:
     def retain(self, operator: CorrelationOperator) -> OperatorMatcher:
         """Get the operator's matcher and count a long-lived reference.
 
-        Subscription stores and local-subscription registrations retain
-        the matchers they hold; :meth:`release` drops the reference when
-        the operator is removed again (query cancellation), and the last
-        release tears the matcher down.
+        Subscription stores, local-subscription registrations and the
+        multi-join relays' ring joins retain the matchers they hold;
+        :meth:`release` drops the reference when the operator is removed
+        again (query cancellation).
         """
         matcher = self.matcher(operator)
         self._refs[operator] = self._refs.get(operator, 0) + 1
         return matcher
 
     def release(self, operator: CorrelationOperator) -> None:
-        """Drop one reference; tear the matcher down at zero.
+        """Drop one reference taken by :meth:`retain`.
 
-        Also serves as an unconditional discard for matchers that were
-        created without :meth:`retain` (the multi-join relays' on-demand
-        ring joins): with no recorded reference the matcher is removed
-        outright.  Releasing an unknown operator is a no-op.
-
-        Teardown removes the matcher, scrubs its timelines out of every
-        per-sensor ingest index and drops indexes that became empty —
-        the engine ends in the state it would hold had the operator
-        never been registered.
+        The operator's last release detaches it from its matcher, and
+        the matcher is torn down with the last operator resolving to it
+        — siblings sharing the structure keep theirs untouched.
+        Teardown scrubs the timelines out of every per-sensor ingest
+        index and drops indexes that became empty: the engine ends in
+        the state it would hold had the operator never been registered.
+        Every release must pair with a retain; an unpaired one is a
+        refcount bug and raises ``KeyError``.
         """
-        remaining = self._refs.get(operator, 0) - 1
-        if remaining > 0:
+        remaining = self._refs[operator] - 1
+        if remaining:
             self._refs[operator] = remaining
             return
-        self._refs.pop(operator, None)
-        matcher = self._matchers.pop(operator, None)
-        if matcher is None:
+        del self._refs[operator]
+        matcher = self._matchers.pop(operator)
+        matcher._users -= 1
+        if matcher._users:
             return
-        for sensor_id in sorted(matcher.operator.sensors):
-            index = self._ingest_index.get(sensor_id)
-            if index is not None:
-                index.discard(matcher)
-                if not index:
-                    del self._ingest_index[sensor_id]
+        del self._shared[matcher.structure]
+        for sensor_id in matcher._by_sensor:
+            index = self._ingest_index[sensor_id]
+            index.discard(matcher)
+            if not index:
+                del self._ingest_index[sensor_id]
+
+    def operators(self) -> list[CorrelationOperator]:
+        """Every retained operator, sorted by ``op_id`` (ties keep
+        first-retain order) — one entry per operator however many share
+        a matcher."""
+        return sorted(self._refs, key=lambda operator: operator.op_id)
 
     def matches_involving(
         self, operator: CorrelationOperator, event: SimpleEvent
-    ) -> dict[str, list[SimpleEvent]]:
+    ) -> Participants:
         """Drop-in replacement for the reference ``matches_involving``."""
         return self.matcher(operator).matches_involving(event)
 
@@ -681,4 +762,11 @@ class MatchingEngine:
 
     @property
     def n_matchers(self) -> int:
-        return len(self._matchers)
+        """Live matchers, i.e. distinct structures — at most one per
+        operator, fewer wherever operators share."""
+        return len(self._shared)
+
+    @property
+    def n_indexed_sensors(self) -> int:
+        """Sensors with a live ingest index; 0 once every matcher is gone."""
+        return len(self._ingest_index)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from .events import SimpleEvent
 from .intervals import Interval
@@ -86,14 +86,59 @@ class CorrelationOperator:
     Operators are value objects: projecting the same subscription onto
     the same slot subset yields an equal operator, which is what the
     per-neighbour subscription stores rely on for duplicate suppression.
+
+    Besides the six fields an operator has three *derived identities*,
+    read per stored operator per arrival (send tags, per-sensor
+    indexes, coverage grouping):
+
+    ``op_id``
+        Stable human-readable identity (subscription + slot ids).
+    ``sensors``
+        Every concrete sensor any slot may draw events from.
+    ``signature``
+        Grouping key for coverage, ``(slot structure, delta_t, delta_l,
+        main_slot)`` with the slot structure a flat ``(slot_id,
+        attribute, sensors, ...)`` run over the slots.  Only operators
+        with the same signature are comparable for subsumption (the
+        paper filters "only subscriptions over the same attributes"
+        and, for binary joins, "with the same signature").
+
+    Each is an unset ``__slots__`` entry until first read:
+    :meth:`__getattr__` — which Python consults only when the slot is
+    still empty — computes and stores it, and every later read is a
+    plain slot load.  Construction pays nothing for them (projection
+    builds many operators that are never asked), and with no instance
+    ``__dict__`` an operator with all three filled is no bigger than a
+    dict-backed one without.
     """
+
+    __slots__ = (
+        "subscription_id",
+        "subscriber",
+        "slots",
+        "delta_t",
+        "delta_l",
+        "main_slot",
+        "_hash",
+        "op_id",
+        "sensors",
+        "signature",
+    )
 
     subscription_id: str
     subscriber: str
     slots: tuple[Slot, ...]
     delta_t: float
-    delta_l: float = UNBOUNDED
-    main_slot: str | None = None  # set only on binary joins (multi-join baseline)
+    delta_l: float  # defaults to UNBOUNDED
+    main_slot: str | None  # set only on binary joins (multi-join baseline)
+
+    if TYPE_CHECKING:
+        # For type checkers only: a runtime annotation would turn these
+        # into dataclass fields (compared, printed).
+        _hash: int
+        op_id: str
+        sensors: frozenset[str]
+        signature: tuple[tuple[object, ...], float, float, str | None]
 
     def __init__(
         self,
@@ -118,7 +163,7 @@ class CorrelationOperator:
         object.__setattr__(self, "delta_t", delta_t)
         object.__setattr__(self, "delta_l", delta_l)
         object.__setattr__(self, "main_slot", main_slot)
-        # Matchers are keyed by operator equality on the event hot path;
+        # Engines resolve an operator's matcher by operator equality;
         # the generated frozen-dataclass hash re-walks every slot (and
         # its sensor frozenset) per lookup, so cache it once.
         object.__setattr__(
@@ -132,24 +177,37 @@ class CorrelationOperator:
     def __hash__(self) -> int:
         return self._hash
 
+    def __getattr__(self, name: str) -> Any:
+        """Fill a derived identity on its first read (class docstring)."""
+        derive = _DERIVED.get(name)
+        if derive is None:
+            raise AttributeError(name)
+        value = derive(self)
+        object.__setattr__(self, name, value)  # repro-lint: ignore[frozen-mutation] -- memoises a pure function of the fields; hash and equality never read it
+        return value
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # Rebuild through __init__: frozen slots take no setattr-based
+        # state, and the cached hash must be recomputed under the
+        # unpickling process's string-hash seed anyway.
+        return (
+            CorrelationOperator,
+            (
+                self.subscription_id,
+                self.subscriber,
+                self.slots,
+                self.delta_t,
+                self.delta_l,
+                self.main_slot,
+            ),
+        )
+
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
     @property
-    def op_id(self) -> str:
-        """Stable human-readable identity (subscription + slot ids)."""
-        tag = ",".join(s.slot_id for s in self.slots)
-        kind = f"|bj:{self.main_slot}" if self.main_slot else ""
-        return f"{self.subscription_id}[{tag}]{kind}"
-
-    @property
     def slot_ids(self) -> frozenset[str]:
         return frozenset(s.slot_id for s in self.slots)
-
-    @property
-    def sensors(self) -> frozenset[str]:
-        """Every concrete sensor any slot may draw events from."""
-        return frozenset(sid for s in self.slots for sid in s.sensors)
 
     @property
     def is_simple(self) -> bool:
@@ -159,25 +217,6 @@ class CorrelationOperator:
     @property
     def is_binary_join(self) -> bool:
         return self.main_slot is not None
-
-    @property
-    def signature(
-        self,
-    ) -> tuple[
-        tuple[tuple[str, str, tuple[str, ...]], ...], float, float, str | None
-    ]:
-        """Grouping key for coverage: slot structure + correlation params.
-
-        Only operators with the same signature are comparable for
-        subsumption (the paper filters "only subscriptions over the same
-        attributes" and, for binary joins, "with the same signature").
-        """
-        return (
-            tuple((s.slot_id, s.attribute, tuple(sorted(s.sensors))) for s in self.slots),
-            self.delta_t,
-            self.delta_l,
-            self.main_slot,
-        )
 
     def slot(self, slot_id: str) -> Slot:
         for s in self.slots:
@@ -229,11 +268,12 @@ class CorrelationOperator:
         slots those sensors can fill.  Returns None when no slot remains.
         """
         available = set(sensor_ids)
-        kept = [
-            s.with_sensors(frozenset(s.sensors & available))
-            for s in self.slots
-            if s.sensors & available
-        ]
+        kept = []
+        for s in self.slots:
+            common = s.sensors & available
+            if common:
+                # A slot the subtree fills completely is kept as it is.
+                kept.append(s if len(common) == len(s.sensors) else s.with_sensors(common))
         if not kept:
             return None
         return CorrelationOperator(
@@ -319,6 +359,34 @@ class CorrelationOperator:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.op_id
+
+
+def _op_id(operator: CorrelationOperator) -> str:
+    tag = ",".join(s.slot_id for s in operator.slots)
+    kind = f"|bj:{operator.main_slot}" if operator.main_slot else ""
+    return f"{operator.subscription_id}[{tag}]{kind}"
+
+
+def _sensors(operator: CorrelationOperator) -> frozenset[str]:
+    if len(operator.slots) == 1:
+        return operator.slots[0].sensors
+    return frozenset(sid for s in operator.slots for sid in s.sensors)
+
+
+def _signature(
+    operator: CorrelationOperator,
+) -> tuple[tuple[object, ...], float, float, str | None]:
+    structure: list[object] = []
+    for s in operator.slots:
+        structure += (s.slot_id, s.attribute, s.sensors)
+    return (tuple(structure), operator.delta_t, operator.delta_l, operator.main_slot)
+
+
+_DERIVED: dict[str, Callable[[CorrelationOperator], object]] = {
+    "op_id": _op_id,
+    "sensors": _sensors,
+    "signature": _signature,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -132,11 +132,12 @@ class StoredOperator:
 class SubscriptionStore:
     """``S_m`` of Figure 2: operators received from one origin.
 
-    When the node runs the incremental matching engine, storing an
-    operator also retains its :class:`OperatorMatcher` — from then on
-    every ingested event is indexed as it arrives instead of being
-    rediscovered by scans; removing the operator again (query
-    cancellation) releases the matcher.
+    When the node runs a matching engine, storing an operator also
+    retains its matcher (one the engine may share with every other
+    operator asking the same question) — from then on every ingested
+    event is indexed as it arrives instead of being rediscovered by
+    scans; removing the operator again (query cancellation) releases
+    the reference.
 
     Records keep their arrival rank (:data:`LifecycleSeq`) so that
     cancellation repair can re-evaluate coverage decisions against
@@ -239,23 +240,16 @@ class SubscriptionStore:
             r.operator for r in self._records if not r.covered and r.seq < seq
         ]
 
-    def ops_for_sensor(
-        self, sensor_id: str, include_covered: bool
-    ) -> Iterator[CorrelationOperator]:
-        """Operators with a slot drawing from ``sensor_id``.
-
-        The event path only needs operators a new event could concern —
-        this index keeps per-event work proportional to the relevant
-        operators instead of the whole store.
-        """
-        for record in self._by_sensor.get(sensor_id, ()):
-            if include_covered or not record.covered:
-                yield record.operator
-
     def matched_for_sensor(
         self, sensor_id: str, include_covered: bool
     ) -> Iterator[tuple[CorrelationOperator, object]]:
-        """(operator, matcher) pairs for the incremental event path."""
+        """(operator, matcher) pairs with a slot drawing from ``sensor_id``.
+
+        The event path only needs operators a new event could concern —
+        this index keeps per-event work proportional to the relevant
+        operators instead of the whole store.  The matcher is the one
+        retained at store time (None in reference mode).
+        """
         for record in self._by_sensor.get(sensor_id, ()):
             if include_covered or not record.covered:
                 yield record.operator, record.matcher
@@ -416,19 +410,6 @@ class Node:
                 self.matching, self._seq_source
             )
         return store
-
-    def matches_involving(
-        self, operator: CorrelationOperator, event: SimpleEvent
-    ) -> dict[str, list[SimpleEvent]]:
-        """Participants of matches ``event`` takes part in, for ``operator``.
-
-        Dispatches to the incremental engine (default) or the reference
-        window-scanning matcher (``Network(matching="reference")``);
-        both are exact and return identical participants.
-        """
-        if self.matching is not None:
-            return self.matching.matches_involving(operator, event)
-        return reference_matches_involving(operator, self.store, event)
 
     # ------------------------------------------------------------------
     # sending helpers

@@ -16,7 +16,8 @@ plus the centralized baseline and both matching modes:
 * **any cancellation leaves zero footprint of the cancelled query** —
   no stored operator, matcher, role, ring join, dispatched filter or
   forwarded-path memory anywhere, and zero post-cancel deliveries,
-  even when the cancel chases the subscription flood mid-flight;
+  even when the cancel chases the subscription flood mid-flight; and
+  cancelling *every* query drains every node's engine completely;
 * **mid-flood cancellation is safe** — the pairwise approaches never
   lose a survivor's delivery relative to never-subscribed (coverage
   falls back to covering supersets); FSF's union coverage may re-roll
@@ -185,13 +186,11 @@ def assert_equivalent_stores(run_network, base_network, context):
 
 
 def matcher_state(network):
-    """Registered incremental matchers per node (None in reference mode)."""
+    """Operators retained by each node's engine (none in reference mode)."""
     state = {}
     for node_id, node in network.nodes.items():
         if node.matching is not None:
-            state[node_id] = sorted(
-                op.op_id for op in node.matching._matchers
-            )
+            state[node_id] = [op.op_id for op in node.matching.operators()]
     return state
 
 
@@ -214,10 +213,7 @@ def assert_no_trace(network, sub_id):
         assert sub_id not in node._forwarded_subs, where
         if node.matching is not None:
             assert not any(
-                op.subscription_id == sub_id for op in node.matching._matchers
-            ), where
-            assert not any(
-                op.subscription_id == sub_id for op in node.matching._refs
+                op.subscription_id == sub_id for op in node.matching.operators()
             ), where
         for attr in ("roles", "_ring_cache"):
             mapping = getattr(node, attr, None)
@@ -346,6 +342,37 @@ def test_mid_flood_cancel_is_safe(chunk):
                     "delivered"
                 ].get(sub_id, set())
                 assert not lost, (context, sub_id)
+
+
+@pytest.mark.parametrize("matching", ["incremental", "columnar"])
+@pytest.mark.parametrize("approach", APPROACH_KEYS)
+def test_cancelling_everything_after_the_replay_drains_every_engine(approach, matching):
+    """All-cancel + drain leaves no engine state at all.
+
+    The cancels come *after* the replay, so everything the event path
+    retains on demand (the multi-join relays' ring joins) exists when
+    the teardown starts.  Afterwards no node's engine holds a matcher,
+    a retained operator (hence a refcount) or a per-sensor ingest index
+    — with matchers shared between operators, a reference dropped once
+    too often or once too rarely shows up here.
+    """
+    for seed in (2, 3, 5):
+        run = run_arena(seed, approach, matching, set(), True)
+        network = run["network"]
+        assert any(node.matching.n_matchers for node in network.nodes.values())
+        _, _, workload = arena(seed)
+        for placed in workload:
+            network.cancel_subscription(placed.node_id, placed.subscription.sub_id)
+        network.run_to_quiescence()
+        for node_id, node in network.nodes.items():
+            context = (seed, node_id)
+            assert node.matching.operators() == [], context
+            assert node.matching.n_matchers == 0, context
+            if matching == "incremental":
+                assert node.matching.n_indexed_sensors == 0, context
+            assert not any(len(store) for store in node.stores.values()), context
+        for placed in workload:
+            assert_no_trace(network, placed.subscription.sub_id)
 
 
 def test_probabilistic_fsf_cancel_footprint():
