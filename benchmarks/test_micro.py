@@ -109,7 +109,7 @@ def _matcher_state():
     op = _operator()
     store = EventStore(validity=10_000.0)
     engine = MatchingEngine(store)
-    engine.register(op)
+    engine.retain(op)
     events = _events()
     now = 0.0
     for e in events:
@@ -298,18 +298,6 @@ def test_bench_e2e_forward_incremental(benchmark):
     _bench_forward(benchmark, "incremental")
 
 
-def test_bench_e2e_forward_columnar(benchmark):
-    """Identical workload on the columnar shared-lane engine.
-
-    At 200 heterogeneous operators the whole-node path is dominated by
-    ingest/forwarding glue and there is almost no lane sharing, so the
-    bar here is parity: the CI bench-regression smoke fails if columnar
-    is *slower* than the incremental pair.  Thousands of
-    near-duplicate operators are measured by
-    ``test_bench_matching_shared_*`` below."""
-    _bench_forward(benchmark, "columnar")
-
-
 def test_bench_e2e_forward_reference(benchmark):
     """Identical workload on the reference (seed) matcher — the
     recompute-on-arrival baseline the engine is measured against."""
@@ -328,9 +316,8 @@ _SHARED_EVENTS_PER_ROUND = 600
 def _shared_operators(rng):
     """5000 operators drawn from 50 slot templates over 20 sensors:
     exact structural duplicates (same slots and ``delta_t``, own
-    subscription id).  The columnar engine collapses their slots onto
-    shared refcounted lanes; the incremental engine answers each
-    template from one shared matcher."""
+    subscription id).  The engine answers each template from one
+    shared matcher."""
     from repro.model.operators import CorrelationOperator, Slot
 
     templates = []
@@ -357,13 +344,11 @@ def _shared_operators(rng):
     ]
 
 
-def _shared_matching_arena(mode: str):
+def _shared_matching_arena():
     """Store + engine with the shared-template operators registered and
     the per-sensor layouts pre-built (registration cost is amortised
     over a long-running deployment, so it stays outside the timed
     region), plus the deterministic per-round reading pattern."""
-    from repro.matching.columnar import ColumnarEngine
-
     rng = np.random.default_rng(7)
     sensors = [f"s{i}" for i in range(_SHARED_N_SENSORS)]
     loc = Location(0.0, 0.0)
@@ -373,46 +358,41 @@ def _shared_matching_arena(mode: str):
         for _ in range(_SHARED_EVENTS_PER_ROUND)
     ]
     store = EventStore(validity=30.0)
-    engine = MatchingEngine(store) if mode == "incremental" else ColumnarEngine(store)
+    engine = MatchingEngine(store)
     by_sensor: dict = {}
     for op in ops:
-        matcher = engine.matcher(op)
+        matcher = engine.retain(op)
         for s in op.sensors:
             by_sensor.setdefault(s, []).append(matcher)
-    # Warm: one out-of-range reading per sensor forces every per-sensor
-    # layout (columnar) / per-slot index (incremental) to build now.
+    # Warm: one out-of-range reading per sensor forces every per-slot
+    # index to build now.
     for i, s in enumerate(sensors):
         warm = SimpleEvent(s, "temp", loc, -100.0, 0.001 + i * 1e-6, -1000 + i)
         store.add(warm, warm.timestamp)
-        _shared_round_events(mode, engine, by_sensor, [warm], store, add=False)
-    return engine, store, by_sensor, pattern, loc
+        _shared_round_events(by_sensor, [warm], store, add=False)
+    return store, by_sensor, pattern, loc
 
 
-def _shared_round_events(mode, engine, by_sensor, events, store, add=True):
+def _shared_round_events(by_sensor, events, store, add=True):
     """Drive one burst through the matching core, returning the number
-    of operators that matched — the same question both engines answer,
-    through each engine's natural bulk API."""
+    of operators that matched."""
     n_matches = 0
-    if mode == "columnar":
-        for ev in events:
-            if add and not store.add(ev, ev.timestamp):
-                continue
-            for _matcher, _members in engine.iter_matched(ev):
+    for ev in events:
+        if add and not store.add(ev, ev.timestamp):
+            continue
+        for m in by_sensor.get(ev.sensor_id, ()):
+            if m.matches_involving(ev):
                 n_matches += 1
-    else:
-        for ev in events:
-            if add and not store.add(ev, ev.timestamp):
-                continue
-            for m in by_sensor.get(ev.sensor_id, ()):
-                if m.matches_involving(ev):
-                    n_matches += 1
     return n_matches
 
 
-def _bench_matching_shared(benchmark, mode: str):
+def test_bench_matching_shared_incremental(benchmark):
+    """The incremental engine at sharing scale: 5000 near-duplicate
+    operators, each answering ``matches_involving`` per arrival (one
+    sweep per template and arrival, the other probes are memo hits)."""
     import gc
 
-    engine, store, by_sensor, pattern, loc = _shared_matching_arena(mode)
+    store, by_sensor, pattern, loc = _shared_matching_arena()
     state = {"round": 0, "matches": 0}
 
     def round_():
@@ -424,11 +404,9 @@ def _bench_matching_shared(benchmark, mode: str):
             SimpleEvent(s, "temp", loc, v, t0 + round(i * 0.02, 3), seq + i)
             for i, (s, v) in enumerate(pattern)
         ]
-        state["matches"] = _shared_round_events(
-            mode, engine, by_sensor, events, store
-        )
+        state["matches"] = _shared_round_events(by_sensor, events, store)
 
-    benchmark.extra_info["matching"] = mode
+    benchmark.extra_info["matching"] = "incremental"
     benchmark.extra_info["n_operators"] = _SHARED_N_OPS
     benchmark.extra_info["n_templates"] = _SHARED_N_TEMPLATES
     benchmark.pedantic(
@@ -439,23 +417,6 @@ def _bench_matching_shared(benchmark, mode: str):
         iterations=1,
     )
     benchmark.extra_info["matches_last_round"] = state["matches"]
-
-
-def test_bench_matching_shared_incremental(benchmark):
-    """The incremental engine at sharing scale: 5000 near-duplicate
-    operators, each answering ``matches_involving`` per arrival (one
-    sweep per template and arrival, the other probes are memo hits)."""
-    _bench_matching_shared(benchmark, "incremental")
-
-
-def test_bench_matching_shared_columnar(benchmark):
-    """The columnar engine on the identical workload, answered through
-    ``iter_matched`` — one vectorised verdict pass over every operator
-    registered on the arriving sensor, with window member lists
-    materialised once per slot template.  No ratio against
-    ``test_bench_matching_shared_incremental`` is gated any more: both
-    engines now pay once per template here, not once per operator."""
-    _bench_matching_shared(benchmark, "columnar")
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from .api import ComplexMatch, Query, QueryError, QueryHandle, QueryStats, Session
 from .core import FSFConfig, FilterSplitForwardNode, filter_split_forward_approach
-from .deprecation import ReproDeprecationWarning, warn_deprecated
 from .model import (
     AbstractSubscription,
     Advertisement,
@@ -81,7 +80,6 @@ __all__ = [
     "QueryHandle",
     "QueryLifecycleConfig",
     "QueryStats",
-    "ReproDeprecationWarning",
     "Session",
     "SimpleEvent",
     "SimpleFilter",
@@ -90,27 +88,6 @@ __all__ = [
     "build_deployment",
     "execute_program",
     "filter_split_forward_approach",
-    "quick_network",
     "__version__",
 ]
 
-
-def quick_network(
-    n_nodes: int = 24,
-    n_groups: int = 3,
-    seed: int = 0,
-    config: FSFConfig | None = None,
-) -> tuple[Network, Deployment]:
-    """Deprecated: use :meth:`repro.api.Session.create` instead.
-
-    Kept as a thin shim over the session facade — returns the
-    session's network and deployment, exactly as before.
-    """
-    warn_deprecated("repro.quick_network", "repro.Session.create")
-    session = Session.create(
-        approach=filter_split_forward_approach(config),
-        nodes=n_nodes,
-        groups=n_groups,
-        seed=seed,
-    )
-    return session.network, session.deployment

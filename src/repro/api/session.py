@@ -70,7 +70,6 @@ class Session:
         nodes: int = 24,
         groups: int = 3,
         seed: int | None = None,
-        matching: str = "incremental",
         latency: float = 0.05,
         delta_t: float = 5.0,
         deployment: Deployment | None = None,
@@ -84,10 +83,8 @@ class Session:
 
         ``approach`` is a registry key (``"fsf"``, ``"naive"``,
         ``"operator_placement"``, ``"multijoin"``, ``"centralized"``) or
-        an :class:`Approach` instance; ``matching`` selects the node
-        matcher (the ``"incremental"`` engine, the ``"columnar"``
-        shared-lane engine or the ``"reference"`` oracle);
-        ``deployment`` overrides the generated topology.
+        an :class:`Approach` instance; ``deployment`` overrides the
+        generated topology.
         ``seed`` defaults to the deployment's own seed when one is
         passed (so a pre-built deployment reproduces the experiment
         runner's simulator streams), else 0.  Sensors are attached and
@@ -130,7 +127,6 @@ class Session:
             Simulator(seed=seed),
             latency=latency,
             delta_t=delta_t,
-            matching=matching,
             faults=faults,
             reliability=reliability,
             answer_mode=answer_mode,

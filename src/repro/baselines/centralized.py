@@ -18,7 +18,6 @@ precisely the global knowledge the distributed approaches do without.
 from __future__ import annotations
 
 from ..model.events import EventKey, SimpleEvent
-from ..model.matching import matches_involving as reference_matches_involving
 from ..model.operators import CorrelationOperator, root_operator
 from ..model.subscriptions import (
     AbstractSubscription,
@@ -234,12 +233,7 @@ class CentralizedNode(Node):
         if store is None:
             return
         for operator, matcher in store.matched_for_sensor(event.sensor_id, False):
-            if matcher is not None:
-                participants = matcher.matches_involving(event)
-            else:
-                participants = reference_matches_involving(
-                    operator, self.store, event
-                )
+            participants = matcher.matches_involving(event)
             if not participants:
                 continue
             self.network.delivery.record_complex(operator.subscription_id)

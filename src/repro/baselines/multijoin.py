@@ -37,7 +37,6 @@ from typing import Any
 
 from ..model.advertisements import AdvertisementTable
 from ..model.events import SimpleEvent
-from ..model.matching import matches_involving as reference_matches_involving
 from ..model.operators import CorrelationOperator
 from ..network.network import Network
 from ..network.node import (
@@ -198,10 +197,9 @@ class MultiJoinNode(Node):
     def on_operator_removed(self, operator: CorrelationOperator) -> None:
         """Clear the operator's role and release its ring's matchers."""
         self.roles.pop(operator.op_id, None)
-        engine = self.matching
         for join, matcher in self._ring_cache.pop(operator.op_id, ()):
-            if matcher is not None and engine is not None:
-                engine.release(join)
+            if matcher is not None:
+                self.matching.release(join)
 
     def on_operator_uncovered(
         self, record: StoredOperator, origin: str, store: SubscriptionStore
@@ -270,15 +268,10 @@ class MultiJoinNode(Node):
                     join, join_matcher = entry
                     if not join.accepts_some(event):
                         continue
-                    if join_matcher is None and engine is not None:
+                    if join_matcher is None:
                         # Retained once, released in on_operator_removed.
                         join_matcher = entry[1] = engine.retain(join)
-                    if join_matcher is not None:
-                        participants = join_matcher.matches_involving(event)
-                    else:
-                        participants = reference_matches_involving(
-                            join, self.store, event
-                        )
+                    participants = join_matcher.matches_involving(event)
                     if not participants:
                         continue
                     assert join.main_slot is not None

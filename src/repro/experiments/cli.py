@@ -9,6 +9,7 @@ Examples::
     repro-experiments fig7 --scale 0.2
     repro-experiments fig15 --scale smoke --workers 2
     repro-experiments all --scale nightly --workers 4
+    repro-experiments all --family faults --family sketches
     repro-experiments fig12 --oracle reference
     repro-experiments experiments-md --output EXPERIMENTS.md
 """
@@ -66,37 +67,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         "presets, then exit (no experiment runs)",
     )
     parser.add_argument(
-        "--churn",
-        "--beyond",
-        dest="churn",
-        action="store_true",
-        help="include the beyond-paper families (churn figs 13-14, "
-        "admit/retire figs 15-16, faults figs 17-18, placement figs "
-        "19-20) in the 'all' and 'experiments-md' targets; their "
-        "dedicated figN targets always run",
-    )
-    parser.add_argument(
-        "--faults",
-        action="store_true",
-        help="include just the unreliable-transport family (figs 17-18) "
-        "in the 'all' and 'experiments-md' targets without pulling in "
-        "the other beyond-paper families",
-    )
-    parser.add_argument(
-        "--placement",
-        action="store_true",
-        help="include just the placement family (figs 19-20, compiled "
-        "vs paper operator placement on the tiered deployment) in the "
-        "'all' and 'experiments-md' targets without pulling in the "
-        "other beyond-paper families",
-    )
-    parser.add_argument(
-        "--approx",
-        action="store_true",
-        help="include just the approximate-answer family (figs 21-22, "
-        "exact traffic frontier vs bounded-error sketch lanes) in the "
-        "'all' and 'experiments-md' targets without pulling in the "
-        "other beyond-paper families",
+        "--family",
+        action="append",
+        default=[],
+        choices=[*figures.FIGURE_FAMILIES, figures.ALL_FAMILIES],
+        metavar="NAME",
+        help="include a beyond-paper figure family in the 'all' and "
+        "'experiments-md' targets; repeatable; one of "
+        f"{', '.join(figures.FIGURE_FAMILIES)}, or "
+        f"{figures.ALL_FAMILIES} for all of them (--list names each "
+        "family's figures; their dedicated figN targets always run)",
     )
     parser.add_argument(
         "--scale",
@@ -168,31 +148,12 @@ def _run(args: argparse.Namespace) -> int:
     elif args.target.startswith("fig"):
         out.append(_figure_command(args.target[3:], args.scale))
     elif args.target == "experiments-md":
-        out.append(
-            build_experiments_md(
-                args.scale,
-                include_churn=args.churn,
-                include_faults=args.faults,
-                include_placement=args.placement,
-                include_approx=args.approx,
-            )
-        )
+        out.append(build_experiments_md(args.scale, families=args.family))
     else:  # all
         out.append(render_table_i())
         out.append(render_table_2())
         out.append(run_fig3_walkthrough().render())
-        for fig_id in sorted(figures.ALL_FIGURES, key=int):
-            if fig_id in figures.BEYOND_PAPER_FIGURES and not args.churn:
-                if (
-                    not (args.faults and fig_id in figures.FAULTS_FIGURES)
-                    and not (
-                        args.placement and fig_id in figures.PLACEMENT_FIGURES
-                    )
-                    and not (
-                        args.approx and fig_id in figures.SKETCHES_FIGURES
-                    )
-                ):
-                    continue
+        for fig_id in figures.selected_figures(args.family):
             out.append(_figure_command(fig_id, args.scale))
     text = "\n\n".join(out) + "\n"
     if args.output:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from ..metrics.report import summarize_improvement
 from ..workload.scenarios import default_scale
 from . import figures
@@ -66,17 +68,13 @@ PAPER_CLAIMS = {
 
 def build_experiments_md(
     scale: float | None = None,
-    include_churn: bool = False,
-    include_faults: bool = False,
-    include_placement: bool = False,
-    include_approx: bool = False,
+    families: Iterable[str] = (),
 ) -> str:
     """Run everything and render the paper-vs-measured record.
 
-    ``include_churn`` appends all beyond-paper figures (churn 13-14,
-    query admit/retire 15-16, faults 17-18, placement 19-20);
-    ``include_faults`` / ``include_placement`` append just their
-    family.  All off by default to keep the paper-facing record
+    ``families`` appends the named beyond-paper families' figures
+    (keys of ``figures.FIGURE_FAMILIES``, or ``"beyond"`` for all of
+    them).  Empty by default to keep the paper-facing record
     paper-shaped.
     """
     eff_scale = default_scale() if scale is None else scale
@@ -116,19 +114,7 @@ def build_experiments_md(
         "```",
         "",
     ]
-    for fig_id in sorted(figures.ALL_FIGURES, key=int):
-        if fig_id in figures.BEYOND_PAPER_FIGURES and not include_churn:
-            if (
-                not (include_faults and fig_id in figures.FAULTS_FIGURES)
-                and not (
-                    include_placement
-                    and fig_id in figures.PLACEMENT_FIGURES
-                )
-                and not (
-                    include_approx and fig_id in figures.SKETCHES_FIGURES
-                )
-            ):
-                continue
+    for fig_id in figures.selected_figures(families):
         result = figures.ALL_FIGURES[fig_id](eff_scale)
         parts += [
             f"## Figure {fig_id}",

@@ -9,7 +9,7 @@ so the bench suite never recomputes a scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..core.filter_split_forward import FSFConfig
 from ..metrics.report import (
@@ -724,43 +724,66 @@ ALL_FIGURES = {
     "22": figure_22,
 }
 
-CHURN_FIGURES = ("13", "14")
-"""The dynamic-workload family — beyond the paper."""
+class FigureFamily(NamedTuple):
+    """One beyond-paper figure family: its figures and, where it sweeps
+    an axis of its own, that axis as the ``--list`` catalog prints it."""
 
-ADMIT_RETIRE_FIGURES = ("15", "16")
-"""The query admit/retire family — beyond the paper."""
+    figures: tuple[str, ...]
+    axis: str | None = None
+    axis_values: tuple = ()
 
-FAULTS_FIGURES = ("17", "18")
-"""The robustness family (unreliable transport) — beyond the paper."""
 
-PLACEMENT_FIGURES = ("19", "20")
-"""The heterogeneous-architecture family (placement compiler) —
-beyond the paper."""
+FIGURE_FAMILIES: dict[str, FigureFamily] = {
+    "churn": FigureFamily(("13", "14")),
+    "admit_retire": FigureFamily(("15", "16"), "admit-rate axis", ADMIT_RATE_AXIS),
+    "faults": FigureFamily(("17", "18"), "link-loss axis", LOSS_AXIS),
+    "placement": FigureFamily(("19", "20"), "placement lanes", PLACEMENT_MODES),
+    "sketches": FigureFamily(
+        ("21", "22"), "digest-resolution axis", SKETCH_K_AXIS
+    ),
+}
+"""The families past the paper's 4-12 set, keyed by scenario family.
+The one table the CLI's ``--family`` choices, the ``--list`` catalog and
+the bulk targets' selection (:func:`selected_figures`) derive from."""
 
-SKETCHES_FIGURES = ("21", "22")
-"""The accuracy-vs-traffic family (approximate answer lane) —
-beyond the paper."""
+ALL_FAMILIES = "beyond"
+"""``--family`` value selecting every family at once."""
 
-BEYOND_PAPER_FIGURES = (
-    CHURN_FIGURES
-    + ADMIT_RETIRE_FIGURES
-    + FAULTS_FIGURES
-    + PLACEMENT_FIGURES
-    + SKETCHES_FIGURES
+BEYOND_PAPER_FIGURES = tuple(
+    fig_id for family in FIGURE_FAMILIES.values() for fig_id in family.figures
 )
-"""Figures past the paper's 4-12 set, gated behind the CLI's
-``--beyond`` (né ``--churn``) flag for the ``all`` / ``experiments-md``
+"""Figures gated behind ``--family`` for the ``all`` / ``experiments-md``
 targets; their dedicated ``figN`` targets always run."""
 
 FIGURE_GATES: dict[str, str] = {
-    **{fid: "--beyond (alias --churn)" for fid in CHURN_FIGURES},
-    **{fid: "--beyond (alias --churn)" for fid in ADMIT_RETIRE_FIGURES},
-    **{fid: "--faults (or --beyond)" for fid in FAULTS_FIGURES},
-    **{fid: "--placement (or --beyond)" for fid in PLACEMENT_FIGURES},
-    **{fid: "--approx (or --beyond)" for fid in SKETCHES_FIGURES},
+    fig_id: f"--family {name} (or --family {ALL_FAMILIES})"
+    for name, family in FIGURE_FAMILIES.items()
+    for fig_id in family.figures
 }
-"""Which CLI flag unlocks each gated figure under the ``all`` /
-``experiments-md`` targets (dedicated ``figN`` targets always run)."""
+"""Which ``--family`` value unlocks each gated figure under the bulk
+targets."""
+
+
+def selected_figures(families: Iterable[str] = ()) -> list[str]:
+    """Figure ids the ``all`` / ``experiments-md`` targets render: the
+    paper's own plus those of the named ``families``."""
+    families = set(families)
+    unknown = families - {*FIGURE_FAMILIES, ALL_FAMILIES}
+    if unknown:
+        raise ValueError(
+            f"unknown figure families {sorted(unknown)}; "
+            f"known: {[*FIGURE_FAMILIES, ALL_FAMILIES]}"
+        )
+    skipped = {
+        fig_id
+        for name, family in FIGURE_FAMILIES.items()
+        if name not in families and ALL_FAMILIES not in families
+        for fig_id in family.figures
+    }
+    return [
+        fig_id for fig_id in sorted(ALL_FIGURES, key=int) if fig_id not in skipped
+    ]
+
 
 FIGURE_SCENARIOS: dict[str, str] = {
     "4": "small",
@@ -839,22 +862,12 @@ def render_catalog() -> str:
         lines.append(
             f"fig{fig_id}: scenario {FIGURE_SCENARIOS[fig_id]}{beyond}"
         )
-    if ADMIT_RETIRE_FIGURES:
-        lines.append(
-            f"  admit-rate axis (figs 15-16): {list(ADMIT_RATE_AXIS)}"
-        )
-    if FAULTS_FIGURES:
-        lines.append(
-            f"  link-loss axis (figs 17-18): {list(LOSS_AXIS)}"
-        )
-    if PLACEMENT_FIGURES:
-        lines.append(
-            f"  placement lanes (figs 19-20): {list(PLACEMENT_MODES)}"
-        )
-    if SKETCHES_FIGURES:
-        lines.append(
-            f"  digest-resolution axis (figs 21-22): {list(SKETCH_K_AXIS)}"
-        )
+    for family in FIGURE_FAMILIES.values():
+        if family.axis is not None:
+            lines.append(
+                f"  {family.axis} (figs {'-'.join(family.figures)}): "
+                f"{list(family.axis_values)}"
+            )
     lines += ["", "Scale presets", "============="]
     for name, value in sorted(SCALE_PRESETS.items(), key=lambda kv: kv[1]):
         lines.append(f"{name}: {value}")

@@ -123,7 +123,6 @@ def run_program(
     delta_t: float = 5.0,
     latency: float = 0.05,
     oracle: str | None = None,
-    matching: str = "incremental",
 ) -> RunResult:
     """Run one approach over one compiled program; see module docstring.
 
@@ -134,7 +133,6 @@ def run_program(
     execution = execute_program(
         compiled,
         approach,
-        matching=matching,
         latency=latency,
         delta_t=delta_t,
     )
@@ -190,7 +188,6 @@ def run_point(
     latency: float = 0.05,
     oracle: str | None = None,
     churn: ChurnSchedule | None = None,
-    matching: str = "incremental",
 ) -> RunResult:
     """Run one approach on one already-materialised subscription prefix.
 
@@ -231,7 +228,6 @@ def run_point(
         delta_t=delta_t,
         latency=latency,
         oracle=oracle,
-        matching=matching,
     )
 
 

@@ -6,18 +6,18 @@ the machine-checked oracle; this package is the performance engine the
 node event path runs on.
 """
 
-from .batch import Lane, SharedTimeline
-from .columnar import ColumnarEngine, ColumnarMatcher
 from .engine import MatchingEngine, OperatorMatcher
+from .reference import ReferenceEngine
 from .timeline import Timeline, TimelineView
 
+ENGINES = {"incremental": MatchingEngine, "reference": ReferenceEngine}
+"""``Network(matching=)`` values and the per-node engine each installs."""
+
 __all__ = [
-    "ColumnarEngine",
-    "ColumnarMatcher",
-    "Lane",
+    "ENGINES",
     "MatchingEngine",
     "OperatorMatcher",
-    "SharedTimeline",
+    "ReferenceEngine",
     "Timeline",
     "TimelineView",
 ]

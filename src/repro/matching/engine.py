@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from ..model.events import SimpleEvent
 from ..model.operators import CorrelationOperator, Slot
@@ -409,11 +409,6 @@ def sweep_plain(
 
     Window membership is tracked as merged index spans per slot, so
     the union over triggers materialises each entry once.
-
-    Shared verbatim between the incremental matcher and the columnar
-    core (which hands in masked per-slot entry lists): the two modes
-    run *the same* sweep, so the differential fence pins one algorithm,
-    not two implementations that happen to agree.
     """
     n = len(entries)
     spans: list[list[list[int]]] = [[] for _ in range(n)]
@@ -474,11 +469,7 @@ def sweep_spatial(
     own: int,
     event_pos: int,
 ) -> dict[str, list[SimpleEvent]]:
-    """Finite ``delta_l``: grid-pruned combination search per trigger.
-
-    Shared verbatim between the incremental matcher and the columnar
-    core, same as :func:`sweep_plain`.
-    """
+    """Finite ``delta_l``: grid-pruned combination search per trigger."""
     n = len(entries)
     key = event.key
     union: list[dict[tuple[str, int], SimpleEvent]] = [{} for _ in range(n)]
@@ -691,14 +682,6 @@ class MatchingEngine:
             self._matchers[operator] = found
         return found
 
-    def register(self, operators: Iterable[CorrelationOperator] | CorrelationOperator) -> None:
-        """Eagerly resolve matchers without counting a reference."""
-        if isinstance(operators, CorrelationOperator):
-            self.matcher(operators)
-        else:
-            for operator in operators:
-                self.matcher(operator)
-
     # ------------------------------------------------------------------
     # lifecycle (query cancellation)
     # ------------------------------------------------------------------
@@ -747,18 +730,6 @@ class MatchingEngine:
         first-retain order) — one entry per operator however many share
         a matcher."""
         return sorted(self._refs, key=lambda operator: operator.op_id)
-
-    def matches_involving(
-        self, operator: CorrelationOperator, event: SimpleEvent
-    ) -> Participants:
-        """Drop-in replacement for the reference ``matches_involving``."""
-        return self.matcher(operator).matches_involving(event)
-
-    def instance_exists(
-        self, operator: CorrelationOperator, trigger: SimpleEvent
-    ) -> bool:
-        """Drop-in replacement for the reference ``instance_exists``."""
-        return self.matcher(operator).instance_exists(trigger)
 
     @property
     def n_matchers(self) -> int:

@@ -17,10 +17,7 @@ Two interchangeable truth passes exist:
 * ``method="reference"`` is the original per-trigger window rescan over
   :class:`EventIndex`, kept in-tree as the semantics oracle for the
   oracle itself — ``tests/test_oracle_engine.py`` machine-checks that
-  both passes produce identical triggers and participants;
-* ``method="columnar"`` answers the same probes from the columnar
-  shared-lane matcher (:mod:`repro.matching.columnar`), completing the
-  three-way differential fence columnar == engine == reference.
+  both passes produce identical triggers and participants.
 
 The default is overridable per process via the ``REPRO_ORACLE``
 environment variable (the experiment CLI's ``--oracle`` flag sets it).
@@ -33,7 +30,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from ..matching.columnar import ColumnarEngine
 from ..matching.engine import OperatorMatcher
 from ..model.events import EventKey, SimpleEvent
 from ..model.matching import instance_exists, match_at_trigger
@@ -47,7 +43,7 @@ from ..network.topology import Deployment
 
 ORACLE_ENV_VAR = "REPRO_ORACLE"
 
-ORACLE_METHODS = ("engine", "columnar", "reference")
+ORACLE_METHODS = ("engine", "reference")
 
 
 def default_oracle() -> str:
@@ -259,14 +255,11 @@ def operator_truth(
                     for members in found.values():
                         truth.participants.update(m.key for m in members)
         return truth
-    if method == "columnar":
-        # A private offline engine per operator: fences and ingests of
-        # one truth pass must never leak into another's shared lanes.
-        matcher = ColumnarEngine.offline().matcher(operator)
-    elif method == "engine":
-        matcher = OperatorMatcher(operator, _OFFLINE_ENGINE)
-    else:
-        raise ValueError(f"unknown oracle method {method!r}")
+    if method != "engine":
+        raise ValueError(
+            f"unknown oracle method {method!r}; expected one of {ORACLE_METHODS}"
+        )
+    matcher = OperatorMatcher(operator, _OFFLINE_ENGINE)
     for event in candidates:
         matcher.ingest(event)
     # Equal-timestamp triggers share one window; memoise per timestamp

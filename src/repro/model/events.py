@@ -36,11 +36,10 @@ class SimpleEvent:
 
     def __post_init__(self) -> None:
         # Pin timestamps (and values) to float so every comparison —
-        # bisect probes against ``(t, seq, …)`` tuples, numpy float64
-        # columns, jittered arrival times from LinkFault — happens in
-        # one dtype.  ``float64 == python float`` is exact IEEE-754, but
-        # a stray ``int`` timestamp would make tuple comparisons and
-        # searchsorted disagree on mixed-type ties.
+        # bisect probes against ``(t, seq, …)`` tuples, jittered arrival
+        # times from LinkFault — happens in one dtype: a stray ``int``
+        # timestamp would make tuple comparisons disagree on mixed-type
+        # ties.
         if type(self.timestamp) is not float:
             object.__setattr__(self, "timestamp", float(self.timestamp))
         if type(self.value) is not float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from ..deprecation import warn_deprecated
+from ..matching import ENGINES
 from ..model.events import SimpleEvent
 from ..model.subscriptions import Subscription
 from ..sim import AgendaBudgetExceeded, SimulationError, Simulator
@@ -70,9 +70,7 @@ class _DeliveryFlush:
     """One agenda entry delivering a batch of same-instant messages.
 
     Items are replayed in append order — identical to the order the
-    individual agenda entries would have fired — with consecutive
-    same-destination runs handed to :meth:`Node.receive_batch` so a
-    node drains a whole timestamp's arrivals in one pass.
+    individual agenda entries would have fired.
     """
 
     __slots__ = ("network", "items")
@@ -82,22 +80,15 @@ class _DeliveryFlush:
         self.items = items
 
     def __call__(self) -> None:
-        nodes = self.network.nodes
-        items = self.items
-        i = 0
-        n = len(items)
-        while i < n:
-            dst = items[i][0]
-            j = i + 1
-            while j < n and items[j][0] == dst:
-                j += 1
-            if j - i == 1:
-                nodes[dst].receive(items[i][1], items[i][2])
-            else:
-                nodes[dst].receive_batch(
-                    [(message, origin) for (_d, message, origin) in items[i:j]]
-                )
-            i = j
+        network = self.network
+        batch = network._batch
+        if batch is not None and batch[2] is self.items:
+            # Closed once it fires: with zero latency a send can still
+            # target this very instant, and must get an entry of its own.
+            network._batch = None
+        nodes = network.nodes
+        for dst, message, origin in self.items:
+            nodes[dst].receive(message, origin)
 
 
 class Network:
@@ -116,8 +107,11 @@ class Network:
         answer_mode: str = "exact",
         sketch: "SketchConfig | None" = None,
     ) -> None:
-        if matching not in ("incremental", "columnar", "reference"):
-            raise ValueError(f"unknown matching mode {matching!r}")
+        if matching not in ENGINES:
+            raise ValueError(
+                f"unknown matching mode {matching!r}; expected "
+                + " or ".join(repr(mode) for mode in ENGINES)
+            )
         if answer_mode not in ("exact", "approximate"):
             raise ValueError(
                 f"answer_mode must be 'exact' or 'approximate', "
@@ -242,20 +236,12 @@ class Network:
             self.transport.send(src, dst, message)
             return
         self.meter.record((src, dst), message)
-        # Batch agenda execution (columnar mode only): consecutive sends
-        # targeting the same arrival instant share one agenda entry, and
-        # the flush drains a whole timestamp's deliveries through each
-        # node in one pass.  A batch stays open only while the
-        # simulator's scheduling sequence is unchanged — the batched
-        # sends are then provably consecutive in FIFO order, so no other
-        # same-instant action can sort between them and delivery order
-        # is exactly the unbatched order.  The incremental and reference
-        # modes keep the historical one-entry-per-send path.
-        if self.matching != "columnar":
-            self.sim.schedule(
-                self.latency, lambda: self.nodes[dst].receive(message, src)
-            )
-            return
+        # Consecutive sends targeting the same arrival instant share one
+        # agenda entry.  A batch stays open only while the simulator's
+        # scheduling sequence is unchanged — the batched sends are then
+        # provably consecutive in FIFO order, so no other same-instant
+        # action can sort between them and delivery order is exactly
+        # the order one agenda entry per send would give.
         sim = self.sim
         when = sim.now + self.latency
         batch = self._batch
@@ -385,14 +371,6 @@ class Network:
                 "operator placement entirely"
             )
         self.nodes[node_id].subscribe(subscription, plan)
-
-    def inject_subscription(self, node_id: str, subscription: Subscription) -> None:
-        """Deprecated alias of :meth:`register_subscription`."""
-        warn_deprecated(
-            "Network.inject_subscription",
-            "Network.register_subscription (or repro.api.Session.submit)",
-        )
-        self.register_subscription(node_id, subscription)
 
     def cancel_subscription(self, node_id: str, sub_id: str) -> bool:
         """Cancel a subscription previously registered at ``node_id``.

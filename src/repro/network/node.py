@@ -22,11 +22,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 
-from ..matching.columnar import ColumnarEngine
-from ..matching.engine import MatchingEngine
+from ..matching import ENGINES, MatchingEngine, ReferenceEngine
 from ..model.advertisements import Advertisement, AdvertisementTable
 from ..model.events import EventKey, SimpleEvent
-from ..model.matching import matches_involving as reference_matches_involving
 from ..model.operators import CorrelationOperator, root_operator
 from ..model.subscriptions import (
     AbstractSubscription,
@@ -132,12 +130,11 @@ class StoredOperator:
 class SubscriptionStore:
     """``S_m`` of Figure 2: operators received from one origin.
 
-    When the node runs a matching engine, storing an operator also
-    retains its matcher (one the engine may share with every other
-    operator asking the same question) — from then on every ingested
-    event is indexed as it arrives instead of being rediscovered by
-    scans; removing the operator again (query cancellation) releases
-    the reference.
+    Storing an operator also retains its matcher (one the engine may
+    share with every other operator asking the same question) — from
+    then on every ingested event is indexed as it arrives instead of
+    being rediscovered by scans; removing the operator again (query
+    cancellation) releases the reference.
 
     Records keep their arrival rank (:data:`LifecycleSeq`) so that
     cancellation repair can re-evaluate coverage decisions against
@@ -147,7 +144,7 @@ class SubscriptionStore:
 
     def __init__(
         self,
-        engine: MatchingEngine | None = None,
+        engine: MatchingEngine | ReferenceEngine,
         seq_source: SeqSource | None = None,
     ) -> None:
         self._records: list[StoredOperator] = []
@@ -174,14 +171,11 @@ class SubscriptionStore:
         """Store an operator; ``seq`` overrides the rank (repair only)."""
         # Resolve the operator's matcher once at store time; the event
         # hot path then queries it with zero lookup layers.
-        matcher = (
-            self._engine.retain(operator) if self._engine is not None else None
-        )
         record = StoredOperator(
             seq if seq is not None else self._seq_source.next(),
             operator,
             covered,
-            matcher,
+            self._engine.retain(operator),
         )
         insert_by_seq(self._records, record)
         self._op_ids[operator.op_id] = self._op_ids.get(operator.op_id, 0) + 1
@@ -225,9 +219,8 @@ class SubscriptionStore:
                 self._op_ids[record.operator.op_id] = count
             else:
                 self._op_ids.pop(record.operator.op_id, None)
-        if self._engine is not None:
-            for record in removed:
-                self._engine.release(record.operator)
+        for record in removed:
+            self._engine.release(record.operator)
         return removed
 
     def records(self) -> list[StoredOperator]:
@@ -248,7 +241,7 @@ class SubscriptionStore:
         The event path only needs operators a new event could concern —
         this index keeps per-event work proportional to the relevant
         operators instead of the whole store.  The matcher is the one
-        retained at store time (None in reference mode).
+        retained at store time.
         """
         for record in self._by_sensor.get(sensor_id, ()):
             if include_covered or not record.covered:
@@ -276,15 +269,9 @@ class SubscriptionStore:
         return len(self._records)
 
 
-def _make_engine(
-    mode: str, store
-) -> "MatchingEngine | ColumnarEngine | None":
+def _make_engine(mode: str, store) -> MatchingEngine | ReferenceEngine:
     """Node-level matcher implementation for a ``Network.matching`` mode."""
-    if mode == "incremental":
-        return MatchingEngine(store)
-    if mode == "columnar":
-        return ColumnarEngine(store)
-    return None
+    return ENGINES[mode](store)
 
 
 class Node:
@@ -303,17 +290,10 @@ class Node:
 
         self.store = EventStore(network.validity)
         # The incremental matching engine mirrors the event store; the
-        # columnar engine shares slot timelines across operators
-        # (Network(matching="columnar")); the reference matcher remains
-        # selectable (Network(matching="reference")) as the oracle for
-        # equivalence tests and as the recompute-on-arrival baseline
-        # for benchmarks.
-        self.matching: MatchingEngine | ColumnarEngine | None = _make_engine(
-            network.matching, self.store
-        )
-        self._columnar: ColumnarEngine | None = (
-            self.matching if isinstance(self.matching, ColumnarEngine) else None
-        )
+        # reference matcher remains selectable
+        # (Network(matching="reference")) as the oracle for equivalence
+        # tests and as the recompute-on-arrival baseline for benchmarks.
+        self.matching = _make_engine(network.matching, self.store)
         self._sent: dict[EventKey, set[Hashable]] = {}
         self._adds_since_prune = 0
         self._seq_source = SeqSource()
@@ -352,17 +332,6 @@ class Node:
     @property
     def now(self) -> float:
         return self.network.sim.now
-
-    def receive_batch(self, batch: list[tuple[Message, str]]) -> None:
-        """Drain one same-instant delivery batch in arrival order.
-
-        The plain transport coalesces consecutive same-destination
-        deliveries of one timestamp into a single call (see
-        ``network._DeliveryFlush``); semantics are exactly sequential
-        :meth:`receive` calls.
-        """
-        for message, origin in batch:
-            self.receive(message, origin)
 
     def receive(self, message: Message, origin: str) -> None:
         """Dispatch a delivered message to the protocol hooks.
@@ -521,9 +490,7 @@ class Node:
         # The whole root operator drives the final local check even when
         # handle_operator stores only fragments of it; retain its
         # matcher once here (released again on cancellation).
-        matcher = (
-            self.matching.retain(root) if self.matching is not None else None
-        )
+        matcher = self.matching.retain(root)
         for sensor_id in sorted(root.sensors):
             self._local_by_sensor.setdefault(sensor_id, []).append(
                 (subscription, root, matcher)
@@ -615,9 +582,8 @@ class Node:
                 self._local_by_sensor[sensor_id] = bucket
             else:
                 self._local_by_sensor.pop(sensor_id, None)
-        if self.matching is not None:
-            for _, root in removed:
-                self.matching.release(root)
+        for _, root in removed:
+            self.matching.release(root)
         self.retire_subscription(sub_id)
         return True
 
@@ -859,9 +825,6 @@ class Node:
         self._local_by_sensor = {}
         self.store = EventStore(self.network.validity)
         self.matching = _make_engine(self.network.matching, self.store)
-        self._columnar = (
-            self.matching if isinstance(self.matching, ColumnarEngine) else None
-        )
         self._sent = {}
         self._adds_since_prune = 0
         self._seq_source = SeqSource()
@@ -912,28 +875,13 @@ class Node:
         subscriptions are checked and matching complex events delivered
         to the user.  Participants are logged for the recall metric.
         """
-        columnar = self._columnar
-        for subscription, root, matcher in self._local_by_sensor.get(
+        for subscription, _root, matcher in self._local_by_sensor.get(
             event.sensor_id, ()
         ):
-            if columnar is not None and matcher is not None:
-                # Dict-free hot path: the flat participant list comes
-                # straight from the shared memoised window lists.
-                delivered = columnar.delivered_members(matcher, event)
-                if delivered is None:
-                    continue
-            else:
-                if matcher is not None:
-                    participants = matcher.matches_involving(event)
-                else:
-                    participants = reference_matches_involving(
-                        root, self.store, event
-                    )
-                if not participants:
-                    continue
-                delivered = [
-                    e for events in participants.values() for e in events
-                ]
+            participants = matcher.matches_involving(event)
+            if not participants:
+                continue
+            delivered = [e for events in participants.values() for e in events]
             self.network.delivery.record_events(subscription.sub_id, delivered)
             self.network.delivery.record_complex(subscription.sub_id)
 
@@ -973,7 +921,6 @@ class Node:
         ``j``, at most once per link.
         """
         sent = self._sent
-        columnar = self._columnar
         planned = self._planned_ops
         for neighbor in self.neighbors:
             if neighbor == sender and not planned:
@@ -992,28 +939,14 @@ class Node:
                     for operator, matcher in pairs
                     if operator.op_id in planned
                 )
-            if columnar is not None:
-                # Lane-shared hot path: one stream of members across all
-                # matching operators, identical window lists offered once.
-                for member in columnar.forward_members(pairs, event):
-                    tags = sent.get(member.key)
-                    if tags is None or neighbor not in tags:
-                        outgoing[member.key] = member
-            else:
-                for operator, matcher in pairs:
-                    if matcher is not None:
-                        participants = matcher.matches_involving(event)
-                    else:
-                        participants = reference_matches_involving(
-                            operator, self.store, event
-                        )
-                    for events in participants.values():
-                        for member in events:
-                            # inline was_sent — this loop touches every
-                            # participant of every matching operator
-                            tags = sent.get(member.key)
-                            if tags is None or neighbor not in tags:
-                                outgoing[member.key] = member
+            for _operator, matcher in pairs:
+                for events in matcher.matches_involving(event).values():
+                    for member in events:
+                        # inline was_sent — this loop touches every
+                        # participant of every matching operator
+                        tags = sent.get(member.key)
+                        if tags is None or neighbor not in tags:
+                            outgoing[member.key] = member
             for key, member in sorted(outgoing.items()):
                 self.mark_sent(key, neighbor)
                 self.send_event(neighbor, member)
@@ -1056,12 +989,7 @@ class Node:
                     if operator.op_id in planned
                 )
             for operator, matcher in pairs:
-                if matcher is not None:
-                    participants = matcher.matches_involving(event)
-                else:
-                    participants = reference_matches_involving(
-                        operator, self.store, event
-                    )
+                participants = matcher.matches_involving(event)
                 if not participants:
                     continue
                 tag = (operator.op_id, neighbor)

@@ -672,7 +672,6 @@ class ProgramExecution:
 def execute_program(
     compiled: CompiledProgram,
     approach: "Approach | str",
-    matching: str = "incremental",
     latency: float = 0.05,
     delta_t: float = 5.0,
 ) -> ProgramExecution:
@@ -699,7 +698,6 @@ def execute_program(
     session = Session.create(
         approach=approach,
         deployment=compiled.deployment,
-        matching=matching,
         latency=latency,
         delta_t=delta_t,
         faults=compiled.faults,

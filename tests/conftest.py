@@ -7,9 +7,12 @@ them as fixtures.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.analysis.sanitizer import forbid_nondeterminism
+from repro.network.network import Network
 
 from deployments import fork_deployment, line_deployment
 
@@ -33,6 +36,21 @@ def sanitize_determinism(request):
             yield
     else:
         yield
+
+
+@pytest.fixture
+def facade_matching(monkeypatch):
+    """``facade_matching(mode)`` builds every facade-made network of the
+    test with ``Network(matching=mode)`` — the one seam left for running
+    ``Session`` / ``execute_program`` / ``run_program`` on the reference
+    matcher, none of which take ``matching=`` themselves."""
+
+    def install(mode: str) -> None:
+        monkeypatch.setattr(
+            "repro.api.session.Network", functools.partial(Network, matching=mode)
+        )
+
+    return install
 
 
 @pytest.fixture

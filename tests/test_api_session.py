@@ -22,10 +22,8 @@ from repro import (
     IdentifiedSubscription,
     Query,
     QueryError,
-    ReproDeprecationWarning,
     Session,
     SimpleEvent,
-    quick_network,
 )
 from repro.model import AbstractSubscription, Location, bounding_rect
 from repro.model.locations import CircleRegion, RectRegion
@@ -148,6 +146,12 @@ class TestSession:
             assert len(session.network.nodes) == 18
         with pytest.raises(ValueError, match="unknown approach"):
             Session.create(approach="nope")
+
+    def test_create_takes_no_matcher_choice(self):
+        """The node matcher is not a facade knob: ``Network(matching=)``
+        is the only seam (tests install the reference through it)."""
+        with pytest.raises(TypeError, match="matching"):
+            Session.create(matching="reference")
 
     def test_ingest_builds_and_publishes(self):
         session = small_session()
@@ -603,23 +607,9 @@ class TestReentrancy:
 
 
 class TestDeprecationShims:
-    def test_quick_network_warns_and_delegates(self):
-        with pytest.warns(ReproDeprecationWarning, match="Session.create"):
-            network, deployment = quick_network(n_nodes=24, n_groups=3, seed=5)
-        assert isinstance(network, Network)
-        assert deployment.n_nodes == 24
-
-    def test_inject_subscription_warns_and_delegates(self):
-        session = small_session(seed=5)
-        sub = freeze_query(session).build(session.deployment)
-        with pytest.warns(ReproDeprecationWarning, match="register_subscription"):
-            session.network.inject_subscription("r2", sub)
-        session.drain()
-        assert "freeze-watch" in session.delivery.registered
-
     def test_facade_emits_no_deprecation_warnings(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", ReproDeprecationWarning)
+            warnings.simplefilter("error", DeprecationWarning)
             session = small_session(seed=6)
             handle = session.submit(freeze_query(session), at="r2")
             ambient, _ = pair_of_sensors(session)

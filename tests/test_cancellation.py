@@ -186,12 +186,11 @@ def assert_equivalent_stores(run_network, base_network, context):
 
 
 def matcher_state(network):
-    """Operators retained by each node's engine (none in reference mode)."""
-    state = {}
-    for node_id, node in network.nodes.items():
-        if node.matching is not None:
-            state[node_id] = [op.op_id for op in node.matching.operators()]
-    return state
+    """Operators retained by each node's engine."""
+    return {
+        node_id: [op.op_id for op in node.matching.operators()]
+        for node_id, node in network.nodes.items()
+    }
 
 
 def assert_no_trace(network, sub_id):
@@ -211,10 +210,9 @@ def assert_no_trace(network, sub_id):
             for entry in bucket
         ), where
         assert sub_id not in node._forwarded_subs, where
-        if node.matching is not None:
-            assert not any(
-                op.subscription_id == sub_id for op in node.matching.operators()
-            ), where
+        assert not any(
+            op.subscription_id == sub_id for op in node.matching.operators()
+        ), where
         for attr in ("roles", "_ring_cache"):
             mapping = getattr(node, attr, None)
             if mapping:
@@ -275,7 +273,7 @@ def test_settled_cancel_equals_never_subscribed(chunk):
     """submit → cancel → replay, bit-identical to never-subscribed.
 
     Approaches round-robin over the seeds (all five covered each chunk),
-    all three matching modes every seed; compared: replay traffic,
+    both matching modes every seed; compared: replay traffic,
     survivor deliveries and complex counts, per-node stored operators +
     coverage flags, registered matcher sets, and the cancelled queries'
     zero deliveries + zero footprint.
@@ -283,7 +281,7 @@ def test_settled_cancel_equals_never_subscribed(chunk):
     for seed in range(chunk * 10, chunk * 10 + 10):
         cancel_ids = {f"q{i:05d}" for i in ((seed % 3), 3 + (seed % 4), 7)}
         approach = APPROACH_KEYS[seed % len(APPROACH_KEYS)]
-        for matching in ("incremental", "columnar", "reference"):
+        for matching in ("incremental", "reference"):
             run = run_arena(seed, approach, matching, cancel_ids, True)
             base = run_arena(seed, approach, matching, cancel_ids, False)
             context = (seed, approach, matching)
@@ -324,14 +322,11 @@ def test_mid_flood_cancel_is_safe(chunk):
         approach = APPROACH_KEYS[seed % len(APPROACH_KEYS)]
         run = run_arena(seed, approach, "incremental", cancel_ids, True, mid_flood=True)
         base = run_arena(seed, approach, "incremental", cancel_ids, False)
-        columnar = run_arena(seed, approach, "columnar", cancel_ids, True, mid_flood=True)
         reference = run_arena(seed, approach, "reference", cancel_ids, True, mid_flood=True)
         context = (seed, approach)
-        # All three matching modes agree message-for-message even mid-flood.
+        # Both matching modes agree message-for-message even mid-flood.
         assert run["replay_traffic"] == reference["replay_traffic"], context
         assert run["delivered"] == reference["delivered"], context
-        assert columnar["replay_traffic"] == reference["replay_traffic"], context
-        assert columnar["delivered"] == reference["delivered"], context
         for sub_id in cancel_ids:
             assert not run["delivered"].get(sub_id), (context, sub_id)
             assert_no_trace(run["network"], sub_id)
@@ -344,22 +339,23 @@ def test_mid_flood_cancel_is_safe(chunk):
                 assert not lost, (context, sub_id)
 
 
-@pytest.mark.parametrize("matching", ["incremental", "columnar"])
+@pytest.mark.parametrize("matching", ["incremental", "reference"])
 @pytest.mark.parametrize("approach", APPROACH_KEYS)
 def test_cancelling_everything_after_the_replay_drains_every_engine(approach, matching):
     """All-cancel + drain leaves no engine state at all.
 
     The cancels come *after* the replay, so everything the event path
     retains on demand (the multi-join relays' ring joins) exists when
-    the teardown starts.  Afterwards no node's engine holds a matcher,
-    a retained operator (hence a refcount) or a per-sensor ingest index
-    — with matchers shared between operators, a reference dropped once
-    too often or once too rarely shows up here.
+    the teardown starts.  Afterwards no node's engine holds a retained
+    operator (hence a refcount) and the incremental engine no matcher
+    or per-sensor ingest index — with matchers shared between
+    operators, a reference dropped once too often or once too rarely
+    shows up here.
     """
     for seed in (2, 3, 5):
         run = run_arena(seed, approach, matching, set(), True)
         network = run["network"]
-        assert any(node.matching.n_matchers for node in network.nodes.values())
+        assert any(node.matching.operators() for node in network.nodes.values())
         _, _, workload = arena(seed)
         for placed in workload:
             network.cancel_subscription(placed.node_id, placed.subscription.sub_id)
@@ -367,8 +363,8 @@ def test_cancelling_everything_after_the_replay_drains_every_engine(approach, ma
         for node_id, node in network.nodes.items():
             context = (seed, node_id)
             assert node.matching.operators() == [], context
-            assert node.matching.n_matchers == 0, context
             if matching == "incremental":
+                assert node.matching.n_matchers == 0, context
                 assert node.matching.n_indexed_sensors == 0, context
             assert not any(len(store) for store in node.stores.values()), context
         for placed in workload:
@@ -433,7 +429,7 @@ def test_post_cancel_publications_never_deliver(value_a, value_b, gap, approach)
 # ---------------------------------------------------------------------------
 # oracle fencing
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("method", ["engine", "columnar", "reference"])
+@pytest.mark.parametrize("method", ["engine", "reference"])
 def test_oracle_fences_cancelled_subscriptions(method):
     """Truth with a cancellation == truth over the pre-cancel events,
     in both truth passes — exactly the departed-sensor fence contract."""
@@ -476,15 +472,11 @@ def test_oracle_engine_equals_reference_with_cancellations():
         reference = compute_truth(
             subs, deployment, shifted, method="reference", cancellations=cancelled
         )
-        for method in ("engine", "columnar"):
-            truth = compute_truth(
-                subs, deployment, shifted, method=method, cancellations=cancelled
-            )
-            for sub_id in truth:
-                assert truth[sub_id].triggers == reference[sub_id].triggers, (
-                    method,
-                    sub_id,
-                )
-                assert (
-                    truth[sub_id].participants == reference[sub_id].participants
-                ), (method, sub_id)
+        truth = compute_truth(
+            subs, deployment, shifted, method="engine", cancellations=cancelled
+        )
+        for sub_id in truth:
+            assert truth[sub_id].triggers == reference[sub_id].triggers, sub_id
+            assert (
+                truth[sub_id].participants == reference[sub_id].participants
+            ), sub_id

@@ -30,8 +30,12 @@ def abstract_operator(sub_id: str = "q") -> CorrelationOperator:
     return CorrelationOperator(sub_id, "user", [wide, single], 5.0, float("inf"))
 
 
+def empty_store() -> SubscriptionStore:
+    return SubscriptionStore(MatchingEngine(EventStore(validity=100.0)))
+
+
 def test_subscription_store_by_sensor_is_sorted():
-    store = SubscriptionStore()
+    store = empty_store()
     store.add(abstract_operator(), covered=False)
     keys = list(store._by_sensor)
     assert keys == sorted(keys)
@@ -39,7 +43,7 @@ def test_subscription_store_by_sensor_is_sorted():
 
 
 def test_subscription_store_removal_keeps_sorted_buckets():
-    store = SubscriptionStore()
+    store = empty_store()
     store.add(abstract_operator("qa"), covered=False)
     store.add(abstract_operator("qb"), covered=True)
     store.remove_subscription("qa")
@@ -100,8 +104,8 @@ def test_registration_order_is_hash_seed_independent():
     """The visible symptom the fixes remove: two stores built from the
     same operator expose identical index ordering — byte-identical
     bookkeeping regardless of how the frozenset happens to iterate."""
-    first = SubscriptionStore()
+    first = empty_store()
     first.add(abstract_operator(), covered=False)
-    second = SubscriptionStore()
+    second = empty_store()
     second.add(abstract_operator(), covered=False)
     assert list(first._by_sensor) == list(second._by_sensor)

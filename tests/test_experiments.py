@@ -149,6 +149,26 @@ class TestCli:
         assert cli_main(["fig98"]) == 0
         assert "Figure 98" in capsys.readouterr().out
 
+    def test_family_flag_gates_the_bulk_targets(self, capsys, monkeypatch):
+        """One repeatable ``--family`` selects which beyond-paper
+        figures ``all`` renders; the five per-family flags are gone."""
+
+        def stub(fig_id):
+            return lambda scale=None: figures.FigureResult(
+                fig_id, "stub", "x", (1,), {"fsf": (0.0,)}
+            )
+
+        monkeypatch.setattr(
+            figures, "ALL_FIGURES", {i: stub(i) for i in ("4", "13", "17", "21")}
+        )
+        assert cli_main(["all", "--family", "faults", "--family", "sketches"]) == 0
+        out = capsys.readouterr().out
+        assert all(f"Figure {i}:" in out for i in ("4", "17", "21"))
+        assert "Figure 13:" not in out
+        for gone in ("--churn", "--beyond", "--faults", "--placement", "--approx"):
+            with pytest.raises(SystemExit):
+                cli_main(["all", gone])
+
     def test_admit_retire_figure_targets(self, capsys, monkeypatch):
         """fig15/fig16 render at smoke scale with teardown traffic
         reported separately from registration (one admit rate here;
@@ -175,14 +195,17 @@ class TestFigureHarness:
             "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14",
             "15", "16", "17", "18", "19", "20", "21", "22",
         ]
-        # The beyond-paper families are gated behind --churn/--beyond
-        # (and --faults / --placement / --approx for just their pair)
-        # for bulk targets.
-        assert set(figures.CHURN_FIGURES) == {"13", "14"}
-        assert set(figures.ADMIT_RETIRE_FIGURES) == {"15", "16"}
-        assert set(figures.FAULTS_FIGURES) == {"17", "18"}
-        assert set(figures.PLACEMENT_FIGURES) == {"19", "20"}
-        assert set(figures.SKETCHES_FIGURES) == {"21", "22"}
+        # The beyond-paper families are gated behind --family for the
+        # bulk targets.
+        assert {
+            name: family.figures for name, family in figures.FIGURE_FAMILIES.items()
+        } == {
+            "churn": ("13", "14"),
+            "admit_retire": ("15", "16"),
+            "faults": ("17", "18"),
+            "placement": ("19", "20"),
+            "sketches": ("21", "22"),
+        }
         assert set(figures.BEYOND_PAPER_FIGURES) == {
             "13", "14", "15", "16", "17", "18", "19", "20", "21", "22",
         }
@@ -198,7 +221,19 @@ class TestFigureHarness:
         for fig_id in figures.ALL_FIGURES:
             assert f"fig{fig_id}:" in catalog
         for fig_id, gate in figures.FIGURE_GATES.items():
-            assert gate.startswith("--")
+            assert gate.startswith("--family ")
+
+    def test_family_selection_for_the_bulk_targets(self):
+        paper = [str(i) for i in range(4, 13)]
+        assert figures.selected_figures() == paper
+        assert figures.selected_figures(["faults", "sketches"]) == paper + [
+            "17", "18", "21", "22",
+        ]
+        assert figures.selected_figures(["beyond"]) == sorted(
+            figures.ALL_FIGURES, key=int
+        )
+        with pytest.raises(ValueError, match="unknown figure families"):
+            figures.selected_figures(["approx"])
 
     def test_figure_result_render(self):
         result = figures.FigureResult(

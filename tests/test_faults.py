@@ -195,7 +195,8 @@ class TestNullFaultBitIdentity:
     @pytest.mark.parametrize(
         "key", ["naive", "operator_placement", "multijoin", "fsf", "centralized"]
     )
-    def test_none_plan_is_bit_identical(self, key, matching):
+    def test_none_plan_is_bit_identical(self, key, matching, facade_matching):
+        facade_matching(matching)
         scenario = tiny_faults_scenario(faults=None, reliability=None)
         deployment = scenario.deployment()
         base = scenario.program(8).with_prefix(8)
@@ -204,10 +205,8 @@ class TestNullFaultBitIdentity:
         truths = compiled.truth()
         null_plan = replace(compiled, faults=FaultPlan.none())
         approach = all_approaches()[key]
-        plain = run_program(approach, compiled, truths=truths, matching=matching)
-        nulled = run_program(
-            approach, null_plan, truths=truths, matching=matching
-        )
+        plain = run_program(approach, compiled, truths=truths)
+        nulled = run_program(approach, null_plan, truths=truths)
         assert plain == nulled
         assert nulled.retransmission_load == 0
         assert nulled.refresh_load == 0

@@ -17,11 +17,18 @@ private matcher per operator would have shown them:
   participants, and cannot write to it;
 * anything that changes the mirrored store between two probes of one
   event — another arrival, a horizon advance, a sensor fence — voids
-  the memo.
+  the memo;
+* a family of *near*-duplicates (exact clones, jittered intervals,
+  jittered windows) in one engine answers every probe like one private
+  engine per operator and like the reference, survives any release
+  order, and is fenced as one (hypothesis).
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -35,6 +42,8 @@ from repro.network.network import Network
 from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
 from repro.sim import Simulator
+
+from test_matching_engine import random_events, random_operator
 
 APPROACH_KEYS = ("fsf", "naive", "operator_placement", "multijoin", "centralized")
 
@@ -66,8 +75,8 @@ def keys(participants) -> dict[str, list[tuple[str, int]]]:
     return {slot: [e.key for e in events] for slot, events in participants.items()}
 
 
-def assert_reference(engine, store, operator, event):
-    got = engine.matches_involving(operator, event)
+def assert_reference(matcher, store, operator, event):
+    got = matcher.matches_involving(event)
     want = reference_matches_involving(operator, store, event)
     assert got == want, (operator.op_id, event)
     return got
@@ -92,7 +101,7 @@ def test_release_of_one_clone_leaves_its_siblings_answering():
     store, engine = arena()
     gone, kept = clone("gone"), clone("kept")
     engine.retain(gone)
-    engine.retain(kept)
+    matcher = engine.retain(kept)
     store.add(reading("a", 1.0, 0), now=1.0)
     engine.release(gone)
     assert engine.operators() == [kept]
@@ -100,7 +109,7 @@ def test_release_of_one_clone_leaves_its_siblings_answering():
     # Still fed by the ingest index, still answering.
     event = reading("b", 2.0, 0)
     store.add(event, now=2.0)
-    assert keys(assert_reference(engine, store, kept, event)) == {
+    assert keys(assert_reference(matcher, store, kept, event)) == {
         "a": [("a", 0)],
         "b": [("b", 0)],
     }
@@ -133,82 +142,291 @@ def test_clone_admitted_mid_replay_answers_like_a_fresh_private_matcher():
     shared_store, shared = arena()
     private_store, private = arena()
     early, late = clone("early"), clone("late")
-    shared.retain(early)
+    matcher = shared.retain(early)
     for i, event in enumerate(events):
         shared_store.add(event, now=event.timestamp)
         private_store.add(event, now=event.timestamp)
         if i == len(events) // 2:
             # Joins the matcher that has mirrored the store all along...
-            assert shared.retain(late) is shared.matcher(early)
+            assert shared.retain(late) is matcher
             # ...where the private engine builds and backfills one now.
-            private.retain(late)
+            fresh = private.retain(late)
         if i >= len(events) // 2:
-            got = assert_reference(shared, shared_store, late, event)
-            assert got == private.matches_involving(late, event)
+            got = assert_reference(matcher, shared_store, late, event)
+            assert got == fresh.matches_involving(event)
     for event in events:  # re-query everything, earlier arrivals included
-        got = assert_reference(shared, shared_store, late, event)
-        assert got == private.matches_involving(late, event)
+        got = assert_reference(matcher, shared_store, late, event)
+        assert got == fresh.matches_involving(event)
 
 
 # ---------------------------------------------------------------------------
 # the probe memo
 # ---------------------------------------------------------------------------
 def shared_pair():
+    """A store and the one matcher two clones resolve to (the operator
+    is returned for the reference's side of each comparison)."""
     store, engine = arena(validity=4.0)
     first, second = clone("q1", "u1"), clone("q2", "u2")
-    engine.retain(first)
-    engine.retain(second)
-    return store, engine, first, second
+    matcher = engine.retain(first)
+    assert engine.retain(second) is matcher
+    return store, matcher, second
 
 
 def test_consumers_of_one_memoised_result_see_the_reference_participants():
-    store, engine, first, second = shared_pair()
+    store, matcher, operator = shared_pair()
     store.add(reading("a", 1.0, 0), now=1.0)
     event = reading("b", 2.0, 0)
     store.add(event, now=2.0)
-    one = engine.matches_involving(first, event)
-    two = engine.matches_involving(second, event)
+    one = matcher.matches_involving(event)
+    two = matcher.matches_involving(event)
     assert one is two  # one sweep served both
-    want = reference_matches_involving(second, store, event)
+    want = reference_matches_involving(operator, store, event)
     assert two == want and keys(two) == {"a": [("a", 0)], "b": [("b", 0)]}
     # The first consumer cannot have changed what the second one reads.
     with pytest.raises(TypeError):
         one["a"] = []
     with pytest.raises(TypeError):
         del one["b"]
-    assert engine.matches_involving(first, event) == want
+    assert matcher.matches_involving(event) == want
 
 
 def test_an_arrival_between_two_probes_voids_the_memo():
-    store, engine, first, second = shared_pair()
+    store, matcher, operator = shared_pair()
     event = reading("b", 2.0, 0)
     store.add(event, now=2.0)
-    assert not engine.matches_involving(first, event)
+    assert not matcher.matches_involving(event)
     store.add(reading("a", 1.5, 0), now=2.0)  # a straggler completes the window
-    assert keys(assert_reference(engine, store, second, event)) == {
+    assert keys(assert_reference(matcher, store, operator, event)) == {
         "a": [("a", 0)],
         "b": [("b", 0)],
     }
 
 
 def test_a_horizon_advance_between_two_probes_voids_the_memo():
-    store, engine, first, second = shared_pair()
+    store, matcher, operator = shared_pair()
     store.add(reading("a", 1.0, 0), now=1.0)
     event = reading("b", 2.0, 0)
     store.add(event, now=2.0)
-    assert engine.matches_involving(first, event)
+    assert matcher.matches_involving(event)
     store.prune(now=5.5)  # horizon 1.5: the partner expired, the event did not
-    assert not assert_reference(engine, store, second, event)
+    assert not assert_reference(matcher, store, operator, event)
 
 
 def test_a_fence_between_two_probes_voids_the_memo():
-    store, engine, first, second = shared_pair()
+    store, matcher, operator = shared_pair()
     store.add(reading("a", 1.0, 0), now=1.0)
     event = reading("b", 2.0, 0)
     store.add(event, now=2.0)
-    assert engine.matches_involving(first, event)
+    assert matcher.matches_involving(event)
     store.fence_sensor("a", now=2.0)
-    assert not assert_reference(engine, store, second, event)
+    assert not assert_reference(matcher, store, operator, event)
+
+
+# ---------------------------------------------------------------------------
+# near-duplicate families: sharing tiers side by side (hypothesis)
+# ---------------------------------------------------------------------------
+_family_settings = settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def variant_family(rng, base: CorrelationOperator, n: int):
+    """``n`` near-duplicates of ``base`` exercising every sharing tier.
+
+    Each variant keeps the base's ``(attribute, sensors)`` slot groups
+    and is one of: an exact clone (joins the base structure's matcher),
+    an interval jitter (own matcher, same sensors in the ingest index),
+    or a ``delta_t`` jitter (own matcher, same filters, different
+    window).
+    """
+    family = []
+    for i in range(n):
+        kind = int(rng.integers(0, 3))
+        slots = []
+        for slot in base.slots:
+            interval = slot.interval
+            if kind == 1:
+                interval = type(interval)(
+                    interval.lo + float(rng.integers(-2, 3)) * 0.5,
+                    interval.hi + float(rng.integers(-2, 3)) * 0.5,
+                )
+                if interval.hi < interval.lo:
+                    interval = type(interval)(interval.hi, interval.lo)
+            slots.append(
+                Slot(slot.slot_id, slot.attribute, interval, slot.sensors)
+            )
+        delta_t = base.delta_t
+        if kind == 2:
+            delta_t = base.delta_t + float(rng.integers(0, 4)) * 0.5
+        family.append(
+            CorrelationOperator(
+                f"q{i}", "user", tuple(slots), delta_t, base.delta_l
+            )
+        )
+    return family
+
+
+def family_arena(seed: int, smallest: int):
+    """A seeded family plus its event stream, the shared (store, engine)
+    and one isolated (store, matcher) per operator — the no-sharing
+    baseline every shared answer is compared against."""
+    rng = np.random.default_rng(seed)
+    base = random_operator(rng)
+    family = variant_family(rng, base, int(rng.integers(smallest, 6)))
+    events = random_events(rng, base, n=int(rng.integers(25, 45)))
+    solos = []
+    for operator in family:
+        store = EventStore(validity=1e9)
+        solos.append((store, MatchingEngine(store).retain(operator)))
+    store = EventStore(validity=1e9)
+    return rng, base, family, events, store, MatchingEngine(store), solos
+
+
+def add_everywhere(event, store, solos) -> bool:
+    added = store.add(event, now=event.timestamp)
+    for solo_store, _matcher in solos:
+        assert solo_store.add(event, now=event.timestamp) == added
+    return added
+
+
+@given(seed=st.integers(min_value=0, max_value=100_000))
+@_family_settings
+def test_shared_matchers_equal_unshared(seed):
+    """Sharing ≡ no sharing ≡ reference, probe for probe: one engine
+    holding the whole family answers every arrival like each member
+    alone in a private engine, and like the reference scan."""
+    _, _, family, events, store, shared, solos = family_arena(seed, 2)
+    matchers = [shared.retain(operator) for operator in family]
+    assert shared.n_matchers <= len(family)
+    for event in events:
+        if not add_everywhere(event, store, solos):
+            continue
+        for operator, matcher, (_store, solo) in zip(family, matchers, solos):
+            context = (seed, operator.subscription_id)
+            answer = assert_reference(matcher, store, operator, event)
+            assert answer == solo.matches_involving(event), context
+
+
+@given(seed=st.integers(min_value=0, max_value=100_000))
+@_family_settings
+def test_random_cancel_orders_never_disturb_survivors(seed):
+    """Seeded random cancel/retire order over the shared family.
+
+    Some operators are retained twice (refcount > 1); releases
+    interleave with the event stream in a random order.  After every
+    release the survivors keep answering exactly like their isolated
+    baselines, and draining every reference tears the engine down to
+    nothing."""
+    rng, _, family, events, store, shared, solos = family_arena(seed, 3)
+    matchers = {}
+    held = []  # one entry per retained reference
+    for operator in family:
+        for _ in range(2 if rng.random() < 0.4 else 1):
+            matchers[operator.subscription_id] = shared.retain(operator)
+            held.append(operator)
+    refs = Counter(operator.subscription_id for operator in held)
+    release_at = {}  # event step -> operators losing one reference there
+    for index in rng.permutation(len(held)):
+        step = int(rng.integers(0, 2 * len(events)))  # half outlive the stream
+        release_at.setdefault(step, []).append(held[index])
+
+    for step, event in enumerate(events):
+        for operator in release_at.pop(step, ()):
+            shared.release(operator)
+            refs[operator.subscription_id] -= 1
+        live = set(+refs)
+        assert {op.subscription_id for op in shared.operators()} == live
+        if not add_everywhere(event, store, solos):
+            continue
+        for operator, (_store, solo) in zip(family, solos):
+            if operator.subscription_id in live:
+                assert matchers[operator.subscription_id].matches_involving(
+                    event
+                ) == solo.matches_involving(event), (
+                    seed,
+                    operator.subscription_id,
+                    step,
+                )
+    for operators in release_at.values():
+        for operator in operators:
+            shared.release(operator)
+    assert shared.operators() == []
+    assert shared.n_matchers == 0
+    assert shared.n_indexed_sensors == 0
+
+
+@given(seed=st.integers(min_value=0, max_value=100_000))
+@_family_settings
+def test_drop_sensor_fences_all_sharers(seed):
+    """One ``fence_sensor`` call on the store fences every operator
+    drawing from the sensor, however its matcher is shared: answers
+    stay identical to isolated engines fenced the same way, and no
+    answer ever contains a member from the dropped sensor at or before
+    the fence."""
+    rng, base, family, events, store, shared, solos = family_arena(seed, 2)
+    matchers = [shared.retain(operator) for operator in family]
+    sensors = sorted({s for slot in base.slots for s in slot.sensors})
+    fenced_sensor = sensors[int(rng.integers(0, len(sensors)))]
+    fence_step = int(rng.integers(5, len(events)))
+    fence_time = None
+
+    for step, event in enumerate(events):
+        if step == fence_step:
+            fence_time = max(e.timestamp for e in events[:step])
+            store.fence_sensor(fenced_sensor, fence_time)
+            for solo_store, _matcher in solos:
+                solo_store.fence_sensor(fenced_sensor, fence_time)
+        if not add_everywhere(event, store, solos):
+            continue
+        for operator, matcher, (_store, solo) in zip(family, matchers, solos):
+            context = (seed, operator.subscription_id, step)
+            answer = matcher.matches_involving(event)
+            assert answer == solo.matches_involving(event), context
+            if fence_time is None:
+                continue
+            for members in answer.values():
+                for member in members:
+                    assert not (
+                        member.sensor_id == fenced_sensor
+                        and member.timestamp <= fence_time
+                    ), (context, member)
+
+
+@given(seed=st.integers(min_value=0, max_value=100_000))
+@_family_settings
+def test_mixed_dtype_subround_timestamps_two_way(seed):
+    """Dtype-pin regression: jittered sub-round timestamps built from
+    ``int`` / numpy-scalar constructors answer identically both ways.
+
+    Replay rounds produce integer round boundaries, fault jitter
+    produces ``np.float64`` offsets a fraction of a round wide; the
+    ``SimpleEvent`` float pin guarantees the engine's bisect tuples and
+    the reference scan see the same plain-float value at exact window
+    edges."""
+    rng = np.random.default_rng(seed)
+    operator = clone("q")
+    raw_kinds = (int, float, np.int64, np.float64)
+    store, engine = arena(validity=1e9)
+    matcher = engine.retain(operator)
+    compared = 0
+    for i in range(40):
+        round_no = int(rng.integers(0, 12))
+        if rng.random() < 0.5:
+            ts = raw_kinds[int(rng.integers(0, 2))](round_no)  # on-round
+        else:  # sub-round jitter, sometimes a numpy scalar
+            jitter = float(rng.integers(1, 8)) / 8.0
+            kind = raw_kinds[2 + int(rng.integers(0, 2))]
+            ts = np.float64(round_no) + np.float64(jitter)
+            ts = kind(ts) if kind is np.float64 else np.float64(ts)
+        sensor = ("a", "b", "b2")[int(rng.integers(0, 3))]
+        event = SimpleEvent(sensor, "t", ORIGIN, float(rng.integers(-2, 13)), ts, i)
+        assert type(event.timestamp) is float
+        if store.add(event, now=event.timestamp):
+            assert_reference(matcher, store, operator, event)
+            compared += 1
+    assert compared > 0
 
 
 # ---------------------------------------------------------------------------

@@ -109,14 +109,14 @@ def random_events(
     return events
 
 
-def assert_equivalent(engine, operator, store, event):
-    got = engine.matches_involving(operator, event)
+def assert_equivalent(matcher, operator, store, event):
+    got = matcher.matches_involving(event)
     want = reference_matches_involving(operator, store, event)
     assert got == want, (
         f"matches_involving diverged for {event}:\n  engine   ={got}\n"
         f"  reference={want}"
     )
-    got_exists = engine.instance_exists(operator, event)
+    got_exists = matcher.instance_exists(event)
     want_exists = reference_instance_exists(operator, store, event)
     assert got_exists == want_exists, f"instance_exists diverged for {event}"
 
@@ -131,28 +131,27 @@ def run_scenario(seed: int) -> int:
     events = random_events(rng, operator, n=int(rng.integers(20, 45)))
     # Half the scenarios register late, exercising the backfill path.
     register_at = 0 if rng.random() < 0.5 else len(events) // 2
-    if register_at == 0:
-        engine.register(operator)
+    matcher = engine.retain(operator) if register_at == 0 else None
     compared = 0
     now = 0.0
     for i, event in enumerate(events):
         now = max(now, event.timestamp + float(rng.integers(0, 3)) * 0.25)
         store.add(event, now)
         if i == register_at and register_at:
-            engine.register(operator)
+            matcher = engine.retain(operator)
         if i >= register_at:
-            assert_equivalent(engine, operator, store, event)
+            assert_equivalent(matcher, operator, store, event)
             compared += 1
             if rng.random() < 0.2:  # re-query an arbitrary earlier event
                 earlier = events[int(rng.integers(0, i + 1))]
-                assert_equivalent(engine, operator, store, earlier)
+                assert_equivalent(matcher, operator, store, earlier)
                 compared += 1
         if rng.random() < 0.1:
             store.prune(now)
     # Post-run: full prune, then every stored event must still agree.
     store.prune(now)
     for event in list(store.all_events()):
-        assert_equivalent(engine, operator, store, event)
+        assert_equivalent(matcher, operator, store, event)
         compared += 1
     return compared
 
@@ -208,8 +207,7 @@ SPATIAL_OP = CorrelationOperator(
 def test_engine_equals_reference_adversarial(raw, spatial):
     operator = SPATIAL_OP if spatial else SUB_OP
     store = EventStore(validity=100.0)
-    engine = MatchingEngine(store)
-    engine.register(operator)
+    matcher = MatchingEngine(store).retain(operator)
     now = 0.0
     events = []
     for i, (sensor, ts_half, value, xcell) in enumerate(raw):
@@ -219,6 +217,6 @@ def test_engine_equals_reference_adversarial(raw, spatial):
         events.append(event)
         now = max(now, event.timestamp)
         store.add(event, now)
-        assert_equivalent(engine, operator, store, event)
+        assert_equivalent(matcher, operator, store, event)
     for event in events:
-        assert_equivalent(engine, operator, store, event)
+        assert_equivalent(matcher, operator, store, event)

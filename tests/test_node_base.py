@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core import filter_split_forward_approach
-from repro.model import IdentifiedSubscription
-from repro.network.node import LOCAL
+from repro.model import IdentifiedSubscription, Location, SimpleEvent
+from repro.network.messages import EventMessage
+from repro.network.network import Network
+from repro.network.node import LOCAL, Node
 
 from deployments import fork_deployment, line_deployment, make_network, publish
 
@@ -119,3 +121,58 @@ class TestEventPlumbing:
         publish(net, "c", 5.0, ts=100.0)
         net.run_to_quiescence()
         assert net.meter.event_units == 0
+
+
+class TestMatchingSeam:
+    @pytest.mark.parametrize("mode", ["bogus", "columnar"])
+    def test_only_the_two_engines_are_accepted(self, line, mode):
+        with pytest.raises(ValueError, match="'incremental' or 'reference'"):
+            Network(line, matching=mode)
+
+
+class TestPlainSendPath:
+    """Sends to one arrival instant share an agenda entry for as long
+    as nothing else is scheduled in between — the condition under which
+    one flush delivers in the order one agenda entry per send would."""
+
+    @staticmethod
+    def recording_network(deployment, latency):
+        log = []
+
+        class Recorder(Node):
+            def receive(self, message, origin):
+                log.append((self.node_id, message.event.seq))
+
+        network = Network(deployment, latency=latency)
+        network.populate(Recorder)
+        return network, log
+
+    @staticmethod
+    def message(seq):
+        return EventMessage(SimpleEvent("a", "t", Location(0.0, 0.0), 1.0, 0.0, seq))
+
+    def test_back_to_back_sends_share_one_agenda_entry(self, line):
+        net, log = self.recording_network(line, latency=0.05)
+        net.send("u1", "u2", self.message(0))
+        net.send("u1", "hub", self.message(1))
+        assert net.sim.pending == 1
+        net.run_to_quiescence()
+        assert log == [("u2", 0), ("hub", 1)]
+
+    def test_an_action_scheduled_between_two_sends_runs_between_them(self, line):
+        net, log = self.recording_network(line, latency=0.05)
+        net.send("u1", "u2", self.message(0))
+        net.sim.schedule(net.latency, lambda: log.append("action"))
+        net.send("u1", "u2", self.message(1))
+        assert net.sim.pending == 3
+        net.run_to_quiescence()
+        assert log == [("u2", 0), "action", ("u2", 1)]
+
+    def test_zero_latency_send_after_the_flush_fired_is_delivered(self, line):
+        net, log = self.recording_network(line, latency=0.0)
+        net.sim.at(1.0, lambda: net.send("u1", "u2", self.message(0)))
+        # Priority 1 sorts behind the first send's flush at t=1 although
+        # it was scheduled before it: same instant, sequence unchanged.
+        net.sim.at(1.0, lambda: net.send("u1", "u2", self.message(1)), priority=1)
+        net.run_to_quiescence()
+        assert log == [("u2", 0), ("u2", 1)]

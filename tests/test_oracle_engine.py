@@ -34,17 +34,13 @@ from test_matching_engine import random_events, random_operator
 
 
 def assert_same_truth(operator, events) -> int:
-    """All three passes agree on one operator + event set; returns
-    #triggers.  ``columnar`` rides the same probes as ``engine`` so the
-    shared-lane matcher is fenced by the identical scenario corpus."""
+    """Both passes agree on one operator + event set; returns
+    #triggers."""
     index = EventIndex(events)
     engine = operator_truth(operator, "q", index, method="engine")
     reference = operator_truth(operator, "q", index, method="reference")
-    columnar = operator_truth(operator, "q", index, method="columnar")
     assert engine.triggers == reference.triggers
     assert engine.participants == reference.participants
-    assert columnar.triggers == reference.triggers
-    assert columnar.participants == reference.participants
     # And without the participant pass (the cheap triggers-only mode).
     lean = operator_truth(
         operator, "q", index, collect_participants=False, method="engine"
@@ -88,7 +84,7 @@ class TestComputeTruthEndToEnd:
         subs = [p.subscription for p in workload]
         return deployment, subs, replay.shifted(REPLAY_START)
 
-    @pytest.mark.parametrize("method", ["engine", "columnar"])
+    @pytest.mark.parametrize("method", ["engine"])
     def test_engine_matches_reference(self, arena, method):
         deployment, subs, events = arena
         engine = compute_truth(subs, deployment, events, method=method)
@@ -101,8 +97,9 @@ class TestComputeTruthEndToEnd:
 
     def test_unknown_method_rejected(self, arena):
         deployment, subs, events = arena
-        with pytest.raises(ValueError):
-            compute_truth(subs[:1], deployment, events, method="psychic")
+        for method in ("psychic", "columnar"):
+            with pytest.raises(ValueError, match=r"\('engine', 'reference'\)"):
+                compute_truth(subs[:1], deployment, events, method=method)
 
 
 class TestOracleDefault:
@@ -117,4 +114,9 @@ class TestOracleDefault:
     def test_invalid_env_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_ORACLE", "fast")
         with pytest.raises(ValueError):
+            default_oracle()
+
+    def test_the_deleted_columnar_pass_is_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ORACLE", "columnar")
+        with pytest.raises(ValueError, match=r"\('engine', 'reference'\)"):
             default_oracle()

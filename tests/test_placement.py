@@ -293,7 +293,7 @@ def _run_registrations(approach_key, matching, subs, raw_events, with_kwarg):
 )
 @given(
     approach_key=st.sampled_from(sorted(APPROACHES)),
-    matching=st.sampled_from(["incremental", "columnar"]),
+    matching=st.sampled_from(["incremental", "reference"]),
     sensors=st.sets(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3),
     raw_events=st.lists(
         st.tuples(

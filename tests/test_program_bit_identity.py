@@ -159,23 +159,25 @@ class TestSettledProgramBitIdentity:
     machine-checked equal to the historical wiring."""
 
     @pytest.mark.parametrize("matching", MATCHING_MODES)
-    def test_all_approaches_static(self, static_workload, matching):
+    def test_all_approaches_static(self, static_workload, matching, facade_matching):
+        facade_matching(matching)
         deployment, workload, events = static_workload
         for key, approach in all_approaches().items():
             expected = legacy_run_point(
                 approach, deployment, workload, events, matching=matching
             )
-            actual = run_point(
-                approach, deployment, workload, events, matching=matching
-            )
+            actual = run_point(approach, deployment, workload, events)
             assert actual == expected, (key, matching)
             assert actual.retired_queries == 0
             assert actual.teardown_load == 0
 
     @pytest.mark.parametrize("matching", MATCHING_MODES)
-    def test_all_approaches_under_churn(self, churn_workload, matching):
+    def test_all_approaches_under_churn(
+        self, churn_workload, matching, facade_matching
+    ):
         """Churn keeps the advertisement channel live mid-replay; the
         facade path must still match the historical wiring exactly."""
+        facade_matching(matching)
         deployment, workload, events, churn = churn_workload
         for key, approach in all_approaches().items():
             expected = legacy_run_point(
@@ -187,12 +189,7 @@ class TestSettledProgramBitIdentity:
                 matching=matching,
             )
             actual = run_point(
-                approach,
-                deployment,
-                workload,
-                events,
-                churn=churn,
-                matching=matching,
+                approach, deployment, workload, events, churn=churn
             )
             assert actual == expected, (key, matching)
             assert actual.reflood_load > 0

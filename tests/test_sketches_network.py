@@ -389,7 +389,7 @@ def _run_exact(approach_key, matching, raw_events, with_kwarg):
 )
 @given(
     approach_key=st.sampled_from(sorted(APPROACHES)),
-    matching=st.sampled_from(["incremental", "columnar"]),
+    matching=st.sampled_from(["incremental", "reference"]),
     raw_events=st.lists(
         st.tuples(
             st.sampled_from(["a", "b", "c"]),

@@ -2,12 +2,12 @@
 """Execute every script under ``examples/`` as a smoke test.
 
 Used by the ``examples-smoke`` CI job: each example runs in-process
-(sharing one interpreter keeps the job fast) with repro's own
-deprecation warnings escalated to errors — an example regressing onto a
-deprecated entry point fails the build, third-party deprecations do
-not.  Scripts run in sorted order, each under its own ``__main__``
-namespace, with argv reset so argument-reading examples use their
-defaults.
+(sharing one interpreter keeps the job fast) with every
+``DeprecationWarning`` raised from a ``repro.*`` module escalated to an
+error — an example reaching deprecated code inside the package fails
+the build, third-party deprecations do not.  Scripts run in sorted
+order, each under its own ``__main__`` namespace, with argv reset so
+argument-reading examples use their defaults.
 
 Run:  PYTHONPATH=src python tools/run_examples.py [examples_dir]
 """
@@ -19,8 +19,6 @@ import sys
 import time
 import warnings
 from pathlib import Path
-
-from repro.deprecation import ReproDeprecationWarning
 
 
 def main(argv: list[str]) -> int:
@@ -37,9 +35,11 @@ def main(argv: list[str]) -> int:
         sys.argv = [str(script)]
         try:
             with warnings.catch_warnings():
-                warnings.simplefilter("error", ReproDeprecationWarning)
+                warnings.filterwarnings(
+                    "error", category=DeprecationWarning, module=r"repro(\.|$)"
+                )
                 runpy.run_path(str(script), run_name="__main__")
-        except ReproDeprecationWarning as warning:
+        except DeprecationWarning as warning:
             failures.append((script.name, f"deprecated repro API: {warning}"))
             print(f"FAILED {script.name}: deprecated repro API: {warning}", file=sys.stderr)
         except SystemExit as exit_:  # examples may sys.exit(0)
