@@ -29,7 +29,7 @@ The legacy entry point ``run_point(approach, deployment, placed,
 events, ...)`` is kept: it wraps its arguments into a setup-only
 compiled program, so a settled admit-at-t=0 program reproduces the
 historical fixed-prefix results bit-identically
-(``tests/test_program_bit_identity.py`` machine-checks this across all
+(``tests/test_program_bit_identity.py`` pins them as goldens across all
 five approaches and both matching modes).
 """
 
@@ -195,7 +195,7 @@ def run_point(
     own workload: it wraps ``placed``/``events``/``churn`` into a
     setup-only compiled program (every query admitted settled at t=0,
     none retired) and runs it through the facade — the settled program
-    semantics the bit-identity harness pins to the historical wiring.
+    semantics the bit-identity goldens pin to the historical wiring.
 
     ``events`` is the replay already shifted to ``REPLAY_START``
     (``replay.shifted(REPLAY_START)``): the caller computes the oracle's

@@ -123,11 +123,6 @@ class FaultPlan:
                 return fault
         return self.default
 
-    def link_faults(self) -> dict[tuple[str, str], LinkFault]:
-        """Explicit per-link overrides as a lookup dict (transport
-        precomputes this once; the plan itself stays tuple-frozen)."""
-        return {(s, d): fault for s, d, fault in self.links}
-
     def sensor_down_windows(
         self, deployment: "Deployment"
     ) -> tuple[tuple[str, float, float], ...]:

@@ -12,10 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from ..sketches.messages import SketchPushMessage, SketchSubscribeMessage
-from .messages import Message, UnsubscribeMessage
-
-_SKETCH_MESSAGES = (SketchSubscribeMessage, SketchPushMessage)
+from .messages import Message
 
 LinkId = tuple[str, str]
 """Directed link: (sender node id, receiver node id)."""
@@ -96,24 +93,25 @@ class TrafficMeter:
         first link (totals — what the paper reports — stay exact).
         ``retransmission=True`` marks a reliability-layer resend: it
         bills every channel like the original copy and additionally the
-        ``retransmission_units`` subset.
+        ``retransmission_units`` subset.  The other subsets are read off
+        what the message class declares (``repro.network.messages``).
         """
         sub = message.subscription_units * hops
         evt = message.event_units * hops
         adv = message.advertisement_units * hops
+        total = sub + evt + adv
         self.subscription_units += sub
         self.event_units += evt
         self.advertisement_units += adv
         self.messages += 1
-        if isinstance(message, UnsubscribeMessage):
+        if message.teardown:
             self.teardown_units += sub
         if retransmission:
-            self.retransmission_units += sub + evt + adv
-        if getattr(message, "refresh_epoch", None) is not None:
+            self.retransmission_units += total
+        if message.refresh_epoch is not None:
             self.refresh_units += sub + adv
-        if isinstance(message, _SKETCH_MESSAGES):
-            self.sketch_units += sub + evt
-        self.per_link[link] += sub + evt + adv
+        self.sketch_units += message.sketch_units * hops
+        self.per_link[link] += total
         if evt:
             self.per_link_events[link] += evt
         if sub:

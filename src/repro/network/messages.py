@@ -10,11 +10,19 @@ what the paper's two headline metrics count:
   publish/subscribe forwarding, and one unit per *(event, result-set
   stream)* per link for the approaches that construct per-subscription
   result sets (naive, operator placement, centralized).
+
+Every message class *declares* what the meter and the transport read,
+as class-level data: its three channel units, ``sketch_units`` (the
+approximate lane's share of them), ``teardown`` (it retires a query),
+``refresh_epoch`` (not ``None`` on a soft-state refresh copy) and
+``reliable`` (the reliability layer acks it).  No base class supplies
+defaults: a forgotten declaration fails in ``TrafficMeter.record``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 from ..model.advertisements import Advertisement
 from ..model.events import SimpleEvent
@@ -45,17 +53,12 @@ class AdvertisementMessage:
     retract: bool = False
     refresh_epoch: int | None = None
 
-    @property
-    def subscription_units(self) -> int:
-        return 0
-
-    @property
-    def event_units(self) -> int:
-        return 0
-
-    @property
-    def advertisement_units(self) -> int:
-        return 1
+    subscription_units: ClassVar[int] = 0
+    event_units: ClassVar[int] = 0
+    advertisement_units: ClassVar[int] = 1
+    sketch_units: ClassVar[int] = 0
+    teardown: ClassVar[bool] = False
+    reliable: ClassVar[bool] = True
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,17 +82,12 @@ class OperatorMessage:
     refresh_epoch: int | None = None
     plan: object | None = None
 
-    @property
-    def subscription_units(self) -> int:
-        return 1
-
-    @property
-    def event_units(self) -> int:
-        return 0
-
-    @property
-    def advertisement_units(self) -> int:
-        return 0
+    subscription_units: ClassVar[int] = 1
+    event_units: ClassVar[int] = 0
+    advertisement_units: ClassVar[int] = 0
+    sketch_units: ClassVar[int] = 0
+    teardown: ClassVar[bool] = False
+    reliable: ClassVar[bool] = True
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,17 +106,13 @@ class UnsubscribeMessage:
 
     subscription_id: str
 
-    @property
-    def subscription_units(self) -> int:
-        return 1
-
-    @property
-    def event_units(self) -> int:
-        return 0
-
-    @property
-    def advertisement_units(self) -> int:
-        return 0
+    subscription_units: ClassVar[int] = 1
+    event_units: ClassVar[int] = 0
+    advertisement_units: ClassVar[int] = 0
+    sketch_units: ClassVar[int] = 0
+    teardown: ClassVar[bool] = True
+    refresh_epoch: ClassVar[None] = None
+    reliable: ClassVar[bool] = True
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,17 +129,16 @@ class EventMessage:
     event: SimpleEvent
     streams: tuple[str, ...] = ()
 
-    @property
-    def subscription_units(self) -> int:
-        return 0
+    subscription_units: ClassVar[int] = 0
+    advertisement_units: ClassVar[int] = 0
+    sketch_units: ClassVar[int] = 0
+    teardown: ClassVar[bool] = False
+    refresh_epoch: ClassVar[None] = None
+    reliable: ClassVar[bool] = False
 
     @property
     def event_units(self) -> int:
-        return max(1, len(self.streams))
-
-    @property
-    def advertisement_units(self) -> int:
-        return 0
+        return len(self.streams) or 1
 
 
 Message = (

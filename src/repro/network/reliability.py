@@ -15,10 +15,11 @@ delivering inline.  The transport
   ``ack_timeout * backoff**attempt`` up to ``max_retries`` times, then
   the transfer is abandoned.  Retransmitted copies bill the meter like
   the original *plus* ``retransmission_units`` — the reliability
-  overhead figure 18 plots.  Receivers deduplicate by transfer id, so
-  an at-least-once wire yields at-most-once delivery and duplicate
-  deliveries stay invisible to the protocol layer.  Event messages are
-  never acked: recall-vs-loss is the measured trade-off.
+  overhead figure 18 plots.  Receivers deduplicate by transfer: only
+  the first copy to arrive is delivered, later ones (even after the
+  transfer ended) are just acked again, so an at-least-once wire yields
+  at-most-once delivery.  Event messages are never acked:
+  recall-vs-loss is the measured trade-off.
 
 Acks travel the reverse link under the same fault model but are *free*
 (no meter charge): the paper's unit accounting counts data-plane
@@ -29,30 +30,41 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterator
 
-from .messages import (
-    AdvertisementMessage,
-    Message,
-    OperatorMessage,
-    UnsubscribeMessage,
-)
+from .messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .faults import FaultPlan, LinkFault
+    import numpy as np
+
+    from ..sim import Handle
+    from .faults import FaultPlan
     from .network import Network
 
 LinkPath = tuple[tuple[str, str], ...]
 """The directed links one transmission crosses, in order (one entry for
 a neighbour send, the whole route for the centralized unicast)."""
 
+_Crossing = tuple[float, float, float]
+"""One directed link resolved against the plan: ``(drop probability,
+base latency + fixed delay, jitter width)``."""
+_Route = tuple[tuple[_Crossing, ...], tuple[_Crossing, ...]]
+"""The crossings of a link path and of its reverse (the ack's way)."""
+
 
 def is_control(message: Message) -> bool:
     """Whether the reliability layer covers this message kind."""
-    return isinstance(
-        message, (AdvertisementMessage, OperatorMessage, UnsubscribeMessage)
-    )
+    return message.reliable
+
+
+def _uniform_draws(rng: "np.random.Generator") -> Iterator[float]:
+    """The stream's uniform doubles, read in blocks: ``rng.random(n)``
+    yields the doubles ``n`` scalar calls would, in the same order
+    (pinned in tests/test_reliability.py), and ``faults:<seed>`` has no
+    other reader."""
+    while True:
+        yield from rng.random(512).tolist()
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,42 +108,29 @@ class ReliabilityConfig:
         return self.ack_timeout * self.backoff**attempt
 
 
+@dataclass(slots=True, eq=False)
 class _Transfer:
-    """One acked control transfer (possibly multi-hop for unicast)."""
+    """One acked control transfer (possibly multi-hop for unicast).
 
-    __slots__ = (
-        "tid",
-        "src",
-        "dst",
-        "origin",
-        "message",
-        "links",
-        "hops",
-        "attempts",
-        "acked",
-        "timer",
-    )
+    ``delivered`` once the first copy reached the destination node,
+    ``done`` once the sender is through with it (acked, out of retries,
+    or crashed).  Neither is ever reset, so copies and acks still in
+    flight when the transfer ends find it ended.
+    """
 
-    def __init__(
-        self,
-        tid: int,
-        src: str,
-        dst: str,
-        origin: str,
-        message: Message,
-        links: LinkPath,
-        hops: int,
-    ) -> None:
-        self.tid = tid
-        self.src = src
-        self.dst = dst
-        self.origin = origin
-        self.message = message
-        self.links = links
-        self.hops = hops
-        self.attempts = 0
-        self.acked = False
-        self.timer = None
+    tid: int
+    src: str
+    dst: str
+    origin: str
+    message: Message
+    link: tuple[str, str]
+    hops: int
+    forward: tuple[_Crossing, ...]
+    back: tuple[_Crossing, ...]
+    attempts: int = 0
+    delivered: bool = False
+    done: bool = False
+    timer: "Handle" = field(init=False)
 
 
 class Transport:
@@ -140,6 +139,12 @@ class Transport:
     Built only when a truthy plan or a reliability config is present;
     without it ``Network.send`` keeps its historical inline path, byte
     for byte.
+
+    Every action it schedules is a named function defined inside one of
+    its methods (``arrive``, ``timeout``, ``acked``, ``deliver``): the
+    livelock report names pending work by qualname, and the benchmark
+    trace bills agenda time to this layer by the ``Transport.`` prefix
+    and counts retry timers by their call to ``_timeout``.
     """
 
     def __init__(
@@ -152,39 +157,55 @@ class Transport:
         self.plan = plan
         self.reliability = reliability
         self.rng = network.sim.rng(f"faults:{plan.seed}")
-        self._overrides = plan.link_faults()
-        self._default = plan.default
+        self._draws = _uniform_draws(self.rng)
+        # Resolved on first use: plan and base latency are fixed for a run.
+        self._routes: dict[LinkPath, _Route] = {}
+        self._retry_delays = (
+            [reliability.retry_delay(k) for k in range(reliability.max_retries + 1)]
+            if reliability is not None
+            else []
+        )
         self._tid = itertools.count()
-        self._live: dict[int, _Transfer] = {}
-        self._by_src: dict[str, set[int]] = {}
-        self._delivered: set[int] = set()
+        # Live transfers by sending broker (what a crash abandons).
+        self._by_src: dict[str, dict[int, _Transfer]] = {}
         self.abandoned_transfers = 0
+
+    @property
+    def live_transfers(self) -> int:
+        """Acked transfers still awaiting their ack or a retry."""
+        return sum(len(transfers) for transfers in self._by_src.values())
 
     # ------------------------------------------------------------------
     # fault draws
     # ------------------------------------------------------------------
-    def _fault(self, link: tuple[str, str]) -> "LinkFault":
-        return self._overrides.get(link, self._default)
+    def _route(self, links: LinkPath) -> _Route:
+        route = self._routes.get(links)
+        if route is None:
+            back = tuple((dst, src) for src, dst in reversed(links))
+            route = self._routes[links] = (
+                tuple(self._crossing(*link) for link in links),
+                tuple(self._crossing(*link) for link in back),
+            )
+        return route
 
-    def _link_delay(self, fault: "LinkFault") -> float:
-        delay = self.network.latency + fault.delay
-        if fault.jitter:
-            delay += fault.jitter * float(self.rng.random())
-        return delay
+    def _crossing(self, src: str, dst: str) -> _Crossing:
+        fault = self.plan.link_fault(src, dst)
+        return (fault.drop, self.network.latency + fault.delay, fault.jitter)
 
-    def _transit(self, links: LinkPath) -> float | None:
-        """Total transit time over ``links``, or None when dropped.
+    def _transit(self, crossings: tuple[_Crossing, ...]) -> float | None:
+        """Total transit time over ``crossings``, or None when dropped.
 
-        One drop draw per link; the walk stops at the first loss (no
-        further draws — deterministic, since the agenda serialises every
-        draw of the single stream).
+        One drop draw per link, then that link's jitter draw; the walk
+        stops at the first loss (no further draws — deterministic, since
+        the agenda serialises every draw of the single stream).
         """
         total = 0.0
-        for link in links:
-            fault = self._fault(link)
-            if fault.drop and float(self.rng.random()) < fault.drop:
+        for drop, delay, jitter in crossings:
+            if drop and next(self._draws) < drop:
                 return None
-            total += self._link_delay(fault)
+            if jitter:
+                delay += jitter * next(self._draws)
+            total += delay
         return total
 
     # ------------------------------------------------------------------
@@ -220,108 +241,102 @@ class Transport:
         links: LinkPath,
         hops: int,
     ) -> None:
+        route = self._route(links)
         if self.reliability is not None and is_control(message):
             transfer = _Transfer(
-                next(self._tid), src, dst, origin, message, links, hops
+                next(self._tid), src, dst, origin, message, links[0], hops, *route
             )
-            self._live[transfer.tid] = transfer
-            self._by_src.setdefault(src, set()).add(transfer.tid)
+            self._by_src.setdefault(src, {})[transfer.tid] = transfer
             self._attempt(transfer)
             return
-        meter = self.network.meter
-        meter.record(links[0], message, hops=hops)
-        transit = self._transit(links)
-        if transit is None or dst in self.network.down:
-            meter.record_drop()
+        network = self.network
+        network.meter.record(links[0], message, hops)
+        transit = self._transit(route[0])
+        if transit is None or dst in network.down:
+            network.meter.record_drop()
             return
-        self.network.sim.schedule(
-            transit, lambda: self._deliver(dst, message, origin)
-        )
 
-    def _deliver(self, dst: str, message: Message, origin: str) -> None:
-        if dst in self.network.down:
-            self.network.meter.record_drop()
-            return
-        self.network.nodes[dst].receive(message, origin)
+        def deliver() -> None:
+            if dst in network.down:
+                network.meter.record_drop()
+            else:
+                network.nodes[dst].receive(message, origin)
+
+        network.sim.schedule(transit, deliver)
 
     # ------------------------------------------------------------------
     # acked transfers
     # ------------------------------------------------------------------
     def _attempt(self, transfer: _Transfer) -> None:
-        retransmission = transfer.attempts > 0
-        transfer.attempts += 1
-        self.network.meter.record(
-            transfer.links[0],
-            transfer.message,
-            hops=transfer.hops,
-            retransmission=retransmission,
+        network = self.network
+        attempt = transfer.attempts
+        transfer.attempts = attempt + 1
+        network.meter.record(
+            transfer.link, transfer.message, transfer.hops, attempt > 0
         )
-        transit = self._transit(transfer.links)
+        transit = self._transit(transfer.forward)
         if transit is None:
-            self.network.meter.record_drop()
+            network.meter.record_drop()
         else:
-            self.network.sim.schedule(transit, lambda: self._arrive(transfer))
-        cfg = self.reliability
-        assert cfg is not None
-        transfer.timer = self.network.sim.schedule(
-            cfg.retry_delay(transfer.attempts - 1),
-            lambda: self._timeout(transfer),
+
+            def arrive() -> None:
+                self._arrive(transfer)
+
+            network.sim.schedule(transit, arrive)
+
+        def timeout() -> None:
+            self._timeout(transfer)
+
+        transfer.timer = network.sim.schedule(
+            self._retry_delays[attempt], timeout
         )
 
     def _arrive(self, transfer: _Transfer) -> None:
-        if transfer.dst in self.network.down:
+        network = self.network
+        if transfer.dst in network.down:
             # Lost at a crashed broker: no ack, so a later attempt may
             # land after recovery — control traffic heals across
             # outages bounded only by the retry budget.
-            self.network.meter.record_drop()
+            network.meter.record_drop()
             return
-        if transfer.tid not in self._delivered:
-            self._delivered.add(transfer.tid)
-            self.network.nodes[transfer.dst].receive(
+        if not transfer.delivered:
+            transfer.delivered = True
+            network.nodes[transfer.dst].receive(
                 transfer.message, transfer.origin
             )
-        reverse: LinkPath = tuple(
-            (dst, src) for src, dst in reversed(transfer.links)
-        )
-        transit = self._transit(reverse)
+        # Every copy is acknowledged, also one of an ended transfer: the
+        # receiver cannot know the sender is through with it.
+        transit = self._transit(transfer.back)
         if transit is None:
             return  # the ack was lost; the timer retransmits
-        self.network.sim.schedule(transit, lambda: self._acked(transfer))
 
-    def _acked(self, transfer: _Transfer) -> None:
-        if transfer.acked or transfer.tid not in self._live:
-            return
-        transfer.acked = True
-        if transfer.timer is not None:
-            transfer.timer.cancel()
-        self._finish(transfer)
+        def acked() -> None:
+            if not transfer.done:
+                self._end(transfer)
+
+        network.sim.schedule(transit, acked)
 
     def _timeout(self, transfer: _Transfer) -> None:
-        if transfer.acked or transfer.tid not in self._live:
+        if transfer.done:
             return
-        cfg = self.reliability
-        assert cfg is not None
-        if transfer.attempts > cfg.max_retries:
+        if transfer.attempts < len(self._retry_delays):
+            self._attempt(transfer)
+        else:  # retry budget spent
             self.abandoned_transfers += 1
-            self._finish(transfer)
-            return
-        self._attempt(transfer)
+            self._end(transfer)
 
-    def _finish(self, transfer: _Transfer) -> None:
-        self._live.pop(transfer.tid, None)
-        self._delivered.discard(transfer.tid)
-        srcs = self._by_src.get(transfer.src)
-        if srcs is not None:
-            srcs.discard(transfer.tid)
+    def _end(self, transfer: _Transfer) -> None:
+        transfer.done = True
+        transfer.timer.cancel()
+        del self._by_src[transfer.src][transfer.tid]
 
     def abandon_from(self, node_id: str) -> int:
         """Drop every live transfer originated by a crashing broker.
 
         Its volatile send state dies with it; returns the count.
         """
-        tids = sorted(self._by_src.pop(node_id, ()))
-        for tid in tids:
-            transfer = self._live.pop(tid, None)
-            if transfer is not None and transfer.timer is not None:
-                transfer.timer.cancel()
-        return len(tids)
+        transfers = self._by_src.pop(node_id, {})
+        for transfer in transfers.values():
+            transfer.done = True
+            transfer.timer.cancel()
+        return len(transfers)

@@ -7,9 +7,10 @@ deterministic and seedable (see DESIGN.md, substitution table).
 
 The kernel is deliberately minimal and dependency-free:
 
-* a binary-heap agenda of ``(time, priority, seq, action)`` entries —
+* a binary-heap agenda of ``(time, priority, seq, handle)`` tuples —
   ``seq`` gives FIFO order among simultaneous events, so runs are fully
-  reproducible;
+  reproducible, and being unique it lets ``heapq`` order entries in C
+  without ever comparing a handle (which holds the action);
 * callback scheduling (:meth:`Simulator.schedule` / :meth:`Simulator.at`)
   for the network substrate;
 * generator *processes* (:meth:`Simulator.process`) that ``yield`` delays
@@ -23,8 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterable, Optional
+from typing import Callable, Generator, Iterable
 
 import numpy as np
 
@@ -48,34 +48,37 @@ class AgendaBudgetExceeded(SimulationError):
     """
 
 
-@dataclass(order=True)
-class _Entry:
-    time: float
-    priority: int
-    seq: int
-    action: Action = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class Handle:
-    """Cancellation handle returned by the scheduling calls."""
+    """Cancellation handle returned by the scheduling calls.
 
-    __slots__ = ("_entry",)
+    It holds its entry's action, cleared when the entry is cancelled *or*
+    taken off the agenda to run: a cleared action is what the kernel
+    skips and what makes a late ``cancel`` a no-op.
+    """
 
-    def __init__(self, entry: _Entry) -> None:
-        self._entry = entry
+    __slots__ = ("_time", "_action", "_cancelled")
+
+    def __init__(self, time: float, action: Action) -> None:
+        self._time = time
+        self._action: Action | None = action
+        self._cancelled = False
 
     def cancel(self) -> None:
         """Prevent the action from running (no-op if already run)."""
-        self._entry.cancelled = True
+        if self._action is not None:
+            self._action = None
+            self._cancelled = True
 
     @property
     def time(self) -> float:
-        return self._entry.time
+        return self._time
 
     @property
     def cancelled(self) -> bool:
-        return self._entry.cancelled
+        return self._cancelled
+
+
+_Entry = tuple[float, int, int, Handle]  # time, priority, unique seq, handle
 
 
 class Simulator:
@@ -136,17 +139,17 @@ class Simulator:
     # ------------------------------------------------------------------
     def at(self, time: float, action: Action, priority: int = 0) -> Handle:
         """Run ``action`` at absolute virtual ``time``."""
-        if math.isnan(time):
-            raise SimulationError("cannot schedule at time NaN")
-        if time < self._now:
+        if not time >= self._now:  # also true for NaN
+            if math.isnan(time):
+                raise SimulationError("cannot schedule at time NaN")
             raise SimulationError(
                 f"cannot schedule at {time:g}; now is {self._now:g}"
             )
         seq = self._seq
         self._seq = seq + 1
-        entry = _Entry(time, priority, seq, action)
-        heapq.heappush(self._agenda, entry)
-        return Handle(entry)
+        handle = Handle(time, action)
+        heapq.heappush(self._agenda, (time, priority, seq, handle))
+        return handle
 
     @property
     def sequence(self) -> int:
@@ -163,9 +166,9 @@ class Simulator:
 
     def schedule(self, delay: float, action: Action, priority: int = 0) -> Handle:
         """Run ``action`` after ``delay`` units of virtual time."""
-        if math.isnan(delay):
-            raise SimulationError("delay is NaN")
-        if delay < 0:
+        if not delay >= 0:  # also true for NaN
+            if math.isnan(delay):
+                raise SimulationError("delay is NaN")
             raise SimulationError(f"negative delay {delay:g}")
         return self.at(self._now + delay, action, priority)
 
@@ -231,16 +234,19 @@ class Simulator:
                 )
         self._running = True
         try:
+            agenda = self._agenda
             count = 0
-            while self._agenda:
-                entry = self._agenda[0]
-                if until is not None and entry.time > until:
+            while agenda:
+                time, _, _, handle = agenda[0]
+                if until is not None and time > until:
                     break
-                heapq.heappop(self._agenda)
-                if entry.cancelled:
+                heapq.heappop(agenda)
+                action = handle._action
+                if action is None:
                     continue
-                self._now = entry.time
-                entry.action()
+                handle._action = None
+                self._now = time
+                action()
                 self.processed_events += 1
                 count += 1
                 if max_events is not None and count >= max_events:
@@ -256,11 +262,13 @@ class Simulator:
     def step(self) -> bool:
         """Execute exactly one pending event; False when agenda is empty."""
         while self._agenda:
-            entry = heapq.heappop(self._agenda)
-            if entry.cancelled:
+            time, _, _, handle = heapq.heappop(self._agenda)
+            action = handle._action
+            if action is None:
                 continue
-            self._now = entry.time
-            entry.action()
+            handle._action = None
+            self._now = time
+            action()
             self.processed_events += 1
             return True
         return False
@@ -268,7 +276,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of scheduled (non-cancelled) entries still queued."""
-        return sum(1 for e in self._agenda if not e.cancelled)
+        return sum(1 for entry in self._agenda if entry[3]._action is not None)
 
     def agenda_summary(self, n: int = 5) -> list[tuple[str, int]]:
         """The ``n`` hottest pending action kinds, by callable name.
@@ -279,9 +287,9 @@ class Simulator:
         """
         kinds: Counter[str] = Counter()
         for entry in self._agenda:
-            if entry.cancelled:
+            action = entry[3]._action
+            if action is None:
                 continue
-            action = entry.action
             label = getattr(action, "__qualname__", None) or type(action).__name__
             kinds[label] += 1
         return kinds.most_common(n)

@@ -2,16 +2,16 @@
 
 Defined here (below the network layer) so :class:`SketchLane` can
 construct them; the network layer imports them into its ``Message``
-union and its traffic meter.  Both expose the same three unit
-properties every message carries — the meter additionally tracks their
-sum as the ``sketch_units`` subset so the figures can split the lane's
-bill out of the shared channels.
+union.  Both make the same declarations every message class makes
+(``repro.network.messages`` lists them); their ``sketch_units`` equal
+what they bill on the shared channels, so the meter can split the
+lane's share out for the figures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .multires import MultiResolution
@@ -35,21 +35,13 @@ class SketchSubscribeMessage:
     sensors: frozenset[str]
     home: str
 
-    @property
-    def subscription_units(self) -> int:
-        return 1
-
-    @property
-    def event_units(self) -> int:
-        return 0
-
-    @property
-    def advertisement_units(self) -> int:
-        return 0
-
-    @property
-    def sketch_units(self) -> int:
-        return 1
+    subscription_units: ClassVar[int] = 1
+    event_units: ClassVar[int] = 0
+    advertisement_units: ClassVar[int] = 0
+    sketch_units: ClassVar[int] = 1
+    teardown: ClassVar[bool] = False
+    refresh_epoch: ClassVar[None] = None
+    reliable: ClassVar[bool] = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,17 +60,15 @@ class SketchPushMessage:
     summary: "QDigest | MultiResolution"
     units: int
 
-    @property
-    def subscription_units(self) -> int:
-        return 0
+    subscription_units: ClassVar[int] = 0
+    advertisement_units: ClassVar[int] = 0
+    teardown: ClassVar[bool] = False
+    refresh_epoch: ClassVar[None] = None
+    reliable: ClassVar[bool] = False
 
     @property
     def event_units(self) -> int:
         return self.units
-
-    @property
-    def advertisement_units(self) -> int:
-        return 0
 
     @property
     def sketch_units(self) -> int:

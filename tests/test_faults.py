@@ -95,7 +95,6 @@ class TestPlanSemantics:
         assert plan.link_fault("u1", "hub") is bad
         # Directed: the reverse link keeps the default.
         assert plan.link_fault("hub", "u1") == LinkFault(drop=0.01)
-        assert plan.link_faults() == {("u1", "hub"): bad}
 
     def test_plans_are_hashable_memo_keys(self):
         a = FaultPlan(default=LinkFault(drop=0.1), seed=97)
@@ -300,3 +299,21 @@ class TestLivelockDiagnosis:
         assert isinstance(error.busiest_links, list)
         # The ad flood left real traffic, so links are named with units.
         assert "units" in str(error)
+
+    def test_retransmit_storm_is_named_as_timers(self):
+        """A dead link under the reliability layer leaves nothing but
+        retry timers pending; the diagnosis says so by name, apart from
+        arrivals and acks."""
+        network = Network(
+            line_deployment(),
+            Simulator(seed=0),
+            faults=FaultPlan(links=(("hub", "u1", LinkFault(drop=1.0)),)),
+            reliability=ReliabilityConfig(max_retries=50, backoff=1.0),
+        )
+        all_approaches()["naive"].populate(network)
+        network.attach_all_sensors()
+        with pytest.raises(LivelockError) as exc_info:
+            network.run_to_quiescence(max_events=120)
+        pending = dict(exc_info.value.pending_actions)
+        assert pending == {"Transport._attempt.<locals>.timeout": 3}
+        assert "Transport._attempt.<locals>.timeout x3" in str(exc_info.value)

@@ -1,38 +1,44 @@
-"""Bit-identity of the program-driven runner vs the historical wiring.
+"""Pinned simulated outcomes of the program-driven runner.
 
-The experiment runner was re-platformed from hand-rolled
-``Network``+``Simulator`` construction onto workload programs executed
-through the Session facade.  The figure history must stay comparable:
-a **settled program with admit-at-t=0 and no retire** has to reproduce
-the pre-facade fixed-prefix ``run_point`` results *exactly* — every
-``RunResult`` field, across all five approaches and both matching
-modes.
+The repo benchmark's digest only compares repetitions *inside* one run,
+so identity *across commits* is pinned here: ``golden_run_results.json``
+holds the outcome of four small points, all five approaches each, taken
+at commit 9bc0088 (before the agenda entries, the transport hot path
+and ``TrafficMeter.record`` were rewritten).
 
-``legacy_run_point`` below is a faithful transcription of the retired
-wiring (fresh simulator, manual populate/attach/flood, sequential
-settled registrations, raw ``schedule_timeline`` replay); the suite
-machine-checks the facade path against it, including under churn, and
-pins the sharded runner to the same results.
+* ``static`` / ``churn`` — every ``RunResult`` field of a settled
+  admit-at-t=0 program, both ``Network(matching=)`` values against the
+  one golden (the figure history's fixed-prefix results);
+* ``faults`` (the ``FAULTS`` regime) / ``late_copy`` (per-link delay and
+  jitter, an outage, a round trip longer than the ack timeout) — final
+  meter snapshot, abandoned transfers, delivered keys per subscription:
+  the fence around the fault stream's draw order and ``abandon_from``.
+
+Regenerate, only in a PR that *means* to change a simulated outcome:
+``PYTHONPATH=src python tests/test_program_bit_identity.py``
 """
 
 from __future__ import annotations
+
+import functools
+import json
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.runner import (
     REPLAY_START,
-    RunResult,
     run_point,
     run_program,
     shifted_churn,
 )
 from repro.metrics.oracle import compute_truth
-from repro.metrics.recall import measure_recall
-from repro.network.network import Network
+from repro.network.faults import FaultPlan, LinkFault, OutageWindow
+from repro.network.reliability import ReliabilityConfig
 from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
-from repro.sim import Simulator
-from repro.workload.program import WorkloadProgram
+from repro.workload.program import WorkloadProgram, execute_program
 from repro.workload.sensorscope import (
     ChurnConfig,
     DynamicReplayConfig,
@@ -46,92 +52,51 @@ from repro.workload.subscriptions import (
 )
 
 MATCHING_MODES = ("incremental", "reference")
+GOLDEN_PATH = Path(__file__).with_name("golden_run_results.json")
 
+STATIC_SUBSCRIPTIONS = SubscriptionWorkloadConfig(
+    n_subscriptions=8, attrs_min=3, attrs_max=5, seed=2
+)
+STATIC_REPLAY = ReplayConfig(rounds=6, seed=3)
 
-def legacy_run_point(
-    approach,
-    deployment,
-    placed,
-    events,
-    truths=None,
-    delta_t=5.0,
-    latency=0.05,
-    churn=None,
-    matching="incremental",
-) -> RunResult:
-    """The pre-program experiment wiring, preserved verbatim as the
-    reference the facade path is pinned against."""
-    sim = Simulator(seed=deployment.seed)
-    network = Network(
-        deployment, sim, latency=latency, delta_t=delta_t, matching=matching
-    )
-    approach.populate(network)
-    network.attach_all_sensors()
-    network.run_to_quiescence()
-    after_ads = network.meter.snapshot()
-    for item in placed:
-        network.register_subscription(item.node_id, item.subscription)
-        network.run_to_quiescence()
-    after_subs = network.meter.snapshot()
-    assert sim.now < REPLAY_START
-    node_of_sensor = {s.sensor_id: s.node_id for s in deployment.sensors}
-    sim.schedule_timeline(
-        (
-            event.timestamp,
-            lambda e=event: network.publish(node_of_sensor[e.sensor_id], e),
-        )
-        for event in events
-    )
-    if churn is not None:
-        network.schedule_churn(churn)
-    network.run_to_quiescence()
-    final = network.meter.snapshot()
-    if truths is None:
-        truths = compute_truth(
-            [p.subscription for p in placed], deployment, events, churn=churn
-        )
-    report = measure_recall(truths, network.delivery)
-    sub_traffic = after_subs.minus(after_ads)
-    event_traffic = final.minus(after_subs)
-    return RunResult(
-        approach=approach.key,
-        n_subscriptions=len(placed),
-        subscription_load=sub_traffic.subscription_units,
-        event_load=event_traffic.event_units,
-        advertisement_load=after_ads.advertisement_units,
-        recall=report.recall,
-        false_positive_rate=report.false_positive_rate,
-        true_instances=report.true_instances,
-        delivered_instances=report.delivered_instances,
-        delivered_events=report.delivered_events,
-        dropped_subscriptions=len(network.dropped_subscriptions),
-        complex_deliveries=sum(network.delivery.complex_deliveries.values()),
-        sim_events=sim.processed_events,
-        reflood_load=final.advertisement_units - after_ads.advertisement_units,
-        admit_load=event_traffic.subscription_units
-        - event_traffic.teardown_units,
-        teardown_load=event_traffic.teardown_units,
-        retired_queries=0,
-    )
-
-
-@pytest.fixture(scope="module")
-def static_workload():
-    deployment = build_deployment(24, 3, seed=2)
-    replay = build_replay(deployment, ReplayConfig(rounds=6, seed=3))
-    workload = generate_subscriptions(
-        deployment,
-        replay.medians,
-        SubscriptionWorkloadConfig(
-            n_subscriptions=8, attrs_min=3, attrs_max=5, seed=2
+# r0 <-> r1 is the backbone of build_deployment(24, 3, seed=2): its 1.3 s
+# round trip outlives the 1.0 s ack timeout, so every control transfer
+# over it is retransmitted and the second copy arrives late.
+FAULT_PLANS: dict[str, tuple[FaultPlan, ReliabilityConfig]] = {
+    "faults": (
+        FaultPlan(default=LinkFault(drop=0.1), seed=97),
+        ReliabilityConfig(),
+    ),
+    "late_copy": (
+        FaultPlan(
+            default=LinkFault(drop=0.02),
+            links=(
+                ("r0", "r1", LinkFault(delay=0.6)),
+                ("r1", "r0", LinkFault(delay=0.6)),
+                ("r1", "r5", LinkFault(drop=0.2, delay=0.1, jitter=0.4)),
+                ("r5", "r1", LinkFault(jitter=0.4)),
+                ("r2", "s0_at", LinkFault(drop=0.1, jitter=0.05)),
+            ),
+            outages=(OutageWindow(("r5", "s0_wd"), 25.0, 40.0),),
+            seed=11,
         ),
-        spreads=replay.spreads,
+        ReliabilityConfig(refresh_interval=30.0),
+    ),
+}
+
+
+@functools.cache
+def static_point():
+    deployment = build_deployment(24, 3, seed=2)
+    replay = build_replay(deployment, STATIC_REPLAY)
+    workload = generate_subscriptions(
+        deployment, replay.medians, STATIC_SUBSCRIPTIONS, spreads=replay.spreads
     )
     return deployment, workload, replay.shifted(REPLAY_START)
 
 
-@pytest.fixture(scope="module")
-def churn_workload():
+@functools.cache
+def churn_point():
     deployment = build_deployment(24, 3, seed=4)
     replay = build_dynamic_replay(
         deployment,
@@ -146,63 +111,85 @@ def churn_workload():
         ),
         spreads=replay.spreads,
     )
-    return (
-        deployment,
-        workload,
-        replay.shifted(REPLAY_START),
-        shifted_churn(replay),
-    )
+    events = replay.shifted(REPLAY_START)
+    return deployment, workload, events, shifted_churn(replay)
+
+
+def run_results(deployment, workload, events, churn=None) -> dict[str, dict]:
+    """``RunResult`` fields per approach for one settled point."""
+    return {
+        key: asdict(run_point(approach, deployment, workload, events, churn=churn))
+        for key, approach in all_approaches().items()
+    }
+
+
+def fault_outcomes(name: str) -> dict[str, dict]:
+    """What the fault lane decides, per approach, under ``FAULT_PLANS[name]``."""
+    plan, reliability = FAULT_PLANS[name]
+    compiled = WorkloadProgram(
+        subscriptions=STATIC_SUBSCRIPTIONS,
+        replay=STATIC_REPLAY,
+        faults=plan,
+        reliability=reliability,
+    ).compile(static_point()[0])
+    outcomes = {}
+    for key in all_approaches():
+        execution = execute_program(compiled, key)
+        network = execution.session.network
+        outcomes[key] = {
+            "snapshot": asdict(execution.final),
+            "abandoned_transfers": network.transport.abandoned_transfers,
+            "delivered": {
+                sub_id: " ".join(
+                    f"{sensor}:{seq}"
+                    for sensor, seq in sorted(network.delivery.delivered(sub_id))
+                )
+                for sub_id in network.delivery.subscriptions()
+            },
+        }
+    return outcomes
+
+
+@functools.cache
+def golden() -> dict[str, dict]:
+    return json.loads(GOLDEN_PATH.read_text())
 
 
 class TestSettledProgramBitIdentity:
-    """The satellite acceptance check: settled admit-at-t=0, no retire,
-    machine-checked equal to the historical wiring."""
+    """A settled admit-at-t=0, no-retire program reproduces the pinned
+    fixed-prefix results exactly, on either matcher."""
 
     @pytest.mark.parametrize("matching", MATCHING_MODES)
-    def test_all_approaches_static(self, static_workload, matching, facade_matching):
+    def test_all_approaches_static(self, matching, facade_matching):
         facade_matching(matching)
-        deployment, workload, events = static_workload
-        for key, approach in all_approaches().items():
-            expected = legacy_run_point(
-                approach, deployment, workload, events, matching=matching
-            )
-            actual = run_point(approach, deployment, workload, events)
-            assert actual == expected, (key, matching)
-            assert actual.retired_queries == 0
-            assert actual.teardown_load == 0
+        actual = run_results(*static_point())
+        assert actual == golden()["static"], matching
+        for result in actual.values():
+            assert result["retired_queries"] == 0
+            assert result["teardown_load"] == 0
 
     @pytest.mark.parametrize("matching", MATCHING_MODES)
-    def test_all_approaches_under_churn(
-        self, churn_workload, matching, facade_matching
-    ):
-        """Churn keeps the advertisement channel live mid-replay; the
-        facade path must still match the historical wiring exactly."""
+    def test_all_approaches_under_churn(self, matching, facade_matching):
+        """Churn keeps the advertisement channel live mid-replay."""
         facade_matching(matching)
-        deployment, workload, events, churn = churn_workload
-        for key, approach in all_approaches().items():
-            expected = legacy_run_point(
-                approach,
-                deployment,
-                workload,
-                events,
-                churn=churn,
-                matching=matching,
-            )
-            actual = run_point(
-                approach, deployment, workload, events, churn=churn
-            )
-            assert actual == expected, (key, matching)
-            assert actual.reflood_load > 0
+        actual = run_results(*churn_point())
+        assert actual == golden()["churn"], matching
+        assert all(result["reflood_load"] > 0 for result in actual.values())
 
-    def test_program_entry_point_matches_run_point(self, static_workload):
+    @pytest.mark.parametrize("name", sorted(FAULT_PLANS))
+    def test_fault_lane_outcomes(self, name):
+        """Drop and jitter draws, retransmission instants, crash-time
+        abandonment and late copies all land where they did."""
+        actual = fault_outcomes(name)
+        assert actual == golden()[name]
+        assert any(o["snapshot"]["retransmission_units"] for o in actual.values())
+
+    def test_program_entry_point_matches_run_point(self):
         """Driving the same prefix through an actual WorkloadProgram
         (source -> compile -> run_program) is the same experiment."""
-        deployment, workload, events = static_workload
+        deployment, workload, events = static_point()
         program = WorkloadProgram(
-            subscriptions=SubscriptionWorkloadConfig(
-                n_subscriptions=8, attrs_min=3, attrs_max=5, seed=2
-            ),
-            replay=ReplayConfig(rounds=6, seed=3),
+            subscriptions=STATIC_SUBSCRIPTIONS, replay=STATIC_REPLAY
         )
         compiled = program.compile(deployment)
         approach = all_approaches()["fsf"]
@@ -210,13 +197,10 @@ class TestSettledProgramBitIdentity:
             approach, deployment, workload, events
         )
 
-    def test_program_truth_equals_direct_truth(self, static_workload):
-        deployment, workload, events = static_workload
+    def test_program_truth_equals_direct_truth(self):
+        deployment, workload, events = static_point()
         program = WorkloadProgram(
-            subscriptions=SubscriptionWorkloadConfig(
-                n_subscriptions=8, attrs_min=3, attrs_max=5, seed=2
-            ),
-            replay=ReplayConfig(rounds=6, seed=3),
+            subscriptions=STATIC_SUBSCRIPTIONS, replay=STATIC_REPLAY
         )
         compiled = program.compile(deployment)
         direct = compute_truth(
@@ -227,3 +211,12 @@ class TestSettledProgramBitIdentity:
         for sub_id, truth in via_program.items():
             assert truth.triggers == direct[sub_id].triggers
             assert truth.participants == direct[sub_id].participants
+
+
+if __name__ == "__main__":
+    goldens = {
+        "static": run_results(*static_point()),
+        "churn": run_results(*churn_point()),
+        **{name: fault_outcomes(name) for name in FAULT_PLANS},
+    }
+    GOLDEN_PATH.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")

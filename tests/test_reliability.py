@@ -23,10 +23,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from deployments import line_deployment
 
 from repro.experiments.runner import REPLAY_START, run_series
+from repro.model import Advertisement, Location
 from repro.network.faults import FaultPlan, LinkFault, OutageWindow
-from repro.network.messages import EventMessage
+from repro.network.messages import AdvertisementMessage, EventMessage
 from repro.network.network import Network
-from repro.network.reliability import ReliabilityConfig, is_control
+from repro.network.reliability import (
+    ReliabilityConfig,
+    _uniform_draws,
+    is_control,
+)
 from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
 from repro.sim import Simulator
@@ -136,7 +141,70 @@ class TestAckedTransfers:
         # Each abandoned ad paid max_retries retransmissions of 1 unit.
         snap = network.meter.snapshot()
         assert snap.retransmission_units == 3 * cfg.max_retries
-        assert not transport._live  # no timers or transfers leak
+        assert transport.live_transfers == 0  # no timers or transfers leak
+
+    def test_late_copy_of_an_ended_transfer_is_not_delivered_again(self):
+        """A 1.3 s round trip outlives the 1.0 s ack timeout: the
+        retransmitted copy lands after the first ack ended the transfer
+        and must stop at the transport (at-most-once by transfer)."""
+        network = Network(
+            build_deployment(24, 3),
+            Simulator(seed=0),
+            faults=FaultPlan(default=LinkFault(delay=0.6)),
+            reliability=ReliabilityConfig(),
+        )
+        all_approaches()["naive"].populate(network)
+        arrivals = []
+
+        class Recorder:
+            def receive(self, message, origin):
+                arrivals.append((network.sim.now, origin))
+
+        network.nodes["r1"] = Recorder()
+        message = AdvertisementMessage(Advertisement("d", "t", Location(0, 0)))
+        network.send("r0", "r1", message)
+        network.run_to_quiescence()
+        assert arrivals == [(pytest.approx(0.65), "r0")]
+        assert network.meter.snapshot().retransmission_units == 1
+        assert network.transport.live_transfers == 0
+
+    def test_nothing_per_transfer_survives_crashes_and_a_drain(self):
+        """Brokers crash with copies of their transfers in flight, over
+        lossy links; once the agenda drains the transport holds no
+        transfer, however each one ended."""
+        deployment, replay, workload = _static_arena(3)
+        network = Network(
+            deployment,
+            Simulator(seed=3),
+            faults=FaultPlan(default=LinkFault(drop=0.2), seed=5),
+            reliability=ReliabilityConfig(),
+        )
+        all_approaches()["naive"].populate(network)
+        network.attach_all_sensors()
+        network.run_to_quiescence()
+        for placed in workload:
+            network.register_subscription(placed.node_id, placed.subscription)
+        abandoned = 0
+        for epoch, victim in enumerate(sorted(network.nodes)[:6], start=1):
+            start = network.sim.now + 1.0
+            network.schedule_refresh([(start, epoch)])
+            network.sim.run(until=start + 0.02)  # copies are on the wire
+            live = network.transport.live_transfers
+            network.crash_node(victim)
+            abandoned += live - network.transport.live_transfers
+            network.sim.run(until=start + 0.5)
+            network.recover_node(victim)
+        assert abandoned > 0, "no crash caught a transfer in flight"
+        network.run_to_quiescence()
+        assert network.transport.live_transfers == 0
+
+    def test_block_reads_of_the_fault_stream_equal_scalar_draws(self):
+        """What lets the transport read its uniform draws in blocks."""
+        scalar = Simulator(seed=9).rng("faults:97")
+        blocks = _uniform_draws(Simulator(seed=9).rng("faults:97"))
+        assert [next(blocks) for _ in range(1_500)] == [
+            float(scalar.random()) for _ in range(1_500)
+        ]
 
     def test_ack_traffic_is_free(self):
         """A fault-free reliable flood meters exactly the same units as

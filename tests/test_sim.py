@@ -1,6 +1,10 @@
 """Tests for the discrete-event simulation kernel."""
 
+import sys
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import SimulationError, Simulator
 
@@ -56,6 +60,17 @@ class TestScheduling:
         assert out == [] and handle.cancelled
         assert sim.pending == 0
 
+    def test_cancel_after_the_action_ran_is_a_noop(self):
+        sim = Simulator()
+        out = []
+        handle = sim.schedule(1.0, lambda: out.append("x"))
+        own = sim.schedule(2.0, lambda: own.cancel())  # cancels itself, running
+        sim.run()
+        handle.cancel()
+        assert out == ["x"]
+        assert not handle.cancelled and not own.cancelled
+        assert sim.processed_events == 2 and sim.pending == 0
+
     def test_run_until(self):
         sim = Simulator()
         out = []
@@ -88,6 +103,181 @@ class TestScheduling:
         sim.schedule(0.0, lambda: sim.run())
         with pytest.raises(SimulationError):
             sim.run()
+
+
+# ---------------------------------------------------------------------------
+# agenda order as a property
+# ---------------------------------------------------------------------------
+class _Action:
+    """A logging action that refuses to be ordered: the agenda must
+    settle every comparison on the unique ``(time, priority, seq)``
+    prefix and never reach what it schedules."""
+
+    def __init__(self, label, log, ident, then=None):
+        self.__qualname__ = label  # what agenda_summary reports
+        self.log = log
+        self.ident = ident
+        self.then = then
+
+    def __call__(self):
+        self.log.append(self.ident)
+        if self.then is not None:
+            self.then()
+
+    def __lt__(self, other):
+        raise AssertionError("the agenda compared two actions")
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+
+class _AgendaModel:
+    """Reference semantics: run pending entries sorted by
+    ``(time, priority, seq)``; a cancelled or executed entry is gone."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.entries = []  # [time, priority, seq, ident, child, state]
+        self.log = []
+
+    def add(self, time, priority, ident, child):
+        self.entries.append([time, priority, self.seq, ident, child, "pending"])
+        self.seq += 1
+
+    def cancel(self, ident):
+        entry = self.entries[ident]
+        if entry[5] == "pending":
+            entry[5] = "cancelled"
+
+    def pending(self):
+        return [e for e in self.entries if e[5] == "pending"]
+
+    def run(self, until=None, limit=None):
+        while limit is None or limit > 0:
+            due = [e for e in self.pending() if until is None or e[0] <= until]
+            if not due:
+                break
+            entry = min(due, key=lambda e: e[:3])
+            entry[5] = "ran"
+            self.now = entry[0]
+            self.log.append(entry[3])
+            if entry[4] is not None:
+                delay, priority = entry[4]
+                self.add(self.now + delay, priority, len(self.entries), None)
+            if limit is not None:
+                limit -= 1
+        if until is not None and self.now < until:
+            self.now = until
+
+
+# Few distinct values, so equal times and equal (time, priority) pairs
+# are the common case, not the exception.
+_delays = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.5])
+_priorities = st.sampled_from([-1, 0, 0, 1])
+_children = st.none() | st.tuples(_delays, _priorities)
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("at"), _delays, _priorities, _children),
+        st.tuples(st.just("schedule"), _delays, _priorities, _children),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10_000)),
+        st.tuples(st.just("run"), _delays),
+        st.tuples(st.just("step")),
+    ),
+    max_size=60,
+)
+
+
+class TestAgendaOrderProperty:
+    @given(operations=_operations)
+    @settings(max_examples=200, deadline=None)
+    def test_any_interleaving_runs_in_time_priority_seq_order(self, operations):
+        sim = Simulator()
+        model = _AgendaModel()
+        log = []
+        handles = []
+
+        def label(priority):
+            return f"priority{priority}"
+
+        def make(priority, child):
+            ident = len(handles)
+            then = None
+            if child is not None:
+                delay, child_priority = child
+
+                def then():
+                    handles.append(
+                        sim.schedule(delay, make(child_priority, None), child_priority)
+                    )
+
+            return _Action(label(priority), log, ident, then)
+
+        for operation in operations:
+            kind = operation[0]
+            if kind in ("at", "schedule"):
+                _, delay, priority, child = operation
+                action = make(priority, child)
+                if kind == "at":
+                    handle = sim.at(sim.now + delay, action, priority)
+                else:
+                    handle = sim.schedule(delay, action, priority)
+                assert handle.time == model.now + delay
+                model.add(model.now + delay, priority, len(handles), child)
+                handles.append(handle)
+            elif kind == "cancel":
+                if handles:
+                    ident = operation[1] % len(handles)
+                    handles[ident].cancel()
+                    model.cancel(ident)
+            elif kind == "run":
+                until = sim.now + operation[1]
+                assert sim.run(until=until) == until
+                model.run(until=until)
+            else:
+                assert sim.step() == bool(model.pending())
+                model.run(limit=1)
+
+            assert log == model.log
+            assert sim.now == model.now
+            assert sim.sequence == model.seq == len(handles)
+            assert sim.processed_events == len(model.log)
+            assert sim.pending == len(model.pending())
+            assert dict(sim.agenda_summary(n=10)) == Counter(
+                label(e[1]) for e in model.pending()
+            )
+            assert [h.cancelled for h in handles] == [
+                e[5] == "cancelled" for e in model.entries
+            ]
+
+        sim.run()
+        model.run()
+        assert log == model.log
+        assert sim.pending == 0 and sim.agenda_summary() == []
+
+    def test_ordering_the_agenda_enters_no_python_frame(self):
+        """Regression guard for the comparator: scheduling and draining
+        ``n`` entries makes a number of Python-level calls linear in
+        ``n`` (``at``, the handle, ``run``), where a comparator written
+        in Python adds one frame per heap comparison — ``n log n``."""
+        n = 2_000
+        sim = Simulator()
+        calls = 0
+
+        def profiler(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profiler)
+        try:
+            for i in range(n):
+                sim.at(float((i * 7919) % n), int)  # builtin no-op action
+            sim.run()
+        finally:
+            sys.setprofile(previous)
+        assert sim.processed_events == n
+        assert calls <= 3 * n, calls
 
 
 class TestProcesses:

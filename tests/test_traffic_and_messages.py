@@ -1,15 +1,21 @@
 """Tests for traffic metering and message unit accounting."""
 
+import itertools
+from typing import get_args
+
 import pytest
 
 from repro.model import Advertisement, Interval, Location, SimpleEvent
 from repro.model.operators import CorrelationOperator, Slot
-from repro.network.links import TrafficMeter
+from repro.network.links import TrafficMeter, TrafficSnapshot
 from repro.network.messages import (
     AdvertisementMessage,
     EventMessage,
+    Message,
     OperatorMessage,
+    UnsubscribeMessage,
 )
+from repro.sketches.messages import SketchPushMessage, SketchSubscribeMessage
 
 
 def _event():
@@ -86,3 +92,72 @@ class TestTrafficMeter:
         meter.record(("b", "a"), EventMessage(_event()))
         assert meter.per_link[("a", "b")] == 1
         assert meter.per_link[("b", "a")] == 1
+
+
+def _advertisement(epoch):
+    return AdvertisementMessage(
+        Advertisement("d", "t", Location(0, 0)), refresh_epoch=epoch
+    )
+
+
+# message(refresh epoch) -> what one copy costs on one link:
+# (subscription, event, advertisement, teardown, sketch) units.
+# ``None`` marks the classes that cannot be refresh copies.
+DECLARED_UNITS = [
+    (_advertisement, (0, 0, 1, 0, 0)),
+    (lambda epoch: OperatorMessage(_operator(), refresh_epoch=epoch), (1, 0, 0, 0, 0)),
+    (lambda _: UnsubscribeMessage("q1"), (1, 0, 0, 1, 0)),
+    (lambda _: EventMessage(_event(), streams=("x", "y")), (0, 2, 0, 0, 0)),
+    (
+        lambda _: SketchSubscribeMessage("g", "t", frozenset({"d"}), "n"),
+        (1, 0, 0, 0, 1),
+    ),
+    (lambda _: SketchPushMessage("g", 1, None, units=4), (0, 4, 0, 0, 4)),
+]
+
+
+class TestRecordOnDeclaredUnits:
+    """``TrafficMeter.record`` reads what the message class declares; a
+    class missing from this table, or missing a declaration, fails here
+    rather than silently costing nothing."""
+
+    def test_the_table_covers_every_message_class(self):
+        assert {type(make(None)) for make, _ in DECLARED_UNITS} == set(
+            get_args(Message)
+        )
+
+    @pytest.mark.parametrize(
+        "make, units",
+        DECLARED_UNITS,
+        ids=[type(make(None)).__name__ for make, _ in DECLARED_UNITS],
+    )
+    def test_every_channel_and_subset(self, make, units):
+        sub, evt, adv, teardown, sketch = units
+        for hops, retransmission, epoch in itertools.product(
+            (1, 3), (False, True), (None, 2)
+        ):
+            message = make(epoch)
+            refresh = epoch is not None and isinstance(
+                message, (AdvertisementMessage, OperatorMessage)
+            )
+            meter = TrafficMeter()
+            meter.record(("a", "b"), message, hops, retransmission)
+            case = (type(message).__name__, hops, retransmission, epoch)
+            assert meter.snapshot() == TrafficSnapshot(
+                subscription_units=sub * hops,
+                event_units=evt * hops,
+                advertisement_units=adv * hops,
+                messages=1,
+                teardown_units=teardown * hops,
+                retransmission_units=(sub + evt + adv) * hops * retransmission,
+                refresh_units=(sub + adv) * hops * refresh,
+                dropped_messages=0,
+                sketch_units=sketch * hops,
+            ), case
+            assert meter.per_link == {("a", "b"): (sub + evt + adv) * hops}, case
+            assert meter.per_link_events == (
+                {("a", "b"): evt * hops} if evt else {}
+            ), case
+            assert meter.per_link_subscriptions == (
+                {("a", "b"): sub * hops} if sub else {}
+            ), case
