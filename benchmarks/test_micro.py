@@ -388,8 +388,11 @@ def _shared_round_events(by_sensor, events, store, add=True):
 
 def test_bench_matching_shared_incremental(benchmark):
     """The incremental engine at sharing scale: 5000 near-duplicate
-    operators, each answering ``matches_involving`` per arrival (one
-    sweep per template and arrival, the other probes are memo hits)."""
+    operators, each answering ``matches_involving`` per arrival.  Since
+    PR 19 that call is always one sweep (the probe memo is gone: nodes
+    read the arrival's hit map and probe nobody), so this times 5000
+    direct sweeps per arrival — the per-record pattern, not what a
+    node pays; it read about 8x lower while the memo served it."""
     import gc
 
     store, by_sensor, pattern, loc = _shared_matching_arena()

@@ -227,14 +227,15 @@ class CentralizedNode(Node):
         self._match_at_center(event)
 
     def _match_at_center(self, event: SimpleEvent) -> None:
-        if not self.ingest(event):
-            return
+        hits = self.ingest(event)
+        if not hits:
+            return  # dropped, or no operator has a match
         store = self.stores.get(LOCAL)
         if store is None:
             return
         for operator, matcher in store.matched_for_sensor(event.sensor_id, False):
-            participants = matcher.matches_involving(event)
-            if not participants:
+            participants = hits.get(matcher)
+            if participants is None:
                 continue
             self.network.delivery.record_complex(operator.subscription_id)
             outgoing: dict[EventKey, SimpleEvent] = {}

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from ..matching import HitMap
 from ..model.advertisements import AdvertisementTable
 from ..model.events import SimpleEvent
 from ..model.operators import CorrelationOperator
@@ -81,8 +82,8 @@ class MultiJoinNode(Node):
         self.roles: dict[str, str] = {}
         # Ring joins of the transit operators as ``[join, matcher]``
         # entries, filled on first use.  A join's matcher is retained
-        # when the join first accepts an event (a join no stream here
-        # ever feeds costs no matcher) and stays None in reference mode.
+        # when the join first accepts an event: a join no stream here
+        # ever feeds costs no matcher.
         self._ring_cache: dict[str, list[list[Any]]] = {}
         # Simple filters considered for dispatch toward the sensors, per
         # origin — used to pair-wise deduplicate the per-binary-join
@@ -225,9 +226,12 @@ class MultiJoinNode(Node):
     def handle_event(
         self, event: SimpleEvent, origin: str, streams: tuple[str, ...]
     ) -> None:
-        if not self.ingest(event):
+        hits = self.ingest(event)
+        if hits is None:
             return
-        self._deliver_local(event)
+        # No early return on an empty map: local delivery and the LEAF
+        # role go by value-filter acceptance, not by a match.
+        self._deliver_local(event, hits)
         engine = self.matching
         for neighbor in self.neighbors:
             if neighbor == origin:
@@ -266,12 +270,16 @@ class MultiJoinNode(Node):
                     joins = ring
                 for entry in joins:
                     join, join_matcher = entry
-                    if not join.accepts_some(event):
-                        continue
                     if join_matcher is None:
+                        if not join.accepts_some(event):
+                            continue
                         # Retained once, released in on_operator_removed.
+                        # The engine matched this arrival before the
+                        # matcher existed, so this one read is a sweep.
                         join_matcher = entry[1] = engine.retain(join)
-                    participants = join_matcher.matches_involving(event)
+                        participants = join_matcher.matches_involving(event)
+                    else:
+                        participants = hits.get(join_matcher)
                     if not participants:
                         continue
                     assert join.main_slot is not None
@@ -282,7 +290,7 @@ class MultiJoinNode(Node):
                     self.mark_sent(key, neighbor)
                     self.send_event(neighbor, member)
 
-    def _deliver_local(self, event: SimpleEvent) -> None:
+    def _deliver_local(self, event: SimpleEvent, hits: HitMap) -> None:
         """User-side delivery: value-filter acceptance (false positives
         included, as the paper describes), plus exact complex matching
         for the complex-delivery counter."""
@@ -291,7 +299,7 @@ class MultiJoinNode(Node):
         ):
             if root.accepts_some(event):
                 self.network.delivery.record_events(subscription.sub_id, [event])
-        self.deliver_local_matches(event)
+        self.deliver_local_matches(event, hits)
 
 
 def multijoin_approach() -> Approach:

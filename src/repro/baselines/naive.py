@@ -26,12 +26,13 @@ class NaiveNode(Node):
     def handle_event(
         self, event: SimpleEvent, origin: str, streams: tuple[str, ...]
     ) -> None:
-        if not self.ingest(event):
-            return
-        self.deliver_local_matches(event)
+        hits = self.ingest(event)
+        if not hits:
+            return  # dropped, or no operator here has a match
+        self.deliver_local_matches(event, hits)
         # One result set per stored operator; overlapping subscriptions
         # pay once each (the redundancy the paper's metrics expose).
-        self.stream_forward(event, sender=origin, include_covered=False)
+        self.stream_forward(event, hits, sender=origin, include_covered=False)
 
 
 def naive_approach() -> Approach:

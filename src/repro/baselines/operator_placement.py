@@ -44,12 +44,13 @@ class OperatorPlacementNode(Node):
     def handle_event(
         self, event: SimpleEvent, origin: str, streams: tuple[str, ...]
     ) -> None:
-        if not self.ingest(event):
-            return
-        self.deliver_local_matches(event)
+        hits = self.ingest(event)
+        if not hits:
+            return  # dropped, or no operator here has a match
+        self.deliver_local_matches(event, hits)
         # include_covered=True: operators covered at this node generate
         # their own streams from here toward their users.
-        self.stream_forward(event, sender=origin, include_covered=True)
+        self.stream_forward(event, hits, sender=origin, include_covered=True)
 
 
 def operator_placement_approach() -> Approach:

@@ -160,14 +160,15 @@ class FilterSplitForwardNode(Node):
     def handle_event(
         self, event: SimpleEvent, origin: str, streams: tuple[str, ...]
     ) -> None:
-        if not self.ingest(event):
-            return
-        self.deliver_local_matches(event)  # lines 14-15 (j == n)
+        hits = self.ingest(event)
+        if not hits:
+            return  # dropped, or no operator here has a match
+        self.deliver_local_matches(event, hits)  # lines 14-15 (j == n)
         # include_covered: an operator covered *at this node* still
         # generates its result set from here (Section V-A's "generates
         # the missing result set at the node where covering was
         # detected"); per-link dedup keeps the traffic shared.
-        self.pubsub_forward(event, sender=origin, include_covered=True)
+        self.pubsub_forward(event, hits, sender=origin, include_covered=True)
 
 
 def filter_split_forward_approach(config: FSFConfig | None = None) -> Approach:

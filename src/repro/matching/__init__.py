@@ -6,7 +6,7 @@ the machine-checked oracle; this package is the performance engine the
 node event path runs on.
 """
 
-from .engine import MatchingEngine, OperatorMatcher
+from .engine import HitMap, MatchingEngine, OperatorMatcher
 from .reference import ReferenceEngine
 from .timeline import Timeline, TimelineView
 
@@ -15,6 +15,7 @@ ENGINES = {"incremental": MatchingEngine, "reference": ReferenceEngine}
 
 __all__ = [
     "ENGINES",
+    "HitMap",
     "MatchingEngine",
     "OperatorMatcher",
     "ReferenceEngine",

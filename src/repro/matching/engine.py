@@ -28,9 +28,14 @@ matching around *per-operator incremental state*:
 * matchers are shared per *match structure* ``(slots, delta_t,
   delta_l)`` — everything the sweeps read.  Clones of one question
   (same filters, own subscription id and user node) index each arrival
-  once and sweep it once: the repeated probes of one arrival, which
-  reach a node through different per-origin stores and the local
-  delivery check, are answered from a one-entry memo.
+  once and sweep it once;
+* matching is *arrival-driven*: the stabbing index has just found the
+  matchers whose filters accept the arrival, so the engine sweeps
+  those — and of those only the ones whose every slot holds an entry
+  recent enough to complete a window — and keeps the answers as the
+  arrival's **hit map** ``{matcher: participants}``
+  (:meth:`MatchingEngine.hits`).  Nodes route that map; no stored
+  operator probes an arrival that cannot concern it.
 
 The engine mirrors the :class:`~repro.network.eventstore.EventStore`
 through its listener protocol (``event_added`` / ``horizon_advanced``),
@@ -59,10 +64,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _INF = float("inf")
 
 Participants = Mapping[str, list[SimpleEvent]]
-"""Per-slot participants of a probe.  Read-only: one result object is
+"""Per-slot participants of a sweep.  Read-only: one result object is
 handed to every subscription sharing the matcher."""
 
 _NO_MATCH: Participants = MappingProxyType({})
+
+HitMap = Mapping["OperatorMatcher", Participants]
+"""One arrival's matches: every matcher it completes a window of, with
+the participants.  A matcher without a match is absent."""
 
 
 def _result_order(event: SimpleEvent) -> tuple[float, tuple[str, int]]:
@@ -115,9 +124,6 @@ class OperatorMatcher:
         "_finite",
         "_min_ts",
         "_users",
-        "_memo_event",
-        "_memo_version",
-        "_memo",
     )
 
     def __init__(self, operator: CorrelationOperator, engine: "MatchingEngine") -> None:
@@ -144,10 +150,6 @@ class OperatorMatcher:
         self._finite = not math.isinf(operator.delta_l)
         self._min_ts = float("inf")  # earliest indexed timestamp
         self._users = 0  # operators the engine resolves to this matcher
-        # One-entry probe memo, see matches_involving.
-        self._memo_event: SimpleEvent | None = None
-        self._memo_version = 0
-        self._memo: Participants = _NO_MATCH
 
     # ------------------------------------------------------------------
     # ingest path (live events route through the engine's stabbing
@@ -155,7 +157,6 @@ class OperatorMatcher:
     # ------------------------------------------------------------------
     def ingest(self, event: SimpleEvent) -> None:
         """Index one stored event; acceptance tested once per slot."""
-        self._memo_event = None
         for attribute, lo, hi, timeline, _index in self._by_sensor.get(
             event.sensor_id, ()
         ):
@@ -197,7 +198,6 @@ class OperatorMatcher:
         its trigger sweep crosses each scheduled departure.  Returns the
         number of dropped entries.
         """
-        self._memo_event = None
         dropped = 0
         for _attribute, _lo, _hi, timeline, _index in self._by_sensor.get(
             sensor_id, ()
@@ -210,31 +210,24 @@ class OperatorMatcher:
     # ------------------------------------------------------------------
     # query path
     # ------------------------------------------------------------------
-    def matches_involving(self, event: SimpleEvent) -> Participants:
-        """Participants of every match ``event`` takes part in.
+    def matches_involving(
+        self, event: SimpleEvent, own: int | None = None
+    ) -> Participants:
+        """Participants of every match ``event`` takes part in: one sweep.
 
         Same contract as the reference
         :func:`repro.model.matching.matches_involving`, except that the
-        result is read-only: every operator sharing this matcher is
-        probed with the same arrival — clones sit in different
-        per-origin stores, and the local delivery check probes again —
-        and all of them get the one result swept for the first.  The
-        memo holds that single arrival and is void as soon as the
-        engine's ``version`` moves (an event added, the horizon
-        advanced, a sensor fenced).  A matcher serving a single
-        operator is probed once per arrival and keeps no memo: it would
-        only pin its last result in memory.
+        result is read-only — the engine hands the one object to every
+        operator sharing this matcher.  ``own`` is the index of the
+        first slot accepting ``event``; the engine's ingest passes the
+        one its stabbing index found, anyone else leaves it out.
         """
-        version = self._engine.version
-        if event is self._memo_event and version == self._memo_version:
-            return self._memo
-        found = self._compute(event)
-        result = MappingProxyType(found) if found else _NO_MATCH
-        if self._users > 1:
-            self._memo = result
-            self._memo_event = event
-            self._memo_version = version
-        return result
+        if own is None:
+            own = self._own_slot_index(event)
+            if own is None:
+                return _NO_MATCH
+        found = self._sweep(event, own)
+        return MappingProxyType(found) if found else _NO_MATCH
 
     def instance_exists(self, trigger: SimpleEvent) -> bool:
         """Does a match with maximum member ``trigger`` exist?
@@ -314,10 +307,7 @@ class OperatorMatcher:
                 return index
         return None
 
-    def _compute(self, event: SimpleEvent) -> dict[str, list[SimpleEvent]]:
-        own = self._own_slot_index(event)
-        if own is None:
-            return {}
+    def _sweep(self, event: SimpleEvent, own: int) -> dict[str, list[SimpleEvent]]:
         t0 = event.timestamp
         # Expiry is a query-time *clamp*, exactly like the store's own
         # views: entries at or below the horizon are invisible whether
@@ -527,26 +517,45 @@ class _StabbingIndex:
     __slots__ = ("_registrations", "_dirty", "_by_attr")
 
     def __init__(self) -> None:
-        # (attribute, lo, hi, timeline, matcher); rebuilt lazily into
-        # per-attribute (bounds, segments) on the first event after a
-        # registration.
+        # (attribute, lo, hi, (timeline, matcher, slot index)); rebuilt
+        # lazily into per-attribute (bounds, segments of payloads) on
+        # the first event after a registration that moves a boundary.
         self._registrations: list[tuple] = []
         self._dirty = False
         self._by_attr: dict[str, tuple[list[float], list[tuple]]] = {}
 
-    def add(self, attribute, interval, timeline, matcher) -> None:
+    def add(self, attribute, interval, timeline, matcher, own: int) -> None:
         # Empty filters are kept too (and skipped at rebuild): the index
         # then stays non-empty for as long as any matcher draws from
         # the sensor, which is what teardown relies on.
-        self._registrations.append(
-            (attribute, interval.lo, interval.hi, timeline, matcher)
-        )
+        lo, hi = interval.lo, interval.hi
+        payload = (timeline, matcher, own)
+        self._registrations.append((attribute, lo, hi, payload))
+        if self._dirty or lo > hi:
+            return
+        # A filter whose endpoints already cut the axis (a projection
+        # or a clone of a registered slot) moves no boundary: its
+        # payload joins the segments it covers, last like a rebuild
+        # would place it, and the index stays built.
+        entry = self._by_attr.get(attribute)
+        if entry is not None:
+            bounds, segments = entry
+            first = bisect_left(bounds, lo)
+            last = bisect_left(bounds, hi, first)
+            if (
+                last < len(bounds)
+                and bounds[first] == lo
+                and bounds[last] == hi
+            ):
+                for k in range(2 * first + 1, 2 * last + 2):
+                    segments[k] += (payload,)
+                return
         self._dirty = True
 
     def discard(self, matcher) -> None:
         """Remove every registration of ``matcher`` (operator teardown)."""
         self._registrations = [
-            reg for reg in self._registrations if reg[4] is not matcher
+            reg for reg in self._registrations if reg[3][1] is not matcher
         ]
         self._dirty = True
 
@@ -554,7 +563,10 @@ class _StabbingIndex:
         return bool(self._registrations)
 
     def targets(self, attribute: str, value: float) -> tuple:
-        """(timeline, matcher) pairs whose slot accepts ``value``."""
+        """``(timeline, matcher, slot index)`` of every slot accepting
+        ``value``, in registration order: a matcher's slots are
+        adjacent and in slot order, so its first entry is the slot the
+        reference calls the event's own."""
         if self._dirty:
             self._rebuild()
         entry = self._by_attr.get(attribute)
@@ -569,18 +581,17 @@ class _StabbingIndex:
     def _rebuild(self) -> None:
         self._dirty = False
         groups: dict[str, list[tuple]] = {}
-        for attribute, lo, hi, timeline, matcher in self._registrations:
+        for attribute, lo, hi, payload in self._registrations:
             if lo <= hi:  # empty filters accept nothing
-                groups.setdefault(attribute, []).append((lo, hi, timeline, matcher))
+                groups.setdefault(attribute, []).append((lo, hi, payload))
         by_attr: dict[str, tuple[list[float], list[tuple]]] = {}
         for attribute, regs in groups.items():
-            bounds = sorted({x for lo, hi, _t, _m in regs for x in (lo, hi)})
+            bounds = sorted({x for lo, hi, _payload in regs for x in (lo, hi)})
             # segment 2j+1 = the point [bounds[j]];
             # segment 2j   = the open range (bounds[j-1], bounds[j])
             # (2·0 and 2·len(bounds) lie outside every registration).
             segments: list[list] = [[] for _ in range(2 * len(bounds) + 1)]
-            for lo, hi, timeline, matcher in regs:
-                payload = (timeline, matcher)
+            for lo, hi, payload in regs:
                 first = bisect_left(bounds, lo)  # bounds[first] == lo
                 last = bisect_left(bounds, hi)  # bounds[last] == hi
                 for j in range(first, last + 1):
@@ -603,6 +614,10 @@ class MatchingEngine:
     once per distinct question.  Callers never see the sharing:
     :meth:`retain` / :meth:`release` count per operator, and
     :meth:`operators` lists operators, not structures.
+
+    Matching happens at ingest: :meth:`event_added` leaves the
+    arrival's :data:`HitMap` behind for the node to route
+    (:meth:`hits`).
     """
 
     _PRUNE_SWEEP_EVERY = 256
@@ -612,9 +627,10 @@ class MatchingEngine:
     def __init__(self, store: "EventStore") -> None:
         self._store = store
         self.horizon = store.horizon
-        # Bumped on every change of the mirrored store content; the
-        # matchers' probe memos are keyed on it.
-        self.version = 0
+        # The latest arrival and its matches, until the mirrored store
+        # content changes again (see hits).
+        self._hits_event: SimpleEvent | None = None
+        self._hits: dict[OperatorMatcher, Participants] = {}
         # Two-level resolution: operator -> matcher rides the
         # operator's cached hash (an identity hit for stored
         # operators); only a miss builds and hashes the structure key.
@@ -629,22 +645,72 @@ class MatchingEngine:
     # EventStore listener protocol
     # ------------------------------------------------------------------
     def event_added(self, event: SimpleEvent) -> None:
-        self.version += 1
-        index = self._ingest_index.get(event.sensor_id)
-        if index is not None:
-            timestamp = event.timestamp
-            for timeline, matcher in index.targets(event.attribute, event.value):
-                timeline.add(event)
-                if timestamp < matcher._min_ts:
-                    matcher._min_ts = timestamp
+        """Index the arrival and match it: Algorithm 5's question asked
+        from the arrival's side.
+
+        The stabbing index names exactly the slots accepting the
+        arrival; their matchers are the only ones it can complete a
+        window of.  Of those, one is swept only if every one of its
+        slots holds an entry newer than ``t0 − Δt``: every candidate
+        trigger ``t*`` of an arrival at ``t0`` has ``t* >= t0`` and
+        needs an entry in ``(t* − Δt, t*]`` in every slot.  The test is
+        exact, so whatever it skips has no match.
+        """
         self._adds_since_sweep += 1
         if self._adds_since_sweep >= self._PRUNE_SWEEP_EVERY:
             self._adds_since_sweep = 0
             for matcher in self._shared.values():
                 matcher._prune()
+        self._hits_event = event
+        self._hits = hits = {}
+        index = self._ingest_index.get(event.sensor_id)
+        if index is None:
+            return
+        targets = index.targets(event.attribute, event.value)
+        if not targets:
+            return
+        timestamp = event.timestamp
+        entry = (timestamp, event.seq, event.sensor_id, event)
+        for timeline, matcher, _own in targets:
+            timeline.append(entry)
+            if timestamp < matcher._min_ts:
+                matcher._min_ts = timestamp
+        # Sweeps start once every accepting timeline has the entry: a
+        # matcher whose two slots accept the arrival is swept once, as
+        # a member of its first (the reference's own slot), and finds
+        # it in the other.
+        previous = None
+        for _timeline, matcher, own in targets:
+            if matcher is previous:
+                continue
+            previous = matcher
+            stale = timestamp - matcher._delta_t
+            for timeline in matcher._timelines:
+                if timeline.max_timestamp <= stale:
+                    break
+            else:
+                found = matcher.matches_involving(event, own)
+                if found:
+                    hits[matcher] = found
+
+    def hits(self, event: SimpleEvent) -> HitMap:
+        """The matches of ``event``, the arrival just ingested.
+
+        The map is that one arrival's: the next arrival, a horizon
+        advance or a fence ends it, and asking for any other event's
+        raises rather than answer from a store that has moved on.
+        Any other question is a sweep:
+        :meth:`OperatorMatcher.matches_involving`.
+        """
+        if event is not self._hits_event:
+            raise LookupError(
+                f"no hit map for {event!r}: the engine keeps the latest "
+                "arrival's only, until the store next changes"
+            )
+        return self._hits
 
     def horizon_advanced(self, horizon: float) -> None:
-        self.version += 1
+        self._hits_event = None
         self.horizon = horizon
 
     def sensor_fenced(self, sensor_id: str) -> None:
@@ -654,7 +720,7 @@ class MatchingEngine:
         for matchers that never drew from the sensor; churn transitions
         are rare enough that the linear walk over matchers is noise.
         """
-        self.version += 1
+        self._hits_event = None
         for matcher in self._shared.values():
             matcher.fence_sensor(sensor_id)
 
@@ -673,11 +739,13 @@ class MatchingEngine:
                 found = OperatorMatcher(operator, self)
                 self._shared[found.structure] = found
                 found.backfill(self._store)
-                for slot, timeline in zip(operator.slots, found._timelines):
+                for own, (slot, timeline) in enumerate(
+                    zip(operator.slots, found._timelines)
+                ):
                     for sensor_id in sorted(slot.sensors):
                         self._ingest_index.setdefault(
                             sensor_id, _StabbingIndex()
-                        ).add(slot.attribute, slot.interval, timeline, found)
+                        ).add(slot.attribute, slot.interval, timeline, found, own)
             found._users += 1
             self._matchers[operator] = found
         return found

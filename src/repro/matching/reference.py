@@ -1,6 +1,6 @@
 """The reference matcher behind the engine interface:
 ``Network(matching="reference")`` installs this in place of the
-incremental engine, and every probe rescans the store through
+incremental engine, and every answer rescans the store through
 :func:`repro.model.matching.matches_involving` — the oracle the
 differential fences compare :class:`MatchingEngine` against.
 """
@@ -20,21 +20,54 @@ class _ReferenceMatcher:
 
 
 class ReferenceEngine:
-    """Stateless probes, refcounted like ``MatchingEngine``: an
-    unpaired :meth:`release` raises ``KeyError``."""
+    """``MatchingEngine``'s contract the slow way: one matcher per
+    retained operator, refcounted (an unpaired :meth:`release` raises
+    ``KeyError``), and an arrival's hit map built by rescanning every
+    retained operator that draws from its sensor."""
 
     def __init__(self, store) -> None:
         self._store = store
-        self._refs: dict = {}
+        # operator -> [its one matcher, references held]
+        self._held: dict = {}
+        self._hits_event = None
+        self._hits: dict = {}
+        store.add_listener(self)
+
+    def event_added(self, event) -> None:
+        self._hits_event = event
+        self._hits = hits = {}
+        for operator, (matcher, _refs) in self._held.items():
+            if event.sensor_id in operator.sensors:
+                found = matcher.matches_involving(event)
+                if found:
+                    hits[matcher] = found
+
+    def horizon_advanced(self, horizon: float) -> None:
+        self._hits_event = None
+
+    def sensor_fenced(self, sensor_id: str) -> None:
+        self._hits_event = None
+
+    def hits(self, event) -> dict:
+        if event is not self._hits_event:
+            raise LookupError(f"no hit map for {event!r}")
+        return self._hits
 
     def retain(self, operator) -> _ReferenceMatcher:
-        self._refs[operator] = self._refs.get(operator, 0) + 1
-        return _ReferenceMatcher(operator, self._store)
+        held = self._held.get(operator)
+        if held is None:
+            held = self._held[operator] = [
+                _ReferenceMatcher(operator, self._store),
+                0,
+            ]
+        held[1] += 1
+        return held[0]
 
     def release(self, operator) -> None:
-        self._refs[operator] -= 1
-        if not self._refs[operator]:
-            del self._refs[operator]
+        held = self._held[operator]
+        held[1] -= 1
+        if not held[1]:
+            del self._held[operator]
 
     def operators(self) -> list:
-        return sorted(self._refs, key=lambda operator: operator.op_id)
+        return sorted(self._held, key=lambda operator: operator.op_id)

@@ -78,12 +78,15 @@ class TimelineView(Sequence[SimpleEvent]):
 class Timeline:
     """Sorted-by-(timestamp, seq, sensor) event sequence, lazily kept."""
 
-    __slots__ = ("_entries", "_dirty", "min_timestamp")
+    __slots__ = ("_entries", "_dirty", "min_timestamp", "max_timestamp")
 
     def __init__(self) -> None:
         self._entries: list[Entry] = []
         self._dirty = False
         self.min_timestamp = _INF
+        # Tracked, not read off ``_entries[-1]``: a lazily unsorted
+        # timeline's newest entry need not be its last.
+        self.max_timestamp = -_INF
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -94,13 +97,21 @@ class Timeline:
     # ------------------------------------------------------------------
     def add(self, event: SimpleEvent) -> None:
         """Append; order is restored lazily at the next query."""
+        self.append((event.timestamp, event.seq, event.sensor_id, event))
+
+    def append(self, entry: Entry) -> None:
+        """:meth:`add` for a prebuilt entry.  Entries are immutable and
+        no drop ever rewrites one, so the engine appends one tuple per
+        arrival to every timeline that accepts it."""
         entries = self._entries
-        entry = (event.timestamp, event.seq, event.sensor_id, event)
         if entries and not self._dirty and entry < entries[-1]:
             self._dirty = True
         entries.append(entry)
-        if event.timestamp < self.min_timestamp:
-            self.min_timestamp = event.timestamp
+        timestamp = entry[0]
+        if timestamp < self.min_timestamp:
+            self.min_timestamp = timestamp
+        if timestamp > self.max_timestamp:
+            self.max_timestamp = timestamp
 
     def entries(self) -> list[Entry]:
         """The sorted backing list (shared, do not mutate)."""
@@ -151,9 +162,8 @@ class Timeline:
         dropped = len(entries) - len(kept)
         if dropped:
             entries[:] = kept
-            self.min_timestamp = (
-                min(entry[0] for entry in entries) if entries else _INF
-            )
+            self.min_timestamp = min((entry[0] for entry in entries), default=_INF)
+            self.max_timestamp = max((entry[0] for entry in entries), default=-_INF)
         return dropped
 
     # ------------------------------------------------------------------
@@ -167,5 +177,9 @@ class Timeline:
             return []
         removed = [entry[-1] for entry in entries[:cut]]
         del entries[:cut]
-        self.min_timestamp = entries[0][0] if entries else _INF
+        if entries:
+            self.min_timestamp = entries[0][0]
+        else:
+            self.min_timestamp = _INF
+            self.max_timestamp = -_INF
         return removed

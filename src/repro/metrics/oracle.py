@@ -156,15 +156,13 @@ class _OfflineEngine:
     event is visible forever, so the horizon an
     :class:`OperatorMatcher` clamps against sits at ``-inf`` and its
     prune sweeps hit the O(1) nothing-expired fast path.  Nothing
-    mirrors a store into the matcher here — the oracle ingests and
-    fences it directly, which voids the probe memo on its own — so the
-    ``version`` the memo is keyed on never moves.
+    mirrors a store into the matcher here: the oracle ingests and
+    fences it directly.
     """
 
     __slots__ = ()
 
     horizon = float("-inf")
-    version = 0
 
 
 _OFFLINE_ENGINE = _OfflineEngine()

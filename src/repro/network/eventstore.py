@@ -57,6 +57,8 @@ class EventStore:
         self._horizon = float("-inf")
         self._fences: dict[str, float] = {}
         self._listeners: list[StoreListener] = []
+        # Keys dropped by insert-time pruning, owed to the next prune().
+        self._pruned_at_insert: list[EventKey] = []
 
     # ------------------------------------------------------------------
     def add_listener(self, listener: StoreListener) -> None:
@@ -74,7 +76,8 @@ class EventStore:
 
         Insertion lazily prunes the sensor's timeline, so memory stays
         bounded without a periodic sweep timer (the simulator agenda can
-        then run to quiescence).
+        then run to quiescence).  What it removes is reported by the
+        next :meth:`prune`.
         """
         if event.key in self._keys:
             return False
@@ -91,7 +94,7 @@ class EventStore:
         self._keys.add(event.key)
         if event.timestamp > self._latest:
             self._latest = event.timestamp
-        self._prune_sensor(event.sensor_id)
+        self._pruned_at_insert.extend(self._prune_sensor(event.sensor_id))
         for listener in self._listeners:
             listener.event_added(event)
         return True
@@ -175,10 +178,12 @@ class EventStore:
         """Drop every expired event; returns the removed keys.
 
         Callers use the removed keys to clean their per-event
-        forwarded-to flags.
+        forwarded-to flags, so the keys inserts have pruned since the
+        last call are returned with them.
         """
         self._advance_horizon(now - self.validity)
-        removed: list[EventKey] = []
+        removed = self._pruned_at_insert
+        self._pruned_at_insert = []
         for sensor_id in list(self._by_sensor):
             removed.extend(self._prune_sensor(sensor_id))
         return removed

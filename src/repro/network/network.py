@@ -135,8 +135,8 @@ class Network:
         self.latency = latency
         self.delta_t = delta_t
         # Node-level matcher implementation: the incremental engine
-        # (repro.matching) or the reference window scan — identical
-        # results, wildly different wall-clock (see BENCH_micro.json).
+        # (repro.matching) or the reference window scan, the oracle of
+        # the differential fences — identical results.
         self.matching = matching
         # Event validity (Section IV-B): longer than delta_t plus the
         # worst-case transit so correlating events never expire early.

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
 
-from ..matching import ENGINES, MatchingEngine, ReferenceEngine
+from ..matching import ENGINES, HitMap, MatchingEngine, ReferenceEngine
 from ..model.advertisements import Advertisement, AdvertisementTable
 from ..model.events import EventKey, SimpleEvent
 from ..model.operators import CorrelationOperator, root_operator
@@ -289,10 +289,11 @@ class Node:
         from .eventstore import EventStore  # local import avoids cycles
 
         self.store = EventStore(network.validity)
-        # The incremental matching engine mirrors the event store; the
-        # reference matcher remains selectable
-        # (Network(matching="reference")) as the oracle for equivalence
-        # tests and as the recompute-on-arrival baseline for benchmarks.
+        # The matching engine mirrors the event store and matches each
+        # arrival as it is stored (see ingest); the reference matcher
+        # remains selectable (Network(matching="reference")) as the
+        # oracle for equivalence tests and as the recompute-on-arrival
+        # baseline for benchmarks.
         self.matching = _make_engine(network.matching, self.store)
         self._sent: dict[EventKey, set[Hashable]] = {}
         self._adds_since_prune = 0
@@ -857,18 +858,31 @@ class Node:
     # ------------------------------------------------------------------
     # shared event-path building blocks
     # ------------------------------------------------------------------
-    def ingest(self, event: SimpleEvent) -> bool:
-        """Insert into ``U``; False for duplicates/expired (drop & stop)."""
+    def ingest(self, event: SimpleEvent) -> HitMap | None:
+        """Insert into ``U`` and match.
+
+        None for a duplicate, expired or fenced arrival (drop & stop);
+        otherwise the arrival's hit map — every stored matcher it
+        completes a window of, with the participants — which the rest
+        of the event path routes.  An empty map means no operator here
+        has a match: nothing to deliver, nothing to forward.
+        """
         if not self.store.add(event, self.now):
-            return False
+            return None
+        # Read before the prune below: a horizon advance ends the map.
+        hits = self.matching.hits(event)
         self._adds_since_prune += 1
         if self._adds_since_prune >= _PRUNE_EVERY:
             self._adds_since_prune = 0
-            for key in self.store.prune(self.now):
-                self._sent.pop(key, None)
-        return True
+            self.prune_expired()
+        return hits
 
-    def deliver_local_matches(self, event: SimpleEvent) -> None:
+    def prune_expired(self) -> None:
+        """Sweep ``U`` and forget the forwarded-to flags of what left it."""
+        for key in self.store.prune(self.now):
+            self._sent.pop(key, None)
+
+    def deliver_local_matches(self, event: SimpleEvent, hits: HitMap) -> None:
         """Final, exact matching against whole local subscriptions.
 
         Algorithm 5, line 14-15: for ``j == n`` the whole local
@@ -878,8 +892,8 @@ class Node:
         for subscription, _root, matcher in self._local_by_sensor.get(
             event.sensor_id, ()
         ):
-            participants = matcher.matches_involving(event)
-            if not participants:
+            participants = hits.get(matcher)
+            if participants is None:
                 continue
             delivered = [e for events in participants.values() for e in events]
             self.network.delivery.record_events(subscription.sub_id, delivered)
@@ -910,6 +924,7 @@ class Node:
     def pubsub_forward(
         self,
         event: SimpleEvent,
+        hits: HitMap,
         sender: str,
         include_covered: bool = False,
     ) -> None:
@@ -918,7 +933,7 @@ class Node:
         For every neighbour ``j`` (except the sender), the event — and
         any stored events it newly correlates with — is forwarded iff it
         participates in a complex match of an operator received from
-        ``j``, at most once per link.
+        ``j``, at most once per link.  ``hits`` holds those matches.
         """
         sent = self._sent
         planned = self._planned_ops
@@ -940,7 +955,10 @@ class Node:
                     if operator.op_id in planned
                 )
             for _operator, matcher in pairs:
-                for events in matcher.matches_involving(event).values():
+                participants = hits.get(matcher)
+                if participants is None:
+                    continue
+                for events in participants.values():
                     for member in events:
                         # inline was_sent — this loop touches every
                         # participant of every matching operator
@@ -954,6 +972,7 @@ class Node:
     def stream_forward(
         self,
         event: SimpleEvent,
+        hits: HitMap,
         sender: str,
         include_covered: bool,
     ) -> None:
@@ -967,8 +986,9 @@ class Node:
         operators covered *at this node* are generated here from the
         covering operator's incoming stream (Section III-A: the covered
         operator "generates traffic only from the node where coverage
-        was detected, to the user's node").
+        was detected, to the user's node").  ``hits`` holds the matches.
         """
+        sent = self._sent
         planned = self._planned_ops
         for neighbor in self.neighbors:
             if neighbor == sender and not planned:
@@ -989,15 +1009,22 @@ class Node:
                     if operator.op_id in planned
                 )
             for operator, matcher in pairs:
-                participants = matcher.matches_involving(event)
-                if not participants:
+                participants = hits.get(matcher)
+                if participants is None:
                     continue
                 tag = (operator.op_id, neighbor)
                 for events in participants.values():
                     for member in events:
-                        if not self.was_sent(member.key, tag):
-                            self.mark_sent(member.key, tag)
-                            entry = outgoing.setdefault(member.key, (member, []))
-                            entry[1].append(operator.op_id)
+                        # inline was_sent / mark_sent, as above
+                        key = member.key
+                        tags = sent.get(key)
+                        if tags is None:
+                            sent[key] = {tag}
+                        elif tag not in tags:
+                            tags.add(tag)
+                        else:
+                            continue
+                        entry = outgoing.setdefault(key, (member, []))
+                        entry[1].append(operator.op_id)
             for key, (member, streams) in sorted(outgoing.items()):
                 self.send_event(neighbor, member, tuple(sorted(streams)))

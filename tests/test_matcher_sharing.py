@@ -2,8 +2,8 @@
 
 :class:`~repro.matching.engine.MatchingEngine` answers every operator
 with the same ``(slots, delta_t, delta_l)`` from one
-:class:`~repro.matching.engine.OperatorMatcher` and serves the repeated
-probes of one arrival from a memo.  What callers observe must be what a
+:class:`~repro.matching.engine.OperatorMatcher`, swept once per arrival
+into that arrival's hit map.  What callers observe must be what a
 private matcher per operator would have shown them:
 
 * a live network of cloned queries — submitted, cancelled, fed and
@@ -13,11 +13,12 @@ private matcher per operator would have shown them:
   answering;
 * a clone admitted mid-replay answers like a freshly backfilled private
   matcher;
-* every consumer of a memoised result sees the reference's
-  participants, and cannot write to it;
-* anything that changes the mirrored store between two probes of one
-  event — another arrival, a horizon advance, a sensor fence — voids
-  the memo;
+* every consumer of an arrival's hit map — clones held by different
+  per-origin stores, the local delivery check — reads one result
+  object with the reference's participants, and cannot write to it;
+* anything that changes the mirrored store — another arrival, a
+  horizon advance, a sensor fence — ends the map, and asking for the
+  hits of any event but the latest arrival raises;
 * a family of *near*-duplicates (exact clones, jittered intervals,
   jittered windows) in one engine answers every probe like one private
   engine per operator and like the reference, survives any release
@@ -43,7 +44,12 @@ from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
 from repro.sim import Simulator
 
-from test_matching_engine import random_events, random_operator
+from test_matching_engine import (
+    assert_hit_map,
+    random_events,
+    random_operator,
+    reading,
+)
 
 APPROACH_KEYS = ("fsf", "naive", "operator_placement", "multijoin", "centralized")
 
@@ -60,10 +66,6 @@ ORIGIN = Location(0.0, 0.0)
 
 def clone(sub_id: str, subscriber: str = "u", delta_t: float = 3.0) -> CorrelationOperator:
     return CorrelationOperator(sub_id, subscriber, SLOTS, delta_t)
-
-
-def reading(sensor: str, ts: float, seq: int, value: float = 5.0) -> SimpleEvent:
-    return SimpleEvent(sensor, "t", ORIGIN, value, ts, seq)
 
 
 def arena(validity: float = 100.0) -> tuple[EventStore, MatchingEngine]:
@@ -160,66 +162,88 @@ def test_clone_admitted_mid_replay_answers_like_a_fresh_private_matcher():
 
 
 # ---------------------------------------------------------------------------
-# the probe memo
+# the hit map of one arrival
 # ---------------------------------------------------------------------------
 def shared_pair():
-    """A store and the one matcher two clones resolve to (the operator
-    is returned for the reference's side of each comparison)."""
+    """A store, its engine and the one matcher two clones resolve to
+    (the operator is returned for the reference's side of each
+    comparison)."""
     store, engine = arena(validity=4.0)
     first, second = clone("q1", "u1"), clone("q2", "u2")
     matcher = engine.retain(first)
     assert engine.retain(second) is matcher
-    return store, matcher, second
+    return store, engine, matcher, second
 
 
-def test_consumers_of_one_memoised_result_see_the_reference_participants():
-    store, matcher, operator = shared_pair()
+def test_every_consumer_of_an_arrival_reads_one_result_object():
+    store, engine, matcher, operator = shared_pair()
+    # What a node holds: a clone per origin store, the local root.
+    held = [matcher, engine.retain(clone("q3", "u3")), engine.retain(clone("root"))]
     store.add(reading("a", 1.0, 0), now=1.0)
     event = reading("b", 2.0, 0)
     store.add(event, now=2.0)
-    one = matcher.matches_involving(event)
-    two = matcher.matches_involving(event)
-    assert one is two  # one sweep served both
+    hits = engine.hits(event)
+    assert list(hits) == [matcher]  # one sweep served them all
+    reads = [hits.get(each) for each in held]
+    assert all(read is reads[0] for read in reads)
     want = reference_matches_involving(operator, store, event)
-    assert two == want and keys(two) == {"a": [("a", 0)], "b": [("b", 0)]}
-    # The first consumer cannot have changed what the second one reads.
+    assert reads[0] == want and keys(reads[0]) == {"a": [("a", 0)], "b": [("b", 0)]}
+    # The first consumer cannot have changed what the next one reads.
     with pytest.raises(TypeError):
-        one["a"] = []
+        reads[0]["a"] = []
     with pytest.raises(TypeError):
-        del one["b"]
-    assert matcher.matches_involving(event) == want
+        del reads[0]["b"]
+    assert engine.hits(event)[matcher] == want
 
 
-def test_an_arrival_between_two_probes_voids_the_memo():
-    store, matcher, operator = shared_pair()
+def test_an_arrival_ends_the_previous_hit_map():
+    store, engine, matcher, operator = shared_pair()
     event = reading("b", 2.0, 0)
     store.add(event, now=2.0)
-    assert not matcher.matches_involving(event)
-    store.add(reading("a", 1.5, 0), now=2.0)  # a straggler completes the window
-    assert keys(assert_reference(matcher, store, operator, event)) == {
-        "a": [("a", 0)],
-        "b": [("b", 0)],
-    }
+    assert engine.hits(event) == {}
+    straggler = reading("a", 1.5, 0)  # completes the window
+    store.add(straggler, now=2.0)
+    with pytest.raises(LookupError):
+        engine.hits(event)
+    assert keys(engine.hits(straggler)[matcher]) == {"a": [("a", 0)], "b": [("b", 0)]}
+    # The earlier event's answer moved with the store: a sweep has it.
+    assert assert_reference(matcher, store, operator, event) == engine.hits(straggler)[matcher]
 
 
-def test_a_horizon_advance_between_two_probes_voids_the_memo():
-    store, matcher, operator = shared_pair()
+def test_a_horizon_advance_ends_the_hit_map():
+    store, engine, matcher, operator = shared_pair()
     store.add(reading("a", 1.0, 0), now=1.0)
     event = reading("b", 2.0, 0)
     store.add(event, now=2.0)
-    assert matcher.matches_involving(event)
+    assert engine.hits(event)[matcher]
     store.prune(now=5.5)  # horizon 1.5: the partner expired, the event did not
+    with pytest.raises(LookupError):
+        engine.hits(event)
     assert not assert_reference(matcher, store, operator, event)
 
 
-def test_a_fence_between_two_probes_voids_the_memo():
-    store, matcher, operator = shared_pair()
+def test_a_fence_ends_the_hit_map():
+    store, engine, matcher, operator = shared_pair()
     store.add(reading("a", 1.0, 0), now=1.0)
     event = reading("b", 2.0, 0)
     store.add(event, now=2.0)
-    assert matcher.matches_involving(event)
+    assert engine.hits(event)[matcher]
     store.fence_sensor("a", now=2.0)
+    with pytest.raises(LookupError):
+        engine.hits(event)
     assert not assert_reference(matcher, store, operator, event)
+
+
+def test_only_the_latest_stored_arrival_has_a_hit_map():
+    store, engine, _matcher, _operator = shared_pair()
+    with pytest.raises(LookupError):
+        engine.hits(reading("a", 1.0, 0))  # nothing has arrived yet
+    first = reading("a", 1.0, 0)
+    store.add(first, now=1.0)
+    assert not store.add(first, now=1.0)  # a refused duplicate changes nothing
+    assert engine.hits(first) == {}
+    with pytest.raises(LookupError):
+        engine.hits(reading("a", 1.0, 0))  # an equal event, not the arrival
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +327,7 @@ def test_shared_matchers_equal_unshared(seed):
     for event in events:
         if not add_everywhere(event, store, solos):
             continue
+        assert_hit_map(shared, store, family, event)
         for operator, matcher, (_store, solo) in zip(family, matchers, solos):
             context = (seed, operator.subscription_id)
             answer = assert_reference(matcher, store, operator, event)
@@ -340,6 +365,7 @@ def test_random_cancel_orders_never_disturb_survivors(seed):
         assert {op.subscription_id for op in shared.operators()} == live
         if not add_everywhere(event, store, solos):
             continue
+        assert_hit_map(shared, store, shared.operators(), event)
         for operator, (_store, solo) in zip(family, solos):
             if operator.subscription_id in live:
                 assert matchers[operator.subscription_id].matches_involving(
@@ -380,6 +406,7 @@ def test_drop_sensor_fences_all_sharers(seed):
                 solo_store.fence_sensor(fenced_sensor, fence_time)
         if not add_everywhere(event, store, solos):
             continue
+        assert_hit_map(shared, store, family, event)
         for operator, matcher, (_store, solo) in zip(family, matchers, solos):
             context = (seed, operator.subscription_id, step)
             answer = matcher.matches_involving(event)

@@ -9,6 +9,13 @@ deliveries, out-of-order arrival, expiry/pruning — and require
 identical participants (and identical ``instance_exists`` verdicts)
 after every single ingest.  Correctness of the rewrite is therefore
 checked by machine, not argued in prose.
+
+The same scenarios fence arrival-driven matching: after every stored
+arrival the engine's hit map must hold exactly the retained operators
+the reference finds a match for, with the reference's participants in
+the reference's order — so the ingest-time pre-check may never skip a
+matcher that has a match, and the slot index the stabbing index hands
+the sweep must be the reference's own slot.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.matching import MatchingEngine
+from repro.matching.engine import _StabbingIndex
 from repro.model import Interval, Location, SimpleEvent
 from repro.model.matching import (
     instance_exists as reference_instance_exists,
@@ -121,6 +129,21 @@ def assert_equivalent(matcher, operator, store, event):
     assert got_exists == want_exists, f"instance_exists diverged for {event}"
 
 
+def assert_hit_map(engine, store, operators, event):
+    """The map of the arrival just stored ≡ one reference scan per
+    retained operator, keeping the non-empty answers."""
+    want = {}
+    for operator in operators:
+        found = reference_matches_involving(operator, store, event)
+        if found:
+            want[engine.matcher(operator)] = found
+    got = engine.hits(event)
+    assert dict(got) == want, (
+        f"hit map diverged for {event}:\n  engine   ={dict(got)}\n"
+        f"  reference={want}"
+    )
+
+
 def run_scenario(seed: int) -> int:
     """One randomized end-to-end scenario; returns #comparisons made."""
     rng = np.random.default_rng(seed)
@@ -136,7 +159,8 @@ def run_scenario(seed: int) -> int:
     now = 0.0
     for i, event in enumerate(events):
         now = max(now, event.timestamp + float(rng.integers(0, 3)) * 0.25)
-        store.add(event, now)
+        if store.add(event, now) and matcher is not None:
+            assert_hit_map(engine, store, [operator], event)
         if i == register_at and register_at:
             matcher = engine.retain(operator)
         if i >= register_at:
@@ -207,7 +231,8 @@ SPATIAL_OP = CorrelationOperator(
 def test_engine_equals_reference_adversarial(raw, spatial):
     operator = SPATIAL_OP if spatial else SUB_OP
     store = EventStore(validity=100.0)
-    matcher = MatchingEngine(store).retain(operator)
+    engine = MatchingEngine(store)
+    matcher = engine.retain(operator)
     now = 0.0
     events = []
     for i, (sensor, ts_half, value, xcell) in enumerate(raw):
@@ -217,6 +242,134 @@ def test_engine_equals_reference_adversarial(raw, spatial):
         events.append(event)
         now = max(now, event.timestamp)
         store.add(event, now)
+        assert_hit_map(engine, store, [operator], event)
         assert_equivalent(matcher, operator, store, event)
     for event in events:
         assert_equivalent(matcher, operator, store, event)
+
+
+# ---------------------------------------------------------------------------
+# the two cases the ingest-time pre-check can get wrong
+# ---------------------------------------------------------------------------
+def reading(sensor: str, ts: float, seq: int, value: float = 5.0) -> SimpleEvent:
+    return SimpleEvent(sensor, "t", Location(0.0, 0.0), value, ts, seq)
+
+
+def test_hit_map_sees_the_newest_entry_of_an_unsorted_timeline():
+    """A late arrival leaves slot ``b``'s timeline unsorted with its
+    newest entry first; the freshness test must not read the last one."""
+    store = EventStore(validity=100.0)
+    engine = MatchingEngine(store)
+    matcher = engine.retain(SUB_OP)
+    store.add(reading("b", 10.0, 0), now=10.0)
+    store.add(reading("b", 5.0, 1), now=10.0)  # late: appended behind 10.0
+    b_timeline = matcher._timelines[1]
+    assert [entry[0] for entry in b_timeline._entries] == [10.0, 5.0]
+    # Matches b@10 at trigger 10 (window (7, 10]); b@5 is out of reach
+    # (5 <= 9 − Δt), so judging by the last entry would skip the sweep.
+    event = reading("a", 9.0, 0)
+    store.add(event, now=10.0)
+    assert_hit_map(engine, store, [SUB_OP], event)
+    assert {slot: [e.key for e in found] for slot, found in engine.hits(event)[matcher].items()} == {
+        "a": [("a", 0)],
+        "b": [("b", 0)],
+    }
+
+
+TWO_SLOTS_ONE_SENSOR = CorrelationOperator(
+    "twice",
+    "user",
+    [
+        Slot("x", "t", Interval(0, 10), frozenset({"s"})),
+        Slot("y", "t", Interval(5, 15), frozenset({"s", "other"})),
+    ],
+    delta_t=3.0,
+)
+
+
+@pytest.mark.parametrize("spatial", [False, True])
+def test_hit_map_sweeps_a_doubly_accepting_arrival_once_as_its_first_slot(spatial):
+    """Values in [5, 10] fill both slots: one sweep, after both
+    timelines hold the entry, as a member of slot ``x`` like the
+    reference's ``slot_for_event``."""
+    operator = TWO_SLOTS_ONE_SENSOR
+    if spatial:
+        operator = CorrelationOperator(
+            "twice", "user", operator.slots, operator.delta_t, delta_l=2.0
+        )
+    store = EventStore(validity=100.0)
+    engine = MatchingEngine(store)
+    matcher = engine.retain(operator)
+    both = reading("s", 1.0, 0, value=7.0)
+    # The index lists a matcher's accepting slots adjacently and in
+    # slot order, so the first is the reference's own slot.
+    accepting = engine._ingest_index["s"].targets("t", both.value)
+    assert [(m, own) for _timeline, m, own in accepting] == [(matcher, 0), (matcher, 1)]
+    assert operator.slots[0] is operator.slot_for_event(both)
+    store.add(both, now=1.0)
+    assert_hit_map(engine, store, [operator], both)
+    assert list(engine.hits(both)) == [matcher]  # on its own it fills x and y
+    feed = [("s", 3.0), ("other", 12.0), ("s", 8.0), ("s", 12.0), ("other", 6.0), ("s", 5.0)]
+    for i, (sensor, value) in enumerate(feed, start=1):
+        event = reading(sensor, 1.0 + 0.5 * i, i, value=value)
+        store.add(event, now=event.timestamp)
+        assert_hit_map(engine, store, [operator], event)
+        assert_equivalent(matcher, operator, store, event)
+
+
+# ---------------------------------------------------------------------------
+# the stabbing index extended in place
+# ---------------------------------------------------------------------------
+def index_probes(bounds):
+    """One value per elementary segment: every endpoint, every gap."""
+    points = sorted(bounds)
+    gaps = [(a + b) / 2 for a, b in zip(points, points[1:])]
+    return [points[0] - 1.0, *points, *gaps, points[-1] + 1.0]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_stabbing_index_extended_in_place_equals_a_rebuild(seed):
+    """Registrations whose endpoints already cut the axis extend the
+    built index; whatever the sequence, it equals the index rebuilt
+    from scratch — per segment and in order, which is what decides the
+    own slot."""
+    rng = np.random.default_rng(seed)
+    grid = [float(x) for x in range(6)]
+    index = _StabbingIndex()
+    registrations = []
+    in_place = 0
+    for step in range(30):
+        if registrations and rng.random() < 0.15:
+            victim = registrations[int(rng.integers(0, len(registrations)))][3]
+            registrations = [reg for reg in registrations if reg[3] is not victim]
+            index.discard(victim)
+        else:
+            lo, hi = sorted(rng.choice(grid, size=2))
+            if rng.random() < 0.1:
+                lo, hi = hi + 1.0, lo  # an empty filter: kept, never hit
+            attribute = "t" if rng.random() < 0.8 else "u"
+            matcher = object()
+            # Two slots of one matcher, as MatchingEngine.matcher adds them.
+            for own in range(1 + int(rng.random() < 0.3)):
+                registration = (attribute, Interval(lo, hi), object(), matcher, own)
+                built = not index._dirty
+                index.add(*registration)
+                registrations.append(registration)
+                cut = {
+                    x
+                    for a, i, *_ in registrations[:-1]
+                    if a == attribute and i.lo <= i.hi
+                    for x in (i.lo, i.hi)
+                }
+                if built and (lo > hi or {lo, hi} <= cut):
+                    assert not index._dirty, "a covered registration rebuilt"
+                    in_place += 1
+        rebuilt = _StabbingIndex()
+        for registration in registrations:
+            rebuilt.add(*registration)
+        for attribute in ("t", "u"):
+            for value in index_probes(grid):
+                assert index.targets(attribute, value) == rebuilt.targets(
+                    attribute, value
+                ), (seed, step, attribute, value)
+    assert in_place

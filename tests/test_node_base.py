@@ -7,6 +7,7 @@ from repro.model import IdentifiedSubscription, Location, SimpleEvent
 from repro.network.messages import EventMessage
 from repro.network.network import Network
 from repro.network.node import LOCAL, Node
+from repro.protocols.registry import all_approaches
 
 from deployments import fork_deployment, line_deployment, make_network, publish
 
@@ -121,6 +122,29 @@ class TestEventPlumbing:
         publish(net, "c", 5.0, ts=100.0)
         net.run_to_quiescence()
         assert net.meter.event_units == 0
+
+    @pytest.mark.parametrize("approach", sorted(all_approaches()))
+    def test_forwarded_to_flags_leave_with_their_events(self, line, approach):
+        """A replay several validities long, then one prune past the
+        last reading: no node keeps a ``sendTo`` flag of an event its
+        store has dropped — whether the periodic sweep dropped it or
+        the insert of a later reading of the same sensor did."""
+        net = make_network(line, all_approaches()[approach])
+        net.register_subscription("u2", sub("s", {"a": (0, 10), "b": (0, 10)}))
+        net.run_to_quiescence()
+        for i in range(40):
+            publish(net, "ab"[i % 2], 5.0, ts=100.0 + 2.5 * i, seq=i)
+        net.run_to_quiescence()
+        assert net.sim.now - 100.0 > 3 * net.validity
+        assert any(node._sent for node in net.nodes.values())
+        net.sim.at(
+            net.sim.now + 2 * net.validity,
+            lambda: [node.prune_expired() for node in net.nodes.values()],
+        )
+        net.run_to_quiescence()
+        for node in net.nodes.values():
+            assert len(node.store) == 0
+            assert node._sent == {}, node.node_id
 
 
 class TestMatchingSeam:
