@@ -14,13 +14,13 @@ from repro.workload.scenarios import Scenario
 
 def tiny_bench_deployment(seed: int):
     """Module-level factory so benchmark scenarios pickle into the
-    sharded runner's worker processes."""
+    series runner's worker processes."""
     return build_deployment(24, 3, seed=seed)
 
 
 def tiny_series_scenario() -> Scenario:
-    """A small but complete scenario for serial-vs-sharded series
-    benches: 2 measurement points x 4 distributed approaches."""
+    """A small but complete scenario for in-process-vs-pooled series
+    fences: 2 measurement points x 4 distributed approaches."""
     return Scenario(
         key="tiny-bench",
         title="tiny bench scenario",

@@ -12,38 +12,20 @@ import pytest
 
 from repro.baselines.multijoin import multijoin_approach
 from repro.core.filter_split_forward import FSFConfig, filter_split_forward_approach
-from repro.experiments.runner import REPLAY_START, run_point
-from repro.metrics.oracle import compute_truth
+from repro.experiments.runner import run_program
 from repro.network.topology import build_deployment
+from repro.workload.program import WorkloadProgram
 from repro.workload.scenarios import SMALL
-from repro.workload.sensorscope import ReplayConfig, build_replay
-from repro.workload.subscriptions import (
-    SubscriptionWorkloadConfig,
-    generate_subscriptions,
-)
-
-
-def _small_arena(n_subs):
-    deployment = SMALL.deployment()
-    replay = build_replay(deployment, SMALL.replay)
-    workload = generate_subscriptions(
-        deployment,
-        replay.medians,
-        SMALL.workload_config(n_subs),
-        spreads=replay.spreads,
-    )
-    events = replay.shifted(REPLAY_START)
-    truths = compute_truth(
-        [p.subscription for p in workload], deployment, events
-    )
-    return deployment, events, workload, truths
+from repro.workload.sensorscope import ReplayConfig
+from repro.workload.subscriptions import SubscriptionWorkloadConfig
 
 
 def test_ablation_error_probability(benchmark):
     """Sweeping the probabilistic filter: exact filtering is the
     recall-optimal anchor; aggressive sampling trades recall for the
     same or less traffic, never more."""
-    deployment, events, workload, truths = _small_arena(60)
+    compiled = SMALL.program(60).compile(SMALL.deployment())
+    truths = compiled.truth()
 
     def sweep():
         rows = {}
@@ -52,14 +34,9 @@ def test_ablation_error_probability(benchmark):
             ("eps=0.05", FSFConfig(error_probability=0.05)),
             ("eps=0.5,gap=0.5", FSFConfig(error_probability=0.5, gap_fraction=0.5)),
         ):
-            result = run_point(
-                filter_split_forward_approach(config),
-                deployment,
-                workload,
-                events,
-                truths=truths,
+            rows[label] = run_program(
+                filter_split_forward_approach(config), compiled, truths=truths
             )
-            rows[label] = result
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -80,26 +57,17 @@ def test_ablation_error_probability(benchmark):
 def test_ablation_false_positives_vs_attribute_count(benchmark):
     """Multi-join false-positive rate grows with the join width."""
     deployment = build_deployment(60, 10, seed=3)
-    replay = build_replay(deployment, ReplayConfig(rounds=16, seed=3))
 
     def sweep():
         rates = {}
         for k in (2, 3, 5):
-            workload = generate_subscriptions(
-                deployment,
-                replay.medians,
-                SubscriptionWorkloadConfig(
+            compiled = WorkloadProgram(
+                subscriptions=SubscriptionWorkloadConfig(
                     n_subscriptions=40, attrs_min=k, attrs_max=k, seed=9
                 ),
-                spreads=replay.spreads,
-            )
-            events = replay.shifted(REPLAY_START)
-            truths = compute_truth(
-                [p.subscription for p in workload], deployment, events
-            )
-            result = run_point(
-                multijoin_approach(), deployment, workload, events, truths=truths
-            )
+                replay=ReplayConfig(rounds=16, seed=3),
+            ).compile(deployment)
+            result = run_program(multijoin_approach(), compiled)
             rates[k] = result.false_positive_rate
         return rates
 

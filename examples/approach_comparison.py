@@ -13,33 +13,26 @@ Run:  python examples/approach_comparison.py [n_subscriptions]
 
 import sys
 
-from repro.experiments.runner import REPLAY_START, run_point
-from repro.metrics.oracle import compute_truth
+from repro.experiments.runner import run_program
 from repro.protocols.registry import all_approaches
 from repro.workload.scenarios import SMALL
-from repro.workload.sensorscope import build_replay
-from repro.workload.subscriptions import generate_subscriptions
 
 n_subs = int(sys.argv[1]) if len(sys.argv) > 1 else 60
 
 deployment = SMALL.deployment()
-replay = build_replay(deployment, SMALL.replay)
-workload = generate_subscriptions(
-    deployment, replay.medians, SMALL.workload_config(n_subs), spreads=replay.spreads
-)
-events = replay.shifted(REPLAY_START)
-truths = compute_truth([p.subscription for p in workload], deployment, events)
+compiled = SMALL.program(n_subs).compile(deployment)
+truths = compiled.truth()
 total_true = sum(t.n_instances for t in truths.values())
 
 print(f"small-scale deployment: {deployment.n_nodes} nodes, "
       f"{len(deployment.sensors)} sensors, {n_subs} subscriptions, "
-      f"{replay.n_events} replayed events, {total_true} true match instances\n")
+      f"{len(compiled.events)} replayed events, {total_true} true match instances\n")
 
 header = f"{'approach':32s} {'sub load':>9s} {'event load':>11s} {'recall':>7s} {'FP rate':>8s}"
 print(header)
 print("-" * len(header))
 for key, approach in all_approaches().items():
-    result = run_point(approach, deployment, workload, events, truths=truths)
+    result = run_program(approach, compiled, truths=truths)
     print(
         f"{approach.name:32s} {result.subscription_load:9d} "
         f"{result.event_load:11d} {result.recall:7.3f} "

@@ -271,6 +271,7 @@ class Session:
                 f"approach {self.approach.key!r} does not support "
                 "compiled placement plans"
             )
+        self.network.check_plan(plan)
         if settle and self.network.sim.running:
             raise QueryError(
                 "cannot submit with settle=True from inside the event loop "
@@ -409,7 +410,7 @@ class Session:
     def truth(
         self,
         events: Iterable[SimpleEvent],
-        method: str | None = None,
+        method: str = "engine",
         churn=None,
     ) -> Mapping[str, object]:
         """Oracle ground truth for this session's queries over ``events``.

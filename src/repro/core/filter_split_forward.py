@@ -28,6 +28,7 @@ coarsening never delivers spurious results.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from ..model.advertisements import AdvertisementTable
@@ -173,16 +174,12 @@ class FilterSplitForwardNode(Node):
 
 def filter_split_forward_approach(config: FSFConfig | None = None) -> Approach:
     """The paper's approach, ready for the experiment runner."""
-    cfg = config or FSFConfig()
     return Approach(
         key="fsf",
         name="Filter-Split-Forward",
         subscription_filtering="Set filtering",
         subscription_splitting="Simple",
         event_propagation="Per neighbor",
-        make_node=lambda node_id, network: FilterSplitForwardNode(
-            node_id, network, cfg
-        ),
+        make_node=functools.partial(FilterSplitForwardNode, config=config),
         deterministic_recall=False,
-        config=cfg,
     )

@@ -1,20 +1,15 @@
-"""Experiment harness: runner, sharded runner, figures/tables, CLI."""
+"""Experiment harness: the series runner, figures/tables, CLI."""
 
 from .figures import ALL_FIGURES, FigureResult, clear_cache, scenario_series
-from .parallel import (
-    WORKERS_ENV_VAR,
-    PointTask,
-    default_workers,
-    run_series_parallel,
-)
 from .runner import (
     REPLAY_START,
+    WORKERS_ENV_VAR,
+    PointTask,
     RunResult,
     SeriesResult,
-    run_point,
+    default_workers,
     run_program,
     run_series,
-    shifted_churn,
 )
 from .tables import (
     Fig3Walkthrough,
@@ -40,11 +35,8 @@ __all__ = [
     "render_table_2",
     "render_table_i",
     "run_fig3_walkthrough",
-    "run_point",
     "run_program",
     "run_series",
-    "run_series_parallel",
     "scenario_series",
-    "shifted_churn",
     "table_i_subscriptions",
 ]

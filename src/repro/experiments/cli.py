@@ -10,7 +10,6 @@ Examples::
     repro-experiments fig15 --scale smoke --workers 2
     repro-experiments all --scale nightly --workers 4
     repro-experiments all --family faults --family sketches
-    repro-experiments fig12 --oracle reference
     repro-experiments experiments-md --output EXPERIMENTS.md
 """
 
@@ -21,11 +20,10 @@ import os
 import sys
 from typing import Sequence
 
-from ..metrics.oracle import ORACLE_ENV_VAR, ORACLE_METHODS
 from ..workload.scenarios import SCALE_PRESETS, default_scale, parse_scale
 from . import figures
 from .experiments_md import build_experiments_md
-from .parallel import WORKERS_ENV_VAR
+from .runner import WORKERS_ENV_VAR
 from .tables import render_table_2, render_table_i, run_fig3_walkthrough
 
 
@@ -92,15 +90,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="shard scenario runs over N worker processes (default: "
-        "REPRO_WORKERS env or 1; results are bit-identical to serial)",
-    )
-    parser.add_argument(
-        "--oracle",
-        choices=ORACLE_METHODS,
-        default=None,
-        help="ground-truth pass: the engine-backed oracle (fast) or the "
-        "reference scan (default: REPRO_ORACLE env or engine)",
+        help="run each scenario's points over N worker processes "
+        "(default: REPRO_WORKERS env or 1; results are identical under "
+        "any N)",
     )
     parser.add_argument(
         "--output",
@@ -114,27 +106,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.target is None:
         parser.error("a target is required (or pass --list to browse)")
 
-    # The knobs are environment-driven all the way down (so the figure
-    # harness and worker processes see them too); the flags set them for
-    # the duration of this invocation and restore on exit, so embedding
-    # callers (tests, notebooks) see no lingering state.
-    saved = {
-        var: os.environ.get(var) for var in (WORKERS_ENV_VAR, ORACLE_ENV_VAR)
-    }
+    # The worker count is environment-driven all the way down (so the
+    # figure harness sees it too); the flag sets it for the duration of
+    # this invocation and restores on exit, so embedding callers (tests,
+    # notebooks) see no lingering state.
+    saved = os.environ.get(WORKERS_ENV_VAR)
     if args.workers is not None:
         if args.workers < 1:
             parser.error("--workers must be >= 1")
         os.environ[WORKERS_ENV_VAR] = str(args.workers)
-    if args.oracle is not None:
-        os.environ[ORACLE_ENV_VAR] = args.oracle
     try:
         return _run(args)
     finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+        if saved is None:
+            os.environ.pop(WORKERS_ENV_VAR, None)
+        else:
+            os.environ[WORKERS_ENV_VAR] = saved
 
 
 def _run(args: argparse.Namespace) -> int:

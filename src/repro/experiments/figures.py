@@ -36,7 +36,6 @@ from ..workload.scenarios import (
     default_scale,
 )
 from ..sketches import SketchConfig
-from .parallel import clear_worker_caches, default_workers, run_series_parallel
 from .runner import SeriesResult, run_series
 
 APPROACH_LABELS = {
@@ -59,9 +58,8 @@ def scenario_series(
     """Run (or fetch the cached run of) one scenario's full series.
 
     ``workers`` defaults to the ``REPRO_WORKERS`` environment knob (the
-    CLI's ``--workers`` sets it); above 1 the series is computed by the
-    sharded runner, whose result is bit-identical to the serial path —
-    so the cache key deliberately ignores the worker count.
+    CLI's ``--workers`` sets it); the runner's result is the same under
+    any worker count, so the cache key deliberately ignores it.
 
     Scenarios may pin their own FSF configuration and approach subset
     (``Scenario.fsf_config`` / ``Scenario.approach_keys``, used by the
@@ -69,7 +67,6 @@ def scenario_series(
     the scenario's declaration.
     """
     eff_scale = default_scale() if scale is None else scale
-    eff_workers = default_workers() if workers is None else workers
     eff_fsf = fsf_config if fsf_config is not None else scenario.fsf_config
     key = (scenario.key, eff_scale, scenario.seed, eff_fsf)
     if key not in _SERIES_CACHE:
@@ -82,24 +79,14 @@ def scenario_series(
             approaches = registry
         else:
             approaches = distributed_approaches(eff_fsf)
-        if eff_workers > 1:
-            _SERIES_CACHE[key] = run_series_parallel(
-                scenario,
-                approaches,
-                workers=eff_workers,
-                scale=eff_scale,
-                fsf_config=eff_fsf,
-            )
-        else:
-            _SERIES_CACHE[key] = run_series(
-                scenario, approaches, scale=eff_scale
-            )
+        _SERIES_CACHE[key] = run_series(
+            scenario, approaches, scale=eff_scale, workers=workers
+        )
     return _SERIES_CACHE[key]
 
 
 def clear_cache() -> None:
     _SERIES_CACHE.clear()
-    clear_worker_caches()
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ registration order, and the same replayed event set — so approaches are
 compared under identical conditions exactly as the paper ensures.
 
 One point is one :class:`~repro.workload.program.CompiledProgram`
-executed by :func:`repro.workload.program.execute_program`:
+executed by :func:`repro.workload.program.execute_program`
+(:func:`run_program`):
 
 1. ``Session.create`` populates nodes, attaches sensors and floods
    advertisements to quiescence (skipped flood for centralized);
@@ -25,34 +26,59 @@ executed by :func:`repro.workload.program.execute_program`:
    truth is fenced to the program's scheduled ``[admit, retire]``
    lifetimes.
 
-The legacy entry point ``run_point(approach, deployment, placed,
-events, ...)`` is kept: it wraps its arguments into a setup-only
-compiled program, so a settled admit-at-t=0 program reproduces the
-historical fixed-prefix results bit-identically
-(``tests/test_program_bit_identity.py`` pins them as goldens across all
-five approaches and both matching modes).
+A series is the (count, approach) matrix of one scenario, and every cell
+is an independent simulation, so :func:`run_series` — the only series
+runner — is one partition / execute / merge:
+
+* **partition** — one picklable :class:`PointTask` per cell, counts-major
+  in caller approach order.  The approach travels as itself (every
+  ``Approach`` pickles: a node factory is a module-level callable or a
+  ``functools.partial`` of one), so a custom ``FSFConfig`` or an
+  approach outside the registry reaches the workers unchanged;
+* **execute** — :func:`run_task` mapped over the list: in this process
+  at ``workers <= 1``, through ``ProcessPoolExecutor.map(...,
+  chunksize=1)`` otherwise.  Each process memoises the scenario-level
+  state (deployment, program source) and the current point (compiled
+  program + oracle truth), so the approaches of one point share them;
+* **merge** — positional, so the result is the same ``SeriesResult``
+  under any worker count and any ``PYTHONHASHSEED`` (every random
+  stream routes through :mod:`repro.seeding`; a worker re-synthesizing
+  the replay draws exactly the events any sibling would).
+  ``tests/test_parallel_runner.py`` machine-checks both.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ..metrics.approx import churn_fences, measure_approx
 from ..metrics.oracle import SubscriptionTruth
 from ..metrics.recall import measure_recall
-from ..model.events import SimpleEvent
-from ..network.topology import Deployment
 from ..protocols.base import Approach
 from ..workload.program import (
-    REPLAY_START,
-    Admission,
+    REPLAY_START,  # noqa: F401 -- re-exported: callers shift replays by it
     CompiledProgram,
     execute_program,
 )
-from ..workload.scenarios import Scenario
-from ..workload.sensorscope import ChurnSchedule
-from ..workload.subscriptions import PlacedSubscription
+from ..workload.scenarios import Scenario, default_scale
+
+WORKERS_ENV_VAR = "REPRO_WORKERS"
+
+
+def default_workers() -> int:
+    """Worker-process count, overridable via the environment (default 1)."""
+    raw = os.environ.get(WORKERS_ENV_VAR)  # repro-lint: ignore[env-read] -- documented REPRO_WORKERS knob, read once at experiment entry
+    if raw is None:
+        return 1
+    workers = int(raw)
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {raw}")
+    return workers
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,13 +148,12 @@ def run_program(
     truths: Mapping[str, SubscriptionTruth] | None = None,
     delta_t: float = 5.0,
     latency: float = 0.05,
-    oracle: str | None = None,
 ) -> RunResult:
     """Run one approach over one compiled program; see module docstring.
 
     ``truths`` lets a series share one oracle pass across approaches
     (the truth only depends on the program, never on the approach);
-    ``None`` computes it here via ``compiled.truth(method=oracle)``.
+    ``None`` computes it here via ``compiled.truth()``.
     """
     execution = execute_program(
         compiled,
@@ -137,7 +162,7 @@ def run_program(
         delta_t=delta_t,
     )
     if truths is None:
-        truths = compiled.truth(method=oracle)
+        truths = compiled.truth()
     network = execution.session.network
     report = measure_recall(truths, network.delivery)
 
@@ -178,59 +203,6 @@ def run_program(
     )
 
 
-def run_point(
-    approach: Approach,
-    deployment: Deployment,
-    placed: Sequence[PlacedSubscription],
-    events: Sequence[SimpleEvent],
-    truths: Mapping[str, SubscriptionTruth] | None = None,
-    delta_t: float = 5.0,
-    latency: float = 0.05,
-    oracle: str | None = None,
-    churn: ChurnSchedule | None = None,
-) -> RunResult:
-    """Run one approach on one already-materialised subscription prefix.
-
-    The pre-program entry point, kept for callers that synthesize their
-    own workload: it wraps ``placed``/``events``/``churn`` into a
-    setup-only compiled program (every query admitted settled at t=0,
-    none retired) and runs it through the facade — the settled program
-    semantics the bit-identity goldens pin to the historical wiring.
-
-    ``events`` is the replay already shifted to ``REPLAY_START``
-    (``replay.shifted(REPLAY_START)``): the caller computes the oracle's
-    ground truth from the same list, so the scheduled events and the
-    truth inputs are literally the same objects — one materialisation
-    per series, not one per (approach, count) point.  ``churn`` must be
-    shifted to the same clock (``schedule.shifted(REPLAY_START)``).
-    """
-    compiled = CompiledProgram(
-        deployment=deployment,
-        events=tuple(events),
-        churn=churn,
-        admissions=tuple(
-            Admission(
-                sub_id=item.subscription.sub_id,
-                node_id=item.node_id,
-                subscription=item.subscription,
-                admit=None,
-                retire=None,
-            )
-            for item in placed
-        ),
-        replay_start=REPLAY_START,
-        span=0.0,
-    )
-    return run_program(
-        approach,
-        compiled,
-        truths=truths,
-        delta_t=delta_t,
-        latency=latency,
-        oracle=oracle,
-    )
-
-
 @dataclass
 class SeriesResult:
     """A whole figure-pair worth of points: one scenario, all approaches."""
@@ -253,23 +225,59 @@ class SeriesResult:
     def recall_series(self, approach_key: str) -> list[float]:
         return [r.recall for r in self.results[approach_key]]
 
-    def false_positive_series(self, approach_key: str) -> list[float]:
-        return [r.false_positive_rate for r in self.results[approach_key]]
 
-    def teardown_series(self) -> dict[str, list[int]]:
-        """Per-approach ``UnsubscribeMessage`` units at each point."""
-        return {
-            key: [r.teardown_load for r in runs]
-            for key, runs in self.results.items()
-        }
+@dataclass(frozen=True)
+class PointTask:
+    """One (approach, subscription-count) cell of a scenario's matrix.
 
-    def reliability_overhead_series(self) -> dict[str, list[int]]:
-        """Per-approach retransmit + refresh units at each point (the
-        price of the reliability layer, figure 18's y-axis)."""
-        return {
-            key: [r.retransmission_load + r.refresh_load for r in runs]
-            for key, runs in self.results.items()
-        }
+    Carries everything a worker needs and nothing process-bound: the
+    scenario (seeds + picklable factory), the *resolved* scale and
+    network ``delta_t``, and the approach itself.
+    """
+
+    scenario: Scenario
+    scale: float
+    approach: Approach
+    n: int
+    delta_t: float
+    latency: float
+
+
+# Per-process memos, one entry each: a process walks one scenario at a
+# time with non-decreasing ``n`` (the task list is counts-major), so the
+# latest entry is the only one that can hit again — and a long-lived
+# parent sweeping many scenarios in-process holds one of them, not all.
+@functools.lru_cache(maxsize=1)
+def _scenario_state(scenario: Scenario, scale: float):
+    """(deployment, base program, program source) for one scenario +
+    scale — the prefix-independent state every point of the scenario
+    shares (replay synthesis, subscription pool, churn *and* lifecycle
+    draws all live in the source)."""
+    deployment = scenario.deployment()
+    base = scenario.program(max(scenario.subscription_counts(scale)))
+    return deployment, base, base.source(deployment)
+
+
+@functools.lru_cache(maxsize=1)
+def _compiled_point(scenario: Scenario, scale: float, n: int):
+    """(compiled program, oracle truth) of one matrix point — shared by
+    every approach of the cell; the truth depends on the program only."""
+    deployment, base, source = _scenario_state(scenario, scale)
+    compiled = base.with_prefix(n).compile(deployment, source)
+    return compiled, compiled.truth()
+
+
+def run_task(task: PointTask) -> RunResult:
+    """Execute one matrix point — the worker entry (module-level, so it
+    pickles by reference)."""
+    compiled, truths = _compiled_point(task.scenario, task.scale, task.n)
+    return run_program(
+        task.approach,
+        compiled,
+        truths=truths,
+        delta_t=task.delta_t,
+        latency=task.latency,
+    )
 
 
 def run_series(
@@ -278,50 +286,54 @@ def run_series(
     scale: float | None = None,
     delta_t: float | None = None,
     latency: float = 0.05,
-    oracle: str | None = None,
+    workers: int | None = None,
 ) -> SeriesResult:
     """All measurement points of one scenario for the given approaches.
 
     The scenario compiles to one workload program per point (the static
     prefix grows along the measurement axis; replay, churn and the
     lifecycle schedule are shared through one
-    :class:`~repro.workload.program.ProgramSource`).  The oracle ground
-    truth per point is computed once from the compiled program and
-    shared by all approaches.  ``oracle`` selects the truth pass
-    (engine / reference); ``None`` defers to the ``REPRO_ORACLE``
-    environment default.
+    :class:`~repro.workload.program.ProgramSource`), and the oracle
+    truth per point is computed once and shared by all approaches.
+
+    ``workers=None`` defers to the ``REPRO_WORKERS`` environment
+    default.  The returned :class:`SeriesResult` is equal, ``RunResult``
+    dataclass for dataclass and key order included, under any worker
+    count and any ``PYTHONHASHSEED``; ``workers <= 1`` needs nothing to
+    pickle, so it also runs scenarios built around a lambda.
     """
+    eff_workers = default_workers() if workers is None else workers
+    eff_scale = default_scale() if scale is None else scale
     dt = scenario.delta_t if delta_t is None else delta_t
-    deployment = scenario.deployment()
-    counts = scenario.subscription_counts(scale)
-    base = scenario.program(max(counts))
-    source = base.source(deployment)
-    series = SeriesResult(scenario, counts)
-    for key in approaches:
-        series.results[key] = []
-    for n in counts:
-        compiled = base.with_prefix(n).compile(deployment, source)
-        truths = compiled.truth(method=oracle)
-        for key, approach in approaches.items():
-            series.results[key].append(
-                run_program(
-                    approach,
-                    compiled,
-                    truths=truths,
-                    delta_t=dt,
-                    latency=latency,
-                )
-            )
-    return series
-
-
-def shifted_churn(replay) -> ChurnSchedule | None:
-    """The replay's churn schedule on the simulation clock, or None.
-
-    Static replays carry no schedule; dynamic replays without cycling
-    sensors collapse to None too, so the common path stays churn-free.
-    """
-    schedule = getattr(replay, "churn", None)
-    if schedule is None or not schedule:
-        return None
-    return schedule.shifted(REPLAY_START)
+    counts = scenario.subscription_counts(eff_scale)
+    # Counts-major, caller approach order: the positional merge below
+    # and the workers' one-entry memos both rely on it.
+    tasks = [
+        PointTask(scenario, eff_scale, approach, n, dt, latency)
+        for n in counts
+        for approach in approaches.values()
+    ]
+    if eff_workers <= 1:
+        results = [run_task(task) for task in tasks]
+    else:
+        try:
+            pickle.dumps(tasks)
+        except Exception as exc:
+            raise ValueError(
+                "scenario or approach is not picklable (deployment_factory "
+                "and make_node must be module-level callables or "
+                "functools.partial objects, not lambdas) — run with "
+                f"workers=1 or fix the factory: {exc}"
+            ) from exc
+        # chunksize=1 keeps the partition point-grained (best balance
+        # on long points); map() preserves input order.
+        with ProcessPoolExecutor(
+            max_workers=min(eff_workers, len(tasks))
+        ) as pool:
+            results = list(pool.map(run_task, tasks, chunksize=1))
+    width = len(approaches)
+    return SeriesResult(
+        scenario,
+        counts,
+        {key: results[i::width] for i, key in enumerate(approaches)},
+    )

@@ -2,12 +2,10 @@
 
 from .approx import ApproxReport, ApproxStats, churn_fences, measure_approx
 from .oracle import (
-    ORACLE_ENV_VAR,
     ORACLE_METHODS,
     EventIndex,
     SubscriptionTruth,
     compute_truth,
-    default_oracle,
     operator_truth,
     oracle_operator,
 )
@@ -26,12 +24,10 @@ __all__ = [
     "EventIndex",
     "churn_fences",
     "measure_approx",
-    "ORACLE_ENV_VAR",
     "ORACLE_METHODS",
     "RecallReport",
     "SubscriptionTruth",
     "compute_truth",
-    "default_oracle",
     "improvement_over",
     "measure_recall",
     "operator_truth",

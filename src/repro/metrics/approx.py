@@ -93,10 +93,6 @@ class ApproxReport:
         """Answers whose certificate failed the oracle check."""
         return sum(1 for s in self.stats if not s.within_bound)
 
-    @property
-    def all_within_bound(self) -> bool:
-        return self.bound_violations == 0
-
 
 def churn_fences(schedule: "ChurnSchedule | None") -> dict[str, float]:
     """Per-sensor truth fence: the last departure time (if any).

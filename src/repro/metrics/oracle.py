@@ -17,16 +17,13 @@ Two interchangeable truth passes exist:
 * ``method="reference"`` is the original per-trigger window rescan over
   :class:`EventIndex`, kept in-tree as the semantics oracle for the
   oracle itself — ``tests/test_oracle_engine.py`` machine-checks that
-  both passes produce identical triggers and participants.
-
-The default is overridable per process via the ``REPRO_ORACLE``
-environment variable (the experiment CLI's ``--oracle`` flag sets it).
+  both passes produce identical triggers and participants.  Nothing
+  above this module selects it: tests reach it through ``method=``.
 """
 
 from __future__ import annotations
 
 import bisect
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -41,19 +38,7 @@ from ..model.subscriptions import (
 )
 from ..network.topology import Deployment
 
-ORACLE_ENV_VAR = "REPRO_ORACLE"
-
 ORACLE_METHODS = ("engine", "reference")
-
-
-def default_oracle() -> str:
-    """The truth pass to use, overridable via the environment."""
-    raw = os.environ.get(ORACLE_ENV_VAR, "engine")  # repro-lint: ignore[env-read] -- documented REPRO_ORACLE knob, read once at experiment entry
-    if raw not in ORACLE_METHODS:
-        raise ValueError(
-            f"{ORACLE_ENV_VAR} must be one of {ORACLE_METHODS}, got {raw!r}"
-        )
-    return raw
 
 
 class EventIndex:
@@ -173,7 +158,7 @@ def operator_truth(
     sub_id: str,
     index: EventIndex,
     collect_participants: bool = True,
-    method: str | None = None,
+    method: str = "engine",
     churn=None,
     cancelled_at: float | None = None,
     activated_at: float | None = None,
@@ -210,7 +195,6 @@ def operator_truth(
     Members never postdate a trigger, so the cancellation side fences
     members and triggers alike.
     """
-    method = default_oracle() if method is None else method
     truth = SubscriptionTruth(sub_id, operator)
     candidates = index.events_of(sorted(operator.sensors))
     if cancelled_at is not None:
@@ -294,7 +278,7 @@ def compute_truth(
     deployment: Deployment,
     events: Sequence[SimpleEvent],
     collect_participants: bool = True,
-    method: str | None = None,
+    method: str = "engine",
     churn=None,
     cancellations: Mapping[str, float] | None = None,
     activations: Mapping[str, float] | None = None,
@@ -305,10 +289,9 @@ def compute_truth(
     Only events produced by a subscription's own sensors can trigger it,
     so the scan is proportional to (subscriptions x their group's
     events), not (subscriptions x all events).  ``method`` selects the
-    truth pass (see module docstring); ``None`` defers to
-    :func:`default_oracle`.  ``churn`` — the scenario's churn schedule,
-    shifted to the same clock as ``events`` — fences departed sensors'
-    history (see :func:`operator_truth`).  ``cancellations`` /
+    truth pass (see module docstring).  ``churn`` — the scenario's churn
+    schedule, shifted to the same clock as ``events`` — fences departed
+    sensors' history (see :func:`operator_truth`).  ``cancellations`` /
     ``activations`` map subscription ids to the simulation times their
     ``cancel()`` / ``submit()`` ran; the query's truth is fenced to
     that lifetime exactly like a departed sensor's history — which also
@@ -325,7 +308,6 @@ def compute_truth(
     holds them, matching online behaviour.  Applied identically before
     both truth passes (the filter shapes the index both passes share).
     """
-    method = default_oracle() if method is None else method
     if outages:
         windows: dict[str, list[tuple[float, float]]] = {}
         for sensor_id, down_from, down_until in outages:

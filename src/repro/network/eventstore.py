@@ -135,10 +135,6 @@ class EventStore:
         """Lift the fence when the sensor re-advertises (re-join)."""
         self._fences.pop(sensor_id, None)
 
-    def fence_of(self, sensor_id: str) -> float | None:
-        """The active fence timestamp, None when the sensor is unfenced."""
-        return self._fences.get(sensor_id)
-
     def __contains__(self, key: EventKey) -> bool:
         return key in self._keys
 

@@ -354,9 +354,18 @@ class Network:
         ``plan=None`` the call is exactly the historical registration —
         the null-plan fence the placement tests machine-check.
         """
+        self.check_plan(plan)
         self.delivery.register(subscription.sub_id)
         if plan is None:
             self.nodes[node_id].subscribe(subscription)
+        else:
+            self.nodes[node_id].subscribe(subscription, plan)
+
+    def check_plan(self, plan: object | None) -> None:
+        """Refuse a placement plan this network cannot execute — before
+        anything is written, so a refused registration leaves no trace
+        (``Session.submit`` calls it ahead of its own bookkeeping)."""
+        if plan is None:
             return
         if self.reliability is not None:
             raise ValueError(
@@ -370,7 +379,6 @@ class Network:
                 "approximate answer lane: eligible subscriptions bypass "
                 "operator placement entirely"
             )
-        self.nodes[node_id].subscribe(subscription, plan)
 
     def cancel_subscription(self, node_id: str, sub_id: str) -> bool:
         """Cancel a subscription previously registered at ``node_id``.

@@ -23,10 +23,9 @@ NodeFactory = Callable[[str, "Network"], "Node"]
 class Approach:
     """One evaluated system: metadata + node factory.
 
-    ``config`` declares the configuration the node factory closed over
-    (FSF's probabilistic-filter knobs), so consumers that must rebuild
-    the approach in another process — the sharded experiment runner —
-    can re-resolve it from the registry without losing the settings.
+    Approaches pickle — ``make_node`` is a module-level callable or a
+    ``functools.partial`` of one carrying its configuration — so the
+    experiment runner ships them to worker processes as they are.
     """
 
     key: str
@@ -39,7 +38,6 @@ class Approach:
     deterministic_recall: bool = True
     supports_planned_placement: bool = True
     supports_sketches: bool = True
-    config: object = None
 
     def populate(self, network: "Network") -> "Network":
         """Instantiate this approach's node on every graph vertex."""

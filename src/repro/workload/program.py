@@ -11,7 +11,7 @@ assignment workloads) — into one declarative, picklable value that
 compiles against a deployment and executes through the
 :class:`repro.api.Session` facade.
 
-The pipeline is three-staged so the sharded runner can memoise the
+The pipeline is three-staged so the series runner can memoise the
 expensive middle::
 
     WorkloadProgram ── source(deployment) ──► ProgramSource
@@ -320,7 +320,7 @@ class WorkloadProgram:
         span, and generates a subscription pool long enough for the
         largest prefix plus every lifecycle admission.  One source
         serves every ``with_prefix`` view of the same program — the
-        sharded runner memoises it per (scenario, scale) exactly like
+        series runner memoises it per (scenario, scale) exactly like
         it memoises churn state.
         """
         if self.dynamic is not None:
@@ -346,18 +346,12 @@ class WorkloadProgram:
                 deployment, replay.medians, pool_cfg, spreads=replay.spreads
             )
         )
-        schedule = getattr(replay, "churn", None)
-        shifted_churn = (
-            schedule.shifted(self.replay_start)
-            if schedule is not None and schedule
-            else None
-        )
         return ProgramSource(
             program=self,
             deployment_fingerprint=deployment_fingerprint(deployment),
             replay=replay,
             events=tuple(replay.shifted(self.replay_start)),
-            churn=shifted_churn,
+            churn=replay.churn_shifted(self.replay_start),
             workload=workload,
             edges=edges,
             span=span,
@@ -625,7 +619,7 @@ class CompiledProgram:
     def truth(
         self,
         collect_participants: bool = True,
-        method: str | None = None,
+        method: str = "engine",
     ) -> dict[str, "SubscriptionTruth"]:
         """Ground truth for every admission, fenced to its lifetime.
 

@@ -11,8 +11,8 @@ every published number was measured at.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable
 
 from ..core.filter_split_forward import FSFConfig
 from ..network.faults import FaultPlan, LinkFault
@@ -27,14 +27,7 @@ from ..network.topology import (
 )
 from ..sketches import SketchConfig
 from .program import QueryLifecycleConfig, WorkloadProgram
-from .sensorscope import (
-    ChurnConfig,
-    DynamicReplayConfig,
-    Replay,
-    ReplayConfig,
-    build_dynamic_replay,
-    build_replay,
-)
+from .sensorscope import ChurnConfig, DynamicReplayConfig, ReplayConfig
 from .subscriptions import SubscriptionWorkloadConfig
 
 SCALE_ENV_VAR = "REPRO_SCALE"
@@ -92,7 +85,7 @@ class Scenario:
     the scenario is measured with (``None`` = registry default) and
     ``approach_keys`` restricts the measured approaches (``None`` = the
     usual registry set).  All are frozen config dataclasses, so
-    scenarios stay hashable and picklable for the sharded runner's
+    scenarios stay hashable and picklable for the series runner's
     memo keys.
     """
 
@@ -121,12 +114,6 @@ class Scenario:
 
     def deployment(self) -> Deployment:
         return self.deployment_factory(self.seed)
-
-    def make_replay(self, deployment: Deployment) -> Replay:
-        """The scenario's measurement campaign (static or dynamic)."""
-        if self.dynamic is not None:
-            return build_dynamic_replay(deployment, self.dynamic, self.churn)
-        return build_replay(deployment, self.replay)
 
     def subscription_counts(self, scale: float | None = None) -> list[int]:
         """The measurement axis, scaled (at least 2 points, >= 5 subs)."""
@@ -161,9 +148,6 @@ class Scenario:
             answer_mode=self.answer_mode,
             sketch=self.sketch,
         )
-
-    def with_seed(self, seed: int) -> "Scenario":
-        return replace(self, seed=seed)
 
 
 _PAPER_AXIS_1000 = tuple(range(100, 1001, 100))

@@ -116,6 +116,14 @@ class Replay:
             for e in self.events
         ]
 
+    def churn_shifted(self, offset: float) -> "ChurnSchedule | None":
+        """The churn schedule on the clock :meth:`shifted` puts the
+        events on, or None: static replays carry no schedule, and a
+        dynamic replay in which no sensor cycles collapses to None too,
+        so the common path stays churn-free."""
+        schedule = getattr(self, "churn", None)
+        return schedule.shifted(offset) if schedule else None
+
 
 def build_replay(deployment: Deployment, config: ReplayConfig | None = None) -> Replay:
     """Synthesise the measurement campaign for a deployment.

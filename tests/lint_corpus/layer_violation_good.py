@@ -8,6 +8,6 @@ if TYPE_CHECKING:
 
 
 def lazy(event: SimpleEvent):
-    from repro.experiments.runner import run_point  # lazy upward: sanctioned
+    from repro.experiments.runner import run_program  # lazy upward: sanctioned
 
-    return run_point, event
+    return run_program, event

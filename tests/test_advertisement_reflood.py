@@ -11,27 +11,22 @@ undercount churn scenarios otherwise.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.baselines.naive import naive_approach
-from repro.experiments.runner import REPLAY_START, run_point, shifted_churn
+from repro.experiments.runner import run_program
 from repro.metrics.report import render_traffic_accounting, traffic_accounting
 from repro.model.events import SimpleEvent
 from repro.network.network import Network
 from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
 from repro.sim import Simulator
-from repro.workload.sensorscope import (
-    ChurnConfig,
-    DynamicReplayConfig,
-    build_dynamic_replay,
-)
-from repro.workload.subscriptions import (
-    SubscriptionWorkloadConfig,
-    generate_subscriptions,
-)
+from repro.workload.program import WorkloadProgram
+from repro.workload.sensorscope import ChurnConfig, DynamicReplayConfig
+from repro.workload.subscriptions import SubscriptionWorkloadConfig
 
 
 @pytest.fixture
@@ -131,42 +126,27 @@ class TestRefloodAccounting:
         total = network.meter.snapshot().minus(base)
         assert total.advertisement_units == 2 * edges
 
-    def test_run_point_measures_reflood_load(self):
+    def test_program_run_measures_reflood_load(self):
         deployment = build_deployment(16, 2, seed=5)
-        replay = build_dynamic_replay(
-            deployment,
-            DynamicReplayConfig(
-                days=2, rounds_per_day=5, day_seconds=80.0, seed=6
-            ),
-            ChurnConfig(cycle_fraction=0.4, seed=7),
-        )
-        workload = generate_subscriptions(
-            deployment,
-            replay.medians,
-            SubscriptionWorkloadConfig(
+        compiled = WorkloadProgram(
+            subscriptions=SubscriptionWorkloadConfig(
                 n_subscriptions=4, attrs_min=2, attrs_max=4, seed=5
             ),
-            spreads=replay.spreads,
-        )
-        shifted = replay.shifted(REPLAY_START)
-        churn = shifted_churn(replay)
-        assert churn is not None
-        transitions = len(churn.transitions())
+            dynamic=DynamicReplayConfig(
+                days=2, rounds_per_day=5, day_seconds=80.0, seed=6
+            ),
+            churn=ChurnConfig(cycle_fraction=0.4, seed=7),
+        ).compile(deployment)
+        assert compiled.churn is not None
+        transitions = len(compiled.churn.transitions())
         edges = deployment.graph.number_of_edges()
-        result = run_point(
-            all_approaches()["naive"],
-            deployment,
-            workload,
-            shifted,
-            churn=churn,
-        )
+        naive = all_approaches()["naive"]
+        result = run_program(naive, compiled)
         # Every leave floods a retraction, every rejoin re-floods the
         # advertisement: one tree-wide flood per transition.
         assert result.reflood_load == transitions * edges
-        # And the static path still measures zero there.
-        static = run_point(
-            all_approaches()["naive"], deployment, workload, shifted
-        )
+        # And the same events without the schedule measure zero there.
+        static = run_program(naive, dataclasses.replace(compiled, churn=None))
         assert static.reflood_load == 0
 
     def test_traffic_accounting_includes_reflood(self):

@@ -28,6 +28,7 @@ from repro import (
 from repro.model import AbstractSubscription, Location, bounding_rect
 from repro.model.locations import CircleRegion, RectRegion
 from repro.network.network import Network
+from repro.network.reliability import ReliabilityConfig
 from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
 from repro.sim import Simulator
@@ -255,6 +256,36 @@ class TestSession:
         assert session.cancellations == fence
         assert handle.stats().delivered_events == 2
         assert len(handle.matches()) == 1
+
+    @pytest.mark.parametrize(
+        "lane",
+        [{"reliability": ReliabilityConfig()}, {"answer_mode": "approximate"}],
+        ids=["reliability", "sketches"],
+    )
+    def test_refused_plan_leaves_old_incarnation_intact(self, lane):
+        """The plan x reliability / plan x sketches refusals fire before
+        anything is written, like every other validation failure."""
+        session = small_session(**lane)
+        ambient, surface = pair_of_sensors(session)
+        handle = session.submit(freeze_query(session), at="r2")
+        session.ingest(ambient.sensor_id, 1.0, timestamp=session.now + 5.0)
+        session.ingest(surface.sensor_id, -1.0, timestamp=session.now + 6.0)
+        session.drain()
+        handle.cancel()
+
+        def state():
+            return (
+                handle.events(),
+                dict(session.cancellations),
+                dict(session.activations),
+                dict(session.handles),
+            )
+
+        before = state()
+        assert len(before[0]) == 2
+        with pytest.raises(ValueError, match="placement plans"):
+            session.submit(freeze_query(session), at="r2", plan=object())
+        assert state() == before
 
     def test_auto_ids_skip_named_collisions(self):
         session = small_session()

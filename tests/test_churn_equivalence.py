@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.experiments.runner import REPLAY_START, shifted_churn
+from repro.experiments.runner import REPLAY_START
 from repro.matching.engine import MatchingEngine
 from repro.metrics.oracle import compute_truth, oracle_operator
 from repro.network.eventstore import EventStore
@@ -91,7 +91,7 @@ def run_churn_network(deployment, replay, workload, matching, approach_key):
         (e.timestamp, lambda e=e: network.publish(node_of[e.sensor_id], e))
         for e in shifted
     )
-    churn = shifted_churn(replay)
+    churn = replay.churn_shifted(REPLAY_START)
     if churn is not None:
         network.schedule_churn(churn)
     network.run_to_quiescence()
@@ -141,7 +141,7 @@ def test_oracle_engine_equals_reference_under_churn(chunk):
         deployment, replay, workload = churn_arena(seed)
         subs = [p.subscription for p in workload]
         shifted = replay.shifted(REPLAY_START)
-        churn = shifted_churn(replay)
+        churn = replay.churn_shifted(REPLAY_START)
         assert churn is not None, seed
         engine = compute_truth(
             subs, deployment, shifted, method="engine", churn=churn
@@ -231,7 +231,7 @@ def test_churn_truth_is_subset_of_churn_blind_truth(seed):
     deployment, replay, workload = churn_arena(seed)
     subs = [p.subscription for p in workload]
     shifted = replay.shifted(REPLAY_START)
-    churn = shifted_churn(replay)
+    churn = replay.churn_shifted(REPLAY_START)
     with_fence = compute_truth(
         subs, deployment, shifted, method="engine", churn=churn
     )

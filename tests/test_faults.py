@@ -20,6 +20,7 @@ from dataclasses import replace
 
 import pytest
 
+from benchlib import tiny_bench_deployment
 from deployments import line_deployment
 
 from repro.experiments.runner import run_program, run_series
@@ -27,7 +28,6 @@ from repro.metrics.oracle import compute_truth
 from repro.network.faults import FaultPlan, LinkFault, OutageWindow
 from repro.network.network import LivelockError, Network
 from repro.network.reliability import ReliabilityConfig
-from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
 from repro.sim import Simulator
 from repro.workload.program import REPLAY_START, WorkloadProgram
@@ -48,7 +48,9 @@ def tiny_faults_scenario(**overrides) -> Scenario:
     defaults = dict(
         key="tiny-faults",
         title="tiny faulty scenario",
-        deployment_factory=lambda seed: build_deployment(24, 3, seed=seed),
+        # module-level, so the scenario pickles when CI's family job
+        # runs this suite with REPRO_WORKERS=2
+        deployment_factory=tiny_bench_deployment,
         paper_subscription_counts=(60,),
         attrs_min=3,
         attrs_max=5,

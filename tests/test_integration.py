@@ -7,86 +7,72 @@ of all five systems over the same deployment, subscriptions and events.
 
 import pytest
 
-from repro.experiments.runner import REPLAY_START, run_point
-from repro.metrics.oracle import compute_truth
+from repro.experiments.runner import run_program
 from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
-from repro.workload.sensorscope import ReplayConfig, build_replay
-from repro.workload.subscriptions import (
-    SubscriptionWorkloadConfig,
-    generate_subscriptions,
-)
+from repro.workload.program import WorkloadProgram
+from repro.workload.sensorscope import ReplayConfig
+from repro.workload.subscriptions import SubscriptionWorkloadConfig
 
 
 @pytest.fixture(scope="module")
 def arena():
-    deployment = build_deployment(36, 4, seed=5)
-    replay = build_replay(deployment, ReplayConfig(rounds=8, seed=5))
-    workload = generate_subscriptions(
-        deployment,
-        replay.medians,
-        SubscriptionWorkloadConfig(n_subscriptions=32, attrs_min=3, attrs_max=5, seed=5),
-        spreads=replay.spreads,
-    )
-    events = replay.shifted(REPLAY_START)
-    truths = compute_truth(
-        [p.subscription for p in workload], deployment, events
-    )
-    results = {}
-    for key, approach in all_approaches().items():
-        results[key] = run_point(approach, deployment, workload, events, truths=truths)
-    return deployment, workload, truths, results
+    compiled = WorkloadProgram(
+        subscriptions=SubscriptionWorkloadConfig(
+            n_subscriptions=32, attrs_min=3, attrs_max=5, seed=5
+        ),
+        replay=ReplayConfig(rounds=8, seed=5),
+    ).compile(build_deployment(36, 4, seed=5))
+    truths = compiled.truth()
+    results = {
+        key: run_program(approach, compiled, truths=truths)
+        for key, approach in all_approaches().items()
+    }
+    return compiled, truths, results
 
 
 class TestCrossApproachInvariants:
     def test_deterministic_approaches_reach_full_recall(self, arena):
-        _, _, _, results = arena
+        _, _, results = arena
         for key in ("centralized", "naive", "operator_placement", "multijoin"):
             assert results[key].recall == 1.0, key
 
     def test_fsf_recall_in_paper_band(self, arena):
-        _, _, _, results = arena
+        _, _, results = arena
         assert results["fsf"].recall >= 0.90
 
     def test_only_multijoin_has_false_positives(self, arena):
-        _, _, _, results = arena
+        _, _, results = arena
         assert results["multijoin"].false_positive_rate > 0.0
         for key in ("centralized", "naive", "operator_placement", "fsf"):
             assert results[key].false_positive_rate == 0.0, key
 
     def test_subscription_load_ordering(self, arena):
-        _, _, _, results = arena
+        _, _, results = arena
         sub = {k: r.subscription_load for k, r in results.items()}
         assert sub["centralized"] < sub["fsf"]
         assert sub["fsf"] <= sub["operator_placement"] <= sub["naive"]
 
     def test_event_load_ordering(self, arena):
-        _, _, _, results = arena
+        _, _, results = arena
         evt = {k: r.event_load for k, r in results.items()}
         assert evt["fsf"] < evt["multijoin"]
         assert evt["fsf"] < evt["operator_placement"] <= evt["naive"]
 
     def test_no_subscriptions_dropped(self, arena):
-        _, _, _, results = arena
+        _, _, results = arena
         for key, result in results.items():
             assert result.dropped_subscriptions == 0, key
 
     def test_oracle_sanity(self, arena):
-        _, workload, truths, _ = arena
+        compiled, truths, _ = arena
         assert sum(t.n_instances for t in truths.values()) > 0
-        assert set(truths) == {p.subscription.sub_id for p in workload}
+        assert set(truths) == {a.sub_id for a in compiled.admissions}
 
     def test_same_workload_same_result(self, arena):
         """Determinism: re-running an approach reproduces every count."""
-        deployment, workload, truths, results = arena
-        replay = build_replay(deployment, ReplayConfig(rounds=8, seed=5))
-        again = run_point(
-            all_approaches()["fsf"],
-            deployment,
-            workload,
-            replay.shifted(REPLAY_START),
-            truths=truths,
-        )
+        compiled, truths, results = arena
+        again = run_program(all_approaches()["fsf"], compiled, truths=truths)
         first = results["fsf"]
         assert again.subscription_load == first.subscription_load
         assert again.event_load == first.event_load

@@ -16,12 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.metrics.oracle import (
-    EventIndex,
-    compute_truth,
-    default_oracle,
-    operator_truth,
-)
+from repro.metrics.oracle import EventIndex, compute_truth, operator_truth
 from repro.experiments.runner import REPLAY_START
 from repro.network.topology import build_deployment
 from repro.workload.sensorscope import ReplayConfig, build_replay
@@ -100,23 +95,3 @@ class TestComputeTruthEndToEnd:
         for method in ("psychic", "columnar"):
             with pytest.raises(ValueError, match=r"\('engine', 'reference'\)"):
                 compute_truth(subs[:1], deployment, events, method=method)
-
-
-class TestOracleDefault:
-    def test_default_is_engine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ORACLE", raising=False)
-        assert default_oracle() == "engine"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ORACLE", "reference")
-        assert default_oracle() == "reference"
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ORACLE", "fast")
-        with pytest.raises(ValueError):
-            default_oracle()
-
-    def test_the_deleted_columnar_pass_is_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ORACLE", "columnar")
-        with pytest.raises(ValueError, match=r"\('engine', 'reference'\)"):
-            default_oracle()

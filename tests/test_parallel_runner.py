@@ -1,12 +1,12 @@
-"""Tests for the sharded multi-process experiment runner.
+"""Tests for the series runner's worker pool.
 
 Two families of guarantees:
 
-* **merge fidelity** — `run_series_parallel` reconstructs the serial
-  `SeriesResult` bit-identically (same `RunResult` dataclasses, point
-  for point, same key order);
+* **merge fidelity** — `run_series(workers=N)` returns the in-process
+  (`workers=1`) `SeriesResult` bit-identically (same `RunResult`
+  dataclasses, point for point, same key order);
 * **cross-process determinism** — a full `RunResult` (and a whole
-  sharded series) is identical when computed in subprocesses with
+  pooled series) is identical when computed in subprocesses with
   *different* `PYTHONHASHSEED` values, which is exactly what the
   replay-seeding fix (`repro.seeding`) buys: worker processes
   synthesize the same events the parent computed ground truth for.
@@ -14,8 +14,10 @@ Two families of guarantees:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -23,31 +25,24 @@ import pytest
 
 from benchlib import tiny_series_scenario
 
+from repro.baselines.naive import NaiveNode
 from repro.core import FSFConfig, filter_split_forward_approach
-from repro.experiments import RunResult, run_series, run_series_parallel
-from repro.experiments.parallel import (
-    PointTask,
-    default_workers,
-    merge_points,
-    point_tasks,
-)
+from repro.experiments import RunResult, default_workers, run_series, runner
 from repro.network.faults import FaultPlan, LinkFault
 from repro.network.reliability import ReliabilityConfig
 from repro.network.topology import build_deployment
-from repro.protocols.registry import distributed_approaches
+from repro.protocols.registry import all_approaches, distributed_approaches
 from repro.workload.program import QueryLifecycleConfig
 from repro.workload.scenarios import Scenario
 from repro.workload.sensorscope import ChurnConfig, DynamicReplayConfig
 
 _SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
-# Shared with the serial-vs-sharded benchmarks, so both exercise the
-# same workload (its module-level factory is picklable, as the sharded
-# runner requires).
+# Its module-level factory is picklable, as the worker pool requires.
 TINY = tiny_series_scenario()
 
 # The dynamic/churn variant: multi-day drifting replay, 30% of sensors
-# cycling — the sharded runner must reproduce the serial result (and be
+# cycling — the pool must reproduce the in-process result (and be
 # PYTHONHASHSEED-independent) with the churn machinery in the loop too.
 TINY_CHURN = Scenario(
     key="tiny-churn",
@@ -75,7 +70,7 @@ TINY_LIFECYCLE = Scenario(
 
 # The unreliable-transport variant: 10% link loss with the reliability
 # layer on — every fault draw comes from one agenda-serialised stream,
-# so the sharded runner must still reproduce the serial series exactly.
+# so the pool must still reproduce the in-process series exactly.
 TINY_FAULTS = Scenario(
     key="tiny-faults-sharded",
     title="tiny faulty scenario",
@@ -91,83 +86,97 @@ TINY_FAULTS = Scenario(
 class TestMergeFidelity:
     @pytest.fixture(scope="class")
     def serial(self):
-        return run_series(TINY, distributed_approaches(), scale=0.1)
+        return run_series(TINY, distributed_approaches(), scale=0.1, workers=1)
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_sharded_equals_serial_bit_identically(self, serial, workers):
-        parallel = run_series_parallel(
-            TINY, distributed_approaches(), workers=workers, scale=0.1
+        parallel = run_series(
+            TINY, distributed_approaches(), scale=0.1, workers=workers
         )
         assert parallel.counts == serial.counts
         assert list(parallel.results) == list(serial.results)  # key order
         assert parallel.results == serial.results  # RunResult dataclasses
 
-    def test_in_process_fallback_equals_serial(self, serial):
-        solo = run_series_parallel(
-            TINY, distributed_approaches(), workers=1, scale=0.1
-        )
-        assert solo.results == serial.results
+    def test_every_registry_approach_pickles(self):
+        for approach in all_approaches().values():
+            clone = pickle.loads(pickle.dumps(approach))
+            # partial objects compare by identity: check the factory by
+            # its pickle, everything else field for field.
+            assert pickle.dumps(clone) == pickle.dumps(approach)
+            assert (
+                dataclasses.replace(clone, make_node=approach.make_node)
+                == approach
+            )
 
-    def test_approach_keys_accepted_in_place_of_mapping(self, serial):
-        keys = ["naive", "fsf"]
-        parallel = run_series_parallel(TINY, keys, workers=2, scale=0.1)
-        assert list(parallel.results) == keys
-        for key in keys:
-            assert parallel.results[key] == serial.results[key]
-
-    def test_unknown_approach_rejected(self):
-        with pytest.raises(ValueError, match="registry"):
-            run_series_parallel(TINY, ["warp-drive"], workers=2, scale=0.1)
-
-    def test_custom_fsf_config_harvested_from_mapping(self):
-        """Workers rebuild approaches from the registry, so a custom
-        FSFConfig carried only by the passed-in instances must be
-        re-declared to them — silently running defaults would break the
+    def test_custom_fsf_config_travels_with_the_approach(self):
+        """Approaches reach the workers as themselves, so a custom
+        FSFConfig carried only by the passed-in instance is what the
+        pool runs — silently running defaults would break the
         bit-identical contract."""
         cfg = FSFConfig(error_probability=0.5, gap_fraction=0.5, coarsening=2.0)
         approaches = {"fsf": filter_split_forward_approach(cfg)}
-        serial = run_series(TINY, approaches, scale=0.1)
-        parallel = run_series_parallel(TINY, approaches, workers=2, scale=0.1)
+        serial = run_series(TINY, approaches, scale=0.1, workers=1)
+        parallel = run_series(TINY, approaches, scale=0.1, workers=2)
         assert parallel.results == serial.results
-        default = run_series_parallel(TINY, ["fsf"], workers=2, scale=0.1)
+        default = run_series(
+            TINY, {"fsf": all_approaches()["fsf"]}, scale=0.1, workers=2
+        )
         assert parallel.results != default.results  # the config matters
 
-    def test_conflicting_fsf_config_rejected(self):
-        approaches = {"fsf": filter_split_forward_approach(FSFConfig())}
-        with pytest.raises(ValueError, match="fsf_config"):
-            run_series_parallel(
-                TINY,
-                approaches,
-                workers=2,
-                scale=0.1,
-                fsf_config=FSFConfig(error_probability=0.5),
-            )
+    def test_approach_outside_the_registry_runs_pooled(self, serial):
+        """Nothing is re-resolved by key: an approach the registry has
+        never heard of is pickled and run like any other."""
+        custom = dataclasses.replace(
+            all_approaches()["naive"], key="warp-drive", name="Warp drive"
+        )
+        parallel = run_series(TINY, {"warp": custom}, scale=0.1, workers=2)
+        assert list(parallel.results) == ["warp"]
+        assert parallel.results["warp"] == [
+            dataclasses.replace(r, approach="warp-drive")
+            for r in serial.results["naive"]
+        ]
 
     def test_unpicklable_scenario_rejected_with_guidance(self):
+        """Refused only where something must pickle: the same scenario
+        and approach run in-process at ``workers=1``."""
         opaque = Scenario(
             key="lambda-factory",
             title="unpicklable",
             deployment_factory=lambda seed: build_deployment(24, 3, seed=seed),
             paper_subscription_counts=(60, 120),
         )
+        naive = all_approaches()["naive"]
+        closure = dataclasses.replace(
+            naive, make_node=lambda node_id, network: NaiveNode(node_id, network)
+        )
         with pytest.raises(ValueError, match="picklable"):
-            run_series_parallel(opaque, ["naive"], workers=2, scale=0.1)
+            run_series(opaque, {"naive": naive}, scale=0.1, workers=2)
+        with pytest.raises(ValueError, match="picklable"):
+            run_series(TINY, {"naive": closure}, scale=0.1, workers=2)
+        solo = run_series(opaque, {"naive": closure}, scale=0.1, workers=1)
+        assert [r.n_subscriptions for r in solo.results["naive"]] == solo.counts
 
-    def test_partition_is_counts_major_in_key_order(self):
-        tasks = point_tasks(TINY, ["a", "b"], 0.1, 5.0, 0.05, None, None)
-        assert [(t.n, t.approach_key) for t in tasks] == [
-            (6, "a"), (6, "b"), (12, "a"), (12, "b"),
-        ]
-        rebuilt = merge_points(TINY, [6, 12], ["a", "b"], list(range(4)))
-        assert rebuilt.results == {"a": [0, 2], "b": [1, 3]}
+    def test_partition_is_counts_major_in_key_order(self, monkeypatch):
+        monkeypatch.setattr(runner, "run_task", lambda t: (t.n, t.approach.key))
+        registry = all_approaches()
+        approaches = {"b": registry["naive"], "a": registry["fsf"]}
+        series = run_series(TINY, approaches, scale=0.1, workers=1)
+        assert series.counts == [6, 12]
+        assert list(series.results) == ["b", "a"]
+        assert series.results == {
+            "b": [(6, "naive"), (12, "naive")],
+            "a": [(6, "fsf"), (12, "fsf")],
+        }
 
     def test_churn_sharded_equals_serial_bit_identically(self):
-        """The dynamic scenario family through both runners: replay
+        """The dynamic scenario family in-process and pooled: replay
         synthesis, churn scheduling and the churn-aware oracle must all
         reproduce identically in worker processes."""
-        serial = run_series(TINY_CHURN, distributed_approaches(), scale=0.1)
-        parallel = run_series_parallel(
-            TINY_CHURN, distributed_approaches(), workers=2, scale=0.1
+        serial = run_series(
+            TINY_CHURN, distributed_approaches(), scale=0.1, workers=1
+        )
+        parallel = run_series(
+            TINY_CHURN, distributed_approaches(), scale=0.1, workers=2
         )
         assert parallel.counts == serial.counts
         assert parallel.results == serial.results
@@ -177,13 +186,15 @@ class TestMergeFidelity:
         )
 
     def test_lifecycle_sharded_equals_serial_bit_identically(self):
-        """The admit/retire family through both runners: program
+        """The admit/retire family in-process and pooled: program
         compilation, scheduled admissions/retirements and the
         per-lifetime oracle fences must all reproduce identically in
         worker processes — the tentpole acceptance check."""
-        serial = run_series(TINY_LIFECYCLE, distributed_approaches(), scale=0.1)
-        parallel = run_series_parallel(
-            TINY_LIFECYCLE, distributed_approaches(), workers=2, scale=0.1
+        serial = run_series(
+            TINY_LIFECYCLE, distributed_approaches(), scale=0.1, workers=1
+        )
+        parallel = run_series(
+            TINY_LIFECYCLE, distributed_approaches(), scale=0.1, workers=2
         )
         assert parallel.counts == serial.counts
         assert parallel.results == serial.results
@@ -197,13 +208,15 @@ class TestMergeFidelity:
                 assert r.admit_load > 0
 
     def test_faults_sharded_equals_serial_bit_identically(self):
-        """The fault family through both runners: drop/jitter draws,
+        """The fault family in-process and pooled: drop/jitter draws,
         retransmission timers and refresh rounds must all reproduce
         identically in worker processes — the plan is pure data and the
         draws replay from the seeded stream."""
-        serial = run_series(TINY_FAULTS, distributed_approaches(), scale=0.1)
-        parallel = run_series_parallel(
-            TINY_FAULTS, distributed_approaches(), workers=2, scale=0.1
+        serial = run_series(
+            TINY_FAULTS, distributed_approaches(), scale=0.1, workers=1
+        )
+        parallel = run_series(
+            TINY_FAULTS, distributed_approaches(), scale=0.1, workers=2
         )
         assert parallel.counts == serial.counts
         assert parallel.results == serial.results
@@ -239,31 +252,26 @@ def _run_under_hashseed(script: str, hashseed: str) -> str:
 class TestCrossProcessDeterminism:
     _POINT_SCRIPT = """
 import sys; sys.path.insert(0, {path!r})
-from repro.experiments.runner import REPLAY_START, run_point
-from repro.metrics.oracle import compute_truth
+from repro.experiments.runner import run_program
 from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
-from repro.workload.sensorscope import ReplayConfig, build_replay
-from repro.workload.subscriptions import (
-    SubscriptionWorkloadConfig,
-    generate_subscriptions,
-)
+from repro.workload.program import WorkloadProgram
+from repro.workload.sensorscope import ReplayConfig
+from repro.workload.subscriptions import SubscriptionWorkloadConfig
 
-deployment = build_deployment(24, 3, seed=2)
-replay = build_replay(deployment, ReplayConfig(rounds=6, seed=3))
-workload = generate_subscriptions(
-    deployment,
-    replay.medians,
-    SubscriptionWorkloadConfig(n_subscriptions=8, attrs_min=3, attrs_max=5, seed=2),
-    spreads=replay.spreads,
-)
-events = replay.shifted(REPLAY_START)
-print(repr(run_point(all_approaches()["fsf"], deployment, workload, events)))
+compiled = WorkloadProgram(
+    subscriptions=SubscriptionWorkloadConfig(
+        n_subscriptions=8, attrs_min=3, attrs_max=5, seed=2
+    ),
+    replay=ReplayConfig(rounds=6, seed=3),
+).compile(build_deployment(24, 3, seed=2))
+print(repr(run_program(all_approaches()["fsf"], compiled)))
 """
 
     _SERIES_SCRIPT = """
 import sys; sys.path.insert(0, {path!r})
-from repro.experiments import run_series_parallel
+from repro.experiments import run_series
+from repro.protocols.registry import all_approaches
 from repro.network.topology import build_deployment
 from repro.workload.scenarios import Scenario
 
@@ -278,13 +286,14 @@ scenario = Scenario(
     attrs_min=3,
     attrs_max=5,
 )
-series = run_series_parallel(scenario, ["naive", "fsf"], workers=4, scale=0.1)
+approaches = {{key: all_approaches()[key] for key in ("naive", "fsf")}}
+series = run_series(scenario, approaches, scale=0.1, workers=4)
 for key, runs in series.results.items():
     for result in runs:
         print(key, repr(result))
 """
 
-    def test_run_point_dataclass_equal_across_hashseeds(self):
+    def test_point_dataclass_equal_across_hashseeds(self):
         """The satellite acceptance check: one full RunResult, two
         subprocesses, two different PYTHONHASHSEED values — equal as
         dataclasses, not merely as strings."""
@@ -301,7 +310,7 @@ for key, runs in series.results.items():
 
     def test_sharded_series_equal_across_hashseeds(self):
         """The tentpole acceptance check, scaled to test budget: the
-        sharded runner's whole SeriesResult is identical under two
+        pooled runner's whole SeriesResult is identical under two
         PYTHONHASHSEED values."""
         a = _run_under_hashseed(self._SERIES_SCRIPT, "0")
         b = _run_under_hashseed(self._SERIES_SCRIPT, "31337")
@@ -310,7 +319,8 @@ for key, runs in series.results.items():
 
     _CHURN_SCRIPT = """
 import sys; sys.path.insert(0, {path!r})
-from repro.experiments import run_series_parallel
+from repro.experiments import run_series
+from repro.protocols.registry import all_approaches
 from repro.network.topology import build_deployment
 from repro.workload.scenarios import Scenario
 from repro.workload.sensorscope import (
@@ -337,7 +347,8 @@ replay = build_dynamic_replay(
 )
 print(sorted(replay.churn.intervals.items()))
 print(len(replay.events), repr(replay.events[0]), repr(replay.events[-1]))
-series = run_series_parallel(scenario, ["naive", "fsf"], workers=2, scale=0.1)
+approaches = {{key: all_approaches()[key] for key in ("naive", "fsf")}}
+series = run_series(scenario, approaches, scale=0.1, workers=2)
 for key, runs in series.results.items():
     for result in runs:
         print(key, repr(result))
@@ -354,7 +365,8 @@ for key, runs in series.results.items():
 
     _LIFECYCLE_SCRIPT = """
 import sys; sys.path.insert(0, {path!r})
-from repro.experiments import run_series_parallel
+from repro.experiments import run_series
+from repro.protocols.registry import all_approaches
 from repro.network.topology import build_deployment
 from repro.workload.program import QueryLifecycleConfig
 from repro.workload.scenarios import Scenario
@@ -374,7 +386,8 @@ scenario = Scenario(
 program = scenario.program(12)
 source = program.source(factory(scenario.seed))
 print(source.edges)
-series = run_series_parallel(scenario, ["naive", "fsf"], workers=2, scale=0.1)
+approaches = {{key: all_approaches()[key] for key in ("naive", "fsf")}}
+series = run_series(scenario, approaches, scale=0.1, workers=2)
 for key, runs in series.results.items():
     for result in runs:
         print(key, repr(result))
@@ -393,7 +406,8 @@ for key, runs in series.results.items():
 
     _FAULTS_SCRIPT = """
 import sys; sys.path.insert(0, {path!r})
-from repro.experiments import run_series_parallel
+from repro.experiments import run_series
+from repro.protocols.registry import all_approaches
 from repro.network.faults import FaultPlan, LinkFault
 from repro.network.reliability import ReliabilityConfig
 from repro.network.topology import build_deployment
@@ -412,7 +426,8 @@ scenario = Scenario(
     faults=FaultPlan(default=LinkFault(drop=0.1, jitter=0.02), seed=5),
     reliability=ReliabilityConfig(),
 )
-series = run_series_parallel(scenario, ["naive", "fsf"], workers=2, scale=0.1)
+approaches = {{key: all_approaches()[key] for key in ("naive", "fsf")}}
+series = run_series(scenario, approaches, scale=0.1, workers=2)
 for key, runs in series.results.items():
     for result in runs:
         print(key, repr(result))

@@ -22,17 +22,12 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.runner import (
-    REPLAY_START,
-    run_point,
-    run_program,
-    shifted_churn,
-)
+from repro.experiments.runner import REPLAY_START, run_program
 from repro.metrics.oracle import compute_truth
 from repro.network.faults import FaultPlan, LinkFault, OutageWindow
 from repro.network.reliability import ReliabilityConfig
@@ -43,7 +38,6 @@ from repro.workload.sensorscope import (
     ChurnConfig,
     DynamicReplayConfig,
     ReplayConfig,
-    build_dynamic_replay,
     build_replay,
 )
 from repro.workload.subscriptions import (
@@ -85,40 +79,32 @@ FAULT_PLANS: dict[str, tuple[FaultPlan, ReliabilityConfig]] = {
 }
 
 
+STATIC_PROGRAM = WorkloadProgram(
+    subscriptions=STATIC_SUBSCRIPTIONS, replay=STATIC_REPLAY
+)
+CHURN_PROGRAM = WorkloadProgram(
+    subscriptions=SubscriptionWorkloadConfig(
+        n_subscriptions=6, attrs_min=3, attrs_max=5, seed=4
+    ),
+    dynamic=DynamicReplayConfig(days=2, rounds_per_day=6, day_seconds=100.0),
+    churn=ChurnConfig(cycle_fraction=0.3),
+)
+
+
 @functools.cache
 def static_point():
-    deployment = build_deployment(24, 3, seed=2)
-    replay = build_replay(deployment, STATIC_REPLAY)
-    workload = generate_subscriptions(
-        deployment, replay.medians, STATIC_SUBSCRIPTIONS, spreads=replay.spreads
-    )
-    return deployment, workload, replay.shifted(REPLAY_START)
+    return STATIC_PROGRAM.compile(build_deployment(24, 3, seed=2))
 
 
 @functools.cache
 def churn_point():
-    deployment = build_deployment(24, 3, seed=4)
-    replay = build_dynamic_replay(
-        deployment,
-        DynamicReplayConfig(days=2, rounds_per_day=6, day_seconds=100.0),
-        ChurnConfig(cycle_fraction=0.3),
-    )
-    workload = generate_subscriptions(
-        deployment,
-        replay.medians,
-        SubscriptionWorkloadConfig(
-            n_subscriptions=6, attrs_min=3, attrs_max=5, seed=4
-        ),
-        spreads=replay.spreads,
-    )
-    events = replay.shifted(REPLAY_START)
-    return deployment, workload, events, shifted_churn(replay)
+    return CHURN_PROGRAM.compile(build_deployment(24, 3, seed=4))
 
 
-def run_results(deployment, workload, events, churn=None) -> dict[str, dict]:
+def run_results(compiled) -> dict[str, dict]:
     """``RunResult`` fields per approach for one settled point."""
     return {
-        key: asdict(run_point(approach, deployment, workload, events, churn=churn))
+        key: asdict(run_program(approach, compiled))
         for key, approach in all_approaches().items()
     }
 
@@ -126,12 +112,9 @@ def run_results(deployment, workload, events, churn=None) -> dict[str, dict]:
 def fault_outcomes(name: str) -> dict[str, dict]:
     """What the fault lane decides, per approach, under ``FAULT_PLANS[name]``."""
     plan, reliability = FAULT_PLANS[name]
-    compiled = WorkloadProgram(
-        subscriptions=STATIC_SUBSCRIPTIONS,
-        replay=STATIC_REPLAY,
-        faults=plan,
-        reliability=reliability,
-    ).compile(static_point()[0])
+    compiled = replace(
+        STATIC_PROGRAM, faults=plan, reliability=reliability
+    ).compile(static_point().deployment)
     outcomes = {}
     for key in all_approaches():
         execution = execute_program(compiled, key)
@@ -162,7 +145,7 @@ class TestSettledProgramBitIdentity:
     @pytest.mark.parametrize("matching", MATCHING_MODES)
     def test_all_approaches_static(self, matching, facade_matching):
         facade_matching(matching)
-        actual = run_results(*static_point())
+        actual = run_results(static_point())
         assert actual == golden()["static"], matching
         for result in actual.values():
             assert result["retired_queries"] == 0
@@ -172,7 +155,7 @@ class TestSettledProgramBitIdentity:
     def test_all_approaches_under_churn(self, matching, facade_matching):
         """Churn keeps the advertisement channel live mid-replay."""
         facade_matching(matching)
-        actual = run_results(*churn_point())
+        actual = run_results(churn_point())
         assert actual == golden()["churn"], matching
         assert all(result["reflood_load"] > 0 for result in actual.values())
 
@@ -184,27 +167,20 @@ class TestSettledProgramBitIdentity:
         assert actual == golden()[name]
         assert any(o["snapshot"]["retransmission_units"] for o in actual.values())
 
-    def test_program_entry_point_matches_run_point(self):
-        """Driving the same prefix through an actual WorkloadProgram
-        (source -> compile -> run_program) is the same experiment."""
-        deployment, workload, events = static_point()
-        program = WorkloadProgram(
-            subscriptions=STATIC_SUBSCRIPTIONS, replay=STATIC_REPLAY
-        )
-        compiled = program.compile(deployment)
-        approach = all_approaches()["fsf"]
-        assert run_program(approach, compiled) == run_point(
-            approach, deployment, workload, events
-        )
-
     def test_program_truth_equals_direct_truth(self):
-        deployment, workload, events = static_point()
-        program = WorkloadProgram(
-            subscriptions=STATIC_SUBSCRIPTIONS, replay=STATIC_REPLAY
+        compiled = static_point()
+        deployment = compiled.deployment
+        replay = build_replay(deployment, STATIC_REPLAY)
+        workload = generate_subscriptions(
+            deployment,
+            replay.medians,
+            STATIC_SUBSCRIPTIONS,
+            spreads=replay.spreads,
         )
-        compiled = program.compile(deployment)
         direct = compute_truth(
-            [p.subscription for p in workload], deployment, events
+            [p.subscription for p in workload],
+            deployment,
+            replay.shifted(REPLAY_START),
         )
         via_program = compiled.truth()
         assert set(via_program) == set(direct)
@@ -215,8 +191,8 @@ class TestSettledProgramBitIdentity:
 
 if __name__ == "__main__":
     goldens = {
-        "static": run_results(*static_point()),
-        "churn": run_results(*churn_point()),
+        "static": run_results(static_point()),
+        "churn": run_results(churn_point()),
         **{name: fault_outcomes(name) for name in FAULT_PLANS},
     }
     GOLDEN_PATH.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")
