@@ -233,18 +233,23 @@ class CentralizedNode(Node):
         store = self.stores.get(LOCAL)
         if store is None:
             return
-        for operator, matcher in store.matched_for_sensor(event.sensor_id, False):
-            participants = hits.get(matcher)
-            if participants is None:
-                continue
+        matched = []
+        for matcher, participants in hits.items():
+            group = store.streams.get(matcher)
+            if group is not None:
+                members = [m for events in participants.values() for m in events]
+                matched += [(record, members) for record in group.records]
+        # One result set per operator, served in the operators' arrival
+        # order (the unicasts draw from the fault stream in send order).
+        for record, members in sorted(matched, key=lambda pair: pair[0].seq):
+            operator = record.operator
             self.network.delivery.record_complex(operator.subscription_id)
             outgoing: dict[EventKey, SimpleEvent] = {}
-            tag_base = operator.op_id
-            for events in participants.values():
-                for member in events:
-                    if not self.was_sent(member.key, tag_base):
-                        self.mark_sent(member.key, tag_base)
-                        outgoing[member.key] = member
+            tag = operator.op_id
+            for member in members:
+                if not self.was_sent(member.key, tag):
+                    self.mark_sent(member.key, tag)
+                    outgoing[member.key] = member
             for _, member in sorted(outgoing.items()):
                 self.network.unicast(
                     self.node_id,

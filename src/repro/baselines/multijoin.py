@@ -240,9 +240,7 @@ class MultiJoinNode(Node):
             if store is None:
                 continue
             outgoing: dict = {}
-            for operator, matcher in store.matched_for_sensor(
-                event.sensor_id, False
-            ):
+            for operator, matcher in store.matched_for_sensor(event.sensor_id):
                 role = self.roles.get(operator.op_id, TRANSIT)
                 if role == SPLIT:
                     continue  # its binary joins act instead
@@ -294,12 +292,11 @@ class MultiJoinNode(Node):
         """User-side delivery: value-filter acceptance (false positives
         included, as the paper describes), plus exact complex matching
         for the complex-delivery counter."""
-        for subscription, root, _matcher in self._local_by_sensor.get(
-            event.sensor_id, ()
-        ):
-            if root.accepts_some(event):
-                self.network.delivery.record_events(subscription.sub_id, [event])
-        self.deliver_local_matches(event, hits)
+        if self._local_roots:  # most nodes serve no user
+            for root, _ in self._local_roots.matched_for_sensor(event.sensor_id):
+                if root.accepts_some(event):
+                    self.network.delivery.record_events(root.subscription_id, [event])
+        self.deliver_local_matches(hits)
 
 
 def multijoin_approach() -> Approach:

@@ -29,10 +29,10 @@ class NaiveNode(Node):
         hits = self.ingest(event)
         if not hits:
             return  # dropped, or no operator here has a match
-        self.deliver_local_matches(event, hits)
+        self.deliver_local_matches(hits)
         # One result set per stored operator; overlapping subscriptions
         # pay once each (the redundancy the paper's metrics expose).
-        self.stream_forward(event, hits, sender=origin, include_covered=False)
+        self.stream_forward(hits, sender=origin, include_covered=False)
 
 
 def naive_approach() -> Approach:

@@ -47,10 +47,10 @@ class OperatorPlacementNode(Node):
         hits = self.ingest(event)
         if not hits:
             return  # dropped, or no operator here has a match
-        self.deliver_local_matches(event, hits)
+        self.deliver_local_matches(hits)
         # include_covered=True: operators covered at this node generate
         # their own streams from here toward their users.
-        self.stream_forward(event, hits, sender=origin, include_covered=True)
+        self.stream_forward(hits, sender=origin, include_covered=True)
 
 
 def operator_placement_approach() -> Approach:

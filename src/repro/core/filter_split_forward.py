@@ -164,12 +164,12 @@ class FilterSplitForwardNode(Node):
         hits = self.ingest(event)
         if not hits:
             return  # dropped, or no operator here has a match
-        self.deliver_local_matches(event, hits)  # lines 14-15 (j == n)
+        self.deliver_local_matches(hits)  # lines 14-15 (j == n)
         # include_covered: an operator covered *at this node* still
         # generates its result set from here (Section V-A's "generates
         # the missing result set at the node where covering was
         # detected"); per-link dedup keeps the traffic shared.
-        self.pubsub_forward(event, hits, sender=origin, include_covered=True)
+        self.pubsub_forward(hits, sender=origin, include_covered=True)
 
 
 def filter_split_forward_approach(config: FSFConfig | None = None) -> Approach:

@@ -265,15 +265,24 @@ class CorrelationOperator:
         This is the "projection of the subscription on the neighbour's
         data space" of Algorithm 3 (line 8): the advertisement table
         yields the sensors behind a neighbour, and the operator keeps the
-        slots those sensors can fill.  Returns None when no slot remains.
+        slots those sensors can fill.  Returns None when no slot remains,
+        and the operator itself when every slot survives whole (the
+        common case on a transit hop): operators are frozen values and
+        the equal copy would carry the same ``op_id``.
         """
         available = set(sensor_ids)
         kept = []
+        whole = self.main_slot is None  # a projection drops the main slot
         for s in self.slots:
             common = s.sensors & available
-            if common:
-                # A slot the subtree fills completely is kept as it is.
-                kept.append(s if len(common) == len(s.sensors) else s.with_sensors(common))
+            if len(common) == len(s.sensors):
+                kept.append(s)
+            else:
+                whole = False
+                if common:
+                    kept.append(s.with_sensors(common))
+        if whole:
+            return self
         if not kept:
             return None
         return CorrelationOperator(

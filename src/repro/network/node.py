@@ -20,7 +20,7 @@ Filter-Split-Forward contribution) and ``repro.baselines``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Hashable, Iterable, Iterator
 
 from ..matching import ENGINES, HitMap, MatchingEngine, ReferenceEngine
 from ..model.advertisements import Advertisement, AdvertisementTable
@@ -33,6 +33,7 @@ from ..model.subscriptions import (
 )
 from ..sketches.messages import SketchPushMessage, SketchSubscribeMessage
 from ..subsumption.pairwise import find_cover
+from .eventstore import EventStore
 from .messages import (
     AdvertisementMessage,
     EventMessage,
@@ -110,21 +111,61 @@ def insert_by_seq(records: list, record) -> None:
 
 
 class StoredOperator:
-    """One stored operator record: rank, coverage flag, resolved matcher."""
+    """One stored operator record: rank, coverage and plan flags, matcher."""
 
-    __slots__ = ("seq", "operator", "covered", "matcher")
+    __slots__ = ("seq", "operator", "covered", "planned", "matcher")
 
     def __init__(
         self,
         seq: LifecycleSeq,
         operator: CorrelationOperator,
         covered: bool,
+        planned: bool,
         matcher: object,
     ) -> None:
         self.seq = seq
         self.operator = operator
         self.covered = covered
+        self.planned = planned
         self.matcher = matcher
+
+
+class StreamGroup:
+    """The records of one store that share a matcher: one entry of an
+    arrival's hit map answers all of them.  Each op id is one result
+    stream; the ids are kept as sets so the stream lane settles "which
+    of these streams still owe this event on this link" in one set
+    difference."""
+
+    __slots__ = ("records", "uncovered", "every", "planned")
+
+    def __init__(self) -> None:
+        self.records: list[StoredOperator] = []
+        self.uncovered: set[str] = set()
+        # The same set object until the group holds a covered record.
+        self.every = self.uncovered
+        # Adopted under a compiled placement plan (see adopt_planned).
+        self.planned: frozenset[str] = frozenset()
+
+    def add(self, record: StoredOperator) -> None:
+        op_id = record.operator.op_id
+        self.records.append(record)
+        if not record.covered:
+            self.uncovered.add(op_id)
+        elif self.every is self.uncovered:
+            self.every = set(self.uncovered)
+        self.every.add(op_id)
+        if record.planned:
+            self.planned |= {op_id}
+
+    def rescan(self) -> None:
+        """Rebuild the sets after records left the group."""
+        records = self.records
+        self.uncovered = {r.operator.op_id for r in records if not r.covered}
+        self.every = {r.operator.op_id for r in records}
+        if len(self.every) == len(self.uncovered):
+            self.every = self.uncovered
+        self.planned = frozenset(r.operator.op_id for r in records if r.planned)
 
 
 class SubscriptionStore:
@@ -135,6 +176,12 @@ class SubscriptionStore:
     then on every ingested event is indexed as it arrives instead of
     being rediscovered by scans; removing the operator again (query
     cancellation) releases the reference.
+
+    ``streams`` indexes the records by that matcher: the event paths
+    walk an arrival's hit map and find the streams it feeds here,
+    instead of walking the store.  :meth:`add`,
+    :meth:`remove_subscription` and :meth:`uncover` are the only
+    writers of the index and of ``record.covered``.
 
     Records keep their arrival rank (:data:`LifecycleSeq`) so that
     cancellation repair can re-evaluate coverage decisions against
@@ -149,6 +196,7 @@ class SubscriptionStore:
     ) -> None:
         self._records: list[StoredOperator] = []
         self._by_sensor: dict[str, list[StoredOperator]] = {}
+        self.streams: dict[object, StreamGroup] = {}
         self._op_ids: dict[str, int] = {}
         self._engine = engine
         self._seq_source = seq_source if seq_source is not None else SeqSource()
@@ -167,6 +215,7 @@ class SubscriptionStore:
         operator: CorrelationOperator,
         covered: bool,
         seq: LifecycleSeq | None = None,
+        planned: bool = False,
     ) -> StoredOperator:
         """Store an operator; ``seq`` overrides the rank (repair only)."""
         # Resolve the operator's matcher once at store time; the event
@@ -175,13 +224,24 @@ class SubscriptionStore:
             seq if seq is not None else self._seq_source.next(),
             operator,
             covered,
+            planned,
             self._engine.retain(operator),
         )
         insert_by_seq(self._records, record)
-        self._op_ids[operator.op_id] = self._op_ids.get(operator.op_id, 0) + 1
+        op_id = operator.op_id
+        self._op_ids[op_id] = self._op_ids.get(op_id, 0) + 1
         for sensor_id in sorted(operator.sensors):
             self._by_sensor.setdefault(sensor_id, []).append(record)
+        group = self.streams.get(record.matcher)
+        if group is None:
+            group = self.streams[record.matcher] = StreamGroup()
+        group.add(record)
         return record
+
+    def uncover(self, record: StoredOperator) -> None:
+        """Cancellation repair: a covered record lost its cover."""
+        record.covered = False
+        self.streams[record.matcher].uncovered.add(record.operator.op_id)
 
     def has_operator(self, op_id: str) -> bool:
         """Whether a record with this operator id is currently stored.
@@ -202,23 +262,26 @@ class SubscriptionStore:
         self._records = [
             r for r in self._records if r.operator.subscription_id != sub_id
         ]
-        sensors = {sid for r in removed for sid in r.operator.sensors}
-        for sensor_id in sorted(sensors):
+        for sensor_id in sorted({s for r in removed for s in r.operator.sensors}):
             bucket = [
                 r
-                for r in self._by_sensor.get(sensor_id, ())
+                for r in self._by_sensor[sensor_id]
                 if r.operator.subscription_id != sub_id
             ]
             if bucket:
                 self._by_sensor[sensor_id] = bucket
             else:
-                self._by_sensor.pop(sensor_id, None)
+                del self._by_sensor[sensor_id]
         for record in removed:
-            count = self._op_ids.get(record.operator.op_id, 0) - 1
-            if count > 0:
-                self._op_ids[record.operator.op_id] = count
+            self._op_ids[record.operator.op_id] -= 1
+            if not self._op_ids[record.operator.op_id]:
+                del self._op_ids[record.operator.op_id]
+            group = self.streams[record.matcher]
+            group.records.remove(record)
+            if group.records:
+                group.rescan()
             else:
-                self._op_ids.pop(record.operator.op_id, None)
+                del self.streams[record.matcher]
         for record in removed:
             self._engine.release(record.operator)
         return removed
@@ -234,17 +297,13 @@ class SubscriptionStore:
         ]
 
     def matched_for_sensor(
-        self, sensor_id: str, include_covered: bool
+        self, sensor_id: str
     ) -> Iterator[tuple[CorrelationOperator, object]]:
-        """(operator, matcher) pairs with a slot drawing from ``sensor_id``.
-
-        The event path only needs operators a new event could concern —
-        this index keeps per-event work proportional to the relevant
-        operators instead of the whole store.  The matcher is the one
-        retained at store time.
-        """
+        """Uncovered (operator, matcher) pairs with a slot drawing from
+        ``sensor_id`` — for the one event path that forwards on a value
+        filter instead of a match (multi-join's role walk)."""
         for record in self._by_sensor.get(sensor_id, ()):
-            if include_covered or not record.covered:
+            if not record.covered:
                 yield record.operator, record.matcher
 
     def same_signature_uncovered(
@@ -256,14 +315,6 @@ class SubscriptionStore:
             for r in self._records
             if not r.covered and r.operator.signature == operator.signature
         ]
-
-    def all_operators(self) -> Iterator[CorrelationOperator]:
-        for record in self._records:
-            if not record.covered:
-                yield record.operator
-        for record in self._records:
-            if record.covered:
-                yield record.operator
 
     def __len__(self) -> int:
         return len(self._records)
@@ -280,22 +331,32 @@ class Node:
     def __init__(self, node_id: str, network: "Network") -> None:
         self.node_id = node_id
         self.network = network
+        # Local advertisements parked during a broker outage; recovery
+        # re-attaches them through the re-flood path.
+        self._crashed_locals: list[Advertisement] = []
+        self._reset_volatile()
+
+    def _reset_volatile(self) -> None:
+        """Everything a process crash loses, in its initial state."""
         self.ads = AdvertisementTable()
         self.stores: dict[str, SubscriptionStore] = {}
         self.local_subscriptions: list[tuple[Subscription, CorrelationOperator]] = []
-        self._local_by_sensor: dict[
-            str, list[tuple[Subscription, CorrelationOperator]]
-        ] = {}
-        from .eventstore import EventStore  # local import avoids cycles
-
-        self.store = EventStore(network.validity)
+        self.store = EventStore(self.network.validity)
         # The matching engine mirrors the event store and matches each
         # arrival as it is stored (see ingest); the reference matcher
         # remains selectable (Network(matching="reference")) as the
         # oracle for equivalence tests and as the recompute-on-arrival
         # baseline for benchmarks.
-        self.matching = _make_engine(network.matching, self.store)
-        self._sent: dict[EventKey, set[Hashable]] = {}
+        self.matching = _make_engine(self.network.matching, self.store)
+        # The whole root operators of the local subscriptions, a store
+        # of their own: the final local check reads its stream index.
+        self._local_roots = SubscriptionStore(self.matching)
+        # Forwarded-to marks, one entry per stored event so one pop
+        # forgets them.  Pub/sub lanes (and the centre's result sets):
+        # ``{tag, ...}`` of links (op ids) served — was_sent/mark_sent.
+        # Stream lane: ``{link: {op id, ...}}``, the streams that link
+        # has carried the event for.
+        self._sent: dict[EventKey, Any] = {}
         self._adds_since_prune = 0
         self._seq_source = SeqSource()
         # Reverse-path memory for query cancellation and soft-state
@@ -305,23 +366,10 @@ class Node:
         self._forwarded_subs: dict[
             str, dict[str, dict[str, CorrelationOperator]]
         ] = {}
-        # Operator pieces adopted under a compiled placement plan.  A
-        # plan may fold a branch back along its trunk (delayed split),
-        # so completed matches must travel to the neighbour the branch
-        # events arrived from — the one case the forwarding loops'
-        # neighbour==sender skip must not apply to.  Heuristically
-        # placed operators never need this (the operator tree is a
-        # tree; events climb strictly toward the consumer), so the set
-        # stays empty outside compiled placements and the skip keeps
-        # its historical behaviour bit-for-bit.
-        self._planned_ops: set[str] = set()
         # Soft-state clock: last refresh epoch seen per sensor (0 =
         # only the setup flood).  Dedupes refresh floods and drives
         # advertisement expiry.
         self._ad_epochs: dict[str, int] = {}
-        # Local advertisements parked during a broker outage; recovery
-        # re-attaches them through the re-flood path.
-        self._crashed_locals: list[Advertisement] = []
 
     # ------------------------------------------------------------------
     # plumbing
@@ -397,6 +445,12 @@ class Node:
             self.node_id, neighbor, OperatorMessage(operator, plan=plan)
         )
 
+    def flood(self, message: Message, skip: str | None = None) -> None:
+        """Send ``message`` to every neighbour except ``skip``."""
+        for neighbor in self.neighbors:
+            if neighbor != skip:
+                self.network.send(self.node_id, neighbor, message)
+
     def knows_operator(self, op_id: str) -> bool:
         """Whether any store currently holds a record of ``op_id``."""
         return any(store.has_operator(op_id) for store in self.stores.values())
@@ -430,10 +484,7 @@ class Node:
             lane.unfence_sensor(self.node_id, advertisement.sensor_id)
         if not self.ads.add_local(advertisement):
             return
-        for neighbor in self.neighbors:
-            self.network.send(
-                self.node_id, neighbor, AdvertisementMessage(advertisement)
-            )
+        self.flood(AdvertisementMessage(advertisement))
 
     def detach_sensor(self, sensor_id: str) -> None:
         """Churn leave: retract a locally attached sensor everywhere.
@@ -449,12 +500,7 @@ class Node:
             return
         self.ads.remove(sensor_id)
         self.fence_sensor_state(sensor_id)
-        for neighbor in self.neighbors:
-            self.network.send(
-                self.node_id,
-                neighbor,
-                AdvertisementMessage(advertisement, retract=True),
-            )
+        self.flood(AdvertisementMessage(advertisement, retract=True))
 
     def publish(self, event: SimpleEvent) -> None:
         """A locally attached sensor produced a reading."""
@@ -489,13 +535,9 @@ class Node:
             return
         self.local_subscriptions.append((subscription, root))
         # The whole root operator drives the final local check even when
-        # handle_operator stores only fragments of it; retain its
-        # matcher once here (released again on cancellation).
-        matcher = self.matching.retain(root)
-        for sensor_id in sorted(root.sensors):
-            self._local_by_sensor.setdefault(sensor_id, []).append(
-                (subscription, root, matcher)
-            )
+        # handle_operator stores only fragments of it (its matcher is
+        # retained here and released again on cancellation).
+        self._local_roots.add(root, covered=False)
         self._seq_source.begin_arrival()
         if plan is not None:
             self.adopt_planned(root, LOCAL, plan)
@@ -532,6 +574,14 @@ class Node:
         opaque here — any object with ``next_hops(node_id, sensors)``
         (built by ``repro.placement``, which sits above this layer).
 
+        The record is marked *planned*: a plan may fold a branch back
+        along its trunk (delayed split), so completed matches must
+        travel to the neighbour the branch events arrived from — the
+        one case the forward paths' neighbour==sender skip must not
+        apply to.  Heuristically placed operators never need this (the
+        operator tree is a tree; events climb strictly toward the
+        consumer).  The mark lives and dies with the record.
+
         Reverse-path memory is recorded via :meth:`send_operator`, so
         ``UnsubscribeMessage`` teardown retraces planned placements for
         free.
@@ -539,8 +589,7 @@ class Node:
         store = self.store_for(origin)
         if store.has_operator(operator.op_id):
             return
-        store.add(operator, covered=False)
-        self._planned_ops.add(operator.op_id)
+        store.add(operator, covered=False, planned=True)
         for neighbor, subset in plan.next_hops(self.node_id, operator.sensors):
             piece = operator.project_sensors(subset)
             if piece is not None:
@@ -573,18 +622,7 @@ class Node:
         self.local_subscriptions = [
             entry for entry in self.local_subscriptions if entry[0].sub_id != sub_id
         ]
-        for sensor_id in sorted({sid for _, root in removed for sid in root.sensors}):
-            bucket = [
-                entry
-                for entry in self._local_by_sensor.get(sensor_id, ())
-                if entry[0].sub_id != sub_id
-            ]
-            if bucket:
-                self._local_by_sensor[sensor_id] = bucket
-            else:
-                self._local_by_sensor.pop(sensor_id, None)
-        for _, root in removed:
-            self.matching.release(root)
+        self._local_roots.remove_subscription(sub_id)
         self.retire_subscription(sub_id)
         return True
 
@@ -634,7 +672,7 @@ class Node:
                 continue
             if self.recheck_coverage(record, store):
                 continue
-            record.covered = False
+            store.uncover(record)
             self._seq_source.begin_arrival(prefix=record.seq)
             self.on_operator_uncovered(record, origin, store)
 
@@ -694,11 +732,7 @@ class Node:
             lane.unfence_sensor(self.node_id, advertisement.sensor_id)
         if not self.ads.add(origin, advertisement):
             return
-        for neighbor in self.neighbors:
-            if neighbor != origin:
-                self.network.send(
-                    self.node_id, neighbor, AdvertisementMessage(advertisement)
-                )
+        self.flood(AdvertisementMessage(advertisement), skip=origin)
 
     def handle_retraction(self, advertisement: Advertisement, origin: str) -> None:
         """Churn leave, remote side: forget, fence and flood onwards.
@@ -713,13 +747,7 @@ class Node:
         if not self.ads.remove(advertisement.sensor_id):
             return
         self.fence_sensor_state(advertisement.sensor_id)
-        for neighbor in self.neighbors:
-            if neighbor != origin:
-                self.network.send(
-                    self.node_id,
-                    neighbor,
-                    AdvertisementMessage(advertisement, retract=True),
-                )
+        self.flood(AdvertisementMessage(advertisement, retract=True), skip=origin)
 
     def fence_sensor_state(self, sensor_id: str) -> None:
         """Drop a departed sensor's events from ``U`` and the per-event
@@ -755,13 +783,9 @@ class Node:
         self._ad_epochs[sensor_id] = epoch
         self.store.unfence_sensor(sensor_id)
         self.ads.add(origin, advertisement)
-        for neighbor in self.neighbors:
-            if neighbor != origin:
-                self.network.send(
-                    self.node_id,
-                    neighbor,
-                    AdvertisementMessage(advertisement, refresh_epoch=epoch),
-                )
+        self.flood(
+            AdvertisementMessage(advertisement, refresh_epoch=epoch), skip=origin
+        )
 
     def refresh_soft_state(self, epoch: int, expiry_rounds: int) -> None:
         """One refresh round at this node (reliability layer only).
@@ -788,12 +812,7 @@ class Node:
             self.ads.from_origin(LOCAL).items()
         ):
             self._ad_epochs[sensor_id] = epoch
-            for neighbor in self.neighbors:
-                self.network.send(
-                    self.node_id,
-                    neighbor,
-                    AdvertisementMessage(advertisement, refresh_epoch=epoch),
-                )
+            self.flood(AdvertisementMessage(advertisement, refresh_epoch=epoch))
         for sub_id in sorted(self._forwarded_subs):
             per_neighbor = self._forwarded_subs[sub_id]
             for neighbor in sorted(per_neighbor):
@@ -818,19 +837,7 @@ class Node:
         self._crashed_locals = [
             ad for _, ad in sorted(self.ads.from_origin(LOCAL).items())
         ]
-        from .eventstore import EventStore  # local import avoids cycles
-
-        self.ads = AdvertisementTable()
-        self.stores = {}
-        self.local_subscriptions = []
-        self._local_by_sensor = {}
-        self.store = EventStore(self.network.validity)
-        self.matching = _make_engine(self.network.matching, self.store)
-        self._sent = {}
-        self._adds_since_prune = 0
-        self._seq_source = SeqSource()
-        self._forwarded_subs = {}
-        self._ad_epochs = {}
+        self._reset_volatile()
         self.on_crash()
 
     def recover(self) -> None:
@@ -882,22 +889,26 @@ class Node:
         for key in self.store.prune(self.now):
             self._sent.pop(key, None)
 
-    def deliver_local_matches(self, event: SimpleEvent, hits: HitMap) -> None:
+    def deliver_local_matches(self, hits: HitMap) -> None:
         """Final, exact matching against whole local subscriptions.
 
         Algorithm 5, line 14-15: for ``j == n`` the whole local
         subscriptions are checked and matching complex events delivered
         to the user.  Participants are logged for the recall metric.
         """
-        for subscription, _root, matcher in self._local_by_sensor.get(
-            event.sensor_id, ()
-        ):
-            participants = hits.get(matcher)
-            if participants is None:
+        local = self._local_roots.streams
+        if not local:
+            return
+        delivery = self.network.delivery
+        for matcher, participants in hits.items():
+            group = local.get(matcher)
+            if group is None:
                 continue
             delivered = [e for events in participants.values() for e in events]
-            self.network.delivery.record_events(subscription.sub_id, delivered)
-            self.network.delivery.record_complex(subscription.sub_id)
+            for record in group.records:
+                sub_id = record.operator.subscription_id
+                delivery.record_events(sub_id, delivered)
+                delivery.record_complex(sub_id)
 
     def split_targets(
         self, operator: CorrelationOperator, exclude: Iterable[str] = ()
@@ -921,12 +932,39 @@ class Node:
                 targets[neighbor] = piece
         return targets
 
+    def hit_links(
+        self, hits: HitMap, sender: str, include_covered: bool
+    ) -> list[tuple[str, list]]:
+        """Per-link header of the two forward paths below.
+
+        ``(neighbour, [(op ids, participants), ...])`` per link: one pair
+        per matcher in ``hits`` with streams from that neighbour (covered
+        ones only with ``include_covered``), however many share it.
+        Toward the ``sender`` only plan-adopted streams count, the
+        fold-back path of a compiled plan (:meth:`adopt_planned`).
+        """
+        links = []
+        for neighbor in self.neighbors:
+            store = self.stores.get(neighbor)
+            if store is None:
+                continue
+            index = store.streams
+            owed = []
+            for matcher, participants in hits.items():
+                group = index.get(matcher)
+                if group is None:
+                    continue
+                ops = group.every if include_covered else group.uncovered
+                if neighbor == sender:
+                    ops = group.planned and ops & group.planned
+                if ops:
+                    owed.append((ops, participants))
+            if owed:
+                links.append((neighbor, owed))
+        return links
+
     def pubsub_forward(
-        self,
-        event: SimpleEvent,
-        hits: HitMap,
-        sender: str,
-        include_covered: bool = False,
+        self, hits: HitMap, sender: str, include_covered: bool = False
     ) -> None:
         """Per-neighbour publish/subscribe forwarding (Algorithm 5).
 
@@ -936,32 +974,13 @@ class Node:
         ``j``, at most once per link.  ``hits`` holds those matches.
         """
         sent = self._sent
-        planned = self._planned_ops
-        for neighbor in self.neighbors:
-            if neighbor == sender and not planned:
-                continue
-            store = self.stores.get(neighbor)
-            if store is None:
-                continue
+        for neighbor, owed in self.hit_links(hits, sender, include_covered):
             outgoing: dict[EventKey, SimpleEvent] = {}
-            pairs = store.matched_for_sensor(event.sensor_id, include_covered)
-            if neighbor == sender:
-                # Only a compiled plan's fold-back return path may send
-                # an event back where it came from (see _planned_ops);
-                # per-link dedup still bounds it to once per link.
-                pairs = (
-                    (operator, matcher)
-                    for operator, matcher in pairs
-                    if operator.op_id in planned
-                )
-            for _operator, matcher in pairs:
-                participants = hits.get(matcher)
-                if participants is None:
-                    continue
+            for _ops, participants in owed:
                 for events in participants.values():
                     for member in events:
                         # inline was_sent — this loop touches every
-                        # participant of every matching operator
+                        # participant of every matching group
                         tags = sent.get(member.key)
                         if tags is None or neighbor not in tags:
                             outgoing[member.key] = member
@@ -970,11 +989,7 @@ class Node:
                 self.send_event(neighbor, member)
 
     def stream_forward(
-        self,
-        event: SimpleEvent,
-        hits: HitMap,
-        sender: str,
-        include_covered: bool,
+        self, hits: HitMap, sender: str, include_covered: bool
     ) -> None:
         """Per-subscription result-set forwarding (naive / operator
         placement).
@@ -989,42 +1004,26 @@ class Node:
         was detected, to the user's node").  ``hits`` holds the matches.
         """
         sent = self._sent
-        planned = self._planned_ops
-        for neighbor in self.neighbors:
-            if neighbor == sender and not planned:
-                continue
-            store = self.stores.get(neighbor)
-            if store is None:
-                continue
+        for neighbor, owed in self.hit_links(hits, sender, include_covered):
             outgoing: dict[EventKey, tuple[SimpleEvent, list[str]]] = {}
-            pairs = store.matched_for_sensor(event.sensor_id, include_covered)
-            if neighbor == sender:
-                # Fold-back return path of a compiled plan: only
-                # plan-adopted pieces may route an event back to its
-                # sender (see _planned_ops); the per-stream sent marks
-                # bound any bounce to one hop.
-                pairs = (
-                    (operator, matcher)
-                    for operator, matcher in pairs
-                    if operator.op_id in planned
-                )
-            for operator, matcher in pairs:
-                participants = hits.get(matcher)
-                if participants is None:
-                    continue
-                tag = (operator.op_id, neighbor)
+            for ops, participants in owed:
                 for events in participants.values():
                     for member in events:
-                        # inline was_sent / mark_sent, as above
+                        # The streams of this group the link has not yet
+                        # carried the member for: one set difference.
                         key = member.key
-                        tags = sent.get(key)
-                        if tags is None:
-                            sent[key] = {tag}
-                        elif tag not in tags:
-                            tags.add(tag)
+                        links = sent.get(key)
+                        if links is None:
+                            links = sent[key] = {}
+                        carried = links.get(neighbor)
+                        if carried is None:
+                            links[neighbor] = set(ops)
+                            new = ops
                         else:
-                            continue
-                        entry = outgoing.setdefault(key, (member, []))
-                        entry[1].append(operator.op_id)
+                            new = ops - carried
+                            if not new:
+                                continue
+                            carried |= new
+                        outgoing.setdefault(key, (member, []))[1].extend(new)
             for key, (member, streams) in sorted(outgoing.items()):
                 self.send_event(neighbor, member, tuple(sorted(streams)))

@@ -126,7 +126,7 @@ class TestMultiJoin:
         assert len(join_roles) == 3  # ring of three binary joins
         # Below the divergence only simple filters travel.
         assert all(
-            op.is_simple for op in net.nodes["s_b"].stores["s_a"].all_operators()
+            r.operator.is_simple for r in net.nodes["s_b"].stores["s_a"].records()
         )
 
     def test_subscription_load_higher_than_simple_splitting(self, line):

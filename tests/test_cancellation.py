@@ -205,9 +205,8 @@ def assert_no_trace(network, sub_id):
             sub.sub_id == sub_id for sub, _ in node.local_subscriptions
         ), where
         assert not any(
-            entry[0].sub_id == sub_id
-            for bucket in node._local_by_sensor.values()
-            for entry in bucket
+            r.operator.subscription_id == sub_id
+            for r in node._local_roots.records()
         ), where
         assert sub_id not in node._forwarded_subs, where
         assert not any(

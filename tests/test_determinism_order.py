@@ -94,10 +94,10 @@ def test_node_local_by_sensor_is_sorted():
     net.register_subscription("u2", subscription)
     net.run_to_quiescence()
     node = net.nodes["u2"]
-    assert list(node._local_by_sensor) == ["a", "b", "c"]
+    assert list(node._local_roots._by_sensor) == ["a", "b", "c"]
     assert node.unsubscribe("s")
     net.run_to_quiescence()
-    assert node._local_by_sensor == {}
+    assert node._local_roots._by_sensor == {}
 
 
 def test_registration_order_is_hash_seed_independent():

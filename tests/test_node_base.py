@@ -137,6 +137,17 @@ class TestEventPlumbing:
         net.run_to_quiescence()
         assert net.sim.now - 100.0 > 3 * net.validity
         assert any(node._sent for node in net.nodes.values())
+        # One documented shape per lane (see Node._reset_volatile).
+        for node in net.nodes.values():
+            for marks in node._sent.values():
+                if approach in ("naive", "operator_placement"):
+                    # stream lane: {link: {op id, ...}}
+                    assert set(marks) <= set(node.neighbors)
+                    assert all(ops <= {"s[a,b]", "s[b]"} for ops in marks.values())
+                elif approach == "centralized":
+                    assert marks == {"s[a,b]"}  # the centre's result sets
+                else:
+                    assert marks <= set(node.neighbors)  # pub/sub: links served
         net.sim.at(
             net.sim.now + 2 * net.validity,
             lambda: [node.prune_expired() for node in net.nodes.values()],

@@ -88,6 +88,22 @@ class TestProjection:
         piece = op.project_sensors(["d2"])
         assert piece.slot("t").sensors == {"d2"}
 
+    def test_project_sensors_keeping_every_slot_whole_is_the_operator(self):
+        whole = op3()
+        assert whole.project_sensors(["c", "a", "b", "elsewhere"]) is whole
+        # A dropped slot, a narrowed slot: a new, unequal operator.
+        dropped = whole.project_sensors(["a", "b"])
+        assert dropped is not whole and dropped != whole
+        region = RectRegion(Interval(0, 10), Interval(0, 10))
+        s = AbstractSubscription.from_ranges("s", {"t": (0, 5)}, region, 2.0)
+        wide = operator_from_abstract(s, "n0", {"t": ["d1", "d2"]})
+        assert wide.project_sensors(["d1", "d2"]) is wide
+        narrowed = wide.project_sensors(["d1"])
+        assert narrowed != wide and narrowed.op_id == wide.op_id
+        # A binary join loses its main slot when projected: never itself.
+        join = whole.binary_joins()[0]
+        assert join.project_sensors(join.sensors) != join
+
 
 class TestBinaryJoins:
     def test_single_slot_unchanged(self):

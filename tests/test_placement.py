@@ -33,7 +33,7 @@ from repro.baselines import (
     operator_placement_approach,
 )
 from repro.core import FSFConfig, filter_split_forward_approach
-from repro.model import IdentifiedSubscription
+from repro.model import IdentifiedSubscription, SimpleEvent
 from repro.network.network import Network
 from repro.network.topology import (
     BASE_STATION_SPEC,
@@ -231,7 +231,7 @@ def test_compiled_placement_rejects_churn_and_faults():
         WorkloadProgram(subscriptions=subs, placement="optimal")
 
 
-def test_unplannable_approaches_refuse_plans():
+def planned_query():
     deployment = line_deployment()
     sub = IdentifiedSubscription.from_ranges(
         "q0", {"a": ("t", 0.0, 10.0), "b": ("t", 0.0, 10.0)}, delta_t=5.0
@@ -241,10 +241,80 @@ def test_unplannable_approaches_refuse_plans():
         [type("Adm", (), {"sub_id": "q0", "node_id": "u2", "subscription": sub})()],
         [],
     )
+    return deployment, sub, plans["q0"]
+
+
+def test_unplannable_approaches_refuse_plans():
+    deployment, sub, plan = planned_query()
     for approach in (centralized_approach(), multijoin_approach()):
         session = Session.create(approach=approach, deployment=deployment)
         with pytest.raises(QueryError, match="placement"):
-            session.submit(sub, at="u2", plan=plans["q0"])
+            session.submit(sub, at="u2", plan=plan)
+
+
+# ---------------------------------------------------------------------------
+# the planned mark lives and dies with its record
+# ---------------------------------------------------------------------------
+
+
+PLANNABLE = [naive_approach, operator_placement_approach, filter_split_forward_approach]
+
+
+def planned_marks(session) -> list[tuple[str, str, frozenset]]:
+    return [
+        (node.node_id, origin, group.planned)
+        for node in session.network.nodes.values()
+        for origin, store in node.stores.items()
+        for group in store.streams.values()
+        if group.planned
+    ]
+
+
+@pytest.mark.parametrize("approach", PLANNABLE)
+def test_no_planned_mark_survives_cancellation_or_a_crash(approach):
+    deployment, sub, plan = planned_query()
+    session = Session.create(approach=approach(), deployment=deployment)
+    handle = session.submit(sub, at="u2", plan=plan)
+    session.drain()
+    assert ("hub", "u1", {"q0[a,b]"}) in planned_marks(session)
+    handle.cancel()
+    session.drain()
+    assert planned_marks(session) == []
+    assert not any(hasattr(n, "_planned_ops") for n in session.network.nodes.values())
+    session.submit(sub, at="u2", plan=plan)
+    session.drain()
+    assert ("hub", "u1", {"q0[a,b]"}) in planned_marks(session)
+    for node in session.network.nodes.values():
+        node.crash()
+    assert planned_marks(session) == []
+
+
+@pytest.mark.parametrize("approach", PLANNABLE)
+def test_unplanned_resubmit_does_not_inherit_the_fold_back_permission(approach):
+    """Only a plan-adopted record may route an event back to where it
+    came from.  After the planned ``q0`` is cancelled, an *unplanned*
+    ``q0`` stores the same op ids; readings of its sensors reaching the
+    hub from the operator's own origin must not bounce back there."""
+    deployment, sub, plan = planned_query()
+    session = Session.create(approach=approach(), deployment=deployment)
+    session.submit(sub, at="u2", plan=plan).cancel()
+    session.drain()
+    session.submit(sub, at="u2")
+    session.drain()
+    network = session.network
+    hub = network.nodes["hub"]
+    assert [r.operator.op_id for r in hub.stores["u1"].records()] == ["q0[a,b]"]
+    before = network.meter.event_units
+    now = network.sim.now
+    for seq, sensor_id in enumerate("ab"):
+        placement = network.deployment.sensor_by_id(sensor_id)
+        reading = SimpleEvent(
+            sensor_id, "t", placement.location, 5.0, now + 0.1 * seq, seq
+        )
+        hub.handle_event(reading, "u1", ())
+    session.drain()
+    assert network.delivery.delivered("q0") == {}  # nothing travelled to u2
+    assert network.meter.event_units == before
 
 
 # ---------------------------------------------------------------------------
