@@ -64,9 +64,6 @@ class LayerContract:
         by_name = {layer.name: layer for layer in self.layers}
         return dst_layer in by_name[src_layer].may_import
 
-    def names(self) -> list[str]:
-        return [layer.name for layer in self.layers]
-
 
 def _detect_cycle(layers: tuple[Layer, ...]) -> list[str] | None:
     """First cycle in the declared may-import graph, as a name path."""

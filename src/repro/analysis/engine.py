@@ -47,9 +47,6 @@ class Finding:
     rule: str
     message: str
 
-    def render(self) -> str:
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-
 
 @dataclass(slots=True)
 class Suppression:

@@ -78,14 +78,13 @@ NUMPY_RANDOM_OK = frozenset({
 
 #: Dotted suffixes known (by convention in this codebase) to denote
 #: frozenset accessors: ``Slot.sensors`` / ``CorrelationOperator.sensors``
-#: / ``.slot_ids`` are frozensets, while ``deployment.sensors`` is an
+#: are frozensets, while ``deployment.sensors`` is an
 #: ordered tuple of placements — so the *suffix*, not the bare
 #: attribute name, is what disambiguates.
 SET_ATTRIBUTE_SUFFIXES = (
     "operator.sensors",
     "root.sensors",
     "slot.sensors",
-    "operator.slot_ids",
     "subscription.sensor_ids",
 )
 

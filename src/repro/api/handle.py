@@ -47,10 +47,6 @@ class ComplexMatch:
     def __len__(self) -> int:
         return len(self.events)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        body = ", ".join(str(e) for e in self.events)
-        return f"{self.sub_id}@t={self.timestamp:g}: [{body}]"
-
 
 @dataclass(frozen=True, slots=True)
 class QueryStats:
@@ -123,10 +119,6 @@ class QueryHandle:
     def accepted(self) -> bool:
         """False when registration was dropped for absent sources."""
         return self._accepted
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "active" if self._active else ("cancelled" if self._accepted else "dropped")
-        return f"QueryHandle({self.sub_id!r} at {self.node_id!r}, {state})"
 
     # ------------------------------------------------------------------
     # results

@@ -263,15 +263,6 @@ class Session:
         "compiled")``); ``None`` — the default — is the historical
         registration, bit-identical to pre-plan sessions.
         """
-        if plan is not None and (
-            self.approach is not None
-            and not self.approach.supports_planned_placement
-        ):
-            raise QueryError(
-                f"approach {self.approach.key!r} does not support "
-                "compiled placement plans"
-            )
-        self.network.check_plan(plan)
         if settle and self.network.sim.running:
             raise QueryError(
                 "cannot submit with settle=True from inside the event loop "
@@ -297,6 +288,7 @@ class Session:
         node_id = at if at is not None else self.default_user_node
         if node_id not in self.network.nodes:
             raise KeyError(f"unknown node {node_id!r}")
+        self.network.check_plan(node_id, plan)
         if settle:
             self.network.run_to_quiescence()
         if previous is not None:

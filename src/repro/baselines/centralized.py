@@ -42,6 +42,10 @@ class CentralizedNode(Node):
     nodes only inject (unicast toward the centre) and receive results.
     """
 
+    # Registration unicasts to the centre: there is no operator tree
+    # for a compiled plan to route.
+    executes_plans = False
+
     def __init__(self, node_id: str, network: "Network") -> None:
         super().__init__(node_id, network)
         self._departed_once: set[str] = set()
@@ -115,7 +119,9 @@ class CentralizedNode(Node):
             sensors[clause.attribute] = sorted(hits)
         return root_operator(subscription, self.node_id, sensors)
 
-    def subscribe(self, subscription: Subscription) -> None:
+    def subscribe(
+        self, subscription: Subscription, plan: object | None = None
+    ) -> None:
         root = self.build_root_operator(subscription)
         if root is None:
             self.network.dropped_subscriptions.append(subscription.sub_id)
@@ -267,9 +273,6 @@ def centralized_approach() -> Approach:
         event_propagation="Full result sets",
         make_node=CentralizedNode,
         floods_advertisements=False,
-        # Registration unicasts to the centre — there is no operator
-        # tree for a compiled plan to route.
-        supports_planned_placement=False,
         # Events stream to the centre regardless of who subscribed, so
         # suppressing per-subscription forwarding saves nothing — the
         # approximate lane has no traffic to trade error against.

@@ -77,6 +77,10 @@ class _DispatchRecord:
 class MultiJoinNode(Node):
     """Binary-join splitting at divergence nodes, roles on the event path."""
 
+    # The ring/role state machine is built inside handle_operator;
+    # plan-routed pieces would bypass it and orphan the dispatch ledger.
+    executes_plans = False
+
     def __init__(self, node_id: str, network: Network) -> None:
         super().__init__(node_id, network)
         self.roles: dict[str, str] = {}
@@ -307,8 +311,4 @@ def multijoin_approach() -> Approach:
         subscription_splitting="Binary joins",
         event_propagation="Per neighbor",
         make_node=MultiJoinNode,
-        # The ring/role state machine is built inside handle_operator;
-        # plan-routed pieces would bypass it and orphan the dispatch
-        # ledger.
-        supports_planned_placement=False,
     )

@@ -518,6 +518,15 @@ def figure_19(scale: float | None = None) -> FigureResult:
     node, vs the cost-model compiler, which delays the split toward the
     flooding group's head and gates the partial-match traffic at the
     edge.
+
+    The compiler prices link traffic only, the one resource the
+    simulator charges.  Compiled/paper total-unit ratio at the largest
+    point (fsf / operator placement / naive): 0.715 / 0.532 / 0.526 at
+    ``--scale ci``, 0.746 / 0.658 / 0.658 at ``smoke``.  With the
+    unenforced storage and compute terms the model carried up to PR 21
+    it was 0.978 / 0.970 / 0.958 and 0.997 / 0.988 / 0.988: they made
+    the weak edge nodes, where gating saves the most traffic, the most
+    expensive rendezvous.  Figure 20 is unchanged (every lane 100%).
     """
     runs = _placement_runs(scale)
     series: dict[str, tuple[float, ...]] = {}

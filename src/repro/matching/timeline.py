@@ -64,16 +64,6 @@ class TimelineView(Sequence[SimpleEvent]):
         for i in range(self._lo, self._hi):
             yield self._entries[i][-1]
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (list, tuple, TimelineView)):
-            return len(self) == len(other) and all(
-                a == b for a, b in zip(self, other)
-            )
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TimelineView({list(self)!r})"
-
 
 class Timeline:
     """Sorted-by-(timestamp, seq, sensor) event sequence, lazily kept."""
@@ -87,9 +77,6 @@ class Timeline:
         # Tracked, not read off ``_entries[-1]``: a lazily unsorted
         # timeline's newest entry need not be its last.
         self.max_timestamp = -_INF
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def __bool__(self) -> bool:
         return bool(self._entries)

@@ -12,11 +12,9 @@ Two truths per answer:
 * ``raw_true_count`` — events whose *value* lies in the closed query
   interval.  This is what a user ultimately cares about and what the
   recall-style accuracy ratio compares against.
-* ``true_count`` — the truth the summary's error contract is stated
-  over.  For the q-digest that is the *quantized* truth (events whose
-  leaf cell falls into the cell-aligned query range); the
-  multiresolution stack certifies against the raw count directly, so
-  there both truths coincide.
+* ``true_count`` — the truth the q-digest's error contract is stated
+  over: the *quantized* truth (events whose leaf cell falls into the
+  cell-aligned query range).
 
 The oracle pass asserts, per answer, that the certified bracket
 contains the contract truth and that the midpoint estimate is off by
@@ -50,7 +48,7 @@ class ApproxStats:
     observed_error: int
     error_bound: int
     n: int
-    eps: float | None
+    eps: float
     within_bound: bool
 
     @property
@@ -146,13 +144,8 @@ def measure_approx(
         raw_true = sum(
             1 for v in values if answer.interval.contains(v)
         )
-        if summary.quantized:
-            c_lo, c_hi = summary.query_cells(
-                answer.interval.lo, answer.interval.hi
-            )
-            true = sum(1 for v in values if c_lo <= summary.cell(v) <= c_hi)
-        else:
-            true = raw_true
+        c_lo, c_hi = summary.query_cells(answer.interval.lo, answer.interval.hi)
+        true = sum(1 for v in values if c_lo <= summary.cell(v) <= c_hi)
         observed = abs(answer.estimate - true)
         within = (
             answer.lower <= true <= answer.upper

@@ -157,7 +157,6 @@ def operator_truth(
     operator: CorrelationOperator,
     sub_id: str,
     index: EventIndex,
-    collect_participants: bool = True,
     method: str = "engine",
     churn=None,
     cancelled_at: float | None = None,
@@ -231,11 +230,10 @@ def operator_truth(
             if not instance_exists(operator, provider, event):
                 continue
             truth.triggers.add(event.key)
-            if collect_participants:
-                found = match_at_trigger(operator, provider, event.timestamp)
-                if found:
-                    for members in found.values():
-                        truth.participants.update(m.key for m in members)
+            found = match_at_trigger(operator, provider, event.timestamp)
+            if found:
+                for members in found.values():
+                    truth.participants.update(m.key for m in members)
         return truth
     if method != "engine":
         raise ValueError(
@@ -262,14 +260,13 @@ def operator_truth(
         if not matcher.instance_exists(event):
             continue
         truth.triggers.add(event.key)
-        if collect_participants:
-            t_star = event.timestamp
-            if t_star not in participants_at:
-                participants_at[t_star] = matcher.match_at_trigger(t_star)
-            found = participants_at[t_star]
-            if found:
-                for members in found.values():
-                    truth.participants.update(m.key for m in members)
+        t_star = event.timestamp
+        if t_star not in participants_at:
+            participants_at[t_star] = matcher.match_at_trigger(t_star)
+        found = participants_at[t_star]
+        if found:
+            for members in found.values():
+                truth.participants.update(m.key for m in members)
     return truth
 
 
@@ -277,7 +274,6 @@ def compute_truth(
     subscriptions: Iterable[Subscription],
     deployment: Deployment,
     events: Sequence[SimpleEvent],
-    collect_participants: bool = True,
     method: str = "engine",
     churn=None,
     cancellations: Mapping[str, float] | None = None,
@@ -328,7 +324,6 @@ def compute_truth(
             operator,
             subscription.sub_id,
             index,
-            collect_participants,
             method,
             churn=churn,
             cancelled_at=(

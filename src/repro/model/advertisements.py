@@ -23,9 +23,6 @@ class Advertisement:
     attribute: str
     location: Location
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DSA({self.sensor_id}:{self.attribute}@{self.location})"
-
 
 class AdvertisementTable:
     """Per-neighbour advertisement store of one processing node.
@@ -84,13 +81,6 @@ class AdvertisementTable:
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-    def next_hop(self, sensor_id: str) -> str | None:
-        """Neighbour the advertisement of ``sensor_id`` arrived from.
-
-        ``LOCAL`` for attached sensors, None for unknown sensors.
-        """
-        return self._next_hop.get(sensor_id)
-
     def knows(self, sensor_id: str) -> bool:
         return sensor_id in self._next_hop
 
@@ -144,6 +134,3 @@ class AdvertisementTable:
         for group in partition.values():
             group.sort()
         return partition
-
-    def __len__(self) -> int:
-        return len(self._next_hop)

@@ -33,9 +33,6 @@ class AttributeType:
         if self.domain.is_empty:
             raise ValueError(f"attribute {self.name!r} has an empty domain")
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
-
 
 class AttributeRegistry(Mapping[str, AttributeType]):
     """Name-indexed collection of attribute types.
@@ -70,10 +67,6 @@ class AttributeRegistry(Mapping[str, AttributeType]):
 
     def __len__(self) -> int:
         return len(self._by_name)
-
-    def names(self) -> tuple[str, ...]:
-        """Registered attribute names in registration order."""
-        return tuple(self._by_name)
 
 
 # ---------------------------------------------------------------------------

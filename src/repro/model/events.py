@@ -15,7 +15,7 @@ the per-link forwarding flags of the publish/subscribe event propagation
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .locations import Location, spatial_span
 
@@ -110,17 +110,8 @@ class ComplexEvent:
         """
         return max(self.events, key=lambda e: (e.timestamp, e.sensor_id, e.seq))
 
-    def keys(self) -> frozenset[EventKey]:
-        return frozenset(e.key for e in self.events)
-
     def __len__(self) -> int:
         return len(self.events)
-
-    def __iter__(self) -> Iterator[SimpleEvent]:
-        return iter(self.events)
-
-    def __hash__(self) -> int:
-        return hash(self.events)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,6 +126,3 @@ class MatchInstance:
 
     subscription_id: str
     trigger: EventKey
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"match({self.subscription_id} <- {self.trigger})"

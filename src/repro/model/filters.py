@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .advertisements import Advertisement
 from .events import SimpleEvent
 from .intervals import Interval, point
 from .locations import Region
@@ -57,21 +56,9 @@ class SimpleFilter:
             other.interval
         )
 
-    def intersect(self, other: "SimpleFilter") -> "SimpleFilter | None":
-        """Conjunction of two filters on the same attribute (None if empty)."""
-        if self.attribute != other.attribute:
-            raise ValueError("cannot intersect filters on different attributes")
-        joint = self.interval.intersect(other.interval)
-        if joint.is_empty:
-            return None
-        return SimpleFilter(self.attribute, joint)
-
     def widen(self, amount: float) -> "SimpleFilter":
         """Coarsened filter (Section VI-F recall mitigation)."""
         return SimpleFilter(self.attribute, self.interval.widen(amount))
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.interval.lo:g}<={self.attribute}<={self.interval.hi:g}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,14 +81,6 @@ class IdentifiedFilter:
             event
         )
 
-    def covers(self, other: "IdentifiedFilter") -> bool:
-        return self.sensor_id == other.sensor_id and self.condition.covers(
-            other.condition
-        )
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.condition}@{self.sensor_id}"
-
 
 @dataclass(frozen=True, slots=True)
 class AbstractFilter:
@@ -118,21 +97,3 @@ class AbstractFilter:
         return self.condition.matches_event(event) and self.region.contains(
             event.location
         )
-
-    def applies_to(self, advertisement: Advertisement) -> bool:
-        """Whether an advertised sensor falls under this clause."""
-        return (
-            advertisement.attribute == self.attribute
-            and self.region.contains(advertisement.location)
-        )
-
-    def identify(self, advertisement: Advertisement) -> IdentifiedFilter:
-        """Pin the clause to a concrete advertised sensor."""
-        if not self.applies_to(advertisement):
-            raise ValueError(
-                f"{advertisement} does not satisfy abstract clause {self}"
-            )
-        return IdentifiedFilter(advertisement.sensor_id, self.condition)
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.condition} in {self.region!r}"

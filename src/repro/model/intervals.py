@@ -129,11 +129,6 @@ class Interval:
             raise ValueError("relative_position needs a non-degenerate interval")
         return (value - self.lo) / (self.hi - self.lo)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        if self.is_empty:
-            return "[]"
-        return f"[{self.lo:g}, {self.hi:g}]"
-
 
 EMPTY_INTERVAL = Interval(1.0, 0.0)
 FULL_INTERVAL = Interval(-math.inf, math.inf)

@@ -142,9 +142,6 @@ class SiteLocation:
             return False
         return self.path[: len(ancestor.path)] == ancestor.path
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return "/".join(self.path)
-
 
 @dataclass(frozen=True, slots=True)
 class SiteRegion(Region):

@@ -72,12 +72,6 @@ class Slot:
     def with_interval(self, interval: Interval) -> "Slot":
         return Slot(self.slot_id, self.attribute, interval, self.sensors)
 
-    def with_sensors(self, sensors: frozenset[str]) -> "Slot":
-        """Slot restricted to a sensor subset (projection onto a subtree)."""
-        if not sensors:
-            raise ValueError("a slot needs at least one sensor")
-        return Slot(self.slot_id, self.attribute, self.interval, sensors)
-
 
 @dataclass(frozen=True)
 class CorrelationOperator:
@@ -206,10 +200,6 @@ class CorrelationOperator:
     # structure
     # ------------------------------------------------------------------
     @property
-    def slot_ids(self) -> frozenset[str]:
-        return frozenset(s.slot_id for s in self.slots)
-
-    @property
     def is_simple(self) -> bool:
         """Single-stream operators suffer no further splitting."""
         return len(self.slots) == 1
@@ -217,12 +207,6 @@ class CorrelationOperator:
     @property
     def is_binary_join(self) -> bool:
         return self.main_slot is not None
-
-    def slot(self, slot_id: str) -> Slot:
-        for s in self.slots:
-            if s.slot_id == slot_id:
-                return s
-        raise KeyError(slot_id)
 
     # ------------------------------------------------------------------
     # matching helpers
@@ -280,7 +264,7 @@ class CorrelationOperator:
             else:
                 whole = False
                 if common:
-                    kept.append(s.with_sensors(common))
+                    kept.append(Slot(s.slot_id, s.attribute, s.interval, common))
         if whole:
             return self
         if not kept:
@@ -365,9 +349,6 @@ class CorrelationOperator:
             self.delta_l,
             self.main_slot,
         )
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.op_id
 
 
 def _op_id(operator: CorrelationOperator) -> str:

@@ -69,20 +69,9 @@ class IdentifiedSubscription:
         """The sensor set ``D``."""
         return frozenset(f.sensor_id for f in self.filters)
 
-    @property
-    def by_sensor(self) -> Mapping[str, IdentifiedFilter]:
-        return {f.sensor_id: f for f in self.filters}
-
-    def filter_for(self, sensor_id: str) -> IdentifiedFilter | None:
-        for f in self.filters:
-            if f.sensor_id == sensor_id:
-                return f
-        return None
-
     def matches_simple(self, event: SimpleEvent) -> bool:
         """Paper's simple-event match: ``d in D`` and ``f_d(v)`` true."""
-        f = self.filter_for(event.sensor_id)
-        return f is not None and f.matches_event(event)
+        return any(f.matches_event(event) for f in self.filters)
 
     def widened(self, amount: float) -> "IdentifiedSubscription":
         """Coarsened copy (Section VI-F recall mitigation)."""
@@ -111,10 +100,6 @@ class IdentifiedSubscription:
             ),
             delta_t,
         )
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        body = " AND ".join(str(f) for f in self.filters)
-        return f"{self.sub_id}: {body} (dt={self.delta_t:g})"
 
 
 @dataclass(frozen=True)
@@ -160,20 +145,9 @@ class AbstractSubscription:
         """The attribute set ``A``."""
         return frozenset(c.attribute for c in self.clauses)
 
-    @property
-    def region(self) -> Region:
-        return self.clauses[0].region
-
-    def clause_for(self, attribute: str) -> AbstractFilter | None:
-        for c in self.clauses:
-            if c.attribute == attribute:
-                return c
-        return None
-
     def matches_simple(self, event: SimpleEvent) -> bool:
         """``a_d in A``, ``p_d in L`` and ``f_{a_d}(v)`` true."""
-        clause = self.clause_for(event.attribute)
-        return clause is not None and clause.matches_event(event)
+        return any(c.matches_event(event) for c in self.clauses)
 
     def resolve(
         self, advertisements: AdvertisementTable
@@ -210,10 +184,6 @@ class AbstractSubscription:
             delta_t,
             delta_l,
         )
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        body = " AND ".join(str(c.condition) for c in self.clauses)
-        return f"{self.sub_id}: {body} in region (dt={self.delta_t:g}, dl={self.delta_l:g})"
 
 
 Subscription = IdentifiedSubscription | AbstractSubscription

@@ -85,9 +85,6 @@ class DeliveryLog:
     def delivered_count(self, sub_id: str) -> int:
         return len(self._events.get(sub_id, {}))
 
-    def total_delivered(self) -> int:
-        return sum(len(bucket) for bucket in self._events.values())
-
     def view(self, sub_id: str) -> _DeliveredView:
         """Matching-compatible provider over the delivered events."""
         return _DeliveredView(self._events.get(sub_id, {}).values())

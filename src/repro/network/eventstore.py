@@ -28,7 +28,7 @@ tests lean on.
 
 from __future__ import annotations
 
-from typing import Iterator, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from ..matching.timeline import Timeline, TimelineView
 from ..model.events import EventKey, SimpleEvent
@@ -159,10 +159,6 @@ class EventStore:
         if not timeline:
             return ()
         return timeline.view(self._horizon, float("inf"))
-
-    def all_events(self) -> Iterator[SimpleEvent]:
-        for sensor_id in self._by_sensor:
-            yield from self.sensor_events(sensor_id)
 
     @property
     def latest_timestamp(self) -> float:

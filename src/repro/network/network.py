@@ -354,19 +354,23 @@ class Network:
         ``plan=None`` the call is exactly the historical registration —
         the null-plan fence the placement tests machine-check.
         """
-        self.check_plan(plan)
+        self.check_plan(node_id, plan)
         self.delivery.register(subscription.sub_id)
-        if plan is None:
-            self.nodes[node_id].subscribe(subscription)
-        else:
-            self.nodes[node_id].subscribe(subscription, plan)
+        self.nodes[node_id].subscribe(subscription, plan)
 
-    def check_plan(self, plan: object | None) -> None:
-        """Refuse a placement plan this network cannot execute — before
-        anything is written, so a refused registration leaves no trace
-        (``Session.submit`` calls it ahead of its own bookkeeping)."""
+    def check_plan(self, node_id: str, plan: object | None) -> None:
+        """Refuse a placement plan the node class or a lane of this
+        network cannot execute — before anything is written, so a
+        refused registration leaves no trace (``Session.submit`` calls
+        it ahead of its own bookkeeping)."""
         if plan is None:
             return
+        node = self.nodes[node_id]
+        if not node.executes_plans:
+            raise ValueError(
+                f"{type(node).__name__} does not execute compiled "
+                "placement plans"
+            )
         if self.reliability is not None:
             raise ValueError(
                 "compiled placement plans cannot ride the reliability "

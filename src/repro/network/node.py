@@ -328,6 +328,12 @@ def _make_engine(mode: str, store) -> MatchingEngine | ReferenceEngine:
 class Node:
     """Base processing node; subclasses implement the protocol hooks."""
 
+    #: Whether registration can route operator pieces along a compiled
+    #: placement plan (:meth:`adopt_planned`) instead of
+    #: ``handle_operator``; ``Network.check_plan`` refuses a plan on a
+    #: node class that says no.
+    executes_plans = True
+
     def __init__(self, node_id: str, network: "Network") -> None:
         self.node_id = node_id
         self.network = network

@@ -42,26 +42,23 @@ class NodeSpec:
 
     ``link_bandwidth`` scales the cost of moving one data unit over any
     link incident to the node (a link is priced by its *slower*
-    endpoint), ``storage_capacity`` the cost of parking event residency
-    on it, ``compute_rate`` the cost of running matcher work there.
-    All three are relative to the default relay (1.0).  Specs feed the
-    placement cost model only — the traffic meter keeps counting units,
-    so assigning specs never changes a measured run.
+    endpoint), relative to the default relay (1.0).  It is the only
+    attribute because units over links are the only thing the simulator
+    meters; storage and compute are not charged, so they are not priced.
+    Specs feed the placement cost model only — the traffic meter keeps
+    counting units, so assigning specs never changes a measured run.
     """
 
     tier: str = "relay"
     link_bandwidth: float = 1.0
-    storage_capacity: float = 1.0
-    compute_rate: float = 1.0
 
     def __post_init__(self) -> None:
         if self.tier not in NODE_TIERS:
             raise ValueError(
                 f"unknown tier {self.tier!r}; known: {NODE_TIERS}"
             )
-        for name in ("link_bandwidth", "storage_capacity", "compute_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.link_bandwidth <= 0:
+            raise ValueError("link_bandwidth must be positive")
 
 
 DEFAULT_NODE_SPEC = NodeSpec()
@@ -69,9 +66,9 @@ DEFAULT_NODE_SPEC = NodeSpec()
 Homogeneous deployments carry no specs at all, so existing topologies
 stay byte-identical."""
 
-MOTE_SPEC = NodeSpec("mote", link_bandwidth=0.5, storage_capacity=0.25, compute_rate=0.25)
-BASE_STATION_SPEC = NodeSpec("base_station", link_bandwidth=4.0, storage_capacity=8.0, compute_rate=8.0)
-CLOUD_SPEC = NodeSpec("cloud", link_bandwidth=8.0, storage_capacity=32.0, compute_rate=32.0)
+MOTE_SPEC = NodeSpec("mote", link_bandwidth=0.5)
+BASE_STATION_SPEC = NodeSpec("base_station", link_bandwidth=4.0)
+CLOUD_SPEC = NodeSpec("cloud", link_bandwidth=8.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,11 +125,6 @@ class Deployment:
     def spec_of(self, node_id: str) -> NodeSpec:
         """The node's architecture spec (default relay when unassigned)."""
         return self.specs.get(node_id, DEFAULT_NODE_SPEC)
-
-    @property
-    def is_homogeneous(self) -> bool:
-        """Whether every node is (effectively) the default relay."""
-        return all(spec == DEFAULT_NODE_SPEC for spec in self.specs.values())
 
     def validate(self) -> None:
         """Assert the structural invariants the protocols rely on."""

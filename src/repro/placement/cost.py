@@ -6,8 +6,6 @@ induces on the overlay tree::
 
     transfer(r) = sum_s  rate_s * pass_s * C(path(host_s, r))     (gated streams in)
                 +  match_rate * |slots| * C(path(r, u))           (full matches out)
-    storage(r)  = sum_s  rate_s * pass_s / storage_capacity(r)    (window residency)
-    compute(r)  = sum_s  rate_s * pass_s * |slots| / compute_rate(r)
     registration(r) = sum over plan edges of  link_cost(edge)     (operator units)
 
 where ``C(path)`` sums per-link costs, a link being priced by its
@@ -56,13 +54,11 @@ class PlanCost:
     """The priced components of one candidate placement."""
 
     transfer: float
-    storage: float
-    compute: float
     registration: float
 
     @property
     def total(self) -> float:
-        return self.transfer + self.storage + self.compute + self.registration
+        return self.transfer + self.registration
 
 
 def price_rendezvous(
@@ -79,17 +75,14 @@ def price_rendezvous(
     ``tree_path(a, b)`` returns the unique overlay tree path as a node
     list; ``host_of`` maps sensor ids to their hosting nodes.
     """
-    spec = deployment.spec_of(rendezvous)
     n_slots = len(operator.slots)
     transfer_in = 0.0
-    total_gated = 0.0
     slot_rates = []
     for slot in operator.slots:
         slot_gated = 0.0
         for sensor_id in sorted(slot.sensors):
             gated = stats.gated_rate(sensor_id, slot.interval)
             slot_gated += gated
-            total_gated += gated
             transfer_in += gated * path_cost(
                 deployment, tree_path(host_of[sensor_id], rendezvous)
             )
@@ -106,8 +99,5 @@ def price_rendezvous(
             edges.add(tuple(sorted((path[i], path[i + 1]))))
     registration = sum(link_cost(deployment, a, b) for a, b in sorted(edges))
     return PlanCost(
-        transfer=transfer_in + transfer_out,
-        storage=total_gated / spec.storage_capacity,
-        compute=total_gated * n_slots / spec.compute_rate,
-        registration=registration,
+        transfer=transfer_in + transfer_out, registration=registration
     )

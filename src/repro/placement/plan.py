@@ -85,9 +85,6 @@ class PlacementPlan:
             )
         object.__setattr__(self, "_table", table)
 
-    def __hash__(self) -> int:
-        return hash((self.sub_id, self.user_node, self.rendezvous, self.hops))
-
     def next_hops(
         self, node_id: str, sensors: frozenset[str]
     ) -> tuple[tuple[str, frozenset[str]], ...]:

@@ -1,26 +1,11 @@
 """Approach descriptors and the Table II registry.
 
-The registry imports the concrete approach modules, which in turn
-import :mod:`repro.protocols.base`; to keep that import graph acyclic
-the registry symbols are loaded lazily on first attribute access.
+The registry (:mod:`repro.protocols.registry`) imports the concrete
+approach modules, which in turn import :mod:`repro.protocols.base`; to
+keep that import graph acyclic it is imported by its own name, never
+through this package.
 """
 
 from .base import Approach, NodeFactory
 
-_REGISTRY_EXPORTS = (
-    "TABLE_II_COLUMNS",
-    "all_approaches",
-    "distributed_approaches",
-    "render_table_ii",
-    "table_ii",
-)
-
-__all__ = ["Approach", "NodeFactory", *_REGISTRY_EXPORTS]
-
-
-def __getattr__(name: str):
-    if name in _REGISTRY_EXPORTS:
-        from . import registry
-
-        return getattr(registry, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["Approach", "NodeFactory"]

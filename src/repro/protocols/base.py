@@ -36,7 +36,6 @@ class Approach:
     make_node: NodeFactory
     floods_advertisements: bool = True
     deterministic_recall: bool = True
-    supports_planned_placement: bool = True
     supports_sketches: bool = True
 
     def populate(self, network: "Network") -> "Network":

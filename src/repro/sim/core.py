@@ -13,8 +13,6 @@ The kernel is deliberately minimal and dependency-free:
   without ever comparing a handle (which holds the action);
 * callback scheduling (:meth:`Simulator.schedule` / :meth:`Simulator.at`)
   for the network substrate;
-* generator *processes* (:meth:`Simulator.process`) that ``yield`` delays
-  — the SimPy idiom — used by sensor replay loops;
 * named, seeded random streams so independent model components draw from
   independent generators.
 """
@@ -24,14 +22,13 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from typing import Callable, Generator, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from ..seeding import derive_seed
 
 Action = Callable[[], None]
-ProcessGenerator = Generator[float, None, None]
 
 
 class SimulationError(RuntimeError):
@@ -111,9 +108,9 @@ class Simulator:
         """Whether the event loop is currently executing an action.
 
         True inside any scheduled callback (a delivery notification, a
-        timeline entry, a process step) — the state in which a nested
-        :meth:`run` would raise.  Facade layers use it to turn the
-        opaque re-entrancy error into actionable guidance.
+        timeline entry) — the state in which a nested :meth:`run` would
+        raise.  Facade layers use it to turn the opaque re-entrancy
+        error into actionable guidance.
         """
         return self._running
 
@@ -186,27 +183,6 @@ class Simulator:
         transitions run at priority 1, after same-instant publications).
         """
         return [self.at(time, action, priority) for time, action in entries]
-
-    def process(self, generator: ProcessGenerator) -> None:
-        """Drive a generator process: each ``yield d`` sleeps ``d`` units.
-
-        The process ends when the generator returns.  Exceptions inside
-        the generator propagate out of :meth:`run` — silent failures
-        would corrupt experiments.
-        """
-
-        def step() -> None:
-            try:
-                delay = next(generator)
-            except StopIteration:
-                return
-            if delay < 0:
-                raise SimulationError("process yielded a negative delay")
-            self.schedule(delay, step)
-
-        # First step runs at the current time, after already-queued
-        # simultaneous events (FIFO order from the sequence counter).
-        self.schedule(0.0, step)
 
     # ------------------------------------------------------------------
     # execution

@@ -10,15 +10,11 @@ subscription's home node answers range-count queries from the merged
 summary with a deterministic error certificate instead of receiving
 raw events.
 
-Two summary families, both frozen, picklable and mergeable:
-
-* :class:`QDigest` — the q-digest quantile summary of Shrivastava et
-  al., *Medians and Beyond* (PAPERS.md): a dyadic tree over a
-  quantized value domain with compression parameter ``k`` and the
-  deterministic rank-error bound ``eps = log2(sigma) / k``;
-* :class:`MultiResolution` — a coarse multiresolution cube estimator
-  in the style of Meliou et al.: a fixed stack of dyadic histograms
-  whose size never depends on the stream length.
+The summary is :class:`QDigest`, the q-digest quantile summary of
+Shrivastava et al., *Medians and Beyond* (PAPERS.md): a dyadic tree
+over a quantized value domain with compression parameter ``k`` and the
+deterministic rank-error bound ``eps = log2(sigma) / k``; frozen,
+picklable and mergeable.
 
 :class:`SketchLane` is the broker-side state machine the network layer
 drives behind ``Network(answer_mode="approximate")``; the default
@@ -28,12 +24,10 @@ machine-checked bit-identical to the historical pipeline.
 
 from .lane import ApproxAnswer, SketchConfig, SketchLane
 from .messages import SketchPushMessage, SketchSubscribeMessage
-from .multires import MultiResolution
 from .qdigest import QDigest
 
 __all__ = [
     "ApproxAnswer",
-    "MultiResolution",
     "QDigest",
     "SketchConfig",
     "SketchLane",

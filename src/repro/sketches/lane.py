@@ -52,7 +52,6 @@ from ..model.attributes import SENSORSCOPE_ATTRIBUTES
 from ..model.events import SimpleEvent
 from ..model.intervals import Interval
 from .messages import SketchPushMessage, SketchSubscribeMessage
-from .multires import MultiResolution
 from .qdigest import QDigest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -61,8 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.node import Node
 
 LOCAL = AdvertisementTable.LOCAL
-
-Summary = QDigest | MultiResolution
 
 
 def _default_domains() -> tuple[tuple[str, float, float], ...]:
@@ -80,19 +77,16 @@ class SketchConfig:
     simulation clock; ``buckets_per_unit`` sizes push messages — one
     event-sized data unit carries that many ``(level, index, count)``
     buckets (a bucket packs into a few bytes against an event record's
-    id + value + timestamp); ``estimator`` selects the summary family;
-    ``domains`` lists ``(attribute, lo, hi)`` quantization domains
-    (``None`` = the five SensorScope attributes) — subscriptions on
-    attributes without a domain are simply not eligible and keep the
-    exact pipeline.
+    id + value + timestamp); ``domains`` lists ``(attribute, lo, hi)``
+    quantization domains (``None`` = the five SensorScope attributes) —
+    subscriptions on attributes without a domain are simply not
+    eligible and keep the exact pipeline.
     """
 
     k: int = 64
     levels: int = 10
     push_interval: float = 80.0
     buckets_per_unit: int = 4
-    estimator: str = "qdigest"
-    resolutions: tuple[int, ...] = (3, 5, 7)
     domains: tuple[tuple[str, float, float], ...] | None = None
 
     def __post_init__(self) -> None:
@@ -106,11 +100,6 @@ class SketchConfig:
             raise ValueError(
                 f"buckets_per_unit must be >= 1, got {self.buckets_per_unit}"
             )
-        if self.estimator not in ("qdigest", "multires"):
-            raise ValueError(
-                f"estimator must be 'qdigest' or 'multires', "
-                f"got {self.estimator!r}"
-            )
 
     def domain_map(self) -> dict[str, tuple[float, float]]:
         domains = (
@@ -118,9 +107,7 @@ class SketchConfig:
         )
         return {name: (lo, hi) for name, lo, hi in domains}
 
-    def empty_summary(self, attribute: str, lo: float, hi: float) -> Summary:
-        if self.estimator == "multires":
-            return MultiResolution(self.resolutions, lo, hi)
+    def empty_summary(self, lo: float, hi: float) -> QDigest:
         return QDigest(self.k, self.levels, lo, hi)
 
 
@@ -133,7 +120,7 @@ class ApproxAnswer:
     attribute: str
     sensors: frozenset[str]
     interval: Interval
-    summary: Summary
+    summary: QDigest
     round_no: int
     lower: int
     upper: int
@@ -150,9 +137,9 @@ class ApproxAnswer:
         return self.summary.error_bound
 
     @property
-    def eps(self) -> float | None:
-        """A-priori rank-error factor (q-digest only)."""
-        return self.summary.eps if isinstance(self.summary, QDigest) else None
+    def eps(self) -> float:
+        """A-priori rank-error factor of the digest."""
+        return self.summary.eps
 
 
 @dataclass(slots=True)
@@ -171,10 +158,10 @@ class _Group:
 class _Hosted:
     """Per-(broker, sensor) summary with a small fold-in buffer."""
 
-    summary: Summary
+    summary: QDigest
     pending: list[float] = field(default_factory=list)
 
-    def folded(self) -> Summary:
+    def folded(self) -> QDigest:
         if self.pending:
             self.summary = self.summary.extended(self.pending).compressed()
             self.pending.clear()
@@ -196,8 +183,8 @@ class SketchLane:
         self._fences: dict[str, dict[str, float]] = {}
         self._groups: dict[str, dict[str, _Group]] = {}
         self._subs: dict[str, dict[str, tuple[str, Interval]]] = {}
-        self._answers: dict[str, dict[str, tuple[int, Summary]]] = {}
-        self._inbox: dict[tuple[str, str, int], dict[str, Summary]] = {}
+        self._answers: dict[str, dict[str, tuple[int, QDigest]]] = {}
+        self._inbox: dict[tuple[str, str, int], dict[str, QDigest]] = {}
 
     # ------------------------------------------------------------------
     # eligibility & registration (home node)
@@ -346,7 +333,7 @@ class SketchLane:
         group_id: str,
         group: _Group,
         round_no: int,
-        merged: Summary,
+        merged: QDigest,
     ) -> None:
         merged = merged.compressed()
         if group.upstream is None:
@@ -369,9 +356,9 @@ class SketchLane:
             ),
         )
 
-    def _local_summary(self, node_id: str, group: _Group) -> Summary:
+    def _local_summary(self, node_id: str, group: _Group) -> QDigest:
         lo, hi = self._domains[group.attribute]
-        merged = self.config.empty_summary(group.attribute, lo, hi)
+        merged = self.config.empty_summary(lo, hi)
         hosted = self._hosted.get(node_id, {})
         for sensor_id in sorted(group.local_sensors):
             acc = hosted.get(sensor_id)
@@ -395,7 +382,7 @@ class SketchLane:
         if acc is None:
             lo, hi = domain
             acc = hosted[event.sensor_id] = _Hosted(
-                self.config.empty_summary(event.attribute, lo, hi)
+                self.config.empty_summary(lo, hi)
             )
         acc.pending.append(event.value)
         if len(acc.pending) >= _FOLD_EVERY:

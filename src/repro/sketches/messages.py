@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from .multires import MultiResolution
     from .qdigest import QDigest
 
 
@@ -57,7 +56,7 @@ class SketchPushMessage:
 
     group_id: str
     round_no: int
-    summary: "QDigest | MultiResolution"
+    summary: "QDigest"
     units: int
 
     subscription_units: ClassVar[int] = 0

@@ -30,7 +30,7 @@ bracket.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Bucket = tuple[int, int, int]
 """One counted dyadic node: ``(level, index, count)``."""
@@ -91,9 +91,6 @@ class QDigest:
         """Number of stored buckets (what a push message pays for)."""
         return len(self.buckets)
 
-    quantized = True
-    """Answers are over cell-aligned ranges (see module docstring)."""
-
     # ------------------------------------------------------------------
     # quantization grid
     # ------------------------------------------------------------------
@@ -119,12 +116,6 @@ class QDigest:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    @classmethod
-    def from_values(
-        cls, values: Iterable[float], k: int, levels: int, lo: float, hi: float
-    ) -> "QDigest":
-        return cls(k, levels, lo, hi).extended(values).compressed()
-
     def extended(self, values: Iterable[float]) -> "QDigest":
         """This digest plus ``values`` counted at their leaf cells."""
         counts = {(level, idx): c for level, idx, c in self.buckets}
@@ -215,11 +206,6 @@ class QDigest:
                 uncertain += count
         return certain, certain + uncertain
 
-    def estimate_range(self, vlo: float, vhi: float) -> int:
-        """Midpoint estimate; off by at most :attr:`error_bound`."""
-        lower, upper = self.range_count_bounds(vlo, vhi)
-        return lower + (upper - lower) // 2
-
     def rank_bounds(self, value: float) -> tuple[int, int]:
         """Bracket of the rank of ``value`` (count of cells <= its cell)."""
         return self.range_count_bounds(self.lo, value)
@@ -252,12 +238,3 @@ def _canonical(counts: dict[tuple[int, int], int]) -> tuple[Bucket, ...]:
         if c > 0
     )
 
-
-def merge_all(digests: Sequence[QDigest]) -> QDigest:
-    """Fold a non-empty sequence of digests into one (then compress)."""
-    if not digests:
-        raise ValueError("merge_all needs at least one digest")
-    out = digests[0]
-    for d in digests[1:]:
-        out = out.merged(d)
-    return out.compressed()

@@ -2,7 +2,7 @@
 filtering (Sections III and V-B)."""
 
 from .exact import Box, ExactCoverTooLarge, boxes_cover, uncovered_probe
-from .pairwise import find_cover, is_pairwise_covered, reduce_pairwise
+from .pairwise import find_cover, reduce_pairwise
 from .setfilter import (
     ProbabilisticSetFilter,
     SetFilterDecision,
@@ -16,7 +16,6 @@ __all__ = [
     "SetFilterDecision",
     "boxes_cover",
     "find_cover",
-    "is_pairwise_covered",
     "reduce_pairwise",
     "required_samples",
     "uncovered_probe",

@@ -30,14 +30,6 @@ def find_cover(
     return None
 
 
-def is_pairwise_covered(
-    operator: CorrelationOperator,
-    candidates: Iterable[CorrelationOperator],
-) -> bool:
-    """Whether any single candidate covers ``operator``."""
-    return find_cover(operator, candidates) is not None
-
-
 def reduce_pairwise(
     operators: Sequence[CorrelationOperator],
 ) -> list[CorrelationOperator]:

@@ -616,11 +616,7 @@ class CompiledProgram:
             )
         )
 
-    def truth(
-        self,
-        collect_participants: bool = True,
-        method: str = "engine",
-    ) -> dict[str, "SubscriptionTruth"]:
+    def truth(self, method: str = "engine") -> dict[str, "SubscriptionTruth"]:
         """Ground truth for every admission, fenced to its lifetime.
 
         Shared by all approaches of one point: the fences come from the
@@ -633,7 +629,6 @@ class CompiledProgram:
             [a.subscription for a in self.admissions],
             self.deployment,
             self.events,
-            collect_participants=collect_participants,
             method=method,
             churn=self.churn,
             cancellations=self.cancellations or None,

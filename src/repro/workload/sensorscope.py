@@ -72,10 +72,6 @@ class Replay:
     config: ReplayConfig
 
     @property
-    def n_events(self) -> int:
-        return len(self.events)
-
-    @property
     def sensor_ids(self) -> list[str]:
         """Sensors that actually contributed events, sorted.
 
@@ -272,10 +268,6 @@ class ChurnSchedule:
 
     intervals: Mapping[str, tuple[tuple[float, float], ...]]
 
-    @property
-    def cycling_sensors(self) -> list[str]:
-        return sorted(self.intervals)
-
     def __bool__(self) -> bool:
         return bool(self.intervals)
 
@@ -294,13 +286,6 @@ class ChurnSchedule:
         if i >= 0 and spans[i][0] <= t < spans[i][1]:
             return i
         return None
-
-    def same_interval(self, sensor_id: str, t_a: float, t_b: float) -> bool:
-        """Whether ``t_a`` and ``t_b`` fall in one alive interval —
-        the oracle's churn rule: an event may participate in a match
-        only when its sensor stayed alive through the trigger time."""
-        a = self.interval_index(sensor_id, t_a)
-        return a is not None and a == self.interval_index(sensor_id, t_b)
 
     def transitions(self) -> list[tuple[float, str, str]]:
         """Every finite lifecycle edge as ``(time, sensor_id, kind)``,

@@ -25,7 +25,6 @@ Filter-Split-Forward filter would have nothing to add.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -185,13 +184,3 @@ def generate_subscriptions(
         )
     return out
 
-
-def prefix(
-    workload: Sequence[PlacedSubscription], n: int
-) -> list[PlacedSubscription]:
-    """First ``n`` subscriptions — the paper measures after each batch,
-    so every experiment point replays a prefix of the same ordered
-    workload."""
-    if n > len(workload):
-        raise ValueError(f"asked for {n} subscriptions, workload has {len(workload)}")
-    return list(workload[:n])

@@ -43,7 +43,7 @@ def arena():
 def _holders(network: Network, sensor_id: str) -> dict[str, str]:
     """node -> next hop toward ``sensor_id``, for every node knowing it."""
     return {
-        node_id: node.ads.next_hop(sensor_id)
+        node_id: next(iter(node.ads.partition_by_origin([sensor_id])))
         for node_id, node in network.nodes.items()
         if node.ads.knows(sensor_id)
     }

@@ -313,7 +313,7 @@ class TestSelfHost:
             if (REPO_ROOT / p).exists()
         ]
         findings = lint_paths(paths, LintConfig.default())
-        assert findings == [], "\n".join(f.render() for f in findings)
+        assert findings == [], findings
 
     def test_contract_matches_actual_import_graph(self):
         """Every load-time repro->repro import edge is contract-allowed,

@@ -65,8 +65,9 @@ class TestQueryBuilder:
         assert sub.sub_id == "freeze-watch"
         assert sub.sensor_ids == {ambient.sensor_id, surface.sensor_id}
         assert sub.delta_t == 5.0
-        assert sub.filter_for(ambient.sensor_id).attribute == "ambient_temperature"
-        assert sub.filter_for(surface.sensor_id).interval.lo == -10.0
+        by_sensor = {f.sensor_id: f for f in sub.filters}
+        assert by_sensor[ambient.sensor_id].attribute == "ambient_temperature"
+        assert by_sensor[surface.sensor_id].interval.lo == -10.0
 
     def test_abstract_compilation_with_near_location(self):
         session = small_session()
@@ -82,8 +83,7 @@ class TestQueryBuilder:
         assert isinstance(sub, AbstractSubscription)
         assert sub.attributes == {"wind_speed", "relative_humidity"}
         assert sub.delta_l == 200.0
-        assert isinstance(sub.region, CircleRegion)
-        assert sub.region.center == center and sub.region.radius == 200.0
+        assert {c.region for c in sub.clauses} == {CircleRegion(center, 200.0)}
 
     def test_abstract_with_explicit_region_and_default_region(self):
         session = small_session()
@@ -91,14 +91,15 @@ class TestQueryBuilder:
         sub = (
             Query().named("r").where("wind_speed", 0.0, 50.0).near(region, 10.0)
         ).build(session.deployment)
-        assert sub.region is region and sub.delta_l == 10.0
+        assert sub.clauses[0].region is region and sub.delta_l == 10.0
         # Without near(), the region spans the whole deployment.
         sub2 = (Query().named("u").where("wind_speed", 0.0, 50.0)).build(
             session.deployment
         )
         assert math.isinf(sub2.delta_l)
         assert all(
-            sub2.region.contains(p.location) for p in session.deployment.sensors
+            sub2.clauses[0].region.contains(p.location)
+            for p in session.deployment.sensors
         )
 
     def test_builder_is_immutable(self):
@@ -259,13 +260,28 @@ class TestSession:
 
     @pytest.mark.parametrize(
         "lane",
-        [{"reliability": ReliabilityConfig()}, {"answer_mode": "approximate"}],
-        ids=["reliability", "sketches"],
+        [
+            {"reliability": ReliabilityConfig()},
+            {"answer_mode": "approximate"},
+            {"approach": "centralized"},
+            {"approach": "multijoin"},
+        ],
+        ids=[
+            "reliability",
+            "sketches",
+            "centralized-no-approach",
+            "multijoin-no-approach",
+        ],
     )
     def test_refused_plan_leaves_old_incarnation_intact(self, lane):
-        """The plan x reliability / plan x sketches refusals fire before
-        anything is written, like every other validation failure."""
+        """The plan x reliability / plan x sketches / plan x node-class
+        refusals fire before anything is written, like every other
+        validation failure.  The node-class cases wrap a pre-built
+        network without naming its approach: the refusal is the node
+        class's, not the session's."""
         session = small_session(**lane)
+        if "approach" in lane:
+            session = Session(session.network, session.deployment)
         ambient, surface = pair_of_sensors(session)
         handle = session.submit(freeze_query(session), at="r2")
         session.ingest(ambient.sensor_id, 1.0, timestamp=session.now + 5.0)

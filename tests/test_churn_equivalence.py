@@ -118,7 +118,7 @@ def test_engine_equals_reference_under_churn(chunk):
     instances = 0
     for seed in range(chunk * 10, chunk * 10 + 10):
         deployment, replay, workload = churn_arena(seed)
-        assert replay.churn.cycling_sensors, seed  # churn actually on
+        assert replay.churn, seed  # churn actually on
         approach_key = _APPROACH_KEYS[seed % len(_APPROACH_KEYS)]
         engine = run_churn_network(
             deployment, replay, workload, "incremental", approach_key
@@ -219,7 +219,7 @@ def test_departed_sensor_events_never_match_after_departure(seed):
     # At least some scenarios must produce matches, or the property is
     # vacuous across the whole hypothesis run — assert per-arena events
     # flowed (matches may legitimately be absent for an individual seed).
-    assert replay.n_events > 0
+    assert replay.events
 
 
 @given(seed=st.integers(min_value=0, max_value=100_000))

@@ -106,9 +106,10 @@ def test_window_query_matches_bruteforce(raw):
 def test_store_never_holds_expired_events_after_prune(stamps):
     store = EventStore(validity=10.0)
     now = 0.0
-    for i, ts in enumerate(sorted(stamps)):
-        now = max(now, ts)
-        store.add(ev(ts=ts, seq=i), now=now)
+    events = [ev(ts=ts, seq=i) for i, ts in enumerate(sorted(stamps))]
+    for event in events:
+        now = max(now, event.timestamp)
+        store.add(event, now=now)
     store.prune(now)
-    for event in store.all_events():
-        assert now - event.timestamp <= 10.0
+    for event in events:
+        assert (event.key in store) == (now - event.timestamp <= 10.0)

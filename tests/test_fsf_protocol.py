@@ -165,8 +165,8 @@ class TestCoarsening:
         net.register_subscription("u2", sub("s", {"a": (0, 10)}))
         net.run_to_quiescence()
         stored = net.nodes["s_a"].stores["hub"].uncovered[0]
-        assert stored.slot("a").interval.lo == -2.0
-        assert stored.slot("a").interval.hi == 12.0
+        (slot_a,) = (s for s in stored.slots if s.slot_id == "a")
+        assert (slot_a.interval.lo, slot_a.interval.hi) == (-2.0, 12.0)
 
     def test_user_matching_stays_exact_under_coarsening(self, line):
         net = make_network(

@@ -103,9 +103,10 @@ class TestAdvertisementTable:
         table = AdvertisementTable()
         table.add_local(Advertisement("d1", "t", Location(0, 0)))
         table.add("n2", Advertisement("d2", "t", Location(1, 1)))
-        assert table.next_hop("d1") == AdvertisementTable.LOCAL
-        assert table.next_hop("d2") == "n2"
-        assert table.next_hop("unknown") is None
+        assert table.partition_by_origin(["d1", "d2", "unknown"]) == {
+            AdvertisementTable.LOCAL: ["d1"],
+            "n2": ["d2"],
+        }
         assert table.knows("d1") and not table.knows("d9")
 
     def test_duplicate_advertisement_not_new(self):
@@ -152,10 +153,6 @@ class TestFilters:
         wide = SimpleFilter("t", Interval(0, 10))
         narrow = SimpleFilter("t", Interval(2, 5))
         assert wide.covers(narrow) and not narrow.covers(wide)
-        assert wide.intersect(narrow).interval == Interval(2, 5)
-        assert wide.intersect(SimpleFilter("t", Interval(20, 30))) is None
-        with pytest.raises(ValueError):
-            wide.intersect(SimpleFilter("u", Interval(0, 1)))
 
     def test_identified_filter_pins_sensor(self):
         f = IdentifiedFilter("d1", SimpleFilter("t", Interval(0, 10)))
@@ -167,12 +164,6 @@ class TestFilters:
         f = AbstractFilter(SimpleFilter("t", Interval(0, 10)), region)
         assert f.matches_event(ev(value=5.0, loc=(0.5, 0.5)))
         assert not f.matches_event(ev(value=5.0, loc=(2.0, 0.5)))
-        ad_in = Advertisement("d1", "t", Location(0.5, 0.5))
-        ad_out = Advertisement("d2", "t", Location(9, 9))
-        assert f.applies_to(ad_in) and not f.applies_to(ad_out)
-        assert f.identify(ad_in).sensor_id == "d1"
-        with pytest.raises(ValueError):
-            f.identify(ad_out)
 
 
 class TestSubscriptions:
@@ -183,8 +174,7 @@ class TestSubscriptions:
         assert s.sensor_ids == {"a", "b"}
         assert s.matches_simple(ev(sensor="a", value=3.0))
         assert not s.matches_simple(ev(sensor="c", value=3.0))
-        assert s.filter_for("b").attribute == "u"
-        assert s.filter_for("zzz") is None
+        assert [f.attribute for f in s.filters] == ["t", "u"]
 
     def test_duplicate_sensor_rejected(self):
         f = IdentifiedFilter("a", SimpleFilter("t", Interval(0, 1)))
@@ -198,7 +188,7 @@ class TestSubscriptions:
     def test_widened(self):
         s = IdentifiedSubscription.from_ranges("s", {"a": ("t", 0, 10)}, 1.0)
         w = s.widened(2.0)
-        assert w.filter_for("a").interval == Interval(-2, 12)
+        assert [f.interval for f in w.filters] == [Interval(-2, 12)]
 
     def test_abstract_subscription(self):
         region = RectRegion(Interval(0, 10), Interval(0, 10))
@@ -208,8 +198,6 @@ class TestSubscriptions:
         assert s.attributes == {"t", "u"}
         assert s.matches_simple(ev(value=4.0, loc=(1, 1)))
         assert not s.matches_simple(ev(value=4.0, loc=(20, 1)))
-        assert s.clause_for("u").attribute == "u"
-        assert s.clause_for("nope") is None
 
     def test_abstract_resolution(self):
         region = RectRegion(Interval(0, 10), Interval(0, 10))

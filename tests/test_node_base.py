@@ -27,10 +27,12 @@ class TestAdvertisementFlooding:
 
     def test_next_hops_point_toward_sensor(self, line):
         net = make_network(line, filter_split_forward_approach())
-        assert net.nodes["u2"].ads.next_hop("a") == "u1"
-        assert net.nodes["hub"].ads.next_hop("a") == "s_a"
-        assert net.nodes["s_a"].ads.next_hop("a") == LOCAL
-        assert net.nodes["s_a"].ads.next_hop("c") == "s_b"
+        assert net.nodes["u2"].ads.partition_by_origin("a") == {"u1": ["a"]}
+        assert net.nodes["hub"].ads.partition_by_origin("a") == {"s_a": ["a"]}
+        assert net.nodes["s_a"].ads.partition_by_origin("ac") == {
+            LOCAL: ["a"],
+            "s_b": ["c"],
+        }
 
     def test_flood_units_counted(self, line):
         net = make_network(line, filter_split_forward_approach())

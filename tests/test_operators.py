@@ -25,6 +25,10 @@ def op3(delta_t=5.0):
     return operator_from_identified(sub3(delta_t), "n0")
 
 
+def slots_of(operator):
+    return {s.slot_id: s for s in operator.slots}
+
+
 def ev(sensor, value, ts=0.0, seq=0):
     return SimpleEvent(sensor, "t", Location(0, 0), value, ts, seq)
 
@@ -32,7 +36,7 @@ def ev(sensor, value, ts=0.0, seq=0):
 class TestConstruction:
     def test_root_from_identified(self):
         op = op3()
-        assert op.slot_ids == {"a", "b", "c"}
+        assert slots_of(op).keys() == {"a", "b", "c"}
         assert op.sensors == {"a", "b", "c"}
         assert not op.is_simple and not op.is_binary_join
         assert op.op_id == "s[a,b,c]"
@@ -41,7 +45,7 @@ class TestConstruction:
         region = RectRegion(Interval(0, 10), Interval(0, 10))
         s = AbstractSubscription.from_ranges("s", {"t": (0, 5)}, region, 2.0)
         op = operator_from_abstract(s, "n0", {"t": ["d1", "d2"]})
-        assert op.slot("t").sensors == {"d1", "d2"}
+        assert slots_of(op)["t"].sensors == {"d1", "d2"}
         with pytest.raises(ValueError):
             operator_from_abstract(s, "n0", {"t": []})
 
@@ -68,7 +72,7 @@ class TestMatchingHelpers:
 class TestProjection:
     def test_project_subset(self):
         piece = op3().project(["a", "b"])
-        assert piece.slot_ids == {"a", "b"}
+        assert slots_of(piece).keys() == {"a", "b"}
         assert piece.subscription_id == "s" and piece.subscriber == "n0"
         assert piece.op_id == "s[a,b]"
 
@@ -78,7 +82,7 @@ class TestProjection:
 
     def test_project_sensors_restricts(self):
         piece = op3().project_sensors(["b", "c"])
-        assert piece.slot_ids == {"b", "c"}
+        assert slots_of(piece).keys() == {"b", "c"}
         assert op3().project_sensors(["nope"]) is None
 
     def test_project_sensors_narrows_abstract_slot(self):
@@ -86,7 +90,7 @@ class TestProjection:
         s = AbstractSubscription.from_ranges("s", {"t": (0, 5)}, region, 2.0)
         op = operator_from_abstract(s, "n0", {"t": ["d1", "d2", "d3"]})
         piece = op.project_sensors(["d2"])
-        assert piece.slot("t").sensors == {"d2"}
+        assert slots_of(piece)["t"].sensors == {"d2"}
 
     def test_project_sensors_keeping_every_slot_whole_is_the_operator(self):
         whole = op3()
@@ -172,6 +176,6 @@ class TestCoverage:
 
     def test_widened(self):
         w = op3().widened(1.0)
-        assert w.slot("a").interval == Interval(-1, 11)
+        assert slots_of(w)["a"].interval == Interval(-1, 11)
         assert op3().covers(op3()) and w.covers(op3())
         assert not op3().covers(w)

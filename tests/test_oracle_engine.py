@@ -36,12 +36,6 @@ def assert_same_truth(operator, events) -> int:
     reference = operator_truth(operator, "q", index, method="reference")
     assert engine.triggers == reference.triggers
     assert engine.participants == reference.participants
-    # And without the participant pass (the cheap triggers-only mode).
-    lean = operator_truth(
-        operator, "q", index, collect_participants=False, method="engine"
-    )
-    assert lean.triggers == reference.triggers
-    assert not lean.participants
     return len(reference.triggers)
 
 

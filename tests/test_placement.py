@@ -25,7 +25,7 @@ import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.api.session import QueryError, Session
+from repro.api.session import Session
 from repro.baselines import (
     centralized_approach,
     multijoin_approach,
@@ -63,8 +63,8 @@ def test_node_spec_validation():
         NodeSpec("mainframe")
     with pytest.raises(ValueError, match="link_bandwidth"):
         NodeSpec("mote", link_bandwidth=0.0)
-    with pytest.raises(ValueError, match="compute_rate"):
-        NodeSpec("cloud", compute_rate=-1.0)
+    with pytest.raises(ValueError, match="link_bandwidth"):
+        NodeSpec("cloud", link_bandwidth=-1.0)
 
 
 def test_tiered_small_scale_decorates_without_touching_the_topology():
@@ -73,8 +73,7 @@ def test_tiered_small_scale_decorates_without_touching_the_topology():
     assert nx.utils.graphs_equal(plain.graph, tiered.graph)
     assert plain.sensors == tiered.sensors
     assert plain.group_heads == tiered.group_heads
-    assert plain.is_homogeneous
-    assert not tiered.is_homogeneous
+    assert not plain.specs
     # Every node is assigned; hosts are motes, heads base stations,
     # exactly one cloud uplink on the backbone.
     assert set(tiered.specs) == set(tiered.graph.nodes)
@@ -248,7 +247,7 @@ def test_unplannable_approaches_refuse_plans():
     deployment, sub, plan = planned_query()
     for approach in (centralized_approach(), multijoin_approach()):
         session = Session.create(approach=approach, deployment=deployment)
-        with pytest.raises(QueryError, match="placement"):
+        with pytest.raises(ValueError, match="does not execute compiled placement"):
             session.submit(sub, at="u2", plan=plan)
 
 

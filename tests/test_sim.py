@@ -281,31 +281,6 @@ class TestAgendaOrderProperty:
 
 
 class TestProcesses:
-    def test_generator_process(self):
-        sim = Simulator()
-        out = []
-
-        def proc():
-            out.append(("start", sim.now))
-            yield 2.0
-            out.append(("mid", sim.now))
-            yield 3.0
-            out.append(("end", sim.now))
-
-        sim.process(proc())
-        sim.run()
-        assert out == [("start", 0.0), ("mid", 2.0), ("end", 5.0)]
-
-    def test_negative_yield_rejected(self):
-        sim = Simulator()
-
-        def proc():
-            yield -1.0
-
-        sim.process(proc())
-        with pytest.raises(SimulationError):
-            sim.run()
-
     def test_drain(self):
         sim = Simulator()
         out = []

@@ -1,4 +1,4 @@
-"""Property suite for the sketch summaries (q-digest, multiresolution).
+"""Property suite for the sketch summary (q-digest).
 
 The algebra the push trees rely on, stated as plain equality on the
 frozen canonical form: merge is associative and commutative, so
@@ -20,8 +20,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.sketches import MultiResolution, QDigest, SketchConfig
-from repro.sketches.qdigest import merge_all
+from repro.sketches import QDigest, SketchConfig
 
 LO, HI = 0.0, 1024.0
 
@@ -33,7 +32,13 @@ levels_st = st.integers(1, 10)
 
 
 def digest_of(values, k=8, levels=6):
-    return QDigest.from_values(values, k=k, levels=levels, lo=LO, hi=HI)
+    return QDigest(k, levels, LO, HI).extended(values).compressed()
+
+
+def midpoint(digest, qlo, qhi):
+    """The lane's point estimate: the middle of the certified bracket."""
+    lower, upper = digest.range_count_bounds(qlo, qhi)
+    return lower + (upper - lower) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -42,13 +47,10 @@ def digest_of(values, k=8, levels=6):
 @settings(max_examples=60, deadline=None)
 @given(a=values_st, b=values_st, c=values_st, k=small_k, levels=levels_st)
 def test_merge_associative_and_commutative(a, b, c, k, levels):
-    da, db, dc = (
-        QDigest.from_values(v, k=k, levels=levels, lo=LO, hi=HI)
-        for v in (a, b, c)
-    )
+    da, db, dc = (digest_of(v, k, levels) for v in (a, b, c))
     assert da.merged(db) == db.merged(da)
     assert da.merged(db).merged(dc) == da.merged(db.merged(dc))
-    assert merge_all([da, db, dc]).n == len(a) + len(b) + len(c)
+    assert da.merged(db).merged(dc).n == len(a) + len(b) + len(c)
 
 
 @settings(max_examples=40, deadline=None)
@@ -105,12 +107,12 @@ def quantized_truth(digest, values, vlo, vhi):
 def test_range_bounds_contain_quantized_truth(values, k, levels, qlo, qhi):
     if qhi < qlo:
         qlo, qhi = qhi, qlo
-    digest = QDigest.from_values(values, k=k, levels=levels, lo=LO, hi=HI)
+    digest = digest_of(values, k, levels)
     lower, upper = digest.range_count_bounds(qlo, qhi)
     truth = quantized_truth(digest, values, qlo, qhi)
     assert lower <= truth <= upper
     assert upper - lower <= 2 * digest.error_bound
-    assert abs(digest.estimate_range(qlo, qhi) - truth) <= digest.error_bound
+    assert abs(midpoint(digest, qlo, qhi) - truth) <= digest.error_bound
     assert digest.error_bound <= digest.eps * max(digest.n, 1)
 
 
@@ -131,7 +133,7 @@ def test_adversarial_streams_respect_bound(stream):
         lower, upper = digest.range_count_bounds(qlo, qhi)
         truth = quantized_truth(digest, stream, qlo, qhi)
         assert lower <= truth <= upper
-        assert abs(digest.estimate_range(qlo, qhi) - truth) <= digest.error_bound
+        assert abs(midpoint(digest, qlo, qhi) - truth) <= digest.error_bound
 
 
 @settings(max_examples=40, deadline=None)
@@ -144,53 +146,6 @@ def test_rank_bounds_bracket_quantized_rank(values, probe):
 
 
 # ---------------------------------------------------------------------------
-# multiresolution estimator
-# ---------------------------------------------------------------------------
-def mr_of(values, resolutions=(3, 5, 7)):
-    return MultiResolution(resolutions, LO, HI).extended(values)
-
-
-@settings(max_examples=40, deadline=None)
-@given(a=values_st, b=values_st, c=values_st)
-def test_multires_merge_algebra(a, b, c):
-    ma, mb, mc = mr_of(a), mr_of(b), mr_of(c)
-    assert ma.merged(mb) == mb.merged(ma)
-    assert ma.merged(mb).merged(mc) == ma.merged(mb.merged(mc))
-    assert ma.compressed() is ma  # fixed-size stack: compression no-op
-
-
-@settings(
-    max_examples=60,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(
-    values=values_st,
-    qlo=st.floats(LO, HI, allow_nan=False),
-    qhi=st.floats(LO, HI, allow_nan=False),
-)
-def test_multires_bounds_contain_raw_truth(values, qlo, qhi):
-    if qhi < qlo:
-        qlo, qhi = qhi, qlo
-    mr = mr_of(values)
-    lower, upper = mr.range_count_bounds(qlo, qhi)
-    truth = sum(1 for v in values if qlo <= v <= qhi)
-    assert lower <= truth <= upper
-    assert abs(mr.estimate_range(qlo, qhi) - truth) <= mr.error_bound
-
-
-def test_multires_validation():
-    with pytest.raises(ValueError):
-        MultiResolution((), LO, HI)
-    with pytest.raises(ValueError):
-        MultiResolution((5, 3), LO, HI)
-    with pytest.raises(ValueError):
-        MultiResolution((3, 5), 10.0, 10.0)
-    with pytest.raises(ValueError):
-        mr_of([]).merged(MultiResolution((2, 4), LO, HI))
-
-
-# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 @settings(max_examples=40, deadline=None)
@@ -198,18 +153,15 @@ def test_multires_validation():
 def test_pickle_round_trip_equality(values):
     digest = digest_of(values)
     assert pickle.loads(pickle.dumps(digest)) == digest
-    mr = mr_of(values)
-    assert pickle.loads(pickle.dumps(mr)) == mr
 
 
 _HASH_PROBE = """
 import hashlib, pickle, sys
 sys.path.insert(0, {src!r})
-from repro.sketches import MultiResolution, QDigest
+from repro.sketches import QDigest
 values = [(i * 37.0) % 1024 + (i % 7) * 0.1 for i in range(500)]
-d = QDigest.from_values(values, k=8, levels=10, lo=0.0, hi=1024.0)
-m = MultiResolution((3, 5, 7), 0.0, 1024.0).extended(values)
-print(hashlib.sha256(pickle.dumps((d, m))).hexdigest())
+d = QDigest(8, 10, 0.0, 1024.0).extended(values).compressed()
+print(hashlib.sha256(pickle.dumps(d)).hexdigest())
 """
 
 
@@ -251,8 +203,6 @@ def test_qdigest_validation():
         QDigest(8, 6, 5.0, 5.0)
     with pytest.raises(ValueError):
         digest_of([]).merged(QDigest(9, 6, LO, HI))
-    with pytest.raises(ValueError):
-        merge_all([])
 
 
 def test_sketch_config_validation():
@@ -262,10 +212,6 @@ def test_sketch_config_validation():
         SketchConfig(push_interval=0.0)
     with pytest.raises(ValueError):
         SketchConfig(buckets_per_unit=0)
-    with pytest.raises(ValueError):
-        SketchConfig(estimator="exactly")
-    cfg = SketchConfig(estimator="multires")
-    assert isinstance(cfg.empty_summary("t", LO, HI), MultiResolution)
-    assert isinstance(SketchConfig().empty_summary("t", LO, HI), QDigest)
+    assert SketchConfig(k=8, levels=6).empty_summary(LO, HI) == QDigest(8, 6, LO, HI)
     # default domains: the five SensorScope attributes
     assert len(SketchConfig().domain_map()) == 5

@@ -9,7 +9,6 @@ from repro.subsumption import (
     ProbabilisticSetFilter,
     boxes_cover,
     find_cover,
-    is_pairwise_covered,
     reduce_pairwise,
     required_samples,
     uncovered_probe,
@@ -38,7 +37,7 @@ class TestPairwise:
 
     def test_no_cover(self):
         assert find_cover(WIDE, [NARROW]) is None
-        assert not is_pairwise_covered(WIDE, [NARROW, OTHER])
+        assert find_cover(WIDE, [NARROW, OTHER]) is None
 
     def test_signature_mismatch_never_covers(self):
         assert find_cover(OTHER, [WIDE]) is None
