@@ -24,11 +24,15 @@ The paper distributes Chandramouli & Yang's binary-join technique [7]:
   value filter) adds further false positives but never loses a true
   result; recall stays 100%.
 
-Every stored operator carries a *role* describing its job on the event
-path: ``transit`` (whole multi-join, relay by value filter), ``split``
-(whole multi-join at its divergence node — inert, its binary joins do
-the work), ``join`` (binary join evaluated here), ``leaf`` (simple
-filter pulling raw events toward the divergence node).
+Every uncovered stored operator carries a *role* describing its job on
+the event path: ``transit`` (whole multi-join, relayed by its ring
+joins' pairwise checks), ``split`` (whole multi-join at its divergence
+node — inert, its binary joins do the work), ``join`` (binary join
+evaluated here), ``leaf`` (simple filter pulling raw events toward the
+divergence node).  Only what the event path evaluates holds a matcher:
+the binary joins stored by the ``split`` arm (read as ``join``) and the
+ring joins a relay retains on first use.  Whole multi-joins and simple
+filters are stored without one — nothing reads their hits.
 """
 
 from __future__ import annotations
@@ -106,11 +110,13 @@ class MultiJoinNode(Node):
     # subscription side
     # ------------------------------------------------------------------
     def handle_operator(self, operator: CorrelationOperator, origin: str) -> None:
+        # A whole multi-join or a simple filter: the event path reads
+        # neither's hits (see the module docstring), so no matcher.
         store = self.store_for(origin)
         if find_cover(operator, store.same_signature_uncovered(operator)):
-            store.add(operator, covered=True)
+            store.add(operator, covered=True, matched=False)
             return
-        record = store.add(operator, covered=False)
+        record = store.add(operator, covered=False, matched=False)
         self._route_uncovered(record, origin, store)
 
     def _route_uncovered(
@@ -129,7 +135,8 @@ class MultiJoinNode(Node):
             return
         if operator.is_binary_join:
             # Only reachable via repair: a binary join stored covered at
-            # its divergence node whose cover was cancelled.
+            # its divergence node whose cover was cancelled.  The SPLIT
+            # arm below stored it with its matcher.
             self.roles[operator.op_id] = JOIN
             self._dispatch_filters(operator, origin)
             return
@@ -245,7 +252,7 @@ class MultiJoinNode(Node):
                 continue
             outgoing: dict = {}
             for operator, matcher in store.matched_for_sensor(event.sensor_id):
-                role = self.roles.get(operator.op_id, TRANSIT)
+                role = self.roles[operator.op_id]
                 if role == SPLIT:
                     continue  # its binary joins act instead
                 if role == LEAF:

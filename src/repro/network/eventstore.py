@@ -53,7 +53,6 @@ class EventStore:
         self.validity = validity
         self._by_sensor: dict[str, Timeline] = {}
         self._keys: set[EventKey] = set()
-        self._latest = float("-inf")
         self._horizon = float("-inf")
         self._fences: dict[str, float] = {}
         self._listeners: list[StoreListener] = []
@@ -92,8 +91,6 @@ class EventStore:
             timeline = self._by_sensor[event.sensor_id] = Timeline()
         timeline.add(event)
         self._keys.add(event.key)
-        if event.timestamp > self._latest:
-            self._latest = event.timestamp
         self._pruned_at_insert.extend(self._prune_sensor(event.sensor_id))
         for listener in self._listeners:
             listener.event_added(event)
@@ -159,11 +156,6 @@ class EventStore:
         if not timeline:
             return ()
         return timeline.view(self._horizon, float("inf"))
-
-    @property
-    def latest_timestamp(self) -> float:
-        """Largest timestamp ever inserted (-inf when empty)."""
-        return self._latest
 
     # ------------------------------------------------------------------
     def prune(self, now: float) -> list[EventKey]:

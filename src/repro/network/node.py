@@ -111,7 +111,8 @@ def insert_by_seq(records: list, record) -> None:
 
 
 class StoredOperator:
-    """One stored operator record: rank, coverage and plan flags, matcher."""
+    """One stored operator record: rank, coverage and plan flags, and
+    the matcher (None when no event path reads its hits)."""
 
     __slots__ = ("seq", "operator", "covered", "planned", "matcher")
 
@@ -121,7 +122,7 @@ class StoredOperator:
         operator: CorrelationOperator,
         covered: bool,
         planned: bool,
-        matcher: object,
+        matcher: object | None,
     ) -> None:
         self.seq = seq
         self.operator = operator
@@ -175,10 +176,14 @@ class SubscriptionStore:
     share with every other operator asking the same question) — from
     then on every ingested event is indexed as it arrives instead of
     being rediscovered by scans; removing the operator again (query
-    cancellation) releases the reference.
+    cancellation) releases the reference.  A record holds a matcher
+    only if an event path reads that matcher's hits: a node class that
+    routes a record on something else (multi-join's whole operators and
+    leaf filters, forwarded on value-filter acceptance) stores it with
+    ``matched=False`` — no matcher, no index entry, no sweep.
 
-    ``streams`` indexes the records by that matcher: the event paths
-    walk an arrival's hit map and find the streams it feeds here,
+    ``streams`` indexes the matched records by that matcher: the event
+    paths walk an arrival's hit map and find the streams it feeds here,
     instead of walking the store.  :meth:`add`,
     :meth:`remove_subscription` and :meth:`uncover` are the only
     writers of the index and of ``record.covered``.
@@ -216,8 +221,10 @@ class SubscriptionStore:
         covered: bool,
         seq: LifecycleSeq | None = None,
         planned: bool = False,
+        matched: bool = True,
     ) -> StoredOperator:
-        """Store an operator; ``seq`` overrides the rank (repair only)."""
+        """Store an operator; ``seq`` overrides the rank (repair only),
+        ``matched=False`` stores it without a matcher."""
         # Resolve the operator's matcher once at store time; the event
         # hot path then queries it with zero lookup layers.
         record = StoredOperator(
@@ -225,23 +232,25 @@ class SubscriptionStore:
             operator,
             covered,
             planned,
-            self._engine.retain(operator),
+            self._engine.retain(operator) if matched else None,
         )
         insert_by_seq(self._records, record)
         op_id = operator.op_id
         self._op_ids[op_id] = self._op_ids.get(op_id, 0) + 1
         for sensor_id in sorted(operator.sensors):
             self._by_sensor.setdefault(sensor_id, []).append(record)
-        group = self.streams.get(record.matcher)
-        if group is None:
-            group = self.streams[record.matcher] = StreamGroup()
-        group.add(record)
+        if matched:
+            group = self.streams.get(record.matcher)
+            if group is None:
+                group = self.streams[record.matcher] = StreamGroup()
+            group.add(record)
         return record
 
     def uncover(self, record: StoredOperator) -> None:
         """Cancellation repair: a covered record lost its cover."""
         record.covered = False
-        self.streams[record.matcher].uncovered.add(record.operator.op_id)
+        if record.matcher is not None:
+            self.streams[record.matcher].uncovered.add(record.operator.op_id)
 
     def has_operator(self, op_id: str) -> bool:
         """Whether a record with this operator id is currently stored.
@@ -276,6 +285,8 @@ class SubscriptionStore:
             self._op_ids[record.operator.op_id] -= 1
             if not self._op_ids[record.operator.op_id]:
                 del self._op_ids[record.operator.op_id]
+            if record.matcher is None:
+                continue
             group = self.streams[record.matcher]
             group.records.remove(record)
             if group.records:
@@ -283,7 +294,8 @@ class SubscriptionStore:
             else:
                 del self.streams[record.matcher]
         for record in removed:
-            self._engine.release(record.operator)
+            if record.matcher is not None:
+                self._engine.release(record.operator)
         return removed
 
     def records(self) -> list[StoredOperator]:
@@ -298,7 +310,7 @@ class SubscriptionStore:
 
     def matched_for_sensor(
         self, sensor_id: str
-    ) -> Iterator[tuple[CorrelationOperator, object]]:
+    ) -> Iterator[tuple[CorrelationOperator, object | None]]:
         """Uncovered (operator, matcher) pairs with a slot drawing from
         ``sensor_id`` — for the one event path that forwards on a value
         filter instead of a match (multi-join's role walk)."""
@@ -970,7 +982,7 @@ class Node:
         return links
 
     def pubsub_forward(
-        self, hits: HitMap, sender: str, include_covered: bool = False
+        self, hits: HitMap, sender: str, include_covered: bool
     ) -> None:
         """Per-neighbour publish/subscribe forwarding (Algorithm 5).
 

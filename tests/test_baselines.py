@@ -214,6 +214,73 @@ class TestMultiJoin:
         for link, count in net.meter.per_link_events.items():
             assert count <= 2, (link, count)
 
+    def test_covered_whole_multijoin_relays_once_its_cover_is_cancelled(self, line):
+        """Whole multi-joins hold no matcher, covered or not: uncovering
+        one touches no stream group, gives it its role and relays."""
+        net = make_network(line, multijoin_approach())
+        net.register_subscription(
+            "u2", sub("wide", {"a": (0, 20), "b": (0, 20), "c": (0, 20)})
+        )
+        net.run_to_quiescence()
+        net.register_subscription(
+            "u1", sub("s", {"a": (0, 10), "b": (0, 10), "c": (0, 10)})
+        )
+        net.run_to_quiescence()
+        hub = net.nodes["hub"]
+        (record,) = [
+            r for r in hub.stores["u1"].records() if r.operator.subscription_id == "s"
+        ]
+        assert record.covered and record.matcher is None
+        assert "s[a,b,c]" not in hub.roles
+        assert "s[a,b,c]" not in net.nodes["s_a"].roles  # never got past the hub
+        net.cancel_subscription("u2", "wide")
+        net.run_to_quiescence()
+        assert not record.covered and record.matcher is None
+        assert hub.stores["u1"].streams == {}
+        assert hub.roles["s[a,b,c]"] == TRANSIT
+        assert net.nodes["s_a"].roles["s[a,b,c]"] == SPLIT
+        publish(net, "a", 5.0, ts=100.0)
+        publish(net, "b", 5.0, ts=101.0)
+        publish(net, "c", 5.0, ts=102.0)
+        net.run_to_quiescence()
+        assert {k[0] for k in net.delivery.delivered("s")} == {"a", "b", "c"}
+
+    def test_covered_binary_join_joins_once_its_cover_is_cancelled(self, line):
+        """A binary join covered at its divergence node keeps the
+        matcher it retained at ``add``; when the cover goes it becomes
+        JOIN and forwards its main events from that matcher's hits."""
+        net = make_network(line, multijoin_approach())
+        # Not a cover of ``s`` as a whole (c is narrower), but its
+        # (a|b) binary join covers the (a|b) join of ``s``.
+        net.register_subscription(
+            "u2", sub("w", {"a": (0, 20), "b": (0, 20), "c": (0, 5)})
+        )
+        net.register_subscription(
+            "u2", sub("s", {"a": (0, 10), "b": (0, 10), "c": (0, 10)})
+        )
+        net.run_to_quiescence()
+        s_a = net.nodes["s_a"]
+        assert s_a.roles["s[a,b,c]"] == SPLIT
+        (record,) = [
+            r
+            for r in s_a.stores["hub"].records()
+            if r.operator.subscription_id == "s" and r.operator.main_slot == "a"
+        ]
+        matcher = record.matcher
+        assert record.covered and matcher is not None
+        assert record.operator.op_id not in s_a.roles
+        net.cancel_subscription("u2", "w")
+        net.run_to_quiescence()
+        assert not record.covered and record.matcher is matcher
+        assert s_a.roles[record.operator.op_id] == JOIN
+        assert record.operator.op_id in s_a.stores["hub"].streams[matcher].uncovered
+        # Only the restored join has ``a`` as its main stream now.
+        publish(net, "a", 8.0, ts=100.0)
+        publish(net, "b", 8.0, ts=101.0)
+        publish(net, "c", 8.0, ts=102.0)
+        net.run_to_quiescence()
+        assert {k[0] for k in net.delivery.delivered("s")} == {"a", "b", "c"}
+
 
 # ---------------------------------------------------------------------------
 # Centralized

@@ -355,6 +355,15 @@ def test_cancelling_everything_after_the_replay_drains_every_engine(approach, ma
         run = run_arena(seed, approach, matching, set(), True)
         network = run["network"]
         assert any(node.matching.operators() for node in network.nodes.values())
+        if approach == "multijoin":
+            # Whole operators and leaf filters hold no matcher: their
+            # removal must release nothing, the joins' exactly once.
+            assert any(
+                record.matcher is None
+                for node in network.nodes.values()
+                for store in node.stores.values()
+                for record in store.records()
+            )
         _, _, workload = arena(seed)
         for placed in workload:
             network.cancel_subscription(placed.node_id, placed.subscription.sub_id)

@@ -31,12 +31,6 @@ class TestAdd:
         with pytest.raises(ValueError):
             EventStore(validity=0.0)
 
-    def test_latest_timestamp(self):
-        store = EventStore(validity=100.0)
-        store.add(ev(ts=5.0, seq=0), now=5.0)
-        store.add(ev(ts=3.0, seq=1), now=5.0)
-        assert store.latest_timestamp == 5.0
-
 
 class TestWindowQueries:
     def test_half_open_window(self):

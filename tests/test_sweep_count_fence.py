@@ -10,7 +10,14 @@ match: the pre-check leaves nothing fruitless.  With per-record probing
 (the parent of PR 19) the same cells made 1402 (naive), 1402
 (operator_placement), 1397 (fsf), 475 (centralized) and 1793
 (multijoin) calls, of which 277, 277, 275, 18 and 553 found a match: a
-slide back fails here, not in a benchmark.
+slide back fails here, not in a benchmark.  Multi-join made 1304 (1106
+found) while it still kept a matcher behind every whole operator and
+leaf filter it stores; it reads none of those, so since PR 23 it stores
+them without one.
+
+``test_no_matcher_nobody_reads`` is the count-free form of the same
+rule: every matcher an engine holds after a run belongs to a record an
+event path looks up in the hit map.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.baselines.multijoin import JOIN, MultiJoinNode
 from repro.matching import OperatorMatcher
 from repro.workload.program import execute_program
 from repro.workload.scenarios import SMALL
@@ -33,8 +41,10 @@ PINNED = {
     "centralized": (18, 18),
     # Every sweep made at ingest finds a match here too; the other 198
     # are the one direct sweep of each ring join a relay retains while
-    # the arrival that first feeds it is being handled.
-    "multijoin": (1304, 1106),
+    # the arrival that first feeds it is being handled.  Only binary
+    # joins, ring joins and local roots are swept: whole multi-joins
+    # and leaf filters hold no matcher.
+    "multijoin": (753, 555),
 }
 
 
@@ -63,3 +73,40 @@ def test_sweeps_per_cell_are_pinned(cell, monkeypatch):
     monkeypatch.setattr(OperatorMatcher, "matches_involving", counted)
     execute_program(smoke_point(), cell)
     assert (made, found) == PINNED[cell]
+
+
+def readers(node):
+    """The matchers some event path of ``node`` looks up in a hit map."""
+    read = set(node._local_roots.streams)  # deliver_local_matches
+    if isinstance(node, MultiJoinNode):
+        # The role walk reads a record's own matcher only as JOIN (a
+        # covered binary join becomes one the moment its cover goes) and
+        # a relay's ring entries; it never touches ``streams``.
+        for store in node.stores.values():
+            read.update(
+                record.matcher
+                for record in store.records()
+                if record.operator.is_binary_join
+                and (record.covered or node.roles[record.operator.op_id] == JOIN)
+            )
+        for ring in node._ring_cache.values():
+            read.update(matcher for _, matcher in ring if matcher is not None)
+    else:
+        # hit_links / the centre walk the hit map through ``streams``.
+        for store in node.stores.values():
+            read.update(store.streams)
+    return read
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED))
+def test_no_matcher_nobody_reads(cell):
+    execution = execute_program(smoke_point(), cell)
+    held = 0
+    for node_id, node in sorted(execution.session.network.nodes.items()):
+        engine = node.matching
+        matchers = {engine.matcher(op) for op in engine.operators()}
+        assert len(matchers) == engine.n_matchers
+        unread = matchers - readers(node)
+        assert not unread, (node_id, [m.structure for m in unread])
+        held += len(matchers)
+    assert held  # the run left something to check
