@@ -112,12 +112,6 @@ class Session:
             resolved = approaches[approach]
         else:
             resolved = approach
-        if answer_mode == "approximate" and not resolved.supports_sketches:
-            raise ValueError(
-                f"approach {resolved.key!r} does not support the "
-                "approximate answer lane (it has no per-subscription "
-                "event forwarding to trade for digest pushes)"
-            )
         if seed is None:
             seed = deployment.seed if deployment is not None else 0
         if deployment is None:

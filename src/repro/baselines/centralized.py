@@ -45,6 +45,10 @@ class CentralizedNode(Node):
     # Registration unicasts to the centre: there is no operator tree
     # for a compiled plan to route.
     executes_plans = False
+    # Events stream to the centre regardless of who subscribed, so
+    # suppressing per-subscription forwarding saves nothing — the
+    # approximate lane has no traffic to trade error against.
+    hosts_sketches = False
 
     def __init__(self, node_id: str, network: "Network") -> None:
         super().__init__(node_id, network)
@@ -60,7 +64,7 @@ class CentralizedNode(Node):
     # ------------------------------------------------------------------
     def attach_sensor(self, advertisement) -> None:
         self.store.unfence_sensor(advertisement.sensor_id)
-        self.ads.add_local(advertisement)
+        self.ads.add(LOCAL, advertisement)
         if advertisement.sensor_id in self._departed_once:
             self._departed_once.discard(advertisement.sensor_id)
             if self.node_id != self.network.center:
@@ -132,12 +136,14 @@ class CentralizedNode(Node):
         # travelled to the centre, so refresh re-offers it there.
         self._forwarded_subs.setdefault(subscription.sub_id, {}).setdefault(
             self.network.center, {}
-        )[root.op_id] = root
+        )[root.op_id] = (root, None)
         self.network.unicast(
             self.node_id, self.network.center, OperatorMessage(root)
         )
 
-    def handle_operator(self, operator: CorrelationOperator, origin: str) -> None:
+    def handle_operator(
+        self, operator: CorrelationOperator, origin: str, plan: object | None = None
+    ) -> None:
         # Only the centre receives operators (via unicast).
         assert self.node_id == self.network.center
         self.store_for(LOCAL).add(operator, covered=False)
@@ -200,7 +206,7 @@ class CentralizedNode(Node):
                     self.network.unicast(
                         self.node_id,
                         target,
-                        OperatorMessage(pieces[op_id], refresh_epoch=epoch),
+                        OperatorMessage(pieces[op_id][0], refresh_epoch=epoch),
                     )
 
     def on_crash(self) -> None:
@@ -272,9 +278,4 @@ def centralized_approach() -> Approach:
         subscription_splitting="None",
         event_propagation="Full result sets",
         make_node=CentralizedNode,
-        floods_advertisements=False,
-        # Events stream to the centre regardless of who subscribed, so
-        # suppressing per-subscription forwarding saves nothing — the
-        # approximate lane has no traffic to trade error against.
-        supports_sketches=False,
     )

@@ -40,7 +40,6 @@ from __future__ import annotations
 from typing import Any
 
 from ..matching import HitMap
-from ..model.advertisements import AdvertisementTable
 from ..model.events import SimpleEvent
 from ..model.operators import CorrelationOperator
 from ..network.network import Network
@@ -53,7 +52,7 @@ from ..network.node import (
     insert_by_seq,
 )
 from ..protocols.base import Approach
-from ..subsumption.pairwise import find_cover
+from ..subsumption.pairwise import find_cover, pairwise_covered
 
 TRANSIT = "transit"
 SPLIT = "split"
@@ -84,6 +83,7 @@ class MultiJoinNode(Node):
     # The ring/role state machine is built inside handle_operator;
     # plan-routed pieces would bypass it and orphan the dispatch ledger.
     executes_plans = False
+    is_covered = staticmethod(pairwise_covered)
 
     def __init__(self, node_id: str, network: Network) -> None:
         super().__init__(node_id, network)
@@ -109,18 +109,24 @@ class MultiJoinNode(Node):
     # ------------------------------------------------------------------
     # subscription side
     # ------------------------------------------------------------------
-    def handle_operator(self, operator: CorrelationOperator, origin: str) -> None:
-        # A whole multi-join or a simple filter: the event path reads
-        # neither's hits (see the module docstring), so no matcher.
+    def handle_operator(
+        self, operator: CorrelationOperator, origin: str, plan: object | None = None
+    ) -> None:
+        # The shared pipeline, except that a whole multi-join or a
+        # simple filter holds no matcher: the event path reads neither's
+        # hits (see the module docstring).
         store = self.store_for(origin)
-        if find_cover(operator, store.same_signature_uncovered(operator)):
-            store.add(operator, covered=True, matched=False)
-            return
-        record = store.add(operator, covered=False, matched=False)
-        self._route_uncovered(record, origin, store)
+        covered = self.is_covered(operator, store)
+        record = store.add(operator, covered, matched=False)
+        if not covered:
+            self.on_operator_uncovered(record, origin, store)
 
-    def _route_uncovered(
-        self, record: StoredOperator, origin: str, store: SubscriptionStore
+    def on_operator_uncovered(
+        self,
+        record: StoredOperator,
+        origin: str,
+        store: SubscriptionStore,
+        plan: object | None = None,
     ) -> None:
         """Place an (already stored) uncovered operator on the event path.
 
@@ -131,7 +137,7 @@ class MultiJoinNode(Node):
         operator = record.operator
         if operator.is_simple:
             self.roles[operator.op_id] = LEAF
-            self._forward_split(operator, origin)
+            self.forward_split(operator, origin)
             return
         if operator.is_binary_join:
             # Only reachable via repair: a binary join stored covered at
@@ -155,17 +161,11 @@ class MultiJoinNode(Node):
         self.roles[operator.op_id] = SPLIT
         for join in operator.binary_joins():
             seq = self._seq_source.next()
-            candidates = [
-                op
-                for op in store.uncovered_before(seq)
-                if op.signature == join.signature
-            ]
-            if find_cover(join, candidates):
-                store.add(join, covered=True, seq=seq)
-                continue
-            store.add(join, covered=False, seq=seq)
-            self.roles[join.op_id] = JOIN
-            self._dispatch_filters(join, origin)
+            covered = self.is_covered(join, store, seq)
+            store.add(join, covered, seq=seq)
+            if not covered:
+                self.roles[join.op_id] = JOIN
+                self._dispatch_filters(join, origin)
 
     def _dispatch_filters(self, join: CorrelationOperator, origin: str) -> None:
         """Send the join's individual simple filters toward the sensors.
@@ -184,10 +184,7 @@ class MultiJoinNode(Node):
             record = _DispatchRecord(seq, simple, find_cover(simple, covers) is None)
             insert_by_seq(dispatched, record)
             if record.sent:
-                self._forward_split(simple, origin)
-
-    def _forward_split(self, operator: CorrelationOperator, origin: str) -> None:
-        self.forward_split(operator, origin)
+                self.forward_split(simple, origin)
 
     # ------------------------------------------------------------------
     # query cancellation
@@ -213,11 +210,6 @@ class MultiJoinNode(Node):
             if matcher is not None:
                 self.matching.release(join)
 
-    def on_operator_uncovered(
-        self, record: StoredOperator, origin: str, store: SubscriptionStore
-    ) -> None:
-        self._route_uncovered(record, origin, store)
-
     def _repair_dispatched(self, origin: str) -> None:
         """Re-dispatch unsent simple filters whose cover was removed."""
         for record in list(self._dispatched_filters.get(origin, ())):
@@ -229,7 +221,7 @@ class MultiJoinNode(Node):
             ]
             if find_cover(record.operator, covers) is None:
                 record.sent = True
-                self._forward_split(record.operator, origin)
+                self.forward_split(record.operator, origin)
 
     # ------------------------------------------------------------------
     # event side

@@ -9,30 +9,18 @@ of shared event dissemination rather than of routing.
 
 from __future__ import annotations
 
-from ..model.events import SimpleEvent
-from ..model.operators import CorrelationOperator
-from ..network.network import Network
 from ..network.node import Node
 from ..protocols.base import Approach
 
 
 class NaiveNode(Node):
-    """Stores and forwards everything; one result stream per operator."""
+    """The base pipeline as it stands: no filtering, simple splitting,
+    one result stream per stored operator — overlapping subscriptions
+    pay once each (the redundancy the paper's metrics expose)."""
 
-    def handle_operator(self, operator: CorrelationOperator, origin: str) -> None:
-        self.store_for(origin).add(operator, covered=False)
-        self.forward_split(operator, origin)
-
-    def handle_event(
-        self, event: SimpleEvent, origin: str, streams: tuple[str, ...]
-    ) -> None:
-        hits = self.ingest(event)
-        if not hits:
-            return  # dropped, or no operator here has a match
-        self.deliver_local_matches(hits)
-        # One result set per stored operator; overlapping subscriptions
-        # pay once each (the redundancy the paper's metrics expose).
-        self.stream_forward(hits, sender=origin, include_covered=False)
+    # Bound here only because benchmarks/e2e/tests/test_harness.py, which
+    # only a [benchmark] PR may edit, asserts the tracer wraps this name.
+    handle_event = Node.handle_event
 
 
 def naive_approach() -> Approach:

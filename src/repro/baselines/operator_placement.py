@@ -19,38 +19,21 @@ operator" construction of Section III-A.
 
 from __future__ import annotations
 
-from ..model.events import SimpleEvent
-from ..model.operators import CorrelationOperator
-from ..network.network import Network
 from ..network.node import Node
 from ..protocols.base import Approach
-from ..subsumption.pairwise import find_cover
+from ..subsumption.pairwise import pairwise_covered
 
 
 class OperatorPlacementNode(Node):
-    """Pair-wise covering + simple splitting + per-operator streams."""
+    """Pair-wise covering + simple splitting + per-operator streams.
 
-    def handle_operator(self, operator: CorrelationOperator, origin: str) -> None:
-        store = self.store_for(origin)
-        cover = find_cover(operator, store.same_signature_uncovered(operator))
-        if cover is not None:
-            # Covered: stored, not forwarded — its result stream will be
-            # regenerated here from the covering operator's stream.
-            store.add(operator, covered=True)
-            return
-        store.add(operator, covered=False)
-        self.forward_split(operator, origin)
+    A covered operator is stored, not forwarded; its result stream is
+    regenerated here from the covering operator's stream and forwarded
+    toward its user (``include_covered``).
+    """
 
-    def handle_event(
-        self, event: SimpleEvent, origin: str, streams: tuple[str, ...]
-    ) -> None:
-        hits = self.ingest(event)
-        if not hits:
-            return  # dropped, or no operator here has a match
-        self.deliver_local_matches(hits)
-        # include_covered=True: operators covered at this node generate
-        # their own streams from here toward their users.
-        self.stream_forward(hits, sender=origin, include_covered=True)
+    is_covered = staticmethod(pairwise_covered)
+    include_covered = True
 
 
 def operator_placement_approach() -> Approach:

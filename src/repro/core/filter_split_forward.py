@@ -31,8 +31,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from ..model.advertisements import AdvertisementTable
-from ..model.events import SimpleEvent
 from ..model.intervals import union_covers
 from ..model.operators import CorrelationOperator
 from ..network.network import Network
@@ -58,7 +56,17 @@ class FSFConfig:
 
 
 class FilterSplitForwardNode(Node):
-    """Processing node running Algorithms 1-5."""
+    """Processing node running Algorithms 1-5: set filtering, simple
+    splitting, per-neighbour forwarding.
+
+    ``include_covered``: an operator covered *at this node* still
+    generates its result set from here (Section V-A's "generates the
+    missing result set at the node where covering was detected");
+    per-link dedup keeps the traffic shared.
+    """
+
+    per_neighbor = True
+    include_covered = True
 
     def __init__(
         self, node_id: str, network: Network, config: FSFConfig | None = None
@@ -83,28 +91,19 @@ class FilterSplitForwardNode(Node):
     # ------------------------------------------------------------------
     # subscription side: Algorithms 2, 3, 4
     # ------------------------------------------------------------------
-    def handle_operator(self, operator: CorrelationOperator, origin: str) -> None:
-        """Algorithm 4: filter against same-origin subscriptions, then
-        split and forward the uncovered ones."""
-        if self.config.coarsening > 0 and origin == LOCAL:
+    def handle_operator(
+        self, operator: CorrelationOperator, origin: str, plan: object | None = None
+    ) -> None:
+        """Section VI-F's coarsening at the user's node, then the shared
+        pipeline (Algorithm 4).  A planned piece keeps the ranges the
+        compiler priced."""
+        if self.config.coarsening > 0 and origin == LOCAL and plan is None:
             operator = operator.widened(self.config.coarsening)
-        store = self.store_for(origin)
-        if self._is_set_covered(operator, store.uncovered):
-            store.add(operator, covered=True)  # Algorithm 4, line 12
-            return
-        store.add(operator, covered=False)  # Algorithm 4, line 9
-        self._split_and_forward(operator, origin)
+        super().handle_operator(operator, origin, plan)
 
-    def recheck_coverage(self, record, store) -> bool:
-        """Cancellation repair: re-run Algorithm 2's set check against
-        the uncovered operators that arrived before ``record`` — the
-        candidates its original check saw, minus the removed ones."""
-        return self._is_set_covered(
-            record.operator, store.uncovered_before(record.seq)
-        )
-
-    def _is_set_covered(self, operator: CorrelationOperator, stored_ops) -> bool:
-        """The set-filtering check of Algorithm 2.
+    def is_covered(self, operator, store, before=None) -> bool:
+        """The set-filtering check of Algorithm 2, against the uncovered
+        operators ``store`` held before rank ``before`` (arrival: all).
 
         Per Section V-B, every stream position (sensor, or attribute +
         location) is one attribute of the set-subsumption problem, so
@@ -114,8 +113,9 @@ class FilterSplitForwardNode(Node):
         Table I example drop s3 against {s1, s2}, which classic
         same-attribute-set filtering cannot do.  Correlation stays safe
         because the covered operator keeps generating its result set at
-        this node (``include_covered`` on the event path).
+        this node (``include_covered``).
         """
+        stored_ops = store.uncovered_before(before)
         covers_per_slot: list[list] = []
         for slot in operator.slots:
             candidates = []
@@ -144,33 +144,6 @@ class FilterSplitForwardNode(Node):
             operator.as_box(), covers_per_slot
         )
 
-    def _split_and_forward(
-        self, operator: CorrelationOperator, origin: str
-    ) -> None:
-        """Algorithm 3: project on each neighbour's data space and send.
-
-        The absent-sources check (line 3) already happened at the
-        originating node (``Node.subscribe``); operators arriving from a
-        neighbour had their sources checked there.
-        """
-        self.forward_split(operator, origin)
-
-    # ------------------------------------------------------------------
-    # event side: Algorithm 5
-    # ------------------------------------------------------------------
-    def handle_event(
-        self, event: SimpleEvent, origin: str, streams: tuple[str, ...]
-    ) -> None:
-        hits = self.ingest(event)
-        if not hits:
-            return  # dropped, or no operator here has a match
-        self.deliver_local_matches(hits)  # lines 14-15 (j == n)
-        # include_covered: an operator covered *at this node* still
-        # generates its result set from here (Section V-A's "generates
-        # the missing result set at the node where covering was
-        # detected"); per-link dedup keeps the traffic shared.
-        self.pubsub_forward(hits, sender=origin, include_covered=True)
-
 
 def filter_split_forward_approach(config: FSFConfig | None = None) -> Approach:
     """The paper's approach, ready for the experiment runner."""
@@ -181,5 +154,4 @@ def filter_split_forward_approach(config: FSFConfig | None = None) -> Approach:
         subscription_splitting="Simple",
         event_propagation="Per neighbor",
         make_node=functools.partial(FilterSplitForwardNode, config=config),
-        deterministic_recall=False,
     )

@@ -1,4 +1,4 @@
-"""Per-figure reproduction harnesses (Figs 4-12 paper, 13-16 beyond).
+"""Per-figure reproduction harnesses (Figs 4-12 paper, 13-22 beyond).
 
 Each ``figure_N()`` returns a :class:`FigureResult` with the same series
 the paper plots; figure pairs that share a scenario (subscription load +

@@ -4,8 +4,8 @@
 certified answer the sketch lane produced: for each answered
 subscription it counts the events that really fell into the queried
 range (honouring churn fences — a retired sensor's history must not
-count, exactly as ``EventStore.fence_sensor`` and the lane's own fence
-refuse it) and checks the lane's certificate against it.
+count, exactly as ``EventStore.fence_sensor``, which the lane listens
+to, refuses it) and checks the lane's certificate against it.
 
 Two truths per answer:
 
@@ -119,8 +119,8 @@ def measure_approx(
     never synthesized, so no aliveness filter is needed here);
     ``fences`` maps sensor ids to their last departure time — readings
     stamped at or before the fence are excluded from the truth, the
-    exact rule the lane's :meth:`~repro.sketches.SketchLane.fence_sensor`
-    applies on the answer side.
+    exact rule the hosting broker's ``EventStore.fence_sensor`` applies
+    on the answer side.
     """
     lane = network.sketches
     if lane is None:

@@ -59,10 +59,6 @@ class AdvertisementTable:
         self._next_hop[advertisement.sensor_id] = origin
         return True
 
-    def add_local(self, advertisement: Advertisement) -> bool:
-        """Store an advertisement of a locally attached sensor."""
-        return self.add(self.LOCAL, advertisement)
-
     def remove(self, sensor_id: str) -> bool:
         """Forget a retracted sensor; False when it was never known.
 

@@ -194,6 +194,12 @@ class Network:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         if node.node_id not in self.deployment.graph:
             raise ValueError(f"{node.node_id!r} not in the deployment graph")
+        if self.sketches is not None and not node.hosts_sketches:
+            raise ValueError(
+                f"{type(node).__name__} does not support the approximate "
+                "answer lane (it has no per-subscription event forwarding "
+                "to trade for digest pushes)"
+            )
         self.nodes[node.node_id] = node
 
     def populate(self, node_factory) -> None:
@@ -370,12 +376,6 @@ class Network:
             raise ValueError(
                 f"{type(node).__name__} does not execute compiled "
                 "placement plans"
-            )
-        if self.reliability is not None:
-            raise ValueError(
-                "compiled placement plans cannot ride the reliability "
-                "layer: soft-state refresh re-offers operator pieces "
-                "without their plan, which would misroute them"
             )
         if self.sketches is not None:
             raise ValueError(

@@ -13,9 +13,11 @@ Each node keeps
 * per-event forwarded-to flags (the ``sendTo`` array of Algorithm 5),
   so no data unit crosses the same link twice in the same stream.
 
-Protocol behaviour — how subscriptions are filtered/split and how events
-are propagated — lives in the subclasses under ``repro.core`` (the
-Filter-Split-Forward contribution) and ``repro.baselines``.
+The operator pipeline (filter, store, split and forward) and the event
+pipeline (store and match, deliver, forward) run here, once; the
+subclasses under ``repro.core`` (the Filter-Split-Forward contribution)
+and ``repro.baselines`` state what Table II lists — the coverage rule,
+the split, the two event-propagation constants.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from ..model.subscriptions import (
     Subscription,
 )
 from ..sketches.messages import SketchPushMessage, SketchSubscribeMessage
-from ..subsumption.pairwise import find_cover
 from .eventstore import EventStore
 from .messages import (
     AdvertisementMessage,
@@ -145,7 +146,7 @@ class StreamGroup:
         self.uncovered: set[str] = set()
         # The same set object until the group holds a covered record.
         self.every = self.uncovered
-        # Adopted under a compiled placement plan (see adopt_planned).
+        # Stored under a compiled placement plan (see handle_operator).
         self.planned: frozenset[str] = frozenset()
 
     def add(self, record: StoredOperator) -> None:
@@ -302,8 +303,11 @@ class SubscriptionStore:
         """Every record in arrival order (cancellation repair walks it)."""
         return list(self._records)
 
-    def uncovered_before(self, seq: LifecycleSeq) -> list[CorrelationOperator]:
-        """Uncovered operators that arrived strictly before ``seq``."""
+    def uncovered_before(self, seq: LifecycleSeq | None) -> list[CorrelationOperator]:
+        """Uncovered operators that arrived strictly before ``seq``; all
+        of them for ``None`` (an arrival ranks behind everything stored)."""
+        if seq is None:
+            return self.uncovered
         return [
             r.operator for r in self._records if not r.covered and r.seq < seq
         ]
@@ -318,33 +322,31 @@ class SubscriptionStore:
             if not record.covered:
                 yield record.operator, record.matcher
 
-    def same_signature_uncovered(
-        self, operator: CorrelationOperator
-    ) -> list[CorrelationOperator]:
-        """The comparison set for subsumption checks (arrival order)."""
-        return [
-            r.operator
-            for r in self._records
-            if not r.covered and r.operator.signature == operator.signature
-        ]
-
     def __len__(self) -> int:
         return len(self._records)
 
 
-def _make_engine(mode: str, store) -> MatchingEngine | ReferenceEngine:
-    """Node-level matcher implementation for a ``Network.matching`` mode."""
-    return ENGINES[mode](store)
-
-
 class Node:
-    """Base processing node; subclasses implement the protocol hooks."""
+    """Base processing node: one operator pipeline and one event
+    pipeline (Algorithms 3-5), parameterised by Table II's three axes —
+    filtering is :meth:`is_covered`, splitting
+    :meth:`on_operator_uncovered`, event propagation the two constants
+    below.  As they stand here: the naive approach.
+    """
 
-    #: Whether registration can route operator pieces along a compiled
-    #: placement plan (:meth:`adopt_planned`) instead of
-    #: ``handle_operator``; ``Network.check_plan`` refuses a plan on a
-    #: node class that says no.
+    #: Per-neighbour publish/subscribe forwarding (an event crosses a
+    #: link once) instead of one result stream per stored operator.
+    per_neighbor = False
+    #: Whether operators covered at this node generate their result
+    #: sets from here (Sections III-A, V-A).
+    include_covered = False
+    #: Whether ``handle_operator`` can route pieces along a compiled
+    #: placement plan; ``Network.check_plan`` refuses a plan on a node
+    #: class that says no.
     executes_plans = True
+    #: Whether the approximate answer lane can run on this node class;
+    #: ``Network.add_node`` refuses the combination otherwise.
+    hosts_sketches = True
 
     def __init__(self, node_id: str, network: "Network") -> None:
         self.node_id = node_id
@@ -365,7 +367,11 @@ class Node:
         # remains selectable (Network(matching="reference")) as the
         # oracle for equivalence tests and as the recompute-on-arrival
         # baseline for benchmarks.
-        self.matching = _make_engine(self.network.matching, self.store)
+        self.matching = ENGINES[self.network.matching](self.store)
+        if self.network.sketches is not None:
+            # The lane counts what the store accepts and forgets what
+            # it fences: no second copy of the churn fence.
+            self.store.add_listener(self.network.sketches.store_listener(self))
         # The whole root operators of the local subscriptions, a store
         # of their own: the final local check reads its stream index.
         self._local_roots = SubscriptionStore(self.matching)
@@ -378,11 +384,12 @@ class Node:
         self._adds_since_prune = 0
         self._seq_source = SeqSource()
         # Reverse-path memory for query cancellation and soft-state
-        # refresh: per subscription, the exact operator pieces this node
-        # forwarded to each neighbour.  An UnsubscribeMessage retraces
-        # these edges; a refresh round re-offers the pieces.
+        # refresh: per subscription, the exact ``(operator piece, plan)``
+        # pairs this node forwarded to each neighbour.  An
+        # UnsubscribeMessage retraces these edges; a refresh round
+        # re-offers the pieces, each with the plan it travelled under.
         self._forwarded_subs: dict[
-            str, dict[str, dict[str, CorrelationOperator]]
+            str, dict[str, dict[str, tuple[CorrelationOperator, object | None]]]
         ] = {}
         # Soft-state clock: last refresh epoch seen per sensor (0 =
         # only the setup flood).  Dedupes refresh floods and drives
@@ -417,10 +424,7 @@ class Node:
                 # records and forwarding — duplicates stay invisible.
                 return
             self._seq_source.begin_arrival()
-            if message.plan is not None:
-                self.adopt_planned(message.operator, origin, message.plan)
-            else:
-                self.handle_operator(message.operator, origin)
+            self.handle_operator(message.operator, origin, message.plan)
         elif isinstance(message, UnsubscribeMessage):
             self.handle_unsubscribe(message.subscription_id, origin)
         elif isinstance(message, SketchSubscribeMessage):
@@ -458,7 +462,7 @@ class Node:
     ) -> None:
         self._forwarded_subs.setdefault(
             operator.subscription_id, {}
-        ).setdefault(neighbor, {})[operator.op_id] = operator
+        ).setdefault(neighbor, {})[operator.op_id] = (operator, plan)
         self.network.send(
             self.node_id, neighbor, OperatorMessage(operator, plan=plan)
         )
@@ -489,42 +493,19 @@ class Node:
     # injection entry points
     # ------------------------------------------------------------------
     def attach_sensor(self, advertisement: Advertisement) -> None:
-        """Algorithm 1, lines 2-7: local sensor appears, flood its DSA.
-
-        Also the churn *re-join* path: a sensor whose advertisement was
-        retracted on departure is new again, so the same flood carries
-        its return through the whole network (the re-flood), lifting the
-        local event fence on the way.
-        """
-        self.store.unfence_sensor(advertisement.sensor_id)
-        lane = self.network.sketches
-        if lane is not None:
-            lane.unfence_sensor(self.node_id, advertisement.sensor_id)
-        if not self.ads.add_local(advertisement):
-            return
-        self.flood(AdvertisementMessage(advertisement))
+        """Algorithm 1, lines 2-7: a local sensor appears (or re-joins
+        after churn) — an advertisement whose origin is ``LOCAL``."""
+        self.handle_advertisement(advertisement, LOCAL)
 
     def detach_sensor(self, sensor_id: str) -> None:
-        """Churn leave: retract a locally attached sensor everywhere.
-
-        The inverse of :meth:`attach_sensor`: the advertisement is
-        removed from the local table, the sensor's stored history is
-        fenced, and a retraction floods outward so every other node does
-        the same (:meth:`handle_retraction`).  Unknown or already
-        detached sensors are a no-op.
-        """
+        """Churn leave: a retraction whose origin is ``LOCAL``.  Unknown
+        or already detached sensors are a no-op."""
         advertisement = self.ads.get(sensor_id)
-        if advertisement is None:
-            return
-        self.ads.remove(sensor_id)
-        self.fence_sensor_state(sensor_id)
-        self.flood(AdvertisementMessage(advertisement, retract=True))
+        if advertisement is not None:
+            self.handle_retraction(advertisement, LOCAL)
 
     def publish(self, event: SimpleEvent) -> None:
         """A locally attached sensor produced a reading."""
-        lane = self.network.sketches
-        if lane is not None:
-            lane.observe_local(self.node_id, event)
         self.handle_event(event, LOCAL, ())
 
     def subscribe(
@@ -536,10 +517,9 @@ class Node:
         (local knowledge only — the table was filled by flooding) and
         performs the absent-sources check of Algorithm 3, line 3.
 
-        With a compiled ``plan`` the root operator is adopted along the
-        plan's routing table (:meth:`adopt_planned`) instead of the
-        approach's heuristic ``handle_operator``; local delivery and
-        the absent-sources check are identical either way.
+        A compiled ``plan`` rides along to :meth:`handle_operator`,
+        where it replaces the split; local delivery and the
+        absent-sources check are identical either way.
         """
         root = self.build_root_operator(subscription)
         if root is None:
@@ -557,10 +537,7 @@ class Node:
         # retained here and released again on cancellation).
         self._local_roots.add(root, covered=False)
         self._seq_source.begin_arrival()
-        if plan is not None:
-            self.adopt_planned(root, LOCAL, plan)
-        else:
-            self.handle_operator(root, LOCAL)
+        self.handle_operator(root, LOCAL, plan)
 
     def build_root_operator(
         self, subscription: Subscription
@@ -579,39 +556,77 @@ class Node:
         }
         return root_operator(subscription, self.node_id, sensors)
 
-    def adopt_planned(
-        self, operator: CorrelationOperator, origin: str, plan
+    # ------------------------------------------------------------------
+    # the operator pipeline (Algorithms 3-4): filter, store, place
+    # ------------------------------------------------------------------
+    def handle_operator(
+        self, operator: CorrelationOperator, origin: str, plan: object | None = None
     ) -> None:
-        """Store and forward an operator piece under a compiled plan.
+        """An operator arrived from ``origin``: filter it against what
+        that origin sent before, store it, place it if it stays uncovered.
 
-        The plan-routed analogue of ``handle_operator``: the piece is
-        stored uncovered in the origin store (so the shared event path
-        gates on it exactly like a heuristically placed piece, and the
-        covered-only cancellation repair never touches it), projected
-        per the plan's routing table, and forwarded.  ``plan`` is
-        opaque here — any object with ``next_hops(node_id, sensors)``
-        (built by ``repro.placement``, which sits above this layer).
-
-        The record is marked *planned*: a plan may fold a branch back
-        along its trunk (delayed split), so completed matches must
-        travel to the neighbour the branch events arrived from — the
-        one case the forward paths' neighbour==sender skip must not
-        apply to.  Heuristically placed operators never need this (the
-        operator tree is a tree; events climb strictly toward the
-        consumer).  The mark lives and dies with the record.
-
-        Reverse-path memory is recorded via :meth:`send_operator`, so
-        ``UnsubscribeMessage`` teardown retraces planned placements for
-        free.
+        A compiled ``plan`` (opaque here: any object with
+        ``next_hops(node_id, sensors)``, built by ``repro.placement``
+        above this layer) replaces the split and nothing else.  A
+        planned piece is never filtered, so the covered-only
+        cancellation repair never touches it, and is stored once,
+        marked *planned*: a plan may fold a branch back along its trunk
+        (delayed split), so completed matches must travel to the
+        neighbour the branch events arrived from — the one case the
+        forward paths' neighbour==sender skip must not apply to
+        (:meth:`hit_links`).  The mark lives and dies with the record.
         """
         store = self.store_for(origin)
-        if store.has_operator(operator.op_id):
+        planned = plan is not None
+        if planned and store.has_operator(operator.op_id):
             return
-        store.add(operator, covered=False, planned=True)
-        for neighbor, subset in plan.next_hops(self.node_id, operator.sensors):
-            piece = operator.project_sensors(subset)
+        covered = not planned and self.is_covered(operator, store)
+        record = store.add(operator, covered, planned=planned)
+        if not covered:
+            self.on_operator_uncovered(record, origin, store, plan)
+
+    def is_covered(
+        self,
+        operator: CorrelationOperator,
+        store: SubscriptionStore,
+        before: LifecycleSeq | None = None,
+    ) -> bool:
+        """Whether ``store.uncovered_before(before)`` makes ``operator``
+        redundant (protocol hook; default: no filtering).  Arrival asks
+        with ``before=None``, cancellation repair with the record's
+        rank: one rule, so the repaired store is the store of a run that
+        never saw the cancelled subscription."""
+        return False
+
+    def on_operator_uncovered(
+        self,
+        record: StoredOperator,
+        origin: str,
+        store: SubscriptionStore,
+        plan: object | None = None,
+    ) -> None:
+        """Place a stored operator that stays (arrival) or became
+        (repair) uncovered (protocol hook; default: simple splitting)."""
+        self.forward_split(record.operator, origin, plan)
+
+    def forward_split(
+        self, operator: CorrelationOperator, origin: str, plan: object | None = None
+    ) -> None:
+        """Simple splitting: project on each neighbour's advertised data
+        space (Algorithm 3, lines 7-9) — or on the plan's routing table —
+        and send.  :meth:`send_operator` records the reverse path, so
+        teardown and soft-state refresh retrace either split alike."""
+        if plan is None:
+            exclude = () if origin == LOCAL else (origin,)
+            pieces = self.split_targets(operator, exclude).items()
+        else:
+            pieces = (
+                (neighbor, operator.project_sensors(subset))
+                for neighbor, subset in plan.next_hops(self.node_id, operator.sensors)
+            )
+        for neighbor, piece in pieces:
             if piece is not None:
-                self.send_operator(neighbor, piece, plan=plan)
+                self.send_operator(neighbor, piece, plan)
 
     # ------------------------------------------------------------------
     # query cancellation (the subscription lifecycle's retire edge)
@@ -688,46 +703,11 @@ class Node:
         for record in store.records():
             if not record.covered:
                 continue
-            if self.recheck_coverage(record, store):
+            if self.is_covered(record.operator, store, record.seq):
                 continue
             store.uncover(record)
             self._seq_source.begin_arrival(prefix=record.seq)
             self.on_operator_uncovered(record, origin, store)
-
-    def recheck_coverage(self, record: StoredOperator, store: SubscriptionStore) -> bool:
-        """Whether ``record`` is still covered (protocol hook).
-
-        The default is the pair-wise check of the operator-placement and
-        multi-join baselines; Filter-Split-Forward overrides it with the
-        set-subsumption check.  Approaches that never mark operators
-        covered never reach this hook.
-        """
-        candidates = [
-            op
-            for op in store.uncovered_before(record.seq)
-            if op.signature == record.operator.signature
-        ]
-        return find_cover(record.operator, candidates) is not None
-
-    def forward_split(self, operator: CorrelationOperator, origin: str) -> None:
-        """Simple splitting: project on each neighbour's advertised data
-        space and send (Algorithm 3, lines 7-9) — the canonical forward
-        step shared by the simple-splitting approaches' arrival paths
-        and by cancellation repair, which must forward restored
-        operators exactly as their arrival would have."""
-        exclude = () if origin == LOCAL else (origin,)
-        for neighbor, piece in self.split_targets(operator, exclude).items():
-            self.send_operator(neighbor, piece)
-
-    def on_operator_uncovered(
-        self, record: StoredOperator, origin: str, store: SubscriptionStore
-    ) -> None:
-        """Forward a repair-restored operator (protocol hook).
-
-        Default: simple splitting along the reverse advertisement paths,
-        exactly the uncovered branch of the simple-splitting approaches.
-        """
-        self.forward_split(record.operator, origin)
 
     def on_operator_removed(self, operator: CorrelationOperator) -> None:
         """Per-operator teardown hook (multi-join clears roles/rings)."""
@@ -745,9 +725,6 @@ class Node:
         again.
         """
         self.store.unfence_sensor(advertisement.sensor_id)
-        lane = self.network.sketches
-        if lane is not None:
-            lane.unfence_sensor(self.node_id, advertisement.sensor_id)
         if not self.ads.add(origin, advertisement):
             return
         self.flood(AdvertisementMessage(advertisement), skip=origin)
@@ -769,15 +746,10 @@ class Node:
 
     def fence_sensor_state(self, sensor_id: str) -> None:
         """Drop a departed sensor's events from ``U`` and the per-event
-        forwarded-to flags (the matching engine mirrors the drop through
-        the store's listener protocol).  The sketch lane mirrors the
-        fence too, so the next push round ages the sensor out of every
-        merged digest and approximate answers never count it."""
+        forwarded-to flags (the store's listeners — the matching engine,
+        the sketch lane's hosted summary — mirror the drop)."""
         for key in self.store.fence_sensor(sensor_id, self.now):
             self._sent.pop(key, None)
-        lane = self.network.sketches
-        if lane is not None:
-            lane.fence_sensor(self.node_id, sensor_id, self.now)
 
     # ------------------------------------------------------------------
     # soft state & crash semantics (reliability layer)
@@ -810,10 +782,11 @@ class Node:
 
         Expires remote advertisements that missed ``expiry_rounds``
         consecutive rounds, re-floods the local ones tagged with this
-        epoch, and re-offers every operator piece previously forwarded
-        (receivers that still hold a piece ignore the copy; a recovered
-        broker re-learns it).  This is how routing and subscription
-        state heals after losses and outages.
+        epoch, and re-offers every operator piece previously forwarded,
+        under the plan it was forwarded with (receivers that still hold
+        a piece ignore the copy; a recovered broker re-learns it).  This
+        is how routing and subscription state heals after losses and
+        outages.
         """
         expired = [
             sensor_id
@@ -836,10 +809,11 @@ class Node:
             for neighbor in sorted(per_neighbor):
                 pieces = per_neighbor[neighbor]
                 for op_id in sorted(pieces):
+                    operator, plan = pieces[op_id]
                     self.network.send(
                         self.node_id,
                         neighbor,
-                        OperatorMessage(pieces[op_id], refresh_epoch=epoch),
+                        OperatorMessage(operator, refresh_epoch=epoch, plan=plan),
                     )
 
     def crash(self) -> None:
@@ -872,17 +846,21 @@ class Node:
     def on_crash(self) -> None:
         """Subclass hook: drop approach-specific volatile state."""
 
-    def handle_operator(self, operator: CorrelationOperator, origin: str) -> None:
-        raise NotImplementedError
-
+    # ------------------------------------------------------------------
+    # the event pipeline (Algorithm 5): store and match, deliver, forward
+    # ------------------------------------------------------------------
     def handle_event(
         self, event: SimpleEvent, origin: str, streams: tuple[str, ...]
     ) -> None:
-        raise NotImplementedError
+        hits = self.ingest(event)
+        if not hits:
+            return  # dropped, or no operator here has a match
+        self.deliver_local_matches(hits)  # lines 14-15 (j == n)
+        if self.per_neighbor:
+            self.pubsub_forward(hits, origin, self.include_covered)
+        else:
+            self.stream_forward(hits, origin, self.include_covered)
 
-    # ------------------------------------------------------------------
-    # shared event-path building blocks
-    # ------------------------------------------------------------------
     def ingest(self, event: SimpleEvent) -> HitMap | None:
         """Insert into ``U`` and match.
 
@@ -959,7 +937,7 @@ class Node:
         per matcher in ``hits`` with streams from that neighbour (covered
         ones only with ``include_covered``), however many share it.
         Toward the ``sender`` only plan-adopted streams count, the
-        fold-back path of a compiled plan (:meth:`adopt_planned`).
+        fold-back path of a compiled plan (:meth:`handle_operator`).
         """
         links = []
         for neighbor in self.neighbors:

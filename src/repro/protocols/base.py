@@ -34,9 +34,6 @@ class Approach:
     subscription_splitting: str
     event_propagation: str
     make_node: NodeFactory
-    floods_advertisements: bool = True
-    deterministic_recall: bool = True
-    supports_sketches: bool = True
 
     def populate(self, network: "Network") -> "Network":
         """Instantiate this approach's node on every graph vertex."""

@@ -270,8 +270,3 @@ class Simulator:
             kinds[label] += 1
         return kinds.most_common(n)
 
-    def drain(self, actions: Iterable[Action]) -> None:
-        """Schedule several immediate actions and run them to quiescence."""
-        for action in actions:
-            self.schedule(0.0, action)
-        self.run()

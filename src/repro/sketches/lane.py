@@ -3,9 +3,9 @@
 One :class:`SketchLane` instance serves a whole
 ``Network(answer_mode="approximate")`` run; per-broker state is keyed
 by node id and the network layer drives it through a handful of hooks
-(observe on publish, adopt on subscribe, fence/unfence on churn,
-dispatch for the two lane messages, ``begin_round`` from the scheduled
-push rounds).
+(adopt on subscribe, forget on cancel, dispatch for the two lane
+messages, ``begin_round`` from the scheduled push rounds) plus one
+listener per broker event store (:meth:`SketchLane.store_listener`).
 
 Lifecycle of one sketch-eligible subscription (single-slot range
 filter over advertised sensors whose attribute has a configured
@@ -20,12 +20,12 @@ domain):
    deterministic split operator registration uses); every broker on
    the way records its upstream neighbour and its expected children —
    a static push tree rooted at the home node.
-3. **Summaries.**  Each broker folds readings of its locally attached
-   sensors into per-sensor summaries as they are published, mirroring
-   the event store's churn fence: a retracted sensor's summary is
-   dropped and stragglers stamped at or before the fence are refused
-   until the sensor re-advertises, so answers never count retired
-   sensors.
+3. **Summaries.**  Each broker folds the readings of its locally
+   attached sensors into per-sensor summaries as its event store
+   accepts them, and drops a sensor's summary when the store fences it.
+   The store's churn fence is the only one: a straggler stamped at or
+   before a departure is refused there until the sensor re-advertises,
+   so answers never count retired sensors.
 4. **Push rounds.**  At each scheduled round, leaves push their merged
    local summaries upstream; an interior broker merges its own
    contribution with all children's round-``r`` pushes (arrival order
@@ -36,10 +36,11 @@ domain):
    from the group's latest merged summary with a certified
    ``[lower, upper]`` bracket (:class:`ApproxAnswer`).
 
-The lane refuses nothing at runtime because the network constructor
-already rejected the incompatible features (faults, reliability,
-compiled placement): pushes assume lossless in-order delivery, which
-is exactly what the plain transport provides.
+The lane refuses nothing at runtime: the network constructor already
+rejected faults and reliability (pushes assume lossless in-order
+delivery, which is exactly what the plain transport provides),
+``Network.add_node`` a node class that cannot host it, and
+``Network.check_plan`` compiled placement.
 """
 
 from __future__ import annotations
@@ -171,6 +172,27 @@ class _Hosted:
 _FOLD_EVERY = 32
 
 
+class _StoreTap:
+    """A broker's ``StoreListener``: what its event store accepts of a
+    locally advertised sensor is counted, what it fences is forgotten —
+    the next push round ages the sensor out of every merged digest."""
+
+    def __init__(self, lane: "SketchLane", node: "Node") -> None:
+        self.lane = lane
+        self.node_id = node.node_id
+        self.ads = node.ads
+
+    def event_added(self, event: SimpleEvent) -> None:
+        if event.sensor_id in self.ads.from_origin(LOCAL):
+            self.lane.observe_local(self.node_id, event)
+
+    def horizon_advanced(self, horizon: float) -> None:
+        pass  # summaries are cumulative: expiry never shrinks them
+
+    def sensor_fenced(self, sensor_id: str) -> None:
+        self.lane._hosted.get(self.node_id, {}).pop(sensor_id, None)
+
+
 class SketchLane:
     """All broker-resident sketch state of one approximate-mode run."""
 
@@ -180,7 +202,6 @@ class SketchLane:
         # Every dict below is keyed by node id first; iteration is
         # always over sorted keys so runs are seed-deterministic.
         self._hosted: dict[str, dict[str, _Hosted]] = {}
-        self._fences: dict[str, dict[str, float]] = {}
         self._groups: dict[str, dict[str, _Group]] = {}
         self._subs: dict[str, dict[str, tuple[str, Interval]]] = {}
         self._answers: dict[str, dict[str, tuple[int, QDigest]]] = {}
@@ -367,16 +388,17 @@ class SketchLane:
         return merged
 
     # ------------------------------------------------------------------
-    # summary maintenance (publish path + churn fences)
+    # summary maintenance (driven by each broker's event store)
     # ------------------------------------------------------------------
+    def store_listener(self, node: "Node") -> "_StoreTap":
+        """The listener for ``node``'s (fresh) event store."""
+        return _StoreTap(self, node)
+
     def observe_local(self, node_id: str, event: SimpleEvent) -> None:
         """Fold a locally published reading into its sensor's summary."""
         domain = self._domains.get(event.attribute)
         if domain is None:
             return
-        fence = self._fences.get(node_id, {}).get(event.sensor_id)
-        if fence is not None and event.timestamp <= fence:
-            return  # pre-departure straggler of a retracted sensor
         hosted = self._hosted.setdefault(node_id, {})
         acc = hosted.get(event.sensor_id)
         if acc is None:
@@ -387,22 +409,6 @@ class SketchLane:
         acc.pending.append(event.value)
         if len(acc.pending) >= _FOLD_EVERY:
             acc.folded()
-
-    def fence_sensor(self, node_id: str, sensor_id: str, now: float) -> None:
-        """Churn leave: drop the sensor's summary, refuse stragglers.
-
-        Mirrors ``EventStore.fence_sensor`` exactly: the fence rises
-        monotonically and stays until the sensor re-advertises, so a
-        slower path cannot re-introduce pre-departure history and
-        answers never count a retired sensor.
-        """
-        fences = self._fences.setdefault(node_id, {})
-        fences[sensor_id] = max(now, fences.get(sensor_id, float("-inf")))
-        self._hosted.get(node_id, {}).pop(sensor_id, None)
-
-    def unfence_sensor(self, node_id: str, sensor_id: str) -> None:
-        """Churn re-join: the sensor's summary restarts from empty."""
-        self._fences.get(node_id, {}).pop(sensor_id, None)
 
     # ------------------------------------------------------------------
     # answers

@@ -206,10 +206,6 @@ class QDigest:
                 uncertain += count
         return certain, certain + uncertain
 
-    def rank_bounds(self, value: float) -> tuple[int, int]:
-        """Bracket of the rank of ``value`` (count of cells <= its cell)."""
-        return self.range_count_bounds(self.lo, value)
-
     def check_invariant(self) -> None:
         """Assert the structural invariants (property-suite helper)."""
         total = 0

@@ -2,7 +2,7 @@
 filtering (Sections III and V-B)."""
 
 from .exact import Box, ExactCoverTooLarge, boxes_cover, uncovered_probe
-from .pairwise import find_cover, reduce_pairwise
+from .pairwise import find_cover, pairwise_covered
 from .setfilter import (
     ProbabilisticSetFilter,
     SetFilterDecision,
@@ -16,7 +16,7 @@ __all__ = [
     "SetFilterDecision",
     "boxes_cover",
     "find_cover",
-    "reduce_pairwise",
+    "pairwise_covered",
     "required_samples",
     "uncovered_probe",
 ]

@@ -10,7 +10,7 @@ set filter improves upon (Figs 4, 6, 8, 10).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..model.operators import CorrelationOperator
 
@@ -30,17 +30,17 @@ def find_cover(
     return None
 
 
-def reduce_pairwise(
-    operators: Sequence[CorrelationOperator],
-) -> list[CorrelationOperator]:
-    """Arrival-order pair-wise reduction of a whole batch.
+def pairwise_covered(operator: CorrelationOperator, store, before=None) -> bool:
+    """Whether one uncovered operator of ``store`` covers ``operator``.
 
-    Keeps an operator iff no *earlier kept* operator covers it —
-    mirroring the online behaviour of the baselines, where traffic
-    already spent on earlier subscriptions is not reclaimed.
+    The coverage rule of both pair-wise baselines, at arrival
+    (``before=None``: everything stored) and at cancellation repair
+    (``before`` = the record's rank: what its arrival saw).  ``store``
+    is a node's per-origin subscription store.
     """
-    kept: list[CorrelationOperator] = []
-    for operator in operators:
-        if find_cover(operator, kept) is None:
-            kept.append(operator)
-    return kept
+    candidates = (
+        stored
+        for stored in store.uncovered_before(before)
+        if stored.signature == operator.signature
+    )
+    return find_cover(operator, candidates) is not None

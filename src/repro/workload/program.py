@@ -266,18 +266,11 @@ class WorkloadProgram:
                     "compiled placement routes exact operator trees; "
                     "it cannot be combined with answer_mode='approximate'"
                 )
-        if self.placement == "compiled":
-            if self.churn is not None:
-                raise ValueError(
-                    "compiled placement prices a static architecture graph; "
-                    "it cannot be combined with sensor churn"
-                )
-            if self.faults is not None or self.reliability is not None:
-                raise ValueError(
-                    "compiled placement cannot ride the unreliable transport: "
-                    "soft-state refresh re-offers operator pieces without "
-                    "their plan, which would misroute them"
-                )
+        if self.placement == "compiled" and self.churn is not None:
+            raise ValueError(
+                "compiled placement prices a static architecture graph; "
+                "it cannot be combined with sensor churn"
+            )
         if self.churn is not None and self.dynamic is None:
             raise ValueError("churn requires a dynamic replay")
         if (

@@ -34,6 +34,13 @@ from ..model.subscriptions import IdentifiedSubscription
 from ..network.topology import Deployment, SensorPlacement
 
 
+# The Pareto(skew = 1) offset draw, its scale in units of the stream's
+# robust spread, and the sigma of the log-normal half-width multiplier.
+PARETO_SKEW = 1.0
+OFFSET_SCALE = 0.5
+WIDTH_SIGMA = 0.45
+
+
 @dataclass(frozen=True, slots=True)
 class SubscriptionWorkloadConfig:
     """Knobs of the subscription generator.
@@ -57,10 +64,7 @@ class SubscriptionWorkloadConfig:
     attrs_min: int = 5
     attrs_max: int = 5
     delta_t: float = 5.0
-    pareto_skew: float = 1.0
-    offset_scale: float = 0.5
     base_half_width: float = 2.0
-    width_sigma: float = 0.45
     seed: int = 42
     span_groups: int = 1
     group_width_scale: tuple[float, ...] = ()
@@ -70,8 +74,6 @@ class SubscriptionWorkloadConfig:
             raise ValueError("n_subscriptions must be non-negative")
         if not 1 <= self.attrs_min <= self.attrs_max:
             raise ValueError("need 1 <= attrs_min <= attrs_max")
-        if self.pareto_skew <= 0:
-            raise ValueError("pareto_skew must be positive")
         if self.span_groups < 1:
             raise ValueError("span_groups must be at least 1")
         if any(s <= 0 for s in self.group_width_scale):
@@ -94,14 +96,14 @@ def _range_for(
     config: SubscriptionWorkloadConfig,
     width_scale: float = 1.0,
 ) -> IdentifiedFilter:
-    offset = float(rng.pareto(config.pareto_skew)) * config.offset_scale * spread
+    offset = float(rng.pareto(PARETO_SKEW)) * OFFSET_SCALE * spread
     if rng.random() < 0.5:
         offset = -offset
     center = median + offset
     half_width = (
         config.base_half_width
         * width_scale
-        * float(rng.lognormal(0.0, config.width_sigma))
+        * float(rng.lognormal(0.0, WIDTH_SIGMA))
         * spread
     )
     domain = placement.attribute.domain

@@ -28,7 +28,6 @@ from repro import (
 from repro.model import AbstractSubscription, Location, bounding_rect
 from repro.model.locations import CircleRegion, RectRegion
 from repro.network.network import Network
-from repro.network.reliability import ReliabilityConfig
 from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
 from repro.sim import Simulator
@@ -261,21 +260,19 @@ class TestSession:
     @pytest.mark.parametrize(
         "lane",
         [
-            {"reliability": ReliabilityConfig()},
             {"answer_mode": "approximate"},
             {"approach": "centralized"},
             {"approach": "multijoin"},
         ],
         ids=[
-            "reliability",
             "sketches",
             "centralized-no-approach",
             "multijoin-no-approach",
         ],
     )
     def test_refused_plan_leaves_old_incarnation_intact(self, lane):
-        """The plan x reliability / plan x sketches / plan x node-class
-        refusals fire before anything is written, like every other
+        """The plan x sketches / plan x node-class refusals fire before
+        anything is written, like every other
         validation failure.  The node-class cases wrap a pre-built
         network without naming its approach: the refusal is the node
         class's, not the session's."""

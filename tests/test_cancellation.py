@@ -31,14 +31,16 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from deployments import line_deployment
+from deployments import line_deployment, publish
 from repro.core.filter_split_forward import FSFConfig
 from repro.experiments.runner import REPLAY_START
 from repro.metrics.oracle import compute_truth
 from repro.model.subscriptions import IdentifiedSubscription
 from repro.network.messages import UnsubscribeMessage
 from repro.network.network import Network
+from repro.network.node import LOCAL
 from repro.network.topology import build_deployment
+from repro.placement import compile_placement
 from repro.protocols.registry import all_approaches
 from repro.sim import Simulator
 from repro.workload.sensorscope import ReplayConfig, build_replay
@@ -182,7 +184,11 @@ def assert_equivalent_stores(run_network, base_network, context):
             record = next(
                 r for r in store.records() if r.operator == op and r.covered
             )
-            assert node.recheck_coverage(record, store), (context, key, op.op_id)
+            assert node.is_covered(record.operator, store, record.seq), (
+                context,
+                key,
+                op.op_id,
+            )
 
 
 def matcher_state(network):
@@ -300,6 +306,77 @@ def test_settled_cancel_equals_never_subscribed(chunk):
             for sub_id in cancel_ids:
                 assert not run["delivered"].get(sub_id), (context, sub_id)
                 assert_no_trace(run["network"], sub_id)
+
+
+@pytest.mark.parametrize("approach", ["fsf", "operator_placement"])
+def test_settled_cancel_leaves_a_planned_piece_alone(approach):
+    """The same equivalence with a compiled-plan piece in the repaired
+    store.  A planned piece is stored uncovered and never filtered, so
+    the covered-only repair walk never asks about it and its ``planned``
+    mark (the fold-back permission) survives the repair."""
+    deployment = line_deployment()
+
+    def sub(sub_id, lo, hi):
+        return IdentifiedSubscription.from_ranges(
+            sub_id, {"a": ("t", lo, hi), "b": ("t", lo, hi)}, delta_t=5.0
+        )
+
+    planned = sub("p", 40.0, 60.0)
+    admission = type(
+        "Admission", (), {"sub_id": "p", "node_id": "u2", "subscription": planned}
+    )()
+    plan = compile_placement(deployment, [admission], [])["p"]
+
+    def run(with_wide):
+        network = Network(deployment, Simulator(seed=0))
+        all_approaches(EXACT_FSF)[approach].populate(network)
+        network.attach_all_sensors()
+        network.run_to_quiescence()
+        asked = []
+        if with_wide:
+            network.register_subscription("u2", sub("wide", 0.0, 30.0))
+        network.register_subscription("u2", planned, plan=plan)
+        network.register_subscription("u2", sub("narrow", 10.0, 20.0))
+        network.run_to_quiescence()
+        if with_wide:
+            for node in network.nodes.values():
+                def spy(operator, store, before=None, inner=node.is_covered):
+                    asked.append(operator.subscription_id)
+                    return inner(operator, store, before)
+
+                node.is_covered = spy
+            network.cancel_subscription("u2", "wide")
+            network.run_to_quiescence()
+        before_replay = network.meter.snapshot()
+        for seq, (sensor_id, value) in enumerate(
+            [("a", 15.0), ("b", 15.0), ("a", 50.0), ("b", 50.0)]
+        ):
+            publish(network, sensor_id, value, ts=network.sim.now + 10.0 + seq, seq=seq)
+        network.run_to_quiescence()
+        marks = {
+            (node_id, origin, record.operator.op_id): (record.covered, record.planned)
+            for node_id, node in network.nodes.items()
+            for origin, store in node.stores.items()
+            for record in store.records()
+        }
+        delivered = {
+            sub_id: sorted(network.delivery.delivered(sub_id))
+            for sub_id in ("p", "narrow")
+        }
+        traffic = network.meter.snapshot().minus(before_replay)
+        return network, asked, marks, delivered, traffic
+
+    repaired, asked, marks, delivered, traffic = run(with_wide=True)
+    base, _, base_marks, base_delivered, base_traffic = run(with_wide=False)
+    assert asked and set(asked) == {"narrow"}  # repair did run, on narrow only
+    assert marks[("u2", LOCAL, "p[a,b]")] == (False, True)
+    assert marks[("u2", LOCAL, "narrow[a,b]")] == (False, False)  # restored
+    assert marks == base_marks
+    assert delivered == base_delivered and all(delivered.values())
+    assert traffic == base_traffic
+    assert_equivalent_stores(repaired, base, approach)
+    assert matcher_state(repaired) == matcher_state(base)
+    assert_no_trace(repaired, "wide")
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ class TestEvents:
 class TestAdvertisementTable:
     def test_local_and_neighbor_next_hops(self):
         table = AdvertisementTable()
-        table.add_local(Advertisement("d1", "t", Location(0, 0)))
+        table.add(table.LOCAL, Advertisement("d1", "t", Location(0, 0)))
         table.add("n2", Advertisement("d2", "t", Location(1, 1)))
         assert table.partition_by_origin(["d1", "d2", "unknown"]) == {
             AdvertisementTable.LOCAL: ["d1"],

@@ -33,8 +33,11 @@ from repro.baselines import (
     operator_placement_approach,
 )
 from repro.core import FSFConfig, filter_split_forward_approach
+from repro.metrics.recall import measure_recall
 from repro.model import IdentifiedSubscription, SimpleEvent
+from repro.network.faults import FaultPlan, LinkFault
 from repro.network.network import Network
+from repro.network.reliability import ReliabilityConfig
 from repro.network.topology import (
     BASE_STATION_SPEC,
     CLOUD_SPEC,
@@ -46,7 +49,7 @@ from repro.network.topology import (
 )
 from repro.placement import compile_placement
 from repro.sim import Simulator
-from repro.workload.program import WorkloadProgram
+from repro.workload.program import WorkloadProgram, execute_program
 from repro.workload.scenarios import PLACEMENT
 from repro.workload.subscriptions import SubscriptionWorkloadConfig
 
@@ -134,11 +137,8 @@ def test_validate_rejects_broken_graphs():
 
 @pytest.fixture(scope="module")
 def compiled_placement_point():
-    scenario = replace(PLACEMENT, placement="compiled")
-    program = scenario.program(8)
-    deployment = scenario.deployment()
-    source = program.source(deployment)
-    return deployment, program.with_prefix(8).compile(deployment, source)
+    compiled = compiled_point(8)
+    return compiled.deployment, compiled
 
 
 def test_compiled_program_carries_plans(compiled_placement_point):
@@ -208,11 +208,19 @@ def test_plans_survive_pickling(compiled_placement_point):
 # ---------------------------------------------------------------------------
 # gating
 # ---------------------------------------------------------------------------
+PLANNABLE = [naive_approach, operator_placement_approach, filter_split_forward_approach]
+
+
+def compiled_point(n, **program_fields):
+    """The PLACEMENT scenario's first ``n`` queries under compiled plans."""
+    scenario = replace(PLACEMENT, placement="compiled")
+    program = replace(scenario.program(n), **program_fields)
+    deployment = scenario.deployment()
+    return program.with_prefix(n).compile(deployment, program.source(deployment))
 
 
 def test_compiled_placement_rejects_churn_and_faults():
     subs = SubscriptionWorkloadConfig(n_subscriptions=5)
-    from repro.network.faults import FaultPlan
     from repro.workload.sensorscope import ChurnConfig, DynamicReplayConfig
 
     with pytest.raises(ValueError, match="churn"):
@@ -222,12 +230,23 @@ def test_compiled_placement_rejects_churn_and_faults():
             churn=ChurnConfig(),
             placement="compiled",
         )
-    with pytest.raises(ValueError, match="unreliable transport"):
-        WorkloadProgram(
-            subscriptions=subs, faults=FaultPlan(), placement="compiled"
-        )
     with pytest.raises(ValueError, match="placement"):
         WorkloadProgram(subscriptions=subs, placement="optimal")
+    # Faults and the reliability layer are no longer refused: a re-offered
+    # piece carries its plan.  Under 5% link loss nothing a compiled run
+    # delivers lies outside the oracle's participants.
+    lossy = compiled_point(
+        30,
+        faults=FaultPlan(default=LinkFault(drop=0.05)),
+        reliability=ReliabilityConfig(),
+    )
+    truths = lossy.truth()
+    for approach in PLANNABLE:
+        execution = execute_program(lossy, approach())
+        assert execution.final.dropped_messages > 0
+        report = measure_recall(truths, execution.session.network.delivery)
+        assert report.delivered_events > 0
+        assert report.false_positive_events == 0
 
 
 def planned_query():
@@ -254,9 +273,6 @@ def test_unplannable_approaches_refuse_plans():
 # ---------------------------------------------------------------------------
 # the planned mark lives and dies with its record
 # ---------------------------------------------------------------------------
-
-
-PLANNABLE = [naive_approach, operator_placement_approach, filter_split_forward_approach]
 
 
 def planned_marks(session) -> list[tuple[str, str, frozenset]]:
@@ -314,6 +330,75 @@ def test_unplanned_resubmit_does_not_inherit_the_fold_back_permission(approach):
     session.drain()
     assert network.delivery.delivered("q0") == {}  # nothing travelled to u2
     assert network.meter.event_units == before
+
+
+# ---------------------------------------------------------------------------
+# plans ride the reliability layer: a re-offered piece carries its plan
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("approach", PLANNABLE)
+def test_lossless_reliability_changes_nothing_a_compiled_run_delivers(approach):
+    def observed(compiled):
+        execution = execute_program(compiled, approach())
+        delivery = execution.session.network.delivery
+        setup = execution.after_setup.minus(execution.after_advertisements)
+        replay = execution.final.minus(execution.after_setup)
+        return (
+            {s: sorted(delivery.delivered(s)) for s in delivery.subscriptions()},
+            dict(delivery.complex_deliveries),
+            setup.subscription_units,
+            replay.event_units,
+        )
+
+    plain = observed(compiled_point(20))
+    assert any(plain[0].values())
+    assert observed(compiled_point(20, reliability=ReliabilityConfig())) == plain
+
+
+@pytest.mark.parametrize("approach", PLANNABLE)
+def test_recovered_broker_readopts_its_pieces_planned(approach):
+    """q00017's plan folds a branch back along its trunk: the rendezvous
+    ``s8_ws`` hosts ``d8_ws`` and pulls the two ``d7`` streams in through
+    ``s8_rh``, the neighbour its whole piece came from.  Crashed and
+    recovered, it re-learns the piece from that neighbour's next refresh
+    round — still *planned*, or a match the ``d7`` readings complete
+    could not travel back to where they arrived from."""
+    compiled = compiled_point(20)
+    admission = next(a for a in compiled.admissions if a.sub_id == "q00017")
+    session = Session.create(
+        approach=approach(),
+        deployment=compiled.deployment,
+        reliability=ReliabilityConfig(),
+    )
+    handle = session.submit(
+        admission.subscription, at=admission.node_id, plan=compiled.plans["q00017"]
+    )
+    session.drain()
+    network = session.network
+    host = network.nodes["s8_ws"]
+
+    def held():
+        return [
+            (origin, record.operator.op_id, record.planned)
+            for origin, store in host.stores.items()
+            for record in store.records()
+        ]
+
+    assert held() == [("s8_rh", "q00017[d7_rh,d7_wd,d8_ws]", True)]
+    network.crash_node("s8_ws")
+    network.recover_node("s8_ws")
+    session.drain()
+    assert held() == []
+    network.schedule_refresh([(session.now + 1.0, 1)])
+    session.drain()
+    assert held() == [("s8_rh", "q00017[d7_rh,d7_wd,d8_ws]", True)]
+    t0 = session.now + 10.0
+    session.ingest("d8_ws", 5.0, timestamp=t0)
+    session.ingest("d7_rh", 66.7, timestamp=t0 + 1.0)
+    session.ingest("d7_wd", 282.0, timestamp=t0 + 2.0)
+    session.drain()
+    assert [e.sensor_id for e in handle.events()] == ["d8_ws", "d7_rh", "d7_wd"]
 
 
 # ---------------------------------------------------------------------------

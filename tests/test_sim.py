@@ -280,14 +280,6 @@ class TestAgendaOrderProperty:
         assert calls <= 3 * n, calls
 
 
-class TestProcesses:
-    def test_drain(self):
-        sim = Simulator()
-        out = []
-        sim.drain([lambda: out.append(1), lambda: out.append(2)])
-        assert out == [1, 2]
-
-
 class TestDeterminism:
     def test_named_rng_streams_independent_and_reproducible(self):
         a1 = Simulator(seed=7).rng("x").random(5).tolist()

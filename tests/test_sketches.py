@@ -136,15 +136,6 @@ def test_adversarial_streams_respect_bound(stream):
         assert abs(midpoint(digest, qlo, qhi) - truth) <= digest.error_bound
 
 
-@settings(max_examples=40, deadline=None)
-@given(values=values_st, probe=st.floats(LO, HI, allow_nan=False))
-def test_rank_bounds_bracket_quantized_rank(values, probe):
-    digest = digest_of(values)
-    lower, upper = digest.rank_bounds(probe)
-    rank = sum(1 for v in values if digest.cell(v) <= digest.cell(probe))
-    assert lower <= rank <= upper
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@
   the (quantized) truth, for digests merged across a real push tree;
 * suppression by omission: sketch-eligible subscriptions never enter
   the exact pipeline, so the only traffic is lane traffic;
-* churn fences: a departed sensor's contributions age out of broker
-  digests exactly like ``EventStore.fence_sensor`` — stragglers at or
-  before the fence refused, summary restarted from empty on rejoin;
+* churn fences: the lane listens to each broker's event store, so a
+  departed sensor's contributions age out of broker digests by
+  ``EventStore.fence_sensor`` itself — stragglers at or before the
+  fence refused, summary restarted from empty on rejoin;
 * gates: every incompatible combination is rejected at construction,
   never discovered mid-run;
 * the null fence: ``answer_mode="exact"`` (the default) is
@@ -27,7 +28,7 @@ from repro.baselines import (
     operator_placement_approach,
 )
 from repro.core import filter_split_forward_approach
-from repro.model import IdentifiedSubscription
+from repro.model import IdentifiedSubscription, SimpleEvent
 from repro.model.intervals import Interval
 from repro.model.locations import RectRegion
 from repro.model.subscriptions import AbstractSubscription
@@ -234,26 +235,65 @@ def test_departed_sensor_ages_out_of_answers():
 
 
 def test_fence_refuses_stragglers_until_rejoin():
-    """The lane mirrors ``EventStore.fence_sensor`` semantics."""
-    lane = approx_network().sketches
-    event = lambda ts: type(  # noqa: E731 - tiny stub
-        "E", (), {"sensor_id": "a", "attribute": "t", "value": 1.0, "timestamp": ts}
-    )()
-    lane.observe_local("s_a", event(10.0))
-    lane.fence_sensor("s_a", "a", now=20.0)
-    assert lane._hosted.get("s_a", {}).get("a") is None
+    """The lane counts what the host's event store accepts, so the
+    store's churn fence is the lane's: no copy to keep equal."""
+    network = approx_network()
+    host = network.nodes["s_a"]
+    placement = network.deployment.sensor_by_id("a")
+
+    def reading(ts, seq):
+        return SimpleEvent("a", "t", placement.location, 1.0, ts, seq)
+
+    def hosted():
+        return network.sketches._hosted.get("s_a", {}).get("a")
+
+    t0 = network.sim.now + 10.0
+    network.sim.at(t0, lambda: host.publish(reading(t0, 0)))
+    network.sim.at(t0 + 10.0, lambda: host.detach_sensor("a"))
+    network.run_to_quiescence()
+    assert hosted() is None  # the fence dropped the summary
     # Stragglers stamped at or before the fence are refused...
-    lane.observe_local("s_a", event(20.0))
-    lane.observe_local("s_a", event(15.0))
-    assert lane._hosted.get("s_a", {}).get("a") is None
-    # ...and the fence rises monotonically (a stale lower fence loses).
-    lane.fence_sensor("s_a", "a", now=5.0)
-    lane.observe_local("s_a", event(18.0))
-    assert lane._hosted.get("s_a", {}).get("a") is None
-    # Rejoin: the summary restarts from empty.
-    lane.unfence_sensor("s_a", "a")
-    lane.observe_local("s_a", event(25.0))
-    assert lane._hosted["s_a"]["a"].folded().n == 1
+    host.publish(reading(t0 + 10.0, 1))
+    host.publish(reading(t0 + 5.0, 2))
+    assert hosted() is None
+    # ...until the rejoin: the summary restarts from empty.
+    host.attach_sensor(placement.advertisement())
+    host.publish(reading(t0 + 12.0, 3))
+    network.run_to_quiescence()
+    assert hosted().folded().n == 1
+
+
+def test_relay_hosts_no_summary_of_a_remote_sensor():
+    """Only the broker a sensor is attached to counts its readings: a
+    relay stores the forwarded copy and creates no hosted summary."""
+    network = approx_network()
+    joined = IdentifiedSubscription.from_ranges(
+        "j", {"a": ("t", 0.0, 10.0), "b": ("t", 0.0, 10.0)}, delta_t=5.0
+    )
+    network.register_subscription("u2", joined)  # two slots: stays exact
+    network.run_to_quiescence()
+    t0 = network.sim.now + 1.0
+    event_b = publish(network, "b", 5.0, ts=t0, seq=0)
+    publish(network, "a", 5.0, ts=t0 + 1.0, seq=1)
+    network.run_to_quiescence()
+    assert event_b.key in network.nodes["s_a"].store  # relayed toward u2
+    assert {
+        node_id: sorted(hosted)
+        for node_id, hosted in network.sketches._hosted.items()
+    } == {"s_a": ["a"], "s_b": ["b"]}
+
+
+def test_crash_leaves_a_fresh_listener_on_the_fresh_store():
+    network = approx_network()
+    host = network.nodes["s_a"]
+    crashed_store = host.store
+    network.crash_node("s_a")
+    network.sketches._hosted.clear()
+    network.recover_node("s_a")
+    assert host.store is not crashed_store
+    publish(network, "a", 5.0, ts=network.sim.now + 1.0)
+    network.run_to_quiescence()
+    assert network.sketches._hosted["s_a"]["a"].folded().n == 1
 
 
 def test_rejoined_sensor_contributes_fresh_readings():
@@ -310,12 +350,24 @@ def test_plan_and_round_gates():
 
 
 def test_session_rejects_unsupported_approach():
-    with pytest.raises(ValueError, match="centralized"):
+    with pytest.raises(ValueError, match="CentralizedNode"):
         Session.create(
             approach="centralized",
             deployment=line_deployment(),
             answer_mode="approximate",
         )
+
+
+def test_node_class_refuses_the_lane_without_a_session():
+    """The refusal is the node class's: a pre-built approximate network
+    cannot be populated with nodes that would leave the lane idle and
+    answer exactly (``approx_answers() == {}``) without saying so."""
+    network = Network(
+        line_deployment(), Simulator(seed=0), answer_mode="approximate"
+    )
+    with pytest.raises(ValueError, match="approximate answer lane"):
+        centralized_approach().populate(network)
+    assert network.nodes == {}
 
 
 def test_program_gates():

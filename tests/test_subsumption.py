@@ -9,7 +9,6 @@ from repro.subsumption import (
     ProbabilisticSetFilter,
     boxes_cover,
     find_cover,
-    reduce_pairwise,
     required_samples,
     uncovered_probe,
 )
@@ -41,12 +40,6 @@ class TestPairwise:
 
     def test_signature_mismatch_never_covers(self):
         assert find_cover(OTHER, [WIDE]) is None
-
-    def test_reduce_pairwise_arrival_order(self):
-        kept = reduce_pairwise([NARROW, WIDE])
-        assert kept == [NARROW, WIDE], "earlier narrow is not retro-filtered"
-        kept = reduce_pairwise([WIDE, NARROW])
-        assert kept == [WIDE]
 
 
 class TestExactCover:
