@@ -512,52 +512,74 @@ class _StabbingIndex:
     constant.  Routing an arriving value is then a single bisect plus
     appends to exactly the accepting timelines — O(log B + hits) —
     instead of one filter evaluation per registered matcher.
+
+    The index is built once, at the first arrival after registrations
+    began, and from then on only edited as queries are admitted and
+    retired (Lee et al., *Progressive Processing of Continuous Range
+    Queries*): it always equals a fresh build of its live registrations
+    in registration order.
     """
 
-    __slots__ = ("_registrations", "_dirty", "_by_attr")
+    __slots__ = ("_registrations", "_by_attr")
 
     def __init__(self) -> None:
-        # (attribute, lo, hi, (timeline, matcher, slot index)); rebuilt
-        # lazily into per-attribute (bounds, segments of payloads) on
-        # the first event after a registration that moves a boundary.
-        self._registrations: list[tuple] = []
-        self._dirty = False
-        self._by_attr: dict[str, tuple[list[float], list[tuple]]] = {}
+        # matcher -> its (attribute, lo, hi, (timeline, matcher, slot
+        # index)) registrations.  A matcher registers all its slots in
+        # one go, so dict order is registration order.
+        self._registrations: dict[object, tuple] = {}
+        # attribute -> (bounds, segments, uses), built at the first
+        # arrival and edited in place by every add and discard after it.
+        # bounds are the sorted distinct endpoints of the attribute's
+        # live filters and uses[j] counts the filters ending at
+        # bounds[j]; segment 2j+1 is the point [bounds[j]], segment 2j
+        # the open range (bounds[j-1], bounds[j]) (2·0 and 2·len(bounds)
+        # lie outside every filter), each a tuple of payloads in
+        # registration order.
+        self._by_attr: dict[str, tuple[list[float], list[tuple], list[int]]] | None
+        self._by_attr = None
 
     def add(self, attribute, interval, timeline, matcher, own: int) -> None:
-        # Empty filters are kept too (and skipped at rebuild): the index
+        # Empty filters are registered too (and cut nothing): the index
         # then stays non-empty for as long as any matcher draws from
         # the sensor, which is what teardown relies on.
-        lo, hi = interval.lo, interval.hi
         payload = (timeline, matcher, own)
-        self._registrations.append((attribute, lo, hi, payload))
-        if self._dirty or lo > hi:
-            return
-        # A filter whose endpoints already cut the axis (a projection
-        # or a clone of a registered slot) moves no boundary: its
-        # payload joins the segments it covers, last like a rebuild
-        # would place it, and the index stays built.
-        entry = self._by_attr.get(attribute)
-        if entry is not None:
-            bounds, segments = entry
-            first = bisect_left(bounds, lo)
-            last = bisect_left(bounds, hi, first)
-            if (
-                last < len(bounds)
-                and bounds[first] == lo
-                and bounds[last] == hi
-            ):
-                for k in range(2 * first + 1, 2 * last + 2):
-                    segments[k] += (payload,)
-                return
-        self._dirty = True
+        registration = (attribute, interval.lo, interval.hi, payload)
+        registrations = self._registrations
+        registrations[matcher] = registrations.get(matcher, ()) + (registration,)
+        if self._by_attr is not None:
+            self._insert(*registration)
 
     def discard(self, matcher) -> None:
-        """Remove every registration of ``matcher`` (operator teardown)."""
-        self._registrations = [
-            reg for reg in self._registrations if reg[3][1] is not matcher
-        ]
-        self._dirty = True
+        """Remove every registration of ``matcher`` (operator teardown).
+
+        A matcher the index never registered raises ``KeyError``: like
+        an unpaired :meth:`MatchingEngine.release`, it is a bookkeeping
+        bug, never a no-op.
+        """
+        registrations = self._registrations.pop(matcher)
+        by_attr = self._by_attr
+        if by_attr is None:
+            return
+        for attribute, lo, hi, payload in registrations:
+            if lo > hi:
+                continue
+            bounds, segments, uses = by_attr[attribute]
+            first = bisect_left(bounds, lo)
+            last = bisect_left(bounds, hi, first)
+            for k in range(2 * first + 1, 2 * last + 2):
+                segment = segments[k]
+                at = segment.index(payload)
+                segments[k] = segment[:at] + segment[at + 1 :]
+            # An endpoint no live filter uses any more stops cutting: its
+            # point and the range to its right hold what the range to its
+            # left holds (every filter left covers all three or none).
+            for x in (hi, lo) if lo < hi else (lo,):
+                j = bisect_left(bounds, x)
+                uses[j] -= 1
+                if not uses[j]:
+                    del bounds[j], uses[j], segments[2 * j + 1 : 2 * j + 3]
+            if not bounds:
+                del by_attr[attribute]
 
     def __bool__(self) -> bool:
         return bool(self._registrations)
@@ -567,39 +589,48 @@ class _StabbingIndex:
         ``value``, in registration order: a matcher's slots are
         adjacent and in slot order, so its first entry is the slot the
         reference calls the event's own."""
-        if self._dirty:
-            self._rebuild()
+        if self._by_attr is None:
+            self._build()
         entry = self._by_attr.get(attribute)
         if entry is None:
             return ()
-        bounds, segments = entry
+        bounds, segments, _uses = entry
         i = bisect_left(bounds, value)
         if i < len(bounds) and bounds[i] == value:
             return segments[2 * i + 1]
         return segments[2 * i]
 
-    def _rebuild(self) -> None:
-        self._dirty = False
-        groups: dict[str, list[tuple]] = {}
-        for attribute, lo, hi, payload in self._registrations:
-            if lo <= hi:  # empty filters accept nothing
-                groups.setdefault(attribute, []).append((lo, hi, payload))
-        by_attr: dict[str, tuple[list[float], list[tuple]]] = {}
-        for attribute, regs in groups.items():
-            bounds = sorted({x for lo, hi, _payload in regs for x in (lo, hi)})
-            # segment 2j+1 = the point [bounds[j]];
-            # segment 2j   = the open range (bounds[j-1], bounds[j])
-            # (2·0 and 2·len(bounds) lie outside every registration).
-            segments: list[list] = [[] for _ in range(2 * len(bounds) + 1)]
-            for lo, hi, payload in regs:
-                first = bisect_left(bounds, lo)  # bounds[first] == lo
-                last = bisect_left(bounds, hi)  # bounds[last] == hi
-                for j in range(first, last + 1):
-                    segments[2 * j + 1].append(payload)
-                for j in range(first + 1, last + 1):
-                    segments[2 * j].append(payload)
-            by_attr[attribute] = (bounds, [tuple(s) for s in segments])
-        self._by_attr = by_attr
+    def _build(self) -> None:
+        """The first build: every registration so far, in order, as an
+        edit of the empty index — the only build an index ever gets."""
+        self._by_attr = {}
+        for registrations in self._registrations.values():
+            for registration in registrations:
+                self._insert(*registration)
+
+    def _insert(self, attribute, lo, hi, payload) -> None:
+        if lo > hi:
+            return  # an empty filter accepts nothing
+        entry = self._by_attr.get(attribute)
+        if entry is None:
+            entry = self._by_attr[attribute] = ([], [()], [])
+        bounds, segments, uses = entry
+        for x in (lo, hi) if lo < hi else (lo,):
+            j = bisect_left(bounds, x)
+            if j < len(bounds) and bounds[j] == x:
+                uses[j] += 1
+                continue
+            # A new endpoint splits the open range it falls in into
+            # (range, point, range), each accepting what the range did.
+            bounds.insert(j, x)
+            uses.insert(j, 1)
+            segments[2 * j : 2 * j + 1] = (segments[2 * j],) * 3
+        # The newest registration goes last in every segment it covers,
+        # where a fresh build in registration order would place it.
+        first = bisect_left(bounds, lo)
+        last = bisect_left(bounds, hi, first)
+        for k in range(2 * first + 1, 2 * last + 2):
+            segments[k] += (payload,)
 
 
 class MatchingEngine:
@@ -743,9 +774,10 @@ class MatchingEngine:
                     zip(operator.slots, found._timelines)
                 ):
                     for sensor_id in sorted(slot.sensors):
-                        self._ingest_index.setdefault(
-                            sensor_id, _StabbingIndex()
-                        ).add(slot.attribute, slot.interval, timeline, found, own)
+                        index = self._ingest_index.get(sensor_id)
+                        if index is None:
+                            index = self._ingest_index[sensor_id] = _StabbingIndex()
+                        index.add(slot.attribute, slot.interval, timeline, found, own)
             found._users += 1
             self._matchers[operator] = found
         return found

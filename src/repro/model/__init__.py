@@ -25,7 +25,6 @@ from .intervals import (
     Interval,
     merge_intervals,
     point,
-    subtract,
     union_covers,
 )
 from .locations import (
@@ -112,7 +111,6 @@ __all__ = [
     "root_operator",
     "sensorscope_registry",
     "spatial_span",
-    "subtract",
     "union_covers",
     "window_candidates",
 ]

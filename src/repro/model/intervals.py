@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,24 +162,6 @@ def union_covers(cover: Iterable[Interval], target: Interval) -> bool:
         if frontier >= target.hi:
             return True
     return frontier >= target.hi
-
-
-def subtract(target: Interval, hole: Interval) -> Iterator[Interval]:
-    """Yield the (0, 1 or 2) non-empty pieces of ``target`` minus ``hole``.
-
-    The pieces are closed intervals; boundary points shared with the hole
-    are kept, which is harmless for the measure-based uses in this
-    code base (exact cover tests treat a zero-length residue as covered).
-    """
-    if target.is_empty:
-        return
-    if hole.is_empty or not hole.overlaps(target):
-        yield target
-        return
-    if target.lo < hole.lo:
-        yield Interval(target.lo, hole.lo)
-    if hole.hi < target.hi:
-        yield Interval(hole.hi, target.hi)
 
 
 def merge_intervals(intervals: Sequence[Interval]) -> list[Interval]:

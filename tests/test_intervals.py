@@ -11,7 +11,6 @@ from repro.model.intervals import (
     Interval,
     merge_intervals,
     point,
-    subtract,
     union_covers,
 )
 
@@ -83,21 +82,6 @@ class TestBasics:
         assert Interval(0, 10).relative_position(2.5) == pytest.approx(0.25)
         with pytest.raises(ValueError):
             point(1.0).relative_position(1.0)
-
-
-class TestSubtract:
-    def test_hole_inside(self):
-        pieces = list(subtract(Interval(0, 10), Interval(3, 7)))
-        assert pieces == [Interval(0, 3), Interval(7, 10)]
-
-    def test_hole_covers(self):
-        assert list(subtract(Interval(2, 3), Interval(0, 10))) == []
-
-    def test_disjoint_hole(self):
-        assert list(subtract(Interval(0, 1), Interval(5, 6))) == [Interval(0, 1)]
-
-    def test_empty_target(self):
-        assert list(subtract(EMPTY_INTERVAL, Interval(0, 1))) == []
 
 
 class TestUnionCovers:

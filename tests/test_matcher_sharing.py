@@ -10,7 +10,9 @@ private matcher per operator would have shown them:
   fenced in arbitrary interleavings — delivers and meters exactly like
   the reference matcher, for all five approaches (hypothesis);
 * releasing one clone leaves its siblings' matcher indexed and
-  answering;
+  answering, and every ingest index, edited in place, equals a fresh
+  build of what is still registered — no index is built twice over an
+  admit/retire program;
 * a clone admitted mid-replay answers like a freshly backfilled private
   matcher;
 * every consumer of an arrival's hit map — clones held by different
@@ -28,12 +30,14 @@ private matcher per operator would have shown them:
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.matching import MatchingEngine
+from repro.matching.engine import _StabbingIndex
 from repro.model import Interval, Location, SimpleEvent
 from repro.model.matching import matches_involving as reference_matches_involving
 from repro.model.operators import CorrelationOperator, Slot
@@ -43,12 +47,17 @@ from repro.network.network import Network
 from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
 from repro.sim import Simulator
+from repro.workload.program import QueryLifecycleConfig, execute_program
+from repro.workload.scenarios import ADMIT_RETIRE
+from repro.workload.sensorscope import ChurnConfig
 
 from test_matching_engine import (
+    assert_equals_fresh_build,
     assert_hit_map,
     random_events,
     random_operator,
     reading,
+    registered,
 )
 
 APPROACH_KEYS = ("fsf", "naive", "operator_placement", "multijoin", "centralized")
@@ -71,6 +80,19 @@ def clone(sub_id: str, subscriber: str = "u", delta_t: float = 3.0) -> Correlati
 def arena(validity: float = 100.0) -> tuple[EventStore, MatchingEngine]:
     store = EventStore(validity)
     return store, MatchingEngine(store)
+
+
+def assert_ingest_indexes_fresh(engine):
+    """Every live ingest index holds the registrations of exactly the
+    live matchers drawing from its sensor, and equals a fresh build of
+    them."""
+    for sensor_id, index in engine._ingest_index.items():
+        assert set(index._registrations) == {
+            matcher
+            for matcher in engine._shared.values()
+            if sensor_id in matcher._by_sensor
+        }
+        assert_equals_fresh_build(index, registered(index))
 
 
 def keys(participants) -> dict[str, list[tuple[str, int]]]:
@@ -343,7 +365,8 @@ def test_random_cancel_orders_never_disturb_survivors(seed):
     interleave with the event stream in a random order.  After every
     release the survivors keep answering exactly like their isolated
     baselines, and draining every reference tears the engine down to
-    nothing."""
+    nothing.  Every release edits the ingest indexes in place; after
+    each one they equal a fresh build of what is still registered."""
     rng, _, family, events, store, shared, solos = family_arena(seed, 3)
     matchers = {}
     held = []  # one entry per retained reference
@@ -361,6 +384,7 @@ def test_random_cancel_orders_never_disturb_survivors(seed):
         for operator in release_at.pop(step, ()):
             shared.release(operator)
             refs[operator.subscription_id] -= 1
+            assert_ingest_indexes_fresh(shared)
         live = set(+refs)
         assert {op.subscription_id for op in shared.operators()} == live
         if not add_everywhere(event, store, solos):
@@ -378,6 +402,7 @@ def test_random_cancel_orders_never_disturb_survivors(seed):
     for operators in release_at.values():
         for operator in operators:
             shared.release(operator)
+            assert_ingest_indexes_fresh(shared)
     assert shared.operators() == []
     assert shared.n_matchers == 0
     assert shared.n_indexed_sensors == 0
@@ -454,6 +479,47 @@ def test_mixed_dtype_subround_timestamps_two_way(seed):
             assert_reference(matcher, store, operator, event)
             compared += 1
     assert compared > 0
+
+
+def test_no_ingest_index_is_built_twice(monkeypatch):
+    """Admission and retirement edit a built ingest index; they never
+    send it back to be built again.  On a smoke-size admit/retire
+    program with sensor churn (the benchmark's ``lifecycle_churn`` at
+    ``--smoke`` size), every cell builds each index at most once while
+    admissions and retirements land on built indexes."""
+    builds = Counter()
+    edits = Counter()
+    build = _StabbingIndex._build
+
+    def counted_build(index):
+        builds[index] += 1
+        build(index)
+
+    def counted(name):
+        edit = getattr(_StabbingIndex, name)
+
+        def wrapper(index, *args):
+            edits[name] += index._by_attr is not None
+            edit(index, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(_StabbingIndex, "_build", counted_build)
+    for name in ("add", "discard"):
+        monkeypatch.setattr(_StabbingIndex, name, counted(name))
+    scenario = replace(
+        ADMIT_RETIRE,
+        dynamic=replace(ADMIT_RETIRE.dynamic, rounds_per_day=5),
+        churn=ChurnConfig(cycle_fraction=0.25),
+        lifecycle=QueryLifecycleConfig(admit_rate=0.5, hold=60.0, max_admissions=8),
+    )
+    deployment = scenario.deployment()
+    compiled = scenario.program(12).compile(deployment)
+    for approach in APPROACH_KEYS:
+        execution = execute_program(compiled, approach)
+        assert execution.admitted and execution.retired, approach
+    assert builds and max(builds.values()) == 1
+    assert edits["add"] and edits["discard"]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ the sweep must be the reference's own slot.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -318,8 +320,63 @@ def test_hit_map_sweeps_a_doubly_accepting_arrival_once_as_its_first_slot(spatia
 
 
 # ---------------------------------------------------------------------------
-# the stabbing index extended in place
+# the stabbing index, edited in place
 # ---------------------------------------------------------------------------
+def fresh_build(registrations):
+    """Per-attribute ``(bounds, segments)`` of an index built from scratch
+    over ``registrations`` (``(attribute, lo, hi, payload)`` in
+    registration order): the batch build the engine once re-ran after
+    every admission and retirement, kept here as the oracle of the
+    in-place edits."""
+    groups = {}
+    for attribute, lo, hi, payload in registrations:
+        if lo <= hi:  # empty filters accept nothing
+            groups.setdefault(attribute, []).append((lo, hi, payload))
+    built = {}
+    for attribute, regs in groups.items():
+        bounds = sorted({x for lo, hi, _payload in regs for x in (lo, hi)})
+        # segment 2j+1 = the point [bounds[j]];
+        # segment 2j   = the open range (bounds[j-1], bounds[j])
+        segments = [[] for _ in range(2 * len(bounds) + 1)]
+        for lo, hi, payload in regs:
+            first = bisect_left(bounds, lo)
+            last = bisect_left(bounds, hi)
+            for j in range(first, last + 1):
+                segments[2 * j + 1].append(payload)
+            for j in range(first + 1, last + 1):
+                segments[2 * j].append(payload)
+        built[attribute] = (bounds, [tuple(s) for s in segments])
+    return built
+
+
+def registered(index):
+    """The index's live registrations, in registration order."""
+    return [reg for regs in index._registrations.values() for reg in regs]
+
+
+def assert_equals_fresh_build(index, registrations):
+    """``index`` holds ``registrations`` and, once built, exactly what a
+    fresh build of them holds: no cut that no live filter makes, and
+    every endpoint counted once per live filter ending there."""
+    assert bool(index) == bool(registrations)
+    if index._by_attr is None:
+        return  # not built yet: nothing arrived since registrations began
+    got = {
+        attribute: (bounds, segments)
+        for attribute, (bounds, segments, _uses) in index._by_attr.items()
+    }
+    assert got == fresh_build(registrations)
+    for attribute, (bounds, _segments, uses) in index._by_attr.items():
+        ends = Counter(
+            x
+            for a, lo, hi, _payload in registrations
+            if a == attribute and lo <= hi
+            for x in {lo, hi}
+        )
+        assert len(bounds) == len(ends)
+        assert dict(zip(bounds, uses)) == ends
+
+
 def index_probes(bounds):
     """One value per elementary segment: every endpoint, every gap."""
     points = sorted(bounds)
@@ -329,10 +386,10 @@ def index_probes(bounds):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_stabbing_index_extended_in_place_equals_a_rebuild(seed):
-    """Registrations whose endpoints already cut the axis extend the
-    built index; whatever the sequence, it equals the index rebuilt
-    from scratch — per segment and in order, which is what decides the
-    own slot."""
+    """Registrations extend the built index in place, whether or not
+    their endpoints already cut the axis; whatever the sequence, it
+    routes like an index built from scratch over the same registrations
+    — per segment and in order, which is what decides the own slot."""
     rng = np.random.default_rng(seed)
     grid = [float(x) for x in range(6)]
     index = _StabbingIndex()
@@ -352,17 +409,11 @@ def test_stabbing_index_extended_in_place_equals_a_rebuild(seed):
             # Two slots of one matcher, as MatchingEngine.matcher adds them.
             for own in range(1 + int(rng.random() < 0.3)):
                 registration = (attribute, Interval(lo, hi), object(), matcher, own)
-                built = not index._dirty
+                built = index._by_attr
                 index.add(*registration)
                 registrations.append(registration)
-                cut = {
-                    x
-                    for a, i, *_ in registrations[:-1]
-                    if a == attribute and i.lo <= i.hi
-                    for x in (i.lo, i.hi)
-                }
-                if built and (lo > hi or {lo, hi} <= cut):
-                    assert not index._dirty, "a covered registration rebuilt"
+                if built is not None:
+                    assert index._by_attr is built, "a registration rebuilt"
                     in_place += 1
         rebuilt = _StabbingIndex()
         for registration in registrations:
@@ -373,3 +424,70 @@ def test_stabbing_index_extended_in_place_equals_a_rebuild(seed):
                     attribute, value
                 ), (seed, step, attribute, value)
     assert in_place
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_stabbing_index_edited_in_place_equals_a_fresh_build(seed):
+    """Built once, at the first arrival, and only edited after it:
+    whatever the add/discard sequence, the index equals a fresh build
+    of its live registrations — per segment and in order, which is what
+    decides the own slot — and routes every value to exactly the
+    filters accepting it."""
+    rng = np.random.default_rng(seed)
+    grid = [float(x) for x in range(6)]
+    index = _StabbingIndex()
+    registrations = []
+    first_arrival = int(rng.integers(0, 8))
+    edited = 0
+    for step in range(40):
+        if step == first_arrival:
+            index.targets("t", grid[0])
+        if registrations and rng.random() < 0.3:
+            victim = registrations[int(rng.integers(0, len(registrations)))][3][1]
+            registrations = [reg for reg in registrations if reg[3][1] is not victim]
+            index.discard(victim)
+        else:
+            matcher = object()
+            # One or two slots, registered back to back like
+            # MatchingEngine.matcher does, each with its own filter.
+            for own in range(1 + int(rng.random() < 0.3)):
+                lo, hi = sorted(rng.choice(grid, size=2))  # lo == hi: a point
+                if rng.random() < 0.1:
+                    lo, hi = hi + 1.0, lo  # an empty filter: kept, never hit
+                attribute = "t" if rng.random() < 0.7 else "u"
+                payload = (object(), matcher, own)
+                index.add(attribute, Interval(lo, hi), *payload)
+                registrations.append((attribute, lo, hi, payload))
+        assert registered(index) == registrations
+        assert_equals_fresh_build(index, registrations)
+        if index._by_attr is None:
+            continue
+        edited += 1
+        for attribute in ("t", "u"):
+            for value in index_probes(grid):
+                want = tuple(
+                    payload
+                    for a, lo, hi, payload in registrations
+                    if a == attribute and lo <= value <= hi
+                )
+                assert index.targets(attribute, value) == want, (seed, step, value)
+    assert edited
+
+
+def test_stabbing_index_discard_of_an_unregistered_matcher_raises():
+    """Like an unpaired ``MatchingEngine.release``: a bookkeeping bug
+    raises, built or not, and changes nothing."""
+    index = _StabbingIndex()
+    matcher = object()
+    index.add("t", Interval(0.0, 2.0), object(), matcher, 0)
+    with pytest.raises(KeyError):
+        index.discard(object())
+    index.targets("t", 1.0)  # the first arrival builds it
+    with pytest.raises(KeyError):
+        index.discard(object())
+    assert_equals_fresh_build(index, registered(index))
+    assert len(registered(index)) == 1
+    index.discard(matcher)
+    assert not index and index._by_attr == {}
+    with pytest.raises(KeyError):
+        index.discard(matcher)  # a second discard is unpaired too
