@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from ..metrics.fences import Fences
 from ..model.events import SimpleEvent
 from ..model.subscriptions import Subscription
 from ..network.network import Network
@@ -402,10 +403,9 @@ class Session:
         """Oracle ground truth for this session's queries over ``events``.
 
         Each query's truth is fenced to its lifetime — from its
-        ``submit()`` instant to its ``cancel()`` instant, exactly like
-        departed sensors (see
-        :func:`repro.metrics.oracle.compute_truth`) — so resubmitted
-        ids never inherit a previous incarnation's truth.
+        ``submit()`` instant to its ``cancel()`` instant, and ``churn``
+        fences departed sensors (see :mod:`repro.metrics.fences`) — so
+        resubmitted ids never inherit a previous incarnation's truth.
         """
         from ..metrics.oracle import compute_truth  # local: avoid cycle
 
@@ -414,7 +414,9 @@ class Session:
             self.deployment,
             list(events),
             method=method,
-            churn=churn,
-            cancellations=dict(self.cancellations),
-            activations=dict(self.activations),
+            fences=Fences.build(
+                churn=churn,
+                activations=self.activations,
+                cancellations=self.cancellations,
+            ),
         )

@@ -62,40 +62,28 @@ class CentralizedNode(Node):
     # transitions unicast to the centre instead (the centre holds all
     # state, so it is the only other node that must fence/unfence)
     # ------------------------------------------------------------------
-    def attach_sensor(self, advertisement) -> None:
-        self.store.unfence_sensor(advertisement.sensor_id)
-        self.ads.add(LOCAL, advertisement)
-        if advertisement.sensor_id in self._departed_once:
-            self._departed_once.discard(advertisement.sensor_id)
-            if self.node_id != self.network.center:
-                self.network.unicast(
-                    self.node_id,
-                    self.network.center,
-                    AdvertisementMessage(advertisement),
-                )
-
-    def detach_sensor(self, sensor_id: str) -> None:
-        advertisement = self.ads.get(sensor_id)
-        if advertisement is None:
-            return
-        self.ads.remove(sensor_id)
-        self.fence_sensor_state(sensor_id)
-        self._departed_once.add(sensor_id)
-        if self.node_id != self.network.center:
-            self.network.unicast(
-                self.node_id,
-                self.network.center,
-                AdvertisementMessage(advertisement, retract=True),
-            )
-
     def handle_advertisement(self, advertisement, origin: str) -> None:
-        # Only re-join notices arrive here, unicast to the centre.
-        assert self.node_id == self.network.center
-        self.store.unfence_sensor(advertisement.sensor_id)
+        sensor_id = advertisement.sensor_id
+        self.store.unfence_sensor(sensor_id)
+        if origin != LOCAL:
+            return  # a re-join notice, unicast to the centre
+        self.ads.add(LOCAL, advertisement)
+        if sensor_id in self._departed_once:
+            self._departed_once.discard(sensor_id)
+            self._notify_center(AdvertisementMessage(advertisement))
 
     def handle_retraction(self, advertisement, origin: str) -> None:
-        assert self.node_id == self.network.center
-        self.fence_sensor_state(advertisement.sensor_id)
+        sensor_id = advertisement.sensor_id
+        self.fence_sensor_state(sensor_id)
+        if origin != LOCAL:
+            return  # a leave notice, unicast to the centre
+        self.ads.remove(sensor_id)
+        self._departed_once.add(sensor_id)
+        self._notify_center(AdvertisementMessage(advertisement, retract=True))
+
+    def _notify_center(self, message: AdvertisementMessage) -> None:
+        if self.node_id != self.network.center:
+            self.network.unicast(self.node_id, self.network.center, message)
 
     # ------------------------------------------------------------------
     # subscription side

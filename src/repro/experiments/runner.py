@@ -56,7 +56,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..metrics.approx import churn_fences, measure_approx
+from ..metrics.approx import measure_approx
 from ..metrics.oracle import SubscriptionTruth
 from ..metrics.recall import measure_recall
 from ..protocols.base import Approach
@@ -170,9 +170,7 @@ def run_program(
     sub_traffic = execution.after_setup.minus(after_ads)
     event_traffic = execution.final.minus(execution.after_setup)
     teardown = event_traffic.teardown_units
-    approx = measure_approx(
-        network, compiled.events, churn_fences(compiled.churn)
-    )
+    approx = measure_approx(network, compiled.events, compiled.fences)
     return RunResult(
         approach=approach.key,
         n_subscriptions=len(compiled.admissions),

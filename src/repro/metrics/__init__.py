@@ -1,6 +1,7 @@
 """Metrics: traffic loads, the offline oracle, recall and reports."""
 
 from .approx import ApproxReport, ApproxStats, churn_fences, measure_approx
+from .fences import Fences
 from .oracle import (
     ORACLE_METHODS,
     EventIndex,
@@ -22,6 +23,7 @@ __all__ = [
     "ApproxReport",
     "ApproxStats",
     "EventIndex",
+    "Fences",
     "churn_fences",
     "measure_approx",
     "ORACLE_METHODS",

@@ -26,9 +26,10 @@ criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
 from ..model.events import SimpleEvent
+from .fences import NO_FENCES, Fences
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..network.network import Network
@@ -92,41 +93,31 @@ class ApproxReport:
         return sum(1 for s in self.stats if not s.within_bound)
 
 
-def churn_fences(schedule: "ChurnSchedule | None") -> dict[str, float]:
-    """Per-sensor truth fence: the last departure time (if any).
-
-    The lane drops a sensor's summary on every leave and restarts it
-    from empty on rejoin, so at answer time (the final push round runs
-    after all churn) only readings *after the last leave* survive.
-    Sensors that never depart have no fence.
-    """
-    if schedule is None:
-        return {}
-    fences: dict[str, float] = {}
-    for time, sensor_id in schedule.departures():
-        fences[sensor_id] = max(time, fences.get(sensor_id, time))
-    return fences
+def churn_fences(schedule: "ChurnSchedule | None") -> Fences:
+    """The fences of a churn schedule alone (no outages, no lifetimes)."""
+    return Fences.build(churn=schedule)
 
 
 def measure_approx(
     network: "Network",
     events: Iterable[SimpleEvent],
-    fences: Mapping[str, float] | None = None,
+    fences: Fences = NO_FENCES,
 ) -> ApproxReport:
     """Oracle-check every certified answer of ``network``'s sketch lane.
 
     ``events`` is the full replayed trace (churned-away readings are
-    never synthesized, so no aliveness filter is needed here);
-    ``fences`` maps sensor ids to their last departure time — readings
-    stamped at or before the fence are excluded from the truth, the
-    exact rule the hosting broker's ``EventStore.fence_sensor`` applies
-    on the answer side.
+    never synthesized, so no aliveness filter is needed here).  The
+    answers postdate all churn, so of ``fences`` (see
+    :mod:`repro.metrics.fences`) what counts is each sensor's last
+    departure: readings stamped at or before it are excluded from the
+    truth, the exact rule the hosting broker's
+    ``EventStore.fence_sensor`` applies on the answer side.
     """
     lane = network.sketches
     if lane is None:
         return ApproxReport(stats=())
-    fences = dict(fences or {})
-    trace = list(events)
+    last = fences.last_departures()
+    trace = fences.published(list(events))
     stats: list[ApproxStats] = []
     answers = lane.query_answers()
     for sub_id in sorted(answers):
@@ -137,9 +128,7 @@ def measure_approx(
             for e in trace
             if e.attribute == answer.attribute
             and e.sensor_id in answer.sensors
-            and not (
-                e.sensor_id in fences and e.timestamp <= fences[e.sensor_id]
-            )
+            and not (e.sensor_id in last and e.timestamp <= last[e.sensor_id])
         ]
         raw_true = sum(
             1 for v in values if answer.interval.contains(v)

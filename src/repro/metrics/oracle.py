@@ -24,8 +24,11 @@ Two interchangeable truth passes exist:
 from __future__ import annotations
 
 import bisect
+import copy
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import partial
+from typing import Iterable, Sequence
 
 from ..matching.engine import OperatorMatcher
 from ..model.events import EventKey, SimpleEvent
@@ -37,15 +40,24 @@ from ..model.subscriptions import (
     Subscription,
 )
 from ..network.topology import Deployment
+from .fences import NO_FENCES, Fences
 
 ORACLE_METHODS = ("engine", "reference")
 
 
 class EventIndex:
-    """SlotEventProvider over an arbitrary event collection."""
+    """SlotEventProvider over an arbitrary event collection.
+
+    The reference truth pass fences it like the engine pass fences its
+    :class:`OperatorMatcher`: :meth:`fence_sensor` hides a departed
+    sensor's earlier events from every later window query, the offline
+    equivalent of the store-level fence a retraction flood applies
+    online.  Events after a re-join are stamped later and stay visible.
+    """
 
     def __init__(self, events: Iterable[SimpleEvent]) -> None:
         self._by_sensor: dict[str, list[tuple[float, int, SimpleEvent]]] = {}
+        self._fences: dict[str, float] = {}
         self.by_key: dict[EventKey, SimpleEvent] = {}
         for event in events:
             self._by_sensor.setdefault(event.sensor_id, []).append(
@@ -55,12 +67,24 @@ class EventIndex:
         for timeline in self._by_sensor.values():
             timeline.sort()
 
+    def unfenced(self) -> "EventIndex":
+        """A view sharing these events, with no fence applied yet."""
+        view = copy.copy(self)
+        view._fences = {}
+        return view
+
+    def fence_sensor(self, sensor_id: str, until: float) -> None:
+        """Hide ``sensor_id``'s events stamped at or before ``until``."""
+        if until > self._fences.get(sensor_id, float("-inf")):
+            self._fences[sensor_id] = until
+
     def events_for_sensor(
         self, sensor_id: str, after: float, until: float
     ) -> Sequence[SimpleEvent]:
         timeline = self._by_sensor.get(sensor_id)
         if not timeline:
             return ()
+        after = max(after, self._fences.get(sensor_id, after))
         lo = bisect.bisect_right(timeline, (after, float("inf")))
         hi = bisect.bisect_right(timeline, (until, float("inf")))
         return [entry[2] for entry in timeline[lo:hi]]
@@ -70,36 +94,6 @@ class EventIndex:
         for sensor_id in sensor_ids:
             out.extend(e for _, _, e in self._by_sensor.get(sensor_id, ()))
         return out
-
-
-class _FencedIndex:
-    """Churn view over an :class:`EventIndex`.
-
-    As the truth sweep crosses a scheduled departure, :meth:`fence`
-    hides the departed sensor's earlier events from every subsequent
-    window query — the offline equivalent of the store-level fence a
-    retraction flood applies online.  Events after a re-join have later
-    timestamps than the fence and stay visible.
-    """
-
-    __slots__ = ("_index", "_fences")
-
-    def __init__(self, index: EventIndex) -> None:
-        self._index = index
-        self._fences: dict[str, float] = {}
-
-    def fence(self, sensor_id: str, until: float) -> None:
-        previous = self._fences.get(sensor_id)
-        if previous is None or until > previous:
-            self._fences[sensor_id] = until
-
-    def events_for_sensor(
-        self, sensor_id: str, after: float, until: float
-    ) -> Sequence[SimpleEvent]:
-        fence = self._fences.get(sensor_id)
-        if fence is not None and fence > after:
-            after = fence
-        return self._index.events_for_sensor(sensor_id, after, until)
 
 
 @dataclass
@@ -158,9 +152,7 @@ def operator_truth(
     sub_id: str,
     index: EventIndex,
     method: str = "engine",
-    churn=None,
-    cancelled_at: float | None = None,
-    activated_at: float | None = None,
+    fences: Fences = NO_FENCES,
 ) -> SubscriptionTruth:
     """Ground truth of one resolved operator over an indexed event set.
 
@@ -171,98 +163,63 @@ def operator_truth(
     triggers (events of the operator's own sensors that fill a slot) and
     produce identical ``triggers`` / ``participants`` sets.
 
-    ``churn`` (a :class:`~repro.workload.sensorscope.ChurnSchedule`,
-    already shifted to the replay clock) makes the truth churn-aware:
-    candidate triggers are swept in timestamp order, and every scheduled
-    departure fences the departed sensor's earlier events out of all
-    later windows — an instance is credited only when each participant's
-    sensor stayed alive through the trigger time.  Both passes apply the
-    identical fence, so engine/reference equivalence is preserved under
-    churn.
-
-    ``cancelled_at`` / ``activated_at`` fence the subscription's
-    *lifetime* exactly like sensor churn fences a sensor's: the query
-    exists on ``[activated_at, cancelled_at]`` (each side optional), so
-    only instances *triggered* inside that closed interval are truth —
-    the same priority-1 tie-break churn uses, where an event stamped at
-    the exact transition instant still counts.  The activation side is
-    what keeps a *resubmitted* query id from inheriting its previous
-    incarnation's truth.  Only the trigger is fenced: a freshly placed
-    query legitimately matches against earlier, still-valid events
-    already in the stores (the matcher backfill), so members may
-    predate the activation — exactly as the live network delivers.
-    Members never postdate a trigger, so the cancellation side fences
-    members and triggers alike.
+    ``fences`` (see :mod:`repro.metrics.fences`) bounds the query's
+    lifetime and its sensors' departures.  Candidate triggers are swept
+    in timestamp order, and one sweep fences each departed sensor's
+    earlier events out of all later windows on whichever target the
+    pass probes — the matcher or the index — so both passes apply the
+    identical fence.
     """
     truth = SubscriptionTruth(sub_id, operator)
+    born, dies = fences.lifetime(sub_id)
     candidates = index.events_of(sorted(operator.sensors))
-    if cancelled_at is not None:
-        candidates = [e for e in candidates if e.timestamp <= cancelled_at]
+    if dies < math.inf:
+        candidates = [e for e in candidates if e.timestamp <= dies]
     triggers = candidates
-    if activated_at is not None:
-        triggers = [e for e in candidates if e.timestamp >= activated_at]
-    departures: list[tuple[float, str]] = []
-    if churn is not None:
-        departures = [
-            (t, sensor_id)
-            for t, sensor_id in churn.departures()
-            if sensor_id in operator.sensors
-        ]
+    if born > -math.inf:
+        triggers = [e for e in candidates if e.timestamp >= born]
+    departures = fences.sweep(operator.sensors)
     if departures:
-        # The fence sweeps below assume monotone trigger times.
+        # The fence sweep below assumes monotone trigger times.
         candidates.sort(key=lambda e: (e.timestamp, e.key))
         if triggers is not candidates:
             triggers.sort(key=lambda e: (e.timestamp, e.key))
-    next_departure = 0
 
-    if method == "reference":
-        provider = _FencedIndex(index) if departures else index
-        for event in triggers:
-            while (
-                next_departure < len(departures)
-                and departures[next_departure][0] <= event.timestamp
-            ):
-                when, sensor_id = departures[next_departure]
-                provider.fence(sensor_id, when)
-                next_departure += 1
-            if operator.slot_for_event(event) is None:
-                continue
-            if not instance_exists(operator, provider, event):
-                continue
-            truth.triggers.add(event.key)
-            found = match_at_trigger(operator, provider, event.timestamp)
-            if found:
-                for members in found.values():
-                    truth.participants.update(m.key for m in members)
-        return truth
-    if method != "engine":
+    if method == "engine":
+        target = OperatorMatcher(operator, _OFFLINE_ENGINE)
+        for event in candidates:
+            target.ingest(event)
+        exists = target.instance_exists
+        at_trigger = target.match_at_trigger
+    elif method == "reference":
+        target = index.unfenced()
+        exists = partial(instance_exists, operator, target)
+        at_trigger = partial(match_at_trigger, operator, target)
+    else:
         raise ValueError(
             f"unknown oracle method {method!r}; expected one of {ORACLE_METHODS}"
         )
-    matcher = OperatorMatcher(operator, _OFFLINE_ENGINE)
-    for event in candidates:
-        matcher.ingest(event)
-    # Equal-timestamp triggers share one window; memoise per timestamp
-    # (the reference recomputes — same result, it is the slow path).
-    # The memo stays sound under churn: fences are applied before the
+    # Equal-timestamp triggers share one window; memoise per timestamp.
+    # The memo stays sound under fences: they are applied before the
     # first probe at a timestamp, and equal timestamps see equal fences.
     participants_at: dict[float, dict | None] = {}
+    next_departure = 0
     for event in triggers:
         while (
             next_departure < len(departures)
             and departures[next_departure][0] <= event.timestamp
         ):
             when, sensor_id = departures[next_departure]
-            matcher.fence_sensor(sensor_id, when)
+            target.fence_sensor(sensor_id, when)
             next_departure += 1
         if operator.slot_for_event(event) is None:
             continue
-        if not matcher.instance_exists(event):
+        if not exists(event):
             continue
         truth.triggers.add(event.key)
         t_star = event.timestamp
         if t_star not in participants_at:
-            participants_at[t_star] = matcher.match_at_trigger(t_star)
+            participants_at[t_star] = at_trigger(t_star)
         found = participants_at[t_star]
         if found:
             for members in found.values():
@@ -275,66 +232,23 @@ def compute_truth(
     deployment: Deployment,
     events: Sequence[SimpleEvent],
     method: str = "engine",
-    churn=None,
-    cancellations: Mapping[str, float] | None = None,
-    activations: Mapping[str, float] | None = None,
-    outages: Sequence[tuple[str, float, float]] | None = None,
+    fences: Fences = NO_FENCES,
 ) -> dict[str, SubscriptionTruth]:
     """Enumerate every true match instance of every subscription.
 
     Only events produced by a subscription's own sensors can trigger it,
     so the scan is proportional to (subscriptions x their group's
     events), not (subscriptions x all events).  ``method`` selects the
-    truth pass (see module docstring).  ``churn`` — the scenario's churn
-    schedule, shifted to the same clock as ``events`` — fences departed
-    sensors' history (see :func:`operator_truth`).  ``cancellations`` /
-    ``activations`` map subscription ids to the simulation times their
-    ``cancel()`` / ``submit()`` ran; the query's truth is fenced to
-    that lifetime exactly like a departed sensor's history — which also
-    keeps resubmitted ids from inheriting their previous incarnation's
-    truth.
-
-    ``outages`` — ``(sensor_id, down_from, down_until)`` fences from a
-    fault plan's correlated broker outages (already on the ``events``
-    clock) — excludes the publications a crashed host dropped: a reading
-    stamped inside the half-open window ``(down_from, down_until]``
-    never left the broker, so no approach could deliver it and the
-    oracle never charges it.  Unlike churn there is no retraction flood,
-    so the sensor's *earlier* events stay visible — the network still
-    holds them, matching online behaviour.  Applied identically before
-    both truth passes (the filter shapes the index both passes share).
+    truth pass (see module docstring); ``fences`` — on the same clock as
+    ``events`` — says what no approach could observe: readings lost in
+    an outage gap, departed sensors' history and each query's lifetime
+    (see :mod:`repro.metrics.fences`).
     """
-    if outages:
-        windows: dict[str, list[tuple[float, float]]] = {}
-        for sensor_id, down_from, down_until in outages:
-            windows.setdefault(sensor_id, []).append((down_from, down_until))
-        events = [
-            e
-            for e in events
-            if not any(
-                down_from < e.timestamp <= down_until
-                for down_from, down_until in windows.get(e.sensor_id, ())
-            )
-        ]
-    index = EventIndex(events)
+    index = EventIndex(fences.published(events))
     truths: dict[str, SubscriptionTruth] = {}
     for subscription in subscriptions:
         operator = oracle_operator(subscription, deployment)
         truths[subscription.sub_id] = operator_truth(
-            operator,
-            subscription.sub_id,
-            index,
-            method,
-            churn=churn,
-            cancelled_at=(
-                cancellations.get(subscription.sub_id)
-                if cancellations is not None
-                else None
-            ),
-            activated_at=(
-                activations.get(subscription.sub_id)
-                if activations is not None
-                else None
-            ),
+            operator, subscription.sub_id, index, method, fences
         )
     return truths

@@ -23,7 +23,6 @@ from .intervals import (
     EMPTY_INTERVAL,
     FULL_INTERVAL,
     Interval,
-    merge_intervals,
     point,
     union_covers,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "instance_exists",
     "match_at_trigger",
     "matches_involving",
-    "merge_intervals",
     "operator_from_abstract",
     "operator_from_identified",
     "point",

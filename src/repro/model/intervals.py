@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,11 +38,6 @@ class Interval:
     def is_empty(self) -> bool:
         """True when the interval contains no points."""
         return self.lo > self.hi
-
-    @property
-    def is_point(self) -> bool:
-        """True when the interval is a single value (``a = v`` filters)."""
-        return self.lo == self.hi
 
     def contains(self, value: float) -> bool:
         """Whether ``value`` lies inside the closed interval."""
@@ -77,14 +72,6 @@ class Interval:
             return EMPTY_INTERVAL
         return Interval(lo, hi)
 
-    def hull(self, other: "Interval") -> "Interval":
-        """Smallest interval containing both operands."""
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def clamp(self, domain: "Interval") -> "Interval":
         """Alias of :meth:`intersect`, named for clipping to a domain."""
         return self.intersect(domain)
@@ -102,7 +89,7 @@ class Interval:
         return Interval(self.lo - amount, self.hi + amount)
 
     # ------------------------------------------------------------------
-    # measure & sampling
+    # measure
     # ------------------------------------------------------------------
     @property
     def length(self) -> float:
@@ -110,24 +97,6 @@ class Interval:
         if self.is_empty:
             return 0.0
         return self.hi - self.lo
-
-    def sample(self, u: float) -> float:
-        """Map ``u`` in [0, 1] onto a point of the interval.
-
-        Point intervals always return their single value.  Raises on
-        empty intervals — there is nothing to sample.
-        """
-        if self.is_empty:
-            raise ValueError("cannot sample the empty interval")
-        if not 0.0 <= u <= 1.0:
-            raise ValueError(f"sample coordinate {u!r} outside [0, 1]")
-        return self.lo + u * (self.hi - self.lo)
-
-    def relative_position(self, value: float) -> float:
-        """Inverse of :meth:`sample` for non-degenerate intervals."""
-        if self.is_empty or self.is_point:
-            raise ValueError("relative_position needs a non-degenerate interval")
-        return (value - self.lo) / (self.hi - self.lo)
 
 
 EMPTY_INTERVAL = Interval(1.0, 0.0)
@@ -162,15 +131,3 @@ def union_covers(cover: Iterable[Interval], target: Interval) -> bool:
         if frontier >= target.hi:
             return True
     return frontier >= target.hi
-
-
-def merge_intervals(intervals: Sequence[Interval]) -> list[Interval]:
-    """Merge overlapping/adjacent intervals into a disjoint sorted list."""
-    live = sorted((iv for iv in intervals if not iv.is_empty), key=lambda iv: iv.lo)
-    merged: list[Interval] = []
-    for iv in live:
-        if merged and iv.lo <= merged[-1].hi:
-            merged[-1] = merged[-1].hull(iv)
-        else:
-            merged.append(iv)
-    return merged

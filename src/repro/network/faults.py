@@ -123,25 +123,6 @@ class FaultPlan:
                 return fault
         return self.default
 
-    def sensor_down_windows(
-        self, deployment: "Deployment"
-    ) -> tuple[tuple[str, float, float], ...]:
-        """Per-sensor down windows ``(sensor_id, start, end)`` implied
-        by the outage schedule: a sensor is down while its hosting
-        broker is.  Program-clock times; the oracle excludes exactly the
-        events such a sensor would have published into ``(start, end]``
-        — the publications a down host drops.
-        """
-        out: list[tuple[str, float, float]] = []
-        for window in self.outages:
-            domain = set(window.domain)
-            for placement in sorted(
-                deployment.sensors, key=lambda p: p.sensor_id
-            ):
-                if placement.node_id in domain:
-                    out.append((placement.sensor_id, window.start, window.end))
-        return tuple(out)
-
     def validate_against(self, deployment: "Deployment") -> None:
         """Reject outage domains naming nodes outside the deployment."""
         known = set(deployment.graph.nodes)

@@ -351,9 +351,10 @@ class Node:
     def __init__(self, node_id: str, network: "Network") -> None:
         self.node_id = node_id
         self.network = network
-        # Local advertisements parked during a broker outage; recovery
-        # re-attaches them through the re-flood path.
-        self._crashed_locals: list[Advertisement] = []
+        # While down (None while up): the sensors wired here and those
+        # that left during the outage, by id (see crash / recover).
+        self._crashed_locals: dict[str, Advertisement] | None = None
+        self._departed_locals: dict[str, Advertisement] = {}
         self._reset_volatile()
 
     def _reset_volatile(self) -> None:
@@ -495,11 +496,18 @@ class Node:
     def attach_sensor(self, advertisement: Advertisement) -> None:
         """Algorithm 1, lines 2-7: a local sensor appears (or re-joins
         after churn) — an advertisement whose origin is ``LOCAL``."""
+        if self._crashed_locals is not None:
+            self._crashed_locals[advertisement.sensor_id] = advertisement
+            return
         self.handle_advertisement(advertisement, LOCAL)
 
     def detach_sensor(self, sensor_id: str) -> None:
         """Churn leave: a retraction whose origin is ``LOCAL``.  Unknown
         or already detached sensors are a no-op."""
+        if self._crashed_locals is not None:
+            if sensor_id in self._crashed_locals:
+                self._departed_locals[sensor_id] = self._crashed_locals.pop(sensor_id)
+            return
         advertisement = self.ads.get(sensor_id)
         if advertisement is not None:
             self.handle_retraction(advertisement, LOCAL)
@@ -823,25 +831,27 @@ class Node:
         state, forwarded-to flags and reverse-path memory are gone —
         exactly what a process crash loses.  Only the fact of which
         sensors are physically attached survives (the hardware is still
-        wired); recovery re-advertises them through the normal re-flood
-        path.
+        wired), and churn while down edits just that fact.
         """
-        self._crashed_locals = [
-            ad for _, ad in sorted(self.ads.from_origin(LOCAL).items())
-        ]
+        self._crashed_locals = dict(self.ads.from_origin(LOCAL))
         self._reset_volatile()
         self.on_crash()
 
     def recover(self) -> None:
         """Broker recovery: re-enter through the re-flood path.
 
-        Local sensors re-advertise exactly like a churn re-join
-        (:meth:`attach_sensor`); remote advertisements and forwarded
-        operators return with the neighbours' next refresh round.
+        Sensors that left meanwhile retract like a churn leave, attached
+        ones re-advertise like a re-join (:meth:`attach_sensor`); remote
+        advertisements and forwarded operators return with the
+        neighbours' next refresh round.
         """
-        for advertisement in self._crashed_locals:
+        attached, self._crashed_locals = self._crashed_locals, None
+        departed, self._departed_locals = self._departed_locals, {}
+        for _, advertisement in sorted(departed.items()):
+            self.ads.add(LOCAL, advertisement)  # known only to be retracted
+            self.handle_retraction(advertisement, LOCAL)
+        for _, advertisement in sorted(attached.items()):
             self.attach_sensor(advertisement)
-        self._crashed_locals = []
 
     def on_crash(self) -> None:
         """Subclass hook: drop approach-specific volatile state."""

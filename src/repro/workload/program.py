@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
+from ..metrics.fences import Fences
 from ..model.events import SimpleEvent
 from ..model.subscriptions import Subscription
 from ..network.faults import FaultPlan
@@ -273,15 +274,6 @@ class WorkloadProgram:
             )
         if self.churn is not None and self.dynamic is None:
             raise ValueError("churn requires a dynamic replay")
-        if (
-            self.churn is not None
-            and self.faults is not None
-            and self.faults.outages
-        ):
-            raise ValueError(
-                "sensor churn and broker outages cannot be combined yet: "
-                "their oracle fences over the same sensors would overlap"
-            )
         if self.static_prefix is not None and not (
             0 <= self.static_prefix <= self.subscriptions.n_subscriptions
         ):
@@ -591,30 +583,25 @@ class CompiledProgram:
         }
 
     @property
-    def outage_fences(self) -> tuple[tuple[str, float, float], ...]:
-        """Oracle outage fences on the simulation clock.
-
-        ``(sensor_id, down_from, down_until)`` for every sensor hosted
-        on a broker inside an outage domain: its publications inside the
-        half-open window ``(down_from, down_until]`` die at the crashed
-        host, so the oracle excludes them — the exact analogue of churn
-        fences, from the *scheduled* windows, identical per approach.
-        """
-        if self.faults is None or not self.faults.outages:
-            return ()
-        return tuple(
-            (sensor_id, self.replay_start + start, self.replay_start + end)
-            for sensor_id, start, end in self.faults.sensor_down_windows(
-                self.deployment
-            )
+    def fences(self) -> Fences:
+        """What no approach could observe, from the *program's scheduled*
+        times: the churn schedule, the fault plan's outages and every
+        admission's lifetime (see :mod:`repro.metrics.fences`)."""
+        return Fences.build(
+            self.deployment,
+            churn=self.churn,
+            outages=self.faults.outages if self.faults is not None else (),
+            offset=self.replay_start,
+            activations=self.activations,
+            cancellations=self.cancellations,
         )
 
     def truth(self, method: str = "engine") -> dict[str, "SubscriptionTruth"]:
-        """Ground truth for every admission, fenced to its lifetime.
+        """Ground truth for every admission, fenced by :attr:`fences`.
 
-        Shared by all approaches of one point: the fences come from the
-        *program's scheduled* times, never from any one session's
-        observed clock (which differs per approach during registration).
+        Shared by all approaches of one point: the fences never come
+        from any one session's observed clock (which differs per
+        approach during registration).
         """
         from ..metrics.oracle import compute_truth  # local: avoid cycle
 
@@ -623,10 +610,7 @@ class CompiledProgram:
             self.deployment,
             self.events,
             method=method,
-            churn=self.churn,
-            cancellations=self.cancellations or None,
-            activations=self.activations or None,
-            outages=self.outage_fences or None,
+            fences=self.fences,
         )
 
 

@@ -34,6 +34,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from deployments import line_deployment, publish
 from repro.core.filter_split_forward import FSFConfig
 from repro.experiments.runner import REPLAY_START
+from repro.metrics.fences import Fences
 from repro.metrics.oracle import compute_truth
 from repro.model.subscriptions import IdentifiedSubscription
 from repro.network.messages import UnsubscribeMessage
@@ -525,7 +526,8 @@ def test_oracle_fences_cancelled_subscriptions(method):
         cutoff = shifted[len(shifted) // 2].timestamp
         cancelled = {subs[0].sub_id: cutoff, subs[3].sub_id: cutoff}
         fenced = compute_truth(
-            subs, deployment, shifted, method=method, cancellations=cancelled
+            subs, deployment, shifted, method=method,
+            fences=Fences.build(cancellations=cancelled),
         )
         plain = compute_truth(subs, deployment, shifted, method=method)
         truncated = compute_truth(
@@ -555,10 +557,12 @@ def test_oracle_engine_equals_reference_with_cancellations():
         cutoff = shifted[len(shifted) // 3].timestamp
         cancelled = {subs[1].sub_id: cutoff, subs[6].sub_id: cutoff}
         reference = compute_truth(
-            subs, deployment, shifted, method="reference", cancellations=cancelled
+            subs, deployment, shifted, method="reference",
+            fences=Fences.build(cancellations=cancelled),
         )
         truth = compute_truth(
-            subs, deployment, shifted, method="engine", cancellations=cancelled
+            subs, deployment, shifted, method="engine",
+            fences=Fences.build(cancellations=cancelled),
         )
         for sub_id in truth:
             assert truth[sub_id].triggers == reference[sub_id].triggers, sub_id

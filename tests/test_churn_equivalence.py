@@ -27,6 +27,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.experiments.runner import REPLAY_START
 from repro.matching.engine import MatchingEngine
+from repro.metrics.fences import Fences
 from repro.metrics.oracle import compute_truth, oracle_operator
 from repro.network.eventstore import EventStore
 from repro.network.network import Network
@@ -144,10 +145,12 @@ def test_oracle_engine_equals_reference_under_churn(chunk):
         churn = replay.churn_shifted(REPLAY_START)
         assert churn is not None, seed
         engine = compute_truth(
-            subs, deployment, shifted, method="engine", churn=churn
+            subs, deployment, shifted, method="engine",
+            fences=Fences.build(churn=churn),
         )
         reference = compute_truth(
-            subs, deployment, shifted, method="reference", churn=churn
+            subs, deployment, shifted, method="reference",
+            fences=Fences.build(churn=churn),
         )
         assert set(engine) == set(reference)
         for sub_id in engine:
@@ -233,11 +236,10 @@ def test_churn_truth_is_subset_of_churn_blind_truth(seed):
     shifted = replay.shifted(REPLAY_START)
     churn = replay.churn_shifted(REPLAY_START)
     with_fence = compute_truth(
-        subs, deployment, shifted, method="engine", churn=churn
+        subs, deployment, shifted, method="engine",
+        fences=Fences.build(churn=churn),
     )
-    without_fence = compute_truth(
-        subs, deployment, shifted, method="engine", churn=None
-    )
+    without_fence = compute_truth(subs, deployment, shifted, method="engine")
     for sub_id, truth in with_fence.items():
         assert truth.triggers <= without_fence[sub_id].triggers, sub_id
         assert truth.participants <= without_fence[sub_id].participants, sub_id

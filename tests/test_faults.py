@@ -16,24 +16,29 @@ Four guarantee families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
 
 from benchlib import tiny_bench_deployment
-from deployments import line_deployment
+from deployments import fork_deployment, line_deployment, publish
 
 from repro.experiments.runner import run_program, run_series
+from repro.metrics.fences import Fences
 from repro.metrics.oracle import compute_truth
+from repro.model import IdentifiedSubscription
 from repro.network.faults import FaultPlan, LinkFault, OutageWindow
 from repro.network.network import LivelockError, Network
 from repro.network.reliability import ReliabilityConfig
+from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
 from repro.sim import Simulator
 from repro.workload.program import REPLAY_START, WorkloadProgram
 from repro.workload.scenarios import Scenario
 from repro.workload.sensorscope import (
     ChurnConfig,
+    ChurnSchedule,
     DynamicReplayConfig,
     ReplayConfig,
     build_replay,
@@ -119,23 +124,25 @@ class TestPlanSemantics:
         plan = FaultPlan(
             outages=(OutageWindow(("s_a", "s_b"), 10.0, 20.0),)
         )
-        assert plan.sensor_down_windows(deployment) == (
-            ("a", 10.0, 20.0),
-            ("b", 10.0, 20.0),
-        )
+        fences = Fences.build(deployment, outages=plan.outages, offset=5.0)
+        assert fences.gaps == {"a": ((15.0, 25.0),), "b": ((15.0, 25.0),)}
 
-    def test_churn_and_outages_cannot_combine(self):
-        """Their oracle fences would overlap on the same sensors — the
-        program rejects the combination instead of mis-crediting."""
-        with pytest.raises(ValueError, match="churn"):
-            WorkloadProgram(
-                subscriptions=SubscriptionWorkloadConfig(n_subscriptions=5),
-                dynamic=DynamicReplayConfig(days=1),
-                churn=ChurnConfig(cycle_fraction=0.3),
-                faults=FaultPlan(
-                    outages=(OutageWindow(("hub",), 10.0, 20.0),)
-                ),
-            )
+    def test_departure_inside_an_outage_takes_effect_at_its_end(self):
+        """The down host floods the retraction only when it recovers;
+        a departure outside every outage of its host keeps its time."""
+        churn = ChurnSchedule(
+            {
+                "a": ((-math.inf, 12.0), (14.0, 30.0)),
+                "b": ((-math.inf, 10.0), (11.0, math.inf)),
+            }
+        )
+        fences = Fences.build(
+            line_deployment(),
+            churn=churn,
+            outages=(OutageWindow(("s_a", "s_b"), 10.0, 20.0),),
+        )
+        assert fences.departures == {"a": (20.0, 30.0), "b": (10.0,)}
+        assert fences.last_departures() == {"a": 30.0, "b": 10.0}
 
     def test_oracle_outage_fence_only_removes_truth(self):
         deployment = line_deployment()
@@ -151,8 +158,12 @@ class TestPlanSemantics:
         subs = [p.subscription for p in workload]
         events = replay.shifted(REPLAY_START)
         span = events[-1].timestamp - REPLAY_START
-        fences = [("a", REPLAY_START + span * 0.25, REPLAY_START + span * 0.75)]
-        fenced = compute_truth(subs, deployment, events, outages=fences)
+        fences = Fences.build(
+            deployment,
+            outages=(OutageWindow(("s_a",), span * 0.25, span * 0.75),),
+            offset=REPLAY_START,
+        )
+        fenced = compute_truth(subs, deployment, events, fences=fences)
         full = compute_truth(subs, deployment, events)
         for sub_id, truth in fenced.items():
             assert truth.triggers <= full[sub_id].triggers, sub_id
@@ -162,6 +173,56 @@ class TestPlanSemantics:
         assert any(
             fenced[sub_id].triggers < full[sub_id].triggers for sub_id in full
         )
+
+
+DETERMINISTIC = ("naive", "operator_placement", "fsf", "centralized")
+
+
+class TestChurnWithOutages:
+    """Sensor churn and broker outages compose: one ``Fences`` value
+    states both, and a broker that is down when its sensor leaves or
+    re-joins retracts and re-advertises at recovery."""
+
+    PROGRAM = WorkloadProgram(
+        subscriptions=SubscriptionWorkloadConfig(
+            n_subscriptions=12, attrs_min=2, attrs_max=4, seed=4
+        ),
+        dynamic=DynamicReplayConfig(days=2, rounds_per_day=6, day_seconds=100.0),
+        churn=ChurnConfig(cycle_fraction=0.5),
+        reliability=ReliabilityConfig(),
+        faults=FaultPlan(
+            outages=(
+                # d1_rh leaves at 64.3 and re-joins at 91.6: both while
+                # its host is down.
+                OutageWindow(("s1_rh",), 60.0, 100.0),
+                # d0_ws and d2_st leave inside, re-join after.
+                OutageWindow(("s0_ws", "s2_st"), 150.0, 170.0),
+            )
+        ),
+    )
+
+    def test_the_outages_hold_the_churn_they_are_meant_to(self):
+        deployment = build_deployment(24, 3, seed=4)
+        churn = self.PROGRAM.source(deployment).replay.churn
+        assert churn.intervals["d1_rh"][:2] == (
+            (-math.inf, pytest.approx(64.3, abs=0.05)),
+            (pytest.approx(91.6, abs=0.05), math.inf),
+        )
+        for sensor_id in ("d0_ws", "d2_st"):
+            leave = churn.intervals[sensor_id][0][1]
+            assert 150.0 < leave <= 170.0 < churn.intervals[sensor_id][1][0]
+
+    def test_churn_and_outages_combine_without_false_positives(self):
+        deployment = build_deployment(24, 3, seed=4)
+        combined = self.PROGRAM.compile(deployment)
+        twin = replace(self.PROGRAM, churn=None).compile(deployment)
+        combined_truth, twin_truth = combined.truth(), twin.truth()
+        for key in DETERMINISTIC:
+            approach = all_approaches()[key]
+            result = run_program(approach, combined, truths=combined_truth)
+            alone = run_program(approach, twin, truths=twin_truth)
+            assert result.false_positive_rate == 0.0, key
+            assert result.recall >= alone.recall, key
 
 
 class TestSeededDeterminism:
@@ -215,12 +276,12 @@ class TestNullFaultBitIdentity:
 
 
 class TestCrashRecover:
-    def _network(self, reliability=None):
-        deployment = line_deployment()
+    def _network(self, reliability=None, approach="naive", deployment=None):
+        deployment = deployment or line_deployment()
         network = Network(
             deployment, Simulator(seed=0), reliability=reliability
         )
-        all_approaches()["naive"].populate(network)
+        all_approaches()[approach].populate(network)
         network.attach_all_sensors()
         network.run_to_quiescence()
         return network
@@ -274,6 +335,71 @@ class TestCrashRecover:
         node = network.nodes["s_b"]
         assert node.ads.get("a") is not None
         assert node.ads.get("c") is not None
+
+    def test_leave_during_outage_is_retracted_at_recovery(self):
+        network = self._network(ReliabilityConfig(), approach="fsf")
+        network.crash_node("s_a")
+        network.detach_sensor("s_a", "a")
+        network.run_to_quiescence()
+        assert network.nodes["hub"].ads.get("a") is not None  # not yet
+        network.recover_node("s_a")
+        network.run_to_quiescence()
+        for node_id in ("s_a", "hub", "u1", "s_b"):
+            assert network.nodes[node_id].ads.get("a") is None, node_id
+        assert network.nodes["hub"].ads.get("b") is not None
+
+    def test_join_during_outage_sends_nothing_until_recovery(self):
+        network = self._network(ReliabilityConfig(), approach="fsf")
+        network.detach_sensor("s_a", "a")
+        network.run_to_quiescence()
+        network.crash_node("s_a")
+        before = network.meter.snapshot()
+        network.attach_sensor("s_a", network.deployment.sensor_by_id("a"))
+        network.run_to_quiescence()
+        assert network.meter.snapshot() == before
+        network.recover_node("s_a")
+        network.run_to_quiescence()
+        assert network.nodes["hub"].ads.get("a") is not None
+
+    @pytest.mark.parametrize("key", DETERMINISTIC)
+    def test_the_network_delivers_what_the_fenced_oracle_credits(self, key):
+        """A leave and a re-join while ``s_a`` is down: until recovery
+        floods the retraction, ``a``'s pre-outage reading still matches
+        (the departure takes effect at the outage's end); after it, the
+        reading ``b`` publishes at +12 matches nothing, and only the
+        post-rejoin pair does."""
+        network = self._network(
+            ReliabilityConfig(), approach=key, deployment=fork_deployment()
+        )
+        subscription = IdentifiedSubscription.from_ranges(
+            "q", {"a": ("t", 0.0, 100.0), "b": ("t", 0.0, 100.0)}, 20.0
+        )
+        network.register_subscription("u1", subscription)
+        network.run_to_quiescence()
+        t0 = network.sim.now + 10.0
+        events = [
+            publish(network, "a", 50.0, t0 + 1.0),
+            publish(network, "b", 50.0, t0 + 6.0),
+            publish(network, "b", 50.0, t0 + 12.0, seq=1),
+            publish(network, "a", 50.0, t0 + 40.0, seq=1),
+            publish(network, "b", 50.0, t0 + 45.0, seq=2),
+        ]
+        churn = ChurnSchedule({"a": ((-math.inf, t0 + 4.0), (t0 + 7.0, math.inf))})
+        outage = OutageWindow(("s_a",), t0 + 2.0, t0 + 10.0)
+        network.schedule_churn(churn)
+        network.schedule_outages((outage,))
+        network.schedule_refresh([(t0 + 11.0, 1)])  # s_a re-learns its piece
+        network.run_to_quiescence()
+        truth = compute_truth(
+            [subscription],
+            network.deployment,
+            events,
+            fences=Fences.build(
+                network.deployment, churn=churn, outages=(outage,)
+            ),
+        )["q"]
+        assert truth.participants == {e.key for e in events} - {("b", 1)}
+        assert set(network.delivery.delivered("q")) == truth.participants
 
     def test_refresh_requires_reliability(self):
         network = self._network()

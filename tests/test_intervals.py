@@ -9,7 +9,6 @@ from repro.model.intervals import (
     EMPTY_INTERVAL,
     FULL_INTERVAL,
     Interval,
-    merge_intervals,
     point,
     union_covers,
 )
@@ -36,7 +35,7 @@ class TestBasics:
 
     def test_point_interval(self):
         p = point(5.0)
-        assert p.is_point and p.contains(5.0) and p.length == 0.0
+        assert p.contains(5.0) and p.length == 0.0
 
     def test_full_interval_contains_everything(self):
         assert FULL_INTERVAL.contains(1e308) and FULL_INTERVAL.contains(-1e308)
@@ -57,31 +56,11 @@ class TestBasics:
         assert Interval(0, 10).intersect(Interval(5, 20)) == Interval(5, 10)
         assert Interval(0, 1).intersect(Interval(2, 3)).is_empty
 
-    def test_hull(self):
-        assert Interval(0, 1).hull(Interval(5, 6)) == Interval(0, 6)
-        assert EMPTY_INTERVAL.hull(Interval(1, 2)) == Interval(1, 2)
-
     def test_widen(self):
         assert Interval(0, 1).widen(0.5) == Interval(-0.5, 1.5)
         with pytest.raises(ValueError):
             Interval(0, 1).widen(-0.1)
         assert EMPTY_INTERVAL.widen(1.0).is_empty
-
-    def test_sample_bounds(self):
-        iv = Interval(2.0, 4.0)
-        assert iv.sample(0.0) == 2.0 and iv.sample(1.0) == 4.0
-        with pytest.raises(ValueError):
-            iv.sample(1.5)
-        with pytest.raises(ValueError):
-            EMPTY_INTERVAL.sample(0.5)
-
-    def test_sample_point_interval(self):
-        assert point(3.0).sample(0.7) == 3.0
-
-    def test_relative_position(self):
-        assert Interval(0, 10).relative_position(2.5) == pytest.approx(0.25)
-        with pytest.raises(ValueError):
-            point(1.0).relative_position(1.0)
 
 
 class TestUnionCovers:
@@ -135,26 +114,3 @@ class TestUnionCovers:
                 any(c.contains(p) for c in cover) for p in endpoints + mids
             )
 
-
-class TestMerge:
-    def test_merge_overlapping(self):
-        assert merge_intervals([Interval(0, 2), Interval(1, 3)]) == [Interval(0, 3)]
-
-    def test_merge_disjoint(self):
-        merged = merge_intervals([Interval(4, 5), Interval(0, 1)])
-        assert merged == [Interval(0, 1), Interval(4, 5)]
-
-    def test_merge_drops_empty(self):
-        assert merge_intervals([EMPTY_INTERVAL]) == []
-
-    @given(st.lists(ivs(), max_size=10))
-    def test_merged_are_disjoint_and_sorted(self, items):
-        merged = merge_intervals(items)
-        for a, b in zip(merged, merged[1:]):
-            assert a.hi < b.lo
-
-    @given(st.lists(ivs(), max_size=10), st.floats(-100, 100))
-    def test_merge_preserves_membership(self, items, x):
-        before = any(iv.contains(x) for iv in items)
-        after = any(iv.contains(x) for iv in merge_intervals(items))
-        assert before == after
