@@ -10,7 +10,7 @@ from .oracle import (
     operator_truth,
     oracle_operator,
 )
-from .recall import RecallReport, measure_recall, per_subscription_recall
+from .recall import RecallReport, measure_recall
 from .report import (
     improvement_over,
     render_series_table,
@@ -34,7 +34,6 @@ __all__ = [
     "measure_recall",
     "operator_truth",
     "oracle_operator",
-    "per_subscription_recall",
     "render_series_table",
     "render_traffic_accounting",
     "summarize_improvement",

@@ -19,6 +19,11 @@ Two interchangeable truth passes exist:
   oracle itself — ``tests/test_oracle_engine.py`` machine-checks that
   both passes produce identical triggers and participants.  Nothing
   above this module selects it: tests reach it through ``method=``.
+
+Either pass runs once per distinct question: it reads of a subscription
+only the match structure (sensors, slots, Δt, Δl) and the lifetime —
+departures are per sensor, gaps global — so :func:`compute_truth` keys
+on that pair.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Sequence
 
-from ..matching.engine import OperatorMatcher
+from ..matching.engine import OperatorMatcher, match_structure
 from ..model.events import EventKey, SimpleEvent
 from ..model.matching import instance_exists, match_at_trigger
 from ..model.operators import CorrelationOperator, root_operator
@@ -58,12 +63,10 @@ class EventIndex:
     def __init__(self, events: Iterable[SimpleEvent]) -> None:
         self._by_sensor: dict[str, list[tuple[float, int, SimpleEvent]]] = {}
         self._fences: dict[str, float] = {}
-        self.by_key: dict[EventKey, SimpleEvent] = {}
         for event in events:
             self._by_sensor.setdefault(event.sensor_id, []).append(
                 (event.timestamp, event.seq, event)
             )
-            self.by_key[event.key] = event
         for timeline in self._by_sensor.values():
             timeline.sort()
 
@@ -237,18 +240,28 @@ def compute_truth(
     """Enumerate every true match instance of every subscription.
 
     Only events produced by a subscription's own sensors can trigger it,
-    so the scan is proportional to (subscriptions x their group's
+    so the scan is proportional to (distinct questions x their group's
     events), not (subscriptions x all events).  ``method`` selects the
     truth pass (see module docstring); ``fences`` — on the same clock as
     ``events`` — says what no approach could observe: readings lost in
     an outage gap, departed sensors' history and each query's lifetime
-    (see :mod:`repro.metrics.fences`).
+    (see :mod:`repro.metrics.fences`).  Clones share one pass (module
+    docstring); each later clone gets its own copies of the sets.
     """
     index = EventIndex(fences.published(events))
     truths: dict[str, SubscriptionTruth] = {}
+    answered: dict[tuple, SubscriptionTruth] = {}
     for subscription in subscriptions:
+        sub_id = subscription.sub_id
         operator = oracle_operator(subscription, deployment)
-        truths[subscription.sub_id] = operator_truth(
-            operator, subscription.sub_id, index, method, fences
-        )
+        key = (match_structure(operator), fences.lifetime(sub_id))
+        first = answered.get(key)
+        if first is None:
+            answered[key] = truths[sub_id] = operator_truth(
+                operator, sub_id, index, method, fences
+            )
+        else:
+            truths[sub_id] = SubscriptionTruth(
+                sub_id, operator, set(first.triggers), set(first.participants)
+            )
     return truths

@@ -19,13 +19,19 @@ grid-pruned :func:`repro.matching.spatial.grid_instance_exists` (the
 same pruning the engine and the oracle already use) instead of the
 reference's all-pairs scan — identical decisions, machine-checked by
 ``tests/test_spatial_final_check.py``.
+
+What a user rebuilds depends only on the operator's match structure,
+the trigger set and the delivered events, so clones equal in all three
+are counted once (the key is built only for a shared structure).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
+from ..matching.engine import match_structure
 from ..matching.spatial import grid_instance_exists as instance_exists
 from ..network.delivery import DeliveryLog
 from .oracle import SubscriptionTruth
@@ -60,6 +66,12 @@ def measure_recall(
     delivery: DeliveryLog,
 ) -> RecallReport:
     """Compare delivered events against the oracle's instances."""
+    structures = {
+        sub_id: match_structure(truth.operator) for sub_id, truth in truths.items()
+    }
+    # Clone-free inputs pay one structure hash per subscription.
+    shared = {s for s, n in Counter(structures.values()).items() if n > 1}
+    counted: dict[object, int] = {}
     true_instances = 0
     delivered_instances = 0
     delivered_events = 0
@@ -75,34 +87,19 @@ def measure_recall(
         true_instances += len(truth.triggers)
         if not delivered:
             continue
-        view = delivery.view(sub_id)
-        for trigger_key in truth.triggers:
-            trigger = delivered.get(trigger_key)
-            if trigger is None:
-                continue
-            if instance_exists(truth.operator, view, trigger):
-                delivered_instances += 1
+        structure = structures[sub_id]
+        key = sub_id
+        if structure in shared:
+            key = (structure, frozenset(truth.triggers), frozenset(delivered))
+        if key not in counted:
+            view = delivery.view(sub_id)
+            counted[key] = sum(
+                1
+                for trigger_key in truth.triggers
+                if trigger_key in delivered
+                and instance_exists(truth.operator, view, delivered[trigger_key])
+            )
+        delivered_instances += counted[key]
     return RecallReport(
         true_instances, delivered_instances, delivered_events, false_positives
     )
-
-
-def per_subscription_recall(
-    truths: Mapping[str, SubscriptionTruth],
-    delivery: DeliveryLog,
-) -> dict[str, float]:
-    """Recall broken down per subscription (diagnostics/tests)."""
-    out: dict[str, float] = {}
-    for sub_id, truth in truths.items():
-        if not truth.triggers:
-            out[sub_id] = 1.0
-            continue
-        delivered = delivery.delivered(sub_id)
-        view = delivery.view(sub_id)
-        hit = 0
-        for trigger_key in truth.triggers:
-            trigger = delivered.get(trigger_key)
-            if trigger is not None and instance_exists(truth.operator, view, trigger):
-                hit += 1
-        out[sub_id] = hit / len(truth.triggers)
-    return out

@@ -71,25 +71,6 @@ class Replay:
     spreads: dict[str, float]
     config: ReplayConfig
 
-    @property
-    def sensor_ids(self) -> list[str]:
-        """Sensors that actually contributed events, sorted.
-
-        Under churn this can be a strict subset of the deployment's
-        sensors (a sensor that departs early and never rejoins may
-        publish nothing at all).
-        """
-        return sorted({e.sensor_id for e in self.events})
-
-    def events_of_sensor(self, sensor_id: str) -> list[SimpleEvent]:
-        """Events of ``sensor_id``, in replay order.
-
-        Returns an empty list for a sensor absent from the replay —
-        churn makes absence a normal outcome, not an error, so callers
-        never have to special-case departed sensors.
-        """
-        return [e for e in self.events if e.sensor_id == sensor_id]
-
     def shifted(self, offset: float) -> list[SimpleEvent]:
         """The same events with timestamps moved by ``offset``.
 

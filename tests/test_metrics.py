@@ -1,17 +1,29 @@
 """Tests for oracle, recall and reporting."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
+from repro.matching.engine import match_structure
+from repro.matching.spatial import grid_instance_exists
 from repro.metrics import (
     EventIndex,
+    Fences,
+    RecallReport,
     compute_truth,
     improvement_over,
     measure_recall,
-    per_subscription_recall,
     render_series_table,
 )
 from repro.model import IdentifiedSubscription, Location, SimpleEvent
 from repro.network.delivery import DeliveryLog
+from repro.network.faults import FaultPlan, LinkFault
+from repro.network.reliability import ReliabilityConfig
+from repro.network.topology import build_deployment
+from repro.workload.program import ProgramQuery, WorkloadProgram, execute_program
+from repro.workload.sensorscope import ReplayConfig
+from repro.workload.subscriptions import SubscriptionWorkloadConfig
 
 from deployments import line_deployment
 
@@ -91,16 +103,124 @@ class TestRecall:
         assert report.false_positive_events == 1
         assert 0 < report.false_positive_rate < 1
 
-    def test_per_subscription_breakdown(self, line):
-        s1 = sub("s1", {"a": (0, 10), "b": (0, 10)})
-        s2 = sub("s2", {"a": (0, 10)})
-        events = [ev("a", 5, 10.0), ev("b", 5, 12.0)]
-        truths = compute_truth([s1, s2], line, events)
+
+def recall_loop(truths, delivery) -> RecallReport:
+    """Every subscription's delivered instances rebuilt on their own:
+    what ``measure_recall`` computed before clones shared a count,
+    kept as its oracle."""
+    true_instances = delivered_instances = delivered_events = false_positives = 0
+    for sub_id, truth in truths.items():
+        delivered = delivery.delivered(sub_id)
+        view = delivery.view(sub_id)
+        delivered_events += len(delivered)
+        false_positives += sum(key not in truth.participants for key in delivered)
+        true_instances += len(truth.triggers)
+        delivered_instances += sum(
+            key in delivered
+            and grid_instance_exists(truth.operator, view, delivered[key])
+            for key in truth.triggers
+        )
+    return RecallReport(
+        true_instances, delivered_instances, delivered_events, false_positives
+    )
+
+
+class TestCloneRecall:
+    """Clones share one count only when structure, trigger set and
+    delivered set all agree."""
+
+    EVENTS = [
+        ev("a", 5, 10.0),
+        ev("b", 5, 12.0),
+        ev("a", 5, 20.0, seq=1),
+        ev("b", 5, 21.0, seq=1),
+    ]
+
+    @pytest.mark.parametrize(
+        "late_birth, clone_gets",
+        [
+            # same delivered set, the clone born late has one trigger less
+            (15.0, EVENTS),
+            # same triggers, the clone misses every 'a'
+            (None, [e for e in EVENTS if e.sensor_id == "b"]),
+        ],
+        ids=["trigger_sets_differ", "delivered_sets_differ"],
+    )
+    def test_clone_counted_on_its_own(self, line, late_birth, clone_gets):
+        subs = [sub("s", {"a": (0, 10), "b": (0, 10)}), sub("t", {"a": (0, 10), "b": (0, 10)})]
+        lifetimes = {} if late_birth is None else {"t": (late_birth, math.inf)}
+        truths = compute_truth(subs, line, self.EVENTS, fences=Fences(lifetimes=lifetimes))
         log = DeliveryLog()
-        log.record_events("s1", events)
-        # s2 receives nothing although a@10 matches it.
-        breakdown = per_subscription_recall(truths, log)
-        assert breakdown == {"s1": 1.0, "s2": 0.0}
+        log.record_events("s", self.EVENTS)
+        log.record_events("t", clone_gets)
+        report = measure_recall(truths, log)
+        assert report == recall_loop(truths, log)
+        assert report.delivered_instances < 4
+
+    def test_equal_clones_counted_twice(self, line):
+        subs = [sub(sub_id, {"a": (0, 10), "b": (0, 10)}) for sub_id in "stu"]
+        truths = compute_truth(subs, line, self.EVENTS)
+        log = DeliveryLog()
+        for sub_id in "stu":
+            log.record_events(sub_id, self.EVENTS)
+        report = measure_recall(truths, log)
+        assert report == recall_loop(truths, log)
+        assert report.delivered_instances == report.true_instances == 6
+
+
+def clone_program(faults=None) -> WorkloadProgram:
+    """Smoke-size ``shared_templates``: six generated templates, three
+    more clones of each at other user nodes.  With ``faults``, control
+    traffic is acked and retransmitted; readings are not."""
+    deployment = build_deployment(24, 3, seed=0)
+    base = WorkloadProgram(
+        subscriptions=SubscriptionWorkloadConfig(
+            n_subscriptions=6, attrs_min=3, attrs_max=5
+        ),
+        replay=ReplayConfig(rounds=5),
+        faults=faults,
+        reliability=None if faults is None else ReliabilityConfig(),
+    )
+    users = deployment.user_nodes
+    clones = tuple(
+        ProgramQuery(
+            IdentifiedSubscription(
+                f"t{t}c{c}", item.subscription.filters, item.subscription.delta_t
+            ),
+            at=users[(t + c) % len(users)],
+        )
+        for c in range(1, 4)
+        for t, item in enumerate(base.source(deployment).workload)
+    )
+    return replace(base, queries=clones).compile(deployment)
+
+
+@pytest.mark.parametrize(
+    "faults, approach",
+    [
+        (None, "naive"),
+        (None, "fsf"),
+        (FaultPlan(default=LinkFault(drop=0.1), seed=3), "naive"),
+    ],
+    ids=["naive", "fsf", "naive_10pct_loss"],
+)
+def test_clone_program_recall_equals_the_loop(faults, approach):
+    compiled = clone_program(faults)
+    truths = compiled.truth()
+    delivery = execute_program(compiled, approach).session.network.delivery
+    report = measure_recall(truths, delivery)
+    assert report == recall_loop(truths, delivery)
+    assert report.delivered_instances > 0
+    if faults is not None:
+        # Loss must make some clones' deliveries differ, or this case
+        # tests nothing the fault-free ones do not.
+        by_question = {}
+        for sub_id, truth in truths.items():
+            key = (match_structure(truth.operator), frozenset(truth.triggers))
+            by_question.setdefault(key, set()).add(
+                frozenset(delivery.delivered(sub_id))
+            )
+        assert any(len(sets) > 1 for sets in by_question.values())
 
 
 class TestDeliveryLog:

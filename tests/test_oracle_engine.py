@@ -9,11 +9,17 @@ randomized scenarios the engine-vs-reference matcher suite uses
 and infinite ``delta_l``, duplicates, out-of-order timestamps, constant
 ties) plus real deployment workloads, and require identical
 ``triggers`` and ``participants`` sets for every subscription.
+
+``compute_truth`` answers each distinct ``(match structure, lifetime)``
+once; clone families — equal but for the id, the lifetime, Δt, Δl or a
+region resolving to the same sensors — must get what one
+``operator_truth`` per subscription gives, in sets no two ids share.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +27,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.metrics.fences import Fences
-from repro.metrics.oracle import EventIndex, compute_truth, operator_truth
+from repro.metrics.oracle import (
+    ORACLE_METHODS,
+    EventIndex,
+    compute_truth,
+    operator_truth,
+    oracle_operator,
+)
+from repro.model.filters import AbstractFilter, IdentifiedFilter, SimpleFilter
+from repro.model.locations import CircleRegion, EverywhereRegion, Location
+from repro.model.subscriptions import AbstractSubscription, IdentifiedSubscription
 from repro.experiments.runner import REPLAY_START
 from repro.network.faults import OutageWindow
 from repro.network.topology import build_deployment
@@ -127,6 +142,125 @@ def test_fenced_engine_equals_reference_and_only_removes_truth(arena):
     assert engine.participants <= blind.participants
 
 
+# ---------------------------------------------------------------------------
+# clones share one truth pass
+# ---------------------------------------------------------------------------
+def truth_loop(subscriptions, deployment, events, method, fences):
+    """One ``operator_truth`` per subscription: what ``compute_truth``
+    computed before clones shared a pass, kept as its oracle."""
+    index = EventIndex(fences.published(events))
+    return {
+        s.sub_id: operator_truth(
+            oracle_operator(s, deployment), s.sub_id, index, method, fences
+        )
+        for s in subscriptions
+    }
+
+
+def assert_equal_unaliased(got, want) -> None:
+    assert list(got) == list(want)
+    for sub_id, truth in want.items():
+        assert got[sub_id].sub_id == sub_id
+        assert got[sub_id].operator == truth.operator, sub_id
+        assert got[sub_id].triggers == truth.triggers, sub_id
+        assert got[sub_id].participants == truth.participants, sub_id
+    sets = [s for t in got.values() for s in (t.triggers, t.participants)]
+    assert len({id(s) for s in sets}) == len(sets)
+
+
+def as_subscription(operator, sub_id, delta_t=None, delta_l=None, region=None):
+    """``operator``'s question as a subscription the oracle resolves
+    back to it (abstract shapes resolve through :func:`slot_deployment`)."""
+    delta_t = operator.delta_t if delta_t is None else delta_t
+    if operator.slots[0].slot_id != operator.slots[0].attribute:
+        return IdentifiedSubscription(
+            sub_id,
+            (
+                IdentifiedFilter(s.slot_id, SimpleFilter(s.attribute, s.interval))
+                for s in operator.slots
+            ),
+            delta_t,
+        )
+    return AbstractSubscription(
+        sub_id,
+        (
+            AbstractFilter(SimpleFilter(s.attribute, s.interval), region or EVERYWHERE)
+            for s in operator.slots
+        ),
+        delta_t,
+        operator.delta_l if delta_l is None else delta_l,
+    )
+
+
+EVERYWHERE = EverywhereRegion()
+ORIGIN = Location(0.0, 0.0)
+
+
+def slot_deployment(operator):
+    """Every slot sensor placed at the origin, so any region holding
+    the origin resolves an abstract clause to exactly its slot."""
+    return SimpleNamespace(
+        sensors=[
+            SimpleNamespace(
+                sensor_id=sensor,
+                attribute=SimpleNamespace(name=slot.attribute),
+                location=ORIGIN,
+            )
+            for slot in operator.slots
+            for sensor in sorted(slot.sensors)
+        ]
+    )
+
+
+@st.composite
+def clone_arena(draw):
+    """A fenced arena's operator asked by a family of clones: equal but
+    for the id, for the lifetime, for Δt, for Δl, or for a region that
+    resolves to the same sensors."""
+    operator, events, fences = draw(fenced_arena())
+    span = max(e.timestamp for e in events) + 1.0
+    times = st.integers(0, int(span * 4)).map(lambda k: k / 4)
+    early, late = (tuple(sorted(draw(st.tuples(times, times)))) for _ in range(2))
+    dt = operator.delta_t
+    clones = [
+        (as_subscription(operator, "a0"), early),
+        (as_subscription(operator, "b0"), late),
+        (as_subscription(operator, "a1"), early),
+        (as_subscription(operator, "f0"), None),
+        (as_subscription(operator, "t0", delta_t=dt + 1.0), early),
+        (as_subscription(operator, "a2"), early),
+        (as_subscription(operator, "t1", delta_t=dt / 2), early),
+        (as_subscription(operator, "t2", delta_t=dt + 1.0), early),
+        (as_subscription(operator, "f1"), None),
+        (as_subscription(operator, "b1"), late),
+    ]
+    if operator.slots[0].slot_id == operator.slots[0].attribute:
+        near = 2.0 if math.isinf(operator.delta_l) else operator.delta_l / 2
+        disc = CircleRegion(ORIGIN, 1.0)
+        clones += [
+            (as_subscription(operator, "l0", delta_l=near), early),
+            (as_subscription(operator, "r0", region=disc), early),
+            (as_subscription(operator, "l1", delta_l=near), early),
+            (as_subscription(operator, "r1", region=disc), late),
+        ]
+    lifetimes = {sub.sub_id: life for sub, life in clones if life is not None}
+    fences = replace(fences, lifetimes=lifetimes)
+    return [sub for sub, _ in clones], slot_deployment(operator), events, fences
+
+
+@pytest.mark.parametrize("method", ORACLE_METHODS)
+@given(arena=clone_arena())
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+def test_clones_share_a_pass_and_equal_the_loop(method, arena):
+    """``compute_truth`` equals one ``operator_truth`` per subscription
+    under generated churn / outage fences, and no two ids share a set."""
+    subs, deployment, events, fences = arena
+    got = compute_truth(subs, deployment, events, method, fences)
+    assert_equal_unaliased(got, truth_loop(subs, deployment, events, method, fences))
+
+
 class TestComputeTruthEndToEnd:
     """Full ``compute_truth`` equality on a real deployment workload —
     abstract operator resolution, grouped sensors, replayed events."""
@@ -156,6 +290,33 @@ class TestComputeTruthEndToEnd:
         for sub_id, truth in reference.items():
             assert engine[sub_id].triggers == truth.triggers, sub_id
             assert engine[sub_id].participants == truth.participants, sub_id
+
+    @pytest.mark.parametrize("method", ORACLE_METHODS)
+    def test_clones_equal_the_loop(self, arena, method):
+        """Six generated questions, each asked four times: by a clone,
+        by one with a doubled Δt and by one living through the middle
+        third of the replay."""
+        deployment, subs, events = arena
+        stamps = sorted(e.timestamp for e in events)
+        middle = (stamps[len(stamps) // 3], stamps[2 * len(stamps) // 3])
+        family = []
+        for s in subs[:6]:
+            family += [
+                s,
+                replace(s, sub_id=f"{s.sub_id}c"),
+                replace(s, sub_id=f"{s.sub_id}w", delta_t=2 * s.delta_t),
+                replace(s, sub_id=f"{s.sub_id}m"),
+            ]
+        fences = Fences(lifetimes={f"{s.sub_id}m": middle for s in subs[:6]})
+        got = compute_truth(family, deployment, events, method, fences)
+        assert_equal_unaliased(
+            got, truth_loop(family, deployment, events, method, fences)
+        )
+        for suffix in "wm":
+            assert any(
+                got[s.sub_id + suffix].triggers != got[s.sub_id].triggers
+                for s in subs[:6]
+            )
 
     def test_unknown_method_rejected(self, arena):
         deployment, subs, events = arena
