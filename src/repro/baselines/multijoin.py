@@ -49,7 +49,6 @@ from ..network.node import (
     Node,
     StoredOperator,
     SubscriptionStore,
-    insert_by_seq,
 )
 from ..protocols.base import Approach
 from ..subsumption.pairwise import find_cover, pairwise_covered
@@ -58,23 +57,6 @@ TRANSIT = "transit"
 SPLIT = "split"
 JOIN = "join"
 LEAF = "leaf"
-
-
-class _DispatchRecord:
-    """One simple filter considered for dispatch toward the sensors.
-
-    ``sent=False`` marks a filter deduplicated against an earlier
-    dispatched cover; keeping the unsent candidates (with their arrival
-    rank) lets query cancellation re-dispatch them when their cover is
-    removed.
-    """
-
-    __slots__ = ("seq", "operator", "sent")
-
-    def __init__(self, seq: LifecycleSeq, operator: CorrelationOperator, sent: bool) -> None:
-        self.seq = seq
-        self.operator = operator
-        self.sent = sent
 
 
 class MultiJoinNode(Node):
@@ -93,10 +75,11 @@ class MultiJoinNode(Node):
         # when the join first accepts an event: a join no stream here
         # ever feeds costs no matcher.
         self._ring_cache: dict[str, list[list[Any]]] = {}
-        # Simple filters considered for dispatch toward the sensors, per
-        # origin — used to pair-wise deduplicate the per-binary-join
-        # filter dispatch (same-signature streams are shared).
-        self._dispatched_filters: dict[str, list[_DispatchRecord]] = {}
+        # The dispatch ledger: per origin, the simple filters considered
+        # for dispatch toward the sensors, stored covered when an earlier
+        # dispatched filter already pulls their stream (single-attribute
+        # streams are shared).  Cancellation of a cover re-dispatches.
+        self._dispatched_filters: dict[str, SubscriptionStore] = {}
 
     def on_crash(self) -> None:
         # Roles, ring pairings and the dispatch ledger all derive from
@@ -168,40 +151,36 @@ class MultiJoinNode(Node):
                 self._dispatch_filters(join, origin)
 
     def _dispatch_filters(self, join: CorrelationOperator, origin: str) -> None:
-        """Send the join's individual simple filters toward the sensors.
-
-        Identical or covered filters of previously processed binary
-        joins (from the same origin) are shared instead of re-sent —
-        single-attribute streams are deduplicated by design.  Skipped
-        filters are remembered unsent so cancellation of their cover can
-        re-dispatch them.
-        """
-        dispatched = self._dispatched_filters.setdefault(origin, [])
+        """Send the join's individual simple filters toward the sensors,
+        each unless the ledger holds an earlier dispatched cover."""
+        ledger = self._dispatched_filters.get(origin)
+        if ledger is None:
+            ledger = self._dispatched_filters[origin] = SubscriptionStore(
+                self.matching, self._seq_source
+            )
         for slot in join.slots:
             simple = join.project([slot.slot_id])
             seq = self._seq_source.next()
-            covers = [r.operator for r in dispatched if r.sent and r.seq < seq]
-            record = _DispatchRecord(seq, simple, find_cover(simple, covers) is None)
-            insert_by_seq(dispatched, record)
-            if record.sent:
+            covered = _filter_covered(simple, ledger, seq)
+            ledger.add(simple, covered, seq=seq, matched=False)
+            if not covered:
                 self.forward_split(simple, origin)
 
     # ------------------------------------------------------------------
     # query cancellation
     # ------------------------------------------------------------------
     def handle_unsubscribe(self, sub_id: str, origin: str) -> None:
-        dispatched = self._dispatched_filters.get(origin)
-        removed_dispatch = False
-        if dispatched:
-            kept = [
-                r for r in dispatched if r.operator.subscription_id != sub_id
-            ]
-            removed_dispatch = len(kept) != len(dispatched)
-            if removed_dispatch:
-                self._dispatched_filters[origin] = kept
+        ledger = self._dispatched_filters.get(origin)
+        removed = ledger is not None and ledger.remove_subscription(sub_id)
         super().handle_unsubscribe(sub_id, origin)
-        if removed_dispatch:
-            self._repair_dispatched(origin)
+        if removed:
+            # Re-dispatch the filters whose cover was removed.
+            for record in ledger.records():
+                if record.covered and not _filter_covered(
+                    record.operator, ledger, record.seq
+                ):
+                    ledger.uncover(record)
+                    self.forward_split(record.operator, origin)
 
     def on_operator_removed(self, operator: CorrelationOperator) -> None:
         """Clear the operator's role and release its ring's matchers."""
@@ -209,19 +188,6 @@ class MultiJoinNode(Node):
         for join, matcher in self._ring_cache.pop(operator.op_id, ()):
             if matcher is not None:
                 self.matching.release(join)
-
-    def _repair_dispatched(self, origin: str) -> None:
-        """Re-dispatch unsent simple filters whose cover was removed."""
-        for record in list(self._dispatched_filters.get(origin, ())):
-            if record.sent:
-                continue
-            dispatched = self._dispatched_filters[origin]
-            covers = [
-                r.operator for r in dispatched if r.sent and r.seq < record.seq
-            ]
-            if find_cover(record.operator, covers) is None:
-                record.sent = True
-                self.forward_split(record.operator, origin)
 
     # ------------------------------------------------------------------
     # event side
@@ -300,6 +266,16 @@ class MultiJoinNode(Node):
                 if root.accepts_some(event):
                     self.network.delivery.record_events(root.subscription_id, [event])
         self.deliver_local_matches(hits)
+
+
+def _filter_covered(
+    simple: CorrelationOperator, ledger: SubscriptionStore, before: LifecycleSeq
+) -> bool:
+    """The ledger's rule: one filter dispatched before rank ``before``
+    covers ``simple``.  Pair-wise, but not :func:`pairwise_covered`:
+    a cover's Δt and Δl need only be at least as loose."""
+    entries = ledger.candidates(simple.slots[0], before)
+    return find_cover(simple, (record.operator for record, _ in entries)) is not None
 
 
 def multijoin_approach() -> Approach:

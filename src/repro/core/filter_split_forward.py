@@ -114,24 +114,25 @@ class FilterSplitForwardNode(Node):
         same-attribute-set filtering cannot do.  Correlation stays safe
         because the covered operator keeps generating its result set at
         this node (``include_covered``).
+
+        Each slot's candidates come from one bucket of the store's
+        per-sensor index.  They are the intervals a walk of the whole
+        store would collect, so the filter sees the same candidates and
+        draws its samples exactly when that walk's filter would.
         """
-        stored_ops = store.uncovered_before(before)
+        delta_t, delta_l = operator.delta_t, operator.delta_l
         covers_per_slot: list[list] = []
         for slot in operator.slots:
-            candidates = []
-            for stored in stored_ops:
-                if (
-                    stored.delta_t < operator.delta_t
-                    or stored.delta_l < operator.delta_l
-                ):
-                    continue
-                for other in stored.slots:
-                    if (
-                        other.slot_id == slot.slot_id
-                        and other.attribute == slot.attribute
-                        and other.sensors >= slot.sensors
-                    ):
-                        candidates.append(other.interval)
+            slot_id, attribute, sensors = slot.slot_id, slot.attribute, slot.sensors
+            candidates = [
+                other.interval
+                for record, other in store.candidates(slot, before)
+                if other.slot_id == slot_id
+                and other.attribute == attribute
+                and other.sensors >= sensors
+                and record.operator.delta_t >= delta_t
+                and record.operator.delta_l >= delta_l
+            ]
             if not candidates:
                 return False
             covers_per_slot.append(candidates)

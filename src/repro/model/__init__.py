@@ -23,7 +23,6 @@ from .intervals import (
     EMPTY_INTERVAL,
     FULL_INTERVAL,
     Interval,
-    point,
     union_covers,
 )
 from .locations import (
@@ -105,7 +104,6 @@ __all__ = [
     "matches_involving",
     "operator_from_abstract",
     "operator_from_identified",
-    "point",
     "root_operator",
     "sensorscope_registry",
     "spatial_span",

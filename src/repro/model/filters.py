@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .events import SimpleEvent
-from .intervals import Interval, point
+from .intervals import Interval
 from .locations import Region
 
 
@@ -36,24 +36,10 @@ class SimpleFilter:
                 "unsatisfiable filters must be rejected at creation"
             )
 
-    @classmethod
-    def equals(cls, attribute: str, value: float) -> "SimpleFilter":
-        """The ``a = v`` form of a simple filter."""
-        return cls(attribute, point(value))
-
-    def matches_value(self, value: float) -> bool:
-        return self.interval.contains(value)
-
     def matches_event(self, event: SimpleEvent) -> bool:
         """Attribute-typed value test (no identity/region constraint)."""
         return event.attribute == self.attribute and self.interval.contains(
             event.value
-        )
-
-    def covers(self, other: "SimpleFilter") -> bool:
-        """Whether every value accepted by ``other`` is accepted here."""
-        return self.attribute == other.attribute and self.interval.contains_interval(
-            other.interval
         )
 
     def widen(self, amount: float) -> "SimpleFilter":

@@ -103,11 +103,6 @@ EMPTY_INTERVAL = Interval(1.0, 0.0)
 FULL_INTERVAL = Interval(-math.inf, math.inf)
 
 
-def point(value: float) -> Interval:
-    """The degenerate interval ``[value, value]`` (``a = v`` filters)."""
-    return Interval(value, value)
-
-
 def union_covers(cover: Iterable[Interval], target: Interval) -> bool:
     """Exact 1-D test: does the union of ``cover`` contain ``target``?
 

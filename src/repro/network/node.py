@@ -22,12 +22,15 @@ the split, the two event-propagation constants.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Hashable, Iterable, Iterator
+from bisect import bisect_left, insort_right
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Hashable, Iterable, Iterator, Sequence
 
 from ..matching import ENGINES, HitMap, MatchingEngine, ReferenceEngine
 from ..model.advertisements import Advertisement, AdvertisementTable
 from ..model.events import EventKey, SimpleEvent
-from ..model.operators import CorrelationOperator, root_operator
+from ..model.operators import CorrelationOperator, Slot, root_operator
 from ..model.subscriptions import (
     AbstractSubscription,
     IdentifiedSubscription,
@@ -93,43 +96,26 @@ class SeqSource:
         return self._prefix + (self._minor,)
 
 
-def insert_by_seq(records: list, record) -> None:
-    """Place a seq-ranked record at its arrival-order position.
-
-    Plain arrivals carry monotone ranks and append; cancellation repair
-    derives entries ranked inside an existing record's prefix, which
-    must sit at their counterfactual position for the before-only
-    coverage checks to see the right candidates.  Shared by the
-    subscription stores and the multi-join dispatch ledger.
-    """
-    if records and record.seq < records[-1].seq:
-        position = len(records)
-        while position and records[position - 1].seq > record.seq:
-            position -= 1
-        records.insert(position, record)
+def insert_by_seq(items: list, item, rank=attrgetter("seq")) -> None:
+    """Place a seq-ranked item at its arrival-order position: plain
+    arrivals append, entries a repair derives inside an earlier record's
+    rank go where the before-only coverage checks expect them."""
+    if items and rank(item) < rank(items[-1]):
+        insort_right(items, item, key=rank)
     else:
-        records.append(record)
+        items.append(item)
 
 
+@dataclass(slots=True, eq=False)
 class StoredOperator:
     """One stored operator record: rank, coverage and plan flags, and
     the matcher (None when no event path reads its hits)."""
 
-    __slots__ = ("seq", "operator", "covered", "planned", "matcher")
-
-    def __init__(
-        self,
-        seq: LifecycleSeq,
-        operator: CorrelationOperator,
-        covered: bool,
-        planned: bool,
-        matcher: object | None,
-    ) -> None:
-        self.seq = seq
-        self.operator = operator
-        self.covered = covered
-        self.planned = planned
-        self.matcher = matcher
+    seq: LifecycleSeq
+    operator: CorrelationOperator
+    covered: bool
+    planned: bool
+    matcher: object | None
 
 
 class StreamGroup:
@@ -170,6 +156,22 @@ class StreamGroup:
         self.planned = frozenset(r.operator.op_id for r in records if r.planned)
 
 
+IndexEntry = tuple[StoredOperator, Slot]  # an uncovered record's slot
+
+
+def _entry_rank(entry: IndexEntry) -> LifecycleSeq:
+    return entry[0].seq
+
+
+def _file(index: dict[str, list[IndexEntry]], record: StoredOperator) -> None:
+    """Enter an uncovered record under each sensor, at its rank."""
+    for sensor_id in sorted(record.operator.sensors):
+        for slot in record.operator.slots:
+            if sensor_id in slot.sensors:
+                entry = (record, slot)
+                insert_by_seq(index.setdefault(sensor_id, []), entry, _entry_rank)
+
+
 class SubscriptionStore:
     """``S_m`` of Figure 2: operators received from one origin.
 
@@ -183,11 +185,12 @@ class SubscriptionStore:
     leaf filters, forwarded on value-filter acceptance) stores it with
     ``matched=False`` — no matcher, no index entry, no sweep.
 
-    ``streams`` indexes the matched records by that matcher: the event
-    paths walk an arrival's hit map and find the streams it feeds here,
-    instead of walking the store.  :meth:`add`,
-    :meth:`remove_subscription` and :meth:`uncover` are the only
-    writers of the index and of ``record.covered``.
+    ``streams`` indexes the matched records by matcher, for the event
+    paths' hit-map walk; ``_index`` files the uncovered records' slots
+    by sensor in arrival rank, for the coverage rules
+    (:meth:`candidates`), built at its first read: naive and the centre
+    never read it.  :meth:`add`, :meth:`remove_subscription` and
+    :meth:`uncover` are the only writers of both and of ``covered``.
 
     Records keep their arrival rank (:data:`LifecycleSeq`) so that
     cancellation repair can re-evaluate coverage decisions against
@@ -201,7 +204,8 @@ class SubscriptionStore:
         seq_source: SeqSource | None = None,
     ) -> None:
         self._records: list[StoredOperator] = []
-        self._by_sensor: dict[str, list[StoredOperator]] = {}
+        # sensor id -> uncovered (record, slot) entries; None until read.
+        self._index: dict[str, list[IndexEntry]] | None = None
         self.streams: dict[object, StreamGroup] = {}
         self._op_ids: dict[str, int] = {}
         self._engine = engine
@@ -228,18 +232,14 @@ class SubscriptionStore:
         ``matched=False`` stores it without a matcher."""
         # Resolve the operator's matcher once at store time; the event
         # hot path then queries it with zero lookup layers.
-        record = StoredOperator(
-            seq if seq is not None else self._seq_source.next(),
-            operator,
-            covered,
-            planned,
-            self._engine.retain(operator) if matched else None,
-        )
+        matcher = self._engine.retain(operator) if matched else None
+        seq = seq if seq is not None else self._seq_source.next()
+        record = StoredOperator(seq, operator, covered, planned, matcher)
         insert_by_seq(self._records, record)
         op_id = operator.op_id
         self._op_ids[op_id] = self._op_ids.get(op_id, 0) + 1
-        for sensor_id in sorted(operator.sensors):
-            self._by_sensor.setdefault(sensor_id, []).append(record)
+        if not covered and self._index is not None:
+            _file(self._index, record)
         if matched:
             group = self.streams.get(record.matcher)
             if group is None:
@@ -250,8 +250,18 @@ class SubscriptionStore:
     def uncover(self, record: StoredOperator) -> None:
         """Cancellation repair: a covered record lost its cover."""
         record.covered = False
+        if self._index is not None:
+            _file(self._index, record)
         if record.matcher is not None:
             self.streams[record.matcher].uncovered.add(record.operator.op_id)
+
+    def _built_index(self) -> dict[str, list[IndexEntry]]:
+        if self._index is None:
+            self._index = {}
+            for record in self._records:
+                if not record.covered:
+                    _file(self._index, record)
+        return self._index
 
     def has_operator(self, op_id: str) -> bool:
         """Whether a record with this operator id is currently stored.
@@ -264,24 +274,18 @@ class SubscriptionStore:
 
     def remove_subscription(self, sub_id: str) -> list[StoredOperator]:
         """Drop every record of ``sub_id``; releases retained matchers."""
-        removed = [
-            r for r in self._records if r.operator.subscription_id == sub_id
-        ]
+        removed = [r for r in self._records if r.operator.subscription_id == sub_id]
         if not removed:
             return []
-        self._records = [
-            r for r in self._records if r.operator.subscription_id != sub_id
-        ]
-        for sensor_id in sorted({s for r in removed for s in r.operator.sensors}):
-            bucket = [
-                r
-                for r in self._by_sensor[sensor_id]
-                if r.operator.subscription_id != sub_id
-            ]
-            if bucket:
-                self._by_sensor[sensor_id] = bucket
+        self._records = [r for r in self._records if r not in removed]
+        index = self._index or {}
+        filed = {s for r in removed if not r.covered for s in r.operator.sensors}
+        for sensor_id in sorted(filed & index.keys()):
+            kept = [e for e in index[sensor_id] if e[0] not in removed]
+            if kept:
+                index[sensor_id] = kept
             else:
-                del self._by_sensor[sensor_id]
+                del index[sensor_id]
         for record in removed:
             self._op_ids[record.operator.op_id] -= 1
             if not self._op_ids[record.operator.op_id]:
@@ -303,23 +307,30 @@ class SubscriptionStore:
         """Every record in arrival order (cancellation repair walks it)."""
         return list(self._records)
 
-    def uncovered_before(self, seq: LifecycleSeq | None) -> list[CorrelationOperator]:
-        """Uncovered operators that arrived strictly before ``seq``; all
-        of them for ``None`` (an arrival ranks behind everything stored)."""
-        if seq is None:
-            return self.uncovered
-        return [
-            r.operator for r in self._records if not r.covered and r.seq < seq
-        ]
+    def candidates(
+        self, slot: Slot, before: LifecycleSeq | None = None
+    ) -> Sequence[IndexEntry]:
+        """Uncovered ``(record, slot)`` entries ranked before ``before``
+        (None: all) among which every cover of ``slot`` is: a covering
+        slot draws from a superset of its sensors, so it is filed under
+        each of them — the shortest bucket holds them all."""
+        index = self._built_index()
+        bucket = min((index.get(s, ()) for s in slot.sensors), key=len)
+        if before is not None and bucket and not bucket[-1][0].seq < before:
+            return bucket[: bisect_left(bucket, before, key=_entry_rank)]
+        return bucket
 
     def matched_for_sensor(
         self, sensor_id: str
     ) -> Iterator[tuple[CorrelationOperator, object | None]]:
         """Uncovered (operator, matcher) pairs with a slot drawing from
-        ``sensor_id`` — for the one event path that forwards on a value
-        filter instead of a match (multi-join's role walk)."""
-        for record in self._by_sensor.get(sensor_id, ()):
-            if not record.covered:
+        ``sensor_id``, in arrival rank — for the one event path that
+        forwards on a value filter instead of a match (multi-join's role
+        walk)."""
+        last = None
+        for record, _slot in self._built_index().get(sensor_id, ()):
+            if record is not last:  # one entry per slot; a rank's are adjacent
+                last = record
                 yield record.operator, record.matcher
 
     def __len__(self) -> int:
@@ -464,9 +475,7 @@ class Node:
         self._forwarded_subs.setdefault(
             operator.subscription_id, {}
         ).setdefault(neighbor, {})[operator.op_id] = (operator, plan)
-        self.network.send(
-            self.node_id, neighbor, OperatorMessage(operator, plan=plan)
-        )
+        self.network.send(self.node_id, neighbor, OperatorMessage(operator, plan=plan))
 
     def flood(self, message: Message, skip: str | None = None) -> None:
         """Send ``message`` to every neighbour except ``skip``."""
@@ -599,11 +608,12 @@ class Node:
         store: SubscriptionStore,
         before: LifecycleSeq | None = None,
     ) -> bool:
-        """Whether ``store.uncovered_before(before)`` makes ``operator``
-        redundant (protocol hook; default: no filtering).  Arrival asks
-        with ``before=None``, cancellation repair with the record's
-        rank: one rule, so the repaired store is the store of a run that
-        never saw the cancelled subscription."""
+        """Whether the uncovered operators ``store`` holds ranked before
+        ``before`` make ``operator`` redundant (protocol hook; default:
+        no filtering).  Arrival asks with ``before=None``, cancellation
+        repair with the record's rank: one rule, so the repaired store is
+        the store of a run that never saw the cancelled subscription.
+        A rule reads its candidates from ``store.candidates``."""
         return False
 
     def on_operator_uncovered(
@@ -655,14 +665,10 @@ class Node:
         lane = self.network.sketches
         if lane is not None and lane.forget(self.node_id, sub_id):
             return True
-        removed = [
-            entry for entry in self.local_subscriptions if entry[0].sub_id == sub_id
-        ]
-        if not removed:
+        kept = [e for e in self.local_subscriptions if e[0].sub_id != sub_id]
+        if len(kept) == len(self.local_subscriptions):
             return False
-        self.local_subscriptions = [
-            entry for entry in self.local_subscriptions if entry[0].sub_id != sub_id
-        ]
+        self.local_subscriptions = kept
         self._local_roots.remove_subscription(sub_id)
         self.retire_subscription(sub_id)
         return True
@@ -812,17 +818,11 @@ class Node:
         ):
             self._ad_epochs[sensor_id] = epoch
             self.flood(AdvertisementMessage(advertisement, refresh_epoch=epoch))
-        for sub_id in sorted(self._forwarded_subs):
-            per_neighbor = self._forwarded_subs[sub_id]
-            for neighbor in sorted(per_neighbor):
-                pieces = per_neighbor[neighbor]
-                for op_id in sorted(pieces):
-                    operator, plan = pieces[op_id]
-                    self.network.send(
-                        self.node_id,
-                        neighbor,
-                        OperatorMessage(operator, refresh_epoch=epoch, plan=plan),
-                    )
+        for _, per_neighbor in sorted(self._forwarded_subs.items()):
+            for neighbor, pieces in sorted(per_neighbor.items()):
+                for _, (operator, plan) in sorted(pieces.items()):
+                    message = OperatorMessage(operator, refresh_epoch=epoch, plan=plan)
+                    self.network.send(self.node_id, neighbor, message)
 
     def crash(self) -> None:
         """Broker failure: all volatile state is lost.

@@ -36,11 +36,14 @@ def pairwise_covered(operator: CorrelationOperator, store, before=None) -> bool:
     The coverage rule of both pair-wise baselines, at arrival
     (``before=None``: everything stored) and at cancellation repair
     (``before`` = the record's rank: what its arrival saw).  ``store``
-    is a node's per-origin subscription store.
+    is a node's per-origin subscription store; a cover has the same
+    signature, so its first slot is filed with the operator's.
     """
+    first = operator.slots[0]
+    signature = operator.signature
     candidates = (
-        stored
-        for stored in store.uncovered_before(before)
-        if stored.signature == operator.signature
+        record.operator
+        for record, slot in store.candidates(first, before)
+        if slot.slot_id == first.slot_id and record.operator.signature == signature
     )
     return find_cover(operator, candidates) is not None

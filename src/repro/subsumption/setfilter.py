@@ -158,24 +158,30 @@ class ProbabilisticSetFilter:
         self.checks += 1
         if len(covers_per_dim) != len(target):
             raise ValueError("one candidate list per target dimension required")
+        # Bounds are compared inline: this runs once per arrival at every
+        # FSF node, and the Interval predicates re-test emptiness per call.
         live: list[list[Interval]] = []
-        for dim, (iv, candidates) in enumerate(zip(target, covers_per_dim)):
-            relevant = [c for c in candidates if not c.is_empty and c.overlaps(iv)]
-            if not relevant:
+        for iv, candidates in zip(target, covers_per_dim):
+            lo, hi = iv.lo, iv.hi
+            relevant = [
+                c for c in candidates if c.lo <= hi and lo <= c.hi and c.lo <= c.hi
+            ]
+            if lo > hi or not relevant:  # an empty target overlaps nothing
                 corner = tuple(t.lo for t in target)
                 return SetFilterDecision(False, True, 0, witness=corner)
             live.append(relevant)
-        # Deterministic per-dimension shortcut: one stored interval
-        # containing the whole target range on every dimension.
+        # From here every interval is non-empty.  Deterministic
+        # per-dimension shortcut: one stored interval containing the
+        # whole target range on every dimension.
         if all(
-            any(c.contains_interval(iv) for c in cands)
+            any(c.lo <= iv.lo and iv.hi <= c.hi for c in cands)
             for iv, cands in zip(target, live)
         ):
             return SetFilterDecision(True, True, 0)
         # Deterministic corner witnesses (ends of each range).
         for dim, (iv, cands) in enumerate(zip(target, live)):
             for endpoint in (iv.lo, iv.hi):
-                if not any(c.contains(endpoint) for c in cands):
+                if not any(c.lo <= endpoint <= c.hi for c in cands):
                     witness = tuple(
                         endpoint if d == dim else target[d].lo
                         for d in range(len(target))
@@ -184,7 +190,7 @@ class ProbabilisticSetFilter:
         # Monte-Carlo phase: independent per-dimension membership.
         dims = len(target)
         lows = np.array([iv.lo for iv in target])
-        spans = np.array([iv.length for iv in target])
+        spans = np.array([iv.hi - iv.lo for iv in target])
         u = self._rng.random((self.samples, dims))
         points = lows + u * spans
         self.sampled_points += self.samples

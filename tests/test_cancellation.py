@@ -227,9 +227,9 @@ def assert_no_trace(network, sub_id):
                 ), f"{attr} at {where}"
         dispatched = getattr(node, "_dispatched_filters", None)
         if dispatched:
-            for records in dispatched.values():
+            for ledger in dispatched.values():
                 assert not any(
-                    r.operator.subscription_id == sub_id for r in records
+                    r.operator.subscription_id == sub_id for r in ledger.records()
                 ), f"dispatched filters at {where}"
 
 

@@ -11,12 +11,17 @@ removal) are in sorted order.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.core import filter_split_forward_approach
 from repro.matching import MatchingEngine
 from repro.model import IdentifiedSubscription, Interval
 from repro.model.operators import CorrelationOperator, Slot
 from repro.network.eventstore import EventStore
-from repro.network.node import SubscriptionStore
+from repro.network.node import LOCAL, SubscriptionStore
 
 from deployments import line_deployment, make_network
 
@@ -37,7 +42,7 @@ def empty_store() -> SubscriptionStore:
 def test_subscription_store_by_sensor_is_sorted():
     store = empty_store()
     store.add(abstract_operator(), covered=False)
-    keys = list(store._by_sensor)
+    keys = list(store._built_index())
     assert keys == sorted(keys)
     assert set(keys) == set(SENSOR_IDS) | {"d3_s"}
 
@@ -45,17 +50,21 @@ def test_subscription_store_by_sensor_is_sorted():
 def test_subscription_store_removal_keeps_sorted_buckets():
     store = empty_store()
     store.add(abstract_operator("qa"), covered=False)
-    store.add(abstract_operator("qb"), covered=True)
+    store.add(abstract_operator("qb"), covered=False)
+    store.add(abstract_operator("qc"), covered=True)  # never filed
+    store._built_index()  # read first: the removals below edit it
     store.remove_subscription("qa")
-    keys = list(store._by_sensor)
+    keys = list(store._built_index())
     assert keys == sorted(keys)
     assert all(
         r.operator.subscription_id == "qb"
-        for bucket in store._by_sensor.values()
-        for r in bucket
+        for bucket in store._built_index().values()
+        for r, _slot in bucket
     )
     store.remove_subscription("qb")
-    assert store._by_sensor == {}
+    assert store._built_index() == {}
+    store.remove_subscription("qc")
+    assert store._built_index() == {}
 
 
 #: Registration walks slots in declaration order and each slot's sensor
@@ -94,18 +103,41 @@ def test_node_local_by_sensor_is_sorted():
     net.register_subscription("u2", subscription)
     net.run_to_quiescence()
     node = net.nodes["u2"]
-    assert list(node._local_roots._by_sensor) == ["a", "b", "c"]
+    assert list(node.stores[LOCAL]._built_index()) == ["a", "b", "c"]
+    assert list(node._local_roots._built_index()) == ["a", "b", "c"]
     assert node.unsubscribe("s")
     net.run_to_quiescence()
-    assert node._local_roots._by_sensor == {}
+    assert node.stores[LOCAL]._built_index() == {}
+    assert node._local_roots._built_index() == {}
+
+
+_INDEX_DUMP = """
+from repro.network.node import LOCAL, SubscriptionStore
+from test_determinism_order import abstract_operator, empty_store
+store = empty_store()
+for sub_id in ("qa", "qb"):
+    store.add(abstract_operator(sub_id), covered=False)
+print([
+    (sensor, [(r.operator.op_id, slot.slot_id) for r, slot in bucket])
+    for sensor, bucket in store._built_index().items()
+])
+"""
 
 
 def test_registration_order_is_hash_seed_independent():
-    """The visible symptom the fixes remove: two stores built from the
-    same operator expose identical index ordering — byte-identical
-    bookkeeping regardless of how the frozenset happens to iterate."""
-    first = empty_store()
-    first.add(abstract_operator(), covered=False)
-    second = empty_store()
-    second.add(abstract_operator(), covered=False)
-    assert list(first._by_sensor) == list(second._by_sensor)
+    """The visible symptom the fixes remove: the index built from the
+    same operators is byte-identical under different hash seeds, keys
+    and bucket order alike."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    dumps = {
+        subprocess.run(
+            [sys.executable, "-c", _INDEX_DUMP],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "1", "2")
+    }
+    assert len(dumps) == 1

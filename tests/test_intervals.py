@@ -9,7 +9,6 @@ from repro.model.intervals import (
     EMPTY_INTERVAL,
     FULL_INTERVAL,
     Interval,
-    point,
     union_covers,
 )
 
@@ -32,10 +31,6 @@ class TestBasics:
         assert EMPTY_INTERVAL.is_empty
         assert not EMPTY_INTERVAL.contains(0.0)
         assert EMPTY_INTERVAL.length == 0.0
-
-    def test_point_interval(self):
-        p = point(5.0)
-        assert p.contains(5.0) and p.length == 0.0
 
     def test_full_interval_contains_everything(self):
         assert FULL_INTERVAL.contains(1e308) and FULL_INTERVAL.contains(-1e308)

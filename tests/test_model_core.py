@@ -141,18 +141,9 @@ class TestFilters:
         assert not f.matches_event(ev(value=11.0))
         assert not f.matches_event(ev(attr="u", value=5.0))
 
-    def test_equals_form(self):
-        f = SimpleFilter.equals("t", 5.0)
-        assert f.matches_value(5.0) and not f.matches_value(5.0001)
-
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             SimpleFilter("t", Interval(3, 2))
-
-    def test_covers_and_intersect(self):
-        wide = SimpleFilter("t", Interval(0, 10))
-        narrow = SimpleFilter("t", Interval(2, 5))
-        assert wide.covers(narrow) and not narrow.covers(wide)
 
     def test_identified_filter_pins_sensor(self):
         f = IdentifiedFilter("d1", SimpleFilter("t", Interval(0, 10)))
