@@ -129,14 +129,14 @@ class MultiJoinNode(Node):
             self.roles[operator.op_id] = JOIN
             self._dispatch_filters(operator, origin)
             return
-        directions = self.ads.partition_by_origin(operator.sensors)
-        if origin != LOCAL:
-            directions.pop(origin, None)
-        if len(directions) == 1 and LOCAL not in directions:
+        directions = self.ads.split(
+            operator.sensors, None if origin == LOCAL else origin
+        )
+        if len(directions) == 1 and directions[0][0] != LOCAL:
             # Single onward path: keep the multi-join whole.
             self.roles[operator.op_id] = TRANSIT
-            (neighbor,) = directions
-            piece = operator.project_sensors(directions[neighbor])
+            ((neighbor, sensors),) = directions
+            piece = operator.project_sensors(sensors)
             if piece is not None:
                 self.send_operator(neighbor, piece)
             return

@@ -662,13 +662,12 @@ class MatchingEngine:
         # content changes again (see hits).
         self._hits_event: SimpleEvent | None = None
         self._hits: dict[OperatorMatcher, Participants] = {}
-        # Two-level resolution: operator -> matcher rides the
-        # operator's cached hash (an identity hit for stored
-        # operators); only a miss builds and hashes the structure key.
-        self._matchers: dict[CorrelationOperator, OperatorMatcher] = {}
+        # operator -> [its matcher, references held]: retain and
+        # release ride the operator's cached hash; only an operator not
+        # held yet builds and hashes its structure key.
+        self._held: dict[CorrelationOperator, list] = {}
         self._shared: dict[tuple, OperatorMatcher] = {}
         self._ingest_index: dict[str, _StabbingIndex] = {}
-        self._refs: dict[CorrelationOperator, int] = {}
         self._adds_since_sweep = 0
         store.add_listener(self)
 
@@ -757,30 +756,9 @@ class MatchingEngine:
 
     # ------------------------------------------------------------------
     def matcher(self, operator: CorrelationOperator) -> OperatorMatcher:
-        """The matcher answering for ``operator``.
-
-        Created and backfilled for the first operator of a structure;
-        every later one joins it as it is — the matcher already mirrors
-        the store, so a clone admitted mid-replay costs no backfill.
-        """
-        found = self._matchers.get(operator)
-        if found is None:
-            found = self._shared.get(match_structure(operator))
-            if found is None:
-                found = OperatorMatcher(operator, self)
-                self._shared[found.structure] = found
-                found.backfill(self._store)
-                for own, (slot, timeline) in enumerate(
-                    zip(operator.slots, found._timelines)
-                ):
-                    for sensor_id in sorted(slot.sensors):
-                        index = self._ingest_index.get(sensor_id)
-                        if index is None:
-                            index = self._ingest_index[sensor_id] = _StabbingIndex()
-                        index.add(slot.attribute, slot.interval, timeline, found, own)
-            found._users += 1
-            self._matchers[operator] = found
-        return found
+        """The matcher answering for a retained ``operator`` (KeyError
+        for one that holds no reference)."""
+        return self._held[operator][0]
 
     # ------------------------------------------------------------------
     # lifecycle (query cancellation)
@@ -791,11 +769,30 @@ class MatchingEngine:
         Subscription stores, local-subscription registrations and the
         multi-join relays' ring joins retain the matchers they hold;
         :meth:`release` drops the reference when the operator is removed
-        again (query cancellation).
+        again (query cancellation).  The first operator of a structure
+        creates and backfills its matcher; every later one joins it as
+        it is — the matcher already mirrors the store, so a clone
+        admitted mid-replay costs no backfill.
         """
-        matcher = self.matcher(operator)
-        self._refs[operator] = self._refs.get(operator, 0) + 1
-        return matcher
+        held = self._held.get(operator)
+        if held is None:
+            structure = match_structure(operator)
+            found = self._shared.get(structure)
+            if found is None:
+                found = self._shared[structure] = OperatorMatcher(operator, self)
+                found.backfill(self._store)
+                for own, (slot, timeline) in enumerate(
+                    zip(operator.slots, found._timelines)
+                ):
+                    for sensor_id in sorted(slot.sensors):
+                        index = self._ingest_index.get(sensor_id)
+                        if index is None:
+                            index = self._ingest_index[sensor_id] = _StabbingIndex()
+                        index.add(slot.attribute, slot.interval, timeline, found, own)
+            found._users += 1
+            held = self._held[operator] = [found, 0]
+        held[1] += 1
+        return held[0]
 
     def release(self, operator: CorrelationOperator) -> None:
         """Drop one reference taken by :meth:`retain`.
@@ -809,12 +806,12 @@ class MatchingEngine:
         Every release must pair with a retain; an unpaired one is a
         refcount bug and raises ``KeyError``.
         """
-        remaining = self._refs[operator] - 1
-        if remaining:
-            self._refs[operator] = remaining
+        held = self._held[operator]
+        held[1] -= 1
+        if held[1]:
             return
-        del self._refs[operator]
-        matcher = self._matchers.pop(operator)
+        del self._held[operator]
+        matcher = held[0]
         matcher._users -= 1
         if matcher._users:
             return
@@ -829,7 +826,7 @@ class MatchingEngine:
         """Every retained operator, sorted by ``op_id`` (ties keep
         first-retain order) — one entry per operator however many share
         a matcher."""
-        return sorted(self._refs, key=lambda operator: operator.op_id)
+        return sorted(self._held, key=lambda operator: operator.op_id)
 
     @property
     def n_matchers(self) -> int:

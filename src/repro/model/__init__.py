@@ -8,14 +8,12 @@ correlation operators and the complex-event matching semantics.
 from .advertisements import Advertisement, AdvertisementTable
 from .attributes import (
     AMBIENT_TEMPERATURE,
-    AttributeRegistry,
     AttributeType,
     RELATIVE_HUMIDITY,
     SENSORSCOPE_ATTRIBUTES,
     SURFACE_TEMPERATURE,
     WIND_DIRECTION,
     WIND_SPEED,
-    sensorscope_registry,
 )
 from .events import ComplexEvent, EventKey, MatchInstance, SimpleEvent
 from .filters import AbstractFilter, IdentifiedFilter, SimpleFilter
@@ -66,7 +64,6 @@ __all__ = [
     "AbstractSubscription",
     "Advertisement",
     "AdvertisementTable",
-    "AttributeRegistry",
     "AttributeType",
     "CircleRegion",
     "ComplexEvent",
@@ -105,7 +102,6 @@ __all__ = [
     "operator_from_abstract",
     "operator_from_identified",
     "root_operator",
-    "sensorscope_registry",
     "spatial_span",
     "union_covers",
     "window_candidates",

@@ -15,6 +15,10 @@ from typing import Iterable, Iterator, Mapping
 from .locations import Location, Region
 
 
+Split = tuple[tuple[str, frozenset[str]], ...]
+"""A sensor set partitioned by reverse path: ``(origin, sensors)`` pairs."""
+
+
 @dataclass(frozen=True, slots=True)
 class Advertisement:
     """``DSA_d = (a_d, p_d)`` plus the sensor's id for identified routing."""
@@ -42,6 +46,9 @@ class AdvertisementTable:
     def __init__(self) -> None:
         self._by_origin: dict[str, dict[str, Advertisement]] = {}
         self._next_hop: dict[str, str] = {}
+        # (sensor set, excluded origin) -> its split; emptied by every
+        # write of _next_hop, which the split is a function of.
+        self._splits: dict[tuple[frozenset[str], str | None], Split] = {}
 
     def add(self, origin: str, advertisement: Advertisement) -> bool:
         """Store an advertisement received from ``origin``.
@@ -57,6 +64,7 @@ class AdvertisementTable:
                 return False
         table[advertisement.sensor_id] = advertisement
         self._next_hop[advertisement.sensor_id] = origin
+        self._splits.clear()
         return True
 
     def remove(self, sensor_id: str) -> bool:
@@ -71,6 +79,7 @@ class AdvertisementTable:
         origin = self._next_hop.pop(sensor_id, None)
         if origin is None:
             return False
+        self._splits.clear()
         self._by_origin[origin].pop(sensor_id, None)
         return True
 
@@ -130,3 +139,25 @@ class AdvertisementTable:
         for group in partition.values():
             group.sort()
         return partition
+
+    def split(self, sensors: frozenset[str], exclude: str | None = None) -> Split:
+        """:meth:`partition_by_origin` of ``sensors`` as ``(origin,
+        sensor subset)`` pairs sorted by origin, ``exclude`` left out.
+
+        Memoised: admission splits the same sensor sets at every hop
+        (clones of a query, pieces of one shape), and the answer
+        depends only on the sensor set, the exclusion and the reverse
+        path entries, which :meth:`add` and :meth:`remove` — their only
+        writers — forget the memo on.  The pairs are shared: read them,
+        never edit them.
+        """
+        key = (sensors, exclude)
+        found = self._splits.get(key)
+        if found is None:
+            found = self._splits[key] = tuple(
+                # one path holds the whole set (a transit hop): share it
+                (origin, sensors if len(group) == len(sensors) else frozenset(group))
+                for origin, group in sorted(self.partition_by_origin(sensors).items())
+                if origin != exclude
+            )
+        return found

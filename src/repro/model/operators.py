@@ -24,7 +24,7 @@ The representation below serves all five evaluated systems:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from .events import SimpleEvent
@@ -51,6 +51,25 @@ class Slot:
     attribute: str
     interval: Interval
     sensors: frozenset[str]
+    # Every operator and matcher-structure key hashes its slots, at
+    # every hop; the generated hash would rebuild and re-hash the field
+    # tuple (the interval included) per call, so cache it.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.slot_id, self.attribute, self.interval, self.sensors)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # Rebuild through __init__ so the unpickling process hashes the
+        # strings under its own seed (as CorrelationOperator does).
+        return (Slot, (self.slot_id, self.attribute, self.interval, self.sensors))
 
     def accepts(self, event: SimpleEvent) -> bool:
         """Whether ``event`` can fill this slot."""
@@ -151,22 +170,27 @@ class CorrelationOperator:
             raise ValueError("duplicate slot in operator")
         if main_slot is not None and main_slot not in ids:
             raise ValueError(f"main slot {main_slot!r} not among operator slots")
+        self.__setstate__(
+            (subscription_id, subscriber, ordered, delta_t, delta_l, main_slot)
+        )
+
+    def __setstate__(
+        self, fields: tuple[str, str, tuple[Slot, ...], float, float, str | None]
+    ) -> None:
+        """Fill the six fields from slots already ordered by id and
+        unique — :meth:`__init__` after its checks, and
+        :meth:`project_sensors` for a subset of checked slots."""
+        subscription_id, subscriber, slots, delta_t, delta_l, main_slot = fields
         object.__setattr__(self, "subscription_id", subscription_id)
         object.__setattr__(self, "subscriber", subscriber)
-        object.__setattr__(self, "slots", ordered)
+        object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "delta_t", delta_t)
         object.__setattr__(self, "delta_l", delta_l)
         object.__setattr__(self, "main_slot", main_slot)
         # Engines resolve an operator's matcher by operator equality;
         # the generated frozen-dataclass hash re-walks every slot (and
         # its sensor frozenset) per lookup, so cache it once.
-        object.__setattr__(
-            self,
-            "_hash",
-            hash(
-                (subscription_id, subscriber, ordered, delta_t, delta_l, main_slot)
-            ),
-        )
+        object.__setattr__(self, "_hash", hash(fields))
 
     def __hash__(self) -> int:
         return self._hash
@@ -254,28 +278,33 @@ class CorrelationOperator:
         common case on a transit hop): operators are frozen values and
         the equal copy would carry the same ``op_id``.
         """
-        available = set(sensor_ids)
+        available = frozenset(sensor_ids)  # a frozenset passes through as is
+        if self.main_slot is None and self.sensors <= available:
+            return self  # a projection drops the main slot
         kept = []
-        whole = self.main_slot is None  # a projection drops the main slot
         for s in self.slots:
-            common = s.sensors & available
-            if len(common) == len(s.sensors):
+            if s.sensors <= available:
                 kept.append(s)
             else:
-                whole = False
+                common = s.sensors & available
                 if common:
                     kept.append(Slot(s.slot_id, s.attribute, s.interval, common))
-        if whole:
-            return self
         if not kept:
             return None
-        return CorrelationOperator(
-            self.subscription_id,
-            self.subscriber,
-            kept,
-            self.delta_t,
-            self.delta_l,
+        # A subset of this operator's slots, in its order: already
+        # sorted and unique, so skip the constructor's checks.
+        piece = CorrelationOperator.__new__(CorrelationOperator)
+        piece.__setstate__(
+            (
+                self.subscription_id,
+                self.subscriber,
+                tuple(kept),
+                self.delta_t,
+                self.delta_l,
+                None,
+            )
         )
+        return piece
 
     def binary_joins(self) -> list["CorrelationOperator"]:
         """Ring-pair the slots into binary joins (multi-join baseline).
@@ -360,7 +389,7 @@ def _op_id(operator: CorrelationOperator) -> str:
 def _sensors(operator: CorrelationOperator) -> frozenset[str]:
     if len(operator.slots) == 1:
         return operator.slots[0].sensors
-    return frozenset(sid for s in operator.slots for sid in s.sensors)
+    return frozenset[str]().union(*[s.sensors for s in operator.slots])
 
 
 def _signature(

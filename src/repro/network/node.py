@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort_right
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Hashable, Iterable, Iterator, Sequence
+from operator import attrgetter, itemgetter
+from typing import TYPE_CHECKING, Any, Hashable, Iterator, Sequence
 
 from ..matching import ENGINES, HitMap, MatchingEngine, ReferenceEngine
 from ..model.advertisements import Advertisement, AdvertisementTable
@@ -163,6 +163,16 @@ def _entry_rank(entry: IndexEntry) -> LifecycleSeq:
     return entry[0].seq
 
 
+def _unfile(items: list, record: StoredOperator, owner=lambda item: item) -> None:
+    """Delete ``record`` from a list kept in arrival rank: the record
+    itself, or (``owner`` the entry's record) its entries in one index
+    bucket — found by bisection, among the items of its rank."""
+    i = j = bisect_left(items, record.seq, key=lambda item: owner(item).seq)
+    while j < len(items) and owner(items[j]).seq == record.seq:
+        j += 1
+    items[i:j] = [item for item in items[i:j] if owner(item) is not record]
+
+
 def _file(index: dict[str, list[IndexEntry]], record: StoredOperator) -> None:
     """Enter an uncovered record under each sensor, at its rank."""
     for sensor_id in sorted(record.operator.sensors):
@@ -204,10 +214,11 @@ class SubscriptionStore:
         seq_source: SeqSource | None = None,
     ) -> None:
         self._records: list[StoredOperator] = []
+        # subscription id -> its records, in arrival rank (retirement).
+        self._by_sub: dict[str, list[StoredOperator]] = {}
         # sensor id -> uncovered (record, slot) entries; None until read.
         self._index: dict[str, list[IndexEntry]] | None = None
         self.streams: dict[object, StreamGroup] = {}
-        self._op_ids: dict[str, int] = {}
         self._engine = engine
         self._seq_source = seq_source if seq_source is not None else SeqSource()
 
@@ -236,8 +247,7 @@ class SubscriptionStore:
         seq = seq if seq is not None else self._seq_source.next()
         record = StoredOperator(seq, operator, covered, planned, matcher)
         insert_by_seq(self._records, record)
-        op_id = operator.op_id
-        self._op_ids[op_id] = self._op_ids.get(op_id, 0) + 1
+        insert_by_seq(self._by_sub.setdefault(operator.subscription_id, []), record)
         if not covered and self._index is not None:
             _file(self._index, record)
         if matched:
@@ -263,33 +273,30 @@ class SubscriptionStore:
                     _file(self._index, record)
         return self._index
 
-    def has_operator(self, op_id: str) -> bool:
-        """Whether a record with this operator id is currently stored.
-
-        The reliability layer's duplicate guard: a soft-state re-offer
-        (or a redundantly delivered copy) of an operator this store
-        already holds must not be re-handled.
-        """
-        return op_id in self._op_ids
+    def has_operator(self, operator: CorrelationOperator) -> bool:
+        """Whether a record with this operator's id is stored: the
+        reliability layer's guard against re-handling a soft-state
+        re-offer (or a redundant copy) of an operator already held."""
+        siblings = self._by_sub.get(operator.subscription_id, ())
+        return any(r.operator.op_id == operator.op_id for r in siblings)
 
     def remove_subscription(self, sub_id: str) -> list[StoredOperator]:
-        """Drop every record of ``sub_id``; releases retained matchers."""
-        removed = [r for r in self._records if r.operator.subscription_id == sub_id]
-        if not removed:
+        """Drop every record of ``sub_id``, in arrival rank; releases
+        retained matchers.  Reads only those records: each is found in
+        the rank-ordered lists by bisection."""
+        removed = self._by_sub.pop(sub_id, None)
+        if removed is None:
             return []
-        self._records = [r for r in self._records if r not in removed]
-        index = self._index or {}
-        filed = {s for r in removed if not r.covered for s in r.operator.sensors}
-        for sensor_id in sorted(filed & index.keys()):
-            kept = [e for e in index[sensor_id] if e[0] not in removed]
-            if kept:
-                index[sensor_id] = kept
-            else:
-                del index[sensor_id]
+        index = self._index
         for record in removed:
-            self._op_ids[record.operator.op_id] -= 1
-            if not self._op_ids[record.operator.op_id]:
-                del self._op_ids[record.operator.op_id]
+            _unfile(self._records, record)
+            if index is not None and not record.covered:
+                for sensor_id in sorted(record.operator.sensors):
+                    bucket = index[sensor_id]
+                    _unfile(bucket, record, itemgetter(0))
+                    if not bucket:
+                        del index[sensor_id]
+        for record in removed:
             if record.matcher is None:
                 continue
             group = self.streams[record.matcher]
@@ -429,7 +436,7 @@ class Node:
             self.handle_event(message.event, origin, message.streams)
         elif isinstance(message, OperatorMessage):
             if self.network.reliability is not None and self.knows_operator(
-                message.operator.op_id
+                message.operator
             ):
                 # Soft-state re-offer (or redundant copy) of an operator
                 # already stored here: re-handling would duplicate
@@ -483,9 +490,9 @@ class Node:
             if neighbor != skip:
                 self.network.send(self.node_id, neighbor, message)
 
-    def knows_operator(self, op_id: str) -> bool:
-        """Whether any store currently holds a record of ``op_id``."""
-        return any(store.has_operator(op_id) for store in self.stores.values())
+    def knows_operator(self, operator: CorrelationOperator) -> bool:
+        """Whether any store currently holds a record of ``operator``'s id."""
+        return any(store.has_operator(operator) for store in self.stores.values())
 
     def send_event(
         self, neighbor: str, event: SimpleEvent, streams: tuple[str, ...] = ()
@@ -595,7 +602,7 @@ class Node:
         """
         store = self.store_for(origin)
         planned = plan is not None
-        if planned and store.has_operator(operator.op_id):
+        if planned and store.has_operator(operator):
             return
         covered = not planned and self.is_covered(operator, store)
         record = store.add(operator, covered, planned=planned)
@@ -635,8 +642,7 @@ class Node:
         and send.  :meth:`send_operator` records the reverse path, so
         teardown and soft-state refresh retrace either split alike."""
         if plan is None:
-            exclude = () if origin == LOCAL else (origin,)
-            pieces = self.split_targets(operator, exclude).items()
+            pieces = self.split_targets(operator, origin)
         else:
             pieces = (
                 (neighbor, operator.project_sensors(subset))
@@ -917,26 +923,18 @@ class Node:
                 delivery.record_complex(sub_id)
 
     def split_targets(
-        self, operator: CorrelationOperator, exclude: Iterable[str] = ()
-    ) -> dict[str, CorrelationOperator]:
-        """Algorithm 3, lines 7-9: project the operator per neighbour.
-
-        Partitions the operator's sensors by the reverse advertisement
-        path and returns ``{neighbour: projected operator}`` — the
-        deterministic split the paper uses.  Locally attached sensors
-        need no forwarding and are skipped, as are excluded origins
-        (normally the one the operator came from).
-        """
-        partition = self.ads.partition_by_origin(operator.sensors)
-        partition.pop(LOCAL, None)
-        for origin in exclude:
-            partition.pop(origin, None)
-        targets: dict[str, CorrelationOperator] = {}
-        for neighbor, sensor_ids in sorted(partition.items()):
-            piece = operator.project_sensors(sensor_ids)
-            if piece is not None:
-                targets[neighbor] = piece
-        return targets
+        self, operator: CorrelationOperator, origin: str
+    ) -> list[tuple[str, CorrelationOperator | None]]:
+        """Algorithm 3, lines 7-9: ``(neighbour, projected operator)``
+        pairs by neighbour over the table's memoised split of the
+        operator's sensors by reverse advertisement path — the paper's
+        deterministic split.  Locally attached sensors and the origin
+        the operator came from get nothing."""
+        return [
+            (neighbor, operator.project_sensors(sensor_ids))
+            for neighbor, sensor_ids in self.ads.split(operator.sensors, origin)
+            if neighbor != LOCAL
+        ]
 
     def hit_links(
         self, hits: HitMap, sender: str, include_covered: bool

@@ -271,25 +271,23 @@ class SketchLane:
         upstream: str | None,
     ) -> _Group:
         """Record this broker's view of a group and flood it onward."""
-        partition = node.ads.partition_by_origin(sensors)
-        local = frozenset(partition.pop(LOCAL, ()))
-        children = tuple(sorted(partition))
+        children = node.ads.split(sensors, exclude=LOCAL)
         group = _Group(
             attribute=attribute,
             sensors=sensors,
             home=home,
             upstream=upstream,
-            children=children,
-            local_sensors=local,
+            children=tuple(neighbor for neighbor, _ in children),
+            local_sensors=dict(node.ads.split(sensors)).get(LOCAL, frozenset()),
         )
-        for neighbor in children:
+        for neighbor, subset in children:
             node.network.send(
                 node.node_id,
                 neighbor,
                 SketchSubscribeMessage(
                     group_id=group_id,
                     attribute=attribute,
-                    sensors=frozenset(partition[neighbor]),
+                    sensors=subset,
                     home=home,
                 ),
             )

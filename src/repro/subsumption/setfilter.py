@@ -158,46 +158,68 @@ class ProbabilisticSetFilter:
         self.checks += 1
         if len(covers_per_dim) != len(target):
             raise ValueError("one candidate list per target dimension required")
-        # Bounds are compared inline: this runs once per arrival at every
-        # FSF node, and the Interval predicates re-test emptiness per call.
-        live: list[list[Interval]] = []
-        for iv, candidates in zip(target, covers_per_dim):
+        # One pass per dimension, bounds compared inline (this runs once
+        # per arrival at every FSF node): whether some candidate overlaps
+        # the range, whether one holds all of it (the deterministic
+        # shortcut, if so on every dimension; nothing more to learn
+        # there) and whether some holds each end (else that end is the
+        # first corner witness).
+        whole_everywhere = True
+        witness: tuple[float, ...] | None = None
+        for dim, (iv, candidates) in enumerate(zip(target, covers_per_dim)):
             lo, hi = iv.lo, iv.hi
-            relevant = [
-                c for c in candidates if c.lo <= hi and lo <= c.hi and c.lo <= c.hi
-            ]
-            if lo > hi or not relevant:  # an empty target overlaps nothing
+            overlaps = whole = lo_in = hi_in = False
+            for c in candidates:
+                c_lo, c_hi = c.lo, c.hi
+                if c_lo <= hi and lo <= c_hi and c_lo <= c_hi:
+                    overlaps = True
+                    # Overlapping already gives c_lo <= hi and lo <= c_hi.
+                    if c_lo <= lo:
+                        if hi <= c_hi:
+                            whole = True
+                            break
+                        lo_in = True
+                    elif hi <= c_hi:
+                        hi_in = True
+            if lo > hi or not overlaps:  # an empty target overlaps nothing
                 corner = tuple(t.lo for t in target)
                 return SetFilterDecision(False, True, 0, witness=corner)
-            live.append(relevant)
-        # From here every interval is non-empty.  Deterministic
-        # per-dimension shortcut: one stored interval containing the
-        # whole target range on every dimension.
-        if all(
-            any(c.lo <= iv.lo and iv.hi <= c.hi for c in cands)
-            for iv, cands in zip(target, live)
-        ):
-            return SetFilterDecision(True, True, 0)
-        # Deterministic corner witnesses (ends of each range).
-        for dim, (iv, cands) in enumerate(zip(target, live)):
-            for endpoint in (iv.lo, iv.hi):
-                if not any(c.lo <= endpoint <= c.hi for c in cands):
+            if not whole:
+                whole_everywhere = False
+                if witness is None and not (lo_in and hi_in):
+                    endpoint = lo if not lo_in else hi
                     witness = tuple(
                         endpoint if d == dim else target[d].lo
                         for d in range(len(target))
                     )
-                    return SetFilterDecision(False, True, 0, witness=witness)
-        # Monte-Carlo phase: independent per-dimension membership.
+        # From here every interval is non-empty.
+        if whole_everywhere:
+            return SetFilterDecision(True, True, 0)
+        if witness is not None:
+            return SetFilterDecision(False, True, 0, witness=witness)
+        # Monte-Carlo phase: independent per-dimension membership, all
+        # samples at once; the witness is the first uncovered row.
         dims = len(target)
         lows = np.array([iv.lo for iv in target])
-        spans = np.array([iv.hi - iv.lo for iv in target])
+        spans = np.array([iv.length for iv in target])
         u = self._rng.random((self.samples, dims))
         points = lows + u * spans
         self.sampled_points += self.samples
-        for row in points:
-            for x, cands in zip(row, live):
-                if not any(c.lo <= x <= c.hi for c in cands):
-                    return SetFilterDecision(False, True, self.samples, tuple(row))
+        inside = np.ones(self.samples, dtype=bool)
+        for column, iv, candidates in zip(points.T, target, covers_per_dim):
+            live = [
+                c
+                for c in candidates
+                if c.lo <= iv.hi and iv.lo <= c.hi and c.lo <= c.hi
+            ]
+            column = column[:, None]
+            inside &= (
+                (column >= np.array([c.lo for c in live]))
+                & (column <= np.array([c.hi for c in live]))
+            ).any(axis=1)
+        if not inside.all():
+            row = points[int(np.argmin(inside))]
+            return SetFilterDecision(False, True, self.samples, tuple(row))
         return SetFilterDecision(True, False, self.samples)
 
     def is_product_subsumed(

@@ -7,7 +7,6 @@ import pytest
 from repro.model import (
     Advertisement,
     AdvertisementTable,
-    AttributeRegistry,
     AttributeType,
     ComplexEvent,
     IdentifiedSubscription,
@@ -17,7 +16,6 @@ from repro.model import (
     RectRegion,
     SimpleEvent,
     SimpleFilter,
-    sensorscope_registry,
 )
 from repro.model.filters import AbstractFilter, IdentifiedFilter
 
@@ -27,24 +25,6 @@ def ev(sensor="d1", attr="t", value=1.0, ts=0.0, seq=0, loc=(0.0, 0.0)):
 
 
 class TestAttributes:
-    def test_registry_holds_five_sensorscope_types(self):
-        reg = sensorscope_registry()
-        assert len(reg) == 5
-        assert "wind_speed" in reg
-        assert reg["relative_humidity"].domain == Interval(0.0, 100.0)
-
-    def test_reregistering_identical_is_noop(self):
-        reg = AttributeRegistry()
-        a = AttributeType("x", Interval(0, 1))
-        reg.register(a)
-        reg.register(a)
-        assert len(reg) == 1
-
-    def test_conflicting_definition_rejected(self):
-        reg = AttributeRegistry([AttributeType("x", Interval(0, 1))])
-        with pytest.raises(ValueError):
-            reg.register(AttributeType("x", Interval(0, 2)))
-
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
             AttributeType("bad", Interval(1, 0))

@@ -289,7 +289,7 @@ def _soft_state_fingerprint(network: Network):
             sorted(
                 op_id
                 for store in node.stores.values()
-                for op_id in store._op_ids
+                for op_id in {r.operator.op_id for r in store.records()}
             ),
         )
         for node_id, node in network.nodes.items()

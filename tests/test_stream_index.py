@@ -150,10 +150,10 @@ def test_two_records_with_one_op_id_are_one_stream(mode):
     store.add(operator(1, 0), covered=False)
     store.remove_subscription("q1")
     assert store.streams[first.matcher].every == {op_id}
-    assert store.has_operator(op_id)
+    assert store.has_operator(first.operator)
     assert_index_is_a_rescan(store)
     store.remove_subscription("q0")
-    assert store.streams == {} and not store.has_operator(op_id)
+    assert store.streams == {} and not store.has_operator(first.operator)
 
 
 # ---------------------------------------------------------------------------
