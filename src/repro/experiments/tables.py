@@ -19,13 +19,12 @@ from ..model.locations import Location
 from ..model.subscriptions import IdentifiedSubscription
 from ..network.network import Network
 from ..network.node import LOCAL
-from ..network.topology import Deployment, SensorPlacement
+from ..network.topology import Deployment, Overlay, SensorPlacement, add_link
 from ..model.attributes import AttributeType
 from ..model.intervals import Interval
 from ..protocols.registry import render_table_ii
 from ..sim import Simulator
 
-import networkx as nx
 
 TABLE_I_ROWS = (
     ("s1", "50 < a < 80", "10 < b < 30", ""),
@@ -75,10 +74,10 @@ def fig3_deployment() -> Deployment:
     sensor c behind n3; n5 is the junction where paths toward {a, b}
     and {c} diverge.
     """
-    graph = nx.Graph()
-    graph.add_edges_from(
-        [("n6", "n5"), ("n5", "n4"), ("n4", "n1"), ("n4", "n2"), ("n5", "n3")]
-    )
+    graph: Overlay = {}
+    links = [("n6", "n5"), ("n5", "n4"), ("n4", "n1"), ("n4", "n2"), ("n5", "n3")]
+    for a, b in links:
+        add_link(graph, a, b)
     attr = AttributeType("t", Interval(-1000.0, 1000.0))
     sensors = [
         SensorPlacement("a", attr, Location(0.0, 0.0), "n1", 0),

@@ -125,7 +125,7 @@ class FaultPlan:
 
     def validate_against(self, deployment: "Deployment") -> None:
         """Reject outage domains naming nodes outside the deployment."""
-        known = set(deployment.graph.nodes)
+        known = set(deployment.graph)
         for window in self.outages:
             unknown = sorted(set(window.domain) - known)
             if unknown:

@@ -149,12 +149,12 @@ class Network:
         self._routing: RoutingTable | None = None
         self._center: str | None = None
         self.dropped_subscriptions: list[str] = []
-        # Adjacency snapshot: networkx views allocate per lookup, and
-        # send() validates neighbourhood once per message on the hot
-        # path.  The deployment graph is immutable for a run.
+        # Adjacency snapshot as sets: send() validates neighbourhood
+        # once per message on the hot path.  The deployment graph is
+        # immutable for a run.
         self._adjacency: dict[str, set[str]] = {
-            node: set(self.deployment.graph.neighbors(node))
-            for node in self.deployment.graph.nodes
+            node: set(neighbours)
+            for node, neighbours in self.deployment.graph.items()
         }
         self._sorted_neighbors: dict[str, list[str]] = {
             node: sorted(adjacent) for node, adjacent in self._adjacency.items()
@@ -204,7 +204,7 @@ class Network:
 
     def populate(self, node_factory) -> None:
         """Create one node per graph vertex using ``node_factory(node_id, net)``."""
-        for node_id in sorted(self.deployment.graph.nodes):
+        for node_id in sorted(self.deployment.graph):
             self.add_node(node_factory(node_id, self))
 
     def neighbors(self, node_id: str) -> list[str]:
@@ -222,7 +222,7 @@ class Network:
     @property
     def center(self) -> str:
         if self._center is None:
-            self._center = graph_center(self.deployment.graph)
+            self._center = graph_center(self.routing)
         return self._center
 
     # ------------------------------------------------------------------

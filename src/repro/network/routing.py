@@ -1,67 +1,56 @@
 """Shortest-path routing over the acyclic overlay.
 
 Only the centralized baseline needs global routes (subscribers unicast
-to the central server, the server unicasts results back); the four
-distributed approaches route purely on the reverse advertisement /
+to the central server, the server unicasts results back), and the
+placement compiler prices and lowers plans along overlay paths; the
+four distributed approaches route purely on the reverse advertisement /
 subscription paths.  In a tree the shortest path is the unique path, so
-one BFS per destination yields exact next-hop tables.
+one BFS per destination yields exact next-hop and distance tables.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from .topology import Overlay, bfs
 
 
 class RoutingTable:
     """Unique-path routing on a tree (or shortest paths on any graph)."""
 
-    def __init__(self, graph: nx.Graph) -> None:
-        self._graph = graph
-        self._next_hop: dict[tuple[str, str], str] = {}
-        self._distance: dict[tuple[str, str], int] = {}
-        for target in graph.nodes:
-            # BFS tree rooted at the target: each node's parent is its
-            # next hop toward the target.
-            for node, parent in nx.bfs_predecessors(graph, target):
-                self._next_hop[(node, target)] = parent
-        lengths = dict(nx.all_pairs_shortest_path_length(graph))
-        for src, table in lengths.items():
-            for dst, dist in table.items():
-                self._distance[(src, dst)] = dist
+    def __init__(self, graph: Overlay) -> None:
+        # BFS tree rooted at each destination: a node's parent is its
+        # next hop toward the destination, its depth the hop count.
+        self._toward = {target: bfs(graph, target) for target in graph}
 
     def next_hop(self, src: str, dst: str) -> str:
         """The neighbour of ``src`` on the unique path to ``dst``."""
         if src == dst:
             raise ValueError("no next hop from a node to itself")
-        return self._next_hop[(src, dst)]
+        return self._toward[dst][src][0]
 
     def distance(self, src: str, dst: str) -> int:
         """Hop count of the shortest path."""
-        return self._distance[(src, dst)]
+        return self._toward[dst][src][1]
 
     def path(self, src: str, dst: str) -> list[str]:
         """The full node sequence from ``src`` to ``dst`` (inclusive)."""
+        tree = self._toward[dst]
         hops = [src]
         here = src
         while here != dst:
-            here = self.next_hop(here, dst)
+            here = tree[here][0]
             hops.append(here)
         return hops
 
 
-def graph_center(graph: nx.Graph) -> str:
+def graph_center(routing: RoutingTable) -> str:
     """The node with minimum total distance to all others.
 
     The paper's centralized baseline sends everything to "the node with
     the minimum pairwise distance to all other nodes"; ties break on the
-    node id so runs are deterministic.
+    node id so runs are deterministic.  Distances are symmetric, so a
+    node's total is the depth sum of the BFS tree rooted at it.
     """
-    lengths = dict(nx.all_pairs_shortest_path_length(graph))
-    best: str | None = None
-    best_total = None
-    for node in sorted(graph.nodes):
-        total = sum(lengths[node].values())
-        if best_total is None or total < best_total:
-            best, best_total = node, total
-    assert best is not None
-    return best
+    return min(
+        (sum(depth for _, depth in tree.values()), node)
+        for node, tree in routing._toward.items()
+    )[1]

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..model.advertisements import Advertisement
@@ -61,6 +60,65 @@ class NodeSpec:
             raise ValueError("link_bandwidth must be positive")
 
 
+Overlay = dict[str, list[str]]
+"""The broker overlay: node -> neighbours, both in insertion order."""
+
+
+def add_link(graph: Overlay, a: str, b: str) -> None:
+    """Join ``a`` and ``b``, adding whichever of them ``graph`` lacks."""
+    graph.setdefault(a, []).append(b)
+    graph.setdefault(b, []).append(a)
+
+
+def bfs(graph: Overlay, root: str) -> dict[str, tuple[str, int]]:
+    """Every node reachable from ``root`` -> (its neighbour one hop
+    closer to ``root``, its hop distance), in breadth-first order.
+
+    ``root`` maps to ``(root, 0)``.  On a tree the parent is the next
+    hop of the unique path toward ``root``.
+    """
+    reached = {root: (root, 0)}
+    frontier = [root]
+    depth = 0
+    while frontier:
+        depth += 1
+        following = []
+        for node in frontier:
+            for neighbour in graph[node]:
+                if neighbour not in reached:
+                    reached[neighbour] = (node, depth)
+                    following.append(neighbour)
+        frontier = following
+    return reached
+
+
+def eccentricity(graph: Overlay, node: str) -> int:
+    """The hop distance from ``node`` to the node farthest from it."""
+    reached = bfs(graph, node)
+    if len(reached) != len(graph):
+        raise ValueError("the overlay is not connected")
+    return max(depth for _, depth in reached.values())
+
+
+def check_tree(graph: Overlay) -> None:
+    """Raise ``ValueError`` unless ``graph`` is a non-empty undirected tree."""
+    if not graph:
+        raise ValueError("the overlay has no nodes")
+    for node, neighbours in graph.items():
+        for neighbour in neighbours:
+            if node not in graph.get(neighbour, ()):
+                raise ValueError(
+                    f"the overlay must be undirected: {node!r} lists "
+                    f"{neighbour!r}, which does not list it back"
+                )
+    # Connected with n - 1 links (each listed at both ends) is a tree;
+    # a self-loop or a repeated link counts toward the links.
+    links = sum(map(len, graph.values()))
+    connected = len(bfs(graph, next(iter(graph)))) == len(graph)
+    if not connected or links != 2 * (len(graph) - 1):
+        raise ValueError("the overlay must be acyclic and connected")
+
+
 DEFAULT_NODE_SPEC = NodeSpec()
 """What every node is until a deployment assigns tiers: a plain relay.
 Homogeneous deployments carry no specs at all, so existing topologies
@@ -89,7 +147,7 @@ class SensorPlacement:
 class Deployment:
     """An experiment topology: overlay graph + sensor placements."""
 
-    graph: nx.Graph
+    graph: Overlay
     sensors: list[SensorPlacement]
     groups: dict[int, list[SensorPlacement]]
     relay_nodes: list[str]
@@ -99,7 +157,7 @@ class Deployment:
 
     @property
     def n_nodes(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self.graph)
 
     @property
     def sensor_nodes(self) -> dict[str, SensorPlacement]:
@@ -120,7 +178,7 @@ class Deployment:
         raise KeyError(sensor_id)
 
     def diameter(self) -> int:
-        return nx.diameter(self.graph)
+        return max(eccentricity(self.graph, node) for node in self.graph)
 
     def spec_of(self, node_id: str) -> NodeSpec:
         """The node's architecture spec (default relay when unassigned)."""
@@ -128,14 +186,13 @@ class Deployment:
 
     def validate(self) -> None:
         """Assert the structural invariants the protocols rely on."""
-        if not nx.is_tree(self.graph):
-            raise ValueError("the overlay must be acyclic and connected")
+        check_tree(self.graph)
         hosted = [s.node_id for s in self.sensors]
         if len(set(hosted)) != len(hosted):
             raise ValueError("one sensor per sensor node")
         if set(hosted) & set(self.relay_nodes):
             raise ValueError("relay nodes must not host sensors")
-        graph_nodes = set(self.graph.nodes)
+        graph_nodes = set(self.graph)
         missing_hosts = sorted(set(hosted) - graph_nodes)
         if missing_hosts:
             raise ValueError(
@@ -160,15 +217,15 @@ class Deployment:
 
 
 def _attach_random_tree(
-    graph: nx.Graph, nodes: Sequence[str], rng: np.random.Generator
+    graph: Overlay, nodes: Sequence[str], rng: np.random.Generator
 ) -> None:
     """Random recursive tree over ``nodes`` (each attaches to an earlier one)."""
     for i, node in enumerate(nodes):
-        graph.add_node(node)
         if i == 0:
+            graph[node] = []
             continue
         parent = nodes[int(rng.integers(0, i))]
-        graph.add_edge(node, parent)
+        add_link(graph, node, parent)
 
 
 def build_deployment(
@@ -199,7 +256,7 @@ def build_deployment(
     # growth seed; rederiving it would change every generated overlay
     # and invalidate all pinned figures.
     rng = np.random.default_rng(seed)  # repro-lint: ignore[rng-stream] -- pre-derive_seed layout stream, pinned by figures
-    graph = nx.Graph()
+    graph: Overlay = {}
 
     relays = [f"r{i}" for i in range(n_relays)]
     _attach_random_tree(graph, relays, rng)
@@ -244,8 +301,7 @@ def build_deployment(
             )
             sensors.append(placement)
             groups[g].append(placement)
-            graph.add_node(node_id)
-            graph.add_edge(node_id, previous)
+            add_link(graph, node_id, previous)
             previous = node_id
 
     deployment = Deployment(graph, sensors, groups, relays, group_heads, seed)
@@ -283,15 +339,13 @@ def tiered_specs(deployment: Deployment) -> dict[str, NodeSpec]:
     keeps its graph, sensors and every downstream RNG stream
     byte-identical to the undecorated build.
     """
-    eccentricity = nx.eccentricity(deployment.graph)
     center = min(
-        (ecc, node)
-        for node, ecc in eccentricity.items()
-        if node in set(deployment.relay_nodes)
+        (eccentricity(deployment.graph, node), node)
+        for node in deployment.relay_nodes
     )[1]
     heads = set(deployment.group_heads.values())
     specs: dict[str, NodeSpec] = {}
-    for node in sorted(deployment.graph.nodes):
+    for node in sorted(deployment.graph):
         if node == center:
             specs[node] = CLOUD_SPEC
         elif node in heads:

@@ -35,10 +35,9 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence, TYPE_CHECKING
 
-import networkx as nx
-
 from ..model.operators import CorrelationOperator, root_operator
 from ..model.subscriptions import IdentifiedSubscription
+from ..network.routing import RoutingTable
 from ..network.topology import Deployment
 from .cost import price_rendezvous
 from .plan import PlacementPlan, PlanHop, sensor_key
@@ -152,16 +151,7 @@ def compile_placement(
     """
     stats = WorkloadStats(events)
     host_of = {s.sensor_id: s.node_id for s in deployment.sensors}
-    graph = deployment.graph
-    path_cache: dict[tuple[str, str], list[str]] = {}
-
-    def tree_path(a: str, b: str) -> list[str]:
-        cached = path_cache.get((a, b))
-        if cached is None:
-            # Unique on a tree, so "shortest" is just "the" path.
-            cached = nx.shortest_path(graph, a, b)
-            path_cache[(a, b)] = cached
-        return cached
+    tree_path = RoutingTable(deployment.graph).path
 
     plans: dict[str, PlacementPlan] = {}
     for admission in admissions:

@@ -457,7 +457,7 @@ def deployment_fingerprint(deployment: Deployment) -> tuple:
     space), so the node set and the sensor placements go in too."""
     return (
         deployment.seed,
-        tuple(sorted(deployment.graph.nodes)),
+        tuple(sorted(deployment.graph)),
         tuple(sorted(s.sensor_id for s in deployment.sensors)),
     )
 

@@ -10,13 +10,11 @@ the imports unambiguous regardless of what else is collected.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.model import Location, SimpleEvent
 from repro.model.attributes import AttributeType
 from repro.model.intervals import Interval
 from repro.network.network import Network
-from repro.network.topology import Deployment, SensorPlacement
+from repro.network.topology import Deployment, Overlay, SensorPlacement, add_link
 from repro.sim import Simulator
 
 # ---------------------------------------------------------------------------
@@ -30,9 +28,21 @@ from repro.sim import Simulator
 ATTR = AttributeType("t", Interval(-1000.0, 1000.0))
 
 
+def overlay(links) -> Overlay:
+    """The overlay joining each ``(a, b)`` of ``links``, in order."""
+    graph: Overlay = {}
+    for a, b in links:
+        add_link(graph, a, b)
+    return graph
+
+
+def links_of(graph: Overlay) -> set[frozenset[str]]:
+    """Every link of ``graph`` as an unordered pair."""
+    return {frozenset((a, b)) for a in graph for b in graph[a]}
+
+
 def line_deployment() -> Deployment:
-    graph = nx.Graph()
-    graph.add_edges_from(
+    graph = overlay(
         [("u2", "u1"), ("u1", "hub"), ("hub", "s_a"), ("s_a", "s_b"), ("s_b", "s_c")]
     )
     sensors = [
@@ -61,10 +71,7 @@ def line_deployment() -> Deployment:
 #            |
 #           s_c
 def fork_deployment() -> Deployment:
-    graph = nx.Graph()
-    graph.add_edges_from(
-        [("u1", "mid"), ("mid", "s_a"), ("mid", "s_b"), ("s_b", "s_c")]
-    )
+    graph = overlay([("u1", "mid"), ("mid", "s_a"), ("mid", "s_b"), ("s_b", "s_c")])
     sensors = [
         SensorPlacement("a", ATTR, Location(0.0, 0.0), "s_a", 0),
         SensorPlacement("b", ATTR, Location(1.0, 0.0), "s_b", 0),

@@ -28,6 +28,8 @@ from repro.workload.program import WorkloadProgram
 from repro.workload.sensorscope import ChurnConfig, DynamicReplayConfig
 from repro.workload.subscriptions import SubscriptionWorkloadConfig
 
+from deployments import links_of
+
 
 @pytest.fixture
 def arena():
@@ -110,7 +112,7 @@ class TestRefloodAccounting:
     def test_leave_and_rejoin_cost_two_floods(self, arena):
         deployment, network = arena
         placement = deployment.sensors[0]
-        edges = deployment.graph.number_of_edges()
+        edges = len(links_of(deployment.graph))
         base = network.meter.snapshot()
 
         network.detach_sensor(placement.node_id, placement.sensor_id)
@@ -139,7 +141,7 @@ class TestRefloodAccounting:
         ).compile(deployment)
         assert compiled.churn is not None
         transitions = len(compiled.churn.transitions())
-        edges = deployment.graph.number_of_edges()
+        edges = len(links_of(deployment.graph))
         naive = all_approaches()["naive"]
         result = run_program(naive, compiled)
         # Every leave floods a retraction, every rejoin re-floods the

@@ -1,16 +1,24 @@
 """Tests for deployment topologies and tree routing."""
 
-import networkx as nx
 import pytest
 
 from repro.network.routing import RoutingTable, graph_center
 from repro.network.topology import (
+    Deployment,
     build_deployment,
+    check_tree,
     large_network,
     large_sources,
     medium_scale,
     small_scale,
 )
+
+from deployments import links_of, overlay
+
+
+def line(n: int):
+    """The path n0 - n1 - ... - n{n-1}."""
+    return overlay([(f"n{i}", f"n{i + 1}") for i in range(n - 1)])
 
 
 class TestDeployments:
@@ -28,7 +36,7 @@ class TestDeployments:
         assert dep.n_nodes == n_nodes
         assert len(dep.sensors) == n_sensors
         assert len(dep.groups) == n_groups
-        assert nx.is_tree(dep.graph)
+        check_tree(dep.graph)
 
     def test_groups_have_one_sensor_per_attribute(self):
         dep = small_scale(seed=0)
@@ -44,7 +52,7 @@ class TestDeployments:
             ids = [m.node_id for m in members]
             chain = [dep.group_heads[g]] + ids
             for a, b in zip(chain, chain[1:]):
-                assert dep.graph.has_edge(a, b)
+                assert b in dep.graph[a] and a in dep.graph[b]
 
     def test_sensor_locations_near_station(self):
         dep = build_deployment(60, 10, seed=3, station_spread=1.0)
@@ -56,10 +64,10 @@ class TestDeployments:
 
     def test_deterministic_in_seed(self):
         a, b = small_scale(seed=9), small_scale(seed=9)
-        assert sorted(a.graph.edges) == sorted(b.graph.edges)
+        assert a.graph == b.graph
         assert [s.sensor_id for s in a.sensors] == [s.sensor_id for s in b.sensors]
         c = small_scale(seed=10)
-        assert sorted(a.graph.edges) != sorted(c.graph.edges)
+        assert links_of(a.graph) != links_of(c.graph)
 
     def test_too_few_relays_rejected(self):
         with pytest.raises(ValueError):
@@ -81,9 +89,7 @@ class TestDeployments:
 
 class TestRouting:
     def test_path_on_a_line(self):
-        g = nx.path_graph(5)
-        g = nx.relabel_nodes(g, {i: f"n{i}" for i in range(5)})
-        table = RoutingTable(g)
+        table = RoutingTable(line(5))
         assert table.next_hop("n0", "n4") == "n1"
         assert table.distance("n0", "n4") == 4
         assert table.path("n0", "n3") == ["n0", "n1", "n2", "n3"]
@@ -92,20 +98,42 @@ class TestRouting:
             table.next_hop("n1", "n1")
 
     def test_center_of_a_line_is_middle(self):
-        g = nx.relabel_nodes(nx.path_graph(7), {i: f"n{i}" for i in range(7)})
-        assert graph_center(g) == "n3"
+        assert graph_center(RoutingTable(line(7))) == "n3"
 
     def test_center_deterministic_tie_break(self):
-        g = nx.Graph([("a", "b")])
-        assert graph_center(g) == "a"
+        assert graph_center(RoutingTable(overlay([("a", "b")]))) == "a"
 
     def test_routes_cover_deployment(self):
         dep = small_scale(seed=1)
         table = RoutingTable(dep.graph)
-        center = graph_center(dep.graph)
-        for node in dep.graph.nodes:
+        center = graph_center(table)
+        for node in dep.graph:
             if node == center:
                 continue
             path = table.path(node, center)
             assert path[0] == node and path[-1] == center
             assert len(path) - 1 == table.distance(node, center)
+
+
+class TestValidate:
+    """``validate``'s contract is ``ValueError`` for every overlay that
+    is not a tree, the empty one included."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            {},
+            overlay([("a", "b"), ("c", "d")]),
+            overlay([("a", "b"), ("b", "c"), ("c", "a")]),
+            overlay([("a", "b"), ("a", "b")]),
+            overlay([("a", "b"), ("b", "b")]),
+            {"a": ["b"], "b": []},
+            {"a": ["b"]},
+        ],
+        ids=["empty", "disconnected", "cyclic", "repeated", "self-loop",
+             "one-way", "dangling"],
+    )
+    def test_non_trees_raise_value_error(self, graph):
+        deployment = Deployment(graph, [], {}, [], {}, seed=0)
+        with pytest.raises(ValueError):
+            deployment.validate()
