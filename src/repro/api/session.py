@@ -397,7 +397,6 @@ class Session:
     def truth(
         self,
         events: Iterable[SimpleEvent],
-        method: str = "engine",
         churn=None,
     ) -> Mapping[str, object]:
         """Oracle ground truth for this session's queries over ``events``.
@@ -413,7 +412,6 @@ class Session:
             [h.subscription for h in self.handles.values()],
             self.deployment,
             list(events),
-            method=method,
             fences=Fences.build(
                 churn=churn,
                 activations=self.activations,

@@ -10,11 +10,7 @@ from .engine import HitMap, MatchingEngine, OperatorMatcher
 from .reference import ReferenceEngine
 from .timeline import Timeline, TimelineView
 
-ENGINES = {"incremental": MatchingEngine, "reference": ReferenceEngine}
-"""``Network(matching=)`` values and the per-node engine each installs."""
-
 __all__ = [
-    "ENGINES",
     "HitMap",
     "MatchingEngine",
     "OperatorMatcher",

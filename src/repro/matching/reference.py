@@ -1,8 +1,9 @@
-"""The reference matcher behind the engine interface:
-``Network(matching="reference")`` installs this in place of the
-incremental engine, and every answer rescans the store through
-:func:`repro.model.matching.matches_involving` — the oracle the
-differential fences compare :class:`MatchingEngine` against.
+"""The reference matcher behind the engine interface: every answer
+rescans the store through :func:`repro.model.matching.matches_involving`
+— the oracle the differential fences compare :class:`MatchingEngine`
+against.  No network runs on it: the test suite pairs it with each
+node's engine over the same store (a shadow) and compares the two hit
+maps, operator by operator, at every arrival.
 """
 
 from __future__ import annotations

@@ -42,10 +42,6 @@ class SimpleFilter:
             event.value
         )
 
-    def widen(self, amount: float) -> "SimpleFilter":
-        """Coarsened filter (Section VI-F recall mitigation)."""
-        return SimpleFilter(self.attribute, self.interval.widen(amount))
-
 
 @dataclass(frozen=True, slots=True)
 class IdentifiedFilter:

@@ -73,17 +73,6 @@ class IdentifiedSubscription:
         """Paper's simple-event match: ``d in D`` and ``f_d(v)`` true."""
         return any(f.matches_event(event) for f in self.filters)
 
-    def widened(self, amount: float) -> "IdentifiedSubscription":
-        """Coarsened copy (Section VI-F recall mitigation)."""
-        return IdentifiedSubscription(
-            self.sub_id,
-            (
-                IdentifiedFilter(f.sensor_id, f.condition.widen(amount))
-                for f in self.filters
-            ),
-            self.delta_t,
-        )
-
     @classmethod
     def from_ranges(
         cls,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from ..matching import ENGINES
 from ..model.events import SimpleEvent
 from ..model.subscriptions import Subscription
 from ..sim import AgendaBudgetExceeded, SimulationError, Simulator
@@ -101,17 +100,11 @@ class Network:
         latency: float = 0.05,
         validity: float | None = None,
         delta_t: float = 5.0,
-        matching: str = "incremental",
         faults: FaultPlan | None = None,
         reliability: ReliabilityConfig | None = None,
         answer_mode: str = "exact",
         sketch: "SketchConfig | None" = None,
     ) -> None:
-        if matching not in ENGINES:
-            raise ValueError(
-                f"unknown matching mode {matching!r}; expected "
-                + " or ".join(repr(mode) for mode in ENGINES)
-            )
         if answer_mode not in ("exact", "approximate"):
             raise ValueError(
                 f"answer_mode must be 'exact' or 'approximate', "
@@ -134,10 +127,6 @@ class Network:
         self.sim = sim if sim is not None else Simulator(seed=deployment.seed)
         self.latency = latency
         self.delta_t = delta_t
-        # Node-level matcher implementation: the incremental engine
-        # (repro.matching) or the reference window scan, the oracle of
-        # the differential fences — identical results.
-        self.matching = matching
         # Event validity (Section IV-B): longer than delta_t plus the
         # worst-case transit so correlating events never expire early.
         transit = deployment.diameter() * latency

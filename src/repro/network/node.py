@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Any, Hashable, Iterator, Sequence
 
-from ..matching import ENGINES, HitMap, MatchingEngine, ReferenceEngine
+from ..matching import HitMap, MatchingEngine
 from ..model.advertisements import Advertisement, AdvertisementTable
 from ..model.events import EventKey, SimpleEvent
 from ..model.operators import CorrelationOperator, Slot, root_operator
@@ -210,7 +210,7 @@ class SubscriptionStore:
 
     def __init__(
         self,
-        engine: MatchingEngine | ReferenceEngine,
+        engine: MatchingEngine,
         seq_source: SeqSource | None = None,
     ) -> None:
         self._records: list[StoredOperator] = []
@@ -382,11 +382,8 @@ class Node:
         self.local_subscriptions: list[tuple[Subscription, CorrelationOperator]] = []
         self.store = EventStore(self.network.validity)
         # The matching engine mirrors the event store and matches each
-        # arrival as it is stored (see ingest); the reference matcher
-        # remains selectable (Network(matching="reference")) as the
-        # oracle for equivalence tests and as the recompute-on-arrival
-        # baseline for benchmarks.
-        self.matching = ENGINES[self.network.matching](self.store)
+        # arrival as it is stored (see ingest).
+        self.matching = MatchingEngine(self.store)
         if self.network.sketches is not None:
             # The lane counts what the store accepts and forgets what
             # it fences: no second copy of the churn fence.

@@ -596,7 +596,7 @@ class CompiledProgram:
             cancellations=self.cancellations,
         )
 
-    def truth(self, method: str = "engine") -> dict[str, "SubscriptionTruth"]:
+    def truth(self) -> dict[str, "SubscriptionTruth"]:
         """Ground truth for every admission, fenced by :attr:`fences`.
 
         Shared by all approaches of one point: the fences never come
@@ -609,7 +609,6 @@ class CompiledProgram:
             [a.subscription for a in self.admissions],
             self.deployment,
             self.events,
-            method=method,
             fences=self.fences,
         )
 

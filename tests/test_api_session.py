@@ -149,8 +149,9 @@ class TestSession:
             Session.create(approach="nope")
 
     def test_create_takes_no_matcher_choice(self):
-        """The node matcher is not a facade knob: ``Network(matching=)``
-        is the only seam (tests install the reference through it)."""
+        """The node matcher is not a knob anywhere: every node runs
+        the incremental engine, and tests check it against the
+        reference as a shadow (``tests/conftest.py``)."""
         with pytest.raises(TypeError, match="matching"):
             Session.create(matching="reference")
 

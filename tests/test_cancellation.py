@@ -4,7 +4,8 @@
 :class:`UnsubscribeMessage` along exactly the links the subscription's
 operators travelled, removing them and repairing coverage decisions.
 This suite pins the guarantees, across all four distributed approaches
-plus the centralized baseline and both matching modes:
+plus the centralized baseline, with every node's engine shadowed by the
+reference matcher (``tests/conftest.py``):
 
 * **settled cancellation is exact** — submit → quiesce → cancel →
   quiesce → replay is bit-identical to never having subscribed: same
@@ -78,7 +79,6 @@ def arena(seed: int):
 def run_arena(
     seed,
     approach_key,
-    matching,
     cancel_ids,
     register_cancelled,
     mid_flood=False,
@@ -88,7 +88,7 @@ def run_arena(
     replays the events and returns everything observable."""
     deployment, replay, workload = arena(seed)
     sim = Simulator(seed=deployment.seed)
-    network = Network(deployment, sim, matching=matching)
+    network = Network(deployment, sim)
     all_approaches(fsf_config)[approach_key].populate(network)
     network.attach_all_sensors()
     network.run_to_quiescence()
@@ -278,8 +278,8 @@ class TestUnsubscribeMessage:
 def test_settled_cancel_equals_never_subscribed(chunk):
     """submit → cancel → replay, bit-identical to never-subscribed.
 
-    Approaches round-robin over the seeds (all five covered each chunk),
-    both matching modes every seed; compared: replay traffic,
+    Approaches round-robin over the seeds (all five covered each chunk);
+    compared: replay traffic,
     survivor deliveries and complex counts, per-node stored operators +
     coverage flags, registered matcher sets, and the cancelled queries'
     zero deliveries + zero footprint.
@@ -287,26 +287,25 @@ def test_settled_cancel_equals_never_subscribed(chunk):
     for seed in range(chunk * 10, chunk * 10 + 10):
         cancel_ids = {f"q{i:05d}" for i in ((seed % 3), 3 + (seed % 4), 7)}
         approach = APPROACH_KEYS[seed % len(APPROACH_KEYS)]
-        for matching in ("incremental", "reference"):
-            run = run_arena(seed, approach, matching, cancel_ids, True)
-            base = run_arena(seed, approach, matching, cancel_ids, False)
-            context = (seed, approach, matching)
-            assert run["replay_traffic"] == base["replay_traffic"], context
-            survivors = {k for k in base["delivered"] if k not in cancel_ids}
-            for sub_id in survivors:
-                assert run["delivered"].get(sub_id, set()) == base[
-                    "delivered"
-                ].get(sub_id, set()), (context, sub_id)
-            assert {
-                k: v for k, v in run["complex"].items() if k not in cancel_ids
-            } == base["complex"], context
-            assert_equivalent_stores(run["network"], base["network"], context)
-            assert matcher_state(run["network"]) == matcher_state(
-                base["network"]
-            ), context
-            for sub_id in cancel_ids:
-                assert not run["delivered"].get(sub_id), (context, sub_id)
-                assert_no_trace(run["network"], sub_id)
+        run = run_arena(seed, approach, cancel_ids, True)
+        base = run_arena(seed, approach, cancel_ids, False)
+        context = (seed, approach)
+        assert run["replay_traffic"] == base["replay_traffic"], context
+        survivors = {k for k in base["delivered"] if k not in cancel_ids}
+        for sub_id in survivors:
+            assert run["delivered"].get(sub_id, set()) == base[
+                "delivered"
+            ].get(sub_id, set()), (context, sub_id)
+        assert {
+            k: v for k, v in run["complex"].items() if k not in cancel_ids
+        } == base["complex"], context
+        assert_equivalent_stores(run["network"], base["network"], context)
+        assert matcher_state(run["network"]) == matcher_state(
+            base["network"]
+        ), context
+        for sub_id in cancel_ids:
+            assert not run["delivered"].get(sub_id), (context, sub_id)
+            assert_no_trace(run["network"], sub_id)
 
 
 @pytest.mark.parametrize("approach", ["fsf", "operator_placement"])
@@ -397,13 +396,9 @@ def test_mid_flood_cancel_is_safe(chunk):
     for seed in range(chunk * 10, chunk * 10 + 10):
         cancel_ids = {f"q{i:05d}" for i in (seed % 4, 4 + seed % 4)}
         approach = APPROACH_KEYS[seed % len(APPROACH_KEYS)]
-        run = run_arena(seed, approach, "incremental", cancel_ids, True, mid_flood=True)
-        base = run_arena(seed, approach, "incremental", cancel_ids, False)
-        reference = run_arena(seed, approach, "reference", cancel_ids, True, mid_flood=True)
+        run = run_arena(seed, approach, cancel_ids, True, mid_flood=True)
+        base = run_arena(seed, approach, cancel_ids, False)
         context = (seed, approach)
-        # Both matching modes agree message-for-message even mid-flood.
-        assert run["replay_traffic"] == reference["replay_traffic"], context
-        assert run["delivered"] == reference["delivered"], context
         for sub_id in cancel_ids:
             assert not run["delivered"].get(sub_id), (context, sub_id)
             assert_no_trace(run["network"], sub_id)
@@ -418,19 +413,22 @@ def test_mid_flood_cancel_is_safe(chunk):
 
 @pytest.mark.parametrize("matching", ["incremental", "reference"])
 @pytest.mark.parametrize("approach", APPROACH_KEYS)
-def test_cancelling_everything_after_the_replay_drains_every_engine(approach, matching):
+def test_cancelling_everything_after_the_replay_drains_every_engine(
+    approach, matching, matcher
+):
     """All-cancel + drain leaves no engine state at all.
 
     The cancels come *after* the replay, so everything the event path
     retains on demand (the multi-join relays' ring joins) exists when
     the teardown starts.  Afterwards no node's engine holds a retained
-    operator (hence a refcount) and the incremental engine no matcher
-    or per-sensor ingest index — with matchers shared between
+    operator (hence a refcount), no matcher and no per-sensor ingest
+    index — with matchers shared between
     operators, a reference dropped once too often or once too rarely
-    shows up here.
+    shows up here.  Run on the bare engine and on the shadowed one.
     """
+    matcher(matching)
     for seed in (2, 3, 5):
-        run = run_arena(seed, approach, matching, set(), True)
+        run = run_arena(seed, approach, set(), True)
         network = run["network"]
         assert any(node.matching.operators() for node in network.nodes.values())
         if approach == "multijoin":
@@ -449,9 +447,8 @@ def test_cancelling_everything_after_the_replay_drains_every_engine(approach, ma
         for node_id, node in network.nodes.items():
             context = (seed, node_id)
             assert node.matching.operators() == [], context
-            if matching == "incremental":
-                assert node.matching.n_matchers == 0, context
-                assert node.matching.n_indexed_sensors == 0, context
+            assert node.matching.n_matchers == 0, context
+            assert node.matching.n_indexed_sensors == 0, context
             assert not any(len(store) for store in node.stores.values()), context
         for placed in workload:
             assert_no_trace(network, placed.subscription.sub_id)
@@ -461,9 +458,7 @@ def test_probabilistic_fsf_cancel_footprint():
     """The safety guarantees hold for the probabilistic filter too."""
     for seed in (1, 4, 9):
         cancel_ids = {"q00002", "q00005"}
-        run = run_arena(
-            seed, "fsf", "incremental", cancel_ids, True, fsf_config=None
-        )
+        run = run_arena(seed, "fsf", cancel_ids, True, fsf_config=None)
         for sub_id in cancel_ids:
             assert not run["delivered"].get(sub_id)
             assert_no_trace(run["network"], sub_id)

@@ -6,9 +6,9 @@ advertisement retraction floods, re-floods, store fences and the
 churn-aware oracle.  This suite drives 150+ seeded dynamic scenarios
 through
 
-* both node-level matchers — ``Network(matching="incremental")`` vs
-  ``Network(matching="reference")`` must produce identical deliveries
-  and identical traffic, message for message;
+* both node-level matchers — every node's engine runs shadowed by the
+  reference matcher (``tests/conftest.py``), so each arrival's hit map
+  must equal the reference's, operator by operator;
 * both oracle passes — ``compute_truth(method="engine")`` vs
   ``method="reference"`` must produce identical triggers and
   participants with a churn schedule fencing departed sensors;
@@ -76,10 +76,10 @@ def churn_arena(seed: int):
     return deployment, replay, workload
 
 
-def run_churn_network(deployment, replay, workload, matching, approach_key):
-    """One live run; returns everything observable about its outcome."""
+def run_churn_network(deployment, replay, workload, approach_key):
+    """One live run; returns the delivered keys per subscription."""
     sim = Simulator(seed=deployment.seed)
-    network = Network(deployment, sim, matching=matching)
+    network = Network(deployment, sim)
     all_approaches()[approach_key].populate(network)
     network.attach_all_sensors()
     network.run_to_quiescence()
@@ -96,39 +96,28 @@ def run_churn_network(deployment, replay, workload, matching, approach_key):
     if churn is not None:
         network.schedule_churn(churn)
     network.run_to_quiescence()
-    delivered = {
+    return {
         sub_id: set(network.delivery.delivered(sub_id))
         for sub_id in network.delivery.subscriptions()
     }
-    return (
-        delivered,
-        dict(network.delivery.complex_deliveries),
-        network.meter.snapshot(),
-        sorted(network.dropped_subscriptions),
-    )
 
 
 # 150 seeds, chunked so a failure names a reproducible seed range (the
 # convention of the matcher and oracle equivalence suites).
 @pytest.mark.parametrize("chunk", range(15))
 def test_engine_equals_reference_under_churn(chunk):
-    """Node matcher equivalence: the incremental engine and the
-    reference window scan must produce identical deliveries and
-    identical traffic, message for message, under churn (fences,
-    retraction floods, re-floods)."""
+    """Node matcher equivalence under churn (fences, retraction floods,
+    re-floods): the shadow checks every arrival's hit map against the
+    reference window scan's."""
     instances = 0
     for seed in range(chunk * 10, chunk * 10 + 10):
         deployment, replay, workload = churn_arena(seed)
         assert replay.churn, seed  # churn actually on
         approach_key = _APPROACH_KEYS[seed % len(_APPROACH_KEYS)]
-        engine = run_churn_network(
-            deployment, replay, workload, "incremental", approach_key
+        delivered = run_churn_network(
+            deployment, replay, workload, approach_key
         )
-        reference = run_churn_network(
-            deployment, replay, workload, "reference", approach_key
-        )
-        assert engine == reference, (seed, approach_key)
-        instances += sum(len(keys) for keys in engine[0].values())
+        instances += sum(len(keys) for keys in delivered.values())
     # An all-empty chunk would mean the scenarios stopped testing
     # anything — the generators are tuned so deliveries genuinely occur.
     assert instances > 0

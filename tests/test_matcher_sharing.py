@@ -7,8 +7,9 @@ into that arrival's hit map.  What callers observe must be what a
 private matcher per operator would have shown them:
 
 * a live network of cloned queries — submitted, cancelled, fed and
-  fenced in arbitrary interleavings — delivers and meters exactly like
-  the reference matcher, for all five approaches (hypothesis);
+  fenced in arbitrary interleavings — routes the reference matcher's
+  hit map at every arrival, for all five approaches (hypothesis; every
+  network here runs shadowed, see ``tests/conftest.py``);
 * releasing one clone leaves its siblings' matcher indexed and
   answering, and every ingest index, edited in place, equals a fresh
   build of what is still registered — no index is built twice over an
@@ -563,9 +564,9 @@ OPS = st.lists(
 )
 
 
-def drive(approach: str, matching: str, ops, settles):
-    """Run one op sequence on a fresh network; everything observable."""
-    network = Network(DEPLOYMENT, Simulator(seed=0), matching=matching)
+def drive(approach: str, ops, settles):
+    """Run one op sequence on a fresh network; its deliveries."""
+    network = Network(DEPLOYMENT, Simulator(seed=0))
     all_approaches()[approach].populate(network)
     network.attach_all_sensors()
     network.run_to_quiescence()
@@ -613,16 +614,11 @@ def drive(approach: str, matching: str, ops, settles):
         if settle:
             network.run_to_quiescence()
     network.run_to_quiescence()
-    return {
-        "traffic": network.meter.snapshot(),
-        "delivered": {
-            sub_id: sorted(network.delivery.delivered(sub_id))
-            for sub_id in network.delivery.subscriptions()
-        },
-        "complex": dict(network.delivery.complex_deliveries),
-        "dropped": sorted(network.dropped_subscriptions),
-        "network": network,
+    delivered = {
+        sub_id: sorted(network.delivery.delivered(sub_id))
+        for sub_id in network.delivery.subscriptions()
     }
+    return network, delivered
 
 
 @settings(
@@ -633,34 +629,27 @@ def drive(approach: str, matching: str, ops, settles):
 @given(ops=OPS, data=st.data())
 def test_cloned_queries_match_the_reference_under_interleaving(ops, data):
     """submit / cancel / ingest / fence in any order, settled or still
-    in flight: deliveries and traffic are those of the reference
-    matcher, bit for bit, for every approach."""
+    in flight: every arrival's hit map is the reference matcher's, for
+    every approach (the shadow checks it)."""
     settles = data.draw(
         st.lists(st.booleans(), min_size=len(ops), max_size=len(ops)), label="settle"
     )
     for approach in APPROACH_KEYS:
-        shared = drive(approach, "incremental", ops, settles)
-        reference = drive(approach, "reference", ops, settles)
-        for observable in ("traffic", "delivered", "complex", "dropped"):
-            assert shared[observable] == reference[observable], (approach, observable)
+        drive(approach, ops, settles)
 
 
 @pytest.mark.parametrize("approach", APPROACH_KEYS)
 def test_cancelling_one_clone_leaves_sibling_deliveries_intact(approach):
     """Three clones of one question at three user nodes; one retires
-    mid-replay.  The siblings deliver what they deliver when the third
-    is cancelled under the reference matcher — and every engine ends
+    mid-replay.  The siblings keep delivering — and every engine ends
     with exactly the survivors' operators."""
     ops = [("submit", 0, 0), ("submit", 0, 1), ("submit", 0, 2)]
     feed = [("ingest", i % len(SENSORS), (3 + i) % 9) for i in range(3 * len(SENSORS))]
     ops += feed[: len(feed) // 2] + [("cancel", 1, 0)] + feed[len(feed) // 2 :]
     settles = [True] * len(ops)
-    shared = drive(approach, "incremental", ops, settles)
-    reference = drive(approach, "reference", ops, settles)
-    assert shared["delivered"] == reference["delivered"]
-    assert shared["traffic"] == reference["traffic"]
-    assert any(shared["delivered"][sub_id] for sub_id in ("t0c000", "t0c002"))
-    for node in shared["network"].nodes.values():
+    network, delivered = drive(approach, ops, settles)
+    assert any(delivered[sub_id] for sub_id in ("t0c000", "t0c002"))
+    for node in network.nodes.values():
         assert not any(
             op.subscription_id == "t0c001" for op in node.matching.operators()
         )

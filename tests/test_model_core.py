@@ -156,11 +156,6 @@ class TestSubscriptions:
         with pytest.raises(ValueError):
             IdentifiedSubscription.from_ranges("s", {"a": ("t", 0, 1)}, 0.0)
 
-    def test_widened(self):
-        s = IdentifiedSubscription.from_ranges("s", {"a": ("t", 0, 10)}, 1.0)
-        w = s.widened(2.0)
-        assert [f.interval for f in w.filters] == [Interval(-2, 12)]
-
     def test_abstract_subscription(self):
         region = RectRegion(Interval(0, 10), Interval(0, 10))
         s = AbstractSubscription.from_ranges(

@@ -160,13 +160,6 @@ class TestEventPlumbing:
             assert node._sent == {}, node.node_id
 
 
-class TestMatchingSeam:
-    @pytest.mark.parametrize("mode", ["bogus", "columnar"])
-    def test_only_the_two_engines_are_accepted(self, line, mode):
-        with pytest.raises(ValueError, match="'incremental' or 'reference'"):
-            Network(line, matching=mode)
-
-
 class TestPlainSendPath:
     """Sends to one arrival instant share an agenda entry for as long
     as nothing else is scheduled in between — the condition under which

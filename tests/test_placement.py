@@ -417,11 +417,9 @@ APPROACHES = {
 }
 
 
-def _run_registrations(approach_key, matching, subs, raw_events, with_kwarg):
+def _run_registrations(approach_key, subs, raw_events, with_kwarg):
     deployment = line_deployment()
-    network = Network(
-        deployment, Simulator(seed=0), delta_t=5.0, matching=matching
-    )
+    network = Network(deployment, Simulator(seed=0), delta_t=5.0)
     approach = APPROACHES[approach_key]()
     approach.populate(network)
     network.attach_all_sensors()
@@ -450,7 +448,6 @@ def _run_registrations(approach_key, matching, subs, raw_events, with_kwarg):
 )
 @given(
     approach_key=st.sampled_from(sorted(APPROACHES)),
-    matching=st.sampled_from(["incremental", "reference"]),
     sensors=st.sets(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3),
     raw_events=st.lists(
         st.tuples(
@@ -463,21 +460,21 @@ def _run_registrations(approach_key, matching, subs, raw_events, with_kwarg):
     ),
 )
 def test_null_plan_is_the_legacy_registration_path(
-    approach_key, matching, sensors, raw_events
+    approach_key, sensors, raw_events
 ):
     """``plan=None`` must be byte-identical to pre-placement submit.
 
-    Same traffic snapshot, same deliveries, for every approach and
-    both matching engines — the machine check that the placement
-    subsystem is invisible until a plan is actually passed.
+    Same traffic snapshot, same deliveries, for every approach — the
+    machine check that the placement subsystem is invisible until a
+    plan is actually passed.
     """
     subs = [
         IdentifiedSubscription.from_ranges(
             "q0", {s: ("t", 0.0, 8.0) for s in sorted(sensors)}, delta_t=5.0
         )
     ]
-    legacy = _run_registrations(approach_key, matching, subs, raw_events, False)
-    fenced = _run_registrations(approach_key, matching, subs, raw_events, True)
+    legacy = _run_registrations(approach_key, subs, raw_events, False)
+    fenced = _run_registrations(approach_key, subs, raw_events, True)
     assert legacy == fenced
 
 

@@ -7,14 +7,19 @@ at commit 9bc0088 (before the agenda entries, the transport hot path
 and ``TrafficMeter.record`` were rewritten).
 
 * ``static`` / ``churn`` — every ``RunResult`` field of a settled
-  admit-at-t=0 program, both ``Network(matching=)`` values against the
-  one golden (the figure history's fixed-prefix results);
+  admit-at-t=0 program against the golden (the figure history's
+  fixed-prefix results);
 * ``faults`` (the ``FAULTS`` regime) / ``late_copy`` (per-link delay and
   jitter, an outage, a round trip longer than the ack timeout) — final
   meter snapshot, abandoned transfers, delivered keys per subscription:
   the fence around the fault stream's draw order and ``abandon_from``.
 
-Regenerate, only in a PR that *means* to change a simulated outcome:
+Every run here is shadowed (``tests/conftest.py``): each node's engine
+is checked against the reference matcher's hit map at every arrival.
+``static`` and ``churn`` also run once on the bare incremental engine
+(``matching="incremental"``), the one the library builds.
+
+Regenerate, only in a change that *means* to move a simulated outcome:
 ``PYTHONPATH=src python tests/test_program_bit_identity.py``
 """
 
@@ -45,7 +50,6 @@ from repro.workload.subscriptions import (
     generate_subscriptions,
 )
 
-MATCHING_MODES = ("incremental", "reference")
 GOLDEN_PATH = Path(__file__).with_name("golden_run_results.json")
 
 STATIC_SUBSCRIPTIONS = SubscriptionWorkloadConfig(
@@ -140,21 +144,21 @@ def golden() -> dict[str, dict]:
 
 class TestSettledProgramBitIdentity:
     """A settled admit-at-t=0, no-retire program reproduces the pinned
-    fixed-prefix results exactly, on either matcher."""
+    fixed-prefix results exactly."""
 
-    @pytest.mark.parametrize("matching", MATCHING_MODES)
-    def test_all_approaches_static(self, matching, facade_matching):
-        facade_matching(matching)
+    @pytest.mark.parametrize("matching", ["incremental", "reference"])
+    def test_all_approaches_static(self, matching, matcher):
+        matcher(matching)
         actual = run_results(static_point())
         assert actual == golden()["static"], matching
         for result in actual.values():
             assert result["retired_queries"] == 0
             assert result["teardown_load"] == 0
 
-    @pytest.mark.parametrize("matching", MATCHING_MODES)
-    def test_all_approaches_under_churn(self, matching, facade_matching):
+    @pytest.mark.parametrize("matching", ["incremental", "reference"])
+    def test_all_approaches_under_churn(self, matching, matcher):
         """Churn keeps the advertisement channel live mid-replay."""
-        facade_matching(matching)
+        matcher(matching)
         actual = run_results(churn_point())
         assert actual == golden()["churn"], matching
         assert all(result["reflood_load"] > 0 for result in actual.values())

@@ -243,9 +243,9 @@ def test_forward_paths_send_what_the_record_walk_sends(monkeypatch, ops, data):
     )
     for approach in SHARED_PATHS:
         with forwarding(monkeypatch, reference=False) as sent:
-            drive(approach, "incremental", ops, settles)
+            drive(approach, ops, settles)
         with forwarding(monkeypatch, reference=True) as want:
-            drive(approach, "incremental", ops, settles)
+            drive(approach, ops, settles)
         assert sent == want, approach
 
 
@@ -260,9 +260,9 @@ def test_a_long_replay_over_clones_sends_what_the_record_walk_sends(
     ops += [("ingest", i % 5, 3 + i % 2) for i in range(40)]  # all in band
     settles = [True] * len(ops)
     with forwarding(monkeypatch, reference=False) as sent:
-        drive(approach, "incremental", ops, settles)
+        drive(approach, ops, settles)
     with forwarding(monkeypatch, reference=True) as want:
-        drive(approach, "incremental", ops, settles)
+        drive(approach, ops, settles)
     assert sent == want and sent
 
 
