@@ -12,13 +12,12 @@ def render_series_table(
     x_label: str,
     xs: Sequence[int],
     series: Mapping[str, Sequence[float]],
-    value_format: str = "{:.0f}",
 ) -> str:
     """One figure as a table: rows = approaches, columns = x values."""
     header = [x_label] + [str(x) for x in xs]
     rows: list[list[str]] = [header]
     for name, values in series.items():
-        rows.append([name] + [value_format.format(v) for v in values])
+        rows.append([name] + [f"{v:.0f}" for v in values])
     widths = [
         max(len(rows[r][c]) for r in range(len(rows))) for c in range(len(header))
     ]

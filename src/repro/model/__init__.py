@@ -30,8 +30,6 @@ from .locations import (
     Location,
     RectRegion,
     Region,
-    SiteLocation,
-    SiteRegion,
     UnionRegion,
     bounding_rect,
     spatial_span,
@@ -85,8 +83,6 @@ __all__ = [
     "SURFACE_TEMPERATURE",
     "SimpleEvent",
     "SimpleFilter",
-    "SiteLocation",
-    "SiteRegion",
     "Slot",
     "Subscription",
     "UNBOUNDED",

@@ -6,10 +6,7 @@ sensors to a region ``L`` and correlate events whose pairwise distance is
 below the spatial correlation distance ``delta_l``.
 
 We implement the 2-D Euclidean domain the experiments use, with
-rectangular and circular regions plus finite unions, and a hierarchical
-location domain (``SiteLocation``) mirroring the Swiss Experiment's
-"field site > station > sensor" organisation mentioned in the paper's
-introduction.
+rectangular and circular regions plus finite unions.
 """
 
 from __future__ import annotations
@@ -123,37 +120,6 @@ class EverywhereRegion(Region):
 
 
 EVERYWHERE = EverywhereRegion()
-
-
-@dataclass(frozen=True, slots=True)
-class SiteLocation:
-    """Hierarchical location ``site/station/sensor`` (Swiss Experiment).
-
-    The paper notes the location domain may be "a sub-location in a
-    hierarchically organized location domain"; containment is path-prefix
-    containment.
-    """
-
-    path: tuple[str, ...]
-
-    def is_within(self, ancestor: "SiteLocation") -> bool:
-        """Whether this location lies under ``ancestor`` in the hierarchy."""
-        if len(ancestor.path) > len(self.path):
-            return False
-        return self.path[: len(ancestor.path)] == ancestor.path
-
-
-@dataclass(frozen=True, slots=True)
-class SiteRegion(Region):
-    """Region of the hierarchical domain: everything under one prefix."""
-
-    root: SiteLocation
-
-    def contains(self, location: Location) -> bool:  # pragma: no cover
-        raise TypeError("SiteRegion contains SiteLocations, not 2-D points")
-
-    def contains_site(self, location: SiteLocation) -> bool:
-        return location.is_within(self.root)
 
 
 def bounding_rect(locations: Iterable[Location], margin: float = 0.0) -> RectRegion:

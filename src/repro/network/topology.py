@@ -228,24 +228,17 @@ def _attach_random_tree(
         add_link(graph, node, parent)
 
 
-def build_deployment(
-    n_nodes: int,
-    n_groups: int,
-    attributes: Sequence[AttributeType] = SENSORSCOPE_ATTRIBUTES,
-    seed: int = 0,
-    area_size: float = 100.0,
-    station_spread: float = 1.0,
-) -> Deployment:
+def build_deployment(n_nodes: int, n_groups: int, seed: int = 0) -> Deployment:
     """Build a grouped deployment.
 
     ``n_nodes`` total processing nodes; each of the ``n_groups`` base
-    stations hosts ``len(attributes)`` sensor nodes (one per attribute),
-    the rest are relays.  Groups are placed on a jittered grid inside an
-    ``area_size``-sized square; a group's sensors sit within
-    ``station_spread`` of its station, so spatial correlation distances
-    (delta_l) distinguish in-group from cross-group events.
+    stations hosts one sensor node per SensorScope attribute, the rest
+    are relays.  Groups are placed on a jittered grid inside a 100-unit
+    square; a group's sensors sit within 1 unit of its station, so
+    spatial correlation distances (delta_l) distinguish in-group from
+    cross-group events.
     """
-    n_sensor_nodes = n_groups * len(attributes)
+    n_sensor_nodes = n_groups * len(SENSORSCOPE_ATTRIBUTES)
     n_relays = n_nodes - n_sensor_nodes
     if n_relays < max(1, n_groups):
         raise ValueError(
@@ -263,7 +256,7 @@ def build_deployment(
 
     # Station coordinates: jittered grid covering the area.
     side = int(np.ceil(np.sqrt(n_groups)))
-    cell = area_size / side
+    cell = 100.0 / side
     coords: list[Location] = []
     for g in range(n_groups):
         gx, gy = g % side, g // side
@@ -286,12 +279,12 @@ def build_deployment(
         # splitting progressive (operators shed one slot per hop), which
         # is where the filter/split machinery earns its keep.
         previous = head
-        for attribute in attributes:
+        for attribute in SENSORSCOPE_ATTRIBUTES:
             short = "".join(w[0] for w in attribute.name.split("_"))
             sensor_id = f"d{g}_{short}"
             node_id = f"s{g}_{short}"
-            offset_x = float(rng.uniform(-station_spread, station_spread))
-            offset_y = float(rng.uniform(-station_spread, station_spread))
+            offset_x = float(rng.uniform(-1.0, 1.0))
+            offset_y = float(rng.uniform(-1.0, 1.0))
             placement = SensorPlacement(
                 sensor_id,
                 attribute,

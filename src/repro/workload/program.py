@@ -222,6 +222,17 @@ class WorkloadProgram:
       against the architecture graph and the replay statistics, and
       registration executes the resulting
       :class:`~repro.placement.plan.PlacementPlan` routing tables).
+      Compiled plans compose with ``churn``, ``faults`` and
+      ``reliability``: a plan replaces only the split, so a departure's
+      retraction fences the sensor's stored events at every broker,
+      planned pieces included, and a rejoin's re-flood lifts the fence;
+    * ``answer_mode``/``sketch`` select the approximate answer lane.
+      Construction checks only what no network can: the placement
+      value, approximate × compiled, churn without a dynamic replay,
+      the ``static_prefix`` range and ``replay_start``.  The lane rules (``answer_mode`` values, a
+      sketch config outside approximate mode, approximate × an
+      unreliable transport) are ``Network``'s, raised by
+      :func:`execute_program` before any node is populated.
 
     Programs are frozen, hashable and picklable — a program plus a
     deployment seed *is* the experiment, which is what makes points
@@ -247,30 +258,12 @@ class WorkloadProgram:
             raise ValueError(
                 f"placement must be 'paper' or 'compiled', got {self.placement!r}"
             )
-        if self.answer_mode not in ("exact", "approximate"):
+        # Network raises the other lane rules when the program executes;
+        # this one stays because check_plan only sees a planned query.
+        if self.answer_mode == "approximate" and self.placement == "compiled":
             raise ValueError(
-                f"answer_mode must be 'exact' or 'approximate', "
-                f"got {self.answer_mode!r}"
-            )
-        if self.sketch is not None and self.answer_mode != "approximate":
-            raise ValueError(
-                "a sketch config requires answer_mode='approximate'"
-            )
-        if self.answer_mode == "approximate":
-            if self.faults is not None or self.reliability is not None:
-                raise ValueError(
-                    "the approximate lane assumes lossless in-order "
-                    "delivery; it cannot ride the unreliable transport"
-                )
-            if self.placement == "compiled":
-                raise ValueError(
-                    "compiled placement routes exact operator trees; "
-                    "it cannot be combined with answer_mode='approximate'"
-                )
-        if self.placement == "compiled" and self.churn is not None:
-            raise ValueError(
-                "compiled placement prices a static architecture graph; "
-                "it cannot be combined with sensor churn"
+                "compiled placement routes exact operator trees; "
+                "it cannot be combined with answer_mode='approximate'"
             )
         if self.churn is not None and self.dynamic is None:
             raise ValueError("churn requires a dynamic replay")

@@ -261,7 +261,11 @@ drowns in the wide group's partials; the cost-model compiler delays the
 split toward the wide group's head, gating the flood at the edge.
 Figures 19-20 measure both placements on this scenario.  FSF runs with
 exact filtering so both lanes hold recall at 100% and the traffic axis
-is the only thing that moves."""
+is the only thing that moves.  The figures run the static one-day
+replay, but compiled plans also compose with a dynamic replay, sensor
+churn and a query lifecycle: the compiler still prices the static
+graph, and a departure fences the sensor's stored events at planned
+pieces as at any other, until its rejoin."""
 
 SKETCHES = Scenario(
     key="sketches",

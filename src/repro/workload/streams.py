@@ -34,7 +34,10 @@ class StreamProfile:
     diurnal_amplitude: float
     noise_sigma: float
     station_sigma: float
-    ar_coefficient: float = 0.8
+
+
+AR_COEFFICIENT = 0.8
+"""Lag-one autocorrelation of every stream's AR(1) noise."""
 
 
 # High-alpine autumn profiles for the five SensorScope attributes.
@@ -76,11 +79,11 @@ def synthesize_stream(
     noise[0] = rng.normal(0.0, profile.noise_sigma)
     innovations = rng.normal(
         0.0,
-        profile.noise_sigma * np.sqrt(1 - profile.ar_coefficient**2),
+        profile.noise_sigma * np.sqrt(1 - AR_COEFFICIENT**2),
         size=rounds,
     )
     for i in range(1, rounds):
-        noise[i] = profile.ar_coefficient * noise[i - 1] + innovations[i]
+        noise[i] = AR_COEFFICIENT * noise[i - 1] + innovations[i]
     values = profile.mean + station_offset + diurnal + noise
     return np.clip(values, attribute.domain.lo, attribute.domain.hi)
 
@@ -127,11 +130,11 @@ def synthesize_stream_at(
     noise[0] = rng.normal(0.0, profile.noise_sigma)
     innovations = rng.normal(
         0.0,
-        profile.noise_sigma * np.sqrt(1 - profile.ar_coefficient**2),
+        profile.noise_sigma * np.sqrt(1 - AR_COEFFICIENT**2),
         size=n,
     )
     for i in range(1, n):
-        noise[i] = profile.ar_coefficient * noise[i - 1] + innovations[i]
+        noise[i] = AR_COEFFICIENT * noise[i - 1] + innovations[i]
     values = profile.mean + station_offset + diurnal + drift + noise
     return np.clip(values, attribute.domain.lo, attribute.domain.hi)
 

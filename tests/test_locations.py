@@ -9,8 +9,6 @@ from repro.model.locations import (
     EVERYWHERE,
     Location,
     RectRegion,
-    SiteLocation,
-    SiteRegion,
     UnionRegion,
     bounding_rect,
     spatial_span,
@@ -87,19 +85,3 @@ class TestRegions:
         assert not rect.contains(Location(-1.1, 0))
         with pytest.raises(ValueError):
             bounding_rect([])
-
-
-class TestHierarchicalLocations:
-    def test_prefix_containment(self):
-        sensor = SiteLocation(("ch", "valais", "gsb", "station3"))
-        site = SiteLocation(("ch", "valais"))
-        assert sensor.is_within(site)
-        assert not site.is_within(sensor)
-        assert sensor.is_within(sensor)
-
-    def test_site_region(self):
-        region = SiteRegion(SiteLocation(("ch",)))
-        assert region.contains_site(SiteLocation(("ch", "gr", "davos")))
-        assert not region.contains_site(SiteLocation(("fr", "alps")))
-        with pytest.raises(TypeError):
-            region.contains(Location(0, 0))

@@ -50,8 +50,13 @@ from repro.network.topology import (
 )
 from repro.placement import compile_placement
 from repro.sim import Simulator
-from repro.workload.program import WorkloadProgram, execute_program
+from repro.workload.program import (
+    QueryLifecycleConfig,
+    WorkloadProgram,
+    execute_program,
+)
 from repro.workload.scenarios import PLACEMENT
+from repro.workload.sensorscope import ChurnConfig, DynamicReplayConfig
 from repro.workload.subscriptions import SubscriptionWorkloadConfig
 
 from deployments import line_deployment, make_network, publish
@@ -222,17 +227,8 @@ def compiled_point(n, **program_fields):
     return program.with_prefix(n).compile(deployment, program.source(deployment))
 
 
-def test_compiled_placement_rejects_churn_and_faults():
+def test_compiled_placement_composes_with_faults():
     subs = SubscriptionWorkloadConfig(n_subscriptions=5)
-    from repro.workload.sensorscope import ChurnConfig, DynamicReplayConfig
-
-    with pytest.raises(ValueError, match="churn"):
-        WorkloadProgram(
-            subscriptions=subs,
-            dynamic=DynamicReplayConfig(),
-            churn=ChurnConfig(),
-            placement="compiled",
-        )
     with pytest.raises(ValueError, match="placement"):
         WorkloadProgram(subscriptions=subs, placement="optimal")
     # Faults and the reliability layer are no longer refused: a re-offered
@@ -250,6 +246,47 @@ def test_compiled_placement_rejects_churn_and_faults():
         report = measure_recall(truths, execution.session.network.delivery)
         assert report.delivered_events > 0
         assert report.false_positive_events == 0
+
+
+def test_compiled_placement_survives_churn():
+    """Compiled plans under sensor churn and mid-run admissions: exact.
+
+    A plan replaces only the split, so a departure's retraction fences
+    the sensor's stored events at every broker, planned pieces included,
+    and a rejoin's re-flood lifts the fence.  A broker that kept a
+    departed sensor's events delivers 3 false-positive events here.
+    """
+    churned = compiled_point(
+        100,
+        dynamic=DynamicReplayConfig(days=2, rounds_per_day=18, day_seconds=240.0),
+        churn=ChurnConfig(cycle_fraction=0.25),
+        lifecycle=QueryLifecycleConfig(admit_rate=0.5, hold=60.0, max_admissions=60),
+    )
+    joins: dict[str, float] = {}
+    for t, sensor_id, kind in churned.churn.transitions():
+        if kind == "join":
+            joins.setdefault(sensor_id, t)
+    # Non-vacuous: plans route pieces over sensors that leave and rejoin.
+    assert any(
+        set(hop.sensors) & joins.keys()
+        for plan in churned.plans.values()
+        for hop in plan.hops
+    )
+    assert churned.scheduled
+    truths = churned.truth()
+    exact_fsf = filter_split_forward_approach(FSFConfig(exact_filtering=True))
+    for approach in (naive_approach(), operator_placement_approach(), exact_fsf):
+        delivery = execute_program(churned, approach).session.network.delivery
+        report = measure_recall(truths, delivery)
+        assert report.true_instances > 0
+        assert report.false_positive_events == 0
+        assert report.recall == 1.0
+        # ... and delivered events a sensor published after its rejoin.
+        assert any(
+            event.sensor_id in joins and event.timestamp >= joins[event.sensor_id]
+            for sub_id in truths
+            for event in delivery.delivered(sub_id).values()
+        )
 
 
 def planned_query():

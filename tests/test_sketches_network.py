@@ -37,7 +37,7 @@ from repro.network.network import Network
 from repro.network.reliability import ReliabilityConfig
 from repro.sim import Simulator
 from repro.sketches import QDigest, SketchConfig
-from repro.workload.program import WorkloadProgram
+from repro.workload.program import WorkloadProgram, execute_program
 from repro.workload.scenarios import SKETCHES
 from repro.workload.subscriptions import SubscriptionWorkloadConfig
 
@@ -371,23 +371,27 @@ def test_node_class_refuses_the_lane_without_a_session():
 
 
 def test_program_gates():
+    """The lane rules are Network's: a program reaches each of them when
+    it executes, and only approximate × compiled (which check_plan cannot
+    see for a query without a plan) is refused at construction."""
     subs = SubscriptionWorkloadConfig(n_subscriptions=4)
-    with pytest.raises(ValueError, match="answer_mode"):
-        WorkloadProgram(subscriptions=subs, answer_mode="fuzzy")
-    with pytest.raises(ValueError, match="approximate"):
-        WorkloadProgram(subscriptions=subs, sketch=SketchConfig())
-    with pytest.raises(ValueError, match="lossless"):
-        WorkloadProgram(
-            subscriptions=subs,
-            answer_mode="approximate",
-            faults=FaultPlan(default=LinkFault(drop=0.1), seed=1),
-        )
-    with pytest.raises(ValueError, match="lossless"):
-        WorkloadProgram(
-            subscriptions=subs,
-            answer_mode="approximate",
-            reliability=ReliabilityConfig(),
-        )
+    deployment = line_deployment()
+    refused = [
+        ("answer_mode", dict(answer_mode="fuzzy")),
+        ("approximate", dict(sketch=SketchConfig())),
+        (
+            "lossless",
+            dict(
+                answer_mode="approximate",
+                faults=FaultPlan(default=LinkFault(drop=0.1), seed=1),
+            ),
+        ),
+        ("lossless", dict(answer_mode="approximate", reliability=ReliabilityConfig())),
+    ]
+    for message, fields in refused:
+        program = WorkloadProgram(subscriptions=subs, **fields)
+        with pytest.raises(ValueError, match=message):
+            execute_program(program.compile(deployment), "fsf")
     with pytest.raises(ValueError, match="placement"):
         WorkloadProgram(
             subscriptions=subs,

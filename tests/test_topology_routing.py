@@ -55,7 +55,7 @@ class TestDeployments:
                 assert b in dep.graph[a] and a in dep.graph[b]
 
     def test_sensor_locations_near_station(self):
-        dep = build_deployment(60, 10, seed=3, station_spread=1.0)
+        dep = build_deployment(60, 10, seed=3)
         for members in dep.groups.values():
             locs = [m.location for m in members]
             for a in locs:
