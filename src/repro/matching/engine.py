@@ -21,19 +21,21 @@ matching around *per-operator incremental state*:
 * for finite ``delta_l`` the spatial combination search is pruned with
   a coarse uniform grid (:mod:`repro.matching.spatial`) before the
   exact backtracking runs — the decision stays exact;
-* live ingest routes through a per-sensor *interval-stabbing* segment
-  index (:class:`_StabbingIndex`): one bisect per arriving value finds
-  exactly the accepting slots across every registered matcher, instead
-  of evaluating each matcher's filters one by one;
+* live ingest routes through one registration list per sensor: an
+  arriving value is tested against the closed interval of every slot
+  drawing from its sensor, across all matchers, in registration order
+  (an arrival on the benchmark workloads scans 3-13 registrations on
+  average, at most 38, and most of them accept it, so a plain scan
+  costs what an interval-stabbing index would);
 * matchers are shared per *match structure* ``(slots, delta_t,
   delta_l)`` — everything the sweeps read.  Clones of one question
   (same filters, own subscription id and user node) index each arrival
   once and sweep it once;
-* matching is *arrival-driven*: the stabbing index has just found the
-  matchers whose filters accept the arrival, so the engine sweeps
-  those — and of those only the ones whose every slot holds an entry
-  recent enough to complete a window — and keeps the answers as the
-  arrival's **hit map** ``{matcher: participants}``
+* matching is *arrival-driven*: the sensor's registration list has
+  just named the matchers whose filters accept the arrival, so the
+  engine sweeps those — and of those only the ones whose every slot
+  holds an entry recent enough to complete a window — and keeps the
+  answers as the arrival's **hit map** ``{matcher: participants}``
   (:meth:`MatchingEngine.hits`).  Nodes route that map; no stored
   operator probes an arrival that cannot concern it.
 
@@ -120,7 +122,6 @@ class OperatorMatcher:
         "_delta_t",
         "_delta_l",
         "_timelines",
-        "_by_sensor",
         "_finite",
         "_min_ts",
         "_users",
@@ -133,41 +134,30 @@ class OperatorMatcher:
         self._delta_t = operator.delta_t
         self._delta_l = operator.delta_l
         self._timelines = [Timeline() for _ in operator.slots]
-        # Acceptance is only possible for slots that draw from the
-        # event's sensor — index them so the hot paths touch nothing
-        # else.  Because membership in this index already implies the
-        # slot's sensor test, the per-event check reduces to attribute
-        # equality plus the closed-interval bounds, compared inline.
-        by_sensor: dict[str, list[tuple]] = {}
-        for index, (slot, timeline) in enumerate(zip(operator.slots, self._timelines)):
-            interval = slot.interval
-            entry = (slot.attribute, interval.lo, interval.hi, timeline, index)
-            for sensor_id in sorted(slot.sensors):
-                by_sensor.setdefault(sensor_id, []).append(entry)
-        self._by_sensor = {
-            sensor_id: tuple(entries) for sensor_id, entries in by_sensor.items()
-        }
         self._finite = not math.isinf(operator.delta_l)
         self._min_ts = float("inf")  # earliest indexed timestamp
         self._users = 0  # operators the engine resolves to this matcher
 
     # ------------------------------------------------------------------
-    # ingest path (live events route through the engine's stabbing
-    # index instead; this slot-by-slot path serves the backfill)
+    # ingest path (live events route through the engine's registration
+    # lists instead; this slot-by-slot path serves the backfill and the
+    # offline oracle)
     # ------------------------------------------------------------------
     def ingest(self, event: SimpleEvent) -> None:
         """Index one stored event; acceptance tested once per slot."""
-        for attribute, lo, hi, timeline, _index in self._by_sensor.get(
-            event.sensor_id, ()
-        ):
-            if event.attribute == attribute and lo <= event.value <= hi:
+        for slot, timeline in zip(self.structure[0], self._timelines):
+            if slot.accepts(event):
                 timeline.add(event)
                 if event.timestamp < self._min_ts:
                     self._min_ts = event.timestamp
 
+    def sensors(self) -> list[str]:
+        """Every sensor some slot draws from, sorted."""
+        return sorted({s for slot in self.structure[0] for s in slot.sensors})
+
     def backfill(self, store: "EventStore") -> None:
         """Index the store's current visible content (late registration)."""
-        for sensor_id in self._by_sensor:
+        for sensor_id in self.sensors():
             for event in store.sensor_events(sensor_id):
                 self.ingest(event)
 
@@ -199,10 +189,9 @@ class OperatorMatcher:
         number of dropped entries.
         """
         dropped = 0
-        for _attribute, _lo, _hi, timeline, _index in self._by_sensor.get(
-            sensor_id, ()
-        ):
-            dropped += timeline.drop_sensor(sensor_id, until)
+        for slot, timeline in zip(self.structure[0], self._timelines):
+            if sensor_id in slot.sensors:
+                dropped += timeline.drop_sensor(sensor_id, until)
         if dropped:
             self._refresh_min_ts()
         return dropped
@@ -220,7 +209,7 @@ class OperatorMatcher:
         result is read-only — the engine hands the one object to every
         operator sharing this matcher.  ``own`` is the index of the
         first slot accepting ``event``; the engine's ingest passes the
-        one its stabbing index found, anyone else leaves it out.
+        one its registration list found, anyone else leaves it out.
         """
         if own is None:
             own = self._own_slot_index(event)
@@ -300,10 +289,8 @@ class OperatorMatcher:
 
     def _own_slot_index(self, event: SimpleEvent) -> int | None:
         """Index of the first slot accepting ``event`` (reference order)."""
-        for attribute, lo, hi, _timeline, index in self._by_sensor.get(
-            event.sensor_id, ()
-        ):
-            if event.attribute == attribute and lo <= event.value <= hi:
+        for index, slot in enumerate(self.structure[0]):
+            if slot.accepts(event):
                 return index
         return None
 
@@ -503,134 +490,30 @@ def sweep_spatial(
     }
 
 
-class _StabbingIndex:
-    """Interval-stabbing ingest index for one sensor's registrations.
+def _accepting(registrations: list, attribute: str, value: float) -> list:
+    """``(timeline, matcher, slot index)`` of every registration of one
+    sensor whose filter accepts ``(attribute, value)``, in registration
+    order: a matcher registers its slots back to back and in slot
+    order, so its first entry is the slot the reference calls the
+    event's own."""
+    return [
+        payload
+        for a, lo, hi, payload in registrations
+        if a == attribute and lo <= value <= hi
+    ]
 
-    Slot filters are closed intervals; their endpoints cut the value
-    axis into elementary segments (alternating open ranges and endpoint
-    points), and within one segment the set of accepting slots is
-    constant.  Routing an arriving value is then a single bisect plus
-    appends to exactly the accepting timelines — O(log B + hits) —
-    instead of one filter evaluation per registered matcher.
 
-    The index is built once, at the first arrival after registrations
-    began, and from then on only edited as queries are admitted and
-    retired (Lee et al., *Progressive Processing of Continuous Range
-    Queries*): it always equals a fresh build of its live registrations
-    in registration order.
+def _discard(registrations: list, matcher: "OperatorMatcher") -> None:
+    """Remove every registration of ``matcher`` (operator teardown).
+
+    A matcher the list does not hold raises ``KeyError``: like an
+    unpaired :meth:`MatchingEngine.release`, it is a bookkeeping bug,
+    never a no-op.
     """
-
-    __slots__ = ("_registrations", "_by_attr")
-
-    def __init__(self) -> None:
-        # matcher -> its (attribute, lo, hi, (timeline, matcher, slot
-        # index)) registrations.  A matcher registers all its slots in
-        # one go, so dict order is registration order.
-        self._registrations: dict[object, tuple] = {}
-        # attribute -> (bounds, segments, uses), built at the first
-        # arrival and edited in place by every add and discard after it.
-        # bounds are the sorted distinct endpoints of the attribute's
-        # live filters and uses[j] counts the filters ending at
-        # bounds[j]; segment 2j+1 is the point [bounds[j]], segment 2j
-        # the open range (bounds[j-1], bounds[j]) (2·0 and 2·len(bounds)
-        # lie outside every filter), each a tuple of payloads in
-        # registration order.
-        self._by_attr: dict[str, tuple[list[float], list[tuple], list[int]]] | None
-        self._by_attr = None
-
-    def add(self, attribute, interval, timeline, matcher, own: int) -> None:
-        # Empty filters are registered too (and cut nothing): the index
-        # then stays non-empty for as long as any matcher draws from
-        # the sensor, which is what teardown relies on.
-        payload = (timeline, matcher, own)
-        registration = (attribute, interval.lo, interval.hi, payload)
-        registrations = self._registrations
-        registrations[matcher] = registrations.get(matcher, ()) + (registration,)
-        if self._by_attr is not None:
-            self._insert(*registration)
-
-    def discard(self, matcher) -> None:
-        """Remove every registration of ``matcher`` (operator teardown).
-
-        A matcher the index never registered raises ``KeyError``: like
-        an unpaired :meth:`MatchingEngine.release`, it is a bookkeeping
-        bug, never a no-op.
-        """
-        registrations = self._registrations.pop(matcher)
-        by_attr = self._by_attr
-        if by_attr is None:
-            return
-        for attribute, lo, hi, payload in registrations:
-            if lo > hi:
-                continue
-            bounds, segments, uses = by_attr[attribute]
-            first = bisect_left(bounds, lo)
-            last = bisect_left(bounds, hi, first)
-            for k in range(2 * first + 1, 2 * last + 2):
-                segment = segments[k]
-                at = segment.index(payload)
-                segments[k] = segment[:at] + segment[at + 1 :]
-            # An endpoint no live filter uses any more stops cutting: its
-            # point and the range to its right hold what the range to its
-            # left holds (every filter left covers all three or none).
-            for x in (hi, lo) if lo < hi else (lo,):
-                j = bisect_left(bounds, x)
-                uses[j] -= 1
-                if not uses[j]:
-                    del bounds[j], uses[j], segments[2 * j + 1 : 2 * j + 3]
-            if not bounds:
-                del by_attr[attribute]
-
-    def __bool__(self) -> bool:
-        return bool(self._registrations)
-
-    def targets(self, attribute: str, value: float) -> tuple:
-        """``(timeline, matcher, slot index)`` of every slot accepting
-        ``value``, in registration order: a matcher's slots are
-        adjacent and in slot order, so its first entry is the slot the
-        reference calls the event's own."""
-        if self._by_attr is None:
-            self._build()
-        entry = self._by_attr.get(attribute)
-        if entry is None:
-            return ()
-        bounds, segments, _uses = entry
-        i = bisect_left(bounds, value)
-        if i < len(bounds) and bounds[i] == value:
-            return segments[2 * i + 1]
-        return segments[2 * i]
-
-    def _build(self) -> None:
-        """The first build: every registration so far, in order, as an
-        edit of the empty index — the only build an index ever gets."""
-        self._by_attr = {}
-        for registrations in self._registrations.values():
-            for registration in registrations:
-                self._insert(*registration)
-
-    def _insert(self, attribute, lo, hi, payload) -> None:
-        if lo > hi:
-            return  # an empty filter accepts nothing
-        entry = self._by_attr.get(attribute)
-        if entry is None:
-            entry = self._by_attr[attribute] = ([], [()], [])
-        bounds, segments, uses = entry
-        for x in (lo, hi) if lo < hi else (lo,):
-            j = bisect_left(bounds, x)
-            if j < len(bounds) and bounds[j] == x:
-                uses[j] += 1
-                continue
-            # A new endpoint splits the open range it falls in into
-            # (range, point, range), each accepting what the range did.
-            bounds.insert(j, x)
-            uses.insert(j, 1)
-            segments[2 * j : 2 * j + 1] = (segments[2 * j],) * 3
-        # The newest registration goes last in every segment it covers,
-        # where a fresh build in registration order would place it.
-        first = bisect_left(bounds, lo)
-        last = bisect_left(bounds, hi, first)
-        for k in range(2 * first + 1, 2 * last + 2):
-            segments[k] += (payload,)
+    kept = [r for r in registrations if r[3][1] is not matcher]
+    if len(kept) == len(registrations):
+        raise KeyError(matcher)
+    registrations[:] = kept
 
 
 class MatchingEngine:
@@ -667,7 +550,11 @@ class MatchingEngine:
         # held yet builds and hashes its structure key.
         self._held: dict[CorrelationOperator, list] = {}
         self._shared: dict[tuple, OperatorMatcher] = {}
-        self._ingest_index: dict[str, _StabbingIndex] = {}
+        # sensor -> its registrations (attribute, lo, hi, (timeline,
+        # matcher, slot index)) in registration order.  Empty filters
+        # are registered too (they accept nothing): a sensor's list is
+        # non-empty for as long as any matcher draws from it.
+        self._ingest_index: dict[str, list[tuple]] = {}
         self._adds_since_sweep = 0
         store.add_listener(self)
 
@@ -678,13 +565,13 @@ class MatchingEngine:
         """Index the arrival and match it: Algorithm 5's question asked
         from the arrival's side.
 
-        The stabbing index names exactly the slots accepting the
-        arrival; their matchers are the only ones it can complete a
-        window of.  Of those, one is swept only if every one of its
-        slots holds an entry newer than ``t0 − Δt``: every candidate
-        trigger ``t*`` of an arrival at ``t0`` has ``t* >= t0`` and
-        needs an entry in ``(t* − Δt, t*]`` in every slot.  The test is
-        exact, so whatever it skips has no match.
+        The sensor's registration list names exactly the slots
+        accepting the arrival; their matchers are the only ones it can
+        complete a window of.  Of those, one is swept only if every one
+        of its slots holds an entry newer than ``t0 − Δt``: every
+        candidate trigger ``t*`` of an arrival at ``t0`` has ``t* >=
+        t0`` and needs an entry in ``(t* − Δt, t*]`` in every slot.  The
+        test is exact, so whatever it skips has no match.
         """
         self._adds_since_sweep += 1
         if self._adds_since_sweep >= self._PRUNE_SWEEP_EVERY:
@@ -693,10 +580,10 @@ class MatchingEngine:
                 matcher._prune()
         self._hits_event = event
         self._hits = hits = {}
-        index = self._ingest_index.get(event.sensor_id)
-        if index is None:
+        registrations = self._ingest_index.get(event.sensor_id)
+        if registrations is None:
             return
-        targets = index.targets(event.attribute, event.value)
+        targets = _accepting(registrations, event.attribute, event.value)
         if not targets:
             return
         timestamp = event.timestamp
@@ -746,9 +633,9 @@ class MatchingEngine:
     def sensor_fenced(self, sensor_id: str) -> None:
         """Mirror a store fence: drop the sensor from every matcher.
 
-        Guarded by each matcher's per-sensor index, the scan is O(1)
-        for matchers that never drew from the sensor; churn transitions
-        are rare enough that the linear walk over matchers is noise.
+        A matcher that never drew from the sensor costs one membership
+        test per slot; churn transitions are rare enough that the linear
+        walk over matchers is noise.
         """
         self._hits_event = None
         for matcher in self._shared.values():
@@ -781,14 +668,16 @@ class MatchingEngine:
             if found is None:
                 found = self._shared[structure] = OperatorMatcher(operator, self)
                 found.backfill(self._store)
+                ingest_index = self._ingest_index
                 for own, (slot, timeline) in enumerate(
                     zip(operator.slots, found._timelines)
                 ):
+                    interval = slot.interval
+                    registration = (
+                        slot.attribute, interval.lo, interval.hi, (timeline, found, own)
+                    )
                     for sensor_id in sorted(slot.sensors):
-                        index = self._ingest_index.get(sensor_id)
-                        if index is None:
-                            index = self._ingest_index[sensor_id] = _StabbingIndex()
-                        index.add(slot.attribute, slot.interval, timeline, found, own)
+                        ingest_index.setdefault(sensor_id, []).append(registration)
             found._users += 1
             held = self._held[operator] = [found, 0]
         held[1] += 1
@@ -800,9 +689,10 @@ class MatchingEngine:
         The operator's last release detaches it from its matcher, and
         the matcher is torn down with the last operator resolving to it
         — siblings sharing the structure keep theirs untouched.
-        Teardown scrubs the timelines out of every per-sensor ingest
-        index and drops indexes that became empty: the engine ends in
-        the state it would hold had the operator never been registered.
+        Teardown filters the matcher out of every per-sensor
+        registration list and drops lists that became empty: the engine
+        ends in the state it would hold had the operator never been
+        registered.
         Every release must pair with a retain; an unpaired one is a
         refcount bug and raises ``KeyError``.
         """
@@ -816,10 +706,10 @@ class MatchingEngine:
         if matcher._users:
             return
         del self._shared[matcher.structure]
-        for sensor_id in matcher._by_sensor:
-            index = self._ingest_index[sensor_id]
-            index.discard(matcher)
-            if not index:
+        for sensor_id in matcher.sensors():
+            registrations = self._ingest_index[sensor_id]
+            _discard(registrations, matcher)
+            if not registrations:
                 del self._ingest_index[sensor_id]
 
     def operators(self) -> list[CorrelationOperator]:
@@ -836,5 +726,5 @@ class MatchingEngine:
 
     @property
     def n_indexed_sensors(self) -> int:
-        """Sensors with a live ingest index; 0 once every matcher is gone."""
+        """Sensors with live registrations; 0 once every matcher is gone."""
         return len(self._ingest_index)

@@ -33,6 +33,9 @@ class SimpleEvent:
     value: float
     timestamp: float
     seq: int = 0
+    key: EventKey = field(init=False, repr=False, compare=False)
+    """Identity used for duplicate suppression on links: built once, so
+    every node's per-link flags share the one tuple per reading."""
 
     def __post_init__(self) -> None:
         # Pin timestamps (and values) to float so every comparison —
@@ -44,11 +47,7 @@ class SimpleEvent:
             object.__setattr__(self, "timestamp", float(self.timestamp))
         if type(self.value) is not float:
             object.__setattr__(self, "value", float(self.value))
-
-    @property
-    def key(self) -> EventKey:
-        """Identity used for duplicate suppression on links."""
-        return (self.sensor_id, self.seq)
+        object.__setattr__(self, "key", (self.sensor_id, self.seq))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

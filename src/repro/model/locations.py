@@ -73,22 +73,6 @@ class RectRegion(Region):
     def contains(self, location: Location) -> bool:
         return self.x_range.contains(location.x) and self.y_range.contains(location.y)
 
-    def contains_region(self, other: "RectRegion") -> bool:
-        """Rectangle-in-rectangle containment (used for region coverage)."""
-        return self.x_range.contains_interval(
-            other.x_range
-        ) and self.y_range.contains_interval(other.y_range)
-
-    @classmethod
-    def around(cls, center: Location, half_width: float) -> "RectRegion":
-        """Square region centred on ``center`` with the given half width."""
-        if half_width < 0:
-            raise ValueError("half_width must be non-negative")
-        return cls(
-            Interval(center.x - half_width, center.x + half_width),
-            Interval(center.y - half_width, center.y + half_width),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class CircleRegion(Region):

@@ -25,7 +25,7 @@ from repro import (
     Session,
     SimpleEvent,
 )
-from repro.model import AbstractSubscription, Location, bounding_rect
+from repro.model import AbstractSubscription, Interval, Location, bounding_rect
 from repro.model.locations import CircleRegion, RectRegion
 from repro.network.network import Network
 from repro.network.topology import build_deployment
@@ -86,7 +86,7 @@ class TestQueryBuilder:
 
     def test_abstract_with_explicit_region_and_default_region(self):
         session = small_session()
-        region = RectRegion.around(Location(0.0, 0.0), 30.0)
+        region = RectRegion(Interval(-30.0, 30.0), Interval(-30.0, 30.0))
         sub = (
             Query().named("r").where("wind_speed", 0.0, 50.0).near(region, 10.0)
         ).build(session.deployment)

@@ -88,9 +88,11 @@ def test_matching_engine_release_drains_index():
 
 
 def test_operator_matcher_by_sensor_is_sorted():
+    """The matcher keeps no sensor index of its own: backfill and
+    teardown walk the sensors it derives from its slots, sorted."""
     engine = MatchingEngine(EventStore(validity=100.0))
     matcher = engine.retain(abstract_operator())
-    assert list(matcher._by_sensor) == EXPECTED_INDEX_ORDER
+    assert matcher.sensors() == sorted(EXPECTED_INDEX_ORDER)
 
 
 def test_node_local_by_sensor_is_sorted():

@@ -54,18 +54,6 @@ class TestRegions:
         assert r.contains(Location(10, 5)) and r.contains(Location(0, 0))
         assert not r.contains(Location(11, 1))
 
-    def test_rect_around(self):
-        r = RectRegion.around(Location(5, 5), 2.0)
-        assert r.contains(Location(3, 7)) and not r.contains(Location(2.9, 5))
-        with pytest.raises(ValueError):
-            RectRegion.around(Location(0, 0), -1.0)
-
-    def test_rect_contains_region(self):
-        outer = RectRegion(Interval(0, 10), Interval(0, 10))
-        inner = RectRegion(Interval(2, 8), Interval(2, 8))
-        assert outer.contains_region(inner)
-        assert not inner.contains_region(outer)
-
     def test_circle(self):
         c = CircleRegion(Location(0, 0), 5.0)
         assert c.contains(Location(3, 4)) and not c.contains(Location(3.1, 4))

@@ -14,22 +14,20 @@ The same scenarios fence arrival-driven matching: after every stored
 arrival the engine's hit map must hold exactly the retained operators
 the reference finds a match for, with the reference's participants in
 the reference's order — so the ingest-time pre-check may never skip a
-matcher that has a match, and the slot index the stabbing index hands
-the sweep must be the reference's own slot.
+matcher that has a match, and the slot index the sensor's registration
+list hands the sweep must be the reference's own slot.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.matching import MatchingEngine
-from repro.matching.engine import _StabbingIndex
+from repro.matching.engine import _accepting, _discard
 from repro.model import Interval, Location, SimpleEvent
 from repro.model.matching import (
     instance_exists as reference_instance_exists,
@@ -303,9 +301,9 @@ def test_hit_map_sweeps_a_doubly_accepting_arrival_once_as_its_first_slot(spatia
     engine = MatchingEngine(store)
     matcher = engine.retain(operator)
     both = reading("s", 1.0, 0, value=7.0)
-    # The index lists a matcher's accepting slots adjacently and in
+    # The list holds a matcher's accepting slots adjacently and in
     # slot order, so the first is the reference's own slot.
-    accepting = engine._ingest_index["s"].targets("t", both.value)
+    accepting = _accepting(engine._ingest_index["s"], "t", both.value)
     assert [(m, own) for _timeline, m, own in accepting] == [(matcher, 0), (matcher, 1)]
     assert operator.slots[0] is operator.slot_for_event(both)
     store.add(both, now=1.0)
@@ -320,174 +318,144 @@ def test_hit_map_sweeps_a_doubly_accepting_arrival_once_as_its_first_slot(spatia
 
 
 # ---------------------------------------------------------------------------
-# the stabbing index, edited in place
+# the ingest index: one registration list per sensor, edited in place
 # ---------------------------------------------------------------------------
-def fresh_build(registrations):
-    """Per-attribute ``(bounds, segments)`` of an index built from scratch
-    over ``registrations`` (``(attribute, lo, hi, payload)`` in
-    registration order): the batch build the engine once re-ran after
-    every admission and retirement, kept here as the oracle of the
-    in-place edits."""
-    groups = {}
-    for attribute, lo, hi, payload in registrations:
-        if lo <= hi:  # empty filters accept nothing
-            groups.setdefault(attribute, []).append((lo, hi, payload))
-    built = {}
-    for attribute, regs in groups.items():
-        bounds = sorted({x for lo, hi, _payload in regs for x in (lo, hi)})
-        # segment 2j+1 = the point [bounds[j]];
-        # segment 2j   = the open range (bounds[j-1], bounds[j])
-        segments = [[] for _ in range(2 * len(bounds) + 1)]
-        for lo, hi, payload in regs:
-            first = bisect_left(bounds, lo)
-            last = bisect_left(bounds, hi)
-            for j in range(first, last + 1):
-                segments[2 * j + 1].append(payload)
-            for j in range(first + 1, last + 1):
-                segments[2 * j].append(payload)
-        built[attribute] = (bounds, [tuple(s) for s in segments])
-    return built
+GRID = [float(x) for x in range(6)]
 
 
-def registered(index):
-    """The index's live registrations, in registration order."""
-    return [reg for regs in index._registrations.values() for reg in regs]
+def random_filter_operator(rng, name: str, delta_t: float) -> CorrelationOperator:
+    """One or two slots drawing from sensor ``s`` (slot ``y`` now and
+    then from ``o`` too), each with its own filter on attribute ``t`` or
+    ``u``: a range on the grid, a point (``lo == hi``) or an empty
+    filter."""
+    slots = []
+    for slot_id in ("x", "y")[: 1 + int(rng.random() < 0.3)]:
+        lo, hi = sorted(float(v) for v in rng.choice(GRID, size=2))
+        if rng.random() < 0.1:
+            lo, hi = hi + 1.0, lo  # an empty filter: registered, never hit
+        attribute = "t" if rng.random() < 0.7 else "u"
+        sensors = {"s", "o"} if slot_id == "y" and rng.random() < 0.5 else {"s"}
+        slots.append(Slot(slot_id, attribute, Interval(lo, hi), frozenset(sensors)))
+    return CorrelationOperator(name, "user", slots, delta_t)
 
 
-def assert_equals_fresh_build(index, registrations):
-    """``index`` holds ``registrations`` and, once built, exactly what a
-    fresh build of them holds: no cut that no live filter makes, and
-    every endpoint counted once per live filter ending there."""
-    assert bool(index) == bool(registrations)
-    if index._by_attr is None:
-        return  # not built yet: nothing arrived since registrations began
-    got = {
-        attribute: (bounds, segments)
-        for attribute, (bounds, segments, _uses) in index._by_attr.items()
-    }
-    assert got == fresh_build(registrations)
-    for attribute, (bounds, _segments, uses) in index._by_attr.items():
-        ends = Counter(
-            x
-            for a, lo, hi, _payload in registrations
-            if a == attribute and lo <= hi
-            for x in {lo, hi}
+def live_registrations(matchers, sensor_id):
+    """What ``sensor_id``'s list must hold: one ``(attribute, lo, hi,
+    (timeline, matcher, slot index))`` per live slot drawing from the
+    sensor, matchers in registration order and slots in slot order."""
+    return [
+        (slot.attribute, slot.interval.lo, slot.interval.hi, (timeline, matcher, own))
+        for matcher in matchers
+        for own, (slot, timeline) in enumerate(
+            zip(matcher.structure[0], matcher._timelines)
         )
-        assert len(bounds) == len(ends)
-        assert dict(zip(bounds, uses)) == ends
+        if sensor_id in slot.sensors
+    ]
 
 
-def index_probes(bounds):
-    """One value per elementary segment: every endpoint, every gap."""
-    points = sorted(bounds)
-    gaps = [(a + b) / 2 for a, b in zip(points, points[1:])]
-    return [points[0] - 1.0, *points, *gaps, points[-1] + 1.0]
+def index_probes(grid):
+    """Every endpoint, every gap between two, and one value either side."""
+    gaps = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+    return [grid[0] - 1.0, *grid, *gaps, grid[-1] + 1.0]
+
+
+def admit_or_retire(rng, engine, live, step, retire_share):
+    """One random step: retire a live operator, or admit a new one (its
+    own ``delta_t``, so it gets its own matcher)."""
+    if live and rng.random() < retire_share:
+        victim = list(live)[int(rng.integers(0, len(live)))]
+        del live[victim]
+        engine.release(victim)
+    else:
+        operator = random_filter_operator(rng, f"q{step}", 1.0 + step)
+        live[operator] = engine.retain(operator)
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_stabbing_index_extended_in_place_equals_a_rebuild(seed):
-    """Registrations extend the built index in place, whether or not
-    their endpoints already cut the axis; whatever the sequence, it
-    routes like an index built from scratch over the same registrations
-    — per segment and in order, which is what decides the own slot."""
+    """Admissions append to a sensor's list and retirements filter it;
+    whatever the sequence, the list routes like one an engine builds
+    from scratch over the same live operators — per value and in
+    order, which is what decides the own slot."""
     rng = np.random.default_rng(seed)
-    grid = [float(x) for x in range(6)]
-    index = _StabbingIndex()
-    registrations = []
-    in_place = 0
+    engine = MatchingEngine(EventStore(validity=100.0))
+    live = {}
+    retired = 0
     for step in range(30):
-        if registrations and rng.random() < 0.15:
-            victim = registrations[int(rng.integers(0, len(registrations)))][3]
-            registrations = [reg for reg in registrations if reg[3] is not victim]
-            index.discard(victim)
-        else:
-            lo, hi = sorted(rng.choice(grid, size=2))
-            if rng.random() < 0.1:
-                lo, hi = hi + 1.0, lo  # an empty filter: kept, never hit
-            attribute = "t" if rng.random() < 0.8 else "u"
-            matcher = object()
-            # Two slots of one matcher, as MatchingEngine.matcher adds them.
-            for own in range(1 + int(rng.random() < 0.3)):
-                registration = (attribute, Interval(lo, hi), object(), matcher, own)
-                built = index._by_attr
-                index.add(*registration)
-                registrations.append(registration)
-                if built is not None:
-                    assert index._by_attr is built, "a registration rebuilt"
-                    in_place += 1
-        rebuilt = _StabbingIndex()
-        for registration in registrations:
-            rebuilt.add(*registration)
-        for attribute in ("t", "u"):
-            for value in index_probes(grid):
-                assert index.targets(attribute, value) == rebuilt.targets(
-                    attribute, value
-                ), (seed, step, attribute, value)
-    assert in_place
+        before = len(live)
+        admit_or_retire(rng, engine, live, step, 0.15)
+        retired += len(live) < before
+        rebuilt = MatchingEngine(EventStore(validity=100.0))
+        for operator in live:
+            rebuilt.retain(operator)
+        assert list(engine._ingest_index) == list(rebuilt._ingest_index)
+        for sensor_id in engine._ingest_index:
+            for attribute in ("t", "u"):
+                for value in index_probes(GRID):
+                    got, want = (
+                        [
+                            (matcher.structure, own)
+                            for _timeline, matcher, own in _accepting(
+                                side._ingest_index[sensor_id], attribute, value
+                            )
+                        ]
+                        for side in (engine, rebuilt)
+                    )
+                    assert got == want, (seed, step, sensor_id, attribute, value)
+    assert retired
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_stabbing_index_edited_in_place_equals_a_fresh_build(seed):
-    """Built once, at the first arrival, and only edited after it:
-    whatever the add/discard sequence, the index equals a fresh build
-    of its live registrations — per segment and in order, which is what
-    decides the own slot — and routes every value to exactly the
-    filters accepting it."""
+    """Whatever the admit/retire sequence, each sensor's list is exactly
+    its live registrations in registration order (a list exists only
+    while one does), and routes every value to exactly the slots that
+    accept it — brute force over the live operators — with each
+    matcher's first entry the reference's own slot."""
     rng = np.random.default_rng(seed)
-    grid = [float(x) for x in range(6)]
-    index = _StabbingIndex()
-    registrations = []
-    first_arrival = int(rng.integers(0, 8))
-    edited = 0
+    engine = MatchingEngine(EventStore(validity=100.0))
+    live = {}
     for step in range(40):
-        if step == first_arrival:
-            index.targets("t", grid[0])
-        if registrations and rng.random() < 0.3:
-            victim = registrations[int(rng.integers(0, len(registrations)))][3][1]
-            registrations = [reg for reg in registrations if reg[3][1] is not victim]
-            index.discard(victim)
-        else:
-            matcher = object()
-            # One or two slots, registered back to back like
-            # MatchingEngine.matcher does, each with its own filter.
-            for own in range(1 + int(rng.random() < 0.3)):
-                lo, hi = sorted(rng.choice(grid, size=2))  # lo == hi: a point
-                if rng.random() < 0.1:
-                    lo, hi = hi + 1.0, lo  # an empty filter: kept, never hit
-                attribute = "t" if rng.random() < 0.7 else "u"
-                payload = (object(), matcher, own)
-                index.add(attribute, Interval(lo, hi), *payload)
-                registrations.append((attribute, lo, hi, payload))
-        assert registered(index) == registrations
-        assert_equals_fresh_build(index, registrations)
-        if index._by_attr is None:
-            continue
-        edited += 1
-        for attribute in ("t", "u"):
-            for value in index_probes(grid):
-                want = tuple(
-                    payload
-                    for a, lo, hi, payload in registrations
-                    if a == attribute and lo <= value <= hi
-                )
-                assert index.targets(attribute, value) == want, (seed, step, value)
-    assert edited
+        admit_or_retire(rng, engine, live, step, 0.3)
+        matchers = list(live.values())
+        for sensor_id in ("s", "o"):
+            registrations = engine._ingest_index.get(sensor_id, [])
+            assert registrations == live_registrations(matchers, sensor_id)
+            assert (sensor_id in engine._ingest_index) == bool(registrations)
+            for attribute in ("t", "u"):
+                for value in index_probes(GRID):
+                    event = SimpleEvent(
+                        sensor_id, attribute, Location(0.0, 0.0), value, 1.0
+                    )
+                    accepting = [
+                        (timeline, matcher, own)
+                        for operator, matcher in live.items()
+                        for own, (slot, timeline) in enumerate(
+                            zip(operator.slots, matcher._timelines)
+                        )
+                        if slot.accepts(event)
+                    ]
+                    routed = _accepting(registrations, attribute, value)
+                    assert routed == accepting, (seed, step, sensor_id, value)
+                    firsts = {}
+                    for _timeline, matcher, own in routed:
+                        firsts.setdefault(matcher, own)
+                    for operator, matcher in live.items():
+                        if matcher in firsts:
+                            own = operator.slots[firsts[matcher]]
+                            assert own is operator.slot_for_event(event)
 
 
 def test_stabbing_index_discard_of_an_unregistered_matcher_raises():
     """Like an unpaired ``MatchingEngine.release``: a bookkeeping bug
-    raises, built or not, and changes nothing."""
-    index = _StabbingIndex()
+    raises and changes nothing."""
     matcher = object()
-    index.add("t", Interval(0.0, 2.0), object(), matcher, 0)
+    registration = ("t", 0.0, 2.0, (object(), matcher, 0))
+    registrations = [registration]
     with pytest.raises(KeyError):
-        index.discard(object())
-    index.targets("t", 1.0)  # the first arrival builds it
+        _discard(registrations, object())
+    assert registrations == [registration]
+    _discard(registrations, matcher)
+    assert registrations == []
     with pytest.raises(KeyError):
-        index.discard(object())
-    assert_equals_fresh_build(index, registered(index))
-    assert len(registered(index)) == 1
-    index.discard(matcher)
-    assert not index and index._by_attr == {}
-    with pytest.raises(KeyError):
-        index.discard(matcher)  # a second discard is unpaired too
+        _discard(registrations, matcher)  # a second discard is unpaired too

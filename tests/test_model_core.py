@@ -34,6 +34,27 @@ class TestEvents:
     def test_event_key_identity(self):
         assert ev(seq=3).key == ("d1", 3)
 
+    def test_event_key_is_built_once(self):
+        """The key is a stored field, not a property: every reader shares
+        one tuple per reading.  It survives pickling, is rebuilt by
+        ``dataclasses.replace`` and takes no part in ``==``, ``hash`` or
+        ``repr``."""
+        import pickle
+        from dataclasses import replace
+
+        e = ev(seq=3)
+        assert e.key is e.key
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy == e and copy.key == ("d1", 3)
+        assert replace(e, seq=4).key == ("d1", 4)
+        assert replace(e, sensor_id="d2").key == ("d2", 3)
+        with pytest.raises(ValueError):
+            replace(e, key=("d9", 9))  # not an init field
+        forged = ev(seq=3)
+        object.__setattr__(forged, "key", ("d9", 9))
+        assert forged == e and hash(forged) == hash(e)
+        assert "key" not in repr(e)
+
     def test_complex_event_orders_members(self):
         c = ComplexEvent([ev(ts=5.0), ev(sensor="d2", ts=1.0)])
         assert [e.timestamp for e in c.events] == [1.0, 5.0]
