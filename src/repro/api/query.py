@@ -31,6 +31,7 @@ from ..model.filters import AbstractFilter, IdentifiedFilter, SimpleFilter
 from ..model.intervals import Interval
 from ..model.locations import CircleRegion, Location, Region, bounding_rect
 from ..model.subscriptions import (
+    PAPER_DELTA_T,
     UNBOUNDED,
     AbstractSubscription,
     IdentifiedSubscription,
@@ -39,11 +40,6 @@ from ..model.subscriptions import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..network.topology import Deployment
-
-DEFAULT_DELTA_T = 5.0
-"""Temporal correlation distance used when ``within`` is never called
-(the paper's experiments use delta_t = 5 s throughout)."""
-
 
 class QueryError(ValueError):
     """A query cannot compile against the session's deployment."""
@@ -143,7 +139,7 @@ class Query:
         name = sub_id if sub_id is not None else self.name
         if name is None:
             raise QueryError("query has no name; use .named() or submit via a Session")
-        delta_t = self.delta_t if self.delta_t is not None else DEFAULT_DELTA_T
+        delta_t = self.delta_t if self.delta_t is not None else PAPER_DELTA_T
         placements = {p.sensor_id: p for p in deployment.sensors}
         attributes = {p.attribute.name for p in deployment.sensors}
         sensor_clauses = [c for c in self.clauses if c.target in placements]

@@ -71,13 +71,10 @@ class Session:
         nodes: int = 24,
         groups: int = 3,
         seed: int | None = None,
-        latency: float = 0.05,
-        delta_t: float = 5.0,
         deployment: Deployment | None = None,
         fsf_config=None,
         faults=None,
         reliability=None,
-        answer_mode: str = "exact",
         sketch=None,
     ) -> "Session":
         """Assemble a ready-to-use session.
@@ -93,13 +90,11 @@ class Session:
         ``faults``/``reliability`` switch the network onto the seeded
         unreliable transport (:mod:`repro.network.faults`) and the
         opt-in ack/refresh layer (:mod:`repro.network.reliability`).
-        ``answer_mode="approximate"`` (optionally with a
-        :class:`~repro.sketches.SketchConfig`) turns on the broker
-        sketch lane: single-slot range queries are answered from merged
-        q-digests with a certified error bracket instead of raw events
-        (:meth:`approx_answers`); the default ``"exact"`` is
-        machine-checked bit-identical to a session created without the
-        argument.
+        A :class:`~repro.sketches.SketchConfig` as ``sketch`` turns on
+        the broker sketch lane: single-slot range queries are answered
+        from merged q-digests with a certified error bracket instead of
+        raw events (:meth:`approx_answers`); without one the session is
+        exact.
         """
         from ..protocols.registry import all_approaches  # local: avoid cycle
 
@@ -120,11 +115,8 @@ class Session:
         network = Network(
             deployment,
             Simulator(seed=seed),
-            latency=latency,
-            delta_t=delta_t,
             faults=faults,
             reliability=reliability,
-            answer_mode=answer_mode,
             sketch=sketch,
         )
         resolved.populate(network)

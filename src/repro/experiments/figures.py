@@ -605,7 +605,6 @@ def sketches_variant(k: int) -> Scenario:
     return replace(
         SKETCHES,
         key=f"sketches@{k}",
-        answer_mode="approximate",
         sketch=SketchConfig(k=k, push_interval=240.0, buckets_per_unit=6),
         approach_keys=("fsf",),
     )

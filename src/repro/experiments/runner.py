@@ -104,7 +104,7 @@ class RunResult:
     the transmissions the fault plan lost.  Fault-free runs measure 0
     on all three.
 
-    The approximate lane (``answer_mode="approximate"`` programs):
+    The approximate lane (programs with a ``sketch`` config):
     ``sketch_load`` is the subset of the standard channels the lane's
     own messages carried (tree setup on the subscription channel, push
     rounds on the event channel — already *included* in
@@ -146,8 +146,6 @@ def run_program(
     approach: Approach,
     compiled: CompiledProgram,
     truths: Mapping[str, SubscriptionTruth] | None = None,
-    delta_t: float = 5.0,
-    latency: float = 0.05,
 ) -> RunResult:
     """Run one approach over one compiled program; see module docstring.
 
@@ -155,12 +153,7 @@ def run_program(
     (the truth only depends on the program, never on the approach);
     ``None`` computes it here via ``compiled.truth()``.
     """
-    execution = execute_program(
-        compiled,
-        approach,
-        latency=latency,
-        delta_t=delta_t,
-    )
+    execution = execute_program(compiled, approach)
     if truths is None:
         truths = compiled.truth()
     network = execution.session.network
@@ -229,16 +222,14 @@ class PointTask:
     """One (approach, subscription-count) cell of a scenario's matrix.
 
     Carries everything a worker needs and nothing process-bound: the
-    scenario (seeds + picklable factory), the *resolved* scale and
-    network ``delta_t``, and the approach itself.
+    scenario (seeds + picklable factory), the *resolved* scale, and the
+    approach itself.
     """
 
     scenario: Scenario
     scale: float
     approach: Approach
     n: int
-    delta_t: float
-    latency: float
 
 
 # Per-process memos, one entry each: a process walks one scenario at a
@@ -269,21 +260,13 @@ def run_task(task: PointTask) -> RunResult:
     """Execute one matrix point — the worker entry (module-level, so it
     pickles by reference)."""
     compiled, truths = _compiled_point(task.scenario, task.scale, task.n)
-    return run_program(
-        task.approach,
-        compiled,
-        truths=truths,
-        delta_t=task.delta_t,
-        latency=task.latency,
-    )
+    return run_program(task.approach, compiled, truths=truths)
 
 
 def run_series(
     scenario: Scenario,
     approaches: Mapping[str, Approach],
     scale: float | None = None,
-    delta_t: float | None = None,
-    latency: float = 0.05,
     workers: int | None = None,
 ) -> SeriesResult:
     """All measurement points of one scenario for the given approaches.
@@ -302,12 +285,11 @@ def run_series(
     """
     eff_workers = default_workers() if workers is None else workers
     eff_scale = default_scale() if scale is None else scale
-    dt = scenario.delta_t if delta_t is None else delta_t
     counts = scenario.subscription_counts(eff_scale)
     # Counts-major, caller approach order: the positional merge below
     # and the workers' one-entry memos both rely on it.
     tasks = [
-        PointTask(scenario, eff_scale, approach, n, dt, latency)
+        PointTask(scenario, eff_scale, approach, n)
         for n in counts
         for approach in approaches.values()
     ]

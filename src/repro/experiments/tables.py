@@ -123,7 +123,7 @@ def run_fig3_walkthrough(
     it splits but none of its fragments travel toward the sensors.
     """
     deployment = fig3_deployment()
-    network = Network(deployment, Simulator(seed=0), delta_t=5.0)
+    network = Network(deployment, Simulator(seed=0))
     approach = filter_split_forward_approach(
         FSFConfig(exact_filtering=exact_filtering)
     )

@@ -52,6 +52,7 @@ from .operators import (
 from .subscriptions import (
     AbstractSubscription,
     IdentifiedSubscription,
+    PAPER_DELTA_T,
     Subscription,
     UNBOUNDED,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "Interval",
     "Location",
     "MatchInstance",
+    "PAPER_DELTA_T",
     "RELATIVE_HUMIDITY",
     "RectRegion",
     "Region",

@@ -28,6 +28,11 @@ from .locations import Region
 UNBOUNDED: float = math.inf
 """Spatial correlation distance meaning "independent of proximity"."""
 
+PAPER_DELTA_T: float = 5.0
+"""The temporal correlation distance of the paper's experiments (5 s
+throughout): the default of a query that never names one, and the
+window a network's event validity starts from."""
+
 
 def _check_delta_t(delta_t: float) -> None:
     if not delta_t > 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from ..model.events import SimpleEvent
-from ..model.subscriptions import Subscription
+from ..model.subscriptions import PAPER_DELTA_T, Subscription
 from ..sim import AgendaBudgetExceeded, SimulationError, Simulator
 from .delivery import DeliveryLog
 from .faults import FaultPlan
@@ -98,23 +98,11 @@ class Network:
         deployment: Deployment,
         sim: Simulator | None = None,
         latency: float = 0.05,
-        validity: float | None = None,
-        delta_t: float = 5.0,
         faults: FaultPlan | None = None,
         reliability: ReliabilityConfig | None = None,
-        answer_mode: str = "exact",
         sketch: "SketchConfig | None" = None,
     ) -> None:
-        if answer_mode not in ("exact", "approximate"):
-            raise ValueError(
-                f"answer_mode must be 'exact' or 'approximate', "
-                f"got {answer_mode!r}"
-            )
-        if answer_mode == "exact" and sketch is not None:
-            raise ValueError(
-                "a sketch config requires answer_mode='approximate'"
-            )
-        if answer_mode == "approximate" and (
+        if sketch is not None and (
             faults is not None or reliability is not None
         ):
             raise ValueError(
@@ -126,12 +114,12 @@ class Network:
         self.deployment = deployment
         self.sim = sim if sim is not None else Simulator(seed=deployment.seed)
         self.latency = latency
-        self.delta_t = delta_t
-        # Event validity (Section IV-B): longer than delta_t plus the
-        # worst-case transit so correlating events never expire early.
-        transit = deployment.diameter() * latency
-        floor = delta_t + transit + 1.0
-        self.validity = max(validity, floor) if validity is not None else 4 * floor
+        # Event validity (Section IV-B): longer than the widest admitted
+        # delta_t plus the worst-case transit, so correlating events
+        # never expire early.  It starts at the paper's window and only
+        # grows, with each registration (see register_subscription).
+        self._transit = deployment.diameter() * latency
+        self.validity = self._validity_for(PAPER_DELTA_T)
         self.meter = TrafficMeter()
         self.delivery = DeliveryLog()
         self.nodes: dict[str, "Node"] = {}
@@ -161,15 +149,12 @@ class Network:
             if (bool(self.faults) or reliability is not None)
             else None
         )
-        # Approximate answer lane: only built when asked for.  The
-        # default exact mode leaves ``sketches`` None and every hook in
-        # the node/event path fenced off — byte-identical runs, same
+        # Approximate answer lane: only built when a sketch config is
+        # given.  Without one ``sketches`` stays None and every hook in
+        # the node/event path is fenced off — byte-identical runs, same
         # null-fence pattern as the transport above.
-        self.answer_mode = answer_mode
         self.sketches: SketchLane | None = (
-            SketchLane(sketch if sketch is not None else SketchConfig())
-            if answer_mode == "approximate"
-            else None
+            SketchLane(sketch) if sketch is not None else None
         )
         # Open delivery batch for the plain (fault-free) send path:
         # ``(arrival_time, agenda_sequence, items)``.  See ``send``.
@@ -347,11 +332,21 @@ class Network:
         ``next_hops``; see ``repro.placement``) routes the operator
         pieces explicitly instead of the approach's heuristic.  With
         ``plan=None`` the call is exactly the historical registration —
-        the null-plan fence the placement tests machine-check.
+        the null-plan fence the placement tests machine-check.  A window
+        wider than any admitted before raises the event validity of the
+        network and of every node's store; it never shrinks.
         """
         self.check_plan(node_id, plan)
+        validity = self._validity_for(subscription.delta_t)
+        if validity > self.validity:
+            self.validity = validity
+            for node in self.nodes.values():
+                node.store.validity = validity
         self.delivery.register(subscription.sub_id)
         self.nodes[node_id].subscribe(subscription, plan)
+
+    def _validity_for(self, delta_t: float) -> float:
+        return 4 * (delta_t + self._transit + 1.0)
 
     def check_plan(self, node_id: str, plan: object | None) -> None:
         """Refuse a placement plan the node class or a lane of this
@@ -492,11 +487,11 @@ class Network:
         send their merged local summaries upstream, interior brokers
         then merge and relay as the pushes arrive.  A finite timeline,
         never self-rescheduling, so quiescence still exists.  Requires
-        ``answer_mode='approximate'``.
+        the approximate lane (a ``sketch`` config).
         """
         if self.sketches is None:
             raise ValueError(
-                "sketch rounds require Network(answer_mode='approximate')"
+                "sketch rounds require Network(sketch=SketchConfig(...))"
             )
         entries = []
         for time, round_no in times:

@@ -17,8 +17,8 @@ deterministic rank-error bound ``eps = log2(sigma) / k``; frozen,
 picklable and mergeable.
 
 :class:`SketchLane` is the broker-side state machine the network layer
-drives behind ``Network(answer_mode="approximate")``; the default
-``"exact"`` mode constructs nothing (the null-fence pattern) and is
+drives behind ``Network(sketch=SketchConfig(...))``; a network without
+a sketch config constructs nothing (the null-fence pattern) and is
 machine-checked bit-identical to the historical pipeline.
 """
 

@@ -1,7 +1,7 @@
 """Broker-side state machine of the approximate answer lane.
 
 One :class:`SketchLane` instance serves a whole
-``Network(answer_mode="approximate")`` run; per-broker state is keyed
+``Network(sketch=SketchConfig(...))`` run; per-broker state is keyed
 by node id and the network layer drives it through a handful of hooks
 (adopt on subscribe, forget on cancel, dispatch for the two lane
 messages, ``begin_round`` from the scheduled push rounds) plus one

@@ -31,7 +31,7 @@ future cross-machine sharding: programs are self-contained by
 construction) depends on.
 
 Clock convention: **program time 0 is the replay start**.  Compilation
-shifts everything by ``replay_start`` (the fixed virtual instant the
+shifts everything by :data:`REPLAY_START` (the fixed virtual instant the
 experiment runner has always used), so admissions, retirements, churn
 transitions and publications share one simulation clock and the
 oracle's per-query ``[submit, cancel]`` fences line up with the
@@ -226,12 +226,12 @@ class WorkloadProgram:
       ``reliability``: a plan replaces only the split, so a departure's
       retraction fences the sensor's stored events at every broker,
       planned pieces included, and a rejoin's re-flood lifts the fence;
-    * ``answer_mode``/``sketch`` select the approximate answer lane.
+    * ``sketch`` (a :class:`~repro.sketches.SketchConfig`) turns on
+      the approximate answer lane.
       Construction checks only what no network can: the placement
-      value, approximate × compiled, churn without a dynamic replay,
-      the ``static_prefix`` range and ``replay_start``.  The lane rules (``answer_mode`` values, a
-      sketch config outside approximate mode, approximate × an
-      unreliable transport) are ``Network``'s, raised by
+      value, a sketch × compiled placement, churn without a dynamic
+      replay and the ``static_prefix`` range.  The lane rule (a sketch
+      × an unreliable transport) is ``Network``'s, raised by
       :func:`execute_program` before any node is populated.
 
     Programs are frozen, hashable and picklable — a program plus a
@@ -248,9 +248,7 @@ class WorkloadProgram:
     queries: tuple[ProgramQuery, ...] = ()
     faults: FaultPlan | None = None
     reliability: ReliabilityConfig | None = None
-    replay_start: float = REPLAY_START
     placement: str = "paper"
-    answer_mode: str = "exact"
     sketch: SketchConfig | None = None
 
     def __post_init__(self) -> None:
@@ -260,10 +258,10 @@ class WorkloadProgram:
             )
         # Network raises the other lane rules when the program executes;
         # this one stays because check_plan only sees a planned query.
-        if self.answer_mode == "approximate" and self.placement == "compiled":
+        if self.sketch is not None and self.placement == "compiled":
             raise ValueError(
                 "compiled placement routes exact operator trees; "
-                "it cannot be combined with answer_mode='approximate'"
+                "it cannot be combined with the sketch lane"
             )
         if self.churn is not None and self.dynamic is None:
             raise ValueError("churn requires a dynamic replay")
@@ -274,8 +272,6 @@ class WorkloadProgram:
                 f"static_prefix {self.static_prefix} outside "
                 f"[0, {self.subscriptions.n_subscriptions}]"
             )
-        if self.replay_start <= 0:
-            raise ValueError("replay_start must be positive")
 
     @property
     def prefix(self) -> int:
@@ -328,8 +324,8 @@ class WorkloadProgram:
             program=self,
             deployment_fingerprint=deployment_fingerprint(deployment),
             replay=replay,
-            events=tuple(replay.shifted(self.replay_start)),
-            churn=replay.churn_shifted(self.replay_start),
+            events=tuple(replay.shifted(REPLAY_START)),
+            churn=replay.churn_shifted(REPLAY_START),
             workload=workload,
             edges=edges,
             span=span,
@@ -371,9 +367,9 @@ class WorkloadProgram:
                     sub_id=item.subscription.sub_id,
                     node_id=item.node_id,
                     subscription=item.subscription,
-                    admit=self.replay_start + edge.admit,
+                    admit=REPLAY_START + edge.admit,
                     retire=(
-                        self.replay_start + edge.retire
+                        REPLAY_START + edge.retire
                         if edge.retire is not None
                         else None
                     ),
@@ -399,12 +395,10 @@ class WorkloadProgram:
             events=source.events,
             churn=source.churn,
             admissions=tuple(admissions),
-            replay_start=self.replay_start,
             span=source.span,
             faults=self.faults,
             reliability=self.reliability,
             plans=plans,
-            answer_mode=self.answer_mode,
             sketch=self.sketch,
         )
 
@@ -432,10 +426,10 @@ class WorkloadProgram:
                     admit=(
                         None
                         if pq.admit <= 0
-                        else self.replay_start + pq.admit
+                        else REPLAY_START + pq.admit
                     ),
                     retire=(
-                        self.replay_start + pq.retire
+                        REPLAY_START + pq.retire
                         if pq.retire is not None
                         else None
                     ),
@@ -484,7 +478,6 @@ class ProgramSource:
             faults=None,
             reliability=None,
             placement="paper",
-            answer_mode="exact",
             sketch=None,
         )
         return (
@@ -520,19 +513,17 @@ class CompiledProgram:
     The compiled form is what one experiment point runs and what the
     oracle fences from — the admissions' scheduled times *are* the
     activation/cancellation fences, identical for every approach (the
-    same role the fixed ``replay_start`` plays for event timestamps).
+    same role the fixed :data:`REPLAY_START` plays for event timestamps).
     """
 
     deployment: Deployment
     events: tuple[SimpleEvent, ...]
     churn: ChurnSchedule | None
     admissions: tuple[Admission, ...]
-    replay_start: float
     span: float
     faults: FaultPlan | None = None
     reliability: ReliabilityConfig | None = None
     plans: Mapping[str, object] | None = None
-    answer_mode: str = "exact"
     sketch: SketchConfig | None = None
 
     def plan_for(self, sub_id: str) -> object | None:
@@ -584,7 +575,7 @@ class CompiledProgram:
             self.deployment,
             churn=self.churn,
             outages=self.faults.outages if self.faults is not None else (),
-            offset=self.replay_start,
+            offset=REPLAY_START,
             activations=self.activations,
             cancellations=self.cancellations,
         )
@@ -630,8 +621,6 @@ class ProgramExecution:
 def execute_program(
     compiled: CompiledProgram,
     approach: "Approach | str",
-    latency: float = 0.05,
-    delta_t: float = 5.0,
 ) -> ProgramExecution:
     """Run one compiled program on one approach, via the Session facade.
 
@@ -656,11 +645,8 @@ def execute_program(
     session = Session.create(
         approach=approach,
         deployment=compiled.deployment,
-        latency=latency,
-        delta_t=delta_t,
         faults=compiled.faults,
         reliability=compiled.reliability,
-        answer_mode=compiled.answer_mode,
         sketch=compiled.sketch,
     )
     after_ads = session.traffic.snapshot()
@@ -673,10 +659,10 @@ def execute_program(
             plan=compiled.plan_for(admission.sub_id),
         )
     after_setup = session.traffic.snapshot()
-    if session.now >= compiled.replay_start:
+    if session.now >= REPLAY_START:
         raise RuntimeError(
-            f"setup phase ran past t={compiled.replay_start:g}; "
-            "raise the program's replay_start"
+            f"setup phase ran past the replay start t={REPLAY_START:g}; "
+            "admit some of the setup queries mid-replay instead"
         )
 
     session.ingest_events(compiled.events)
@@ -684,7 +670,7 @@ def execute_program(
         session.network.schedule_churn(compiled.churn)
     if compiled.faults is not None and compiled.faults.outages:
         session.network.schedule_outages(
-            compiled.faults.outages, offset=compiled.replay_start
+            compiled.faults.outages, offset=REPLAY_START
         )
     if compiled.reliability is not None:
         # Soft-state refresh rounds across the replay span: a finite
@@ -693,7 +679,7 @@ def execute_program(
         rounds = []
         epoch = 1
         while epoch * interval <= compiled.span:
-            rounds.append((compiled.replay_start + epoch * interval, epoch))
+            rounds.append((REPLAY_START + epoch * interval, epoch))
             epoch += 1
         if rounds:
             session.network.schedule_refresh(rounds)
@@ -707,11 +693,11 @@ def execute_program(
         round_no = 1
         while round_no * interval <= compiled.span:
             sketch_rounds.append(
-                (compiled.replay_start + round_no * interval, round_no)
+                (REPLAY_START + round_no * interval, round_no)
             )
             round_no += 1
         sketch_rounds.append(
-            (compiled.replay_start + compiled.span + interval, round_no)
+            (REPLAY_START + compiled.span + interval, round_no)
         )
         session.network.schedule_sketch_rounds(sketch_rounds)
 

@@ -84,7 +84,8 @@ class Scenario:
     selectivities); ``fsf_config`` pins the FSF approach configuration
     the scenario is measured with (``None`` = registry default) and
     ``approach_keys`` restricts the measured approaches (``None`` = the
-    usual registry set).  All are frozen config dataclasses, so
+    usual registry set); a ``sketch`` config answers the scenario on
+    the approximate lane.  All are frozen config dataclasses, so
     scenarios stay hashable and picklable for the series runner's
     memo keys.
     """
@@ -102,14 +103,12 @@ class Scenario:
     lifecycle: QueryLifecycleConfig | None = None
     faults: FaultPlan | None = None
     reliability: ReliabilityConfig | None = None
-    delta_t: float = 5.0
     seed: int = 0
     placement: str = "paper"
     span_groups: int = 1
     group_width_scale: tuple[float, ...] = ()
     fsf_config: FSFConfig | None = None
     approach_keys: tuple[str, ...] | None = None
-    answer_mode: str = "exact"
     sketch: SketchConfig | None = None
 
     def deployment(self) -> Deployment:
@@ -126,7 +125,6 @@ class Scenario:
             n_subscriptions=n,
             attrs_min=self.attrs_min,
             attrs_max=self.attrs_max,
-            delta_t=self.delta_t,
             seed=self.seed + 17,
             span_groups=self.span_groups,
             group_width_scale=self.group_width_scale,
@@ -145,7 +143,6 @@ class Scenario:
             faults=self.faults,
             reliability=self.reliability,
             placement=self.placement,
-            answer_mode=self.answer_mode,
             sketch=self.sketch,
         )
 
@@ -283,8 +280,8 @@ single-attribute workload, so every query is a single-slot range filter
 — exactly the sketch-eligible class — over a 96-round replay (the
 regime where a bounded-size digest beats shipping every reading).  The
 five exact approaches form the traffic frontier; figure 21's
-approximate lanes re-run the same scenario with
-``answer_mode="approximate"`` at several q-digest resolutions
+approximate lanes re-run the same scenario with a
+:class:`~repro.sketches.SketchConfig` at several q-digest resolutions
 (``sketches_variant``), trading bounded rank error for push-round
 traffic strictly below that frontier.  Figure 22 reports the accuracy
 side of the same trade."""

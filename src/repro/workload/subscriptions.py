@@ -30,7 +30,7 @@ import numpy as np
 
 from ..model.filters import IdentifiedFilter, SimpleFilter
 from ..model.intervals import Interval
-from ..model.subscriptions import IdentifiedSubscription
+from ..model.subscriptions import PAPER_DELTA_T, IdentifiedSubscription
 from ..network.topology import Deployment, SensorPlacement
 
 
@@ -63,7 +63,7 @@ class SubscriptionWorkloadConfig:
     n_subscriptions: int
     attrs_min: int = 5
     attrs_max: int = 5
-    delta_t: float = 5.0
+    delta_t: float = PAPER_DELTA_T
     base_half_width: float = 2.0
     seed: int = 42
     span_groups: int = 1

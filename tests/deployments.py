@@ -82,8 +82,8 @@ def fork_deployment() -> Deployment:
     )
 
 
-def make_network(deployment: Deployment, approach, delta_t: float = 5.0) -> Network:
-    network = Network(deployment, Simulator(seed=0), delta_t=delta_t)
+def make_network(deployment: Deployment, approach) -> Network:
+    network = Network(deployment, Simulator(seed=0))
     approach.populate(network)
     # Sensors are always attached; approaches that do not flood
     # advertisements (centralized) just record them locally.

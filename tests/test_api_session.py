@@ -31,6 +31,7 @@ from repro.network.network import Network
 from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
 from repro.sim import Simulator
+from repro.sketches import SketchConfig
 
 
 def small_session(approach="fsf", seed=11, **kwargs):
@@ -261,7 +262,7 @@ class TestSession:
     @pytest.mark.parametrize(
         "lane",
         [
-            {"answer_mode": "approximate"},
+            {"sketch": SketchConfig()},
             {"approach": "centralized"},
             {"approach": "multijoin"},
         ],

@@ -98,7 +98,7 @@ class TestEventPath:
         assert net.meter.event_units == 7
 
     def test_uncorrelated_events_do_not_travel(self, line):
-        net = make_network(line, exact_fsf(), delta_t=5.0)
+        net = make_network(line, exact_fsf())
         net.register_subscription("u2", sub("s", {"a": (0, 10), "b": (0, 10)}))
         net.run_to_quiescence()
         publish(net, "a", 5.0, ts=100.0)

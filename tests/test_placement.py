@@ -456,7 +456,7 @@ APPROACHES = {
 
 def _run_registrations(approach_key, subs, raw_events, with_kwarg):
     deployment = line_deployment()
-    network = Network(deployment, Simulator(seed=0), delta_t=5.0)
+    network = Network(deployment, Simulator(seed=0))
     approach = APPROACHES[approach_key]()
     approach.populate(network)
     network.attach_all_sensors()

@@ -113,3 +113,38 @@ def test_every_keep_list_entry_names_a_function_and_has_a_reason(reach):
     everything_reached = dict.fromkeys(functions, "driver")
     _, stale = reach.judge(functions, everything_reached, entries)
     assert stale == []
+
+
+KNOB_FIXTURE = '''\
+from dataclasses import dataclass
+
+
+def f(x, knob=1, dial=0):
+    return x + knob + dial
+
+
+@dataclass(frozen=True)
+class Config:
+    size: int = 1
+    depth: int = 2
+'''
+
+
+def test_knob_census_names_what_no_driver_varied(reach, tmp_path):
+    package = tmp_path / "knobs"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(KNOB_FIXTURE)
+    (tmp_path / "driver.py").write_text(
+        "from knobs.mod import Config, f\nf(1)\nf(1, dial=3)\nConfig(depth=5)\n"
+    )
+    (tmp_path / "a_test.py").write_text("from knobs.mod import f\nf(1, knob=2)\n")
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    by_driver: dict = {}
+    reach.reached([["driver.py"]], package, tmp_path, env, by_driver)
+    assert reach.undriven(by_driver) == ["mod.py::Config(size=1)", "mod.py::f(knob=1)"]
+    # The test passes 2, and a census of the test run sees it; the
+    # driver census, which is the report, does not.
+    by_test: dict = {}
+    reach.reached([["a_test.py"]], package, tmp_path, env, by_test)
+    assert by_test["mod.py::f(knob)"] == ["1", True]

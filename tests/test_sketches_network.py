@@ -10,9 +10,8 @@
   fence refused, summary restarted from empty on rejoin;
 * gates: every incompatible combination is rejected at construction,
   never discovered mid-run;
-* the null fence: ``answer_mode="exact"`` (the default) is
-  bit-identical to a network built without the argument, for every
-  approach and both matching engines.
+* the null fence: ``sketch=None`` (the default) is bit-identical to a
+  network built without the argument, for every approach.
 """
 
 from __future__ import annotations
@@ -61,8 +60,6 @@ def approx_network(cfg: SketchConfig = CFG) -> Network:
     network = Network(
         line_deployment(),
         Simulator(seed=0),
-        delta_t=5.0,
-        answer_mode="approximate",
         sketch=cfg,
     )
     naive_approach().populate(network)
@@ -318,22 +315,18 @@ def test_rejoined_sensor_contributes_fresh_readings():
 # ---------------------------------------------------------------------------
 def test_construction_gates():
     deployment = line_deployment()
-    with pytest.raises(ValueError, match="answer_mode"):
-        Network(deployment, Simulator(seed=0), answer_mode="fuzzy")
-    with pytest.raises(ValueError, match="approximate"):
-        Network(deployment, Simulator(seed=0), sketch=CFG)
     with pytest.raises(ValueError, match="unreliable"):
         Network(
             deployment,
             Simulator(seed=0),
-            answer_mode="approximate",
+            sketch=CFG,
             faults=FaultPlan(default=LinkFault(drop=0.1), seed=1),
         )
     with pytest.raises(ValueError, match="unreliable"):
         Network(
             deployment,
             Simulator(seed=0),
-            answer_mode="approximate",
+            sketch=CFG,
             reliability=ReliabilityConfig(),
         )
 
@@ -345,7 +338,7 @@ def test_plan_and_round_gates():
             "u2", range_sub("q0", 0.0, 8.0), plan=object()
         )
     exact = Network(line_deployment(), Simulator(seed=0))
-    with pytest.raises(ValueError, match="approximate"):
+    with pytest.raises(ValueError, match="SketchConfig"):
         exact.schedule_sketch_rounds([(10.0, 1)])
 
 
@@ -354,7 +347,7 @@ def test_session_rejects_unsupported_approach():
         Session.create(
             approach="centralized",
             deployment=line_deployment(),
-            answer_mode="approximate",
+            sketch=SketchConfig(),
         )
 
 
@@ -363,7 +356,7 @@ def test_node_class_refuses_the_lane_without_a_session():
     cannot be populated with nodes that would leave the lane idle and
     answer exactly (``approx_answers() == {}``) without saying so."""
     network = Network(
-        line_deployment(), Simulator(seed=0), answer_mode="approximate"
+        line_deployment(), Simulator(seed=0), sketch=SketchConfig()
     )
     with pytest.raises(ValueError, match="approximate answer lane"):
         centralized_approach().populate(network)
@@ -371,22 +364,20 @@ def test_node_class_refuses_the_lane_without_a_session():
 
 
 def test_program_gates():
-    """The lane rules are Network's: a program reaches each of them when
-    it executes, and only approximate × compiled (which check_plan cannot
-    see for a query without a plan) is refused at construction."""
+    """The lane rule is Network's: a program reaches it when it
+    executes, and only sketch × compiled (which check_plan cannot see
+    for a query without a plan) is refused at construction."""
     subs = SubscriptionWorkloadConfig(n_subscriptions=4)
     deployment = line_deployment()
     refused = [
-        ("answer_mode", dict(answer_mode="fuzzy")),
-        ("approximate", dict(sketch=SketchConfig())),
         (
             "lossless",
             dict(
-                answer_mode="approximate",
+                sketch=SketchConfig(),
                 faults=FaultPlan(default=LinkFault(drop=0.1), seed=1),
             ),
         ),
-        ("lossless", dict(answer_mode="approximate", reliability=ReliabilityConfig())),
+        ("lossless", dict(sketch=SketchConfig(), reliability=ReliabilityConfig())),
     ]
     for message, fields in refused:
         program = WorkloadProgram(subscriptions=subs, **fields)
@@ -395,15 +386,14 @@ def test_program_gates():
     with pytest.raises(ValueError, match="placement"):
         WorkloadProgram(
             subscriptions=subs,
-            answer_mode="approximate",
+            sketch=SketchConfig(),
             placement="compiled",
         )
 
 
 def test_sketches_scenario_is_registered():
-    assert SKETCHES.answer_mode == "exact"  # the frontier lane
-    program = SKETCHES.program(4)
-    assert program.answer_mode == "exact" and program.sketch is None
+    assert SKETCHES.sketch is None  # the frontier lane
+    assert SKETCHES.program(4).sketch is None
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +403,7 @@ def _run_exact(approach_key, raw_events, with_kwarg):
     network = Network(
         line_deployment(),
         Simulator(seed=0),
-        delta_t=5.0,
-        **({"answer_mode": "exact"} if with_kwarg else {}),
+        **({"sketch": None} if with_kwarg else {}),
     )
     APPROACHES[approach_key]().populate(network)
     network.attach_all_sensors()
@@ -464,11 +453,11 @@ def _run_exact(approach_key, raw_events, with_kwarg):
     ],
 )
 def test_exact_mode_is_the_legacy_path(approach_key, raw_events):
-    """``answer_mode="exact"`` must be byte-identical to omitting it.
+    """``sketch=None`` must be byte-identical to omitting it.
 
     Same traffic snapshot, same deliveries, for every approach — the
-    machine check that the sketch subsystem is invisible until
-    approximate mode is requested.
+    machine check that the sketch subsystem is invisible until a
+    sketch config is given.
     """
     legacy = _run_exact(approach_key, raw_events, False)
     fenced = _run_exact(approach_key, raw_events, True)
@@ -485,7 +474,6 @@ def test_session_approx_answers():
     session = Session.create(
         approach="naive",
         deployment=line_deployment(),
-        answer_mode="approximate",
         sketch=CFG,
     )
     session.network.register_subscription("u2", range_sub("q0", 0.0, 8.0))

@@ -434,7 +434,7 @@ class TestScenarios:
         assert sketches.attrs_min == sketches.attrs_max == 1
         assert sketches.replay is not None and sketches.replay.rounds >= 96
         assert sketches.include_centralized
-        assert sketches.answer_mode == "exact" and sketches.sketch is None
+        assert sketches.sketch is None
 
     def test_counts_scale(self):
         full = SMALL.subscription_counts(scale=1.0)

@@ -18,7 +18,15 @@ beside this file (a named oracle, a fault path, documented facade...);
 names no function or carries no reason.  The report is printed, never
 committed.
 
-    python tools/reach.py [--check]
+``--knobs`` adds a census to the same driver pass: for every defaulted
+parameter of a package function a driver called (dataclass fields
+included), whether any driver call passed a value other than the
+default.  The parameters no driver varied are printed after the
+report, as ``undriven`` lines; they are candidates for a literal, and
+the census is a report, never a gate.  Generator functions are left
+out: a resumed frame shows its reassigned locals, not its arguments.
+
+    python tools/reach.py [--check] [--knobs]
 
 Standard library only (``coverage`` is not installed).  Runs take
 about four times as long as without the hook.  ``REPRO_WORKERS=1``
@@ -32,7 +40,9 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import fnmatch
+import inspect
 import json
 import os
 import runpy
@@ -94,20 +104,147 @@ def _functions(node: ast.AST, prefix: str) -> Iterator[tuple[str, ast.FunctionDe
 
 
 # ---------------------------------------------------------------------------
-# what runs: `reach.py --record OUT PACKAGE -- ARGV` in a fresh interpreter
+# the knob census: which defaulted parameters a run passed something else
 # ---------------------------------------------------------------------------
-def record(out: Path, package: Path, argv: list[str]) -> int:
+_NOT_SEEN = object()
+_RESUMABLE = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
+
+
+class KnobCensus:
+    """Defaulted parameters of ``package`` seen at call time.
+
+    ``knobs`` maps ``path::qualname(param)`` to ``[default repr,
+    varied]``; a code object's pending list shrinks as its parameters
+    are seen varied, so a hot function costs one dict lookup per call
+    once every knob of it is settled.
+    """
+
+    def __init__(self, package: Path) -> None:
+        self.package = package.resolve()
+        self.prefix = str(self.package) + os.sep
+        self.knobs: dict[str, list] = {}
+        self._pending: dict = {}
+
+    def observe(self, frame) -> None:
+        code = frame.f_code
+        pending = self._pending.get(code, _NOT_SEEN)
+        if pending is _NOT_SEEN:
+            pending = self._pending[code] = self._defaults(frame)
+        if not pending:
+            return
+        local = frame.f_locals
+        still = []
+        for label, name, default in pending:
+            if _same(local.get(name, default), default):
+                still.append((label, name, default))
+            else:
+                self.knobs[label][1] = True
+        self._pending[code] = still
+
+    def _defaults(self, frame) -> list[tuple[str, str, object]]:
+        code = frame.f_code
+        if code.co_flags & _RESUMABLE:
+            return []
+        if code.co_filename.startswith(self.prefix):
+            where, pairs = self._function_defaults(frame)
+        elif code.co_name == "__init__" and code.co_filename == "<string>":
+            where, pairs = self._dataclass_defaults(frame)
+        else:
+            return []
+        pending = []
+        for name, default in pairs:
+            label = f"{where}({name})"
+            self.knobs.setdefault(label, [repr(default), False])
+            pending.append((label, name, default))
+        return pending
+
+    def _function_defaults(self, frame) -> tuple[str, list]:
+        code = frame.f_code
+        where = f"{Path(code.co_filename).relative_to(self.package).as_posix()}::{code.co_qualname}"
+        parts = code.co_qualname.split(".")
+        if "<locals>" in parts:
+            return where, []
+        target = frame.f_globals.get(parts[0])
+        for part in parts[1:]:
+            target = inspect.getattr_static(target, part, None)
+        while True:
+            if isinstance(target, (staticmethod, classmethod)):
+                target = target.__func__
+            elif hasattr(target, "__wrapped__"):
+                target = target.__wrapped__
+            else:
+                break
+        if getattr(target, "__code__", None) is not code:
+            return where, []
+        positional = code.co_varnames[: code.co_argcount]
+        defaults = target.__defaults__ or ()
+        pairs = list(zip(positional[len(positional) - len(defaults):], defaults))
+        return where, pairs + list((target.__kwdefaults__ or {}).items())
+
+    def _dataclass_defaults(self, frame) -> tuple[str, list]:
+        owner = next(
+            (
+                klass
+                for klass in type(frame.f_locals.get("self")).__mro__
+                if getattr(vars(klass).get("__init__"), "__code__", None) is frame.f_code
+            ),
+            None,
+        )
+        module = sys.modules.get(getattr(owner, "__module__", ""))
+        source = getattr(module, "__file__", None) or ""
+        if not dataclasses.is_dataclass(owner) or not source.startswith(self.prefix):
+            return "", []
+        where = f"{Path(source).relative_to(self.package).as_posix()}::{owner.__qualname__}"
+        pairs = []
+        for field in dataclasses.fields(owner):
+            if not field.init:
+                continue
+            if field.default is not dataclasses.MISSING:
+                pairs.append((field.name, field.default))
+            elif field.default_factory is not dataclasses.MISSING:
+                pairs.append((field.name, field.default_factory()))
+        return where, pairs
+
+
+def _same(value: object, default: object) -> bool:
+    try:
+        return bool(value is default or value == default)
+    except Exception:  # an ambiguous comparison (arrays): call it varied
+        return False
+
+
+def undriven(knobs: dict[str, list]) -> list[str]:
+    """``path::qualname(param=default)`` of every knob no run varied."""
+    return [
+        f"{label[:-1]}={default})"
+        for label, (default, varied) in sorted(knobs.items())
+        if not varied
+    ]
+
+
+# ---------------------------------------------------------------------------
+# what runs: `reach.py --record OUT PACKAGE [--knobs] -- ARGV` in a fresh
+# interpreter
+# ---------------------------------------------------------------------------
+def record(out: Path, package: Path, argv: list[str], knobs: bool = False) -> int:
     """Run ``argv`` (``-m module ...`` or ``script ...``) as ``__main__``
-    under the hook; write the code objects of ``package`` it entered."""
+    under the hook; write the code objects of ``package`` it entered,
+    and with ``knobs`` the census to ``OUT.knobs.json``."""
     entered: set = set()
     add = entered.add
+    census = KnobCensus(package) if knobs else None
 
     def hook(frame, event, _arg):  # one set insert per Python call
         if event == "call":
             add(frame.f_code)
 
+    def census_hook(frame, event, _arg):
+        if event == "call":
+            add(frame.f_code)
+            census.observe(frame)
+
     status = 0
-    sys.setprofile(hook)
+    sys.setprofile(hook if census is None else census_hook)
     try:
         # sys.path[0] is this file's directory; make it what `python ARGV` has.
         if argv[0] == "-m":
@@ -130,23 +267,44 @@ def record(out: Path, package: Path, argv: list[str]) -> int:
             if code.co_filename.startswith(prefix)
         )
         out.write_text(json.dumps(hits))
+        if census is not None:
+            _knobs_file(out).write_text(json.dumps(census.knobs))
     return status
 
 
-def reached(commands: Iterable[list[str]], package: Path, cwd: Path, env: dict[str, str]) -> set[Key]:
-    """The union of what ``commands`` enter; a failing command is fatal."""
+def _knobs_file(out: Path) -> Path:
+    return out.with_suffix(".knobs.json")
+
+
+def reached(
+    commands: Iterable[list[str]],
+    package: Path,
+    cwd: Path,
+    env: dict[str, str],
+    knobs: dict[str, list] | None = None,
+) -> set[Key]:
+    """The union of what ``commands`` enter; a failing command is fatal.
+
+    A ``knobs`` dict collects the census of every command (a knob is
+    varied when any command varied it).
+    """
     hits: set[Key] = set()
+    flag = ["--knobs"] if knobs is not None else []
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch) / "hits.json"
         for argv in commands:
             print(f"reach: {' '.join(argv)}", file=sys.stderr, flush=True)
             done = subprocess.run(
-                [sys.executable, __file__, "--record", str(out), str(package), "--", *argv],
+                [sys.executable, __file__, "--record", str(out), str(package), *flag, "--", *argv],
                 cwd=cwd, env=env, stdout=subprocess.DEVNULL,
             )
             if done.returncode != 0:
                 raise SystemExit(f"reach: {' '.join(argv)} exited {done.returncode}")
             hits.update((path, line) for path, line in json.loads(out.read_text()))
+            if knobs is not None:
+                for label, (default, varied) in json.loads(_knobs_file(out).read_text()).items():
+                    entry = knobs.setdefault(label, [default, False])
+                    entry[1] = entry[1] or varied
     return hits
 
 
@@ -226,15 +384,19 @@ def report(functions, verdict, excused) -> str:
 
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--record"]:  # internal: the traced child
-        return record(Path(argv[1]), Path(argv[2]), argv[4:])
+        knobs = argv[3] == "--knobs"
+        return record(Path(argv[1]), Path(argv[2]), argv[4 + knobs:], knobs)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="exit 1 on an unexcused function or a bad keep-list entry")
+    parser.add_argument("--knobs", action="store_true",
+                        help="also print the defaulted parameters no driver varied")
     args = parser.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_WORKERS="1")
     env.pop("REPRO_SCALE", None)
     functions = inventory(PACKAGE)
-    by_drivers = reached(DRIVERS, PACKAGE, ROOT, env)
+    knobs: dict[str, list] | None = {} if args.knobs else None
+    by_drivers = reached(DRIVERS, PACKAGE, ROOT, env, knobs)
     by_tests = reached(TIER1, PACKAGE, ROOT, env)
     by_tests |= reached(FIGURE_BENCHMARKS, PACKAGE, ROOT, dict(env, REPRO_SCALE="smoke"))
     verdict = classify(functions, by_drivers, by_tests)
@@ -242,6 +404,10 @@ def main(argv: list[str]) -> int:
     excused, unexcused = judge(functions, verdict, keep)
     problems += unexcused
     print(report(functions, verdict, excused))
+    if knobs is not None:
+        print("\n== defaulted parameters no driver varied (a report, not a gate)")
+        for line in undriven(knobs):
+            print(f"undriven  {line}")
     for problem in problems:
         print(f"reach: {problem}")
     return 1 if args.check and problems else 0
