@@ -18,12 +18,15 @@ match of some uncovered operator from that link's far end; the final,
 exact matching happens at the user's node against the whole local
 subscriptions.
 
-The probabilistic set filter may erroneously declare coverage (bounded
-by its configured error probability); events falling in the resulting
-gaps are the recall loss measured in Fig. 12.  ``coarsening`` optionally
-widens every forwarded operator — the Section VI-F mitigation that
-trades traffic for recall; the user-node matching stays exact, so
-coarsening never delivers spurious results.
+Fig. 12's recall loss has two sources.  Union coverage itself: one
+event may match one covering operator on slot a and its partner another
+one on slot b, so neither has a complete match and neither forwards the
+pair (exact filtering loses these too).  And the probabilistic set
+filter may erroneously declare coverage (bounded by its configured
+error probability).  ``coarsening`` optionally widens every forwarded
+operator — the Section VI-F mitigation that trades traffic for recall;
+the user-node matching stays exact, so coarsening never delivers
+spurious results.
 """
 
 from __future__ import annotations
@@ -111,9 +114,13 @@ class FilterSplitForwardNode(Node):
         new one iff, on *every* slot, the union of the ranges they
         already request contains the new range — this is what lets the
         Table I example drop s3 against {s1, s2}, which classic
-        same-attribute-set filtering cannot do.  Correlation stays safe
-        because the covered operator keeps generating its result set at
-        this node (``include_covered``).
+        same-attribute-set filtering cannot do.  A stored operator with
+        a slot the new one lacks is no candidate: it forwards an event
+        only with a partner on that slot, so a stored {a, b, c} never
+        stands in for a new {a, b}.  Union coverage still leaves a gap
+        (see the module docstring): the covered operator generates its
+        result set at this node (``include_covered``) only from events
+        some covering operator forwarded.
 
         Each slot's candidates come from one bucket of the store's
         per-sensor index.  They are the intervals a walk of the whole
@@ -121,6 +128,7 @@ class FilterSplitForwardNode(Node):
         draws its samples exactly when that walk's filter would.
         """
         delta_t, delta_l = operator.delta_t, operator.delta_l
+        slot_ids = {slot.slot_id for slot in operator.slots}
         covers_per_slot: list[list] = []
         for slot in operator.slots:
             slot_id, attribute, sensors = slot.slot_id, slot.attribute, slot.sensors
@@ -132,6 +140,7 @@ class FilterSplitForwardNode(Node):
                 and other.sensors >= sensors
                 and record.operator.delta_t >= delta_t
                 and record.operator.delta_l >= delta_l
+                and all(s.slot_id in slot_ids for s in record.operator.slots)
             ]
             if not candidates:
                 return False

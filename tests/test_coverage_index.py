@@ -60,11 +60,14 @@ def uncovered_before(store, before):
 
 
 def walk_fsf(config, set_filter, operator, store, before):
+    slot_ids = {slot.slot_id for slot in operator.slots}
     covers_per_slot = []
     for slot in operator.slots:
         candidates = []
         for stored in uncovered_before(store, before):
             if stored.delta_t < operator.delta_t or stored.delta_l < operator.delta_l:
+                continue
+            if any(other.slot_id not in slot_ids for other in stored.slots):
                 continue
             for other in stored.slots:
                 if (

@@ -10,11 +10,16 @@ overlay, the guarantees of Section VI must hold regardless of the draw:
 * per-link dedup: no approach with publish/subscribe forwarding sends
   one event twice over one link;
 * exact-filtering FSF never exceeds operator placement's subscription
-  load (set subsumption subsumes pair-wise coverage).
+  load (set subsumption subsumes pair-wise coverage);
+* with coverage restricted to one covering record (union coverage out
+  of the picture), exact FSF delivers exactly naive's keys: a record
+  with a slot the covered operator lacks never covers it.
 """
 
+from unittest import mock
+
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.baselines import (
     multijoin_approach,
@@ -22,6 +27,7 @@ from repro.baselines import (
     operator_placement_approach,
 )
 from repro.core import FSFConfig, filter_split_forward_approach
+from repro.core.filter_split_forward import FilterSplitForwardNode
 from repro.experiments.runner import REPLAY_START
 from repro.metrics.oracle import compute_truth
 from repro.metrics.recall import measure_recall
@@ -147,3 +153,61 @@ def test_fsf_event_load_at_most_naive(subs, raw_events):
     )
     naive_net, _ = run(naive_approach(), subs, raw_events)
     assert fsf_net.meter.event_units <= naive_net.meter.event_units
+
+
+class _OneRecord:
+    """A store view whose coverage candidates all come from one record."""
+
+    def __init__(self, store, record):
+        self.store, self.record = store, record
+
+    def candidates(self, slot, before):
+        return [
+            (record, other)
+            for record, other in self.store.candidates(slot, before)
+            if record is self.record
+        ]
+
+
+_union_cover = FilterSplitForwardNode.is_covered
+
+
+def _single_cover(self, operator, store, before=None):
+    """FSF's rule, asked of one stored record at a time."""
+    records = {
+        id(record): record
+        for slot in operator.slots
+        for record, _ in store.candidates(slot, before)
+    }
+    return any(
+        _union_cover(self, operator, _OneRecord(store, record), before)
+        for record in records.values()
+    )
+
+
+@common
+@given(st.lists(sub_strategy(), min_size=1, max_size=4, unique_by=lambda s: s.sub_id),
+       event_strategy())
+@example(
+    subs=[
+        IdentifiedSubscription.from_ranges(
+            "q0", {s: ("t", 0.0, 10.0) for s in "abc"}, delta_t=5.0
+        ),
+        IdentifiedSubscription.from_ranges(
+            "q1", {s: ("t", 2.0, 8.0) for s in "ab"}, delta_t=5.0
+        ),
+    ],
+    raw_events=[("a", 5.0, 0.0), ("b", 5.0, 1.0)],
+)
+def test_single_cover_fsf_delivers_exactly_naive(subs, raw_events):
+    with mock.patch.object(FilterSplitForwardNode, "is_covered", _single_cover):
+        fsf_net, _ = run(
+            filter_split_forward_approach(FSFConfig(exact_filtering=True)),
+            subs,
+            raw_events,
+        )
+    naive_net, _ = run(naive_approach(), subs, raw_events)
+    for s in subs:
+        assert set(fsf_net.delivery.delivered(s.sub_id)) == set(
+            naive_net.delivery.delivered(s.sub_id)
+        ), s.sub_id

@@ -37,7 +37,7 @@ from repro.workload.sensorscope import ReplayConfig
 PINNED = {
     "naive": (277, 277),
     "operator_placement": (277, 277),
-    "fsf": (275, 275),
+    "fsf": (277, 277),
     "centralized": (18, 18),
     # Every sweep made at ingest finds a match here too; the other 198
     # are the one direct sweep of each ring join a relay retains while
