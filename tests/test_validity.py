@@ -18,10 +18,11 @@ from repro.experiments.runner import run_program
 from repro.protocols.registry import all_approaches
 from repro.workload.scenarios import SMALL
 
-APPROACHES = ("naive", "operator_placement", "multijoin", "fsf", "centralized")
+APPROACHES = sorted(all_approaches())
 
 
-def wide_pair_session(approach: str) -> tuple[Session, object]:
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_a_pair_forty_seconds_apart_reaches_a_sixty_second_window(approach):
     """A ``.within(60.0)`` query over the first and sixth sensors, whose
     readings are published 40 s apart."""
     session = Session.create(approach=approach, seed=11)
@@ -37,12 +38,6 @@ def wide_pair_session(approach: str) -> tuple[Session, object]:
     session.ingest(sensors[0], 1.0, timestamp=t0)
     session.ingest(sensors[5], 2.0, timestamp=t0 + 40.0)
     session.drain()
-    return session, handle
-
-
-@pytest.mark.parametrize("approach", APPROACHES)
-def test_a_pair_forty_seconds_apart_reaches_a_sixty_second_window(approach):
-    session, handle = wide_pair_session(approach)
     assert len(handle.matches()) == 1
 
 
@@ -66,15 +61,12 @@ def test_no_approach_loses_an_instance_at_sixty_seconds(wide_program, approach):
     assert result.recall == 1.0
 
 
-def test_widened_validity_survives_a_crash_and_a_cancel():
+def test_widened_validity_survives_a_crash_a_cancel_and_a_narrower_query():
     session = Session.create(approach="naive", seed=11)
     network = session.network
     start = network.validity
-    handle = session.submit(
-        Query().where(session.deployment.sensors[0].sensor_id, 0.0, 1.0).within(60.0),
-        at="r1",
-    )
-    session.drain()
+    sensor = session.deployment.sensors[0].sensor_id
+    handle = session.submit(Query().where(sensor, 0.0, 1.0).within(60.0), at="r1")
     widened = network.validity
     assert widened > start
     assert all(node.store.validity == widened for node in network.nodes.values())
@@ -84,16 +76,6 @@ def test_widened_validity_survives_a_crash_and_a_cancel():
     assert network.nodes["r1"].store.validity == widened
 
     handle.cancel()
-    session.drain()
+    session.submit(Query().where(sensor, 0.0, 1.0).within(1.0), at="r1")
     assert network.validity == widened
     assert all(node.store.validity == widened for node in network.nodes.values())
-
-
-def test_a_narrower_window_leaves_validity_alone():
-    session = Session.create(approach="naive", seed=11)
-    start = session.network.validity
-    session.submit(
-        Query().where(session.deployment.sensors[0].sensor_id, 0.0, 1.0).within(1.0),
-        at="r1",
-    )
-    assert session.network.validity == start
