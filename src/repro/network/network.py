@@ -332,18 +332,25 @@ class Network:
         ``next_hops``; see ``repro.placement``) routes the operator
         pieces explicitly instead of the approach's heuristic.  With
         ``plan=None`` the call is exactly the historical registration —
-        the null-plan fence the placement tests machine-check.  A window
-        wider than any admitted before raises the event validity of the
-        network and of every node's store; it never shrinks.
+        the null-plan fence the placement tests machine-check.  The
+        subscription's window widens the event validity if it needs to.
         """
         self.check_plan(node_id, plan)
-        validity = self._validity_for(subscription.delta_t)
+        self.widen_validity(subscription.delta_t)
+        self.delivery.register(subscription.sub_id)
+        self.nodes[node_id].subscribe(subscription, plan)
+
+    def widen_validity(self, delta_t: float) -> None:
+        """Raise the event validity of the network and of every node's
+        store to what a ``delta_t`` window needs; it never shrinks.  A
+        store's horizon never moves back, so events it already dropped
+        stay dropped: a program widens once, before its replay, from
+        the widest window it will admit."""
+        validity = self._validity_for(delta_t)
         if validity > self.validity:
             self.validity = validity
             for node in self.nodes.values():
                 node.store.validity = validity
-        self.delivery.register(subscription.sub_id)
-        self.nodes[node_id].subscribe(subscription, plan)
 
     def _validity_for(self, delta_t: float) -> float:
         return 4 * (delta_t + self._transit + 1.0)

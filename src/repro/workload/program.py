@@ -650,6 +650,13 @@ def execute_program(
         sketch=compiled.sketch,
     )
     after_ads = session.traffic.snapshot()
+    # Before any reading: a window admitted mid-replay needs events
+    # that predate its admission (the matcher backfill, which the
+    # oracle counts).
+    if compiled.admissions:
+        session.network.widen_validity(
+            max(a.subscription.delta_t for a in compiled.admissions)
+        )
 
     handles: dict[str, "QueryHandle"] = {}
     for admission in compiled.setup:

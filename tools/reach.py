@@ -18,7 +18,7 @@ beside this file (a named oracle, a fault path, documented facade...);
 names no function or carries no reason.  The report is printed, never
 committed.
 
-``--knobs`` adds a census to the same driver pass: for every defaulted
+The same driver pass takes a knob census: for every defaulted
 parameter of a package function a driver called (dataclass fields
 included), whether any driver call passed a value other than the
 default.  The parameters no driver varied are printed after the
@@ -26,7 +26,7 @@ report, as ``undriven`` lines; they are candidates for a literal, and
 the census is a report, never a gate.  Generator functions are left
 out: a resumed frame shows its reassigned locals, not its arguments.
 
-    python tools/reach.py [--check] [--knobs]
+    python tools/reach.py [--check]
 
 Standard library only (``coverage`` is not installed).  Runs take
 about four times as long as without the hook.  ``REPRO_WORKERS=1``
@@ -223,28 +223,23 @@ def undriven(knobs: dict[str, list]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# what runs: `reach.py --record OUT PACKAGE [--knobs] -- ARGV` in a fresh
-# interpreter
+# what runs: `reach.py --record OUT PACKAGE -- ARGV` in a fresh interpreter
 # ---------------------------------------------------------------------------
-def record(out: Path, package: Path, argv: list[str], knobs: bool = False) -> int:
+def record(out: Path, package: Path, argv: list[str]) -> int:
     """Run ``argv`` (``-m module ...`` or ``script ...``) as ``__main__``
     under the hook; write the code objects of ``package`` it entered,
-    and with ``knobs`` the census to ``OUT.knobs.json``."""
+    and the knob census to ``OUT.knobs.json``."""
     entered: set = set()
     add = entered.add
-    census = KnobCensus(package) if knobs else None
+    census = KnobCensus(package)
 
-    def hook(frame, event, _arg):  # one set insert per Python call
-        if event == "call":
-            add(frame.f_code)
-
-    def census_hook(frame, event, _arg):
+    def hook(frame, event, _arg):  # one set insert and one census look per call
         if event == "call":
             add(frame.f_code)
             census.observe(frame)
 
     status = 0
-    sys.setprofile(hook if census is None else census_hook)
+    sys.setprofile(hook)
     try:
         # sys.path[0] is this file's directory; make it what `python ARGV` has.
         if argv[0] == "-m":
@@ -267,8 +262,7 @@ def record(out: Path, package: Path, argv: list[str], knobs: bool = False) -> in
             if code.co_filename.startswith(prefix)
         )
         out.write_text(json.dumps(hits))
-        if census is not None:
-            _knobs_file(out).write_text(json.dumps(census.knobs))
+        _knobs_file(out).write_text(json.dumps(census.knobs))
     return status
 
 
@@ -289,13 +283,12 @@ def reached(
     varied when any command varied it).
     """
     hits: set[Key] = set()
-    flag = ["--knobs"] if knobs is not None else []
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch) / "hits.json"
         for argv in commands:
             print(f"reach: {' '.join(argv)}", file=sys.stderr, flush=True)
             done = subprocess.run(
-                [sys.executable, __file__, "--record", str(out), str(package), *flag, "--", *argv],
+                [sys.executable, __file__, "--record", str(out), str(package), "--", *argv],
                 cwd=cwd, env=env, stdout=subprocess.DEVNULL,
             )
             if done.returncode != 0:
@@ -384,18 +377,15 @@ def report(functions, verdict, excused) -> str:
 
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--record"]:  # internal: the traced child
-        knobs = argv[3] == "--knobs"
-        return record(Path(argv[1]), Path(argv[2]), argv[4 + knobs:], knobs)
+        return record(Path(argv[1]), Path(argv[2]), argv[4:])
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="exit 1 on an unexcused function or a bad keep-list entry")
-    parser.add_argument("--knobs", action="store_true",
-                        help="also print the defaulted parameters no driver varied")
     args = parser.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_WORKERS="1")
     env.pop("REPRO_SCALE", None)
     functions = inventory(PACKAGE)
-    knobs: dict[str, list] | None = {} if args.knobs else None
+    knobs: dict[str, list] = {}
     by_drivers = reached(DRIVERS, PACKAGE, ROOT, env, knobs)
     by_tests = reached(TIER1, PACKAGE, ROOT, env)
     by_tests |= reached(FIGURE_BENCHMARKS, PACKAGE, ROOT, dict(env, REPRO_SCALE="smoke"))
@@ -404,10 +394,9 @@ def main(argv: list[str]) -> int:
     excused, unexcused = judge(functions, verdict, keep)
     problems += unexcused
     print(report(functions, verdict, excused))
-    if knobs is not None:
-        print("\n== defaulted parameters no driver varied (a report, not a gate)")
-        for line in undriven(knobs):
-            print(f"undriven  {line}")
+    print("\n== defaulted parameters no driver varied (a report, not a gate)")
+    for line in undriven(knobs):
+        print(f"undriven  {line}")
     for problem in problems:
         print(f"reach: {problem}")
     return 1 if args.check and problems else 0
