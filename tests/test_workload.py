@@ -1,5 +1,6 @@
 """Tests for the synthetic SensorScope workload."""
 
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -24,29 +25,36 @@ from repro.workload import (
     build_replay,
     bursty_round_times,
     generate_subscriptions,
-    synthesize_stream,
     synthesize_stream_at,
 )
 from repro.workload.scenarios import default_scale
 from repro.workload.streams import profile_for, station_offset
 
 
+def _fixed_clock(rounds: int, period: float = 10.0) -> np.ndarray:
+    return np.arange(rounds) * period
+
+
 class TestStreams:
     def test_values_within_domain(self):
         rng = np.random.default_rng(0)
         for attr in (AMBIENT_TEMPERATURE, RELATIVE_HUMIDITY):
-            values = synthesize_stream(attr, 500, 10.0, rng)
+            values = synthesize_stream_at(attr, _fixed_clock(500), rng)
             assert values.min() >= attr.domain.lo
             assert values.max() <= attr.domain.hi
 
     def test_deterministic_given_rng_seed(self):
-        a = synthesize_stream(AMBIENT_TEMPERATURE, 50, 10.0, np.random.default_rng(1))
-        b = synthesize_stream(AMBIENT_TEMPERATURE, 50, 10.0, np.random.default_rng(1))
+        a = synthesize_stream_at(
+            AMBIENT_TEMPERATURE, _fixed_clock(50), np.random.default_rng(1)
+        )
+        b = synthesize_stream_at(
+            AMBIENT_TEMPERATURE, _fixed_clock(50), np.random.default_rng(1)
+        )
         assert np.array_equal(a, b)
 
     def test_autocorrelation_present(self):
-        values = synthesize_stream(
-            AMBIENT_TEMPERATURE, 2000, 10.0, np.random.default_rng(2)
+        values = synthesize_stream_at(
+            AMBIENT_TEMPERATURE, _fixed_clock(2000), np.random.default_rng(2)
         )
         x = values - values.mean()
         r1 = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
@@ -54,7 +62,7 @@ class TestStreams:
 
     def test_rounds_positive(self):
         with pytest.raises(ValueError):
-            synthesize_stream(AMBIENT_TEMPERATURE, 0, 10.0, np.random.default_rng(0))
+            ReplayConfig(rounds=0)
 
     def test_profiles_cover_sensorscope(self):
         assert profile_for(AMBIENT_TEMPERATURE).mean < 10.0
@@ -261,6 +269,54 @@ class TestDynamicReplay:
             DynamicReplayConfig(rate_amplitude=1.0)
         with pytest.raises(ValueError):
             DynamicReplayConfig(jitter=-1.0)
+
+
+def _campaign_digest(replay) -> str:
+    """blake2b over everything a campaign hands the layers above it:
+    events, medians, spreads, the round clock and the churn intervals."""
+    cfg = replay.config
+    round_times = getattr(replay, "round_times", None) or tuple(
+        float(r * cfg.round_period) for r in range(1, cfg.rounds + 1)
+    )
+    churn = getattr(replay, "churn", None)
+    intervals = sorted(churn.intervals.items()) if churn else []
+    h = hashlib.blake2b(digest_size=16)
+    for part in (
+        [
+            (e.sensor_id, e.attribute, e.location, e.value, e.timestamp, e.seq)
+            for e in replay.events
+        ],
+        sorted(replay.medians.items()),
+        sorted(replay.spreads.items()),
+        list(round_times),
+        intervals,
+    ):
+        h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+class TestCampaignBytes:
+    """The synthesized campaigns, pinned byte for byte: every figure,
+    golden run and oracle truth is a function of these bytes."""
+
+    def test_static_campaign(self):
+        replay = build_replay(small_scale(seed=1), ReplayConfig(rounds=5))
+        assert _campaign_digest(replay) == "e209ad9ec8193562eb5ff4f85f754b92"
+
+    def test_dynamic_campaign(self):
+        replay = build_dynamic_replay(
+            small_scale(seed=1), DynamicReplayConfig(days=1)
+        )
+        assert _campaign_digest(replay) == "c70a1786a013baf5cc2499bd53c67934"
+
+    def test_dynamic_campaign_with_churn(self):
+        replay = build_dynamic_replay(
+            small_scale(seed=1),
+            DynamicReplayConfig(days=1),
+            ChurnConfig(cycle_fraction=0.5),
+        )
+        assert replay.churn
+        assert _campaign_digest(replay) == "16f81cf5e68141914334d06093b1f9b3"
 
 
 class TestReplayHashseedStability:
