@@ -56,11 +56,9 @@ from ..sketches import SketchConfig
 from .sensorscope import (
     ChurnConfig,
     ChurnSchedule,
-    DynamicReplay,
     DynamicReplayConfig,
     Replay,
     ReplayConfig,
-    build_dynamic_replay,
     build_replay,
 )
 from .subscriptions import (
@@ -205,7 +203,7 @@ class WorkloadProgram:
       exactly the historical fixed-prefix protocol;
     * ``replay``/``dynamic`` select the measurement campaign (static
       one-day vs multi-day drifting/bursty), ``churn`` the sensor
-      leave/rejoin schedule (requires ``dynamic``);
+      leave/rejoin schedule over either;
     * ``lifecycle`` appends the Poisson admit/retire workload, drawing
       its queries from the generated pool *after* the static prefix;
     * ``queries`` appends explicitly authored admissions (fluent
@@ -229,8 +227,8 @@ class WorkloadProgram:
     * ``sketch`` (a :class:`~repro.sketches.SketchConfig`) turns on
       the approximate answer lane.
       Construction checks only what no network can: the placement
-      value, a sketch × compiled placement, churn without a dynamic
-      replay and the ``static_prefix`` range.  The lane rule (a sketch
+      value, a sketch × compiled placement and the ``static_prefix``
+      range.  The lane rule (a sketch
       × an unreliable transport) is ``Network``'s, raised by
       :func:`execute_program` before any node is populated.
 
@@ -263,8 +261,6 @@ class WorkloadProgram:
                 "compiled placement routes exact operator trees; "
                 "it cannot be combined with the sketch lane"
             )
-        if self.churn is not None and self.dynamic is None:
-            raise ValueError("churn requires a dynamic replay")
         if self.static_prefix is not None and not (
             0 <= self.static_prefix <= self.subscriptions.n_subscriptions
         ):
@@ -297,17 +293,11 @@ class WorkloadProgram:
         series runner memoises it per (scenario, scale) exactly like
         it memoises churn state.
         """
-        if self.dynamic is not None:
-            replay: Replay = build_dynamic_replay(
-                deployment, self.dynamic, self.churn
-            )
-            span = replay.span  # type: ignore[attr-defined]
-        else:
-            replay = build_replay(deployment, self.replay)
-            cfg = self.replay
-            span = cfg.rounds * cfg.round_period + cfg.jitter
+        replay = build_replay(
+            deployment, self.dynamic or self.replay, self.churn
+        )
         edges = (
-            build_lifecycle_edges(deployment.seed, span, self.lifecycle)
+            build_lifecycle_edges(deployment.seed, replay.span, self.lifecycle)
             if self.lifecycle is not None
             else ()
         )
@@ -328,7 +318,6 @@ class WorkloadProgram:
             churn=replay.churn_shifted(REPLAY_START),
             workload=workload,
             edges=edges,
-            span=span,
         )
 
     def compile(
@@ -395,7 +384,7 @@ class WorkloadProgram:
             events=source.events,
             churn=source.churn,
             admissions=tuple(admissions),
-            span=source.span,
+            span=source.replay.span,
             faults=self.faults,
             reliability=self.reliability,
             plans=plans,
@@ -462,7 +451,6 @@ class ProgramSource:
     churn: ChurnSchedule | None
     workload: tuple[PlacedSubscription, ...]
     edges: tuple[LifecycleEdge, ...]
-    span: float
 
     def compatible_with(
         self, program: WorkloadProgram, deployment: Deployment

@@ -71,8 +71,8 @@ class Scenario:
     """One experiment setting: deployment + workload axes.
 
     ``dynamic`` switches the scenario to the multi-day drifting replay;
-    ``churn`` (requires ``dynamic``) adds the leave/rejoin schedule the
-    network layer turns into retraction floods and re-floods;
+    ``churn`` adds the leave/rejoin schedule, on either replay, that
+    the network layer turns into retraction floods and re-floods;
     ``lifecycle`` adds the Poisson query admit/retire workload on top
     of the measured static prefix; ``faults``/``reliability`` run the
     whole scenario over the seeded unreliable transport with the

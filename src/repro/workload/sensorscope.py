@@ -6,23 +6,25 @@ distance — readings of one round correlate, consecutive rounds do not
 bleed into each other, mirroring the fixed sampling intervals of the
 SensorScope stations.
 
-Two replay families live here:
+One builder, :func:`build_replay`, synthesises both campaigns; only
+the round clock differs:
 
-* the **static** replay (:class:`ReplayConfig` / :func:`build_replay`)
-  — one smooth day at a fixed round period, the seed workload every
-  figure of the paper runs on;
-* the **dynamic** replay (:class:`DynamicReplayConfig` /
-  :func:`build_dynamic_replay`) — multiple compressed days with
-  per-day value drift, diurnal rate modulation and Pareto-bursty round
-  pacing, plus an optional **churn schedule**
-  (:class:`ChurnConfig` / :class:`ChurnSchedule`): a subset of sensors
-  leaves and rejoins at scheduled times, publishing nothing while away.
-  The network layer turns those transitions into advertisement
-  retraction floods and re-floods; the oracle fences departed sensors'
-  history at each departure.
+* a :class:`ReplayConfig` runs the **static** campaign — one smooth
+  day on a fixed round period, the seed workload every figure of the
+  paper runs on;
+* a :class:`DynamicReplayConfig` runs the **dynamic** campaign —
+  multiple compressed days with per-day value drift, diurnal rate
+  modulation and Pareto-bursty round pacing.
+
+Either takes an optional **churn schedule** (:class:`ChurnConfig` /
+:class:`ChurnSchedule`): a subset of sensors leaves and rejoins at
+scheduled times, publishing nothing while away.  The network layer
+turns those transitions into advertisement retraction floods and
+re-floods; the oracle fences departed sensors' history at each
+departure.
 
 Everything is seeded through :func:`repro.seeding.derive_seed`, so both
-families are bit-identical across processes and ``PYTHONHASHSEED``
+campaigns are bit-identical across processes and ``PYTHONHASHSEED``
 values — the sharded experiment runner depends on it.
 """
 
@@ -30,8 +32,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -39,16 +41,16 @@ from ..model.events import SimpleEvent
 from ..network.topology import Deployment
 from ..seeding import derive_seed
 from .streams import (
+    SECONDS_PER_DAY,
     bursty_round_times,
     station_offset,
-    synthesize_stream,
     synthesize_stream_at,
 )
 
 
 @dataclass(frozen=True, slots=True)
 class ReplayConfig:
-    """Shape of the replayed measurement campaign."""
+    """Shape of the static campaign: rounds on a fixed period."""
 
     rounds: int = 24
     round_period: float = 10.0
@@ -60,99 +62,6 @@ class ReplayConfig:
             raise ValueError("rounds must be positive")
         if not 0 <= self.jitter < self.round_period / 2:
             raise ValueError("jitter must be in [0, round_period/2)")
-
-
-@dataclass
-class Replay:
-    """A fully materialised replay: events plus per-sensor statistics."""
-
-    events: list[SimpleEvent]
-    medians: dict[str, float]
-    spreads: dict[str, float]
-    config: ReplayConfig
-
-    def shifted(self, offset: float) -> list[SimpleEvent]:
-        """The same events with timestamps moved by ``offset``.
-
-        The experiment runner shifts every replay by the *fixed*
-        ``repro.experiments.runner.REPLAY_START`` — deliberately not by
-        the instant the subscription phase finished, which differs per
-        approach: a fixed virtual start time keeps the replayed
-        timestamps (and therefore the oracle's ground truth) identical
-        for every approach, as the paper's protocol requires.
-        """
-        return [
-            SimpleEvent(
-                e.sensor_id,
-                e.attribute,
-                e.location,
-                e.value,
-                e.timestamp + offset,
-                e.seq,
-            )
-            for e in self.events
-        ]
-
-    def churn_shifted(self, offset: float) -> "ChurnSchedule | None":
-        """The churn schedule on the clock :meth:`shifted` puts the
-        events on, or None: static replays carry no schedule, and a
-        dynamic replay in which no sensor cycles collapses to None too,
-        so the common path stays churn-free."""
-        schedule = getattr(self, "churn", None)
-        return schedule.shifted(offset) if schedule else None
-
-
-def build_replay(deployment: Deployment, config: ReplayConfig | None = None) -> Replay:
-    """Synthesise the measurement campaign for a deployment.
-
-    Deterministic in ``(deployment.seed, config.seed)`` — across
-    *processes* too: per-sensor streams are keyed via
-    :func:`repro.seeding.derive_seed`, never builtin ``hash`` (which
-    varies with ``PYTHONHASHSEED`` and would make sharded workers
-    synthesize different events than the parent computed ground truth
-    for).  Every sensor contributes exactly ``config.rounds`` readings.
-    The returned medians feed the subscription generator ("ranges ...
-    centered around the median values in the corresponding stream").
-    """
-    cfg = config or ReplayConfig()
-    events: list[SimpleEvent] = []
-    medians: dict[str, float] = {}
-    spreads: dict[str, float] = {}
-    for placement in deployment.sensors:
-        rng = np.random.default_rng(
-            derive_seed(deployment.seed, cfg.seed, placement.sensor_id)
-        )
-        offset = station_offset(placement.attribute, placement.group, rng)
-        values = synthesize_stream(
-            placement.attribute, cfg.rounds, cfg.round_period, rng, offset
-        )
-        medians[placement.sensor_id] = float(np.median(values))
-        # Robust spread estimate (half the central 68% range); the
-        # subscription generator expresses filter widths in these units
-        # so selectivity is comparable across attributes.
-        lo, hi = np.percentile(values, [16.0, 84.0])
-        spreads[placement.sensor_id] = max(float(hi - lo) / 2.0, 1e-6)
-        jitters = rng.uniform(-cfg.jitter, cfg.jitter, size=cfg.rounds)
-        for r in range(cfg.rounds):
-            timestamp = (r + 1) * cfg.round_period + float(jitters[r])
-            events.append(
-                SimpleEvent(
-                    placement.sensor_id,
-                    placement.attribute.name,
-                    placement.location,
-                    float(values[r]),
-                    timestamp,
-                    seq=r,
-                )
-            )
-    events.sort(key=lambda e: (e.timestamp, e.sensor_id))
-    return Replay(events, medians, spreads, cfg)
-
-
-# ---------------------------------------------------------------------------
-# dynamic replay: multi-day drift, bursty pacing, sensor churn
-# ---------------------------------------------------------------------------
-_INF = float("inf")
 
 
 @dataclass(frozen=True, slots=True)
@@ -303,6 +212,9 @@ class ChurnSchedule:
         )
 
 
+_INF = float("inf")
+
+
 def build_churn_schedule(
     deployment: Deployment, span: float, config: ChurnConfig | None = None
 ) -> ChurnSchedule:
@@ -354,48 +266,91 @@ def build_churn_schedule(
 
 
 @dataclass
-class DynamicReplay(Replay):
-    """A dynamic campaign: events + the churn schedule that shaped them."""
+class Replay:
+    """A fully materialised campaign: events, per-sensor statistics, the
+    round clock that stamped them and the churn schedule that thinned
+    them (empty when no sensor cycles)."""
 
-    round_times: tuple[float, ...] = ()
-    churn: ChurnSchedule = field(default_factory=lambda: ChurnSchedule({}))
+    events: list[SimpleEvent]
+    medians: dict[str, float]
+    spreads: dict[str, float]
+    config: ReplayConfig | DynamicReplayConfig
+    round_times: tuple[float, ...]
+    churn: ChurnSchedule
+    span: float
+    """Length of the campaign: last round time plus jitter headroom."""
 
-    @property
-    def span(self) -> float:
-        """Length of the campaign (last round time + jitter headroom)."""
-        cfg = self.config
-        jitter = cfg.jitter if isinstance(cfg, DynamicReplayConfig) else 0.0
-        return (self.round_times[-1] + jitter) if self.round_times else 0.0
+    def shifted(self, offset: float) -> list[SimpleEvent]:
+        """The same events with timestamps moved by ``offset``.
+
+        The experiment runner shifts every replay by the *fixed*
+        ``repro.experiments.runner.REPLAY_START`` — deliberately not by
+        the instant the subscription phase finished, which differs per
+        approach: a fixed virtual start time keeps the replayed
+        timestamps (and therefore the oracle's ground truth) identical
+        for every approach, as the paper's protocol requires.
+        """
+        return [
+            SimpleEvent(
+                e.sensor_id,
+                e.attribute,
+                e.location,
+                e.value,
+                e.timestamp + offset,
+                e.seq,
+            )
+            for e in self.events
+        ]
+
+    def churn_shifted(self, offset: float) -> ChurnSchedule | None:
+        """The churn schedule on the clock :meth:`shifted` puts the
+        events on, or None when no sensor cycles, so the common path
+        stays churn-free."""
+        return self.churn.shifted(offset) if self.churn else None
 
 
-def build_dynamic_replay(
+def build_replay(
     deployment: Deployment,
-    config: DynamicReplayConfig | None = None,
+    config: ReplayConfig | DynamicReplayConfig | None = None,
     churn: ChurnConfig | None = None,
-) -> DynamicReplay:
-    """Synthesise a multi-day drifting campaign with optional churn.
+) -> Replay:
+    """Synthesise the measurement campaign for a deployment.
 
-    Deterministic in ``(deployment.seed, config.seed, churn.seed)``
-    across processes (all randomness routes through
-    :func:`repro.seeding.derive_seed`).  Medians and spreads are
-    computed over each sensor's *full* synthesized series — churn
-    removes publications, not statistics — so subscription generation
-    is identical with and without a churn schedule, and a sensor that
-    departs early still has a well-defined median for subscriptions to
-    centre on.
+    Deterministic in ``(deployment.seed, config.seed, churn.seed)`` —
+    across *processes* too: per-sensor streams are keyed via
+    :func:`repro.seeding.derive_seed`, never builtin ``hash`` (which
+    varies with ``PYTHONHASHSEED`` and would make sharded workers
+    synthesize different events than the parent computed ground truth
+    for).  Every sensor draws ``config.rounds`` readings and publishes
+    those stamped while it is alive.  The returned medians feed the
+    subscription generator ("ranges ... centered around the median
+    values in the corresponding stream"); they and the spreads cover
+    each sensor's *full* series — churn removes publications, not
+    statistics — so subscription generation is identical with and
+    without a churn schedule.
     """
-    cfg = config or DynamicReplayConfig()
-    clock_rng = np.random.default_rng(
-        derive_seed(deployment.seed, cfg.seed, "round-clock")
-    )
-    round_times = bursty_round_times(
-        cfg.rounds,
-        cfg.base_gap,
-        clock_rng,
-        day_seconds=cfg.day_seconds,
-        rate_amplitude=cfg.rate_amplitude,
-        burst_shape=cfg.burst_shape,
-    )
+    cfg = config or ReplayConfig()
+    if isinstance(cfg, DynamicReplayConfig):
+        clock_rng = np.random.default_rng(
+            derive_seed(deployment.seed, cfg.seed, "round-clock")
+        )
+        round_times = bursty_round_times(
+            cfg.rounds,
+            cfg.base_gap,
+            clock_rng,
+            day_seconds=cfg.day_seconds,
+            rate_amplitude=cfg.rate_amplitude,
+            burst_shape=cfg.burst_shape,
+        )
+        sample_times = round_times
+        day_seconds, drift_per_day = cfg.day_seconds, cfg.drift_per_day
+    else:
+        # The fixed clock samples each round one period before it stamps
+        # it, as the static campaign always has: keeping that offset
+        # keeps every static figure byte-identical.
+        sample_times = np.arange(cfg.rounds) * cfg.round_period
+        round_times = np.arange(1, cfg.rounds + 1) * cfg.round_period
+        day_seconds, drift_per_day = SECONDS_PER_DAY, 0.0
     span = float(round_times[-1]) + cfg.jitter
     schedule = (
         build_churn_schedule(deployment, span, churn)
@@ -412,13 +367,16 @@ def build_dynamic_replay(
         offset = station_offset(placement.attribute, placement.group, rng)
         values = synthesize_stream_at(
             placement.attribute,
-            round_times,
+            sample_times,
             rng,
             offset,
-            day_seconds=cfg.day_seconds,
-            drift_per_day=cfg.drift_per_day,
+            day_seconds=day_seconds,
+            drift_per_day=drift_per_day,
         )
         medians[placement.sensor_id] = float(np.median(values))
+        # Robust spread estimate (half the central 68% range); the
+        # subscription generator expresses filter widths in these units
+        # so selectivity is comparable across attributes.
         lo, hi = np.percentile(values, [16.0, 84.0])
         spreads[placement.sensor_id] = max(float(hi - lo) / 2.0, 1e-6)
         jitters = rng.uniform(-cfg.jitter, cfg.jitter, size=cfg.rounds)
@@ -437,11 +395,12 @@ def build_dynamic_replay(
                 )
             )
     events.sort(key=lambda e: (e.timestamp, e.sensor_id))
-    return DynamicReplay(
+    return Replay(
         events,
         medians,
         spreads,
         cfg,
         round_times=tuple(float(t) for t in round_times),
         churn=schedule,
+        span=span,
     )

@@ -58,36 +58,6 @@ def profile_for(attribute: AttributeType) -> StreamProfile:
     return STREAM_PROFILES.get(attribute.name, DEFAULT_PROFILE)
 
 
-def synthesize_stream(
-    attribute: AttributeType,
-    rounds: int,
-    round_period: float,
-    rng: np.random.Generator,
-    station_offset: float = 0.0,
-) -> np.ndarray:
-    """One sensor's value series over ``rounds`` sampling rounds.
-
-    Diurnal sinusoid + AR(1) noise around a station-shifted mean,
-    clipped to the attribute's physical domain.
-    """
-    if rounds <= 0:
-        raise ValueError("rounds must be positive")
-    profile = profile_for(attribute)
-    t = np.arange(rounds) * round_period
-    diurnal = profile.diurnal_amplitude * np.sin(2 * np.pi * t / SECONDS_PER_DAY)
-    noise = np.empty(rounds)
-    noise[0] = rng.normal(0.0, profile.noise_sigma)
-    innovations = rng.normal(
-        0.0,
-        profile.noise_sigma * np.sqrt(1 - AR_COEFFICIENT**2),
-        size=rounds,
-    )
-    for i in range(1, rounds):
-        noise[i] = AR_COEFFICIENT * noise[i - 1] + innovations[i]
-    values = profile.mean + station_offset + diurnal + noise
-    return np.clip(values, attribute.domain.lo, attribute.domain.hi)
-
-
 def station_offset(
     attribute: AttributeType, group: int, rng: np.random.Generator
 ) -> float:
@@ -105,15 +75,17 @@ def synthesize_stream_at(
 ) -> np.ndarray:
     """One sensor's values at arbitrary (sorted) ``times``.
 
-    The multi-day variant of :func:`synthesize_stream`, used by the
-    dynamic replay: the diurnal sinusoid runs on a configurable
-    ``day_seconds`` period (virtual days are compressed so multi-day
-    campaigns stay affordable), and a linear per-day drift of
-    ``drift_per_day`` noise-sigmas shifts the mean — over several days
-    values wander through subscription ranges the way a weather front
-    moves a whole station, which is what makes long replays more than a
-    repeated day one.  AR(1) noise is stepped once per sample regardless
-    of the (bursty, uneven) spacing — a deliberate simplification: the
+    Diurnal sinusoid + AR(1) noise around a station-shifted mean,
+    clipped to the attribute's physical domain.  Both campaigns draw
+    through it: the static one on a fixed clock with a real day and no
+    drift, the dynamic one on a bursty clock where the sinusoid runs
+    on a compressed ``day_seconds`` period (multi-day campaigns stay
+    affordable) and a linear per-day drift of ``drift_per_day``
+    noise-sigmas shifts the mean — over several days values wander
+    through subscription ranges the way a weather front moves a whole
+    station, which is what makes long replays more than a repeated day
+    one.  AR(1) noise is stepped once per sample regardless of the
+    (possibly uneven) spacing — a deliberate simplification: the
     matcher only cares that consecutive readings correlate, not about
     the exact decorrelation time.
     """

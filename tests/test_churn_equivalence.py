@@ -37,7 +37,7 @@ from repro.sim import Simulator
 from repro.workload.sensorscope import (
     ChurnConfig,
     DynamicReplayConfig,
-    build_dynamic_replay,
+    build_replay,
 )
 from repro.workload.subscriptions import (
     SubscriptionWorkloadConfig,
@@ -53,7 +53,7 @@ def churn_arena(seed: int):
     """One seeded dynamic scenario: tiny deployment, 2 drifting days,
     40% of sensors cycling, a handful of subscriptions."""
     deployment = build_deployment(14, 2, seed=seed)
-    replay = build_dynamic_replay(
+    replay = build_replay(
         deployment,
         DynamicReplayConfig(
             days=2,

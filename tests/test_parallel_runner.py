@@ -326,7 +326,7 @@ from repro.workload.scenarios import Scenario
 from repro.workload.sensorscope import (
     ChurnConfig,
     DynamicReplayConfig,
-    build_dynamic_replay,
+    build_replay,
 )
 
 def factory(seed):
@@ -342,7 +342,7 @@ scenario = Scenario(
     dynamic=DynamicReplayConfig(days=2, rounds_per_day=6, day_seconds=100.0),
     churn=ChurnConfig(cycle_fraction=0.3),
 )
-replay = build_dynamic_replay(
+replay = build_replay(
     factory(scenario.seed), scenario.dynamic, scenario.churn
 )
 print(sorted(replay.churn.intervals.items()))

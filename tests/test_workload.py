@@ -21,7 +21,6 @@ from repro.workload import (
     SMALL,
     SubscriptionWorkloadConfig,
     build_churn_schedule,
-    build_dynamic_replay,
     build_replay,
     bursty_round_times,
     generate_subscriptions,
@@ -226,7 +225,7 @@ class TestChurnSchedule:
 class TestDynamicReplay:
     def _arena(self, seed=3):
         dep = build_deployment(24, 3, seed=seed)
-        return dep, build_dynamic_replay(
+        return dep, build_replay(
             dep,
             DynamicReplayConfig(days=2, rounds_per_day=8, day_seconds=120.0),
             ChurnConfig(cycle_fraction=0.3),
@@ -274,12 +273,6 @@ class TestDynamicReplay:
 def _campaign_digest(replay) -> str:
     """blake2b over everything a campaign hands the layers above it:
     events, medians, spreads, the round clock and the churn intervals."""
-    cfg = replay.config
-    round_times = getattr(replay, "round_times", None) or tuple(
-        float(r * cfg.round_period) for r in range(1, cfg.rounds + 1)
-    )
-    churn = getattr(replay, "churn", None)
-    intervals = sorted(churn.intervals.items()) if churn else []
     h = hashlib.blake2b(digest_size=16)
     for part in (
         [
@@ -288,8 +281,8 @@ def _campaign_digest(replay) -> str:
         ],
         sorted(replay.medians.items()),
         sorted(replay.spreads.items()),
-        list(round_times),
-        intervals,
+        list(replay.round_times),
+        sorted(replay.churn.intervals.items()),
     ):
         h.update(repr(part).encode())
     return h.hexdigest()
@@ -304,13 +297,13 @@ class TestCampaignBytes:
         assert _campaign_digest(replay) == "e209ad9ec8193562eb5ff4f85f754b92"
 
     def test_dynamic_campaign(self):
-        replay = build_dynamic_replay(
+        replay = build_replay(
             small_scale(seed=1), DynamicReplayConfig(days=1)
         )
         assert _campaign_digest(replay) == "c70a1786a013baf5cc2499bd53c67934"
 
     def test_dynamic_campaign_with_churn(self):
-        replay = build_dynamic_replay(
+        replay = build_replay(
             small_scale(seed=1),
             DynamicReplayConfig(days=1),
             ChurnConfig(cycle_fraction=0.5),

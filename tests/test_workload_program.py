@@ -17,10 +17,13 @@ Pinned here:
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.api import Query
+from repro.core import FSFConfig
+from repro.metrics.recall import measure_recall
 from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
 from repro.workload.program import (
@@ -31,6 +34,7 @@ from repro.workload.program import (
     build_lifecycle_edges,
     execute_program,
 )
+from repro.workload.scenarios import SMALL
 from repro.workload.sensorscope import ChurnConfig, DynamicReplayConfig, ReplayConfig
 from repro.workload.subscriptions import (
     SubscriptionWorkloadConfig,
@@ -124,10 +128,6 @@ class TestLifecycleEdges:
 
 
 class TestProgramValidation:
-    def test_churn_requires_dynamic(self):
-        with pytest.raises(ValueError, match="dynamic"):
-            tiny_program(churn=ChurnConfig())
-
     def test_static_prefix_bounds(self):
         with pytest.raises(ValueError, match="static_prefix"):
             tiny_program(static_prefix=7)
@@ -298,3 +298,23 @@ class TestExecution:
         assert set(again.session.delivery.delivered("q00000")) == set(
             execution.session.delivery.delivered("q00000")
         )
+
+    def test_churn_on_a_static_replay(self):
+        """Churn composes with the static campaign: the fixed-clock replay
+        thins out away sensors and the schedule reaches the network, and
+        every approach stays exact against the churn-fenced oracle."""
+        scenario = replace(SMALL, churn=ChurnConfig(cycle_fraction=0.25))
+        compiled = scenario.program(30).compile(scenario.deployment())
+        assert len(compiled.churn.transitions()) == 24
+        assert len(compiled.events) == 1153  # 50 sensors x 24 rounds, thinned
+        truths = compiled.truth()
+        for key, approach in all_approaches(
+            FSFConfig(exact_filtering=True)
+        ).items():
+            delivery = execute_program(compiled, approach).session.network.delivery
+            report = measure_recall(truths, delivery)
+            assert report.true_instances == 106, key
+            assert report.recall == 1.0, key
+            # Multi-join's partial matches are false positives by design.
+            expected = 412 if key == "multijoin" else 0
+            assert report.false_positive_events == expected, key
