@@ -667,15 +667,20 @@ def execute_program(
         session.network.schedule_outages(
             compiled.faults.outages, offset=REPLAY_START
         )
+
+    def periodic(interval: float) -> list[tuple[float, int]]:
+        """``(instant, round number)`` every ``interval`` across the span."""
+        rounds = []
+        k = 1
+        while k * interval <= compiled.span:
+            rounds.append((REPLAY_START + k * interval, k))
+            k += 1
+        return rounds
+
     if compiled.reliability is not None:
         # Soft-state refresh rounds across the replay span: a finite
         # timeline (never self-rescheduling), so quiescence survives.
-        interval = compiled.reliability.refresh_interval
-        rounds = []
-        epoch = 1
-        while epoch * interval <= compiled.span:
-            rounds.append((REPLAY_START + epoch * interval, epoch))
-            epoch += 1
+        rounds = periodic(compiled.reliability.refresh_interval)
         if rounds:
             session.network.schedule_refresh(rounds)
     if session.network.sketches is not None:
@@ -684,17 +689,11 @@ def execute_program(
         # churn transition, so cumulative summaries reflect the full
         # (fenced) stream.
         interval = session.network.sketches.config.push_interval
-        sketch_rounds = []
-        round_no = 1
-        while round_no * interval <= compiled.span:
-            sketch_rounds.append(
-                (REPLAY_START + round_no * interval, round_no)
-            )
-            round_no += 1
-        sketch_rounds.append(
-            (REPLAY_START + compiled.span + interval, round_no)
+        rounds = periodic(interval)
+        rounds.append(
+            (REPLAY_START + compiled.span + interval, len(rounds) + 1)
         )
-        session.network.schedule_sketch_rounds(sketch_rounds)
+        session.network.schedule_sketch_rounds(rounds)
 
     counters = {"admitted": 0, "retired": 0}
 
