@@ -494,7 +494,8 @@ def _placement_runs(scale: float | None) -> dict[str, SeriesResult]:
 
 
 def _total_units(r) -> float:
-    """Everything a run put on the wire, every channel summed."""
+    """Everything a run put on the wire, every channel summed once (a
+    resend and a refresh copy are billed to their channels already)."""
     return float(
         r.subscription_load
         + r.event_load
@@ -502,8 +503,6 @@ def _total_units(r) -> float:
         + r.reflood_load
         + r.admit_load
         + r.teardown_load
-        + r.retransmission_load
-        + r.refresh_load
     )
 
 

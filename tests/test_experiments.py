@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments import figures
 from repro.experiments.cli import main as cli_main
-from repro.experiments.runner import REPLAY_START, run_series
+from repro.experiments.runner import REPLAY_START, RunResult, run_series
 from repro.experiments.tables import (
     fig3_deployment,
     render_table_2,
@@ -241,6 +241,32 @@ class TestFigureHarness:
         )
         text = result.render()
         assert "Figure 99" in text and "Filter-Split-Forward" in text and "n" in text
+
+    def test_total_units_sums_each_channel_once(self):
+        """Resends and refresh copies are subsets of the channel columns
+        (``TrafficMeter.record`` bills them to their channels too), so
+        they never add to a run's total."""
+        run = RunResult(
+            approach="fsf",
+            n_subscriptions=1,
+            subscription_load=10,
+            event_load=20,
+            advertisement_load=30,
+            recall=1.0,
+            false_positive_rate=0.0,
+            true_instances=0,
+            delivered_instances=0,
+            delivered_events=0,
+            dropped_subscriptions=0,
+            complex_deliveries=0,
+            sim_events=0,
+            reflood_load=4,
+            admit_load=5,
+            teardown_load=6,
+            retransmission_load=7,
+            refresh_load=8,
+        )
+        assert figures._total_units(run) == 75.0
 
     def test_scenario_series_cached(self, tiny_scenario, monkeypatch):
         figures.clear_cache()
