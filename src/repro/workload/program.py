@@ -228,9 +228,9 @@ class WorkloadProgram:
       the approximate answer lane.
       Construction checks only what no network can: the placement
       value, a sketch × compiled placement and the ``static_prefix``
-      range.  The lane rule (a sketch
-      × an unreliable transport) is ``Network``'s, raised by
-      :func:`execute_program` before any node is populated.
+      range.  The lane rule (a sketch × an unreliable transport) is
+      ``Network``'s, raised by :func:`execute_program` before any
+      node is populated.
 
     Programs are frozen, hashable and picklable — a program plus a
     deployment seed *is* the experiment, which is what makes points
@@ -293,9 +293,7 @@ class WorkloadProgram:
         series runner memoises it per (scenario, scale) exactly like
         it memoises churn state.
         """
-        replay = build_replay(
-            deployment, self.dynamic or self.replay, self.churn
-        )
+        replay = build_replay(deployment, self.dynamic or self.replay, self.churn)
         edges = (
             build_lifecycle_edges(deployment.seed, replay.span, self.lifecycle)
             if self.lifecycle is not None
