@@ -43,15 +43,18 @@ def test_ablation_error_probability(benchmark):
     print()
     for label, r in rows.items():
         print(
-            f"{label:16s} sub={r.subscription_load:6d} "
-            f"evt={r.event_load:7d} recall={r.recall:.3f}"
+            f"{label:16s} sub={r.after_setup.subscription_units:6d} "
+            f"evt={r.final.event_units:7d} recall={r.accuracy.recall:.3f}"
         )
-    assert rows["eps=0.5,gap=0.5"].recall <= rows["exact"].recall
+    sampled, exact = rows["eps=0.5,gap=0.5"], rows["exact"]
+    assert sampled.accuracy.recall <= exact.accuracy.recall
     assert (
-        rows["eps=0.5,gap=0.5"].subscription_load
-        <= rows["exact"].subscription_load
+        sampled.after_setup.subscription_units
+        <= exact.after_setup.subscription_units
     )
-    benchmark.extra_info["recalls"] = {k: r.recall for k, r in rows.items()}
+    benchmark.extra_info["recalls"] = {
+        k: r.accuracy.recall for k, r in rows.items()
+    }
 
 
 def test_ablation_false_positives_vs_attribute_count(benchmark):
@@ -68,7 +71,7 @@ def test_ablation_false_positives_vs_attribute_count(benchmark):
                 replay=ReplayConfig(rounds=16, seed=3),
             ).compile(deployment)
             result = run_program(multijoin_approach(), compiled)
-            rates[k] = result.false_positive_rate
+            rates[k] = result.accuracy.false_positive_rate
         return rates
 
     rates = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -55,6 +55,6 @@ def test_figure_22_certified_error_within_guarantee(benchmark, scale):
             # Every measured point answered queries, and every
             # certificate held: observed error within the q-digest
             # bound, bracket containing the truth.
-            assert run.approx_queries > 0, (k, run.subscriptions)
-            assert run.approx_bound_violations == 0, (k, run.subscriptions)
+            assert run.approx.queries > 0, (k, run.n_subscriptions)
+            assert run.approx.bound_violations == 0, (k, run.n_subscriptions)
     assert "0 violations" in result.notes

@@ -34,9 +34,9 @@ print("-" * len(header))
 for key, approach in all_approaches().items():
     result = run_program(approach, compiled, truths=truths)
     print(
-        f"{approach.name:32s} {result.subscription_load:9d} "
-        f"{result.event_load:11d} {result.recall:7.3f} "
-        f"{result.false_positive_rate:8.3f}"
+        f"{approach.name:32s} {result.after_setup.subscription_units:9d} "
+        f"{result.final.event_units:11d} {result.accuracy.recall:7.3f} "
+        f"{result.accuracy.false_positive_rate:8.3f}"
     )
 
 print(

@@ -36,7 +36,7 @@ from ..workload.scenarios import (
     default_scale,
 )
 from ..sketches import SketchConfig
-from .runner import SeriesResult, run_series
+from .runner import RunResult, SeriesResult, run_series
 
 APPROACH_LABELS = {
     "naive": "Naive approach",
@@ -258,13 +258,13 @@ def figure_14(scale: float | None = None) -> FigureResult:
     farther retraction fenced its filler) is a hops x latency sliver of
     the delta_t window.  FSF keeps its probabilistic filter trade-off.
     Deliveries drawn from a departed sensor's not-yet-fenced history
-    are the mirror image — counted by ``RunResult.false_positive_rate``,
+    are the mirror image — counted by ``RecallReport.false_positive_rate``,
     not by this figure.
     """
     run = scenario_series(CHURN, scale)
     series = {
         key: tuple(
-            round(100 * r.recall, 1) for r in run.results[key]
+            round(100 * r.accuracy.recall, 1) for r in run.results[key]
         )
         for key in run.results
     }
@@ -315,7 +315,8 @@ def figure_15(scale: float | None = None) -> FigureResult:
     runs = _admit_retire_runs(scale)
     series = {
         key: tuple(
-            round(100 * run.results[key][-1].recall, 1) for run in runs
+            round(100 * run.results[key][-1].accuracy.recall, 1)
+            for run in runs
         )
         for key in runs[0].results
     }
@@ -351,14 +352,17 @@ def figure_16(scale: float | None = None) -> FigureResult:
         label = APPROACH_LABELS.get(key, key)
         return {
             f"{label} - registration": tuple(
-                float(r.subscription_load + r.admit_load) for r in points
+                float(r.final.subscription_units - r.final.teardown_units)
+                for r in points
             ),
             f"{label} - teardown": tuple(
-                float(r.teardown_load) for r in points
+                float(r.final.teardown_units) for r in points
             ),
-            f"{label} - events": tuple(float(r.event_load) for r in points),
+            f"{label} - events": tuple(
+                float(r.final.event_units) for r in points
+            ),
             f"{label} - results": tuple(
-                float(r.delivered_events) for r in points
+                float(r.accuracy.delivered_events) for r in points
             ),
         }
 
@@ -424,10 +428,12 @@ def figure_17(scale: float | None = None) -> FigureResult:
     for key in on_runs[0].results:
         label = APPROACH_LABELS.get(key, key)
         series[f"{label} (reliable)"] = tuple(
-            round(100 * run.results[key][-1].recall, 1) for run in on_runs
+            round(100 * run.results[key][-1].accuracy.recall, 1)
+            for run in on_runs
         )
         series[f"{label} (no reliability)"] = tuple(
-            round(100 * run.results[key][-1].recall, 1) for run in off_runs
+            round(100 * run.results[key][-1].accuracy.recall, 1)
+            for run in off_runs
         )
     return FigureResult(
         "17",
@@ -455,10 +461,11 @@ def figure_18(scale: float | None = None) -> FigureResult:
     for key in runs[0].results:
         label = APPROACH_LABELS.get(key, key)
         series[f"{label} - retransmit"] = tuple(
-            float(run.results[key][-1].retransmission_load) for run in runs
+            float(run.results[key][-1].final.retransmission_units)
+            for run in runs
         )
         series[f"{label} - refresh"] = tuple(
-            float(run.results[key][-1].refresh_load) for run in runs
+            float(run.results[key][-1].final.refresh_units) for run in runs
         )
     return FigureResult(
         "18",
@@ -493,16 +500,12 @@ def _placement_runs(scale: float | None) -> dict[str, SeriesResult]:
     }
 
 
-def _total_units(r) -> float:
+def _total_units(r: RunResult) -> float:
     """Everything a run put on the wire, every channel summed once (a
     resend and a refresh copy are billed to their channels already)."""
+    final = r.final
     return float(
-        r.subscription_load
-        + r.event_load
-        + r.advertisement_load
-        + r.reflood_load
-        + r.admit_load
-        + r.teardown_load
+        final.subscription_units + final.event_units + final.advertisement_units
     )
 
 
@@ -568,7 +571,8 @@ def figure_20(scale: float | None = None) -> FigureResult:
         label = APPROACH_LABELS.get(key, key)
         for mode in PLACEMENT_MODES:
             series[f"{label} ({mode})"] = tuple(
-                round(100 * r.recall, 1) for r in runs[mode].results[key]
+                round(100 * r.accuracy.recall, 1)
+                for r in runs[mode].results[key]
             )
     return FigureResult(
         "20",
@@ -672,17 +676,18 @@ def figure_22(scale: float | None = None) -> FigureResult:
     series: dict[str, tuple[float, ...]] = {}
     for key in exact.results:
         series[f"{APPROACH_LABELS.get(key, key)} (exact)"] = tuple(
-            round(100 * r.recall, 1) for r in exact.results[key]
+            round(100 * r.accuracy.recall, 1) for r in exact.results[key]
         )
     for k in SKETCH_K_AXIS:
         series[f"Approximate lane (k={k})"] = tuple(
-            round(100 * r.approx_mean_recall, 1)
+            round(100 * r.approx.mean_recall, 1)
             for r in approx[k].results["fsf"]
         )
+    last = {k: approx[k].results["fsf"][-1].approx for k in SKETCH_K_AXIS}
     errors = ", ".join(
-        f"k={k}: max |err| {approx[k].results['fsf'][-1].approx_max_error} "
-        f"({approx[k].results['fsf'][-1].approx_bound_violations} violations)"
-        for k in SKETCH_K_AXIS
+        f"k={k}: max |err| {report.max_observed_error} "
+        f"({report.bound_violations} violations)"
+        for k, report in last.items()
     )
     return FigureResult(
         "22",

@@ -56,9 +56,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..metrics.approx import measure_approx
+from ..metrics.approx import ApproxReport, measure_approx
 from ..metrics.oracle import SubscriptionTruth
-from ..metrics.recall import measure_recall
+from ..metrics.recall import RecallReport, measure_recall
+from ..network.links import TrafficSnapshot
 from ..protocols.base import Approach
 from ..workload.program import (
     REPLAY_START,  # noqa: F401 -- re-exported: callers shift replays by it
@@ -85,61 +86,36 @@ def default_workers() -> int:
 class RunResult:
     """Everything one (approach, subscription count) point produced.
 
-    ``advertisement_load`` is the setup-time flood (phase 1);
-    ``reflood_load`` is every advertisement unit accrued *after* setup —
-    the churn retraction floods and re-joins' re-floods.  Static
-    scenarios measure 0 there.
+    Six plain facts (``n_subscriptions`` counts every admission, static
+    prefix and scheduled; ``retired_queries`` the lifecycle retirements)
+    and three sections.
 
-    The query-lifecycle lane: ``n_subscriptions`` counts every
-    admission (static prefix + scheduled), ``admit_load`` the mid-run
-    subscription-channel units that are *not* teardown (scheduled
-    registrations plus any teardown-repair re-dispatches), and
-    ``teardown_load`` the ``UnsubscribeMessage`` units of the
-    ``retired_queries`` retirements.  Programs without a lifecycle
-    measure 0 on all three extras.
+    Traffic: the meter's three cumulative readings as
+    :func:`~repro.workload.program.execute_program` took them, after the
+    advertisement flood, after the settled setup registrations, and at
+    the end of the replay — a whole-run total reads ``final`` alone,
+    a phase's share is one subtraction.  The advertisement phase
+    carries only advertisement units and the setup phase no event or
+    teardown units (``tests/test_phase_partition.py``), so the paper's
+    subscription load is ``after_setup.subscription_units`` and its
+    publication load ``final.event_units``.
 
-    The fault lane: ``retransmission_load`` are the units the
-    reliability layer re-sent (whole-run total), ``refresh_load`` the
-    units its soft-state refresh rounds carried, ``dropped_messages``
-    the transmissions the fault plan lost.  Fault-free runs measure 0
-    on all three.
-
-    The approximate lane (programs with a ``sketch`` config):
-    ``sketch_load`` is the subset of the standard channels the lane's
-    own messages carried (tree setup on the subscription channel, push
-    rounds on the event channel — already *included* in
-    ``subscription_load``/``event_load``, never added on top);
-    ``approx_queries``/``approx_mean_recall``/``approx_max_error``/
-    ``approx_bound_violations`` summarise the oracle pass over the
-    certified answers.  Exact-mode runs measure 0 everywhere and keep
-    ``approx_mean_recall`` at its vacuous 0.0 default.
+    ``accuracy`` is the recall report over the delivery log,
+    ``approx`` the oracle check of the sketch lane's certified answers
+    (no answers on exact-mode runs).
     """
 
     approach: str
     n_subscriptions: int
-    subscription_load: int
-    event_load: int
-    advertisement_load: int
-    recall: float
-    false_positive_rate: float
-    true_instances: int
-    delivered_instances: int
-    delivered_events: int
+    retired_queries: int
     dropped_subscriptions: int
     complex_deliveries: int
     sim_events: int
-    reflood_load: int = 0
-    admit_load: int = 0
-    teardown_load: int = 0
-    retired_queries: int = 0
-    retransmission_load: int = 0
-    refresh_load: int = 0
-    dropped_messages: int = 0
-    sketch_load: int = 0
-    approx_queries: int = 0
-    approx_mean_recall: float = 0.0
-    approx_max_error: int = 0
-    approx_bound_violations: int = 0
+    after_advertisements: TrafficSnapshot
+    after_setup: TrafficSnapshot
+    final: TrafficSnapshot
+    accuracy: RecallReport
+    approx: ApproxReport
 
 
 def run_program(
@@ -157,40 +133,18 @@ def run_program(
     if truths is None:
         truths = compiled.truth()
     network = execution.session.network
-    report = measure_recall(truths, network.delivery)
-
-    after_ads = execution.after_advertisements
-    sub_traffic = execution.after_setup.minus(after_ads)
-    event_traffic = execution.final.minus(execution.after_setup)
-    teardown = event_traffic.teardown_units
-    approx = measure_approx(network, compiled.events, compiled.fences)
     return RunResult(
         approach=approach.key,
         n_subscriptions=len(compiled.admissions),
-        subscription_load=sub_traffic.subscription_units,
-        event_load=event_traffic.event_units,
-        advertisement_load=after_ads.advertisement_units,
-        recall=report.recall,
-        false_positive_rate=report.false_positive_rate,
-        true_instances=report.true_instances,
-        delivered_instances=report.delivered_instances,
-        delivered_events=report.delivered_events,
+        retired_queries=execution.retired,
         dropped_subscriptions=len(network.dropped_subscriptions),
         complex_deliveries=sum(network.delivery.complex_deliveries.values()),
         sim_events=network.sim.processed_events,
-        reflood_load=execution.final.advertisement_units
-        - after_ads.advertisement_units,
-        admit_load=event_traffic.subscription_units - teardown,
-        teardown_load=teardown,
-        retired_queries=execution.retired,
-        retransmission_load=execution.final.retransmission_units,
-        refresh_load=execution.final.refresh_units,
-        dropped_messages=execution.final.dropped_messages,
-        sketch_load=execution.final.sketch_units,
-        approx_queries=approx.queries,
-        approx_mean_recall=approx.mean_recall if approx.stats else 0.0,
-        approx_max_error=approx.max_observed_error,
-        approx_bound_violations=approx.bound_violations,
+        after_advertisements=execution.after_advertisements,
+        after_setup=execution.after_setup,
+        final=execution.final,
+        accuracy=measure_recall(truths, network.delivery),
+        approx=measure_approx(network, compiled.events, compiled.fences),
     )
 
 
@@ -204,17 +158,18 @@ class SeriesResult:
 
     def subscription_series(self) -> dict[str, list[int]]:
         return {
-            key: [r.subscription_load for r in runs]
+            key: [r.after_setup.subscription_units for r in runs]
             for key, runs in self.results.items()
         }
 
     def event_series(self) -> dict[str, list[int]]:
         return {
-            key: [r.event_load for r in runs] for key, runs in self.results.items()
+            key: [r.final.event_units for r in runs]
+            for key, runs in self.results.items()
         }
 
     def recall_series(self, approach_key: str) -> list[float]:
-        return [r.recall for r in self.results[approach_key]]
+        return [r.accuracy.recall for r in self.results[approach_key]]
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ EXPERIMENTS.md."""
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 
 def render_series_table(
@@ -32,26 +32,27 @@ def render_series_table(
     return "\n".join(lines)
 
 
-def traffic_accounting(results: Sequence[object]) -> dict[str, int]:
+def traffic_accounting(results: Sequence[Any]) -> dict[str, int]:
     """Total data units per kind over one approach's series of results.
 
     Works on any sequence of :class:`~repro.experiments.runner.RunResult`
     (duck-typed, so the metrics layer stays import-light).  The
     advertisement total deliberately **includes** churn-time retraction
-    and re-flood traffic (``reflood_load``) on top of the setup flood:
-    under churn the advertisement channel is live for the whole run, and
-    accounting that only looked at setup would silently undercount it.
+    and re-flood traffic (everything after the setup flood) on top of
+    the setup flood: under churn the advertisement channel is live for
+    the whole run, and accounting that only looked at setup would
+    silently undercount it.
     """
-    subscription = sum(r.subscription_load for r in results)
-    event = sum(r.event_load for r in results)
-    setup_ads = sum(r.advertisement_load for r in results)
-    reflood = sum(getattr(r, "reflood_load", 0) for r in results)
+    subscription = sum(r.after_setup.subscription_units for r in results)
+    event = sum(r.final.event_units for r in results)
+    advertisement = sum(r.final.advertisement_units for r in results)
+    setup_ads = sum(r.after_advertisements.advertisement_units for r in results)
     return {
         "subscription_units": subscription,
         "event_units": event,
-        "advertisement_units": setup_ads + reflood,
-        "reflood_units": reflood,
-        "total_units": subscription + event + setup_ads + reflood,
+        "advertisement_units": advertisement,
+        "reflood_units": advertisement - setup_ads,
+        "total_units": subscription + event + advertisement,
     }
 
 

@@ -10,7 +10,8 @@ down where traffic is saved).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 from .messages import Message
 
@@ -49,16 +50,12 @@ class TrafficSnapshot:
     def minus(self, baseline: "TrafficSnapshot") -> "TrafficSnapshot":
         """Traffic accumulated since ``baseline`` was taken."""
         return TrafficSnapshot(
-            self.subscription_units - baseline.subscription_units,
-            self.event_units - baseline.event_units,
-            self.advertisement_units - baseline.advertisement_units,
-            self.messages - baseline.messages,
-            self.teardown_units - baseline.teardown_units,
-            self.retransmission_units - baseline.retransmission_units,
-            self.refresh_units - baseline.refresh_units,
-            self.dropped_messages - baseline.dropped_messages,
-            self.sketch_units - baseline.sketch_units,
+            *(getattr(self, c) - getattr(baseline, c) for c in CHANNELS)
         )
+
+
+CHANNELS = tuple(f.name for f in fields(TrafficSnapshot))
+"""The snapshot's field names, in order: what a meter reading copies."""
 
 
 class TrafficMeter:
@@ -82,23 +79,18 @@ class TrafficMeter:
         self,
         link: LinkId,
         message: Message,
-        hops: int = 1,
         retransmission: bool = False,
     ) -> None:
-        """Charge ``message`` travelling ``hops`` links starting at ``link``.
+        """Charge ``message`` crossing the directed ``link``.
 
-        ``hops > 1`` is used by the unicast shortcut of the centralized
-        baseline, where a message logically crosses a whole shortest
-        path; the per-link breakdown then attributes everything to the
-        first link (totals — what the paper reports — stay exact).
         ``retransmission=True`` marks a reliability-layer resend: it
         bills every channel like the original copy and additionally the
         ``retransmission_units`` subset.  The other subsets are read off
         what the message class declares (``repro.network.messages``).
         """
-        sub = message.subscription_units * hops
-        evt = message.event_units * hops
-        adv = message.advertisement_units * hops
+        sub = message.subscription_units
+        evt = message.event_units
+        adv = message.advertisement_units
         total = sub + evt + adv
         self.subscription_units += sub
         self.event_units += evt
@@ -110,29 +102,35 @@ class TrafficMeter:
             self.retransmission_units += total
         if message.refresh_epoch is not None:
             self.refresh_units += sub + adv
-        self.sketch_units += message.sketch_units * hops
+        self.sketch_units += message.sketch_units
         self.per_link[link] += total
         if evt:
             self.per_link_events[link] += evt
         if sub:
             self.per_link_subscriptions[link] += sub
 
+    def record_path(
+        self,
+        links: Sequence[LinkId],
+        message: Message,
+        retransmission: bool = False,
+    ) -> None:
+        """Charge one transfer of ``message`` along ``links`` in order.
+
+        The centralized baseline's unicast crosses a whole shortest
+        path: every hop bills every channel and its own link, and the
+        transfer counts as one message.
+        """
+        for link in links:
+            self.record(link, message, retransmission)
+        self.messages -= len(links) - 1
+
     def record_drop(self) -> None:
         """Count one transmission lost by the fault lane."""
         self.dropped_messages += 1
 
     def snapshot(self) -> TrafficSnapshot:
-        return TrafficSnapshot(
-            self.subscription_units,
-            self.event_units,
-            self.advertisement_units,
-            self.messages,
-            self.teardown_units,
-            self.retransmission_units,
-            self.refresh_units,
-            self.dropped_messages,
-            self.sketch_units,
-        )
+        return TrafficSnapshot(*(getattr(self, c) for c in CHANNELS))
 
     def busiest_links(self, n: int = 5) -> list[tuple[LinkId, int]]:
         """The ``n`` most loaded directed links (unit totals)."""

@@ -239,32 +239,25 @@ class Network:
     def unicast(self, src: str, dst: str, message: Message) -> None:
         """Multi-hop transfer along the unique path; charged per hop.
 
-        Used by the centralized baseline.  Totals are exact (units x
-        hops); delivery happens once at the destination after the
-        path's cumulative latency — intermediate nodes only relay, they
-        never inspect centralized traffic.  Under a fault plan each hop
-        draws its own loss/delay, so longer paths are proportionally
-        more fragile — the centralized baseline pays for its star.
+        Used by the centralized baseline.  Every hop bills its own link
+        (units x hops in total, one message); delivery happens once at
+        the destination after the path's cumulative latency —
+        intermediate nodes only relay, they never inspect centralized
+        traffic.  Under a fault plan each hop draws its own loss/delay,
+        so longer paths are proportionally more fragile — the
+        centralized baseline pays for its star.
         """
         if src == dst:
             self.nodes[dst].receive(message, UNICAST_ORIGIN)
             return
+        path = self.routing.path(src, dst)
+        links = tuple(zip(path, path[1:]))
         if self.transport is not None:
-            links: list[tuple[str, str]] = []
-            here = src
-            while here != dst:
-                step = self.routing.next_hop(here, dst)
-                links.append((here, step))
-                here = step
-            self.transport.unicast(
-                src, dst, UNICAST_ORIGIN, message, tuple(links)
-            )
+            self.transport.unicast(src, dst, UNICAST_ORIGIN, message, links)
             return
-        hops = self.routing.distance(src, dst)
-        first = self.routing.next_hop(src, dst)
-        self.meter.record((src, first), message, hops=hops)
+        self.meter.record_path(links, message)
         self.sim.schedule(
-            self.latency * hops,
+            self.latency * len(links),
             lambda: self.nodes[dst].receive(message, UNICAST_ORIGIN),
         )
 

@@ -123,8 +123,7 @@ class _Transfer:
     dst: str
     origin: str
     message: Message
-    link: tuple[str, str]
-    hops: int
+    links: LinkPath
     forward: tuple[_Crossing, ...]
     back: tuple[_Crossing, ...]
     attempts: int = 0
@@ -213,7 +212,7 @@ class Transport:
     # ------------------------------------------------------------------
     def send(self, src: str, dst: str, message: Message) -> None:
         """One-hop neighbour transfer through the fault lane."""
-        self._transmit(src, dst, src, message, ((src, dst),), hops=1)
+        self._transmit(src, dst, src, message, ((src, dst),))
 
     def unicast(
         self,
@@ -225,12 +224,11 @@ class Transport:
     ) -> None:
         """Multi-hop transfer (centralized baseline) through the lane.
 
-        The meter keeps the historical accounting — units x hops,
-        attributed to the first link; loss and delay are drawn per hop.
-        With reliability, the transfer is acked end to end and a
-        retransmission re-pays the whole path.
+        Every hop bills its own link (``TrafficMeter.record_path``) and
+        draws its own loss and delay.  With reliability, the transfer is
+        acked end to end and a retransmission re-pays the whole path.
         """
-        self._transmit(src, dst, origin, message, links, hops=len(links))
+        self._transmit(src, dst, origin, message, links)
 
     def _transmit(
         self,
@@ -239,18 +237,17 @@ class Transport:
         origin: str,
         message: Message,
         links: LinkPath,
-        hops: int,
     ) -> None:
         route = self._route(links)
         if self.reliability is not None and is_control(message):
             transfer = _Transfer(
-                next(self._tid), src, dst, origin, message, links[0], hops, *route
+                next(self._tid), src, dst, origin, message, links, *route
             )
             self._by_src.setdefault(src, {})[transfer.tid] = transfer
             self._attempt(transfer)
             return
         network = self.network
-        network.meter.record(links[0], message, hops)
+        network.meter.record_path(links, message)
         transit = self._transit(route[0])
         if transit is None or dst in network.down:
             network.meter.record_drop()
@@ -271,8 +268,8 @@ class Transport:
         network = self.network
         attempt = transfer.attempts
         transfer.attempts = attempt + 1
-        network.meter.record(
-            transfer.link, transfer.message, transfer.hops, attempt > 0
+        network.meter.record_path(
+            transfer.links, transfer.message, attempt > 0
         )
         transit = self._transit(transfer.forward)
         if transit is None:

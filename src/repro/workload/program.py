@@ -83,28 +83,28 @@ time 0 maps here."""
 
 
 # ---------------------------------------------------------------------------
-# the query lifecycle: Poisson admit, exponential-or-fixed hold, retire
+# the query lifecycle: Poisson admit, exponential hold, retire
 # ---------------------------------------------------------------------------
+ADMIT_WINDOW = (0.1, 0.85)
+"""The part of the replay span, as ``(start, end)`` fractions, in which
+lifecycle admissions are drawn."""
+
+
 @dataclass(frozen=True, slots=True)
 class QueryLifecycleConfig:
     """An ongoing query-assignment workload over the replay span.
 
     Users keep arriving while sensors stream: admissions form a Poisson
     process of rate ``admit_rate`` (queries per unit of virtual time)
-    inside the fraction-trimmed window ``[start_fraction, end_fraction]``
-    of the replay span, and each admitted query is retired after a hold
-    drawn exponentially with mean ``hold`` (``hold_distribution =
-    "exponential"``) or after exactly ``hold`` (``"fixed"``);
-    ``hold=None`` admits without ever retiring.  All draws are seeded
-    via :func:`repro.seeding.derive_seed`, so the schedule is identical
-    in every process.
+    inside :data:`ADMIT_WINDOW` of the replay span, and each admitted
+    query is retired after a hold drawn exponentially with mean
+    ``hold``; ``hold=None`` admits without ever retiring.  All draws are seeded via
+    :func:`repro.seeding.derive_seed`, so the schedule is identical in
+    every process.
     """
 
     admit_rate: float = 0.05
     hold: float | None = 120.0
-    hold_distribution: str = "exponential"
-    start_fraction: float = 0.1
-    end_fraction: float = 0.85
     max_admissions: int = 500
     seed: int = 23
 
@@ -113,13 +113,6 @@ class QueryLifecycleConfig:
             raise ValueError("admit_rate must be positive")
         if self.hold is not None and self.hold <= 0:
             raise ValueError("hold must be positive (or None: never retire)")
-        if self.hold_distribution not in ("exponential", "fixed"):
-            raise ValueError(
-                "hold_distribution must be 'exponential' or 'fixed', "
-                f"got {self.hold_distribution!r}"
-            )
-        if not 0 <= self.start_fraction < self.end_fraction <= 1:
-            raise ValueError("need 0 <= start_fraction < end_fraction <= 1")
         if self.max_admissions < 0:
             raise ValueError("max_admissions must be non-negative")
 
@@ -148,8 +141,7 @@ def build_lifecycle_edges(
     rng = np.random.default_rng(
         derive_seed(deployment_seed, config.seed, "admit-clock")
     )
-    lo = config.start_fraction * span
-    hi = config.end_fraction * span
+    lo, hi = ADMIT_WINDOW[0] * span, ADMIT_WINDOW[1] * span
     edges: list[LifecycleEdge] = []
     t = lo
     while len(edges) < config.max_admissions:
@@ -158,8 +150,6 @@ def build_lifecycle_edges(
             break
         if config.hold is None:
             retire = None
-        elif config.hold_distribution == "fixed":
-            retire = t + config.hold
         else:
             retire = t + float(rng.exponential(config.hold))
         edges.append(LifecycleEdge(t, retire))

@@ -20,6 +20,7 @@ from repro.baselines.naive import naive_approach
 from repro.experiments.runner import run_program
 from repro.metrics.report import render_traffic_accounting, traffic_accounting
 from repro.model.events import SimpleEvent
+from repro.network.links import TrafficSnapshot
 from repro.network.network import Network
 from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
@@ -146,17 +147,20 @@ class TestRefloodAccounting:
         result = run_program(naive, compiled)
         # Every leave floods a retraction, every rejoin re-floods the
         # advertisement: one tree-wide flood per transition.
-        assert result.reflood_load == transitions * edges
+        reflood = result.final.minus(result.after_advertisements)
+        assert reflood.advertisement_units == transitions * edges
         # And the same events without the schedule measure zero there.
         static = run_program(naive, dataclasses.replace(compiled, churn=None))
-        assert static.reflood_load == 0
+        assert (
+            static.final.advertisement_units
+            == static.after_advertisements.advertisement_units
+        )
 
     def test_traffic_accounting_includes_reflood(self):
         class Point:
-            subscription_load = 10
-            event_load = 100
-            advertisement_load = 30
-            reflood_load = 12
+            after_advertisements = TrafficSnapshot(0, 0, 30, 30)
+            after_setup = TrafficSnapshot(10, 0, 30, 40)
+            final = TrafficSnapshot(10, 100, 42, 152)
 
         totals = traffic_accounting([Point(), Point()])
         assert totals["reflood_units"] == 24

@@ -12,6 +12,9 @@ from repro.experiments.tables import (
     run_fig3_walkthrough,
     table_i_subscriptions,
 )
+from repro.metrics.approx import ApproxReport
+from repro.metrics.recall import RecallReport
+from repro.network.links import TrafficSnapshot
 from repro.protocols.registry import (
     all_approaches,
     distributed_approaches,
@@ -44,7 +47,8 @@ class TestRunner:
     def test_loads_monotone_in_subscriptions(self, tiny_scenario):
         series = run_series(tiny_scenario, distributed_approaches(), scale=0.1)
         for key, runs in series.results.items():
-            assert runs[0].subscription_load <= runs[1].subscription_load, key
+            loads = [r.after_setup.subscription_units for r in runs]
+            assert loads[0] <= loads[1], key
 
     def test_recall_series_accessor(self, tiny_scenario):
         series = run_series(tiny_scenario, distributed_approaches(), scale=0.1)
@@ -249,22 +253,23 @@ class TestFigureHarness:
         run = RunResult(
             approach="fsf",
             n_subscriptions=1,
-            subscription_load=10,
-            event_load=20,
-            advertisement_load=30,
-            recall=1.0,
-            false_positive_rate=0.0,
-            true_instances=0,
-            delivered_instances=0,
-            delivered_events=0,
+            retired_queries=0,
             dropped_subscriptions=0,
             complex_deliveries=0,
             sim_events=0,
-            reflood_load=4,
-            admit_load=5,
-            teardown_load=6,
-            retransmission_load=7,
-            refresh_load=8,
+            after_advertisements=TrafficSnapshot(0, 0, 30, 30),
+            after_setup=TrafficSnapshot(10, 0, 30, 40),
+            final=TrafficSnapshot(
+                subscription_units=21,
+                event_units=20,
+                advertisement_units=34,
+                messages=75,
+                teardown_units=6,
+                retransmission_units=7,
+                refresh_units=8,
+            ),
+            accuracy=RecallReport(0, 0, 0, 0),
+            approx=ApproxReport(()),
         )
         assert figures._total_units(run) == 75.0
 

@@ -222,8 +222,8 @@ class TestChurnWithOutages:
             approach = all_approaches()[key]
             result = run_program(approach, combined, truths=combined_truth)
             alone = run_program(approach, twin, truths=twin_truth)
-            assert result.false_positive_rate == 0.0, key
-            assert result.recall >= alone.recall, key
+            assert result.accuracy.false_positive_rate == 0.0, key
+            assert result.accuracy.recall >= alone.accuracy.recall, key
 
 
 class TestSeededDeterminism:
@@ -237,7 +237,9 @@ class TestSeededDeterminism:
         assert a.results == b.results
         # The plan genuinely bit: losses occurred and were metered.
         assert all(
-            r.dropped_messages > 0 for runs in a.results.values() for r in runs
+            r.final.dropped_messages > 0
+            for runs in a.results.values()
+            for r in runs
         )
 
     def test_different_fault_seed_changes_the_run(self):
@@ -271,9 +273,9 @@ class TestNullFaultBitIdentity:
         plain = run_program(approach, compiled, truths=truths)
         nulled = run_program(approach, null_plan, truths=truths)
         assert plain == nulled
-        assert nulled.retransmission_load == 0
-        assert nulled.refresh_load == 0
-        assert nulled.dropped_messages == 0
+        assert nulled.final.retransmission_units == 0
+        assert nulled.final.refresh_units == 0
+        assert nulled.final.dropped_messages == 0
 
 
 class TestCrashRecover:

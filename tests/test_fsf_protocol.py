@@ -217,4 +217,4 @@ def test_placement_point_delivers_every_instance(exact):
     compiled = scenario.program(100).compile(scenario.deployment())
     approach = filter_split_forward_approach(FSFConfig(exact_filtering=exact))
     result = run_program(approach, compiled)
-    assert (result.true_instances, result.recall) == (114, 1.0)
+    assert (result.accuracy.true_instances, result.accuracy.recall) == (114, 1.0)

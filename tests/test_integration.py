@@ -35,27 +35,27 @@ class TestCrossApproachInvariants:
     def test_deterministic_approaches_reach_full_recall(self, arena):
         _, _, results = arena
         for key in ("centralized", "naive", "operator_placement", "multijoin"):
-            assert results[key].recall == 1.0, key
+            assert results[key].accuracy.recall == 1.0, key
 
     def test_fsf_recall_in_paper_band(self, arena):
         _, _, results = arena
-        assert results["fsf"].recall >= 0.90
+        assert results["fsf"].accuracy.recall >= 0.90
 
     def test_only_multijoin_has_false_positives(self, arena):
         _, _, results = arena
-        assert results["multijoin"].false_positive_rate > 0.0
+        assert results["multijoin"].accuracy.false_positive_rate > 0.0
         for key in ("centralized", "naive", "operator_placement", "fsf"):
-            assert results[key].false_positive_rate == 0.0, key
+            assert results[key].accuracy.false_positive_rate == 0.0, key
 
     def test_subscription_load_ordering(self, arena):
         _, _, results = arena
-        sub = {k: r.subscription_load for k, r in results.items()}
+        sub = {k: r.after_setup.subscription_units for k, r in results.items()}
         assert sub["centralized"] < sub["fsf"]
         assert sub["fsf"] <= sub["operator_placement"] <= sub["naive"]
 
     def test_event_load_ordering(self, arena):
         _, _, results = arena
-        evt = {k: r.event_load for k, r in results.items()}
+        evt = {k: r.final.event_units for k, r in results.items()}
         assert evt["fsf"] < evt["multijoin"]
         assert evt["fsf"] < evt["operator_placement"] <= evt["naive"]
 
@@ -74,6 +74,4 @@ class TestCrossApproachInvariants:
         compiled, truths, results = arena
         again = run_program(all_approaches()["fsf"], compiled, truths=truths)
         first = results["fsf"]
-        assert again.subscription_load == first.subscription_load
-        assert again.event_load == first.event_load
-        assert again.recall == first.recall
+        assert again == first

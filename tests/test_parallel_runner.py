@@ -28,7 +28,10 @@ from benchlib import tiny_series_scenario
 from repro.baselines.naive import NaiveNode
 from repro.core import FSFConfig, filter_split_forward_approach
 from repro.experiments import RunResult, default_workers, run_series, runner
+from repro.metrics.approx import ApproxReport, ApproxStats
+from repro.metrics.recall import RecallReport
 from repro.network.faults import FaultPlan, LinkFault
+from repro.network.links import TrafficSnapshot
 from repro.network.reliability import ReliabilityConfig
 from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches, distributed_approaches
@@ -182,7 +185,9 @@ class TestMergeFidelity:
         assert parallel.results == serial.results
         # The churn machinery genuinely ran: re-flood traffic accrued.
         assert all(
-            r.reflood_load > 0 for runs in serial.results.values() for r in runs
+            r.final.advertisement_units > r.after_advertisements.advertisement_units
+            for runs in serial.results.values()
+            for r in runs
         )
 
     def test_lifecycle_sharded_equals_serial_bit_identically(self):
@@ -204,8 +209,11 @@ class TestMergeFidelity:
             for n, r in zip(serial.counts, runs):
                 assert r.n_subscriptions > n
                 assert r.retired_queries > 0
-                assert r.teardown_load > 0
-                assert r.admit_load > 0
+                assert r.final.teardown_units > 0
+                # Subscription units beyond the setup phase's and the
+                # teardown: mid-run admissions.
+                admitted = r.final.minus(r.after_setup)
+                assert admitted.subscription_units > admitted.teardown_units
 
     def test_faults_sharded_equals_serial_bit_identically(self):
         """The fault family in-process and pooled: drop/jitter draws,
@@ -223,9 +231,9 @@ class TestMergeFidelity:
         # The fault machinery genuinely ran: losses and retransmissions.
         for runs in serial.results.values():
             for r in runs:
-                assert r.dropped_messages > 0
-                assert r.retransmission_load > 0
-                assert r.refresh_load > 0
+                assert r.final.dropped_messages > 0
+                assert r.final.retransmission_units > 0
+                assert r.final.refresh_units > 0
 
     def test_workers_env_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
@@ -247,6 +255,22 @@ def _run_under_hashseed(script: str, hashseed: str) -> str:
         check=True,
     )
     return out.stdout.strip()
+
+
+# Every class a RunResult's repr names, for eval().
+_REPR_NAMES = {
+    cls.__name__: cls
+    for cls in (RunResult, TrafficSnapshot, RecallReport, ApproxReport, ApproxStats)
+}
+
+
+def _printed_results(out: str) -> list[RunResult]:
+    """The ``<key> RunResult(...)`` lines a script printed, evaluated."""
+    return [
+        eval(line.split(" ", 1)[1], dict(_REPR_NAMES))  # noqa: S307
+        for line in out.splitlines()
+        if " RunResult(" in line
+    ]
 
 
 class TestCrossProcessDeterminism:
@@ -302,7 +326,7 @@ for key, runs in series.results.items():
             for seed in ("0", "1")
         ]
         results = [
-            eval(out, {"RunResult": RunResult}) for out in outs  # noqa: S307
+            eval(out, dict(_REPR_NAMES)) for out in outs  # noqa: S307
         ]
         assert isinstance(results[0], RunResult)
         assert results[0] == results[1]
@@ -361,7 +385,12 @@ for key, runs in series.results.items():
         a = _run_under_hashseed(self._CHURN_SCRIPT, "0")
         b = _run_under_hashseed(self._CHURN_SCRIPT, "424242")
         assert a == b
-        assert "reflood_load" in a and "d0_" in a
+        assert "d0_" in a
+        results = _printed_results(a)
+        assert results and all(
+            r.final.advertisement_units > r.after_advertisements.advertisement_units
+            for r in results
+        )
 
     _LIFECYCLE_SCRIPT = """
 import sys; sys.path.insert(0, {path!r})
@@ -442,5 +471,8 @@ for key, runs in series.results.items():
         a = _run_under_hashseed(self._FAULTS_SCRIPT, "0")
         b = _run_under_hashseed(self._FAULTS_SCRIPT, "424242")
         assert a == b
-        assert "dropped_messages=" in a and "dropped_messages=0" not in a
-        assert "retransmission_load=" in a
+        results = _printed_results(a)
+        assert results and all(
+            r.final.dropped_messages > 0 and r.final.retransmission_units > 0
+            for r in results
+        )

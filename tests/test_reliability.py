@@ -389,12 +389,12 @@ class TestOutageRecovery:
         series = run_series(scenario, all_approaches(), scale=0.1)
         for key, runs in series.results.items():
             result = runs[-1]
-            assert result.recall == 1.0, (key, result.recall)
-            assert result.true_instances > 0, key
-            assert result.refresh_load > 0, key
+            assert result.accuracy.recall == 1.0, (key, result.accuracy)
+            assert result.accuracy.true_instances > 0, key
+            assert result.final.refresh_units > 0, key
             if key != "centralized":
                 # Flood traffic addressed to down brokers genuinely
                 # died (centralized never targets the leaves: its star
                 # only exchanges with the centre, so nothing it sends
                 # crosses a down domain).
-                assert result.dropped_messages > 0, key
+                assert result.final.dropped_messages > 0, key

@@ -5,6 +5,7 @@ from typing import get_args
 
 import pytest
 
+from repro.baselines.centralized import centralized_approach
 from repro.model import Advertisement, Interval, Location, SimpleEvent
 from repro.model.operators import CorrelationOperator, Slot
 from repro.network.links import TrafficMeter, TrafficSnapshot
@@ -15,7 +16,12 @@ from repro.network.messages import (
     OperatorMessage,
     UnsubscribeMessage,
 )
+from repro.network.network import Network
+from repro.network.reliability import ReliabilityConfig
+from repro.sim import Simulator
 from repro.sketches.messages import SketchPushMessage, SketchSubscribeMessage
+
+from deployments import line_deployment
 
 
 def _event():
@@ -64,7 +70,8 @@ class TestTrafficMeter:
 
     def test_hops_multiply_units(self):
         meter = TrafficMeter()
-        meter.record(("a", "b"), EventMessage(_event()), hops=4)
+        path = (("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"))
+        meter.record_path(path, EventMessage(_event()))
         assert meter.event_units == 4
         assert meter.messages == 1
 
@@ -140,8 +147,9 @@ class TestRecordOnDeclaredUnits:
             refresh = epoch is not None and isinstance(
                 message, (AdvertisementMessage, OperatorMessage)
             )
+            path = (("a", "b"), ("b", "c"), ("c", "d"))[:hops]
             meter = TrafficMeter()
-            meter.record(("a", "b"), message, hops, retransmission)
+            meter.record_path(path, message, retransmission)
             case = (type(message).__name__, hops, retransmission, epoch)
             assert meter.snapshot() == TrafficSnapshot(
                 subscription_units=sub * hops,
@@ -154,10 +162,60 @@ class TestRecordOnDeclaredUnits:
                 dropped_messages=0,
                 sketch_units=sketch * hops,
             ), case
-            assert meter.per_link == {("a", "b"): (sub + evt + adv) * hops}, case
+            # Every hop bills its own link.
+            assert meter.per_link == dict.fromkeys(path, sub + evt + adv), case
             assert meter.per_link_events == (
-                {("a", "b"): evt * hops} if evt else {}
+                dict.fromkeys(path, evt) if evt else {}
             ), case
             assert meter.per_link_subscriptions == (
-                {("a", "b"): sub * hops} if sub else {}
+                dict.fromkeys(path, sub) if sub else {}
             ), case
+
+
+class TestUnicastBillsEveryHop:
+    """The centralized baseline's unicast crosses a whole shortest path:
+    every hop bills its own directed link (so ``per_link`` and the
+    busiest links name the real hot spots), the channels count units x
+    hops, and the transfer is one message."""
+
+    @pytest.mark.parametrize(
+        "reliability", [None, ReliabilityConfig()], ids=["inline", "transport"]
+    )
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: EventMessage(SimpleEvent("a", "t", Location(0, 0), 1.0, 0.0, 0)),
+            lambda: OperatorMessage(_operator()),
+        ],
+        ids=["event", "operator"],
+    )
+    def test_three_hop_unicast_bills_each_link(self, reliability, make):
+        network = Network(
+            line_deployment(), Simulator(seed=0), reliability=reliability
+        )
+        centralized_approach().populate(network)
+        center = network.center
+        src = next(
+            node
+            for node in sorted(network.deployment.graph)
+            if network.routing.distance(node, center) == 3
+        )
+        path = network.routing.path(src, center)
+        links = list(zip(path, path[1:]))
+        message = make()
+        network.unicast(src, center, message)
+        network.run_to_quiescence()
+        meter = network.meter
+        assert meter.per_link == dict.fromkeys(links, 1)
+        assert meter.busiest_links(3) == [(link, 1) for link in links]
+        assert meter.messages == 1
+        assert (meter.subscription_units, meter.event_units) == (
+            3 * message.subscription_units,
+            3 * message.event_units,
+        )
+        assert meter.per_link_events == (
+            dict.fromkeys(links, 1) if message.event_units else {}
+        )
+        assert meter.per_link_subscriptions == (
+            dict.fromkeys(links, 1) if message.subscription_units else {}
+        )

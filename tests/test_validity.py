@@ -64,8 +64,8 @@ def wide_program():
 def test_no_approach_loses_an_instance_at_sixty_seconds(wide_program, approach):
     compiled, truths = wide_program
     result = run_program(all_approaches()[approach], compiled, truths=truths)
-    assert result.true_instances == 3622
-    assert result.recall == 1.0
+    assert result.accuracy.true_instances == 3622
+    assert result.accuracy.recall == 1.0
 
 
 @pytest.fixture(scope="module")
@@ -122,8 +122,8 @@ def test_a_wide_query_admitted_mid_replay_finds_older_readings(
 ):
     compiled, truths = mid_replay_program
     result = run_program(all_approaches()[approach], compiled, truths=truths)
-    assert result.true_instances == 3
-    assert result.recall == 1.0
+    assert result.accuracy.true_instances == 3
+    assert result.accuracy.recall == 1.0
 
 
 def test_widened_validity_survives_a_crash_a_cancel_and_a_narrower_query():

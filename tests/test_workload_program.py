@@ -27,6 +27,7 @@ from repro.metrics.recall import measure_recall
 from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
 from repro.workload.program import (
+    ADMIT_WINDOW,
     REPLAY_START,
     ProgramQuery,
     QueryLifecycleConfig,
@@ -66,10 +67,6 @@ class TestLifecycleConfig:
             {"admit_rate": -1.0},
             {"hold": 0.0},
             {"hold": -5.0},
-            {"hold_distribution": "uniform"},
-            {"start_fraction": 0.5, "end_fraction": 0.5},
-            {"start_fraction": -0.1},
-            {"end_fraction": 1.1},
             {"max_admissions": -1},
         ],
     )
@@ -79,7 +76,7 @@ class TestLifecycleConfig:
 
     def test_defaults_are_valid(self):
         cfg = QueryLifecycleConfig()
-        assert cfg.hold_distribution == "exponential"
+        assert cfg.hold is not None and cfg.admit_rate > 0
 
 
 class TestLifecycleEdges:
@@ -100,18 +97,9 @@ class TestLifecycleEdges:
         edges = build_lifecycle_edges(7, span, self.CFG)
         admits = [e.admit for e in edges]
         assert admits == sorted(admits)
-        assert all(
-            self.CFG.start_fraction * span <= t < self.CFG.end_fraction * span
-            for t in admits
-        )
+        start, end = ADMIT_WINDOW
+        assert all(start * span <= t < end * span for t in admits)
         assert all(e.retire is not None and e.retire > e.admit for e in edges)
-
-    def test_fixed_hold_is_exact(self):
-        cfg = QueryLifecycleConfig(
-            admit_rate=0.2, hold=15.0, hold_distribution="fixed", seed=5
-        )
-        edges = build_lifecycle_edges(7, 300.0, cfg)
-        assert edges and all(e.retire == e.admit + 15.0 for e in edges)
 
     def test_hold_none_never_retires(self):
         cfg = QueryLifecycleConfig(admit_rate=0.2, hold=None, seed=5)
