@@ -40,6 +40,7 @@ network's lifecycle edges exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping
 
@@ -109,10 +110,12 @@ class QueryLifecycleConfig:
     seed: int = 23
 
     def __post_init__(self) -> None:
-        if self.admit_rate <= 0:
-            raise ValueError("admit_rate must be positive")
-        if self.hold is not None and self.hold <= 0:
-            raise ValueError("hold must be positive (or None: never retire)")
+        if not (math.isfinite(self.admit_rate) and self.admit_rate > 0):
+            raise ValueError("admit_rate must be positive and finite")
+        if self.hold is not None and not (math.isfinite(self.hold) and self.hold > 0):
+            raise ValueError(
+                "hold must be positive and finite (or None: never retire)"
+            )
         if self.max_admissions < 0:
             raise ValueError("max_admissions must be non-negative")
 

@@ -67,6 +67,10 @@ class TestLifecycleConfig:
             {"admit_rate": -1.0},
             {"hold": 0.0},
             {"hold": -5.0},
+            {"admit_rate": float("nan")},
+            {"admit_rate": float("inf")},
+            {"hold": float("nan")},
+            {"hold": float("inf")},
             {"max_admissions": -1},
         ],
     )
