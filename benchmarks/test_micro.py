@@ -52,17 +52,6 @@ def _events(n_per_sensor=50, width=5):
     return events
 
 
-def test_bench_setfilter_decide(benchmark):
-    rng = np.random.default_rng(1)
-    f = ProbabilisticSetFilter(0.01, 0.05, rng=rng)
-    target = tuple(Interval(10, 40) for _ in range(5))
-    cover = [
-        tuple(Interval(float(lo), float(lo) + 35.0) for lo in rng.uniform(0, 15, 5))
-        for _ in range(30)
-    ]
-    benchmark(f.is_subsumed, target, cover)
-
-
 def test_bench_setfilter_product_mode(benchmark):
     rng = np.random.default_rng(2)
     f = ProbabilisticSetFilter(0.01, 0.05, rng=rng)

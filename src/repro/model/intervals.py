@@ -108,8 +108,8 @@ def union_covers(cover: Iterable[Interval], target: Interval) -> bool:
 
     Sweep the target from left to right, extending the covered frontier
     with every interval that reaches it.  Runs in ``O(n log n)``.
-    Used by the exact subsumption checker and as the base case of the
-    recursive rectangle-cover test.
+    FSF's exact filtering asks it once per slot; it is also the ground
+    truth the probabilistic set filter is tested against.
     """
     if target.is_empty:
         return True

@@ -1,7 +1,6 @@
-"""Subscription subsumption: pair-wise, exact and probabilistic set
-filtering (Sections III and V-B)."""
+"""Subscription subsumption: pair-wise covering (Section III) and the
+FSF set filter's per-slot product-of-unions question (Section V-B)."""
 
-from .exact import Box, ExactCoverTooLarge, boxes_cover, uncovered_probe
 from .pairwise import find_cover, pairwise_covered
 from .setfilter import (
     ProbabilisticSetFilter,
@@ -10,13 +9,9 @@ from .setfilter import (
 )
 
 __all__ = [
-    "Box",
-    "ExactCoverTooLarge",
     "ProbabilisticSetFilter",
     "SetFilterDecision",
-    "boxes_cover",
     "find_cover",
     "pairwise_covered",
     "required_samples",
-    "uncovered_probe",
 ]

@@ -4,33 +4,38 @@ Reproduces the role of the probabilistic subsumption checker of Ouksel,
 Jurca, Podnar & Aberer (Middleware 2006) [15] cited in Section V-B: an
 algorithm that "guarantees detection of set subsumption with a
 configurable probability of error", whose false-positive decisions are
-the source of the (small) recall loss measured in Fig. 12.
+part of the (small) recall loss measured in Fig. 12.
 
-Implementation: Monte-Carlo point sampling.  To decide whether a new
-subscription box ``s`` is covered by the union of stored boxes, draw
-``n`` points uniformly from ``s`` and test membership in the union.
+The question FSF asks is a product of unions.  Section V-B treats every
+stream slot of an operator as one attribute of the set-subsumption
+problem, so a new operator box ``s`` is covered when, on every slot, its
+range lies inside the union of the ranges already stored on that slot.
+The exact answer is :func:`repro.model.intervals.union_covers` per slot
+(FSF's ``exact_filtering``); this filter answers it by Monte-Carlo point
+sampling: draw ``n`` points uniformly from ``s`` and test each
+coordinate against its slot's stored ranges.
 
-* Any point that falls outside the union proves *not covered* —
+* Any point that falls outside the product proves *not covered* —
   "not covered" answers are always correct (no false negatives at the
   filter level).
-* If all ``n`` points are covered, answer *covered*.  When the union in
-  truth misses a gap of at least a fraction ``theta`` of ``s``'s volume,
-  the probability of this wrong answer is ``(1 - theta)^n``; choosing
-  ``n = ceil(ln(eps) / ln(1 - theta))`` bounds it by the configured
-  error probability ``eps``.
+* If all ``n`` points are covered, answer *covered*.  When the product
+  in truth misses a gap of at least a fraction ``theta`` of ``s``'s
+  volume, the probability of this wrong answer is ``(1 - theta)^n``;
+  choosing ``n = ceil(ln(eps) / ln(1 - theta))`` bounds it by the
+  configured error probability ``eps``.
 
 As in [15], the *actual* error observed is far below the bound (gaps
 are usually much larger than ``theta``, or hit quickly), and shrinks as
 subscription sets grow — the recall experiment reproduces this.
 
-Deterministic shortcuts make the common cases exact and fast: a single
-covering box proves coverage; an uncovered corner of ``s`` proves
+Deterministic shortcuts make the common cases exact and fast: a stored
+range holding the whole slot range on every slot proves coverage; an
+endpoint of some slot range that no stored range holds proves
 non-coverage.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -90,48 +95,6 @@ class ProbabilisticSetFilter:
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self.checks = 0
         self.sampled_points = 0
-
-    # ------------------------------------------------------------------
-    def decide(self, target: Box, cover: Sequence[Box]) -> SetFilterDecision:
-        """Full decision with evidence; see :meth:`is_subsumed`."""
-        self.checks += 1
-        live = [
-            box
-            for box in cover
-            if len(box) == len(target)
-            and not any(iv.is_empty for iv in box)
-            and all(a.overlaps(b) for a, b in zip(box, target))
-        ]
-        # Deterministic fast paths -------------------------------------
-        for box in live:
-            if all(b.contains_interval(t) for b, t in zip(box, target)):
-                return SetFilterDecision(True, True, 0)
-        if not live:
-            corner = tuple(iv.lo for iv in target)
-            return SetFilterDecision(False, True, 0, witness=corner)
-        witness = self._uncovered_corner(target, live)
-        if witness is not None:
-            return SetFilterDecision(False, True, 0, witness=witness)
-        # Monte-Carlo phase --------------------------------------------
-        dims = len(target)
-        lows = np.array([iv.lo for iv in target])
-        spans = np.array([iv.length for iv in target])
-        u = self._rng.random((self.samples, dims))
-        points = lows + u * spans
-        self.sampled_points += self.samples
-        for row in points:
-            if not self._point_covered(row, live):
-                return SetFilterDecision(False, True, self.samples, tuple(row))
-        return SetFilterDecision(True, False, self.samples)
-
-    def is_subsumed(self, target: Box, cover: Sequence[Box]) -> bool:
-        """Whether ``target`` is (probably) inside the union of ``cover``.
-
-        One-sided error: ``False`` answers are always correct; ``True``
-        answers are wrong with probability <= ``error_probability`` for
-        gaps of relative volume >= ``gap_fraction``.
-        """
-        return self.decide(target, cover).covered
 
     # ------------------------------------------------------------------
     def decide_product(
@@ -230,35 +193,6 @@ class ProbabilisticSetFilter:
         """Boolean form of :meth:`decide_product`."""
         return self.decide_product(target, covers_per_dim).covered
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _point_covered(point: np.ndarray, boxes: Sequence[Box]) -> bool:
-        for box in boxes:
-            for iv, x in zip(box, point):
-                if not (iv.lo <= x <= iv.hi):
-                    break
-            else:
-                return True
-        return False
-
-    @staticmethod
-    def _uncovered_corner(
-        target: Box, boxes: Sequence[Box]
-    ) -> tuple[float, ...] | None:
-        """Check the 2^d corners of the target — cheap exact witnesses.
-
-        Corners catch the frequent case of a union that clips an edge of
-        the new subscription; dimension is small (<= 5 attributes in the
-        experiments) so this stays cheap.
-        """
-        if len(target) > 10:  # 1024 corners max; beyond that skip
-            return None
-        for corner in itertools.product(*((iv.lo, iv.hi) for iv in target)):
-            covered = False
-            for box in boxes:
-                if all(iv.contains(x) for iv, x in zip(box, corner)):
-                    covered = True
-                    break
-            if not covered:
-                return corner
-        return None
+    # Bound here only because benchmarks/e2e/trace.py, which only a
+    # [benchmark] PR may edit, wraps this name (tests/test_trace_contract.py).
+    decide = decide_product
