@@ -49,8 +49,8 @@ class LinkFault:
     def __post_init__(self) -> None:
         for name in ("drop", "delay", "jitter"):
             value = getattr(self, name)
-            if math.isnan(value) or value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.drop > 1:
             raise ValueError(f"drop is a probability, got {self.drop!r}")
 

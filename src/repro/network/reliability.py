@@ -87,17 +87,17 @@ class ReliabilityConfig:
     expiry_rounds: int = 2
 
     def __post_init__(self) -> None:
-        if math.isnan(self.ack_timeout) or self.ack_timeout <= 0:
-            raise ValueError("ack_timeout must be positive")
-        if math.isnan(self.backoff) or self.backoff < 1:
+        if not (math.isfinite(self.ack_timeout) and self.ack_timeout > 0):
+            raise ValueError("ack_timeout must be positive and finite")
+        if not (math.isfinite(self.backoff) and self.backoff >= 1):
             raise ValueError(
-                "backoff must be >= 1 (retries must never schedule "
-                "in the past)"
+                "backoff must be finite and >= 1 (retries must never "
+                "schedule in the past)"
             )
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if math.isnan(self.refresh_interval) or self.refresh_interval <= 0:
-            raise ValueError("refresh_interval must be positive")
+        if not (math.isfinite(self.refresh_interval) and self.refresh_interval > 0):
+            raise ValueError("refresh_interval must be positive and finite")
         if self.expiry_rounds < 1:
             raise ValueError("expiry_rounds must be >= 1")
 

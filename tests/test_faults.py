@@ -77,6 +77,10 @@ class TestPlanSemantics:
             LinkFault(drop=1.5)
         with pytest.raises(ValueError, match="jitter"):
             LinkFault(jitter=-1.0)
+        with pytest.raises(ValueError, match="delay"):
+            LinkFault(delay=float("inf"))
+        with pytest.raises(ValueError, match="jitter"):
+            LinkFault(jitter=float("inf"))
 
     def test_outage_window_rejects_bad_values(self):
         with pytest.raises(ValueError, match="domain"):
