@@ -53,11 +53,6 @@ _Route = tuple[tuple[_Crossing, ...], tuple[_Crossing, ...]]
 """The crossings of a link path and of its reverse (the ack's way)."""
 
 
-def is_control(message: Message) -> bool:
-    """Whether the reliability layer covers this message kind."""
-    return message.reliable
-
-
 def _uniform_draws(rng: "np.random.Generator") -> Iterator[float]:
     """The stream's uniform doubles, read in blocks: ``rng.random(n)``
     yields the doubles ``n`` scalar calls would, in the same order
@@ -239,7 +234,7 @@ class Transport:
         links: LinkPath,
     ) -> None:
         route = self._route(links)
-        if self.reliability is not None and is_control(message):
+        if self.reliability is not None and message.reliable:
             transfer = _Transfer(
                 next(self._tid), src, dst, origin, message, links, *route
             )

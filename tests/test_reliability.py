@@ -27,11 +27,7 @@ from repro.model import Advertisement, Location
 from repro.network.faults import FaultPlan, LinkFault, OutageWindow
 from repro.network.messages import AdvertisementMessage, EventMessage
 from repro.network.network import Network
-from repro.network.reliability import (
-    ReliabilityConfig,
-    _uniform_draws,
-    is_control,
-)
+from repro.network.reliability import ReliabilityConfig, _uniform_draws
 from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
 from repro.sim import Simulator
@@ -67,16 +63,6 @@ class TestConfigValidation:
             ReliabilityConfig(refresh_interval=float("inf"))
         with pytest.raises(ValueError, match="expiry_rounds"):
             ReliabilityConfig(expiry_rounds=0)
-
-    def test_is_control_classifies_message_kinds(self):
-        from repro.model.events import SimpleEvent
-        from repro.model.locations import Location
-
-        event = SimpleEvent("a", "t", Location(0.0, 0.0), 1.0, 0.0, seq=0)
-        assert not is_control(EventMessage(event, ()))
-        from repro.network.messages import UnsubscribeMessage
-
-        assert is_control(UnsubscribeMessage("q1"))
 
     @given(
         ack_timeout=st.floats(min_value=1e-3, max_value=10.0),

@@ -108,18 +108,25 @@ def _advertisement(epoch):
 
 
 # message(refresh epoch) -> what one copy costs on one link:
-# (subscription, event, advertisement, teardown, sketch) units.
+# (subscription, event, advertisement, teardown, sketch) units, and
+# whether the reliability layer acks it (control traffic; events and
+# sketch traffic ride best-effort).
 # ``None`` marks the classes that cannot be refresh copies.
 DECLARED_UNITS = [
-    (_advertisement, (0, 0, 1, 0, 0)),
-    (lambda epoch: OperatorMessage(_operator(), refresh_epoch=epoch), (1, 0, 0, 0, 0)),
-    (lambda _: UnsubscribeMessage("q1"), (1, 0, 0, 1, 0)),
-    (lambda _: EventMessage(_event(), streams=("x", "y")), (0, 2, 0, 0, 0)),
+    (_advertisement, (0, 0, 1, 0, 0), True),
+    (
+        lambda epoch: OperatorMessage(_operator(), refresh_epoch=epoch),
+        (1, 0, 0, 0, 0),
+        True,
+    ),
+    (lambda _: UnsubscribeMessage("q1"), (1, 0, 0, 1, 0), True),
+    (lambda _: EventMessage(_event(), streams=("x", "y")), (0, 2, 0, 0, 0), False),
     (
         lambda _: SketchSubscribeMessage("g", "t", frozenset({"d"}), "n"),
         (1, 0, 0, 0, 1),
+        False,
     ),
-    (lambda _: SketchPushMessage("g", 1, None, units=4), (0, 4, 0, 0, 4)),
+    (lambda _: SketchPushMessage("g", 1, None, units=4), (0, 4, 0, 0, 4), False),
 ]
 
 
@@ -129,16 +136,17 @@ class TestRecordOnDeclaredUnits:
     rather than silently costing nothing."""
 
     def test_the_table_covers_every_message_class(self):
-        assert {type(make(None)) for make, _ in DECLARED_UNITS} == set(
+        assert {type(make(None)) for make, *_ in DECLARED_UNITS} == set(
             get_args(Message)
         )
 
     @pytest.mark.parametrize(
-        "make, units",
+        "make, units, reliable",
         DECLARED_UNITS,
-        ids=[type(make(None)).__name__ for make, _ in DECLARED_UNITS],
+        ids=[type(make(None)).__name__ for make, *_ in DECLARED_UNITS],
     )
-    def test_every_channel_and_subset(self, make, units):
+    def test_every_channel_and_subset(self, make, units, reliable):
+        assert make(None).reliable is reliable
         sub, evt, adv, teardown, sketch = units
         for hops, retransmission, epoch in itertools.product(
             (1, 3), (False, True), (None, 2)
