@@ -58,8 +58,8 @@ class DeliveryLog:
         for event in events:
             bucket[event.key] = event
 
-    def record_complex(self, sub_id: str, count: int = 1) -> None:
-        self.complex_deliveries[sub_id] += count
+    def record_complex(self, sub_id: str) -> None:
+        self.complex_deliveries[sub_id] += 1
 
     def reset(self, sub_id: str) -> None:
         """Forget a subscription's delivered history (id reuse).

@@ -44,9 +44,9 @@ def distributed_approaches(
     }
 
 
-def table_ii(fsf_config: FSFConfig | None = None) -> list[tuple[str, str, str, str]]:
+def table_ii() -> list[tuple[str, str, str, str]]:
     """Table II of the paper, generated from the approach metadata."""
-    return [a.table_row() for a in all_approaches(fsf_config).values()]
+    return [a.table_row() for a in all_approaches().values()]
 
 
 def render_table_ii() -> str:
