@@ -59,6 +59,9 @@ def outside_product(point, covers_per_slot):
     )
 
 
+SLOT_RANGES = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=4)
+
+
 class TestExactCover:
     """The exact per-slot rule, and the filter agreeing with it."""
 
@@ -91,14 +94,7 @@ class TestExactCover:
         assert exact(t, cover)
         assert ProbabilisticSetFilter().decide_product(t, cover).covered
 
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=4
-        ),
-        st.lists(
-            st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=4
-        ),
-    )
+    @given(SLOT_RANGES, SLOT_RANGES)
     @settings(max_examples=80, deadline=None)
     def test_exact_agrees_with_dense_grid(self, raw_a, raw_b):
         cover = [
@@ -106,15 +102,11 @@ class TestExactCover:
             for raw in (raw_a, raw_b)
         ]
         target = (Interval(2, 6), Interval(2, 6))
-        claimed = exact(target, cover)
         xs = [2 + 4 * i / 40 for i in range(41)]
         dense = not any(outside_product((x, y), cover) for x in xs for y in xs)
-        # The dense grid can miss thin gaps; exact coverage implies
-        # dense coverage, and dense non-coverage implies non-coverage.
-        if claimed:
+        # The dense grid can miss thin gaps, so only one direction holds.
+        if exact(target, cover):
             assert dense
-        if not dense:
-            assert not claimed
 
 
 class TestRequiredSamples:
