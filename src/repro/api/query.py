@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
+from ..model import checks
 from ..model.filters import AbstractFilter, IdentifiedFilter, SimpleFilter
 from ..model.intervals import Interval
 from ..model.locations import CircleRegion, Location, Region, bounding_rect
@@ -80,6 +81,7 @@ class Query:
 
     def where(self, target: str, lo: float, hi: float) -> "Query":
         """Add a range clause over a sensor id or an attribute type."""
+        checks.real(self, error=QueryError, lo=lo, hi=hi)
         if lo > hi:
             raise QueryError(f"empty range [{lo:g}, {hi:g}] for {target!r}")
         if any(c.target == target for c in self.clauses):
@@ -90,8 +92,7 @@ class Query:
 
     def within(self, delta_t: float) -> "Query":
         """Require all members within ``delta_t`` of the latest one."""
-        if not delta_t > 0:
-            raise QueryError("delta_t must be positive")
+        checks.positive(self, error=QueryError, delta_t=delta_t)
         return replace(self, delta_t=delta_t)
 
     def near(
@@ -108,8 +109,7 @@ class Query:
         with ones at it anyway).  ``delta_l`` is the pairwise spatial
         correlation distance; omit it to bound the region only.
         """
-        if not delta_l > 0:
-            raise QueryError("delta_l must be positive (or math.inf)")
+        checks.positive_or_inf(self, error=QueryError, delta_l=delta_l)
         if isinstance(where, Location):
             if math.isinf(delta_l):
                 raise QueryError(

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from ..metrics.fences import Fences
+from ..model import checks
 from ..model.events import SimpleEvent
 from ..model.subscriptions import Subscription
 from ..network.network import Network
@@ -134,12 +135,12 @@ class Session:
 
     def advance(self, dt: float) -> float:
         """Run the simulation ``dt`` time units forward; returns ``now``."""
-        if dt < 0:
-            raise ValueError(f"cannot advance by negative dt {dt:g}")
+        checks.non_negative(self, dt=dt)
         return self.network.sim.run(until=self.now + dt)
 
     def run_until(self, t: float) -> float:
         """Run the simulation up to absolute time ``t``; returns ``now``."""
+        checks.finite(self, t=t)
         if t < self.now:
             raise ValueError(f"cannot run to {t:g}; now is {self.now:g}")
         return self.network.sim.run(until=t)

@@ -34,12 +34,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from ..model import checks
 from ..model.intervals import union_covers
 from ..model.operators import CorrelationOperator
 from ..network.network import Network
 from ..network.node import LOCAL, Node
 from ..protocols.base import Approach
-from ..subsumption.setfilter import ProbabilisticSetFilter
+from ..subsumption.setfilter import ProbabilisticSetFilter, required_samples
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,11 @@ class FSFConfig:
     gap_fraction: float = 0.10
     coarsening: float = 0.0
     exact_filtering: bool = False
+
+    def __post_init__(self) -> None:
+        checks.probability(self, "error_probability", "gap_fraction")
+        checks.non_negative(self, "coarsening")
+        required_samples(self.error_probability, self.gap_fraction)
 
 
 class FilterSplitForwardNode(Node):

@@ -603,8 +603,6 @@ def sketches_variant(k: int) -> Scenario:
     interval and bucket packing are pinned here so the lanes stay
     comparable across ``k``.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     return replace(
         SKETCHES,
         key=f"sketches@{k}",

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from . import checks
 from .advertisements import Advertisement, AdvertisementTable
 from .events import SimpleEvent
 from .filters import AbstractFilter, IdentifiedFilter, SimpleFilter
@@ -32,11 +33,6 @@ PAPER_DELTA_T: float = 5.0
 """The temporal correlation distance of the paper's experiments (5 s
 throughout): the default of a query that never names one, and the
 window a network's event validity starts from."""
-
-
-def _check_delta_t(delta_t: float) -> None:
-    if not delta_t > 0:
-        raise ValueError("delta_t must be positive (events never share timestamps)")
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,7 @@ class IdentifiedSubscription:
         seen = {f.sensor_id for f in ordered}
         if len(seen) != len(ordered):
             raise ValueError("duplicate sensor in identified subscription")
-        _check_delta_t(delta_t)
+        checks.positive(self, delta_t=delta_t)
         object.__setattr__(self, "sub_id", sub_id)
         object.__setattr__(self, "filters", ordered)
         object.__setattr__(self, "delta_t", delta_t)
@@ -125,9 +121,8 @@ class AbstractSubscription:
         regions = {id(c.region) for c in ordered}
         if len({repr(c.region) for c in ordered}) > 1 and len(regions) > 1:
             raise ValueError("all clauses of F_{A,L} must share the region L")
-        _check_delta_t(delta_t)
-        if not delta_l > 0:
-            raise ValueError("delta_l must be positive (or math.inf)")
+        checks.positive(self, delta_t=delta_t)
+        checks.positive_or_inf(self, delta_l=delta_l)
         object.__setattr__(self, "sub_id", sub_id)
         object.__setattr__(self, "clauses", ordered)
         object.__setattr__(self, "delta_t", delta_t)

@@ -24,9 +24,10 @@ like churn transitions and lifecycle edges; compilation shifts them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from ..model import checks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .topology import Deployment
@@ -47,12 +48,8 @@ class LinkFault:
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("drop", "delay", "jitter"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.drop > 1:
-            raise ValueError(f"drop is a probability, got {self.drop!r}")
+        checks.probability(self, "drop")
+        checks.non_negative(self, "delay", "jitter")
 
     def __bool__(self) -> bool:
         return bool(self.drop or self.delay or self.jitter)
@@ -61,7 +58,7 @@ class LinkFault:
 @dataclass(frozen=True, slots=True)
 class OutageWindow:
     """A correlated broker failure: every node in ``domain`` is down on
-    ``(start, end]`` of the program clock.
+    ``(start, end]`` of the program clock (``end=inf``: never recovers).
 
     Crash and recovery edges run at agenda priority 1, the same
     tie-break sensor churn uses: a reading stamped at exactly ``start``
@@ -77,10 +74,8 @@ class OutageWindow:
     def __post_init__(self) -> None:
         if not self.domain:
             raise ValueError("an outage needs a non-empty failure domain")
-        if math.isnan(self.start) or math.isnan(self.end):
-            raise ValueError("outage times must not be NaN")
-        if self.start < 0:
-            raise ValueError(f"outage start {self.start:g} before program t=0")
+        checks.non_negative(self, "start")
+        checks.positive_or_inf(self, "end")
         if self.end <= self.start:
             raise ValueError(
                 f"outage must end after it starts, got "
@@ -103,6 +98,9 @@ class FaultPlan:
     links: tuple[tuple[str, str, LinkFault], ...] = ()
     outages: tuple[OutageWindow, ...] = ()
     seed: int = 97
+
+    def __post_init__(self) -> None:
+        checks.count(self, "seed")
 
     @classmethod
     def none(cls) -> "FaultPlan":

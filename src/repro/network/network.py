@@ -9,8 +9,10 @@ injection helpers.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Iterable
 
+from ..model import checks
 from ..model.events import SimpleEvent
 from ..model.subscriptions import PAPER_DELTA_T, Subscription
 from ..sim import AgendaBudgetExceeded, SimulationError, Simulator
@@ -114,6 +116,7 @@ class Network:
         self.deployment = deployment
         self.sim = sim if sim is not None else Simulator(seed=deployment.seed)
         self.latency = latency
+        checks.non_negative(self, "latency")
         # Event validity (Section IV-B): longer than the widest admitted
         # delta_t plus the worst-case transit, so correlating events
         # never expire early.  It starts at the paper's window and only
@@ -427,19 +430,12 @@ class Network:
         """
         entries = []
         for window in outages:
-            for node_id in sorted(window.domain):
-                entries.append(
-                    (
-                        offset + window.start,
-                        lambda n=node_id: self.crash_node(n),
+            for n in sorted(window.domain):
+                entries.append((offset + window.start, lambda n=n: self.crash_node(n)))
+                if math.isfinite(window.end):  # an infinite end never recovers
+                    entries.append(
+                        (offset + window.end, lambda n=n: self.recover_node(n))
                     )
-                )
-                entries.append(
-                    (
-                        offset + window.end,
-                        lambda n=node_id: self.recover_node(n),
-                    )
-                )
         self.sim.schedule_timeline(entries, priority=1)
         return len(entries)
 

@@ -29,10 +29,10 @@ payloads, and an ack is a constant-size control frame.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
+from ..model import checks
 from .messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -82,19 +82,13 @@ class ReliabilityConfig:
     expiry_rounds: int = 2
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.ack_timeout) and self.ack_timeout > 0):
-            raise ValueError("ack_timeout must be positive and finite")
-        if not (math.isfinite(self.backoff) and self.backoff >= 1):
+        checks.positive(self, "ack_timeout", "backoff", "refresh_interval")
+        checks.count(self, "max_retries")
+        checks.positive_count(self, "expiry_rounds")
+        if self.backoff < 1:
             raise ValueError(
-                "backoff must be finite and >= 1 (retries must never "
-                "schedule in the past)"
+                "backoff must be >= 1 (retries must never schedule in the past)"
             )
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if not (math.isfinite(self.refresh_interval) and self.refresh_interval > 0):
-            raise ValueError("refresh_interval must be positive and finite")
-        if self.expiry_rounds < 1:
-            raise ValueError("expiry_rounds must be >= 1")
 
     def retry_delay(self, attempt: int) -> float:
         """Backoff before retransmission number ``attempt`` (0-based)."""

@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..model import checks
 from ..model.advertisements import Advertisement
 from ..model.attributes import AttributeType, SENSORSCOPE_ATTRIBUTES
 from ..model.locations import Location
@@ -56,8 +57,7 @@ class NodeSpec:
             raise ValueError(
                 f"unknown tier {self.tier!r}; known: {NODE_TIERS}"
             )
-        if self.link_bandwidth <= 0:
-            raise ValueError("link_bandwidth must be positive")
+        checks.positive(self, "link_bandwidth")
 
 
 Overlay = dict[str, list[str]]

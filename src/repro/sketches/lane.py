@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
+from ..model import checks
 from ..model.advertisements import AdvertisementTable
 from ..model.attributes import SENSORSCOPE_ATTRIBUTES
 from ..model.events import SimpleEvent
@@ -91,16 +92,10 @@ class SketchConfig:
     domains: tuple[tuple[str, float, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.push_interval <= 0:
-            raise ValueError(
-                f"push_interval must be positive, got {self.push_interval!r}"
-            )
-        if self.buckets_per_unit < 1:
-            raise ValueError(
-                f"buckets_per_unit must be >= 1, got {self.buckets_per_unit}"
-            )
+        checks.positive_count(self, "k", "levels", "buckets_per_unit")
+        checks.positive(self, "push_interval")
+        for _, lo, hi in self.domains or ():
+            checks.finite(self, domains=(lo, hi))
 
     def domain_map(self) -> dict[str, tuple[float, float]]:
         domains = (

@@ -40,13 +40,13 @@ network's lifecycle edges exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from ..metrics.fences import Fences
+from ..model import checks
 from ..model.events import SimpleEvent
 from ..model.subscriptions import Subscription
 from ..network.faults import FaultPlan
@@ -110,14 +110,10 @@ class QueryLifecycleConfig:
     seed: int = 23
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.admit_rate) and self.admit_rate > 0):
-            raise ValueError("admit_rate must be positive and finite")
-        if self.hold is not None and not (math.isfinite(self.hold) and self.hold > 0):
-            raise ValueError(
-                "hold must be positive and finite (or None: never retire)"
-            )
-        if self.max_admissions < 0:
-            raise ValueError("max_admissions must be non-negative")
+        checks.positive(self, "admit_rate")
+        if self.hold is not None:
+            checks.positive(self, "hold")
+        checks.count(self, "max_admissions", "seed")
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,11 +175,14 @@ class ProgramQuery:
     at: str | None = None
 
     def __post_init__(self) -> None:
-        if self.retire is not None and self.retire <= max(self.admit, 0.0):
-            raise ValueError(
-                f"retire at {self.retire:g} must come after admit at "
-                f"{self.admit:g} (and after the replay starts)"
-            )
+        checks.finite(self, "admit")
+        if self.retire is not None:
+            checks.finite(self, "retire")
+            if self.retire <= max(self.admit, 0.0):
+                raise ValueError(
+                    f"retire at {self.retire:g} must come after admit at "
+                    f"{self.admit:g} (and after the replay starts)"
+                )
 
 
 @dataclass(frozen=True)
@@ -243,6 +242,8 @@ class WorkloadProgram:
     sketch: SketchConfig | None = None
 
     def __post_init__(self) -> None:
+        if self.static_prefix is not None:
+            checks.count(self, "static_prefix")
         if self.placement not in ("paper", "compiled"):
             raise ValueError(
                 f"placement must be 'paper' or 'compiled', got {self.placement!r}"
@@ -254,9 +255,7 @@ class WorkloadProgram:
                 "compiled placement routes exact operator trees; "
                 "it cannot be combined with the sketch lane"
             )
-        if self.static_prefix is not None and not (
-            0 <= self.static_prefix <= self.subscriptions.n_subscriptions
-        ):
+        if self.prefix > self.subscriptions.n_subscriptions:
             raise ValueError(
                 f"static_prefix {self.static_prefix} outside "
                 f"[0, {self.subscriptions.n_subscriptions}]"

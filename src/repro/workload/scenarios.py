@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..core.filter_split_forward import FSFConfig
+from ..model import checks
 from ..network.faults import FaultPlan, LinkFault
 from ..network.reliability import ReliabilityConfig
 from ..network.topology import (
@@ -110,6 +111,12 @@ class Scenario:
     fsf_config: FSFConfig | None = None
     approach_keys: tuple[str, ...] | None = None
     sketch: SketchConfig | None = None
+
+    def __post_init__(self) -> None:
+        checks.positive_count(self, "paper_subscription_counts", "span_groups")
+        checks.positive_count(self, "attrs_min", "attrs_max")
+        checks.count(self, "seed")
+        checks.positive(self, "group_width_scale")
 
     def deployment(self) -> Deployment:
         return self.deployment_factory(self.seed)

@@ -37,6 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ..model import checks
 from ..model.events import SimpleEvent
 from ..network.topology import Deployment
 from ..seeding import derive_seed
@@ -58,9 +59,11 @@ class ReplayConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.rounds <= 0:
-            raise ValueError("rounds must be positive")
-        if not 0 <= self.jitter < self.round_period / 2:
+        checks.positive_count(self, "rounds")
+        checks.count(self, "seed")
+        checks.positive(self, "round_period")
+        checks.non_negative(self, "jitter")
+        if not self.jitter < self.round_period / 2:
             raise ValueError("jitter must be in [0, round_period/2)")
 
 
@@ -88,18 +91,16 @@ class DynamicReplayConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.days <= 0:
-            raise ValueError("days must be positive")
-        if self.rounds_per_day <= 0:
-            raise ValueError("rounds_per_day must be positive")
-        if self.day_seconds <= 0:
-            raise ValueError("day_seconds must be positive")
-        if not 0 <= self.rate_amplitude < 1:
+        checks.positive_count(self, "days", "rounds_per_day")
+        checks.count(self, "seed")
+        checks.positive(self, "day_seconds", "burst_shape")
+        checks.finite(self, "drift_per_day")
+        checks.non_negative(self, "jitter")
+        checks.probability(self, "rate_amplitude")
+        if self.rate_amplitude == 1:
             raise ValueError("rate_amplitude must be in [0, 1)")
         if self.burst_shape <= 1:
             raise ValueError("burst_shape must exceed 1")
-        if self.jitter < 0:
-            raise ValueError("jitter must be non-negative")
 
     @property
     def rounds(self) -> int:
@@ -131,14 +132,12 @@ class ChurnConfig:
     seed: int = 11
 
     def __post_init__(self) -> None:
-        if not 0 <= self.cycle_fraction <= 1:
-            raise ValueError("cycle_fraction must be in [0, 1]")
-        if self.cycles < 1:
-            raise ValueError("cycles must be >= 1")
+        checks.probability(self, "cycle_fraction", "start_margin", "end_margin")
+        checks.probability(self, "min_off_fraction", "max_off_fraction")
+        checks.positive_count(self, "cycles")
+        checks.count(self, "seed")
         if not 0 < self.min_off_fraction <= self.max_off_fraction:
             raise ValueError("need 0 < min_off_fraction <= max_off_fraction")
-        if not 0 <= self.start_margin < 1 or not 0 <= self.end_margin < 1:
-            raise ValueError("margins must be in [0, 1)")
         if self.start_margin + self.end_margin >= 0.9:
             raise ValueError("margins leave no room for churn")
 

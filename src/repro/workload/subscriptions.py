@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..model import checks
 from ..model.filters import IdentifiedFilter, SimpleFilter
 from ..model.intervals import Interval
 from ..model.subscriptions import PAPER_DELTA_T, IdentifiedSubscription
@@ -70,14 +71,11 @@ class SubscriptionWorkloadConfig:
     group_width_scale: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n_subscriptions < 0:
-            raise ValueError("n_subscriptions must be non-negative")
-        if not 1 <= self.attrs_min <= self.attrs_max:
+        checks.count(self, "n_subscriptions", "seed")
+        checks.positive_count(self, "attrs_min", "attrs_max", "span_groups")
+        checks.positive(self, "delta_t", "base_half_width", "group_width_scale")
+        if self.attrs_min > self.attrs_max:
             raise ValueError("need 1 <= attrs_min <= attrs_max")
-        if self.span_groups < 1:
-            raise ValueError("span_groups must be at least 1")
-        if any(s <= 0 for s in self.group_width_scale):
-            raise ValueError("group_width_scale entries must be positive")
 
 
 @dataclass(frozen=True, slots=True)

@@ -189,9 +189,37 @@ class TestSession:
             session.advance(-1.0)
         with pytest.raises(ValueError):
             session.run_until(session.now - 1.0)
+        for bad in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="dt must be finite"):
+                session.advance(bad)
+            with pytest.raises(ValueError, match="t must be finite"):
+                session.run_until(bad)
         before = session.now
         assert session.advance(3.5) == pytest.approx(before + 3.5)
         assert session.run_until(session.now + 1.0) == pytest.approx(before + 4.5)
+
+    @staticmethod
+    def validities(session):
+        network = session.network
+        return [network.validity] + [n.store.validity for n in network.nodes.values()]
+
+    def test_nan_bound_is_refused_and_validity_kept(self):
+        session = Session.create(approach="naive", seed=0)
+        ambient, _ = pair_of_sensors(session)
+        before = self.validities(session)
+        with pytest.raises(QueryError, match="lo must be a number"):
+            session.submit(Query().where(ambient.sensor_id, math.nan, 30.0))
+        assert self.validities(session) == before
+        assert all(math.isfinite(v) for v in before)
+
+    def test_infinite_window_is_refused_and_validity_kept(self):
+        session = Session.create(approach="naive", seed=0)
+        ambient, _ = pair_of_sensors(session)
+        before = self.validities(session)
+        with pytest.raises(QueryError, match="delta_t must be positive and finite"):
+            session.submit(Query().where(ambient.sensor_id, 0.0, 30.0).within(math.inf))
+        assert self.validities(session) == before
+        assert all(math.isfinite(v) for v in before)
 
     def test_facade_matches_hand_driven_network(self):
         """Session-driven runs are bit-identical to the manual protocol."""

@@ -49,18 +49,10 @@ class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError, match="ack_timeout"):
             ReliabilityConfig(ack_timeout=0.0)
-        with pytest.raises(ValueError, match="ack_timeout"):
-            ReliabilityConfig(ack_timeout=float("inf"))
         with pytest.raises(ValueError, match="backoff"):
             ReliabilityConfig(backoff=0.5)
-        with pytest.raises(ValueError, match="backoff"):
-            ReliabilityConfig(backoff=float("inf"))
         with pytest.raises(ValueError, match="max_retries"):
             ReliabilityConfig(max_retries=-1)
-        with pytest.raises(ValueError, match="refresh_interval"):
-            ReliabilityConfig(refresh_interval=float("nan"))
-        with pytest.raises(ValueError, match="refresh_interval"):
-            ReliabilityConfig(refresh_interval=float("inf"))
         with pytest.raises(ValueError, match="expiry_rounds"):
             ReliabilityConfig(expiry_rounds=0)
 

@@ -67,11 +67,8 @@ class TestLifecycleConfig:
             {"admit_rate": -1.0},
             {"hold": 0.0},
             {"hold": -5.0},
-            {"admit_rate": float("nan")},
-            {"admit_rate": float("inf")},
-            {"hold": float("nan")},
-            {"hold": float("inf")},
-            {"max_admissions": -1},
+            # NaN and infinity: tests/test_input_checks.py
+            pytest.param({"max_admissions": -1}, id="kwargs8"),
         ],
     )
     def test_validation(self, kwargs):
