@@ -13,8 +13,13 @@ delivering inline.  The transport
   traffic (advertisements, operators, unsubscribes): each transmission
   is acknowledged hop-by-hop; a missing ack retransmits after
   ``ack_timeout * backoff**attempt`` up to ``max_retries`` times, then
-  the transfer is abandoned.  Retransmitted copies bill the meter like
-  the original *plus* ``retransmission_units`` — the reliability
+  the transfer is abandoned.  A retry timer takes its FIFO place when
+  its attempt is sent (:meth:`~repro.sim.Simulator.reserve`) but enters
+  the agenda only once it can fire — the copy or its ack was lost, or
+  the ack lands at or after the deadline — so the common acked
+  transfer costs one agenda entry, its copy's arrival.  Retransmitted
+  copies bill the meter like the original *plus*
+  ``retransmission_units`` — the reliability
   overhead figure 18 plots.  Receivers deduplicate by transfer: only
   the first copy to arrive is delivered, later ones (even after the
   transfer ended) are just acked again, so an at-least-once wire yields
@@ -29,6 +34,7 @@ payloads, and an ack is a constant-size control frame.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
@@ -105,6 +111,10 @@ class _Transfer:
     ``done`` once the sender is through with it (acked, out of retries,
     or crashed).  Neither is ever reset, so copies and acks still in
     flight when the transfer ends find it ended.
+
+    The current attempt's retry timer is due at ``deadline`` under the
+    FIFO number ``seq`` reserved when the attempt was sent; ``timer``
+    is its agenda entry, None until armed (see :meth:`Transport._arm`).
     """
 
     tid: int
@@ -115,10 +125,12 @@ class _Transfer:
     links: LinkPath
     forward: tuple[_Crossing, ...]
     back: tuple[_Crossing, ...]
-    attempts: int = 0
-    delivered: bool = False
-    done: bool = False
-    timer: "Handle" = field(init=False)
+    attempts: int = field(default=0, init=False)
+    delivered: bool = field(default=False, init=False)
+    done: bool = field(default=False, init=False)
+    deadline: float = field(init=False)
+    seq: int = field(init=False)
+    timer: "Handle | None" = field(init=False)
 
 
 class Transport:
@@ -160,7 +172,12 @@ class Transport:
 
     @property
     def live_transfers(self) -> int:
-        """Acked transfers still awaiting their ack or a retry."""
+        """Acked transfers whose outcome is still open.
+
+        A transfer ends when an ack that lands before its retry deadline
+        is drawn, not when that ack lands: nothing it could still do
+        depends on the time in between.
+        """
         return sum(len(transfers) for transfers in self._by_src.values())
 
     # ------------------------------------------------------------------
@@ -255,6 +272,7 @@ class Transport:
     # ------------------------------------------------------------------
     def _attempt(self, transfer: _Transfer) -> None:
         network = self.network
+        sim = network.sim
         attempt = transfer.attempts
         transfer.attempts = attempt + 1
         network.meter.record_path(
@@ -263,19 +281,31 @@ class Transport:
         transit = self._transit(transfer.forward)
         if transit is None:
             network.meter.record_drop()
+            arrival = math.inf
         else:
 
             def arrive() -> None:
                 self._arrive(transfer)
 
-            network.sim.schedule(transit, arrive)
+            arrival = sim.now + transit
+            sim.at(arrival, arrive)
+        transfer.deadline = sim.now + self._retry_delays[attempt]
+        transfer.seq = sim.reserve()
+        transfer.timer = None
+        if arrival >= transfer.deadline:
+            self._arm(transfer)
 
-        def timeout() -> None:
-            self._timeout(transfer)
+    def _arm(self, transfer: _Transfer) -> None:
+        """Push the current attempt's timer: it fires unless an ack
+        drawn before its deadline ends the transfer first."""
+        if transfer.timer is None:
 
-        transfer.timer = network.sim.schedule(
-            self._retry_delays[attempt], timeout
-        )
+            def timeout() -> None:
+                self._timeout(transfer)
+
+            transfer.timer = self.network.sim.at(
+                transfer.deadline, timeout, seq=transfer.seq
+            )
 
     def _arrive(self, transfer: _Transfer) -> None:
         network = self.network
@@ -284,6 +314,8 @@ class Transport:
             # land after recovery — control traffic heals across
             # outages bounded only by the retry budget.
             network.meter.record_drop()
+            if not transfer.done:
+                self._arm(transfer)
             return
         if not transfer.delivered:
             transfer.delivered = True
@@ -293,18 +325,28 @@ class Transport:
         # Every copy is acknowledged, also one of an ended transfer: the
         # receiver cannot know the sender is through with it.
         transit = self._transit(transfer.back)
+        if transfer.done:
+            return
         if transit is None:
-            return  # the ack was lost; the timer retransmits
+            self._arm(transfer)  # the ack was lost; the timer retransmits
+            return
+        landing = network.sim.now + transit
+        if landing < transfer.deadline:
+            # The ack would cancel the timer before it fires: the
+            # outcome is settled now, and no entry waits for the ack.
+            self._end(transfer)
+            return
+        # The ack lands at or after the deadline: the timer fires first
+        # (at a tie its reserved number sorts before the ack's).
+        self._arm(transfer)
 
         def acked() -> None:
             if not transfer.done:
                 self._end(transfer)
 
-        network.sim.schedule(transit, acked)
+        network.sim.at(landing, acked)
 
     def _timeout(self, transfer: _Transfer) -> None:
-        if transfer.done:
-            return
         if transfer.attempts < len(self._retry_delays):
             self._attempt(transfer)
         else:  # retry budget spent
@@ -313,7 +355,8 @@ class Transport:
 
     def _end(self, transfer: _Transfer) -> None:
         transfer.done = True
-        transfer.timer.cancel()
+        if transfer.timer is not None:
+            transfer.timer.cancel()
         del self._by_src[transfer.src][transfer.tid]
 
     def abandon_from(self, node_id: str) -> int:
@@ -324,5 +367,6 @@ class Transport:
         transfers = self._by_src.pop(node_id, {})
         for transfer in transfers.values():
             transfer.done = True
-            transfer.timer.cancel()
+            if transfer.timer is not None:
+                transfer.timer.cancel()
         return len(transfers)

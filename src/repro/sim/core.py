@@ -12,7 +12,8 @@ The kernel is deliberately minimal and dependency-free:
   reproducible, and being unique it lets ``heapq`` order entries in C
   without ever comparing a handle (which holds the action);
 * callback scheduling (:meth:`Simulator.schedule` / :meth:`Simulator.at`)
-  for the network substrate;
+  for the network substrate, and :meth:`Simulator.reserve`, which lets
+  a timer that usually never fires take its FIFO place without an entry;
 * named, seeded random streams so independent model components draw from
   independent generators.
 """
@@ -134,30 +135,56 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def at(self, time: float, action: Action, priority: int = 0) -> Handle:
-        """Run ``action`` at absolute virtual ``time``."""
+    def at(
+        self,
+        time: float,
+        action: Action,
+        priority: int = 0,
+        seq: int | None = None,
+    ) -> Handle:
+        """Run ``action`` at absolute virtual ``time``.
+
+        ``seq`` arms an entry, once, under a number taken earlier from
+        :meth:`reserve`.  Armed strictly before ``time``, it runs exactly
+        where it would have run had it been pushed when reserved.
+        """
         if not time >= self._now:  # also true for NaN
             if math.isnan(time):
                 raise SimulationError("cannot schedule at time NaN")
             raise SimulationError(
                 f"cannot schedule at {time:g}; now is {self._now:g}"
             )
-        seq = self._seq
-        self._seq = seq + 1
+        if seq is None:
+            seq = self._seq
+            self._seq = seq + 1
+        elif not 0 <= seq < self._seq:
+            raise SimulationError(f"sequence number {seq} was not reserved")
         handle = Handle(time, action)
         heapq.heappush(self._agenda, (time, priority, seq, handle))
         return handle
+
+    def reserve(self) -> int:
+        """Take the next FIFO sequence number for an entry armed later.
+
+        A retry timer that usually never fires takes its place in the
+        FIFO order here and pays for an agenda entry only if it is armed
+        with ``at(..., seq=)``.  A reservation never armed costs nothing:
+        :attr:`pending` and :meth:`agenda_summary` do not see it.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
 
     @property
     def sequence(self) -> int:
         """The next FIFO sequence number ``at`` will assign.
 
-        Monotone, bumped by *every* scheduling call — an unchanged value
-        between two instants proves no agenda entry was created in
-        between.  The network's delivery batching keys on this: a batch
-        of sends may share one agenda entry only while nothing else has
-        been scheduled, which guarantees no other action can sort
-        between the batched deliveries.
+        Monotone, bumped by *every* scheduling call and reservation — an
+        unchanged value between two instants proves no agenda entry was
+        created or reserved in between.  The network's delivery batching
+        keys on this: a batch of sends may share one agenda entry only
+        while nothing else has been scheduled, which guarantees no other
+        action can sort between the batched deliveries.
         """
         return self._seq
 

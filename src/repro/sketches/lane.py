@@ -54,7 +54,7 @@ from ..model.attributes import SENSORSCOPE_ATTRIBUTES
 from ..model.events import SimpleEvent
 from ..model.intervals import Interval
 from .messages import SketchPushMessage, SketchSubscribeMessage
-from .qdigest import QDigest
+from .qdigest import _MAX_LEVELS, QDigest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..model.operators import CorrelationOperator
@@ -68,6 +68,14 @@ def _default_domains() -> tuple[tuple[str, float, float], ...]:
     return tuple(
         (a.name, a.domain.lo, a.domain.hi) for a in SENSORSCOPE_ATTRIBUTES
     )
+
+
+_levels = checks.Rule(
+    f"an integer in [1, {_MAX_LEVELS}]",
+    lambda v: 1 <= v <= _MAX_LEVELS,
+    integral=True,
+)
+"""The q-digest's range of ``levels``, checked when the config is built."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +100,8 @@ class SketchConfig:
     domains: tuple[tuple[str, float, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        checks.positive_count(self, "k", "levels", "buckets_per_unit")
+        checks.positive_count(self, "k", "buckets_per_unit")
+        _levels(self, "levels")
         checks.positive(self, "push_interval")
         for _, lo, hi in self.domains or ():
             checks.finite(self, domains=(lo, hi))

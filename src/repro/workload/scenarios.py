@@ -115,6 +115,11 @@ class Scenario:
     def __post_init__(self) -> None:
         checks.positive_count(self, "paper_subscription_counts", "span_groups")
         checks.positive_count(self, "attrs_min", "attrs_max")
+        if self.attrs_min > self.attrs_max:
+            raise ValueError(
+                f"Scenario.attrs_min must be <= attrs_max ({self.attrs_max}), "
+                f"got {self.attrs_min!r}"
+            )
         checks.count(self, "seed")
         checks.positive(self, "group_width_scale")
 

@@ -75,7 +75,10 @@ class SubscriptionWorkloadConfig:
         checks.positive_count(self, "attrs_min", "attrs_max", "span_groups")
         checks.positive(self, "delta_t", "base_half_width", "group_width_scale")
         if self.attrs_min > self.attrs_max:
-            raise ValueError("need 1 <= attrs_min <= attrs_max")
+            raise ValueError(
+                "SubscriptionWorkloadConfig.attrs_min must be <= attrs_max "
+                f"({self.attrs_max}), got {self.attrs_min!r}"
+            )
 
 
 @dataclass(frozen=True, slots=True)

@@ -468,5 +468,5 @@ class TestLivelockDiagnosis:
         with pytest.raises(LivelockError) as exc_info:
             network.run_to_quiescence(max_events=120)
         pending = dict(exc_info.value.pending_actions)
-        assert pending == {"Transport._attempt.<locals>.timeout": 3}
-        assert "Transport._attempt.<locals>.timeout x3" in str(exc_info.value)
+        assert pending == {"Transport._arm.<locals>.timeout": 3}
+        assert "Transport._arm.<locals>.timeout x3" in str(exc_info.value)

@@ -9,8 +9,10 @@ and an ``int`` field also ``2.5`` and ``True``; construction must raise
 :mod:`repro.model.checks` format) unless :data:`ALLOWED` names the
 value with its reason.  A new config field is covered without anyone
 listing it.  ``SketchConfig.domains`` (named ``(attribute, lo, hi)``
-triples), the ``Query`` builders and ``Network(latency=...)`` are
-probed by hand below, the ``Session`` clock in ``test_api_session.py``.
+triples), ``SketchConfig.levels`` against the q-digest's range, the
+``attrs_min <= attrs_max`` pairs, the ``Query`` builders and
+``Network(latency=...)`` are probed by hand below, the ``Session`` clock
+in ``test_api_session.py``.
 """
 
 from __future__ import annotations
@@ -176,6 +178,32 @@ def test_a_sketch_domain_is_finite(bad):
         SketchConfig(domains=(("ambient_temperature", bad, 60.0),))
     with pytest.raises(ValueError, match=r"^SketchConfig\.domains must be finite"):
         SketchConfig(domains=(("ambient_temperature", -40.0, bad),))
+
+
+@pytest.mark.parametrize("levels", [0, 31, 64])
+def test_sketch_levels_stay_in_the_qdigest_range(levels):
+    with pytest.raises(
+        ValueError, match=r"^SketchConfig\.levels must be an integer in \[1, 30\], got "
+    ):
+        SketchConfig(levels=levels)
+
+
+def test_sketch_levels_accept_the_qdigest_range():
+    for levels in (1, 30):
+        config = SketchConfig(levels=levels)
+        assert config.empty_summary(0.0, 1.0).levels == levels
+
+
+@pytest.mark.parametrize(
+    "cls", [Scenario, SubscriptionWorkloadConfig], ids=lambda cls: cls.__name__
+)
+def test_attrs_min_above_attrs_max_is_refused_when_built(cls):
+    base = BASELINES[cls]
+    message = rf"^{cls.__name__}\.attrs_min must be <= attrs_max \(3\), got 5$"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(base, attrs_min=5, attrs_max=3)
+    equal = dataclasses.replace(base, attrs_min=3, attrs_max=3)
+    assert (equal.attrs_min, equal.attrs_max) == (3, 3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])

@@ -87,6 +87,31 @@ def _flooded_network(plan: FaultPlan, reliability=None) -> Network:
     return network
 
 
+def _recording_link(faults=None, latency=0.05):
+    """A reliable network whose broker ``r1`` only logs what reaches it;
+    ``r0`` is its neighbour."""
+    network = Network(
+        build_deployment(24, 3),
+        Simulator(seed=0),
+        latency=latency,
+        faults=faults,
+        reliability=ReliabilityConfig(),
+    )
+    all_approaches()["naive"].populate(network)
+    arrivals = []
+
+    class Recorder:
+        def receive(self, message, origin):
+            arrivals.append((network.sim.now, origin))
+
+    network.nodes["r1"] = Recorder()
+    return network, arrivals
+
+
+def _advertisement(sensor_id: str) -> AdvertisementMessage:
+    return AdvertisementMessage(Advertisement(sensor_id, "t", Location(0, 0)))
+
+
 class TestAckedTransfers:
     def test_retransmission_carries_control_over_a_lossy_link(self):
         """A 50% link cannot stop the advertisement flood once acks and
@@ -131,24 +156,45 @@ class TestAckedTransfers:
         """A 1.3 s round trip outlives the 1.0 s ack timeout: the
         retransmitted copy lands after the first ack ended the transfer
         and must stop at the transport (at-most-once by transfer)."""
-        network = Network(
-            build_deployment(24, 3),
-            Simulator(seed=0),
-            faults=FaultPlan(default=LinkFault(delay=0.6)),
-            reliability=ReliabilityConfig(),
-        )
-        all_approaches()["naive"].populate(network)
-        arrivals = []
-
-        class Recorder:
-            def receive(self, message, origin):
-                arrivals.append((network.sim.now, origin))
-
-        network.nodes["r1"] = Recorder()
-        message = AdvertisementMessage(Advertisement("d", "t", Location(0, 0)))
-        network.send("r0", "r1", message)
+        network, arrivals = _recording_link(FaultPlan(default=LinkFault(delay=0.6)))
+        network.send("r0", "r1", _advertisement("d"))
         network.run_to_quiescence()
         assert arrivals == [(pytest.approx(0.65), "r0")]
+        assert network.meter.snapshot().retransmission_units == 1
+        assert network.transport.live_transfers == 0
+
+    def test_an_acked_transfer_costs_one_agenda_entry(self, monkeypatch):
+        """Over a lossless link, N transfers push N agenda entries, their
+        arrivals: a retry timer the ack cancels is never pushed, and no
+        entry waits for the ack to land."""
+        network, arrivals = _recording_link()
+        entries = []
+        at = network.sim.at
+
+        def counting_at(time, action, *args, **kwargs):
+            entries.append(action.__qualname__)
+            return at(time, action, *args, **kwargs)
+
+        monkeypatch.setattr(network.sim, "at", counting_at)
+        n = 5
+        for i in range(n):
+            network.send("r0", "r1", _advertisement(f"d{i}"))
+        network.run_to_quiescence()
+        assert entries == ["Transport._attempt.<locals>.arrive"] * n
+        assert len(arrivals) == n
+        assert network.meter.snapshot().retransmission_units == 0
+        assert network.transport.live_transfers == 0
+
+    def test_an_ack_landing_on_the_deadline_loses_the_tie(self):
+        """0.5 s each way against the 1.0 s ack timeout: the ack lands
+        exactly at the deadline, where the timer (its number reserved
+        before the ack was scheduled) fires first and retransmits once."""
+        network, arrivals = _recording_link(
+            FaultPlan(default=LinkFault(delay=0.25)), latency=0.25
+        )
+        network.send("r0", "r1", _advertisement("d"))
+        network.run_to_quiescence()
+        assert arrivals == [(0.5, "r0")]
         assert network.meter.snapshot().retransmission_units == 1
         assert network.transport.live_transfers == 0
 

@@ -105,6 +105,16 @@ class TestScheduling:
             sim.run()
 
 
+class TestReservations:
+    def test_only_a_reserved_number_can_be_armed(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="not reserved"):
+            sim.at(1.0, lambda: None, seq=0)
+        sim.reserve()
+        with pytest.raises(SimulationError, match="not reserved"):
+            sim.at(1.0, lambda: None, seq=1)
+
+
 # ---------------------------------------------------------------------------
 # agenda order as a property
 # ---------------------------------------------------------------------------
@@ -132,7 +142,11 @@ class _Action:
 
 class _AgendaModel:
     """Reference semantics: run pending entries sorted by
-    ``(time, priority, seq)``; a cancelled or executed entry is gone."""
+    ``(time, priority, seq)``; a cancelled or executed entry is gone.
+
+    A reservation is an entry pushed when reserved but invisible until
+    armed: armed before its time, it sorts exactly where it would have,
+    and one never armed never runs."""
 
     def __init__(self):
         self.now = 0.0
@@ -140,8 +154,8 @@ class _AgendaModel:
         self.entries = []  # [time, priority, seq, ident, child, state]
         self.log = []
 
-    def add(self, time, priority, ident, child):
-        self.entries.append([time, priority, self.seq, ident, child, "pending"])
+    def add(self, time, priority, ident, child, state="pending"):
+        self.entries.append([time, priority, self.seq, ident, child, state])
         self.seq += 1
 
     def cancel(self, ident):
@@ -180,6 +194,8 @@ _operations = st.lists(
         st.tuples(st.just("at"), _delays, _priorities, _children),
         st.tuples(st.just("schedule"), _delays, _priorities, _children),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10_000)),
+        st.tuples(st.just("reserve"), _delays, _priorities, _children),
+        st.tuples(st.just("arm"), st.integers(min_value=0, max_value=10_000)),
         st.tuples(st.just("run"), _delays),
         st.tuples(st.just("step")),
     ),
@@ -194,7 +210,8 @@ class TestAgendaOrderProperty:
         sim = Simulator()
         model = _AgendaModel()
         log = []
-        handles = []
+        handles = []  # by ident; None while a reservation is unarmed
+        reserved = {}  # ident -> action of an unarmed reservation
 
         def label(priority):
             return f"priority{priority}"
@@ -224,10 +241,30 @@ class TestAgendaOrderProperty:
                 assert handle.time == model.now + delay
                 model.add(model.now + delay, priority, len(handles), child)
                 handles.append(handle)
+            elif kind == "reserve":
+                _, delay, priority, child = operation
+                ident = len(handles)
+                assert sim.reserve() == model.seq
+                model.add(model.now + delay, priority, ident, child, "reserved")
+                reserved[ident] = make(priority, child)
+                handles.append(None)
+            elif kind == "arm":
+                if reserved:
+                    ident = sorted(reserved)[operation[1] % len(reserved)]
+                    time, priority, seq = model.entries[ident][:3]
+                    if time > model.now:
+                        handles[ident] = sim.at(
+                            time, reserved.pop(ident), priority, seq=seq
+                        )
+                        model.entries[ident][5] = "pending"
+                    elif time < model.now:
+                        with pytest.raises(SimulationError):
+                            sim.at(time, reserved[ident], priority, seq=seq)
             elif kind == "cancel":
                 if handles:
                     ident = operation[1] % len(handles)
-                    handles[ident].cancel()
+                    if handles[ident] is not None:
+                        handles[ident].cancel()
                     model.cancel(ident)
             elif kind == "run":
                 until = sim.now + operation[1]
@@ -245,7 +282,7 @@ class TestAgendaOrderProperty:
             assert dict(sim.agenda_summary(n=10)) == Counter(
                 label(e[1]) for e in model.pending()
             )
-            assert [h.cancelled for h in handles] == [
+            assert [h is not None and h.cancelled for h in handles] == [
                 e[5] == "cancelled" for e in model.entries
             ]
 
