@@ -2,10 +2,11 @@
 
 What the repo benchmark (``benchmarks/e2e``, the benchmark of record)
 cannot see from outside: isolated kernels — set-filter decisions,
-event-store insert/query, operator coverage, and the incremental
-matcher's ``matches_involving`` — plus the one assertion that pins the
-facade's ingestion overhead against direct ``network.publish``.  CI
-runs this file as a smoke; no timing artifact is kept.
+event-store insert/query, operator coverage, the incremental matcher's
+``matches_involving`` and in-order ingest with an engine listening —
+plus the one assertion that pins the facade's ingestion overhead
+against direct ``network.publish``.  CI runs this file as a smoke; no
+timing artifact is kept.
 """
 
 import numpy as np
@@ -120,6 +121,28 @@ def test_bench_matches_involving_stored(benchmark):
         return matcher.matches_involving(probes[i])
 
     benchmark(query)
+
+
+def test_bench_in_order_ingest(benchmark):
+    """Timestamp-ordered arrivals through ``EventStore.add`` with an
+    engine listening: the store insert, the engine's ingest and the
+    sweep of every arrival that can complete a window — what a node
+    pays per received reading when sensors publish in order."""
+    op = _operator()
+    events = sorted(_events(), key=lambda e: e.timestamp)
+
+    def run():
+        store = EventStore(validity=50.0)
+        engine = MatchingEngine(store)
+        engine.retain(op)
+        hits = 0
+        for e in events:
+            if store.add(e, e.timestamp):
+                hits += len(engine.hits(e))
+        return hits
+
+    assert run(), "benchmark arrivals must complete some windows"
+    benchmark(run)
 
 
 def test_bench_eventstore_insert_and_query(benchmark):

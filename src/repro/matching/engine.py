@@ -18,6 +18,12 @@ matching around *per-operator incremental state*:
   windows: trigger times are sorted, so each slot's half-open window
   ``(t* − Δt, t*]`` advances monotonically and the whole sweep touches
   each timeline entry O(1) times;
+* an in-order arrival — nearly every one, since sensors publish in
+  timestamp order — is swept with one bisect per slot and no search: a
+  slot holding nothing after ``t0`` has no later trigger and its window
+  ends at its end, and the arrival is its own slot's newest entry;
+  after an out-of-order arrival, a slot holding a later entry takes
+  three bisects in the same pass and the arrival is found by search;
 * for finite ``delta_l`` the spatial combination search is pruned with
   a coarse uniform grid (:mod:`repro.matching.spatial`) before the
   exact backtracking runs — the decision stays exact;
@@ -51,13 +57,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 from ..model.events import SimpleEvent
 from ..model.operators import CorrelationOperator, Slot
 from .spatial import combination_exists, participating
-from .timeline import Timeline
+from .timeline import Timeline, append_to
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..network.eventstore import EventStore
@@ -308,37 +315,49 @@ class OperatorMatcher:
             after = horizon
         before = t0 + delta_t
         # One fused pass per slot: completeness pre-check, candidate
-        # triggers, and the sweep's seed pointers, three bisects each.
-        # Every window a candidate trigger can anchor lies inside
-        # (t0 − Δt, t0 + Δt], so one slot with nothing there rules out
-        # every match — by far the most common outcome.  The first
-        # trigger is always t0 itself, so its window (t0 − Δt, t0] seeds
-        # the pointers directly.
+        # triggers, and the sweep's seed pointers.  Every window a
+        # candidate trigger can anchor lies inside (t0 − Δt, t0 + Δt],
+        # so one slot with nothing there rules out every match — by far
+        # the most common outcome.  The first trigger is always t0
+        # itself, so its window (t0 − Δt, t0] seeds the pointers
+        # directly.  A slot holding nothing after t0 (in-order delivery)
+        # ends its window at its end and adds no trigger: one bisect;
+        # any other slot takes three.
+        key = (after, _INF)
         entries = []
         lo = []
         hi = []
         later: set[float] | None = None
         for timeline in self._timelines:
             ents = timeline.entries()
-            a = bisect_right(ents, (after, _INF))
-            if a == len(ents) or ents[a][0] > before:
+            a = bisect_right(ents, key)
+            b = len(ents)
+            if a == b:
                 return {}  # no event in (t0 − Δt, t0 + Δt]: incomplete
-            b = bisect_right(ents, (t0, _INF), lo=a)
-            # Later accepted events strictly inside (t0, t0 + Δt) are
-            # candidate triggers — exactly the set the reference scans.
-            c = bisect_left(ents, (before,), lo=b)
-            if c > b:
-                if later is None:
-                    later = set()
-                later.update(entry[0] for entry in ents[b:c])
+            if timeline.max_timestamp > t0:
+                if ents[a][0] > before:
+                    return {}
+                b = bisect_right(ents, (t0, _INF), lo=a)
+                # Later accepted events strictly inside (t0, t0 + Δt)
+                # are candidate triggers — exactly the set the
+                # reference scans.
+                c = bisect_left(ents, (before,), lo=b)
+                if c > b:
+                    if later is None:
+                        later = set()
+                    later.update(entry[0] for entry in ents[b:c])
             entries.append(ents)
             lo.append(a)
             hi.append(b)
-        event_pos = self._timelines[own].index_of(event)
-        if event_pos is None:
-            # Not stored (duplicate-dropped or expired): the reference
-            # scan would find it in no window either.
-            return {}
+        own_entries = entries[own]
+        if own_entries[-1][-1] is event:
+            event_pos = len(own_entries) - 1  # the newest entry: no search
+        else:
+            event_pos = self._timelines[own].index_of(event)
+            if event_pos is None:
+                # Not stored (duplicate-dropped or expired): the
+                # reference scan would find it in no window either.
+                return {}
         if later is None:
             # In-order delivery fast path — the arrival is the only
             # candidate trigger and its window is already seeded.
@@ -490,6 +509,10 @@ def sweep_spatial(
     }
 
 
+_timeline_of = itemgetter(0)
+"""The timeline of an ingest-index payload ``(timeline, matcher, slot index)``."""
+
+
 def _accepting(registrations: list, attribute: str, value: float) -> list:
     """``(timeline, matcher, slot index)`` of every registration of one
     sensor whose filter accepts ``(attribute, value)``, in registration
@@ -587,11 +610,9 @@ class MatchingEngine:
         if not targets:
             return
         timestamp = event.timestamp
-        entry = (timestamp, event.seq, event.sensor_id, event)
-        for timeline, matcher, _own in targets:
-            timeline.append(entry)
-            if timestamp < matcher._min_ts:
-                matcher._min_ts = timestamp
+        append_to(
+            map(_timeline_of, targets), (timestamp, event.seq, event.sensor_id, event)
+        )
         # Sweeps start once every accepting timeline has the entry: a
         # matcher whose two slots accept the arrival is swept once, as
         # a member of its first (the reference's own slot), and finds
@@ -601,6 +622,8 @@ class MatchingEngine:
             if matcher is previous:
                 continue
             previous = matcher
+            if timestamp < matcher._min_ts:
+                matcher._min_ts = timestamp
             stale = timestamp - matcher._delta_t
             for timeline in matcher._timelines:
                 if timeline.max_timestamp <= stale:

@@ -18,7 +18,7 @@ events themselves.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..model.events import SimpleEvent
 
@@ -65,6 +65,34 @@ class TimelineView(Sequence[SimpleEvent]):
             yield self._entries[i][-1]
 
 
+def append_to(timelines: Iterable["Timeline"], entry: Entry) -> None:
+    """Append one entry to each of ``timelines``; order is restored
+    lazily at the next query.
+
+    Entries are immutable and no drop ever rewrites one, so the engine
+    appends one tuple per arrival to every timeline that accepts it.
+    The order test reads the tracked ``max_timestamp`` first: an entry
+    stamped after everything held keeps the timeline sorted, one
+    stamped before makes it unsorted, and only a tie with the newest
+    timestamp compares tuples.
+    """
+    timestamp = entry[0]
+    for timeline in timelines:
+        entries = timeline._entries
+        if timestamp > timeline.max_timestamp:
+            timeline.max_timestamp = timestamp
+            if not entries:
+                timeline.min_timestamp = timestamp
+        else:
+            if not timeline._dirty and (
+                timestamp < timeline.max_timestamp or entry < entries[-1]
+            ):
+                timeline._dirty = True
+            if timestamp < timeline.min_timestamp:
+                timeline.min_timestamp = timestamp
+        entries.append(entry)
+
+
 class Timeline:
     """Sorted-by-(timestamp, seq, sensor) event sequence, lazily kept."""
 
@@ -83,22 +111,9 @@ class Timeline:
 
     # ------------------------------------------------------------------
     def add(self, event: SimpleEvent) -> None:
-        """Append; order is restored lazily at the next query."""
-        self.append((event.timestamp, event.seq, event.sensor_id, event))
-
-    def append(self, entry: Entry) -> None:
-        """:meth:`add` for a prebuilt entry.  Entries are immutable and
-        no drop ever rewrites one, so the engine appends one tuple per
-        arrival to every timeline that accepts it."""
-        entries = self._entries
-        if entries and not self._dirty and entry < entries[-1]:
-            self._dirty = True
-        entries.append(entry)
-        timestamp = entry[0]
-        if timestamp < self.min_timestamp:
-            self.min_timestamp = timestamp
-        if timestamp > self.max_timestamp:
-            self.max_timestamp = timestamp
+        """Append (:func:`append_to` for one timeline); order is restored
+        lazily at the next query."""
+        append_to((self,), (event.timestamp, event.seq, event.sensor_id, event))
 
     def entries(self) -> list[Entry]:
         """The sorted backing list (shared, do not mutate)."""

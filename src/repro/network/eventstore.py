@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Protocol, Sequence
 
 from ..matching.timeline import Timeline, TimelineView
+from ..model import checks
 from ..model.events import EventKey, SimpleEvent
 
 
@@ -48,8 +49,7 @@ class EventStore:
     """Timestamp-ordered, sensor-indexed set of unexpired events."""
 
     def __init__(self, validity: float) -> None:
-        if validity <= 0:
-            raise ValueError("validity must be positive")
+        checks.positive(self, validity=validity)
         self.validity = validity
         self._by_sensor: dict[str, Timeline] = {}
         self._keys: set[EventKey] = set()

@@ -263,18 +263,28 @@ class Simulator:
             self._running = False
 
     def step(self) -> bool:
-        """Execute exactly one pending event; False when agenda is empty."""
-        while self._agenda:
-            time, _, _, handle = heapq.heappop(self._agenda)
-            action = handle._action
-            if action is None:
-                continue
-            handle._action = None
-            self._now = time
-            action()
-            self.processed_events += 1
-            return True
-        return False
+        """Execute exactly one pending event; False when agenda is empty.
+
+        Not reentrant, like :meth:`run`: a nested step would run a
+        later action inside the current one and move the clock under it.
+        """
+        if self._running:
+            raise SimulationError("step() is not reentrant")
+        self._running = True
+        try:
+            while self._agenda:
+                time, _, _, handle = heapq.heappop(self._agenda)
+                action = handle._action
+                if action is None:
+                    continue
+                handle._action = None
+                self._now = time
+                action()
+                self.processed_events += 1
+                return True
+            return False
+        finally:
+            self._running = False
 
     @property
     def pending(self) -> int:

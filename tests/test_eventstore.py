@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.matching.timeline import Timeline, append_to
 from repro.model import Location, SimpleEvent
 from repro.network.eventstore import EventStore
 
@@ -107,3 +108,61 @@ def test_store_never_holds_expired_events_after_prune(stamps):
     store.prune(now)
     for event in events:
         assert (event.key in store) == (now - event.timestamp <= 10.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("append"),
+                st.integers(0, 12),  # timestamp halves: ties guaranteed
+                st.integers(0, 3),  # seq: equal timestamps order by it
+                st.sampled_from(["a", "b"]),
+                st.lists(st.booleans(), min_size=3, max_size=3),
+            ),
+            st.tuples(st.just("drop_until"), st.integers(-1, 12)),
+            st.tuples(st.just("drop_sensor"), st.sampled_from(["a", "b"])),
+        ),
+        max_size=30,
+    )
+)
+def test_timelines_keep_their_invariants(ops):
+    """``append_to`` (several timelines at once) and ``Timeline.add``
+    against a plain sorted list: a timeline not marked unsorted is
+    sorted, ``entries()`` sorts it, and ``min_timestamp`` /
+    ``max_timestamp`` are its extremes (±inf when empty)."""
+    timelines = [Timeline() for _ in range(3)]
+    models = [[] for _ in timelines]
+    seen = set()
+    for op in ops:
+        if op[0] == "append":
+            _, half, seq, sensor, into = op
+            event = ev(sensor, ts=half * 0.5, seq=seq)
+            entry = (event.timestamp, event.seq, event.sensor_id, event)
+            if event.key in seen:
+                continue  # the store never stores a key twice
+            seen.add(event.key)
+            chosen = [tl for tl, take in zip(timelines, into) if take]
+            append_to(chosen[1:], entry)
+            if chosen:
+                chosen[0].add(event)
+            for model, take in zip(models, into):
+                if take:
+                    model.append(entry)
+        else:
+            for timeline, model in zip(timelines, models):
+                if op[0] == "drop_until":
+                    timeline.drop_until(op[1] * 0.5)
+                    model[:] = [e for e in model if e[0] > op[1] * 0.5]
+                else:
+                    timeline.drop_sensor(op[1])
+                    model[:] = [e for e in model if e[2] != op[1]]
+        for timeline, model in zip(timelines, models):
+            stamps = [e[0] for e in model]
+            assert timeline.min_timestamp == min(stamps, default=float("inf"))
+            assert timeline.max_timestamp == max(stamps, default=float("-inf"))
+            if not timeline._dirty:
+                assert timeline._entries == sorted(timeline._entries)
+    for timeline, model in zip(timelines, models):
+        assert timeline.entries() == sorted(model)

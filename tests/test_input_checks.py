@@ -10,9 +10,9 @@ and an ``int`` field also ``2.5`` and ``True``; construction must raise
 value with its reason.  A new config field is covered without anyone
 listing it.  ``SketchConfig.domains`` (named ``(attribute, lo, hi)``
 triples), ``SketchConfig.levels`` against the q-digest's range, the
-``attrs_min <= attrs_max`` pairs, the ``Query`` builders and
-``Network(latency=...)`` are probed by hand below, the ``Session`` clock
-in ``test_api_session.py``.
+``attrs_min <= attrs_max`` pairs, the ``Query`` builders,
+``Network(latency=...)`` and ``EventStore(validity=...)`` are probed by
+hand below, the ``Session`` clock in ``test_api_session.py``.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from repro.model import (
     SimpleFilter,
     checks,
 )
+from repro.network import EventStore
 from repro.network.faults import OutageWindow
 from repro.network.network import Network
 from repro.network.topology import Deployment, build_deployment
@@ -244,3 +245,10 @@ class TestQueryBuilders:
 def test_network_latency_is_finite_and_non_negative(bad):
     with pytest.raises(ValueError, match=r"^Network\.latency must be"):
         Network(build_deployment(24, 3, seed=0), latency=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, "2"])
+def test_event_store_validity_is_positive_and_finite(bad):
+    """A NaN validity would freeze the horizon: nothing would expire."""
+    with pytest.raises(ValueError, match=r"^EventStore\.validity must be positive"):
+        EventStore(validity=bad)

@@ -28,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.matching import MatchingEngine
 from repro.matching.engine import _accepting, _discard
+from repro.matching.reference import ReferenceEngine
 from repro.model import Interval, Location, SimpleEvent
 from repro.model.matching import (
     instance_exists as reference_instance_exists,
@@ -315,6 +316,61 @@ def test_hit_map_sweeps_a_doubly_accepting_arrival_once_as_its_first_slot(spatia
         store.add(event, now=event.timestamp)
         assert_hit_map(engine, store, [operator], event)
         assert_equivalent(matcher, operator, store, event)
+
+
+# ---------------------------------------------------------------------------
+# the sweep's two branches: a slot holding nothing after t0 (no search)
+# and the three-bisect one, fenced against the reference engine
+# ---------------------------------------------------------------------------
+BRANCH_FEED = [
+    # (sensor, timestamp, seq, now)
+    ("b", 2.5, 0, 2.5),
+    ("b2", 6.0, 5, 6.0),
+    ("a", 6.0, 0, 6.0),  # slot b's newest entry is exactly at t0
+    ("b", 6.0, 1, 6.0),  # ties b2@6 with a smaller (seq, sensor): not last
+    ("b", 31.0, 10, 31.0),
+    ("a", 34.0, 10, 34.0),
+    ("a", 33.5, 11, 34.0),  # out of order after an in-order run
+    ("b", 40.0, 20, 50.0),  # at the horizon: stored, never visible
+    ("a", 40.5, 20, 50.0),  # its window is clamped to the horizon
+    ("b", 41.0, 21, 50.0),
+]
+
+
+def test_both_sweep_branches_equal_the_reference_engine():
+    """Every arrival of a hand-made feed, on both matcher kinds, against
+    :class:`ReferenceEngine` over the same store: the hit maps operator
+    by operator, then a fresh sweep of every event of the feed.
+
+    The feed drives the cases the in-order branch can get wrong: an
+    entry at exactly ``t0`` in another slot, an arrival that is not its
+    timeline's last entry because it ties one with a larger ``(seq,
+    sensor)``, a late arrival after an in-order run (its own slot holds
+    a later entry; the correct answer is the match at ``t0``, the later
+    trigger's window is incomplete) and arrivals at and just above the
+    store horizon.
+    """
+    operators = [SUB_OP, SPATIAL_OP]
+    store = EventStore(validity=10.0)
+    engine = MatchingEngine(store)
+    reference = ReferenceEngine(store)
+    pairs = [(engine.retain(op), reference.retain(op)) for op in operators]
+    events, found = [], []
+    for sensor, timestamp, seq, now in BRANCH_FEED:
+        event = reading(sensor, timestamp, seq)
+        events.append(event)
+        assert store.add(event, now)
+        got, want = engine.hits(event), reference.hits(event)
+        for matcher, ref_matcher in pairs:
+            assert got.get(matcher) == want.get(ref_matcher), event
+        found.append(got.get(pairs[0][0], {}))
+    assert [len(f) for f in found] == [0, 0, 2, 2, 0, 0, 2, 0, 0, 2]
+    assert found[6] == {"a": [events[6]], "b": [events[4]]}  # the late one
+    assert events[7].timestamp == store.horizon
+    for event in events:
+        for matcher, ref_matcher in pairs:
+            want = ref_matcher.matches_involving(event)
+            assert matcher.matches_involving(event) == want, event
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,32 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.run()
 
+    def test_step_is_not_reentrant(self):
+        """An action that steps must not run a later action inside
+        itself: the t=5 action stays queued and the clock stays at 1."""
+        sim = Simulator()
+        seen = []
+
+        def nested():
+            seen.append((sim.now, sim.running))
+            sim.step()
+
+        sim.schedule(1.0, nested)
+        sim.schedule(5.0, lambda: seen.append((sim.now, sim.running)))
+        with pytest.raises(SimulationError, match=r"^step\(\) is not reentrant$"):
+            sim.step()
+        assert seen == [(1.0, True)]
+        assert sim.now == 1.0 and not sim.running
+        assert sim.step() and seen == [(1.0, True), (5.0, True)]
+        assert not sim.running
+
+    def test_run_inside_a_step_is_refused(self):
+        sim = Simulator()
+        sim.schedule(0.0, lambda: sim.run())
+        with pytest.raises(SimulationError, match="not reentrant"):
+            sim.step()
+        assert not sim.running
+
 
 class TestReservations:
     def test_only_a_reserved_number_can_be_armed(self):
