@@ -654,14 +654,16 @@ class MatchingEngine:
         self.horizon = horizon
 
     def sensor_fenced(self, sensor_id: str) -> None:
-        """Mirror a store fence: drop the sensor from every matcher.
+        """Mirror a store fence: drop the sensor from the matchers
+        drawing from it.
 
-        A matcher that never drew from the sensor costs one membership
-        test per slot; churn transitions are rare enough that the linear
-        walk over matchers is noise.
+        The sensor's registration list names exactly those (empty
+        filters are registered too); a matcher with several slots on
+        the sensor is fenced once.
         """
         self._hits_event = None
-        for matcher in self._shared.values():
+        registrations = self._ingest_index.get(sensor_id, ())
+        for matcher in dict.fromkeys(r[3][1] for r in registrations):
             matcher.fence_sensor(sensor_id)
 
     # ------------------------------------------------------------------

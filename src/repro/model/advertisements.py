@@ -60,7 +60,7 @@ class AdvertisementTable:
         table = self._by_origin.setdefault(origin, {})
         if advertisement.sensor_id in self._next_hop:
             already = table.get(advertisement.sensor_id)
-            if already == advertisement:
+            if already is advertisement or already == advertisement:
                 return False
         table[advertisement.sensor_id] = advertisement
         self._next_hop[advertisement.sensor_id] = origin

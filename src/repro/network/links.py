@@ -121,6 +121,9 @@ class TrafficMeter:
         path: every hop bills every channel and its own link, and the
         transfer counts as one message.
         """
+        if len(links) == 1:
+            self.record(links[0], message, retransmission)
+            return
         for link in links:
             self.record(link, message, retransmission)
         self.messages -= len(links) - 1

@@ -7,7 +7,8 @@ delivering inline.  The transport
 
 * draws per-link drop/delay/jitter from a dedicated simulator stream
   (``faults:<plan.seed>``, derived via :mod:`repro.seeding` — runs stay
-  PYTHONHASHSEED-independent and sharded == serial);
+  PYTHONHASHSEED-independent and sharded == serial), each directed
+  link resolved against the plan once per run;
 * discards deliveries addressed to a crashed broker at fire time;
 * and, with reliability enabled, runs **acked transfers** for control
   traffic (advertisements, operators, unsubscribes): each transmission
@@ -140,6 +141,12 @@ class Transport:
     without it ``Network.send`` keeps its historical inline path, byte
     for byte.
 
+    A neighbour send finds its one-link path and route by sender, then
+    receiver (built on first use); a unicast resolves its whole path
+    through the per-path cache.  Either way each directed link asks the
+    plan once, and a one-link path is billed with a single
+    ``TrafficMeter.record``.
+
     Every action it schedules is a named function defined inside one of
     its methods (``arrive``, ``timeout``, ``acked``, ``deliver``): the
     livelock report names pending work by qualname, and the benchmark
@@ -159,7 +166,10 @@ class Transport:
         self.rng = network.sim.rng(f"faults:{plan.seed}")
         self._draws = _uniform_draws(self.rng)
         # Resolved on first use: plan and base latency are fixed for a run.
+        self._crossings: dict[tuple[str, str], _Crossing] = {}
         self._routes: dict[LinkPath, _Route] = {}
+        # sender -> receiver -> (its one-link path, that path's route).
+        self._hops: dict[str, dict[str, tuple[LinkPath, _Route]]] = {}
         self._retry_delays = (
             [reliability.retry_delay(k) for k in range(reliability.max_retries + 1)]
             if reliability is not None
@@ -194,8 +204,15 @@ class Transport:
         return route
 
     def _crossing(self, src: str, dst: str) -> _Crossing:
-        fault = self.plan.link_fault(src, dst)
-        return (fault.drop, self.network.latency + fault.delay, fault.jitter)
+        crossing = self._crossings.get((src, dst))
+        if crossing is None:
+            fault = self.plan.link_fault(src, dst)
+            crossing = self._crossings[src, dst] = (
+                fault.drop,
+                self.network.latency + fault.delay,
+                fault.jitter,
+            )
+        return crossing
 
     def _transit(self, crossings: tuple[_Crossing, ...]) -> float | None:
         """Total transit time over ``crossings``, or None when dropped.
@@ -217,8 +234,19 @@ class Transport:
     # sending
     # ------------------------------------------------------------------
     def send(self, src: str, dst: str, message: Message) -> None:
-        """One-hop neighbour transfer through the fault lane."""
-        self._transmit(src, dst, src, message, ((src, dst),))
+        """One-hop neighbour transfer through the fault lane.
+
+        The link and its route are looked up by sender, then receiver:
+        two string-keyed reads instead of building and hashing a path.
+        """
+        hops = self._hops.get(src)
+        if hops is None:
+            hops = self._hops[src] = {}
+        hop = hops.get(dst)
+        if hop is None:
+            links = ((src, dst),)
+            hop = hops[dst] = (links, self._route(links))
+        self._transmit(src, dst, src, message, *hop)
 
     def unicast(
         self,
@@ -234,7 +262,7 @@ class Transport:
         draws its own loss and delay.  With reliability, the transfer is
         acked end to end and a retransmission re-pays the whole path.
         """
-        self._transmit(src, dst, origin, message, links)
+        self._transmit(src, dst, origin, message, links, self._route(links))
 
     def _transmit(
         self,
@@ -243,13 +271,16 @@ class Transport:
         origin: str,
         message: Message,
         links: LinkPath,
+        route: _Route,
     ) -> None:
-        route = self._route(links)
         if self.reliability is not None and message.reliable:
             transfer = _Transfer(
                 next(self._tid), src, dst, origin, message, links, *route
             )
-            self._by_src.setdefault(src, {})[transfer.tid] = transfer
+            transfers = self._by_src.get(src)
+            if transfers is None:
+                transfers = self._by_src[src] = {}
+            transfers[transfer.tid] = transfer
             self._attempt(transfer)
             return
         network = self.network
@@ -265,7 +296,8 @@ class Transport:
             else:
                 network.nodes[dst].receive(message, origin)
 
-        network.sim.schedule(transit, deliver)
+        sim = network.sim
+        sim.at(sim.now + transit, deliver)
 
     # ------------------------------------------------------------------
     # acked transfers

@@ -443,6 +443,43 @@ def test_drop_sensor_fences_all_sharers(seed):
                     ), (context, member)
 
 
+def test_a_fence_reaches_only_the_matchers_drawing_from_the_sensor(monkeypatch):
+    """``fence_sensor`` runs once on each matcher with a slot on the
+    fenced sensor, however many slots it has there, and on no other."""
+    store, engine = arena()
+    shared = engine.retain(clone("s1"))
+    engine.retain(clone("s2"))  # a sibling: same matcher
+    elsewhere = engine.retain(
+        CorrelationOperator(
+            "s3", "u", (Slot("c", "t", Interval(0.0, 10.0), frozenset({"c"})),), 3.0
+        )
+    )
+    twice = engine.retain(
+        CorrelationOperator(
+            "s4",
+            "u",
+            (
+                Slot("a", "t", Interval(0.0, 5.0), frozenset({"a"})),
+                Slot("a2", "t", Interval(5.0, 10.0), frozenset({"a", "c"})),
+            ),
+            3.0,
+        )
+    )
+    fenced = []
+    fence = type(shared).fence_sensor
+
+    def recording(matcher, sensor_id, *args):
+        fenced.append(matcher)
+        return fence(matcher, sensor_id, *args)
+
+    monkeypatch.setattr(type(shared), "fence_sensor", recording)
+    expected = {"a": [shared, twice], "b2": [shared], "c": [elsewhere, twice], "z": []}
+    for sensor_id, matchers in expected.items():
+        fenced.clear()
+        store.fence_sensor(sensor_id, now=1.0)
+        assert fenced == matchers, sensor_id
+
+
 @given(seed=st.integers(min_value=0, max_value=100_000))
 @_family_settings
 def test_mixed_dtype_subround_timestamps_two_way(seed):

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from deployments import line_deployment
 
 from repro.experiments.runner import REPLAY_START, run_series
-from repro.model import Advertisement, Location
+from repro.model import Advertisement, AdvertisementTable, Location
 from repro.network.faults import FaultPlan, LinkFault, OutageWindow
 from repro.network.messages import AdvertisementMessage, EventMessage
 from repro.network.network import Network
@@ -37,6 +37,8 @@ from repro.workload.subscriptions import (
     SubscriptionWorkloadConfig,
     generate_subscriptions,
 )
+
+LOCAL = AdvertisementTable.LOCAL
 
 _property_settings = settings(
     max_examples=15,
@@ -243,6 +245,51 @@ class TestAckedTransfers:
         baseline = _flooded_network(FaultPlan.none())
         assert reliable.meter.snapshot() == baseline.meter.snapshot()
 
+    def test_each_directed_link_is_resolved_once(self, monkeypatch):
+        """Over a lossy reliable run (setup, subscriptions, a refresh
+        round, a replay), the plan is asked about each directed link
+        once: every link a send asked for, and its reverse (the ack's
+        way) — not once per send, nor per path it appears in."""
+        resolved = []
+        link_fault = FaultPlan.link_fault
+
+        def counting(plan, src, dst):
+            resolved.append((src, dst))
+            return link_fault(plan, src, dst)
+
+        monkeypatch.setattr(FaultPlan, "link_fault", counting)
+        deployment, replay, workload = _static_arena(4)
+        network = Network(
+            deployment,
+            Simulator(seed=4),
+            faults=FaultPlan(default=LinkFault(drop=0.1, jitter=0.01), seed=3),
+            reliability=ReliabilityConfig(),
+        )
+        sent = []
+        send = network.transport.send
+
+        def recording(src, dst, message):
+            sent.append((src, dst))
+            send(src, dst, message)
+
+        network.transport.send = recording
+        all_approaches()["naive"].populate(network)
+        network.attach_all_sensors()
+        for placed in workload:
+            network.register_subscription(placed.node_id, placed.subscription)
+        network.schedule_refresh([(network.sim.now + 1.0, 1)])
+        node_of = {s.sensor_id: s.node_id for s in deployment.sensors}
+        network.sim.schedule_timeline(
+            (e.timestamp, lambda e=e: network.publish(node_of[e.sensor_id], e))
+            for e in replay.shifted(REPLAY_START)
+        )
+        network.run_to_quiescence()
+        assert len(sent) > 2 * len(set(sent))  # links carry many sends
+        used = set(sent) | {(dst, src) for src, dst in sent}
+        assert sorted(resolved) == sorted(used)
+        # Each send billed its own link.
+        assert set(network.meter.per_link) == set(sent)
+
 
 # ---------------------------------------------------------------------------
 # duplicate invisibility + convergence properties
@@ -381,6 +428,39 @@ class TestSoftStateExpiry:
         network.run_to_quiescence()
         for node_id in ("hub", "s_a", "s_b", "u1", "u2"):
             assert network.nodes[node_id].ads.get("c") is not None, node_id
+
+    def test_a_relay_floods_the_refresh_copy_it_received(self):
+        """In a refresh round every relay passes on the very message
+        object it received: same epoch, not a retraction, no rebuilt
+        copy."""
+        network = Network(
+            build_deployment(14, 2, seed=1),
+            Simulator(seed=1),
+            reliability=ReliabilityConfig(),
+        )
+        all_approaches()["naive"].populate(network)
+        network.attach_all_sensors()
+        network.run_to_quiescence()
+        sent = []
+        send = network.send
+
+        def recording(src, dst, message):
+            sent.append((src, dst, message))
+            send(src, dst, message)
+
+        network.send = recording
+        network.schedule_refresh([(network.sim.now + 1.0, 7)])
+        network.run_to_quiescence()
+        received: dict[str, list] = {}
+        relayed = 0
+        for src, dst, message in sent:
+            assert message.refresh_epoch == 7 and not message.retract
+            sensor_id = message.advertisement.sensor_id
+            if sensor_id not in network.nodes[src].ads.from_origin(LOCAL):
+                assert any(message is m for m in received[src]), (src, sensor_id)
+                relayed += 1
+            received.setdefault(dst, []).append(message)
+        assert relayed > len(network.nodes)
 
 
 def _outage_factory(seed):
