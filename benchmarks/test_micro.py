@@ -1,14 +1,17 @@
 """Micro-benchmarks of the hot inner loops (real repeated timing).
 
 What the repo benchmark (``benchmarks/e2e``, the benchmark of record)
-cannot see from outside: isolated kernels — set-filter decisions,
-event-store insert/query, operator coverage, the incremental matcher's
-``matches_involving``, in-order ingest with an engine listening and an
-acked one-hop transfer on the reliable transport — plus the one
-assertion that pins the facade's ingestion overhead against direct
-``network.publish``.  CI runs this file as a smoke; no timing artifact
-is kept.
+cannot see from outside: isolated kernels — FSF's per-slot cover
+decision, event-store insert/query, operator coverage, the incremental
+matcher's ``matches_involving``, in-order ingest with an engine
+listening and an acked one-hop transfer on the reliable transport —
+plus the one assertion that pins the facade's ingestion overhead
+against direct ``network.publish``, counted in function calls.  CI
+runs this file as a smoke; no timing artifact is kept.
 """
+
+import gc
+import sys
 
 import numpy as np
 
@@ -20,9 +23,9 @@ from repro.model import (
     SimpleEvent,
     operator_from_identified,
 )
+from repro.model.intervals import union_covers
 from repro.network.eventstore import EventStore
 from repro.network.topology import build_deployment
-from repro.subsumption import ProbabilisticSetFilter
 from repro.workload.subscriptions import (
     SubscriptionWorkloadConfig,
     generate_subscriptions,
@@ -54,15 +57,23 @@ def _events(n_per_sensor=50, width=5):
     return events
 
 
-def test_bench_setfilter_product_mode(benchmark):
+def test_bench_per_slot_cover(benchmark):
+    """FSF's cover decision: every one of 5 slots' ranges inside the
+    union of its 12 stored candidates."""
     rng = np.random.default_rng(2)
-    f = ProbabilisticSetFilter(0.01, 0.05, rng=rng)
     target = tuple(Interval(10, 40) for _ in range(5))
-    per_dim = [
+    per_slot = [
         [Interval(float(lo), float(lo) + 20.0) for lo in rng.uniform(0, 25, 12)]
         for _ in range(5)
     ]
-    benchmark(f.is_product_subsumed, target, per_dim)
+
+    def decide():
+        return all(
+            union_covers(candidates, interval)
+            for interval, candidates in zip(target, per_slot)
+        )
+
+    benchmark(decide)
 
 
 # ---------------------------------------------------------------------------
@@ -287,21 +298,34 @@ def _direct_round(session, medians, seq_state):
     network.run_to_quiescence()
 
 
+def _calls(run_round):
+    """Python and C function calls one round makes (``sys.setprofile``)."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    gc.collect()
+    sys.setprofile(count)
+    try:
+        run_round()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def test_facade_ingest_overhead_under_five_percent():
     """Pin: the facade adds <5% over direct ``network.publish``.
 
-    Identical bursts drive two identical sessions, rounds interleaved,
-    and the side that runs first alternates.  The work is deterministic
-    and identical modulo the facade's per-reading cost (placement
-    lookup, event construction, seq bookkeeping), so the *fastest*
-    round of each side is the estimate least polluted by GC noise.  A
-    round is timed in process CPU (as ``benchmarks/e2e/clock.py``
-    does): wall clock also counts whatever else a loaded runner is
-    doing.
+    Identical bursts drive two identical sessions, rounds interleaved.
+    The work is identical modulo the facade's per-reading cost
+    (placement lookup, event construction, seq bookkeeping), and is
+    counted, not timed: the Python and C calls of three rounds per
+    side.  A count repeats on any machine, where CPU time on a loaded
+    one swings by more than the bound.
     """
-    import gc
-    import time
-
     facade_session, facade_medians = _ingest_arena()
     direct_session, direct_medians = _ingest_arena()
     seq_state = {}
@@ -309,24 +333,14 @@ def test_facade_ingest_overhead_under_five_percent():
     for _ in range(2):
         _facade_round(facade_session, facade_medians)
         _direct_round(direct_session, direct_medians, seq_state)
-    facade_times, direct_times = [], []
-    sides = [
-        (facade_times, lambda: _facade_round(facade_session, facade_medians)),
-        (
-            direct_times,
-            lambda: _direct_round(direct_session, direct_medians, seq_state),
-        ),
-    ]
-    for _ in range(11):
-        for times, run_round in sides:
-            gc.collect()
-            start = time.process_time()
-            run_round()
-            times.append(time.process_time() - start)
-        sides.reverse()
-    ratio = min(facade_times) / min(direct_times)
+    facade_calls = direct_calls = 0
+    for _ in range(3):
+        facade_calls += _calls(lambda: _facade_round(facade_session, facade_medians))
+        direct_calls += _calls(
+            lambda: _direct_round(direct_session, direct_medians, seq_state)
+        )
+    ratio = facade_calls / direct_calls
     assert ratio < 1.05, (
         f"facade ingestion overhead {100 * (ratio - 1):.1f}% (>= 5%): "
-        f"facade {min(facade_times) * 1e3:.2f} ms "
-        f"vs direct {min(direct_times) * 1e3:.2f} ms"
+        f"facade {facade_calls} calls vs direct {direct_calls} over 3 rounds"
     )

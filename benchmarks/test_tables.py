@@ -11,7 +11,7 @@ def test_table1(benchmark):
     """Table I: the subsumption example, checked end to end — s3 is
     jointly subsumed and generates zero subscription traffic."""
     walkthrough = benchmark.pedantic(
-        run_fig3_walkthrough, kwargs={"exact_filtering": True}, rounds=1, iterations=1
+        run_fig3_walkthrough, rounds=1, iterations=1
     )
     print("\n" + render_table_i())
     print(walkthrough.render())

@@ -22,7 +22,7 @@ from repro.model import SimpleEvent
 print(render_table_i())
 print()
 
-walkthrough = run_fig3_walkthrough(exact_filtering=True)
+walkthrough = run_fig3_walkthrough()
 print(walkthrough.render())
 network = walkthrough.network
 

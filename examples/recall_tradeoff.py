@@ -1,11 +1,13 @@
 #!/usr/bin/env python
-"""The traffic/recall trade-off of the probabilistic set filter.
+"""The traffic/recall trade-off of FSF's coarsening.
 
 Section VI-F: "Reducing either the traffic, either the number of missed
-events creates a tradeoff, upon which the user has to decide."  This
-example sweeps the set filter's error probability (and the coarsening
-mitigation the paper sketches) on one workload and prints the frontier:
-subscription load and event load versus end-user recall.
+events creates a tradeoff, upon which the user has to decide."  FSF's
+set filter decides its per-slot question exactly, so the one dial left
+is the coarsening mitigation the paper sketches: widen every forwarded
+range by a fixed amount.  This example sweeps it on one workload and
+prints the frontier: subscription load and event load versus end-user
+recall.
 
 Each configuration runs as one live :class:`repro.api.Session`: the
 generated queries are submitted through the facade, the replayed
@@ -40,7 +42,7 @@ def run_config(config: FSFConfig, truths=None):
     event timestamps — and therefore the oracle ground truth, which
     only depends on the queries and the replay — are identical across
     configurations; the first session's ``session.truth`` is shared
-    instead of being recomputed seven times.
+    instead of being recomputed for every point.
     """
     session = Session.create(
         approach=filter_split_forward_approach(config), deployment=deployment
@@ -59,13 +61,9 @@ def run_config(config: FSFConfig, truths=None):
 
 
 configs = [
-    ("exact set filtering (no sampling error)", FSFConfig(exact_filtering=True)),
-    ("error probability 0.01", FSFConfig(error_probability=0.01)),
-    ("error probability 0.05 (default)", FSFConfig(error_probability=0.05)),
-    ("error probability 0.25", FSFConfig(error_probability=0.25)),
-    ("aggressive: error 0.5, gap 0.5 (2 samples)", FSFConfig(error_probability=0.5, gap_fraction=0.5)),
-    ("error probability 0.25 + coarsening 0.5", FSFConfig(error_probability=0.25, coarsening=0.5)),
-    ("coarsening 1.0 (wider filters)", FSFConfig(coarsening=1.0)),
+    (f"coarsening {amount:g}" + (" (default)" if amount == 0 else ""),
+     FSFConfig(coarsening=amount))
+    for amount in (0.0, 0.5, 1.0, 2.0)
 ]
 
 truths = None
@@ -83,9 +81,12 @@ print("-" * len(header))
 for label, sub_load, event_load, report in rows:
     print(f"{label:42s} {sub_load:9d} {event_load:11d} {report.recall:7.3f}")
 
+first, last = rows[0], rows[-1]
 print(
-    "\nLower error probabilities spend more samples and filter less "
-    "aggressively wrongly (higher recall); coarsening widens every "
-    "forwarded range so covered gaps shrink, recovering recall at the "
-    "price of extra event traffic — exactly the dial the paper describes."
+    f"\nCoarsening widens every forwarded range: event load goes "
+    f"{first[2]} -> {last[2]} units while recall goes "
+    f"{first[3].recall:.3f} -> {last[3].recall:.3f}.  What FSF still "
+    "misses comes from its per-slot cover rule (a pair of events that no "
+    "single covering operator matches), so wider ranges buy traffic, and "
+    "little recall."
 )

@@ -73,7 +73,6 @@ class Session:
         groups: int = 3,
         seed: int | None = None,
         deployment: Deployment | None = None,
-        fsf_config=None,
         faults=None,
         reliability=None,
         sketch=None,
@@ -100,7 +99,7 @@ class Session:
         from ..protocols.registry import all_approaches  # local: avoid cycle
 
         if isinstance(approach, str):
-            approaches = all_approaches(fsf_config)
+            approaches = all_approaches()
             if approach not in approaches:
                 raise ValueError(
                     f"unknown approach {approach!r}; "

@@ -1,7 +1,7 @@
 """The paper's primary contribution: Filter-Split-Forward processing.
 
 Algorithms 1-5 of Section V, built on the shared network substrate and
-the probabilistic set filter.  The four comparison systems live in
+the per-slot set filter.  The four comparison systems live in
 ``repro.baselines``.
 """
 

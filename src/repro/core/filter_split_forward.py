@@ -18,15 +18,16 @@ match of some uncovered operator from that link's far end; the final,
 exact matching happens at the user's node against the whole local
 subscriptions.
 
-Fig. 12's recall loss has two sources.  Union coverage itself: one
-event may match one covering operator on slot a and its partner another
-one on slot b, so neither has a complete match and neither forwards the
-pair (exact filtering loses these too).  And the probabilistic set
-filter may erroneously declare coverage (bounded by its configured
-error probability).  ``coarsening`` optionally widens every forwarded
-operator — the Section VI-F mitigation that trades traffic for recall;
-the user-node matching stays exact, so coarsening never delivers
-spurious results.
+Fig. 12's recall loss comes from the cover rule.  The filter asks, per
+slot, whether that slot's range lies inside the union of the ranges
+stored on it: a *product* of per-slot unions, wider than the union of
+the stored operators' boxes.  A pair of events may match one stored
+operator on slot a and another on slot b; neither has a complete match,
+so neither forwards the pair.  The question is decided exactly
+(``union_covers``), so no sampling error adds to this loss.
+``coarsening`` optionally widens every forwarded operator — the Section
+VI-F mitigation that trades traffic for recall; the user-node matching
+stays exact, so coarsening never delivers spurious results.
 """
 
 from __future__ import annotations
@@ -40,28 +41,20 @@ from ..model.operators import CorrelationOperator
 from ..network.network import Network
 from ..network.node import LOCAL, Node
 from ..protocols.base import Approach
-from ..subsumption.setfilter import ProbabilisticSetFilter, required_samples
 
 
 @dataclass(frozen=True)
 class FSFConfig:
-    """Tuning knobs of the Filter-Split-Forward node.
-
-    ``error_probability`` / ``gap_fraction`` parameterise the
-    probabilistic set filter (Section V-B); ``coarsening`` widens every
-    forwarded filter range by the given absolute amount (Section VI-F's
-    "subscriptions can be made coarser" mitigation, 0 = off).
+    """Tuning knob of the Filter-Split-Forward node: ``coarsening``
+    widens every forwarded filter range by the given absolute amount
+    (Section VI-F's "subscriptions can be made coarser" mitigation,
+    0 = off).
     """
 
-    error_probability: float = 0.05
-    gap_fraction: float = 0.10
     coarsening: float = 0.0
-    exact_filtering: bool = False
 
     def __post_init__(self) -> None:
-        checks.probability(self, "error_probability", "gap_fraction")
         checks.non_negative(self, "coarsening")
-        required_samples(self.error_probability, self.gap_fraction)
 
 
 class FilterSplitForwardNode(Node):
@@ -82,20 +75,6 @@ class FilterSplitForwardNode(Node):
     ) -> None:
         super().__init__(node_id, network)
         self.config = config or FSFConfig()
-        self.set_filter = ProbabilisticSetFilter(
-            self.config.error_probability,
-            self.config.gap_fraction,
-            rng=network.sim.rng(f"setfilter:{node_id}"),
-        )
-
-    def on_crash(self) -> None:
-        # A fresh filter over the same named stream: any learned filter
-        # state is volatile, the draw sequence simply continues.
-        self.set_filter = ProbabilisticSetFilter(
-            self.config.error_probability,
-            self.config.gap_fraction,
-            rng=self.network.sim.rng(f"setfilter:{self.node_id}"),
-        )
 
     # ------------------------------------------------------------------
     # subscription side: Algorithms 2, 3, 4
@@ -123,15 +102,14 @@ class FilterSplitForwardNode(Node):
         same-attribute-set filtering cannot do.  A stored operator with
         a slot the new one lacks is no candidate: it forwards an event
         only with a partner on that slot, so a stored {a, b, c} never
-        stands in for a new {a, b}.  Union coverage still leaves a gap
-        (see the module docstring): the covered operator generates its
-        result set at this node (``include_covered``) only from events
-        some covering operator forwarded.
+        stands in for a new {a, b}.  The per-slot product still leaves
+        a gap (see the module docstring): the covered operator generates
+        its result set at this node (``include_covered``) only from
+        events some covering operator forwarded.
 
         Each slot's candidates come from one bucket of the store's
-        per-sensor index.  They are the intervals a walk of the whole
-        store would collect, so the filter sees the same candidates and
-        draws its samples exactly when that walk's filter would.
+        per-sensor index: the intervals a walk of the whole store would
+        collect.
         """
         delta_t, delta_l = operator.delta_t, operator.delta_l
         slot_ids = {slot.slot_id for slot in operator.slots}
@@ -151,13 +129,9 @@ class FilterSplitForwardNode(Node):
             if not candidates:
                 return False
             covers_per_slot.append(candidates)
-        if self.config.exact_filtering:
-            return all(
-                union_covers(candidates, slot.interval)
-                for slot, candidates in zip(operator.slots, covers_per_slot)
-            )
-        return self.set_filter.is_product_subsumed(
-            operator.as_box(), covers_per_slot
+        return all(
+            union_covers(candidates, slot.interval)
+            for slot, candidates in zip(operator.slots, covers_per_slot)
         )
 
 

@@ -31,7 +31,7 @@ PAPER_CLAIMS = {
     "retraction/re-flood traffic the static figures never exercise.",
     "14": "Beyond the paper — recall under churn: deterministic "
     "approaches hold 100% against the churn-aware oracle (the trigger "
-    "outruns the retraction flood); FSF keeps its probabilistic margin.",
+    "outruns the retraction flood); FSF keeps its cover-rule margin.",
     "15": "Beyond the paper — steady-state recall while queries keep "
     "arriving (Poisson) and retiring (exponential holds), each fenced "
     "to its scheduled lifetime in the oracle; admission-lag and "
@@ -166,6 +166,15 @@ def build_experiments_md(
         "the fixed all-events-to-centre component and the 'largely "
         "outbalances the subscription gains' conclusion reproduce either "
         "way.",
+        "* Section VI-F's error dial is not reproduced.  The paper's "
+        "checker [15] answers set subsumption with a configurable "
+        "probability of error; our filter asks, per slot, whether the "
+        "stored ranges' union holds the new range, which `union_covers` "
+        "decides exactly in O(k log k), so there is no error to trade.  "
+        "FSF's recall loss comes from that per-slot product being wider "
+        "than the union of the stored operators' boxes (ROADMAP item "
+        "19); coarsening is the one knob left on the traffic/recall "
+        "axis.",
         "* Our set filter detects joint coverage at the first node where "
         "the covering operators share a store (the paper's pipeline "
         "detects it after splitting, a hop or two later), so FSF "

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from ..core.filter_split_forward import FSFConfig
 from ..metrics.report import (
     render_series_table,
     render_traffic_accounting,
@@ -52,7 +51,6 @@ _SERIES_CACHE: dict[tuple, SeriesResult] = {}
 def scenario_series(
     scenario: Scenario,
     scale: float | None = None,
-    fsf_config: FSFConfig | None = None,
     workers: int | None = None,
 ) -> SeriesResult:
     """Run (or fetch the cached run of) one scenario's full series.
@@ -61,16 +59,13 @@ def scenario_series(
     CLI's ``--workers`` sets it); the runner's result is the same under
     any worker count, so the cache key deliberately ignores it.
 
-    Scenarios may pin their own FSF configuration and approach subset
-    (``Scenario.fsf_config`` / ``Scenario.approach_keys``, used by the
-    placement family); an explicitly passed ``fsf_config`` wins over
-    the scenario's declaration.
+    Scenarios may restrict the measured approaches
+    (``Scenario.approach_keys``, used by the placement family).
     """
     eff_scale = default_scale() if scale is None else scale
-    eff_fsf = fsf_config if fsf_config is not None else scenario.fsf_config
-    key = (scenario.key, eff_scale, scenario.seed, eff_fsf)
+    key = (scenario.key, eff_scale, scenario.seed)
     if key not in _SERIES_CACHE:
-        registry = all_approaches(eff_fsf)
+        registry = all_approaches()
         if scenario.approach_keys is not None:
             approaches: Mapping = {
                 k: registry[k] for k in scenario.approach_keys
@@ -78,7 +73,7 @@ def scenario_series(
         elif scenario.include_centralized:
             approaches = registry
         else:
-            approaches = distributed_approaches(eff_fsf)
+            approaches = distributed_approaches()
         _SERIES_CACHE[key] = run_series(
             scenario, approaches, scale=eff_scale, workers=workers
         )
@@ -842,8 +837,6 @@ def render_catalog() -> str:
                 "skewed group widths "
                 f"{list(scenario.group_width_scale)}"
             )
-        if scenario.fsf_config is not None:
-            extras.append("pinned FSF config")
         if scenario.approach_keys is not None:
             extras.append(f"approaches: {', '.join(scenario.approach_keys)}")
         if scenario.include_centralized:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.filter_split_forward import FSFConfig, filter_split_forward_approach
+from ..core.filter_split_forward import filter_split_forward_approach
 from ..model.advertisements import Advertisement
 from ..model.locations import Location
 from ..model.subscriptions import IdentifiedSubscription
@@ -113,20 +113,15 @@ class Fig3Walkthrough:
         return "\n".join(lines)
 
 
-def run_fig3_walkthrough(
-    exact_filtering: bool = True,
-) -> Fig3Walkthrough:
+def run_fig3_walkthrough() -> Fig3Walkthrough:
     """Inject Table I's subscriptions at n6 and report operator placement.
 
-    With exact per-slot union filtering (the deterministic mode) the
-    outcome matches the paper's Figure 3: s3 is stored at the node where
-    it splits but none of its fragments travel toward the sensors.
+    The outcome matches the paper's Figure 3: s3 is stored at the node
+    where it splits but none of its fragments travel toward the sensors.
     """
     deployment = fig3_deployment()
     network = Network(deployment, Simulator(seed=0))
-    approach = filter_split_forward_approach(
-        FSFConfig(exact_filtering=exact_filtering)
-    )
+    approach = filter_split_forward_approach()
     approach.populate(network)
     network.attach_all_sensors()
     network.run_to_quiescence()

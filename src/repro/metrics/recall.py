@@ -7,7 +7,8 @@ trigger)`` counts as delivered iff the trigger event reached the user
 anchored at that trigger — i.e. the user can reconstruct the match from
 what they received.  Deterministic approaches measure 1.0 by
 construction; Filter-Split-Forward trades a little recall for traffic
-through the probabilistic set filter's false positives.
+through its per-slot cover rule, which declares covered some operators
+that the union of the stored operators does not cover.
 
 False positives (multi-join baseline): delivered events that take part
 in no true instance of that subscription — pure extra traffic from the

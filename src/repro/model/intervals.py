@@ -88,16 +88,6 @@ class Interval:
             raise ValueError("widen() takes a non-negative amount")
         return Interval(self.lo - amount, self.hi + amount)
 
-    # ------------------------------------------------------------------
-    # measure
-    # ------------------------------------------------------------------
-    @property
-    def length(self) -> float:
-        """Lebesgue measure of the interval (0 for empty and points)."""
-        if self.is_empty:
-            return 0.0
-        return self.hi - self.lo
-
 
 EMPTY_INTERVAL = Interval(1.0, 0.0)
 FULL_INTERVAL = Interval(-math.inf, math.inf)
@@ -108,8 +98,7 @@ def union_covers(cover: Iterable[Interval], target: Interval) -> bool:
 
     Sweep the target from left to right, extending the covered frontier
     with every interval that reaches it.  Runs in ``O(n log n)``.
-    FSF's exact filtering asks it once per slot; it is also the ground
-    truth the probabilistic set filter is tested against.
+    FSF's set filter asks it once per slot.
     """
     if target.is_empty:
         return True

@@ -17,8 +17,7 @@ The representation below serves all five evaluated systems:
 * provenance (root subscription id and subscriber node) sticks to every
   projection so result streams can be attributed end-to-end;
 * coverage between operators with the same slot structure implements the
-  pair-wise covering check, and the boxes handed to the probabilistic
-  set filter are derived from the slot intervals.
+  pair-wise covering check; FSF's set filter reads the slot intervals.
 """
 
 from __future__ import annotations
@@ -357,16 +356,6 @@ class CorrelationOperator:
             return False
         ours = {s.slot_id: s for s in self.slots}
         return all(ours[s.slot_id].covers(s) for s in other.slots)
-
-    def as_box(self) -> tuple[Interval, ...]:
-        """The operator's value hyper-rectangle, slot-ordered.
-
-        This is the geometry handed to the probabilistic set filter:
-        each slot contributes one dimension (the paper treats each
-        sensor, or each attribute plus the location, as one attribute of
-        the set-subsumption problem).
-        """
-        return tuple(s.interval for s in self.slots)
 
     def widened(self, amount: float) -> "CorrelationOperator":
         """Coarsened copy of the operator (Section VI-F mitigation)."""

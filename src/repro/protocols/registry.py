@@ -8,7 +8,7 @@ from ..baselines.centralized import centralized_approach
 from ..baselines.multijoin import multijoin_approach
 from ..baselines.naive import naive_approach
 from ..baselines.operator_placement import operator_placement_approach
-from ..core.filter_split_forward import FSFConfig, filter_split_forward_approach
+from ..core.filter_split_forward import filter_split_forward_approach
 from .base import Approach
 
 TABLE_II_COLUMNS = (
@@ -19,27 +19,23 @@ TABLE_II_COLUMNS = (
 )
 
 
-def all_approaches(
-    fsf_config: FSFConfig | None = None,
-) -> Mapping[str, Approach]:
+def all_approaches() -> Mapping[str, Approach]:
     """The five systems, keyed as the experiment harness refers to them."""
     approaches = [
         centralized_approach(),
         naive_approach(),
         operator_placement_approach(),
         multijoin_approach(),
-        filter_split_forward_approach(fsf_config),
+        filter_split_forward_approach(),
     ]
     return {a.key: a for a in approaches}
 
 
-def distributed_approaches(
-    fsf_config: FSFConfig | None = None,
-) -> Mapping[str, Approach]:
+def distributed_approaches() -> Mapping[str, Approach]:
     """The four distributed systems (Figs 4-5 and 8-11 omit centralized)."""
     return {
         key: approach
-        for key, approach in all_approaches(fsf_config).items()
+        for key, approach in all_approaches().items()
         if key != "centralized"
     }
 

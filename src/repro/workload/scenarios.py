@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..core.filter_split_forward import FSFConfig
 from ..model import checks
 from ..network.faults import FaultPlan, LinkFault
 from ..network.reliability import ReliabilityConfig
@@ -82,13 +81,11 @@ class Scenario:
     ``repro.placement`` compiler); ``span_groups`` /
     ``group_width_scale`` are the generator knobs that give the
     compiler routing freedom (cross-group queries, skewed
-    selectivities); ``fsf_config`` pins the FSF approach configuration
-    the scenario is measured with (``None`` = registry default) and
-    ``approach_keys`` restricts the measured approaches (``None`` = the
-    usual registry set); a ``sketch`` config answers the scenario on
-    the approximate lane.  All are frozen config dataclasses, so
-    scenarios stay hashable and picklable for the series runner's
-    memo keys.
+    selectivities); ``approach_keys`` restricts the measured approaches
+    (``None`` = the usual registry set); a ``sketch`` config answers the
+    scenario on the approximate lane.  All are frozen config
+    dataclasses, so scenarios stay hashable and picklable for the
+    series runner's memo keys.
     """
 
     key: str
@@ -108,7 +105,6 @@ class Scenario:
     placement: str = "paper"
     span_groups: int = 1
     group_width_scale: tuple[float, ...] = ()
-    fsf_config: FSFConfig | None = None
     approach_keys: tuple[str, ...] | None = None
     sketch: SketchConfig | None = None
 
@@ -257,7 +253,6 @@ PLACEMENT = Scenario(
     attrs_max=5,
     span_groups=2,
     group_width_scale=(4.0, 0.02),
-    fsf_config=FSFConfig(exact_filtering=True),
     approach_keys=("fsf", "operator_placement", "naive"),
 )
 """The heterogeneous-architecture family: the small-scale deployment
@@ -268,13 +263,13 @@ filters (a partial-match flood) and one with very narrow ones.  The
 paper heuristic splits operators at the natural divergence node and
 drowns in the wide group's partials; the cost-model compiler delays the
 split toward the wide group's head, gating the flood at the edge.
-Figures 19-20 measure both placements on this scenario.  FSF runs with
-exact filtering so both lanes hold recall at 100% and the traffic axis
-is the only thing that moves.  The figures run the static one-day
-replay, but compiled plans also compose with a dynamic replay, sensor
-churn and a query lifecycle: the compiler still prices the static
-graph, and a departure fences the sensor's stored events at planned
-pieces as at any other, until its rejoin."""
+Figures 19-20 measure both placements on this scenario.  Both lanes
+hold FSF's recall at 100%, so the traffic axis is the only thing that
+moves.  The figures run the static one-day replay, but compiled plans
+also compose with a dynamic replay, sensor churn and a query
+lifecycle: the compiler still prices the static graph, and a departure
+fences the sensor's stored events at planned pieces as at any other,
+until its rejoin."""
 
 SKETCHES = Scenario(
     key="sketches",

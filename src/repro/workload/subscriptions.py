@@ -163,10 +163,11 @@ def generate_subscriptions(
         )
         filters = []
         for placement in chosen:
+            domain = placement.attribute.domain
             spread = (
                 spreads[placement.sensor_id]
                 if spreads is not None
-                else placement.attribute.domain.length * 0.05
+                else (domain.hi - domain.lo) * 0.05
             )
             filters.append(
                 _range_for(

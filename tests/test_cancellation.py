@@ -33,7 +33,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from deployments import line_deployment, publish
-from repro.core.filter_split_forward import FSFConfig
 from repro.experiments.runner import REPLAY_START
 from repro.metrics.fences import Fences
 from repro.metrics.oracle import compute_truth
@@ -52,13 +51,6 @@ from repro.workload.subscriptions import (
 )
 
 APPROACH_KEYS = ("fsf", "naive", "operator_placement", "multijoin", "centralized")
-
-# Exact set filtering removes the probabilistic filter's sampling noise:
-# with sampling, the rng stream itself diverges between a run that ever
-# saw the cancelled subscription and one that did not, so bit-identity
-# is only meaningful for the exact check (the safety properties below
-# run the probabilistic default too).
-EXACT_FSF = FSFConfig(exact_filtering=True)
 
 
 def arena(seed: int):
@@ -82,14 +74,13 @@ def run_arena(
     cancel_ids,
     register_cancelled,
     mid_flood=False,
-    fsf_config=EXACT_FSF,
 ):
     """One live run; cancels ``cancel_ids`` (settled or mid-flood), then
     replays the events and returns everything observable."""
     deployment, replay, workload = arena(seed)
     sim = Simulator(seed=deployment.seed)
     network = Network(deployment, sim)
-    all_approaches(fsf_config)[approach_key].populate(network)
+    all_approaches()[approach_key].populate(network)
     network.attach_all_sensors()
     network.run_to_quiescence()
     for placed in workload:
@@ -329,7 +320,7 @@ def test_settled_cancel_leaves_a_planned_piece_alone(approach):
 
     def run(with_wide):
         network = Network(deployment, Simulator(seed=0))
-        all_approaches(EXACT_FSF)[approach].populate(network)
+        all_approaches()[approach].populate(network)
         network.attach_all_sensors()
         network.run_to_quiescence()
         asked = []
@@ -454,16 +445,6 @@ def test_cancelling_everything_after_the_replay_drains_every_engine(
             assert_no_trace(network, placed.subscription.sub_id)
 
 
-def test_probabilistic_fsf_cancel_footprint():
-    """The safety guarantees hold for the probabilistic filter too."""
-    for seed in (1, 4, 9):
-        cancel_ids = {"q00002", "q00005"}
-        run = run_arena(seed, "fsf", cancel_ids, True, fsf_config=None)
-        for sub_id in cancel_ids:
-            assert not run["delivered"].get(sub_id)
-            assert_no_trace(run["network"], sub_id)
-
-
 # ---------------------------------------------------------------------------
 # post-cancel silence (property)
 # ---------------------------------------------------------------------------
@@ -477,7 +458,7 @@ def test_probabilistic_fsf_cancel_footprint():
 def test_post_cancel_publications_never_deliver(value_a, value_b, gap, approach):
     """Whatever correlates after the cancel settles, the user is gone."""
     network = Network(line_deployment(), Simulator(seed=0))
-    all_approaches(EXACT_FSF)[approach].populate(network)
+    all_approaches()[approach].populate(network)
     network.attach_all_sensors()
     network.run_to_quiescence()
     sub = IdentifiedSubscription.from_ranges(

@@ -5,10 +5,9 @@ sensors, in arrival rank, and the coverage rules read their candidates
 from one bucket (``store.candidates(slot, before)``) instead of walking
 the store.  The fences here:
 
-* each rule decides what a walk of the whole store decides — FSF's set
-  filter (exact, and probabilistic with twin seeded filters: the same
-  decision and the same ``checks`` / ``sampled_points``), the pair-wise
-  rule and multi-join's dispatch-ledger rule.  The walk is kept here as
+* each rule decides what a walk of the whole store decides — FSF's
+  per-slot set filter, the pair-wise rule and multi-join's
+  dispatch-ledger rule.  The walk is kept here as
   the oracle (``uncovered_before``, the method the index replaced);
 * the index equals a fresh build from ``records()`` after every step of
   random arrivals, cancellations, repair uncovers and repair inserts
@@ -23,12 +22,11 @@ from __future__ import annotations
 import math
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.multijoin import SPLIT, _filter_covered
-from repro.core.filter_split_forward import FSFConfig, FilterSplitForwardNode
+from repro.core.filter_split_forward import FilterSplitForwardNode
 from repro.matching import MatchingEngine
 from repro.model import IdentifiedSubscription, Interval
 from repro.model.intervals import union_covers
@@ -37,14 +35,12 @@ from repro.network.eventstore import EventStore
 from repro.network.node import LOCAL, SeqSource, SubscriptionStore
 from repro.protocols.registry import all_approaches
 from repro.subsumption.pairwise import find_cover, pairwise_covered
-from repro.subsumption.setfilter import ProbabilisticSetFilter
 
 from deployments import fork_deployment, line_deployment, make_network, publish
 
 SENSORS = ("a", "b", "c")
 SUBS = ("q0", "q1", "q2", "q3")
-# Overlapping ranges on a small grid: unions cover what no single range
-# does, so the set filter reaches its Monte-Carlo phase.
+# Overlapping ranges on a small grid: unions cover what no single range does.
 BOUNDS = st.sampled_from([(0.0, 3.0), (2.0, 5.0), (1.0, 4.0), (0.0, 5.0)])
 
 
@@ -59,7 +55,7 @@ def uncovered_before(store, before):
     ]
 
 
-def walk_fsf(config, set_filter, operator, store, before):
+def walk_fsf(operator, store, before):
     slot_ids = {slot.slot_id for slot in operator.slots}
     covers_per_slot = []
     for slot in operator.slots:
@@ -79,12 +75,10 @@ def walk_fsf(config, set_filter, operator, store, before):
         if not candidates:
             return False
         covers_per_slot.append(candidates)
-    if config.exact_filtering:
-        return all(
-            union_covers(candidates, slot.interval)
-            for slot, candidates in zip(operator.slots, covers_per_slot)
-        )
-    return set_filter.is_product_subsumed(operator.as_box(), covers_per_slot)
+    return all(
+        union_covers(candidates, slot.interval)
+        for slot, candidates in zip(operator.slots, covers_per_slot)
+    )
 
 
 def walk_pairwise(operator, store, before):
@@ -167,24 +161,13 @@ STEPS = st.lists(
 )
 
 
-def twin_filters(seed):
-    """An FSF node's filter state and the walk's, on equal seeds."""
-    config = FSFConfig(error_probability=0.2, gap_fraction=0.3)
-    node = SimpleNamespace(
-        config=config,
-        set_filter=ProbabilisticSetFilter(0.2, 0.3, rng=np.random.default_rng(seed)),
-    )
-    return node, ProbabilisticSetFilter(0.2, 0.3, rng=np.random.default_rng(seed))
-
-
-def check_rules(store, probes, twins):
+def check_rules(store, probes):
     """Every rule against its walk, for every probe, at arrival and at
     the rank of every stored record (what a repair asks)."""
     ranks = [None] + [r.seq for r in store.records()]
-    exact = SimpleNamespace(config=FSFConfig(exact_filtering=True))
-    node, oracle = twins
+    fsf = SimpleNamespace()  # FSF's rule reads no node state
     # Plus [1, 4] on every stored stream: [0, 3] and [2, 5] cover it
-    # only together, which the set filter settles by sampling.
+    # only together.
     streams = {
         (slot.slot_id, slot.attribute, slot.sensors)
         for record in store.records()
@@ -197,14 +180,8 @@ def check_rules(store, probes, twins):
     for operator in probes:
         for before in ranks:
             assert FilterSplitForwardNode.is_covered(
-                exact, operator, store, before
-            ) == walk_fsf(exact.config, None, operator, store, before)
-            # Same decision, same draws: the twins' streams stay in step.
-            assert FilterSplitForwardNode.is_covered(
-                node, operator, store, before
-            ) == walk_fsf(node.config, oracle, operator, store, before)
-            assert node.set_filter.checks == oracle.checks
-            assert node.set_filter.sampled_points == oracle.sampled_points
+                fsf, operator, store, before
+            ) == walk_fsf(operator, store, before)
             assert pairwise_covered(operator, store, before) == walk_pairwise(
                 operator, store, before
             )
@@ -219,10 +196,8 @@ def check_rules(store, probes, twins):
     steps=STEPS,
     probes=st.lists(operators(), min_size=1, max_size=4),
     reads=st.lists(st.booleans(), min_size=25, max_size=25),
-    seed=st.integers(0, 2**16),
 )
-def test_rules_decide_what_the_walk_decides(steps, probes, reads, seed):
-    twins = twin_filters(seed)
+def test_rules_decide_what_the_walk_decides(steps, probes, reads):
     derived: dict = {}
     seqs = SeqSource()
     store = SubscriptionStore(MatchingEngine(EventStore(validity=100.0)), seqs)
@@ -249,9 +224,9 @@ def test_rules_decide_what_the_walk_decides(steps, probes, reads, seed):
         # Some stores are read from the start (every later step edits
         # the index), some only at the end (one build over everything).
         if read:
-            check_rules(store, probes, twins)
+            check_rules(store, probes)
             assert_index_is_a_fresh_build(store)
-    check_rules(store, probes, twins)
+    check_rules(store, probes)
     assert_index_is_a_fresh_build(store)
     for sub_id in SUBS:
         store.remove_subscription(sub_id)

@@ -84,7 +84,7 @@ class TestTables:
         dep.validate()
 
     def test_fig3_walkthrough_filters_s3(self):
-        w = run_fig3_walkthrough(exact_filtering=True)
+        w = run_fig3_walkthrough()
         assert any("s3" in op for op in w.covered["n6"])
         assert w.subscription_units == 8
 

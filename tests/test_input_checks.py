@@ -1,14 +1,15 @@
 """One input boundary: every public config refuses a bad number when built.
 
 The config classes are found, not listed: a walk over the dataclass
-annotations reachable from ``Scenario``, ``WorkloadProgram`` and
-``Deployment.specs``.  Each numeric field (``int``, ``float``, an
-optional one, or a tuple of them) is fed NaN, +inf, -inf and a string,
-and an ``int`` field also ``2.5`` and ``True``; construction must raise
-``ValueError`` as ``Class.field must be ...`` (the
-:mod:`repro.model.checks` format) unless :data:`ALLOWED` names the
-value with its reason.  A new config field is covered without anyone
-listing it.  ``SketchConfig.domains`` (named ``(attribute, lo, hi)``
+annotations reachable from ``Scenario``, ``WorkloadProgram``,
+``Deployment.specs`` and ``FSFConfig`` (an approach's config, passed to
+``all_approaches`` and ``Session.create``).  Each numeric field
+(``int``, ``float``, an optional one, or a tuple of them) is fed NaN,
++inf, -inf and a string, and an ``int`` field also ``2.5`` and
+``True``; construction must raise ``ValueError`` as ``Class.field must
+be ...`` (the :mod:`repro.model.checks` format) unless :data:`ALLOWED`
+names the value with its reason.  A new config field is covered without
+anyone listing it.  ``SketchConfig.domains`` (named ``(attribute, lo, hi)``
 triples), ``SketchConfig.levels`` against the q-digest's range, the
 ``attrs_min <= attrs_max`` pairs, the ``Query`` builders,
 ``Network(latency=...)`` and ``EventStore(validity=...)`` are probed by
@@ -26,6 +27,7 @@ import typing
 import pytest
 
 from repro.api import Query, QueryError
+from repro.core import FSFConfig
 from repro.model import (
     IdentifiedFilter,
     IdentifiedSubscription,
@@ -88,7 +90,7 @@ def _hints(cls):
 
 def config_classes():
     specs = [t for t in _leaves(_hints(Deployment)["specs"]) if t is not str]
-    todo, found = [Scenario, WorkloadProgram, *specs], []
+    todo, found = [Scenario, WorkloadProgram, FSFConfig, *specs], []
     while todo:
         cls = todo.pop(0)
         if cls in found:

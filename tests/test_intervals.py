@@ -30,7 +30,6 @@ class TestBasics:
     def test_empty_interval(self):
         assert EMPTY_INTERVAL.is_empty
         assert not EMPTY_INTERVAL.contains(0.0)
-        assert EMPTY_INTERVAL.length == 0.0
 
     def test_full_interval_contains_everything(self):
         assert FULL_INTERVAL.contains(1e308) and FULL_INTERVAL.contains(-1e308)

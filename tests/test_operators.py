@@ -170,10 +170,6 @@ class TestCoverage:
         plain = op3().project(["a", "b"])
         assert not ab.covers(plain) and not plain.covers(ab)
 
-    def test_as_box_slot_order(self):
-        box = op3().as_box()
-        assert box == (Interval(0, 10), Interval(20, 30), Interval(40, 50))
-
     def test_widened(self):
         w = op3().widened(1.0)
         assert slots_of(w)["a"].interval == Interval(-1, 11)

@@ -116,7 +116,7 @@ class TestMergeFidelity:
         FSFConfig carried only by the passed-in instance is what the
         pool runs — silently running defaults would break the
         bit-identical contract."""
-        cfg = FSFConfig(error_probability=0.5, gap_fraction=0.5, coarsening=2.0)
+        cfg = FSFConfig(coarsening=2.0)
         approaches = {"fsf": filter_split_forward_approach(cfg)}
         serial = run_series(TINY, approaches, scale=0.1, workers=1)
         parallel = run_series(TINY, approaches, scale=0.1, workers=2)

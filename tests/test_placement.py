@@ -274,8 +274,11 @@ def test_compiled_placement_survives_churn():
     )
     assert churned.scheduled
     truths = churned.truth()
-    exact_fsf = filter_split_forward_approach(FSFConfig(exact_filtering=True))
-    for approach in (naive_approach(), operator_placement_approach(), exact_fsf):
+    for approach in (
+        naive_approach(),
+        operator_placement_approach(),
+        filter_split_forward_approach(),
+    ):
         delivery = execute_program(churned, approach).session.network.delivery
         report = measure_recall(truths, delivery)
         assert report.true_instances > 0

@@ -26,7 +26,7 @@ from repro.baselines import (
     naive_approach,
     operator_placement_approach,
 )
-from repro.core import FSFConfig, filter_split_forward_approach
+from repro.core import filter_split_forward_approach
 from repro.core.filter_split_forward import FilterSplitForwardNode
 from repro.experiments.runner import REPLAY_START
 from repro.metrics.oracle import compute_truth
@@ -105,7 +105,7 @@ def test_deterministic_approaches_full_recall(subs, raw_events):
        event_strategy())
 def test_fsf_delivers_subset_of_naive(subs, raw_events):
     fsf_net, _ = run(
-        filter_split_forward_approach(FSFConfig(exact_filtering=True)),
+        filter_split_forward_approach(),
         subs,
         raw_events,
     )
@@ -121,7 +121,7 @@ def test_fsf_delivers_subset_of_naive(subs, raw_events):
        event_strategy())
 def test_pubsub_never_repeats_an_event_on_a_link(subs, raw_events):
     for approach in (
-        filter_split_forward_approach(FSFConfig(exact_filtering=True)),
+        filter_split_forward_approach(),
         multijoin_approach(),
     ):
         net, events = run(approach, subs, raw_events)
@@ -134,7 +134,7 @@ def test_pubsub_never_repeats_an_event_on_a_link(subs, raw_events):
 @given(st.lists(sub_strategy(), min_size=1, max_size=5, unique_by=lambda s: s.sub_id))
 def test_exact_fsf_subscription_load_at_most_operator_placement(subs):
     fsf_net, _ = run(
-        filter_split_forward_approach(FSFConfig(exact_filtering=True)), subs, []
+        filter_split_forward_approach(), subs, []
     )
     op_net, _ = run(operator_placement_approach(), subs, [])
     assert (
@@ -147,7 +147,7 @@ def test_exact_fsf_subscription_load_at_most_operator_placement(subs):
        event_strategy())
 def test_fsf_event_load_at_most_naive(subs, raw_events):
     fsf_net, _ = run(
-        filter_split_forward_approach(FSFConfig(exact_filtering=True)),
+        filter_split_forward_approach(),
         subs,
         raw_events,
     )
@@ -202,7 +202,7 @@ def _single_cover(self, operator, store, before=None):
 def test_single_cover_fsf_delivers_exactly_naive(subs, raw_events):
     with mock.patch.object(FilterSplitForwardNode, "is_covered", _single_cover):
         fsf_net, _ = run(
-            filter_split_forward_approach(FSFConfig(exact_filtering=True)),
+            filter_split_forward_approach(),
             subs,
             raw_events,
         )

@@ -371,7 +371,7 @@ class TestRngStability:
     _DRAW = (
         "import sys; sys.path.insert(0, {path!r}); "
         "from repro.sim import Simulator; "
-        "print(Simulator(seed=7).rng('setfilter:n1').random(4).tolist())"
+        "print(Simulator(seed=7).rng('faults:n1').random(4).tolist())"
     )
 
     def _draw_in_subprocess(self, hashseed: str) -> str:
@@ -401,5 +401,5 @@ class TestRngStability:
     def test_rng_stream_matches_in_process_draw(self):
         from repro.sim import Simulator
 
-        local = str(Simulator(seed=7).rng("setfilter:n1").random(4).tolist())
+        local = str(Simulator(seed=7).rng("faults:n1").random(4).tolist())
         assert self._draw_in_subprocess("42") == local

@@ -463,16 +463,12 @@ class TestScenarios:
         assert faults.include_centralized
         placement = ALL_SCENARIOS["placement"]
         # The acceptance floor of the placement family: a tiered
-        # (heterogeneous) deployment, a skewed cross-group workload,
-        # and exact FSF filtering so recall stays pinned at 100% while
-        # the traffic axis moves.
+        # (heterogeneous) deployment and a skewed cross-group workload.
         assert placement.deployment_factory(seed=0).specs
         assert placement.span_groups == 2
         assert placement.group_width_scale is not None
         wide, narrow = placement.group_width_scale
         assert wide > 1.0 > narrow
-        assert placement.fsf_config is not None
-        assert placement.fsf_config.exact_filtering
         sketches = ALL_SCENARIOS["sketches"]
         # The acceptance floor of the approximate-answer family: every
         # generated query sketch-eligible (single-attribute clauses), a

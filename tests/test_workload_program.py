@@ -22,7 +22,6 @@ from dataclasses import replace
 import pytest
 
 from repro.api import Query
-from repro.core import FSFConfig
 from repro.metrics.recall import measure_recall
 from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
@@ -297,9 +296,7 @@ class TestExecution:
         assert len(compiled.churn.transitions()) == 24
         assert len(compiled.events) == 1153  # 50 sensors x 24 rounds, thinned
         truths = compiled.truth()
-        for key, approach in all_approaches(
-            FSFConfig(exact_filtering=True)
-        ).items():
+        for key, approach in all_approaches().items():
             delivery = execute_program(compiled, approach).session.network.delivery
             report = measure_recall(truths, delivery)
             assert report.true_instances == 106, key
