@@ -113,7 +113,6 @@ class FilterSplitForwardNode(Node):
         """
         delta_t, delta_l = operator.delta_t, operator.delta_l
         slot_ids = {slot.slot_id for slot in operator.slots}
-        covers_per_slot: list[list] = []
         for slot in operator.slots:
             slot_id, attribute, sensors = slot.slot_id, slot.attribute, slot.sensors
             candidates = [
@@ -126,13 +125,9 @@ class FilterSplitForwardNode(Node):
                 and record.operator.delta_l >= delta_l
                 and all(s.slot_id in slot_ids for s in record.operator.slots)
             ]
-            if not candidates:
+            if not candidates or not union_covers(candidates, slot.interval):
                 return False
-            covers_per_slot.append(candidates)
-        return all(
-            union_covers(candidates, slot.interval)
-            for slot, candidates in zip(operator.slots, covers_per_slot)
-        )
+        return True
 
 
 def filter_split_forward_approach(config: FSFConfig | None = None) -> Approach:
