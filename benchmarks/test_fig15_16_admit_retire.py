@@ -7,7 +7,7 @@ admit rate, all five approaches.  Shape claims asserted here:
 * the oracle fences every query's truth to its scheduled lifetime, so
   steady-state recall stays high: the deterministic approaches lose
   only the admission-lag / retirement-edge races (hops x latency
-  slivers), FSF additionally its probabilistic filter margin;
+  slivers), FSF additionally what its per-slot cover rule loses;
 * teardown traffic is genuinely measured and reported **separately**
   from registration traffic — the `UnsubscribeMessage` channel the
   lifecycle API added is visible at figure scale;

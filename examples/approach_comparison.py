@@ -45,7 +45,8 @@ print(
     "operators but still duplicates result sets; the multi-join baseline "
     "shares streams but hauls binary-join false positives to the user; "
     "Filter-Split-Forward shares streams *and* forwards only full "
-    "correlations, at the price of a (small) probabilistic recall loss. "
+    "correlations, at the price of a (small) recall loss from its per-slot "
+    "cover rule. "
     "The centralized scheme wins on subscription traffic and loses on "
     "event traffic — every reading crosses the network to the centre."
 )

@@ -9,8 +9,8 @@ nodes with local knowledge only.  The package provides:
   identified/abstract subscriptions, correlation operators, matching;
 * :mod:`repro.sim` — a deterministic discrete-event simulation kernel;
 * :mod:`repro.network` — topology, links, node storage, traffic meters;
-* :mod:`repro.subsumption` — pair-wise, exact and probabilistic
-  set-subsumption checking;
+* :mod:`repro.subsumption` — pair-wise subscription covering (FSF
+  decides set subsumption exactly, slot by slot);
 * :mod:`repro.core` — the paper's Filter-Split-Forward protocol
   (Algorithms 1-5);
 * :mod:`repro.baselines` — centralized, naive, distributed operator

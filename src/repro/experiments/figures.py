@@ -251,7 +251,7 @@ def figure_14(scale: float | None = None) -> FigureResult:
     credited trigger beats the retraction flood whenever they share a
     path, and the remaining race (a nearer trigger arriving after a
     farther retraction fenced its filler) is a hops x latency sliver of
-    the delta_t window.  FSF keeps its probabilistic filter trade-off.
+    the delta_t window.  FSF keeps the loss of its per-slot cover rule.
     Deliveries drawn from a departed sensor's not-yet-fenced history
     are the mirror image — counted by ``RecallReport.false_positive_rate``,
     not by this figure.

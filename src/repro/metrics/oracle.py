@@ -23,7 +23,7 @@ Two interchangeable truth passes exist:
 Either pass runs once per distinct question: it reads of a subscription
 only the match structure (sensors, slots, Δt, Δl) and the lifetime —
 departures are per sensor, gaps global — so :func:`compute_truth` keys
-on that pair.
+on that pair, and every clone of a question holds the one frozen answer.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import bisect
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Sequence
 
@@ -99,14 +99,19 @@ class EventIndex:
         return out
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SubscriptionTruth:
-    """Ground truth for one subscription."""
+    """Ground truth for one subscription.
+
+    ``triggers`` and ``participants`` are frozen: the clones of one
+    question share them (:func:`compute_truth`), so none can alter
+    another's answer.
+    """
 
     sub_id: str
     operator: CorrelationOperator
-    triggers: set[EventKey] = field(default_factory=set)
-    participants: set[EventKey] = field(default_factory=set)
+    triggers: frozenset[EventKey]
+    participants: frozenset[EventKey]
 
     @property
     def n_instances(self) -> int:
@@ -173,7 +178,6 @@ def operator_truth(
     pass probes — the matcher or the index — so both passes apply the
     identical fence.
     """
-    truth = SubscriptionTruth(sub_id, operator)
     born, dies = fences.lifetime(sub_id)
     candidates = index.events_of(sorted(operator.sensors))
     if dies < math.inf:
@@ -206,6 +210,8 @@ def operator_truth(
     # The memo stays sound under fences: they are applied before the
     # first probe at a timestamp, and equal timestamps see equal fences.
     participants_at: dict[float, dict | None] = {}
+    found_triggers: set[EventKey] = set()
+    participants: set[EventKey] = set()
     next_departure = 0
     for event in triggers:
         while (
@@ -219,15 +225,17 @@ def operator_truth(
             continue
         if not exists(event):
             continue
-        truth.triggers.add(event.key)
+        found_triggers.add(event.key)
         t_star = event.timestamp
         if t_star not in participants_at:
             participants_at[t_star] = at_trigger(t_star)
         found = participants_at[t_star]
         if found:
             for members in found.values():
-                truth.participants.update(m.key for m in members)
-    return truth
+                participants.update(m.key for m in members)
+    return SubscriptionTruth(
+        sub_id, operator, frozenset(found_triggers), frozenset(participants)
+    )
 
 
 def compute_truth(
@@ -246,7 +254,9 @@ def compute_truth(
     ``events`` — says what no approach could observe: readings lost in
     an outage gap, departed sensors' history and each query's lifetime
     (see :mod:`repro.metrics.fences`).  Clones share one pass (module
-    docstring); each later clone gets its own copies of the sets.
+    docstring) and its stored answer: a later clone holds the first
+    truth's two frozensets and its operator's ``slots`` tuple, under its
+    own id — so its operator equals its own :func:`operator_truth`'s.
     """
     index = EventIndex(fences.published(events))
     truths: dict[str, SubscriptionTruth] = {}
@@ -261,7 +271,18 @@ def compute_truth(
                 operator, sub_id, index, method, fences
             )
         else:
+            clone = CorrelationOperator.__new__(CorrelationOperator)
+            clone.__setstate__(
+                (
+                    sub_id,
+                    operator.subscriber,
+                    first.operator.slots,
+                    operator.delta_t,
+                    operator.delta_l,
+                    operator.main_slot,
+                )
+            )
             truths[sub_id] = SubscriptionTruth(
-                sub_id, operator, set(first.triggers), set(first.participants)
+                sub_id, clone, first.triggers, first.participants
             )
     return truths

@@ -91,7 +91,7 @@ def measure_recall(
         structure = structures[sub_id]
         key = sub_id
         if structure in shared:
-            key = (structure, frozenset(truth.triggers), frozenset(delivered))
+            key = (structure, truth.triggers, frozenset(delivered))
         if key not in counted:
             view = delivery.view(sub_id)
             counted[key] = sum(

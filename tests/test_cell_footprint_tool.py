@@ -1,9 +1,10 @@
 """tools/cell_footprint.py at smoke size: both reports run and parse.
 
 The tool traces one benchmark cell's allocations by source line
-(default) or counts the registrations the ingest index scans per
-arrival (``--scan``).  The full-size runs are for the person asking;
-here one smoke-size cell checks the two reports' shape.
+(default, after what the oracle's truth retains) or counts the
+registrations the ingest index scans per arrival (``--scan``).  The
+full-size runs are for the person asking; here one smoke-size cell
+checks the two reports' shape.
 """
 
 from __future__ import annotations
@@ -30,8 +31,12 @@ def run(*args: str) -> list[str]:
 def test_footprint_lists_the_top_sites():
     lines = run("--top", "5")
     assert lines[0] == "small_static / multijoin (smoke)"
-    assert re.fullmatch(r"[\d.]+ MB traced .* \d+ blocks", lines[1])
-    rows = lines[3:]
+    assert re.fullmatch(
+        r"\d+ KB in \d+ blocks retained by compiled.truth\(\) \(\d+ subscriptions\)",
+        lines[1],
+    )
+    assert re.fullmatch(r"[\d.]+ MB traced .* \d+ blocks", lines[2])
+    rows = lines[4:]
     assert len(rows) == 5
     sizes = [float(row.split("MB")[0]) for row in rows]
     assert sizes == sorted(sizes, reverse=True)

@@ -13,7 +13,8 @@ ties) plus real deployment workloads, and require identical
 ``compute_truth`` answers each distinct ``(match structure, lifetime)``
 once; clone families — equal but for the id, the lifetime, Δt, Δl or a
 region resolving to the same sensors — must get what one
-``operator_truth`` per subscription gives, in sets no two ids share.
+``operator_truth`` per subscription gives, in frozensets that the
+clones of one key share.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.matching.engine import match_structure
 from repro.metrics.fences import Fences
 from repro.metrics.oracle import (
     ORACLE_METHODS,
@@ -157,15 +159,27 @@ def truth_loop(subscriptions, deployment, events, method, fences):
     }
 
 
-def assert_equal_unaliased(got, want) -> None:
+def assert_equal_frozen_shared(got, want, fences) -> None:
+    """``got`` equals the per-subscription loop ``want``; no truth can
+    alter another's, because every answer is a frozenset; and the
+    clones of one ``(match structure, lifetime)`` key hold one answer:
+    the same two frozensets and the same ``slots`` tuple."""
     assert list(got) == list(want)
+    first = {}
     for sub_id, truth in want.items():
-        assert got[sub_id].sub_id == sub_id
-        assert got[sub_id].operator == truth.operator, sub_id
-        assert got[sub_id].triggers == truth.triggers, sub_id
-        assert got[sub_id].participants == truth.participants, sub_id
-    sets = [s for t in got.values() for s in (t.triggers, t.participants)]
-    assert len({id(s) for s in sets}) == len(sets)
+        mine = got[sub_id]
+        assert mine.sub_id == sub_id
+        assert mine.operator == truth.operator, sub_id
+        assert mine.triggers == truth.triggers, sub_id
+        assert mine.participants == truth.participants, sub_id
+        assert type(mine.triggers) is frozenset, sub_id
+        assert type(mine.participants) is frozenset, sub_id
+        key = (match_structure(mine.operator), fences.lifetime(sub_id))
+        owner = first.setdefault(key, mine)
+        assert mine.triggers is owner.triggers, sub_id
+        assert mine.participants is owner.participants, sub_id
+        assert mine.operator.slots is owner.operator.slots, sub_id
+    assert len(first) < len(got), "no two subscriptions asked one question"
 
 
 def as_subscription(operator, sub_id, delta_t=None, delta_l=None, region=None):
@@ -255,10 +269,13 @@ def clone_arena(draw):
 )
 def test_clones_share_a_pass_and_equal_the_loop(method, arena):
     """``compute_truth`` equals one ``operator_truth`` per subscription
-    under generated churn / outage fences, and no two ids share a set."""
+    under generated churn / outage fences, and the clones of one key
+    share one frozen answer."""
     subs, deployment, events, fences = arena
     got = compute_truth(subs, deployment, events, method, fences)
-    assert_equal_unaliased(got, truth_loop(subs, deployment, events, method, fences))
+    assert_equal_frozen_shared(
+        got, truth_loop(subs, deployment, events, method, fences), fences
+    )
 
 
 class TestComputeTruthEndToEnd:
@@ -309,8 +326,8 @@ class TestComputeTruthEndToEnd:
             ]
         fences = Fences(lifetimes={f"{s.sub_id}m": middle for s in subs[:6]})
         got = compute_truth(family, deployment, events, method, fences)
-        assert_equal_unaliased(
-            got, truth_loop(family, deployment, events, method, fences)
+        assert_equal_frozen_shared(
+            got, truth_loop(family, deployment, events, method, fences), fences
         )
         for suffix in "wm":
             assert any(

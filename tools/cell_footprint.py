@@ -4,10 +4,12 @@
 Builds a workload's program (untraced), then runs one approach over it
 under ``tracemalloc`` and prints what is still allocated when the run
 ends — the network and every node's state — grouped by source line,
-largest first.  ``WORKLOAD`` is one of the benchmark's workloads
-(``benchmarks/e2e/workloads.py``, at their committed seeds) or a figure
-scenario key (``repro.workload.scenarios.ALL_SCENARIOS``, at the
-largest point of its subscription axis at scale ``ci``).
+largest first; before the table, what the oracle's ``compiled.truth()``
+keeps allocated for the workload.  ``WORKLOAD`` is one of the
+benchmark's workloads (``benchmarks/e2e/workloads.py``, at their
+committed seeds) or a figure scenario key
+(``repro.workload.scenarios.ALL_SCENARIOS``, at the largest point of
+its subscription axis at scale ``ci``).
 
 ``--scan`` runs the cell untraced instead and prints how many
 registrations the ingest index scans per arrival (the length of the
@@ -60,18 +62,38 @@ def site(frame) -> str:
     return f"{path}:{frame.lineno}"
 
 
+def traced(snapshot) -> list[tracemalloc.Statistic]:
+    return snapshot.filter_traces(
+        [tracemalloc.Filter(False, tracemalloc.__file__)]
+    ).statistics("lineno")
+
+
+def truth_footprint(compiled) -> str:
+    gc.collect()
+    tracemalloc.start()
+    truth = compiled.truth()  # alive: what the snapshot sees
+    gc.collect()
+    stats = traced(tracemalloc.take_snapshot())
+    tracemalloc.stop()
+    return (
+        f"{sum(stat.size for stat in stats) / 2**10:.0f} KB in "
+        f"{sum(stat.count for stat in stats)} blocks retained by "
+        f"compiled.truth() ({len(truth)} subscriptions)"
+    )
+
+
 def footprint(compiled, cell: str, top: int) -> list[str]:
+    truth = truth_footprint(compiled)
     gc.collect()
     tracemalloc.start()
     execution = execute_program(compiled, cell)  # alive: what the snapshot sees
     snapshot = tracemalloc.take_snapshot()
     _current, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    stats = snapshot.filter_traces(
-        [tracemalloc.Filter(False, tracemalloc.__file__)]
-    ).statistics("lineno")
+    stats = traced(snapshot)
     total = sum(stat.size for stat in stats)
     lines = [
+        truth,
         f"{total / 2**20:.1f} MB traced at the end of the cell "
         f"(peak {peak / 2**20:.1f} MB), "
         f"{sum(stat.count for stat in stats)} blocks",
