@@ -13,7 +13,7 @@ from benchlib import render_and_record
 
 def test_figure_4_subscription_load(benchmark, scale):
     result = benchmark.pedantic(
-        figures.figure_4, args=(scale,), rounds=1, iterations=1
+        figures.figure, args=("4", scale), rounds=1, iterations=1
     )
     render_and_record(benchmark, result)
     last = {k: v[-1] for k, v in result.series.items()}
@@ -30,7 +30,7 @@ def test_figure_4_subscription_load(benchmark, scale):
 
 def test_figure_5_event_load(benchmark, scale):
     result = benchmark.pedantic(
-        figures.figure_5, args=(scale,), rounds=1, iterations=1
+        figures.figure, args=("5", scale), rounds=1, iterations=1
     )
     render_and_record(benchmark, result)
     last = {k: v[-1] for k, v in result.series.items()}

@@ -16,7 +16,7 @@ from benchlib import render_and_record
 
 def test_figure_6_subscription_load(benchmark, scale):
     result = benchmark.pedantic(
-        figures.figure_6, args=(scale,), rounds=1, iterations=1
+        figures.figure, args=("6", scale), rounds=1, iterations=1
     )
     render_and_record(benchmark, result)
     last = {k: v[-1] for k, v in result.series.items()}
@@ -26,7 +26,7 @@ def test_figure_6_subscription_load(benchmark, scale):
 
 def test_figure_7_event_load(benchmark, scale):
     result = benchmark.pedantic(
-        figures.figure_7, args=(scale,), rounds=1, iterations=1
+        figures.figure, args=("7", scale), rounds=1, iterations=1
     )
     render_and_record(benchmark, result)
     first = {k: v[0] for k, v in result.series.items()}

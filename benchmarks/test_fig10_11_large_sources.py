@@ -15,14 +15,14 @@ from benchlib import render_and_record
 
 def test_figure_10_subscription_load(benchmark, scale):
     result = benchmark.pedantic(
-        figures.figure_10, args=(scale,), rounds=1, iterations=1
+        figures.figure, args=("10", scale), rounds=1, iterations=1
     )
     render_and_record(benchmark, result)
     last = {k: v[-1] for k, v in result.series.items()}
     assert last["fsf"] <= last["operator_placement"] <= last["naive"]
     # Reduced set-reduction opportunity: FSF's relative margin over
     # operator placement is smaller here than in large scale #1.
-    l1 = figures.figure_8(scale).series
+    l1 = figures.figure("8", scale).series
     margin_sources = 1 - last["fsf"] / last["operator_placement"]
     margin_network = 1 - l1["fsf"][-1] / l1["operator_placement"][-1]
     assert margin_sources <= margin_network + 0.02
@@ -30,7 +30,7 @@ def test_figure_10_subscription_load(benchmark, scale):
 
 def test_figure_11_event_load(benchmark, scale):
     result = benchmark.pedantic(
-        figures.figure_11, args=(scale,), rounds=1, iterations=1
+        figures.figure, args=("11", scale), rounds=1, iterations=1
     )
     render_and_record(benchmark, result)
     last = {k: v[-1] for k, v in result.series.items()}

@@ -15,7 +15,7 @@ from benchlib import render_and_record
 
 def test_figure_12_recall(benchmark, scale):
     result = benchmark.pedantic(
-        figures.figure_12, args=(scale,), rounds=1, iterations=1
+        figures.figure, args=("12", scale), rounds=1, iterations=1
     )
     render_and_record(benchmark, result)
     for setting, values in result.series.items():

@@ -23,7 +23,7 @@ from benchlib import render_and_record
 
 def test_figure_13_event_load_under_churn(benchmark, scale):
     result = benchmark.pedantic(
-        figures.figure_13, args=(scale,), rounds=1, iterations=1
+        figures.figure, args=("13", scale), rounds=1, iterations=1
     )
     render_and_record(benchmark, result)
     fsf = result.series["fsf"]
@@ -40,7 +40,7 @@ def test_figure_13_event_load_under_churn(benchmark, scale):
 
 def test_figure_14_recall_under_churn(benchmark, scale):
     result = benchmark.pedantic(
-        figures.figure_14, args=(scale,), rounds=1, iterations=1
+        figures.figure, args=("14", scale), rounds=1, iterations=1
     )
     render_and_record(benchmark, result)
     for key in ("naive", "operator_placement", "multijoin"):

@@ -22,7 +22,7 @@ from benchlib import render_and_record
 
 def test_figure_15_recall_under_admit_retire(benchmark, scale):
     result = benchmark.pedantic(
-        figures.figure_15, args=(scale,), rounds=1, iterations=1
+        figures.figure, args=("15", scale), rounds=1, iterations=1
     )
     render_and_record(benchmark, result)
     for key in ("centralized", "naive", "operator_placement", "multijoin"):
@@ -36,7 +36,7 @@ def test_figure_15_recall_under_admit_retire(benchmark, scale):
 
 def test_figure_16_traffic_split_under_admit_retire(benchmark, scale):
     result = benchmark.pedantic(
-        figures.figure_16, args=(scale,), rounds=1, iterations=1
+        figures.figure, args=("16", scale), rounds=1, iterations=1
     )
     render_and_record(benchmark, result)
     for rate_idx in range(len(figures.ADMIT_RATE_AXIS)):

@@ -24,7 +24,7 @@ from benchlib import render_and_record
 
 def test_figure_17_recall_vs_loss(benchmark, scale):
     result = benchmark.pedantic(
-        figures.figure_17, args=(scale,), rounds=1, iterations=1
+        figures.figure, args=("17", scale), rounds=1, iterations=1
     )
     render_and_record(benchmark, result)
     assert result.xs[0] == 0.0 and result.xs[-1] == 0.1
@@ -42,7 +42,7 @@ def test_figure_17_recall_vs_loss(benchmark, scale):
 
 def test_figure_18_reliability_overhead_vs_loss(benchmark, scale):
     result = benchmark.pedantic(
-        figures.figure_18, args=(scale,), rounds=1, iterations=1
+        figures.figure, args=("18", scale), rounds=1, iterations=1
     )
     render_and_record(benchmark, result)
     for key, label in figures.APPROACH_LABELS.items():

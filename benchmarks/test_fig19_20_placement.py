@@ -31,7 +31,7 @@ def _family_labels(result):
 
 def test_figure_19_total_traffic_compiled_vs_paper(benchmark, scale):
     result = benchmark.pedantic(
-        figures.figure_19, args=(scale,), rounds=1, iterations=1
+        figures.figure, args=("19", scale), rounds=1, iterations=1
     )
     render_and_record(benchmark, result)
     for label in _family_labels(result):
@@ -43,7 +43,7 @@ def test_figure_19_total_traffic_compiled_vs_paper(benchmark, scale):
 
 def test_figure_20_recall_compiled_vs_paper(benchmark, scale):
     result = benchmark.pedantic(
-        figures.figure_20, args=(scale,), rounds=1, iterations=1
+        figures.figure, args=("20", scale), rounds=1, iterations=1
     )
     render_and_record(benchmark, result)
     for name, lane in result.series.items():

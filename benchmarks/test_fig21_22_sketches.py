@@ -30,7 +30,7 @@ def _split_lanes(result):
 
 def test_figure_21_approximate_lanes_undercut_exact_frontier(benchmark, scale):
     result = benchmark.pedantic(
-        figures.figure_21, args=(scale,), rounds=1, iterations=1
+        figures.figure, args=("21", scale), rounds=1, iterations=1
     )
     render_and_record(benchmark, result)
     exact, approx = _split_lanes(result)
@@ -44,7 +44,7 @@ def test_figure_21_approximate_lanes_undercut_exact_frontier(benchmark, scale):
 
 def test_figure_22_certified_error_within_guarantee(benchmark, scale):
     result = benchmark.pedantic(
-        figures.figure_22, args=(scale,), rounds=1, iterations=1
+        figures.figure, args=("22", scale), rounds=1, iterations=1
     )
     render_and_record(benchmark, result)
     for k in figures.SKETCH_K_AXIS:

@@ -1,6 +1,13 @@
 """Experiment harness: the series runner, figures/tables, CLI."""
 
-from .figures import ALL_FIGURES, FigureResult, clear_cache, scenario_series
+from .figures import (
+    FIGURES,
+    FigureResult,
+    FigureSpec,
+    clear_cache,
+    figure,
+    scenario_series,
+)
 from .runner import (
     REPLAY_START,
     WORKERS_ENV_VAR,
@@ -21,9 +28,10 @@ from .tables import (
 )
 
 __all__ = [
-    "ALL_FIGURES",
+    "FIGURES",
     "Fig3Walkthrough",
     "FigureResult",
+    "FigureSpec",
     "PointTask",
     "REPLAY_START",
     "RunResult",
@@ -32,6 +40,7 @@ __all__ = [
     "clear_cache",
     "default_workers",
     "fig3_deployment",
+    "figure",
     "render_table_2",
     "render_table_i",
     "run_fig3_walkthrough",

@@ -18,7 +18,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from ..workload.scenarios import SCALE_PRESETS, default_scale, parse_scale
 from . import figures
@@ -27,11 +28,31 @@ from .runner import WORKERS_ENV_VAR
 from .tables import render_table_2, render_table_i, run_fig3_walkthrough
 
 
-def _figure_command(fig_id: str, scale: float | None) -> str:
-    return figures.ALL_FIGURES[fig_id](scale).render()
+Target = Callable[[argparse.Namespace], str]
+
+
+def _figure(fig_id: str, args: argparse.Namespace) -> str:
+    return figures.figure(fig_id, args.scale).render()
+
+
+def _targets() -> dict[str, Target]:
+    """Every target but ``all``, in the order ``all`` prints them (it
+    skips ``experiments-md`` and the figures no ``--family`` selects)."""
+    targets: dict[str, Target] = {
+        "table1": lambda args: render_table_i(),
+        "table2": lambda args: render_table_2(),
+        "fig3": lambda args: run_fig3_walkthrough().render(),
+    }
+    for fig_id in figures.FIGURES:
+        targets[f"fig{fig_id}"] = partial(_figure, fig_id)
+    targets["experiments-md"] = lambda args: build_experiments_md(
+        args.scale, families=args.family
+    )
+    return targets
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    targets = _targets()
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the tables and figures of the ICDE 2010 paper "
@@ -40,22 +61,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "target",
         nargs="?",
-        # Derived from the figure registry, so a figure registered in
-        # ALL_FIGURES can never be missing from the CLI (the catalog
-        # drift a regression test now pins).
-        choices=[
-            "table1",
-            "table2",
-            "fig3",
-            *(f"fig{i}" for i in sorted(figures.ALL_FIGURES, key=int)),
-            "all",
-            "experiments-md",
-        ],
-        help="what to regenerate (figs 13-14 are the churn family, "
-        "figs 15-16 the query admit/retire family, figs 17-18 the "
-        "unreliable-transport family, figs 19-20 the placement "
-        "family and figs 21-22 the approximate-answer family, all "
-        "beyond the paper); omit with --list to browse what exists",
+        # Derived from figures.FIGURES, so a figure in the table can
+        # never be missing from the CLI (a regression test pins it).
+        choices=[*targets, "all"],
+        help="what to regenerate (figs 13-22 go beyond the paper, in "
+        "the families --list names); omit with --list to browse what "
+        "exists",
     )
     parser.add_argument(
         "--list",
@@ -68,11 +79,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--family",
         action="append",
         default=[],
-        choices=[*figures.FIGURE_FAMILIES, figures.ALL_FAMILIES],
+        choices=[*figures.family_names(), figures.ALL_FAMILIES],
         metavar="NAME",
         help="include a beyond-paper figure family in the 'all' and "
         "'experiments-md' targets; repeatable; one of "
-        f"{', '.join(figures.FIGURE_FAMILIES)}, or "
+        f"{', '.join(figures.family_names())}, or "
         f"{figures.ALL_FAMILIES} for all of them (--list names each "
         "family's figures; their dedicated figN targets always run)",
     )
@@ -116,7 +127,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error("--workers must be >= 1")
         os.environ[WORKERS_ENV_VAR] = str(args.workers)
     try:
-        return _run(args)
+        return _run(args, targets)
     finally:
         if saved is None:
             os.environ.pop(WORKERS_ENV_VAR, None)
@@ -124,24 +135,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             os.environ[WORKERS_ENV_VAR] = saved
 
 
-def _run(args: argparse.Namespace) -> int:
-    out: list[str] = []
-    if args.target == "table1":
-        out.append(render_table_i())
-    elif args.target == "table2":
-        out.append(render_table_2())
-    elif args.target == "fig3":
-        out.append(run_fig3_walkthrough().render())
-    elif args.target.startswith("fig"):
-        out.append(_figure_command(args.target[3:], args.scale))
-    elif args.target == "experiments-md":
-        out.append(build_experiments_md(args.scale, families=args.family))
-    else:  # all
-        out.append(render_table_i())
-        out.append(render_table_2())
-        out.append(run_fig3_walkthrough().render())
-        for fig_id in figures.selected_figures(args.family):
-            out.append(_figure_command(fig_id, args.scale))
+def _run(args: argparse.Namespace, targets: dict[str, Target]) -> int:
+    if args.target == "all":
+        shown = {"table1", "table2", "fig3"}
+        shown.update(f"fig{i}" for i in figures.selected_figures(args.family))
+        out = [run(args) for name, run in targets.items() if name in shown]
+    else:
+        out = [targets[args.target](args)]
     text = "\n\n".join(out) + "\n"
     if args.output:
         with open(args.output, "w") as fh:

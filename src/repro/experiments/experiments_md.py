@@ -4,66 +4,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..metrics.report import summarize_improvement
 from ..workload.scenarios import default_scale
 from . import figures
 from .tables import render_table_2, render_table_i, run_fig3_walkthrough
-
-PAPER_CLAIMS = {
-    "4": "Naive worst; OP and MJ reduce via pair-wise coverage; FSF best "
-    "(~18% fewer forwarded queries on average than OP/MJ).",
-    "5": "Log-scale event load: naive/OP highest, FSF beats MJ by 10-30%.",
-    "6": "Centralized has by far the lowest subscription load; FSF beats "
-    "the distributed state of the art by 4.5-17.4%.",
-    "7": "Centralized event traffic is the largest; FSF beats MJ by "
-    "48-55.9%.",
-    "8": "Same ordering as medium scale; totals grow with network size.",
-    "9": "FSF beats MJ by 56-62% (network size amplifies event savings).",
-    "10": "Less set-reduction opportunity with 20 groups (smaller "
-    "candidate sets).",
-    "11": "FSF beats MJ by 54-68% regardless of candidate-set size.",
-    "12": "FSF recall 100% in some cases, generally around 98%, worst "
-    "~93% (small scale / few subscriptions).",
-    # Figures 13-14 go beyond the paper: the dynamic churn-and-burst
-    # family (multi-day drifting replay, sensor leave/rejoin).
-    "13": "Beyond the paper — event load under a 2-day bursty replay "
-    "with 25% sensor churn; advertisement accounting includes the "
-    "retraction/re-flood traffic the static figures never exercise.",
-    "14": "Beyond the paper — recall under churn: deterministic "
-    "approaches hold 100% against the churn-aware oracle (the trigger "
-    "outruns the retraction flood); FSF keeps its cover-rule margin.",
-    "15": "Beyond the paper — steady-state recall while queries keep "
-    "arriving (Poisson) and retiring (exponential holds), each fenced "
-    "to its scheduled lifetime in the oracle; admission-lag and "
-    "retirement-edge races bound the loss.",
-    "16": "Beyond the paper — the traffic bill of an ongoing query "
-    "service, split registration / teardown (UnsubscribeMessage units, "
-    "metered separately) / events / results, per approach, vs. the "
-    "admit rate.",
-    "17": "Beyond the paper — recall vs per-link loss with the "
-    "ack/retransmit + soft-state-refresh layer on and off: protecting "
-    "control traffic alone recovers most of the recall lost to broken "
-    "setup state; the residual decay is the unprotected event traffic's "
-    "multi-hop loss physics.",
-    "18": "Beyond the paper — the reliability layer's bill: refresh "
-    "units are a loss-independent floor (periodic soft-state floods), "
-    "retransmit units grow with the drop rate.",
-    "19": "Beyond the paper — total traffic on a tiered architecture "
-    "graph with a skewed cross-group workload: the placement compiler "
-    "delays the operator split past the natural divergence node, "
-    "gating the wide group's partial-match flood at its head; the "
-    "compiled lane undercuts the paper heuristic per approach.",
-    "20": "Beyond the paper — the safety half of fig 19: with exact "
-    "FSF filtering every lane holds 100% recall, so the compiled "
-    "placement's traffic savings are free of result loss.",
-    "21": "Beyond the paper — accuracy-vs-traffic: broker-resident "
-    "q-digest lanes answer single-slot range queries from merged "
-    "summaries pushed at round intervals, spending strictly fewer "
-    "total units than every exact approach at the largest point.",
-    "22": "Beyond the paper — the accuracy half of fig 21: certified "
-    "count accuracy per digest resolution, with every observed rank "
-    "error inside the deterministic q-digest bound (zero violations).",
-}
 
 
 def build_experiments_md(
@@ -73,9 +16,8 @@ def build_experiments_md(
     """Run everything and render the paper-vs-measured record.
 
     ``families`` appends the named beyond-paper families' figures
-    (keys of ``figures.FIGURE_FAMILIES``, or ``"beyond"`` for all of
-    them).  Empty by default to keep the paper-facing record
-    paper-shaped.
+    (``figures.family_names()``, or ``"beyond"`` for all of them).
+    Empty by default to keep the paper-facing record paper-shaped.
     """
     eff_scale = default_scale() if scale is None else scale
     parts: list[str] = [
@@ -115,47 +57,29 @@ def build_experiments_md(
         "",
     ]
     for fig_id in figures.selected_figures(families):
-        result = figures.ALL_FIGURES[fig_id](eff_scale)
         parts += [
             f"## Figure {fig_id}",
             "",
-            f"Paper: {PAPER_CLAIMS[fig_id]}",
+            f"Paper: {figures.FIGURES[fig_id].claim}",
             "",
             "```",
-            result.render(),
+            figures.figure(fig_id, eff_scale).render(),
             "```",
             "",
         ]
-    # Cross-figure summary of the headline margins.
-    small = figures.scenario_series(figures.SMALL, eff_scale)
-    medium = figures.scenario_series(figures.MEDIUM, eff_scale)
     parts += [
         "## Headline margins (measured)",
         "",
         "| claim | paper | measured |",
         "|---|---|---|",
-        "| FSF vs OP/MJ subscription load (small) | ~18% avg | "
-        + summarize_improvement(
-            small.subscription_series()["fsf"],
-            small.subscription_series()["operator_placement"],
-        )
-        + " |",
-        "| FSF vs state of the art subscriptions (medium) | 4.5-17.4% | "
-        + summarize_improvement(
-            medium.subscription_series()["fsf"],
-            medium.subscription_series()["operator_placement"],
-        )
-        + " |",
-        "| FSF vs MJ event load (small) | 10-30% | "
-        + summarize_improvement(
-            small.event_series()["fsf"], small.event_series()["multijoin"]
-        )
-        + " |",
-        "| FSF vs MJ event load (medium) | 48-55.9% | "
-        + summarize_improvement(
-            medium.event_series()["fsf"], medium.event_series()["multijoin"]
-        )
-        + " |",
+    ]
+    for fig_id, spec in figures.FIGURES.items():
+        if spec.headline is not None and spec.metric is not None:
+            label, band = spec.headline
+            series = figures.figure(fig_id, eff_scale).series
+            measured = figures.improvement(series, spec.metric)
+            parts.append(f"| {label} | {band} | {measured} |")
+    parts += [
         "",
         "### Known deviations",
         "",

@@ -1,15 +1,18 @@
 """Per-figure reproduction harnesses (Figs 4-12 paper, 13-22 beyond).
 
-Each ``figure_N()`` returns a :class:`FigureResult` with the same series
-the paper plots; figure pairs that share a scenario (subscription load +
-event load) share one underlying run, cached per (scenario, scale, seed)
-so the bench suite never recomputes a scenario.
+Every figure is one :class:`FigureSpec` in :data:`FIGURES`, and
+:func:`figure` renders any of them as a :class:`FigureResult` with the
+same series the paper plots.  The CLI targets, the ``--family`` gates,
+the ``--list`` catalog and EXPERIMENTS.md all derive from that table.
+Figure pairs that share a scenario (subscription load + event load)
+share one underlying run, cached per (scenario, scale, seed) so the
+bench suite never recomputes a scenario.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..metrics.report import (
     render_series_table,
@@ -37,25 +40,16 @@ from ..workload.scenarios import (
 from ..sketches import SketchConfig
 from .runner import RunResult, SeriesResult, run_series
 
-APPROACH_LABELS = {
-    "naive": "Naive approach",
-    "operator_placement": "Distributed operator placement",
-    "multijoin": "Distributed multi-join",
-    "fsf": "Filter-Split-Forward",
-    "centralized": "Centralized",
-}
+APPROACH_LABELS = {key: a.name for key, a in all_approaches().items()}
+"""Series key -> the approach's display name (its Table II name)."""
 
 _SERIES_CACHE: dict[tuple, SeriesResult] = {}
 
 
-def scenario_series(
-    scenario: Scenario,
-    scale: float | None = None,
-    workers: int | None = None,
-) -> SeriesResult:
+def scenario_series(scenario: Scenario, scale: float | None = None) -> SeriesResult:
     """Run (or fetch the cached run of) one scenario's full series.
 
-    ``workers`` defaults to the ``REPRO_WORKERS`` environment knob (the
+    The worker count is the ``REPRO_WORKERS`` environment knob (the
     CLI's ``--workers`` sets it); the runner's result is the same under
     any worker count, so the cache key deliberately ignores it.
 
@@ -67,21 +61,21 @@ def scenario_series(
     if key not in _SERIES_CACHE:
         registry = all_approaches()
         if scenario.approach_keys is not None:
-            approaches: Mapping = {
-                k: registry[k] for k in scenario.approach_keys
-            }
+            approaches: Mapping = {k: registry[k] for k in scenario.approach_keys}
         elif scenario.include_centralized:
             approaches = registry
         else:
             approaches = distributed_approaches()
-        _SERIES_CACHE[key] = run_series(
-            scenario, approaches, scale=eff_scale, workers=workers
-        )
+        _SERIES_CACHE[key] = run_series(scenario, approaches, scale=eff_scale)
     return _SERIES_CACHE[key]
 
 
 def clear_cache() -> None:
     _SERIES_CACHE.clear()
+
+
+Series = dict[str, tuple[float, ...]]
+Built = tuple[Sequence[float], Series, str]
 
 
 @dataclass(frozen=True)
@@ -111,165 +105,128 @@ class FigureResult:
         return body
 
 
-def _load_figure(
-    figure_id: str,
+@dataclass(frozen=True)
+class FigureSpec:
+    """One figure: what it reads, how it plots it, what it claims.
+
+    ``runs(scale)`` fetches the cached series the figure reads, and
+    ``build(runs)`` turns them into ``(xs, series, notes)``.  ``claim``
+    is the paper's claim for Figs 4-12 and this repo's for the
+    beyond-paper figures, which carry their ``--family`` name and, where
+    the family sweeps an axis of its own, that axis as ``(name,
+    values)`` for the ``--list`` catalog.  The load figures name their
+    ``metric`` (:data:`RIVALS`); Figs 4-7 add a ``headline`` row (label,
+    paper band) to EXPERIMENTS.md's margin table.
+    """
+
+    fig_id: str
+    title: str
+    x_label: str
+    scenario: str
+    runs: Callable[[float | None], Any]
+    build: Callable[[Any], Built]
+    claim: str
+    family: str | None = None
+    axis: tuple[str, tuple] | None = None
+    metric: str | None = None
+    headline: tuple[str, str] | None = None
+
+
+def figure(fig_id: str, scale: float | None = None) -> FigureResult:
+    """Render the figure :data:`FIGURES` holds under ``fig_id``."""
+    spec = FIGURES[fig_id]
+    xs, series, notes = spec.build(spec.runs(scale))
+    return FigureResult(fig_id, spec.title, spec.x_label, tuple(xs), series, notes)
+
+
+RIVALS = {
+    "subscription": ("operator_placement", "operator placement"),
+    "event": ("multijoin", "multi-join"),
+}
+"""Figs 4-11's improvement pair per load metric: FSF against operator
+placement on subscriptions and against multi-join on events."""
+
+
+def improvement(series: Mapping[str, Sequence[float]], metric: str) -> str:
+    """FSF's improvement over the metric's rival (:data:`RIVALS`)."""
+    return summarize_improvement(series["fsf"], series[RIVALS[metric][0]])
+
+
+def _label(key: str) -> str:
+    return APPROACH_LABELS.get(key, key)
+
+
+def _recall(r: RunResult) -> float:
+    return round(100 * r.accuracy.recall, 1)
+
+
+def _load(
+    fig_id: str,
     title: str,
     scenario: Scenario,
     metric: str,
-    scale: float | None,
-) -> FigureResult:
-    run = scenario_series(scenario, scale)
-    if metric == "subscription":
-        series = run.subscription_series()
-        what = "number of forwarded queries"
-    else:
-        series = run.event_series()
-        what = "number of forwarded data units"
-    notes = ""
-    if "fsf" in series and "multijoin" in series and metric == "event":
-        notes = "FSF vs multi-join improvement: " + summarize_improvement(
-            series["fsf"], series["multijoin"]
-        )
-    if "fsf" in series and "operator_placement" in series and metric == "subscription":
-        notes = "FSF vs operator placement improvement: " + summarize_improvement(
-            series["fsf"], series["operator_placement"]
-        )
-    return FigureResult(
-        figure_id,
-        f"{title} ({what})",
+    claim: str,
+    headline: tuple[str, str] | None = None,
+) -> FigureSpec:
+    """Figs 4-11: one load metric of one paper scenario, with FSF's
+    improvement over the metric's rival in the notes."""
+
+    def build(run: SeriesResult) -> Built:
+        series = getattr(run, f"{metric}_series")()
+        rival = RIVALS[metric][1]
+        notes = f"FSF vs {rival} improvement: " + improvement(series, metric)
+        return run.counts, {k: tuple(v) for k, v in series.items()}, notes
+
+    what = "queries" if metric == "subscription" else "data units"
+    return FigureSpec(
+        fig_id,
+        f"{title} (number of forwarded {what})",
         "Number of injected queries",
-        tuple(run.counts),
-        {k: tuple(v) for k, v in series.items()},
-        notes,
+        scenario.key,
+        lambda scale: scenario_series(scenario, scale),
+        build,
+        claim,
+        metric=metric,
+        headline=headline,
     )
 
 
-def figure_4(scale: float | None = None) -> FigureResult:
-    """Subscription load, small scale."""
-    return _load_figure("4", "Subscription load, small scale", SMALL, "subscription", scale)
+RECALL_SETTINGS = {
+    "Small scale": SMALL,
+    "Medium scale": MEDIUM,
+    "Large scale #1": LARGE_NETWORK,
+    "Large scale #2": LARGE_SOURCES,
+}
+"""Figure 12's four settings, one FSF recall lane each."""
 
 
-def figure_5(scale: float | None = None) -> FigureResult:
-    """Event load, small scale."""
-    return _load_figure("5", "Event load, small scale", SMALL, "event", scale)
-
-
-def figure_6(scale: float | None = None) -> FigureResult:
-    """Subscription load, medium scale (incl. centralized)."""
-    return _load_figure("6", "Subscription load, medium scale", MEDIUM, "subscription", scale)
-
-
-def figure_7(scale: float | None = None) -> FigureResult:
-    """Event load, medium scale (incl. centralized)."""
-    return _load_figure("7", "Event load, medium scale", MEDIUM, "event", scale)
-
-
-def figure_8(scale: float | None = None) -> FigureResult:
-    """Subscription load, large scale #1 (network size)."""
-    return _load_figure(
-        "8", "Subscription load, large (network) scale", LARGE_NETWORK, "subscription", scale
-    )
-
-
-def figure_9(scale: float | None = None) -> FigureResult:
-    """Event load, large scale #1 (network size)."""
-    return _load_figure("9", "Event load, large (network) scale", LARGE_NETWORK, "event", scale)
-
-
-def figure_10(scale: float | None = None) -> FigureResult:
-    """Subscription load, large scale #2 (number of sources)."""
-    return _load_figure(
-        "10", "Subscription load, large (sources) scale", LARGE_SOURCES, "subscription", scale
-    )
-
-
-def figure_11(scale: float | None = None) -> FigureResult:
-    """Event load, large scale #2 (number of sources)."""
-    return _load_figure("11", "Event load, large (sources) scale", LARGE_SOURCES, "event", scale)
-
-
-def figure_12(scale: float | None = None) -> FigureResult:
-    """End-user event recall of Filter-Split-Forward, all four settings."""
-    raw: dict[str, tuple[tuple[int, ...], tuple[float, ...]]] = {}
-    for scenario, label in (
-        (SMALL, "Small scale"),
-        (MEDIUM, "Medium scale"),
-        (LARGE_NETWORK, "Large scale #1"),
-        (LARGE_SOURCES, "Large scale #2"),
-    ):
-        run = scenario_series(scenario, scale)
-        raw[label] = (
-            tuple(run.counts),
-            tuple(round(100 * r, 1) for r in run.recall_series("fsf")),
-        )
+def _fig12(runs: dict[str, SeriesResult]) -> Built:
     # The small-scale axis extends to 1000 queries while the others end
     # at 900 (as in the paper); align on the shared prefix.
-    n = min(len(values) for _, values in raw.values())
-    xs = next(iter(raw.values()))[0][:n]
-    series = {label: values[:n] for label, (_, values) in raw.items()}
-    return FigureResult(
-        "12",
-        "End user event recall (%) for Filter-Split-Forward",
-        "Number of injected queries",
-        xs,
-        series,
-        notes="Deterministic approaches measure 100% by construction.",
-    )
+    n = min(len(run.counts) for run in runs.values())
+    series = {
+        label: tuple(round(100 * r, 1) for r in run.recall_series("fsf"))[:n]
+        for label, run in runs.items()
+    }
+    xs = runs["Small scale"].counts[:n]
+    return xs, series, "Deterministic approaches measure 100% by construction."
 
 
-def figure_13(scale: float | None = None) -> FigureResult:
-    """Event load under churn — beyond the paper.
-
-    The dynamic-workload family: the small-scale deployment under a
-    two-day drifting, bursty replay where 25% of the sensors leave and
-    rejoin mid-campaign.  The notes carry the full per-kind traffic
-    accounting (the advertisement channel is live during the replay:
-    retraction floods and re-floods are part of the bill).
-    """
-    run = scenario_series(CHURN, scale)
+def _fig13(run: SeriesResult) -> Built:
     accounting = render_traffic_accounting(
         "Traffic accounting under churn (units, whole series)",
-        {
-            APPROACH_LABELS.get(k, k): results
-            for k, results in run.results.items()
-        },
+        {_label(k): results for k, results in run.results.items()},
     )
-    return FigureResult(
-        "13",
-        "Event load under churn & burst (number of forwarded data units)",
-        "Number of injected queries",
-        tuple(run.counts),
-        {k: tuple(v) for k, v in run.event_series().items()},
-        notes=accounting,
-    )
+    series = {k: tuple(v) for k, v in run.event_series().items()}
+    return run.counts, series, accounting
 
 
-def figure_14(scale: float | None = None) -> FigureResult:
-    """End-user recall under churn — beyond the paper.
-
-    The deterministic approaches measure 100% at the shipped scales: a
-    credited trigger beats the retraction flood whenever they share a
-    path, and the remaining race (a nearer trigger arriving after a
-    farther retraction fenced its filler) is a hops x latency sliver of
-    the delta_t window.  FSF keeps the loss of its per-slot cover rule.
-    Deliveries drawn from a departed sensor's not-yet-fenced history
-    are the mirror image — counted by ``RecallReport.false_positive_rate``,
-    not by this figure.
-    """
-    run = scenario_series(CHURN, scale)
+def _fig14(run: SeriesResult) -> Built:
     series = {
-        key: tuple(
-            round(100 * r.accuracy.recall, 1) for r in run.results[key]
-        )
-        for key in run.results
+        key: tuple(_recall(r) for r in results)
+        for key, results in run.results.items()
     }
-    return FigureResult(
-        "14",
-        "End user event recall (%) under churn & burst",
-        "Number of injected queries",
-        tuple(run.counts),
-        series,
-    )
+    return run.counts, series, ""
 
 
 ADMIT_RATE_AXIS = (0.02, 0.05, 0.1)
@@ -295,24 +252,9 @@ def _admit_retire_runs(scale: float | None) -> list[SeriesResult]:
     ]
 
 
-def figure_15(scale: float | None = None) -> FigureResult:
-    """Steady-state recall under Poisson admit/retire — beyond the paper.
-
-    Queries keep arriving and retiring while sensors stream; each
-    query's truth is fenced to its scheduled ``[admit, retire]``
-    lifetime, so recall measures what the service could still deliver
-    *inside* those lifetimes.  Two races keep deterministic approaches
-    marginally below 100%: a trigger published while the registration
-    flood is still placing the operator (admission lag), and one
-    published just before the teardown reaches the operator's host
-    (retirement edge) — both are hops x latency slivers of the replay.
-    """
-    runs = _admit_retire_runs(scale)
+def _fig15(runs: list[SeriesResult]) -> Built:
     series = {
-        key: tuple(
-            round(100 * run.results[key][-1].accuracy.recall, 1)
-            for run in runs
-        )
+        key: tuple(_recall(run.results[key][-1]) for run in runs)
         for key in runs[0].results
     }
     fsf_runs = [run.results["fsf"][-1] for run in runs]
@@ -320,60 +262,34 @@ def figure_15(scale: float | None = None) -> FigureResult:
         f"{rate:g}/s -> {r.n_subscriptions}/{r.retired_queries}"
         for rate, r in zip(ADMIT_RATE_AXIS, fsf_runs)
     )
-    return FigureResult(
-        "15",
-        "Steady-state recall (%) under Poisson query admit/retire",
-        "Query admissions per unit time",
-        tuple(ADMIT_RATE_AXIS),
-        series,
-        notes=notes,
-    )
+    return ADMIT_RATE_AXIS, series, notes
 
 
-def figure_16(scale: float | None = None) -> FigureResult:
-    """Traffic split under Poisson admit/retire — beyond the paper.
-
-    Four lanes per approach, each vs. the admit rate: **registration**
-    (operator floods: the settled prefix plus mid-run admissions and
-    teardown-repair re-dispatches), **teardown** (``UnsubscribeMessage``
-    units — reported separately for the first time), **events**
-    (forwarded data units) and **results** (simple events delivered to
-    end users).
-    """
-    runs = _admit_retire_runs(scale)
-
-    def lanes(key: str) -> dict[str, tuple[float, ...]]:
-        points = [run.results[key][-1] for run in runs]
-        label = APPROACH_LABELS.get(key, key)
-        return {
-            f"{label} - registration": tuple(
-                float(r.final.subscription_units - r.final.teardown_units)
-                for r in points
-            ),
-            f"{label} - teardown": tuple(
-                float(r.final.teardown_units) for r in points
-            ),
-            f"{label} - events": tuple(
-                float(r.final.event_units) for r in points
-            ),
-            f"{label} - results": tuple(
-                float(r.accuracy.delivered_events) for r in points
-            ),
-        }
-
-    series: dict[str, tuple[float, ...]] = {}
+def _fig16(runs: list[SeriesResult]) -> Built:
+    # Four lanes per approach: registration (operator floods: the
+    # settled prefix plus mid-run admissions and teardown-repair
+    # re-dispatches), teardown (UnsubscribeMessage units), events
+    # (forwarded data units) and results (simple events delivered to
+    # end users).
+    series: Series = {}
     for key in runs[0].results:
-        series.update(lanes(key))
-    return FigureResult(
-        "16",
-        "Traffic split (units) under Poisson query admit/retire",
-        "Query admissions per unit time",
-        tuple(ADMIT_RATE_AXIS),
-        series,
-        notes="Registration excludes teardown: both travel the "
-        "subscription channel, but retirement traffic is metered "
-        "separately (TrafficSnapshot.teardown_units).",
+        points = [run.results[key][-1] for run in runs]
+        final = [r.final for r in points]
+        label = _label(key)
+        series[f"{label} - registration"] = tuple(
+            float(f.subscription_units - f.teardown_units) for f in final
+        )
+        series[f"{label} - teardown"] = tuple(float(f.teardown_units) for f in final)
+        series[f"{label} - events"] = tuple(float(f.event_units) for f in final)
+        series[f"{label} - results"] = tuple(
+            float(r.accuracy.delivered_events) for r in points
+        )
+    notes = (
+        "Registration excludes teardown: both travel the subscription "
+        "channel, but retirement traffic is metered separately "
+        "(TrafficSnapshot.teardown_units)."
     )
+    return ADMIT_RATE_AXIS, series, notes
 
 
 LOSS_AXIS = (0.0, 0.02, 0.05, 0.1)
@@ -406,73 +322,38 @@ def _faults_runs(scale: float | None, reliable: bool) -> list[SeriesResult]:
     ]
 
 
-def figure_17(scale: float | None = None) -> FigureResult:
-    """Recall vs link loss, reliability on/off — beyond the paper.
-
-    Ten lanes: each approach under the seeded fault plan with the
-    reliability layer enabled (acked control traffic, soft-state
-    refresh) and disabled (raw best-effort links).  Event traffic is
-    never retransmitted in either mode, so the residual decay measures
-    the loss physics; the on/off gap measures what protecting *setup
-    state* alone recovers — lost advertisement floods and operator
-    placements poison every later match, lost events only one.
-    """
-    on_runs = _faults_runs(scale, True)
-    off_runs = _faults_runs(scale, False)
-    series: dict[str, tuple[float, ...]] = {}
+def _fig17(modes: tuple[list[SeriesResult], list[SeriesResult]]) -> Built:
+    on_runs, off_runs = modes
+    series: Series = {}
     for key in on_runs[0].results:
-        label = APPROACH_LABELS.get(key, key)
-        series[f"{label} (reliable)"] = tuple(
-            round(100 * run.results[key][-1].accuracy.recall, 1)
-            for run in on_runs
-        )
-        series[f"{label} (no reliability)"] = tuple(
-            round(100 * run.results[key][-1].accuracy.recall, 1)
-            for run in off_runs
-        )
-    return FigureResult(
-        "17",
-        "End user event recall (%) vs per-link loss rate",
-        "Per-link drop probability",
-        LOSS_AXIS,
-        series,
-        notes="Reliability covers control traffic only (ack/retransmit "
+        for mode, runs in (("reliable", on_runs), ("no reliability", off_runs)):
+            series[f"{_label(key)} ({mode})"] = tuple(
+                _recall(run.results[key][-1]) for run in runs
+            )
+    notes = (
+        "Reliability covers control traffic only (ack/retransmit "
         "+ soft-state refresh); events ride the lossy links unprotected "
-        "in both modes.",
+        "in both modes."
     )
+    return LOSS_AXIS, series, notes
 
 
-def figure_18(scale: float | None = None) -> FigureResult:
-    """Reliability overhead vs link loss — beyond the paper.
-
-    The price of figure 17's recovered recall: per approach, the units
-    the ack/retransmit layer re-sent plus the units the periodic
-    soft-state refresh rounds carried, as the loss rate grows.  The
-    refresh floor is paid even at zero loss; retransmissions scale with
-    the drop rate.
-    """
-    runs = _faults_runs(scale, True)
-    series: dict[str, tuple[float, ...]] = {}
+def _fig18(runs: list[SeriesResult]) -> Built:
+    series: Series = {}
     for key in runs[0].results:
-        label = APPROACH_LABELS.get(key, key)
+        final = [run.results[key][-1].final for run in runs]
+        label = _label(key)
         series[f"{label} - retransmit"] = tuple(
-            float(run.results[key][-1].final.retransmission_units)
-            for run in runs
+            float(f.retransmission_units) for f in final
         )
-        series[f"{label} - refresh"] = tuple(
-            float(run.results[key][-1].final.refresh_units) for run in runs
-        )
-    return FigureResult(
-        "18",
-        "Reliability overhead (units) vs per-link loss rate",
-        "Per-link drop probability",
-        LOSS_AXIS,
-        series,
-        notes="Reliability-on runs only; shares the figure 17 cache. "
+        series[f"{label} - refresh"] = tuple(float(f.refresh_units) for f in final)
+    notes = (
+        "Reliability-on runs only; shares the figure 17 cache. "
         "Refresh units are the periodic soft-state floods (paid even "
         "at zero loss); retransmit units are loss-triggered re-sends "
-        "of acked control transfers.",
+        "of acked control transfers."
     )
+    return LOSS_AXIS, series, notes
 
 
 PLACEMENT_MODES = ("paper", "compiled")
@@ -504,81 +385,35 @@ def _total_units(r: RunResult) -> float:
     )
 
 
-def figure_19(scale: float | None = None) -> FigureResult:
-    """Total traffic, compiled vs paper placement — beyond the paper.
+def _placement_lanes(
+    runs: dict[str, SeriesResult], value: Callable[[RunResult], float]
+) -> Series:
+    """One lane per approach and placement mode, ``value`` per point."""
+    return {
+        f"{_label(key)} ({mode})": tuple(value(r) for r in runs[mode].results[key])
+        for key in runs["paper"].results
+        for mode in PLACEMENT_MODES
+    }
 
-    The heterogeneous-architecture family: tiered node specs and a
-    skewed cross-group workload (one wide-filter group flooding partial
-    matches, one narrow group).  Per approach, two lanes of *total*
-    message units (subscription + event + advertisement channels): the
-    paper heuristic, which splits operators at the natural divergence
-    node, vs the cost-model compiler, which delays the split toward the
-    flooding group's head and gates the partial-match traffic at the
-    edge.
 
-    The compiler prices link traffic only, the one resource the
-    simulator charges.  Compiled/paper total-unit ratio at the largest
-    point (fsf / operator placement / naive): 0.715 / 0.532 / 0.526 at
-    ``--scale ci``, 0.746 / 0.658 / 0.658 at ``smoke``.  With the
-    unenforced storage and compute terms the model carried up to PR 21
-    it was 0.978 / 0.970 / 0.958 and 0.997 / 0.988 / 0.988: they made
-    the weak edge nodes, where gating saves the most traffic, the most
-    expensive rendezvous.  Figure 20 is unchanged (every lane 100%).
-    """
-    runs = _placement_runs(scale)
-    series: dict[str, tuple[float, ...]] = {}
-    for key in runs["paper"].results:
-        label = APPROACH_LABELS.get(key, key)
-        for mode in PLACEMENT_MODES:
-            series[f"{label} ({mode})"] = tuple(
-                _total_units(r) for r in runs[mode].results[key]
-            )
+def _fig19(runs: dict[str, SeriesResult]) -> Built:
     ratios = []
     for key in runs["paper"].results:
         paper_total = _total_units(runs["paper"].results[key][-1])
         compiled_total = _total_units(runs["compiled"].results[key][-1])
         if paper_total > 0:
-            ratios.append(
-                f"{APPROACH_LABELS.get(key, key)}: "
-                f"{compiled_total / paper_total:.3f}"
-            )
-    return FigureResult(
-        "19",
-        "Total traffic (units), compiled vs paper placement",
-        "Number of injected queries",
-        tuple(runs["paper"].counts),
-        series,
-        notes="Compiled/paper total-unit ratio at the largest point: "
-        + ", ".join(ratios),
-    )
+            ratios.append(f"{_label(key)}: {compiled_total / paper_total:.3f}")
+    notes = f"Compiled/paper total-unit ratio at the largest point: {', '.join(ratios)}"
+    return runs["paper"].counts, _placement_lanes(runs, _total_units), notes
 
 
-def figure_20(scale: float | None = None) -> FigureResult:
-    """Recall, compiled vs paper placement — beyond the paper.
-
-    The safety half of figure 19: delaying the operator split must not
-    cost results.  FSF runs with exact filtering in this family, so
-    every lane holds 100% and the traffic axis is the only mover.
-    """
-    runs = _placement_runs(scale)
-    series: dict[str, tuple[float, ...]] = {}
-    for key in runs["paper"].results:
-        label = APPROACH_LABELS.get(key, key)
-        for mode in PLACEMENT_MODES:
-            series[f"{label} ({mode})"] = tuple(
-                round(100 * r.accuracy.recall, 1)
-                for r in runs[mode].results[key]
-            )
-    return FigureResult(
-        "20",
-        "End user event recall (%), compiled vs paper placement",
-        "Number of injected queries",
-        tuple(runs["paper"].counts),
-        series,
-        notes="FSF runs with exact filtering in the placement family; "
+def _fig20(runs: dict[str, SeriesResult]) -> Built:
+    notes = (
+        "FSF runs with exact filtering in the placement family; "
         "a compiled lane below its paper twin would mean the delayed "
-        "split lost matches.",
+        "split lost matches."
     )
+    return runs["paper"].counts, _placement_lanes(runs, _recall), notes
 
 
 SKETCH_K_AXIS = (16, 64, 256)
@@ -606,199 +441,283 @@ def sketches_variant(k: int) -> Scenario:
     )
 
 
-def _sketch_runs(scale: float | None) -> tuple[SeriesResult, dict[int, SeriesResult]]:
+SketchRuns = tuple[SeriesResult, dict[int, SeriesResult]]
+
+
+def _sketch_runs(scale: float | None) -> SketchRuns:
     exact = scenario_series(SKETCHES, scale)
-    approx = {
-        k: scenario_series(sketches_variant(k), scale) for k in SKETCH_K_AXIS
-    }
+    approx = {k: scenario_series(sketches_variant(k), scale) for k in SKETCH_K_AXIS}
     return exact, approx
 
 
-def figure_21(scale: float | None = None) -> FigureResult:
-    """Accuracy-vs-traffic, the traffic half — beyond the paper.
-
-    The sketch family: a single-attribute workload (every query a
-    sketch-eligible single-slot range filter) over a long replay.  The
-    five exact approaches form the frontier; one approximate lane per
-    q-digest resolution ``k`` answers the same queries from merged
-    broker digests pushed at round intervals instead of forwarding raw
-    readings.  At the largest point every approximate lane must spend
-    strictly fewer total units than every exact approach — the
-    benchmark gate machine-checks exactly that inequality.
-    """
-    exact, approx = _sketch_runs(scale)
-    series: dict[str, tuple[float, ...]] = {}
-    for key in exact.results:
-        series[f"{APPROACH_LABELS.get(key, key)} (exact)"] = tuple(
-            _total_units(r) for r in exact.results[key]
-        )
+def _sketch_lanes(
+    runs: SketchRuns,
+    exact_value: Callable[[RunResult], float],
+    approx_value: Callable[[RunResult], float],
+) -> Series:
+    """The exact approaches' lanes, then one approximate lane per ``k``."""
+    exact, approx = runs
+    series = {
+        f"{_label(key)} (exact)": tuple(exact_value(r) for r in results)
+        for key, results in exact.results.items()
+    }
     for k in SKETCH_K_AXIS:
         series[f"Approximate lane (k={k})"] = tuple(
-            _total_units(r) for r in approx[k].results["fsf"]
+            approx_value(r) for r in approx[k].results["fsf"]
         )
-    frontier = min(
-        _total_units(runs[-1]) for runs in exact.results.values()
-    )
+    return series
+
+
+def _fig21(runs: SketchRuns) -> Built:
+    exact, approx = runs
+    frontier = min(_total_units(results[-1]) for results in exact.results.values())
     ratios = ", ".join(
         f"k={k}: {_total_units(approx[k].results['fsf'][-1]) / frontier:.3f}"
         for k in SKETCH_K_AXIS
     )
-    return FigureResult(
-        "21",
-        "Total traffic (units), exact frontier vs approximate lanes",
-        "Number of subscriptions",
-        tuple(exact.counts),
-        series,
-        notes="Approximate/cheapest-exact total-unit ratio at the "
+    notes = (
+        "Approximate/cheapest-exact total-unit ratio at the "
         f"largest point: {ratios}.  Lane traffic = push-tree setup on "
-        "the subscription channel + digest pushes on the event channel.",
+        "the subscription channel + digest pushes on the event channel."
     )
+    return exact.counts, _sketch_lanes(runs, _total_units, _total_units), notes
 
 
-def figure_22(scale: float | None = None) -> FigureResult:
-    """Accuracy-vs-traffic, the accuracy half — beyond the paper.
-
-    What figure 21's savings cost: exact lanes report end-user event
-    recall; approximate lanes report the oracle-checked count accuracy
-    of their certified range answers (symmetric min/max ratio of
-    estimate vs true count, 100% = every estimate exact).  The oracle
-    also re-checks every certificate — observed rank error within the
-    deterministic q-digest bound, zero violations tolerated.
-    """
-    exact, approx = _sketch_runs(scale)
-    series: dict[str, tuple[float, ...]] = {}
-    for key in exact.results:
-        series[f"{APPROACH_LABELS.get(key, key)} (exact)"] = tuple(
-            round(100 * r.accuracy.recall, 1) for r in exact.results[key]
-        )
-    for k in SKETCH_K_AXIS:
-        series[f"Approximate lane (k={k})"] = tuple(
-            round(100 * r.approx.mean_recall, 1)
-            for r in approx[k].results["fsf"]
-        )
+def _fig22(runs: SketchRuns) -> Built:
+    # Exact lanes report end-user event recall; approximate lanes the
+    # oracle-checked count accuracy of their certified range answers
+    # (symmetric min/max ratio of estimate vs true count, 100% = every
+    # estimate exact).
+    exact, approx = runs
+    series = _sketch_lanes(
+        runs, _recall, lambda r: round(100 * r.approx.mean_recall, 1)
+    )
     last = {k: approx[k].results["fsf"][-1].approx for k in SKETCH_K_AXIS}
     errors = ", ".join(
         f"k={k}: max |err| {report.max_observed_error} "
         f"({report.bound_violations} violations)"
         for k, report in last.items()
     )
-    return FigureResult(
+    notes = (
+        "Observed rank error vs the q-digest guarantee at the "
+        f"largest point: {errors}.  A non-zero violation count would "
+        "mean a certificate lied; the benchmark gate asserts zero."
+    )
+    return exact.counts, series, notes
+
+
+_QUERIES = "Number of injected queries"
+_RATES = "Query admissions per unit time"
+_LOSS = "Per-link drop probability"
+_SUBS = "Number of subscriptions"
+_ADMIT = dict(family="admit_retire", axis=("admit-rate axis", ADMIT_RATE_AXIS))
+_FAULTS = dict(family="faults", axis=("link-loss axis", LOSS_AXIS))
+_PLACEMENT = dict(family="placement", axis=("placement lanes", PLACEMENT_MODES))
+_SKETCHES = dict(family="sketches", axis=("digest-resolution axis", SKETCH_K_AXIS))
+_PLACEMENT_BLURB = "placement (compiled vs paper lanes)"
+_SKETCH_BLURB = "sketches (exact frontier vs approximate lanes)"
+
+FIGURES: dict[str, FigureSpec] = {spec.fig_id: spec for spec in (
+    _load(
+        "4", "Subscription load, small scale", SMALL, "subscription",
+        "Naive worst; OP and MJ reduce via pair-wise coverage; FSF best "
+        "(~18% fewer forwarded queries on average than OP/MJ).",
+        ("FSF vs OP/MJ subscription load (small)", "~18% avg"),
+    ),
+    _load(
+        "5", "Event load, small scale", SMALL, "event",
+        "Log-scale event load: naive/OP highest, FSF beats MJ by 10-30%.",
+        ("FSF vs MJ event load (small)", "10-30%"),
+    ),
+    _load(
+        "6", "Subscription load, medium scale", MEDIUM, "subscription",
+        "Centralized has by far the lowest subscription load; FSF beats "
+        "the distributed state of the art by 4.5-17.4%.",
+        ("FSF vs state of the art subscriptions (medium)", "4.5-17.4%"),
+    ),
+    _load(
+        "7", "Event load, medium scale", MEDIUM, "event",
+        "Centralized event traffic is the largest; FSF beats MJ by "
+        "48-55.9%.",
+        ("FSF vs MJ event load (medium)", "48-55.9%"),
+    ),
+    _load(
+        "8", "Subscription load, large (network) scale", LARGE_NETWORK,
+        "subscription",
+        "Same ordering as medium scale; totals grow with network size.",
+    ),
+    _load(
+        "9", "Event load, large (network) scale", LARGE_NETWORK, "event",
+        "FSF beats MJ by 56-62% (network size amplifies event savings).",
+    ),
+    _load(
+        "10", "Subscription load, large (sources) scale", LARGE_SOURCES,
+        "subscription",
+        "Less set-reduction opportunity with 20 groups (smaller "
+        "candidate sets).",
+    ),
+    _load(
+        "11", "Event load, large (sources) scale", LARGE_SOURCES, "event",
+        "FSF beats MJ by 54-68% regardless of candidate-set size.",
+    ),
+    FigureSpec(
+        "12", "End user event recall (%) for Filter-Split-Forward", _QUERIES,
+        "+".join(s.key for s in RECALL_SETTINGS.values()),
+        lambda scale: {
+            label: scenario_series(s, scale)
+            for label, s in RECALL_SETTINGS.items()
+        },
+        _fig12,
+        "FSF recall 100% in some cases, generally around 98%, worst "
+        "~93% (small scale / few subscriptions).",
+    ),
+    # Figures 13-14 go beyond the paper: the dynamic churn-and-burst
+    # family (multi-day drifting replay, sensor leave/rejoin).
+    FigureSpec(
+        "13", "Event load under churn & burst (number of forwarded data units)",
+        _QUERIES, "churn", lambda scale: scenario_series(CHURN, scale), _fig13,
+        "Beyond the paper — event load under a 2-day bursty replay "
+        "with 25% sensor churn; advertisement accounting includes the "
+        "retraction/re-flood traffic the static figures never exercise.",
+        family="churn",
+    ),
+    # The deterministic lanes measure 100% at the shipped scales; the
+    # remaining race (a nearer trigger arriving after a farther
+    # retraction fenced its filler) is a hops x latency sliver of the
+    # delta_t window.  Deliveries drawn from a departed sensor's
+    # not-yet-fenced history are the mirror image, counted by
+    # ``RecallReport.false_positive_rate``, not by this figure.
+    FigureSpec(
+        "14", "End user event recall (%) under churn & burst", _QUERIES,
+        "churn", lambda scale: scenario_series(CHURN, scale), _fig14,
+        "Beyond the paper — recall under churn: deterministic "
+        "approaches hold 100% against the churn-aware oracle (the trigger "
+        "outruns the retraction flood); FSF keeps its cover-rule margin.",
+        family="churn",
+    ),
+    # The two races: a trigger published while the registration flood
+    # is still placing the operator (admission lag), and one published
+    # just before the teardown reaches the operator's host (retirement
+    # edge) — both hops x latency slivers of the replay.
+    FigureSpec(
+        "15", "Steady-state recall (%) under Poisson query admit/retire",
+        _RATES, "admit_retire (rate sweep)", _admit_retire_runs, _fig15,
+        "Beyond the paper — steady-state recall while queries keep "
+        "arriving (Poisson) and retiring (exponential holds), each fenced "
+        "to its scheduled lifetime in the oracle; admission-lag and "
+        "retirement-edge races bound the loss.",
+        **_ADMIT,
+    ),
+    FigureSpec(
+        "16", "Traffic split (units) under Poisson query admit/retire",
+        _RATES, "admit_retire (rate sweep)", _admit_retire_runs, _fig16,
+        "Beyond the paper — the traffic bill of an ongoing query "
+        "service, split registration / teardown (UnsubscribeMessage units, "
+        "metered separately) / events / results, per approach, vs. the "
+        "admit rate.",
+        **_ADMIT,
+    ),
+    # Event traffic is never retransmitted in either mode: lost
+    # advertisement floods and operator placements poison every later
+    # match, a lost event only one.
+    FigureSpec(
+        "17", "End user event recall (%) vs per-link loss rate", _LOSS,
+        "faults (loss sweep, reliability on/off)",
+        lambda scale: (_faults_runs(scale, True), _faults_runs(scale, False)),
+        _fig17,
+        "Beyond the paper — recall vs per-link loss with the "
+        "ack/retransmit + soft-state-refresh layer on and off: protecting "
+        "control traffic alone recovers most of the recall lost to broken "
+        "setup state; the residual decay is the unprotected event traffic's "
+        "multi-hop loss physics.",
+        **_FAULTS,
+    ),
+    FigureSpec(
+        "18", "Reliability overhead (units) vs per-link loss rate", _LOSS,
+        "faults (loss sweep, reliability on)",
+        lambda scale: _faults_runs(scale, True), _fig18,
+        "Beyond the paper — the reliability layer's bill: refresh "
+        "units are a loss-independent floor (periodic soft-state floods), "
+        "retransmit units grow with the drop rate.",
+        **_FAULTS,
+    ),
+    # Tiered node specs; one wide-filter group floods partial matches,
+    # one narrow group.  Lanes total the subscription, event and
+    # advertisement channels.  The compiler prices link traffic only,
+    # the one resource the simulator charges.  Compiled/paper ratio at
+    # the largest point (fsf / operator placement / naive): 0.715 /
+    # 0.532 / 0.526 at ``--scale ci``, 0.746 / 0.658 / 0.658 at
+    # ``smoke``.  With the unenforced storage and compute terms the
+    # model carried up to PR 21 it was 0.978 / 0.970 / 0.958 and 0.997 /
+    # 0.988 / 0.988: they made the weak edge nodes, where gating saves
+    # the most traffic, the most expensive rendezvous.
+    FigureSpec(
+        "19", "Total traffic (units), compiled vs paper placement", _QUERIES,
+        _PLACEMENT_BLURB, _placement_runs, _fig19,
+        "Beyond the paper — total traffic on a tiered architecture "
+        "graph with a skewed cross-group workload: the placement compiler "
+        "delays the operator split past the natural divergence node, "
+        "gating the wide group's partial-match flood at its head; the "
+        "compiled lane undercuts the paper heuristic per approach.",
+        **_PLACEMENT,
+    ),
+    FigureSpec(
+        "20", "End user event recall (%), compiled vs paper placement",
+        _QUERIES, _PLACEMENT_BLURB, _placement_runs, _fig20,
+        "Beyond the paper — the safety half of fig 19: with exact "
+        "FSF filtering every lane holds 100% recall, so the compiled "
+        "placement's traffic savings are free of result loss.",
+        **_PLACEMENT,
+    ),
+    # A single-attribute workload over a long replay; the benchmark
+    # gate machine-checks the claim's inequality.
+    FigureSpec(
+        "21", "Total traffic (units), exact frontier vs approximate lanes",
+        _SUBS, _SKETCH_BLURB, _sketch_runs, _fig21,
+        "Beyond the paper — accuracy-vs-traffic: broker-resident "
+        "q-digest lanes answer single-slot range queries from merged "
+        "summaries pushed at round intervals, spending strictly fewer "
+        "total units than every exact approach at the largest point.",
+        **_SKETCHES,
+    ),
+    FigureSpec(
         "22",
         "Answer accuracy (%), exact recall vs certified approximate counts",
-        "Number of subscriptions",
-        tuple(exact.counts),
-        series,
-        notes="Observed rank error vs the q-digest guarantee at the "
-        f"largest point: {errors}.  A non-zero violation count would "
-        "mean a certificate lied; the benchmark gate asserts zero.",
-    )
-
-
-ALL_FIGURES = {
-    "4": figure_4,
-    "5": figure_5,
-    "6": figure_6,
-    "7": figure_7,
-    "8": figure_8,
-    "9": figure_9,
-    "10": figure_10,
-    "11": figure_11,
-    "12": figure_12,
-    "13": figure_13,
-    "14": figure_14,
-    "15": figure_15,
-    "16": figure_16,
-    "17": figure_17,
-    "18": figure_18,
-    "19": figure_19,
-    "20": figure_20,
-    "21": figure_21,
-    "22": figure_22,
-}
-
-class FigureFamily(NamedTuple):
-    """One beyond-paper figure family: its figures and, where it sweeps
-    an axis of its own, that axis as the ``--list`` catalog prints it."""
-
-    figures: tuple[str, ...]
-    axis: str | None = None
-    axis_values: tuple = ()
-
-
-FIGURE_FAMILIES: dict[str, FigureFamily] = {
-    "churn": FigureFamily(("13", "14")),
-    "admit_retire": FigureFamily(("15", "16"), "admit-rate axis", ADMIT_RATE_AXIS),
-    "faults": FigureFamily(("17", "18"), "link-loss axis", LOSS_AXIS),
-    "placement": FigureFamily(("19", "20"), "placement lanes", PLACEMENT_MODES),
-    "sketches": FigureFamily(
-        ("21", "22"), "digest-resolution axis", SKETCH_K_AXIS
+        _SUBS, _SKETCH_BLURB, _sketch_runs, _fig22,
+        "Beyond the paper — the accuracy half of fig 21: certified "
+        "count accuracy per digest resolution, with every observed rank "
+        "error inside the deterministic q-digest bound (zero violations).",
+        **_SKETCHES,
     ),
-}
-"""The families past the paper's 4-12 set, keyed by scenario family.
-The one table the CLI's ``--family`` choices, the ``--list`` catalog and
-the bulk targets' selection (:func:`selected_figures`) derive from."""
+)}
+"""Every figure, in figure order: the one table the CLI targets, the
+``--family`` gates, the ``--list`` catalog and EXPERIMENTS.md read."""
 
 ALL_FAMILIES = "beyond"
 """``--family`` value selecting every family at once."""
 
-BEYOND_PAPER_FIGURES = tuple(
-    fig_id for family in FIGURE_FAMILIES.values() for fig_id in family.figures
-)
-"""Figures gated behind ``--family`` for the ``all`` / ``experiments-md``
-targets; their dedicated ``figN`` targets always run."""
 
-FIGURE_GATES: dict[str, str] = {
-    fig_id: f"--family {name} (or --family {ALL_FAMILIES})"
-    for name, family in FIGURE_FAMILIES.items()
-    for fig_id in family.figures
-}
-"""Which ``--family`` value unlocks each gated figure under the bulk
-targets."""
+def family_names() -> list[str]:
+    """The beyond-paper families, in figure order."""
+    return list(dict.fromkeys(s.family for s in FIGURES.values() if s.family))
 
 
 def selected_figures(families: Iterable[str] = ()) -> list[str]:
     """Figure ids the ``all`` / ``experiments-md`` targets render: the
-    paper's own plus those of the named ``families``."""
-    families = set(families)
-    unknown = families - {*FIGURE_FAMILIES, ALL_FAMILIES}
+    paper's own plus those of the named families (their dedicated
+    ``figN`` targets always run)."""
+    chosen = set(families)
+    unknown = chosen - {*family_names(), ALL_FAMILIES}
     if unknown:
         raise ValueError(
             f"unknown figure families {sorted(unknown)}; "
-            f"known: {[*FIGURE_FAMILIES, ALL_FAMILIES]}"
+            f"known: {[*family_names(), ALL_FAMILIES]}"
         )
-    skipped = {
-        fig_id
-        for name, family in FIGURE_FAMILIES.items()
-        if name not in families and ALL_FAMILIES not in families
-        for fig_id in family.figures
-    }
     return [
-        fig_id for fig_id in sorted(ALL_FIGURES, key=int) if fig_id not in skipped
+        fig_id
+        for fig_id, spec in FIGURES.items()
+        if spec.family is None or {spec.family, ALL_FAMILIES} & chosen
     ]
-
-
-FIGURE_SCENARIOS: dict[str, str] = {
-    "4": "small",
-    "5": "small",
-    "6": "medium",
-    "7": "medium",
-    "8": "large_network",
-    "9": "large_network",
-    "10": "large_sources",
-    "11": "large_sources",
-    "12": "small+medium+large_network+large_sources",
-    "13": "churn",
-    "14": "churn",
-    "15": "admit_retire (rate sweep)",
-    "16": "admit_retire (rate sweep)",
-    "17": "faults (loss sweep, reliability on/off)",
-    "18": "faults (loss sweep, reliability on)",
-    "19": "placement (compiled vs paper lanes)",
-    "20": "placement (compiled vs paper lanes)",
-    "21": "sketches (exact frontier vs approximate lanes)",
-    "22": "sketches (exact frontier vs approximate lanes)",
-}
-"""Which scenario family feeds each figure — the ``--list`` catalog."""
 
 
 def render_catalog() -> str:
@@ -810,9 +729,7 @@ def render_catalog() -> str:
         lines.append(f"{key}: {scenario.title}")
         axes = ", ".join(
             f"{name}={scenario.subscription_counts(value)}"
-            for name, value in sorted(
-                SCALE_PRESETS.items(), key=lambda kv: kv[1]
-            )
+            for name, value in sorted(SCALE_PRESETS.items(), key=lambda kv: kv[1])
         )
         lines.append(f"  subscription axis per preset: {axes}")
         extras = []
@@ -825,18 +742,13 @@ def render_catalog() -> str:
                 f"query lifecycle (admit_rate={scenario.lifecycle.admit_rate:g})"
             )
         if scenario.faults is not None:
-            extras.append(
-                f"fault injection (drop={scenario.faults.default.drop:g})"
-            )
+            extras.append(f"fault injection (drop={scenario.faults.default.drop:g})")
         if scenario.reliability is not None:
             extras.append("ack/retransmit + soft-state refresh")
         if scenario.span_groups > 1:
             extras.append(f"cross-group queries (span {scenario.span_groups})")
         if scenario.group_width_scale:
-            extras.append(
-                "skewed group widths "
-                f"{list(scenario.group_width_scale)}"
-            )
+            extras.append(f"skewed group widths {list(scenario.group_width_scale)}")
         if scenario.approach_keys is not None:
             extras.append(f"approaches: {', '.join(scenario.approach_keys)}")
         if scenario.include_centralized:
@@ -844,20 +756,19 @@ def render_catalog() -> str:
         if extras:
             lines.append(f"  features: {', '.join(extras)}")
     lines += ["", "Figures", "======="]
-    for fig_id in sorted(ALL_FIGURES, key=int):
-        gate = FIGURE_GATES.get(fig_id)
-        beyond = (
-            f" [beyond the paper; gate: {gate}]" if gate is not None else ""
-        )
-        lines.append(
-            f"fig{fig_id}: scenario {FIGURE_SCENARIOS[fig_id]}{beyond}"
-        )
-    for family in FIGURE_FAMILIES.values():
-        if family.axis is not None:
-            lines.append(
-                f"  {family.axis} (figs {'-'.join(family.figures)}): "
-                f"{list(family.axis_values)}"
+    axes: dict[tuple, list[str]] = {}
+    for fig_id, spec in FIGURES.items():
+        gate = ""
+        if spec.family is not None:
+            gate = (
+                " [beyond the paper; gate: --family "
+                f"{spec.family} (or --family {ALL_FAMILIES})]"
             )
+        lines.append(f"fig{fig_id}: scenario {spec.scenario}{gate}")
+        if spec.axis is not None:
+            axes.setdefault(spec.axis, []).append(fig_id)
+    for (name, values), fig_ids in axes.items():
+        lines.append(f"  {name} (figs {'-'.join(fig_ids)}): {list(values)}")
     lines += ["", "Scale presets", "============="]
     for name, value in sorted(SCALE_PRESETS.items(), key=lambda kv: kv[1]):
         lines.append(f"{name}: {value}")

@@ -1,6 +1,6 @@
 # lint-fixture: expect=layer-violation module=repro.placement.badimport
-from repro.experiments.figures import figure_19
+from repro.experiments.figures import figure
 
 
 def run():
-    return figure_19()
+    return figure("19")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import figures
 from repro.experiments.cli import main as cli_main
+from repro.experiments.experiments_md import build_experiments_md
 from repro.experiments.runner import REPLAY_START, RunResult, run_series
 from repro.experiments.tables import (
     fig3_deployment,
@@ -34,6 +35,32 @@ def tiny_scenario():
         attrs_min=3,
         attrs_max=5,
     )
+
+
+def stub_spec(fig_id, family=None, headline=None):
+    """A figure spec that runs nothing: FSF at half of operator
+    placement's subscription load."""
+    return figures.FigureSpec(
+        fig_id,
+        "stub",
+        "x",
+        f"stub-{fig_id}",
+        lambda scale: None,
+        lambda runs: ((1,), {"fsf": (1.0,), "operator_placement": (2.0,)}, ""),
+        f"claim {fig_id}",
+        family=family,
+        metric="subscription" if headline else None,
+        headline=headline,
+    )
+
+
+def stub_table():
+    return {
+        "4": stub_spec("4", headline=("stub row 4", "10-20%")),
+        "13": stub_spec("13", "churn"),
+        "17": stub_spec("17", "faults"),
+        "21": stub_spec("21", "sketches"),
+    }
 
 
 class TestRunner:
@@ -140,35 +167,23 @@ class TestCli:
             cli_main([])
 
     def test_cli_choices_track_figure_registry(self, capsys, monkeypatch):
-        """Registering a figure is sufficient to make it a CLI target.
-
-        The choices list is derived from ``ALL_FIGURES`` at parse time,
+        """A spec in ``figures.FIGURES`` is sufficient to make it a CLI
+        target: the choices are derived from the table at parse time,
         so the catalog can never drift ahead of the CLI again (fig21/22
-        were the near-miss that motivated this).
-        """
-        stub = lambda scale=None: figures.FigureResult(  # noqa: E731
-            "98", "stub", "x", (1,), {"fsf": (0.0,)}
-        )
-        monkeypatch.setitem(figures.ALL_FIGURES, "98", stub)
+        were the near-miss that motivated this)."""
+        monkeypatch.setitem(figures.FIGURES, "98", stub_spec("98"))
         assert cli_main(["fig98"]) == 0
         assert "Figure 98" in capsys.readouterr().out
 
     def test_family_flag_gates_the_bulk_targets(self, capsys, monkeypatch):
         """One repeatable ``--family`` selects which beyond-paper
         figures ``all`` renders; the five per-family flags are gone."""
-
-        def stub(fig_id):
-            return lambda scale=None: figures.FigureResult(
-                fig_id, "stub", "x", (1,), {"fsf": (0.0,)}
-            )
-
-        monkeypatch.setattr(
-            figures, "ALL_FIGURES", {i: stub(i) for i in ("4", "13", "17", "21")}
-        )
+        monkeypatch.setattr(figures, "FIGURES", stub_table())
         assert cli_main(["all", "--family", "faults", "--family", "sketches"]) == 0
         out = capsys.readouterr().out
         assert all(f"Figure {i}:" in out for i in ("4", "17", "21"))
         assert "Figure 13:" not in out
+        assert "Sensor a" in out and "Set filtering" in out  # table1, table2
         for gone in ("--churn", "--beyond", "--faults", "--placement", "--approx"):
             with pytest.raises(SystemExit):
                 cli_main(["all", gone])
@@ -195,37 +210,59 @@ class TestCli:
 
 class TestFigureHarness:
     def test_all_figures_registered(self):
-        assert sorted(figures.ALL_FIGURES, key=int) == [
+        assert list(figures.FIGURES) == [
             "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14",
             "15", "16", "17", "18", "19", "20", "21", "22",
         ]
+        assert all(
+            fig_id == spec.fig_id for fig_id, spec in figures.FIGURES.items()
+        )
         # The beyond-paper families are gated behind --family for the
         # bulk targets.
-        assert {
-            name: family.figures for name, family in figures.FIGURE_FAMILIES.items()
-        } == {
-            "churn": ("13", "14"),
-            "admit_retire": ("15", "16"),
-            "faults": ("17", "18"),
-            "placement": ("19", "20"),
-            "sketches": ("21", "22"),
+        beyond: dict[str, list[str]] = {}
+        for fig_id, spec in figures.FIGURES.items():
+            if spec.family is not None:
+                beyond.setdefault(spec.family, []).append(fig_id)
+        assert beyond == {
+            "churn": ["13", "14"],
+            "admit_retire": ["15", "16"],
+            "faults": ["17", "18"],
+            "placement": ["19", "20"],
+            "sketches": ["21", "22"],
         }
-        assert set(figures.BEYOND_PAPER_FIGURES) == {
-            "13", "14", "15", "16", "17", "18", "19", "20", "21", "22",
-        }
-        # Every beyond-paper figure documents its CLI gate (--list).
-        assert set(figures.FIGURE_GATES) == set(figures.BEYOND_PAPER_FIGURES)
+        assert figures.family_names() == list(beyond)
+        # Figs 4-7 carry the headline margins, each with its load metric.
+        assert [
+            fig_id for fig_id, spec in figures.FIGURES.items() if spec.headline
+        ] == ["4", "5", "6", "7"]
+        assert all(
+            figures.FIGURES[i].metric in figures.RIVALS for i in ("4", "5", "6", "7")
+        )
 
     def test_catalog_covers_every_figure(self):
-        """The anti-drift contract: every registered figure has a
-        scenario blurb, and every beyond-paper figure names its gate
-        flag — a figure can't be registered but undiscoverable."""
-        assert set(figures.FIGURE_SCENARIOS) == set(figures.ALL_FIGURES)
+        """The anti-drift contract: every spec has a scenario blurb and
+        a catalog line, and every beyond-paper figure names its gate
+        flag — a figure can't be in the table but undiscoverable."""
         catalog = figures.render_catalog()
-        for fig_id in figures.ALL_FIGURES:
-            assert f"fig{fig_id}:" in catalog
-        for fig_id, gate in figures.FIGURE_GATES.items():
-            assert gate.startswith("--family ")
+        for fig_id, spec in figures.FIGURES.items():
+            assert spec.scenario and spec.claim
+            assert f"fig{fig_id}: scenario {spec.scenario}" in catalog
+            if spec.family is not None:
+                assert f"gate: --family {spec.family} (or --family beyond)" in catalog
+
+    def test_catalog_reads_stub_specs(self, monkeypatch):
+        monkeypatch.setattr(figures, "FIGURES", stub_table())
+        lines = figures.render_catalog().splitlines()
+        figs = [line for line in lines if line.startswith("fig")]
+        assert figs == [
+            "fig4: scenario stub-4",
+            "fig13: scenario stub-13 [beyond the paper; gate: --family "
+            "churn (or --family beyond)]",
+            "fig17: scenario stub-17 [beyond the paper; gate: --family "
+            "faults (or --family beyond)]",
+            "fig21: scenario stub-21 [beyond the paper; gate: --family "
+            "sketches (or --family beyond)]",
+        ]
 
     def test_family_selection_for_the_bulk_targets(self):
         paper = [str(i) for i in range(4, 13)]
@@ -233,11 +270,20 @@ class TestFigureHarness:
         assert figures.selected_figures(["faults", "sketches"]) == paper + [
             "17", "18", "21", "22",
         ]
-        assert figures.selected_figures(["beyond"]) == sorted(
-            figures.ALL_FIGURES, key=int
-        )
+        assert figures.selected_figures(["beyond"]) == list(figures.FIGURES)
         with pytest.raises(ValueError, match="unknown figure families"):
             figures.selected_figures(["approx"])
+
+    def test_experiments_md_reads_the_specs(self, monkeypatch):
+        """Each selected figure's section quotes its spec's claim, and
+        the headline table has one row per spec with a headline."""
+        monkeypatch.setattr(figures, "FIGURES", stub_table())
+        text = build_experiments_md(0.1, families=["faults"])
+        for fig_id in ("4", "17"):
+            assert f"## Figure {fig_id}\n\nPaper: claim {fig_id}\n" in text
+        assert "## Figure 13" not in text and "claim 13" not in text
+        rows = [line for line in text.splitlines() if line.startswith("| stub")]
+        assert rows == ["| stub row 4 | 10-20% | 50.0% .. 50.0% (mean 50.0%) |"]
 
     def test_figure_result_render(self):
         result = figures.FigureResult(
