@@ -12,8 +12,8 @@ group's head).  Shape claims asserted here:
   compiled lane's *total* message units strictly undercut the paper
   heuristic's for every approach in the family;
 * the safety half: every lane — both modes, every approach — holds
-  100% recall (FSF runs with exact filtering here), so the traffic
-  win is free of result loss.
+  100% recall (FSF's per-slot cover rule loses nothing on this
+  workload), so the traffic win is free of result loss.
 """
 
 from repro.experiments import figures
