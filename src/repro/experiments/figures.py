@@ -446,7 +446,9 @@ SketchRuns = tuple[SeriesResult, dict[int, SeriesResult]]
 
 def _sketch_runs(scale: float | None) -> SketchRuns:
     exact = scenario_series(SKETCHES, scale)
-    approx = {k: scenario_series(sketches_variant(k), scale) for k in SKETCH_K_AXIS}
+    approx = {
+        k: scenario_series(sketches_variant(k), scale) for k in SKETCH_K_AXIS
+    }
     return exact, approx
 
 
@@ -537,13 +539,11 @@ FIGURES: dict[str, FigureSpec] = {spec.fig_id: spec for spec in (
     ),
     _load(
         "7", "Event load, medium scale", MEDIUM, "event",
-        "Centralized event traffic is the largest; FSF beats MJ by "
-        "48-55.9%.",
+        "Centralized event traffic is the largest; FSF beats MJ by 48-55.9%.",
         ("FSF vs MJ event load (medium)", "48-55.9%"),
     ),
     _load(
-        "8", "Subscription load, large (network) scale", LARGE_NETWORK,
-        "subscription",
+        "8", "Subscription load, large (network) scale", LARGE_NETWORK, "subscription",
         "Same ordering as medium scale; totals grow with network size.",
     ),
     _load(
@@ -551,10 +551,8 @@ FIGURES: dict[str, FigureSpec] = {spec.fig_id: spec for spec in (
         "FSF beats MJ by 56-62% (network size amplifies event savings).",
     ),
     _load(
-        "10", "Subscription load, large (sources) scale", LARGE_SOURCES,
-        "subscription",
-        "Less set-reduction opportunity with 20 groups (smaller "
-        "candidate sets).",
+        "10", "Subscription load, large (sources) scale", LARGE_SOURCES, "subscription",
+        "Less set-reduction opportunity with 20 groups (smaller candidate sets).",
     ),
     _load(
         "11", "Event load, large (sources) scale", LARGE_SOURCES, "event",
@@ -564,8 +562,7 @@ FIGURES: dict[str, FigureSpec] = {spec.fig_id: spec for spec in (
         "12", "End user event recall (%) for Filter-Split-Forward", _QUERIES,
         "+".join(s.key for s in RECALL_SETTINGS.values()),
         lambda scale: {
-            label: scenario_series(s, scale)
-            for label, s in RECALL_SETTINGS.items()
+            k: scenario_series(v, scale) for k, v in RECALL_SETTINGS.items()
         },
         _fig12,
         "FSF recall 100% in some cases, generally around 98%, worst "
@@ -641,16 +638,14 @@ FIGURES: dict[str, FigureSpec] = {spec.fig_id: spec for spec in (
         "retransmit units grow with the drop rate.",
         **_FAULTS,
     ),
-    # Tiered node specs; one wide-filter group floods partial matches,
-    # one narrow group.  Lanes total the subscription, event and
-    # advertisement channels.  The compiler prices link traffic only,
-    # the one resource the simulator charges.  Compiled/paper ratio at
-    # the largest point (fsf / operator placement / naive): 0.715 /
-    # 0.532 / 0.526 at ``--scale ci``, 0.746 / 0.658 / 0.658 at
-    # ``smoke``.  With the unenforced storage and compute terms the
-    # model carried up to PR 21 it was 0.978 / 0.970 / 0.958 and 0.997 /
-    # 0.988 / 0.988: they made the weak edge nodes, where gating saves
-    # the most traffic, the most expensive rendezvous.
+    # The compiler prices link traffic only, the one resource the
+    # simulator charges.  Compiled/paper ratio at the largest point (fsf
+    # / operator placement / naive): 0.715 / 0.532 / 0.526 at ``--scale
+    # ci``, 0.746 / 0.658 / 0.658 at ``smoke``.  With the unenforced
+    # storage and compute terms the model once carried it was 0.978 /
+    # 0.970 / 0.958 and 0.997 / 0.988 / 0.988: they made the weak edge
+    # nodes, where gating saves the most traffic, the most expensive
+    # rendezvous.
     FigureSpec(
         "19", "Total traffic (units), compiled vs paper placement", _QUERIES,
         _PLACEMENT_BLURB, _placement_runs, _fig19,
@@ -730,7 +725,9 @@ def render_catalog() -> str:
         lines.append(f"{key}: {scenario.title}")
         axes = ", ".join(
             f"{name}={scenario.subscription_counts(value)}"
-            for name, value in sorted(SCALE_PRESETS.items(), key=lambda kv: kv[1])
+            for name, value in sorted(
+                SCALE_PRESETS.items(), key=lambda kv: kv[1]
+            )
         )
         lines.append(f"  subscription axis per preset: {axes}")
         extras = []
@@ -743,13 +740,18 @@ def render_catalog() -> str:
                 f"query lifecycle (admit_rate={scenario.lifecycle.admit_rate:g})"
             )
         if scenario.faults is not None:
-            extras.append(f"fault injection (drop={scenario.faults.default.drop:g})")
+            extras.append(
+                f"fault injection (drop={scenario.faults.default.drop:g})"
+            )
         if scenario.reliability is not None:
             extras.append("ack/retransmit + soft-state refresh")
         if scenario.span_groups > 1:
             extras.append(f"cross-group queries (span {scenario.span_groups})")
         if scenario.group_width_scale:
-            extras.append(f"skewed group widths {list(scenario.group_width_scale)}")
+            extras.append(
+                "skewed group widths "
+                f"{list(scenario.group_width_scale)}"
+            )
         if scenario.approach_keys is not None:
             extras.append(f"approaches: {', '.join(scenario.approach_keys)}")
         if scenario.include_centralized:
