@@ -75,7 +75,7 @@ def clear_cache() -> None:
 
 
 Series = dict[str, tuple[float, ...]]
-Built = tuple[Sequence[float], Series, str]
+Built = tuple[Sequence[float], Mapping[str, tuple[float, ...]], str]
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,12 @@ def improvement(series: Mapping[str, Sequence[float]], metric: str) -> str:
     return summarize_improvement(series["fsf"], series[RIVALS[metric][0]])
 
 
+_QUERIES = "Number of injected queries"
+_RATES = "Query admissions per unit time"
+_LOSS = "Per-link drop probability"
+_SUBS = "Number of subscriptions"
+
+
 def _label(key: str) -> str:
     return APPROACH_LABELS.get(key, key)
 
@@ -181,7 +187,7 @@ def _load(
     return FigureSpec(
         fig_id,
         f"{title} (number of forwarded {what})",
-        "Number of injected queries",
+        _QUERIES,
         scenario.key,
         lambda scale: scenario_series(scenario, scale),
         build,
@@ -508,16 +514,10 @@ def _fig22(runs: SketchRuns) -> Built:
     return exact.counts, series, notes
 
 
-_QUERIES = "Number of injected queries"
-_RATES = "Query admissions per unit time"
-_LOSS = "Per-link drop probability"
-_SUBS = "Number of subscriptions"
-_ADMIT = dict(family="admit_retire", axis=("admit-rate axis", ADMIT_RATE_AXIS))
-_FAULTS = dict(family="faults", axis=("link-loss axis", LOSS_AXIS))
-_PLACEMENT = dict(family="placement", axis=("placement lanes", PLACEMENT_MODES))
-_SKETCHES = dict(family="sketches", axis=("digest-resolution axis", SKETCH_K_AXIS))
-_PLACEMENT_BLURB = "placement (compiled vs paper lanes)"
-_SKETCH_BLURB = "sketches (exact frontier vs approximate lanes)"
+_ADMIT_AXIS = ("admit-rate axis", ADMIT_RATE_AXIS)
+_LOSS_AXIS = ("link-loss axis", LOSS_AXIS)
+_PLACEMENT_AXIS = ("placement lanes", PLACEMENT_MODES)
+_SKETCH_AXIS = ("digest-resolution axis", SKETCH_K_AXIS)
 
 FIGURES: dict[str, FigureSpec] = {spec.fig_id: spec for spec in (
     _load(
@@ -603,7 +603,7 @@ FIGURES: dict[str, FigureSpec] = {spec.fig_id: spec for spec in (
         "arriving (Poisson) and retiring (exponential holds), each fenced "
         "to its scheduled lifetime in the oracle; admission-lag and "
         "retirement-edge races bound the loss.",
-        **_ADMIT,
+        family="admit_retire", axis=_ADMIT_AXIS,
     ),
     FigureSpec(
         "16", "Traffic split (units) under Poisson query admit/retire",
@@ -612,7 +612,7 @@ FIGURES: dict[str, FigureSpec] = {spec.fig_id: spec for spec in (
         "service, split registration / teardown (UnsubscribeMessage units, "
         "metered separately) / events / results, per approach, vs. the "
         "admit rate.",
-        **_ADMIT,
+        family="admit_retire", axis=_ADMIT_AXIS,
     ),
     # Event traffic is never retransmitted in either mode: lost
     # advertisement floods and operator placements poison every later
@@ -627,7 +627,7 @@ FIGURES: dict[str, FigureSpec] = {spec.fig_id: spec for spec in (
         "control traffic alone recovers most of the recall lost to broken "
         "setup state; the residual decay is the unprotected event traffic's "
         "multi-hop loss physics.",
-        **_FAULTS,
+        family="faults", axis=_LOSS_AXIS,
     ),
     FigureSpec(
         "18", "Reliability overhead (units) vs per-link loss rate", _LOSS,
@@ -636,7 +636,7 @@ FIGURES: dict[str, FigureSpec] = {spec.fig_id: spec for spec in (
         "Beyond the paper — the reliability layer's bill: refresh "
         "units are a loss-independent floor (periodic soft-state floods), "
         "retransmit units grow with the drop rate.",
-        **_FAULTS,
+        family="faults", axis=_LOSS_AXIS,
     ),
     # The compiler prices link traffic only, the one resource the
     # simulator charges.  Compiled/paper ratio at the largest point (fsf
@@ -648,42 +648,42 @@ FIGURES: dict[str, FigureSpec] = {spec.fig_id: spec for spec in (
     # rendezvous.
     FigureSpec(
         "19", "Total traffic (units), compiled vs paper placement", _QUERIES,
-        _PLACEMENT_BLURB, _placement_runs, _fig19,
+        "placement (compiled vs paper lanes)", _placement_runs, _fig19,
         "Beyond the paper — total traffic on a tiered architecture "
         "graph with a skewed cross-group workload: the placement compiler "
         "delays the operator split past the natural divergence node, "
         "gating the wide group's partial-match flood at its head; the "
         "compiled lane undercuts the paper heuristic per approach.",
-        **_PLACEMENT,
+        family="placement", axis=_PLACEMENT_AXIS,
     ),
     FigureSpec(
         "20", "End user event recall (%), compiled vs paper placement",
-        _QUERIES, _PLACEMENT_BLURB, _placement_runs, _fig20,
+        _QUERIES, "placement (compiled vs paper lanes)", _placement_runs, _fig20,
         "Beyond the paper — the safety half of fig 19: every lane, FSF's "
         "under its one per-slot cover rule too, holds 100% recall at the "
         "smoke and ci scales, so the compiled placement's traffic savings "
         "are free of result loss.",
-        **_PLACEMENT,
+        family="placement", axis=_PLACEMENT_AXIS,
     ),
     # A single-attribute workload over a long replay; the benchmark
     # gate machine-checks the claim's inequality.
     FigureSpec(
         "21", "Total traffic (units), exact frontier vs approximate lanes",
-        _SUBS, _SKETCH_BLURB, _sketch_runs, _fig21,
+        _SUBS, "sketches (exact frontier vs approximate lanes)", _sketch_runs, _fig21,
         "Beyond the paper — accuracy-vs-traffic: broker-resident "
         "q-digest lanes answer single-slot range queries from merged "
         "summaries pushed at round intervals, spending strictly fewer "
         "total units than every exact approach at the largest point.",
-        **_SKETCHES,
+        family="sketches", axis=_SKETCH_AXIS,
     ),
     FigureSpec(
         "22",
         "Answer accuracy (%), exact recall vs certified approximate counts",
-        _SUBS, _SKETCH_BLURB, _sketch_runs, _fig22,
+        _SUBS, "sketches (exact frontier vs approximate lanes)", _sketch_runs, _fig22,
         "Beyond the paper — the accuracy half of fig 21: certified "
         "count accuracy per digest resolution, with every observed rank "
         "error inside the deterministic q-digest bound (zero violations).",
-        **_SKETCHES,
+        family="sketches", axis=_SKETCH_AXIS,
     ),
 )}
 """Every figure, in figure order: the one table the CLI targets, the
