@@ -178,9 +178,9 @@ def _load(
     improvement over the metric's rival in the notes."""
 
     def build(run: SeriesResult) -> Built:
-        series = getattr(run, f"{metric}_series")()
-        rival = RIVALS[metric][1]
-        notes = f"FSF vs {rival} improvement: " + improvement(series, metric)
+        load = run.subscription_series if metric == "subscription" else run.event_series
+        series = load()
+        notes = f"FSF vs {RIVALS[metric][1]} improvement: {improvement(series, metric)}"
         return run.counts, {k: tuple(v) for k, v in series.items()}, notes
 
     what = "queries" if metric == "subscription" else "data units"
