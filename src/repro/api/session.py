@@ -289,17 +289,14 @@ class Session:
             self.cancellations.pop(subscription.sub_id, None)
             self.network.delivery.reset(subscription.sub_id)
         self.activations[subscription.sub_id] = self.now
-        before = self.network.meter.snapshot()
+        meter = self.network.meter
+        before = meter.subscription_units
         dropped_before = len(self.network.dropped_subscriptions)
         self.network.register_subscription(node_id, subscription, plan=plan)
         if settle:
             self.network.run_to_quiescence()
         accepted = len(self.network.dropped_subscriptions) == dropped_before
-        units = (
-            self.network.meter.snapshot().minus(before).subscription_units
-            if settle
-            else 0
-        )
+        units = meter.subscription_units - before if settle else 0
         handle = QueryHandle(self, subscription, node_id, units, accepted)
         self.handles[subscription.sub_id] = handle
         return handle
@@ -340,7 +337,8 @@ class Session:
         if settle:
             self.network.run_to_quiescence()
         issued_at = self.now
-        before = self.network.meter.snapshot()
+        meter = self.network.meter
+        before = meter.subscription_units
         cancelled = self.network.cancel_subscription(
             handle.node_id, handle.sub_id
         )
@@ -349,11 +347,7 @@ class Session:
         if settle:
             self.network.run_to_quiescence()
         self.cancellations[handle.sub_id] = issued_at
-        units = (
-            self.network.meter.snapshot().minus(before).subscription_units
-            if settle
-            else 0
-        )
+        units = meter.subscription_units - before if settle else 0
         return True, units
 
     # ------------------------------------------------------------------

@@ -242,9 +242,10 @@ class MultiJoinNode(Node):
                             continue
                         # Retained once, released in on_operator_removed.
                         # The engine matched this arrival before the
-                        # matcher existed, so this one read is a sweep.
+                        # matcher existed, so this one read is a sweep,
+                        # behind the engine's own pre-check.
                         join_matcher = entry[1] = engine.retain(join)
-                        participants = join_matcher.matches_involving(event)
+                        participants = engine.sweep_retained(join_matcher, event)
                     else:
                         participants = hits.get(join_matcher)
                     if not participants:

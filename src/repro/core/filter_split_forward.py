@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..model import checks
 from ..model.intervals import union_covers
 from ..model.operators import CorrelationOperator
 from ..network.network import Network
-from ..network.node import LOCAL, Node
+from ..network.node import LOCAL, IndexEntry, Node
 from ..protocols.base import Approach
 
 
@@ -109,15 +110,26 @@ class FilterSplitForwardNode(Node):
 
         Each slot's candidates come from one bucket of the store's
         per-sensor index: the intervals a walk of the whole store would
-        collect.
+        collect.  A clone is decided from its first slot's bucket
+        alone: a stored *twin* (same slots, Δt and Δl) passes every
+        clause below on its own interval, so finding one is the rule's
+        own answer (under a union-of-boxes rule too).  Only an operator
+        without one pays the scan, which starts from that bucket.
         """
+        slots = operator.slots
+        first = slots[0]
+        bucket = store.candidates(first, before)
+        if _has_twin(operator, bucket):
+            return True
         delta_t, delta_l = operator.delta_t, operator.delta_l
-        slot_ids = {slot.slot_id for slot in operator.slots}
-        for slot in operator.slots:
+        slot_ids = {slot.slot_id for slot in slots}
+        for slot in slots:
             slot_id, attribute, sensors = slot.slot_id, slot.attribute, slot.sensors
+            if slot is not first:
+                bucket = store.candidates(slot, before)
             candidates = [
                 other.interval
-                for record, other in store.candidates(slot, before)
+                for record, other in bucket
                 if other.slot_id == slot_id
                 and other.attribute == attribute
                 and other.sensors >= sensors
@@ -128,6 +140,25 @@ class FilterSplitForwardNode(Node):
             if not candidates or not union_covers(candidates, slot.interval):
                 return False
         return True
+
+
+def _has_twin(operator: CorrelationOperator, bucket: Iterable[IndexEntry]) -> bool:
+    """Whether ``bucket``, the candidates of ``operator``'s first slot,
+    holds a *twin*: a stored operator with the same slots, Δt and Δl."""
+    slots = operator.slots
+    lo, hi = slots[0].interval.lo, slots[0].interval.hi
+    for record, other in bucket:
+        # Two float compares turn a non-twin away before any
+        # Python-level equality runs.
+        if other.interval.lo == lo and other.interval.hi == hi:
+            stored = record.operator
+            if (
+                stored.slots == slots
+                and stored.delta_t == operator.delta_t
+                and stored.delta_l == operator.delta_l
+            ):
+                return True
+    return False
 
 
 def filter_split_forward_approach(config: FSFConfig | None = None) -> Approach:

@@ -59,7 +59,7 @@ import math
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..model.events import SimpleEvent
 from ..model.operators import CorrelationOperator, Slot
@@ -590,11 +590,8 @@ class MatchingEngine:
 
         The sensor's registration list names exactly the slots
         accepting the arrival; their matchers are the only ones it can
-        complete a window of.  Of those, one is swept only if every one
-        of its slots holds an entry newer than ``t0 − Δt``: every
-        candidate trigger ``t*`` of an arrival at ``t0`` has ``t* >=
-        t0`` and needs an entry in ``(t* − Δt, t*]`` in every slot.  The
-        test is exact, so whatever it skips has no match.
+        complete a window of, and :meth:`_sweep_completable` sweeps
+        those that can.
         """
         self._adds_since_sweep += 1
         if self._adds_since_sweep >= self._PRUNE_SWEEP_EVERY:
@@ -609,14 +606,42 @@ class MatchingEngine:
         targets = _accepting(registrations, event.attribute, event.value)
         if not targets:
             return
-        timestamp = event.timestamp
         append_to(
-            map(_timeline_of, targets), (timestamp, event.seq, event.sensor_id, event)
+            map(_timeline_of, targets),
+            (event.timestamp, event.seq, event.sensor_id, event),
         )
         # Sweeps start once every accepting timeline has the entry: a
         # matcher whose two slots accept the arrival is swept once, as
         # a member of its first (the reference's own slot), and finds
         # it in the other.
+        self._sweep_completable(event, targets, hits)
+
+    def sweep_retained(
+        self, matcher: OperatorMatcher, event: SimpleEvent
+    ) -> Participants | None:
+        """Matches of ``event``, already ingested, for ``matcher``,
+        retained after it (multi-join's ring joins): the ingest's
+        pre-check, then at most one sweep."""
+        found: dict[OperatorMatcher, Participants] = {}
+        self._sweep_completable(event, ((None, matcher, None),), found)
+        return found.get(matcher)
+
+    @staticmethod
+    def _sweep_completable(
+        event: SimpleEvent, targets: Iterable[tuple], hits: dict
+    ) -> None:
+        """Sweep into ``hits`` every matcher of ``targets`` (``(timeline,
+        matcher, own slot index)``, a matcher's entries adjacent) that
+        ``event`` can complete a window of.
+
+        One is swept only if every one of its slots holds an entry newer
+        than ``t0 − Δt``: every candidate trigger ``t*`` of an arrival
+        at ``t0`` has ``t* >= t0`` and needs an entry in ``(t* − Δt,
+        t*]`` in every slot.  The test is exact, so whatever it skips
+        has no match.  One call per arrival, not per matcher: the test
+        is inline.
+        """
+        timestamp = event.timestamp
         previous = None
         for _timeline, matcher, own in targets:
             if matcher is previous:

@@ -98,7 +98,9 @@ def union_covers(cover: Iterable[Interval], target: Interval) -> bool:
 
     Sweep the target from left to right, extending the covered frontier
     with every interval that reaches it.  Runs in ``O(n log n)``.
-    FSF's set filter asks it once per slot.
+    FSF's set filter asks it once per slot.  Intervals are closed, so an
+    interval starting one float above the frontier leaves no gap: no
+    value lies between them.
     """
     if target.is_empty:
         return True
@@ -109,7 +111,8 @@ def union_covers(cover: Iterable[Interval], target: Interval) -> bool:
         return False
     frontier = target.lo
     for iv in spans:
-        if iv.lo > frontier:
+        # The first test spares the call on every span that overlaps.
+        if iv.lo > frontier and iv.lo > math.nextafter(frontier, math.inf):
             return False
         frontier = max(frontier, iv.hi)
         if frontier >= target.hi:

@@ -14,18 +14,24 @@ the store.  The fences here:
   ranked inside an earlier record, and all-cancel leaves it empty;
 * ``matched_for_sensor`` yields in arrival rank, also after a
   cancellation repair inserts a rank-prefixed SPLIT join;
-* the naive and centralized nodes never build the index.
+* the naive and centralized nodes never build the index;
+* FSF's twin shortcut: a stored operator with the same slots, Δt and
+  Δl answers "covered" exactly when the per-slot scan would, at every
+  rank, and a clone's decision reads only its first slot's bucket.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.multijoin import SPLIT, _filter_covered
+from repro.core import filter_split_forward
 from repro.core.filter_split_forward import FilterSplitForwardNode
 from repro.matching import MatchingEngine
 from repro.model import IdentifiedSubscription, Interval
@@ -150,6 +156,18 @@ def operators(draw):
     return operator
 
 
+def clone(operator, **changes):
+    """The same operator under another subscription id."""
+    return CorrelationOperator(
+        changes.get("subscription_id", "clone"),
+        "user",
+        operator.slots,
+        changes.get("delta_t", operator.delta_t),
+        changes.get("delta_l", operator.delta_l),
+        operator.main_slot,
+    )
+
+
 STEPS = st.lists(
     st.one_of(
         st.tuples(st.just("arrive"), operators(), st.booleans()),
@@ -159,6 +177,34 @@ STEPS = st.lists(
     ),
     max_size=25,
 )
+
+
+def fresh_store():
+    seqs = SeqSource()
+    return SubscriptionStore(MatchingEngine(EventStore(validity=100.0)), seqs), seqs
+
+
+def apply_step(store, seqs, derived, step):
+    """One of ``STEPS`` on ``store``; ``derived`` counts repair ranks."""
+    kind = step[0]
+    if kind == "arrive":
+        seqs.begin_arrival()
+        store.add(step[1], covered=step[2], matched=False)
+    elif kind == "cancel":
+        store.remove_subscription(step[1])
+    elif kind == "uncover":
+        covered = [r for r in store.records() if r.covered]
+        if covered:
+            store.uncover(covered[step[1] % len(covered)])
+    else:
+        # A repair derives entries ranked inside an earlier record,
+        # each rank once (a record is repaired at most once).
+        records = store.records()
+        if records:
+            prefix = records[step[1] % len(records)].seq
+            derived[prefix] = derived.get(prefix, 0) + 1
+            seq = prefix + (derived[prefix],)
+            store.add(step[2], covered=step[3], seq=seq, matched=False)
 
 
 def check_rules(store, probes):
@@ -177,6 +223,9 @@ def check_rules(store, probes):
         CorrelationOperator("p", "user", [Slot(*s[:2], Interval(1.0, 4.0), s[2])], 2.0, 10.0)
         for s in sorted(streams, key=lambda s: (s[0], sorted(s[2])))
     ]
+    # Plus a clone of every stored operator: a twin for FSF's shortcut
+    # wherever that operator is uncovered and ranked before ``before``.
+    probes += [clone(record.operator) for record in store.records()]
     for operator in probes:
         for before in ranks:
             assert FilterSplitForwardNode.is_covered(
@@ -198,29 +247,10 @@ def check_rules(store, probes):
     reads=st.lists(st.booleans(), min_size=25, max_size=25),
 )
 def test_rules_decide_what_the_walk_decides(steps, probes, reads):
+    store, seqs = fresh_store()
     derived: dict = {}
-    seqs = SeqSource()
-    store = SubscriptionStore(MatchingEngine(EventStore(validity=100.0)), seqs)
     for step, read in zip(steps, reads):
-        kind = step[0]
-        if kind == "arrive":
-            seqs.begin_arrival()
-            store.add(step[1], covered=step[2], matched=False)
-        elif kind == "cancel":
-            store.remove_subscription(step[1])
-        elif kind == "uncover":
-            covered = [r for r in store.records() if r.covered]
-            if covered:
-                store.uncover(covered[step[1] % len(covered)])
-        else:
-            # A repair derives entries ranked inside an earlier record,
-            # each rank once (a record is repaired at most once).
-            records = store.records()
-            if records:
-                prefix = records[step[1] % len(records)].seq
-                derived[prefix] = derived.get(prefix, 0) + 1
-                seq = prefix + (derived[prefix],)
-                store.add(step[2], covered=step[3], seq=seq, matched=False)
+        apply_step(store, seqs, derived, step)
         # Some stores are read from the start (every later step edits
         # the index), some only at the end (one build over everything).
         if read:
@@ -231,6 +261,93 @@ def test_rules_decide_what_the_walk_decides(steps, probes, reads):
     for sub_id in SUBS:
         store.remove_subscription(sub_id)
     assert store._built_index() == {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=STEPS,
+    changes=st.lists(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "delta_t": st.sampled_from([2.0, 5.0]),
+                "delta_l": st.sampled_from([math.inf, 10.0]),
+            },
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_the_twin_shortcut_answers_what_the_scan_answers(steps, changes):
+    """FSF's rule with and without the twin shortcut, asked of clones
+    and near-clones (another Δt or Δl) of every stored operator, at
+    arrival and at the rank of every stored record."""
+    store, seqs = fresh_store()
+    derived: dict = {}
+    for step in steps:
+        apply_step(store, seqs, derived, step)
+    probes = [
+        clone(record.operator, **change)
+        for record in store.records()
+        for change in changes
+    ]
+    ranks = [None] + [r.seq for r in store.records()]
+    fsf = SimpleNamespace()
+    shortcut = [
+        FilterSplitForwardNode.is_covered(fsf, operator, store, before)
+        for operator in probes
+        for before in ranks
+    ]
+    with mock.patch.object(filter_split_forward, "_has_twin", lambda *args: False):
+        scan = [
+            FilterSplitForwardNode.is_covered(fsf, operator, store, before)
+            for operator in probes
+            for before in ranks
+        ]
+    assert shortcut == scan
+
+
+class ReadCounter:
+    """A store view that records which slots' buckets are read."""
+
+    def __init__(self, store):
+        self.store, self.read = store, []
+
+    def candidates(self, slot, before):
+        self.read.append(slot)
+        return self.store.candidates(slot, before)
+
+
+def test_a_clone_reads_only_its_first_slots_bucket():
+    store = SubscriptionStore(MatchingEngine(EventStore(validity=100.0)))
+    stored = CorrelationOperator(
+        "q",
+        "user",
+        [Slot(s, "t", Interval(0.0, 3.0), frozenset({s})) for s in SENSORS],
+        5.0,
+    )
+    store.add(stored, covered=False, matched=False)
+    fsf = SimpleNamespace()
+    twin = clone(stored)
+    view = ReadCounter(store)
+    assert FilterSplitForwardNode.is_covered(fsf, twin, view)
+    assert view.read == [twin.slots[0]]
+    # Narrower on the last slot: no twin, covered by the scan, which
+    # reads every slot's bucket once.
+    narrower = CorrelationOperator(
+        "r",
+        "user",
+        [*stored.slots[:2], replace(stored.slots[2], interval=Interval(1.0, 2.0))],
+        5.0,
+    )
+    view = ReadCounter(store)
+    assert FilterSplitForwardNode.is_covered(fsf, narrower, view)
+    assert view.read == list(narrower.slots)
+    # A twin ranked at or after ``before`` is not one: a repair asks
+    # what the arrival saw.
+    view = ReadCounter(store)
+    assert not FilterSplitForwardNode.is_covered(fsf, twin, view, store.records()[0].seq)
+    assert view.read == [twin.slots[0]]
 
 
 def test_an_unread_store_builds_nothing():

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.model.intervals import (
     EMPTY_INTERVAL,
@@ -78,7 +78,17 @@ class TestUnionCovers:
     def test_empty_cover_fails(self):
         assert not union_covers([], Interval(0, 1))
 
+    def test_one_ulp_apart_is_contiguous(self):
+        """No float lies between 0 and the next one up: nothing is left."""
+        tiny = math.nextafter(0.0, math.inf)
+        assert union_covers([Interval(0.0, 0.0), Interval(tiny, 1.0)], Interval(0.0, 1.0))
+        two_ulps = math.nextafter(tiny, math.inf)
+        assert not union_covers(
+            [Interval(0.0, 0.0), Interval(two_ulps, 1.0)], Interval(0.0, 1.0)
+        )
+
     @given(st.lists(ivs(), max_size=8), ivs())
+    @example([Interval(0.0, 0.0), Interval(5e-324, 1.0)], Interval(0.0, 1.0))
     def test_matches_pointwise_semantics(self, cover, target):
         """union_covers agrees with dense point probing."""
         claimed = union_covers(cover, target)

@@ -186,7 +186,7 @@ def collect(names: list[str]) -> dict[str, Any]:
             [sys.executable, __file__, "--one", name],
             env=env,
             check=True,
-            capture_output=True,
+            stdout=subprocess.PIPE,
             text=True,
         )
         workloads[name] = json.loads(done.stdout)
