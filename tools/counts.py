@@ -232,12 +232,9 @@ def compare(old: dict[str, Any], new: dict[str, Any]) -> tuple[list[str], list[s
                 else:
                     line = f"{where} {key}: {x} -> {y}"
                 moved.append(line)
-                gate = key.rpartition(".")[2]
-                if key == "digest":
+                gated = key.rpartition(".")[2] in GATED and key != "per_reading.total"
+                if key == "digest" or (gated and y > x * (1 + RISE_BOUND)):
                     failed.append(line)
-                elif gate in GATED and not key.startswith("per_reading"):
-                    if x is None or y is None or y > x * (1 + RISE_BOUND):
-                        failed.append(line)
     return moved, failed
 
 
