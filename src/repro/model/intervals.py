@@ -98,16 +98,16 @@ def union_covers(cover: Iterable[Interval], target: Interval) -> bool:
 
     Sweep the target from left to right, extending the covered frontier
     with every interval that reaches it.  Runs in ``O(n log n)``.
-    FSF's set filter asks it once per slot.  Intervals are closed, so an
-    interval starting one float above the frontier leaves no gap: no
-    value lies between them.
+    FSF's set filter asks it once per slot.  Intervals are closed, so
+    once a span holds ``target.lo``, an interval starting one float
+    above the covered frontier leaves no gap: no value lies between them.
     """
     if target.is_empty:
         return True
     spans = sorted(
         (iv for iv in cover if iv.overlaps(target)), key=lambda iv: (iv.lo, -iv.hi)
     )
-    if not spans:
+    if not spans or spans[0].lo > target.lo:
         return False
     frontier = target.lo
     for iv in spans:

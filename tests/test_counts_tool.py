@@ -83,10 +83,20 @@ def test_the_committed_record_holds_every_cell(counts):
     from e2e.workloads import WORKLOADS
 
     committed = json.loads((ROOT / "BENCH_counts.json").read_text())
-    assert committed["python"].split(".")[0] == "3"
+    assert set(counts.environment()) <= set(committed)
     assert set(committed["workloads"]) == set(WORKLOADS)
     for name, workload in WORKLOADS.items():
         cells = committed["workloads"][name]["cells"]
         assert set(cells) == set(workload.cells)
         for cell in cells.values():
             assert cell["calls"]["total"] == sum(cell["layers"].values())
+
+
+def test_check_refuses_another_environment(counts, monkeypatch, capsys):
+    """Library Python code is counted: another numpy or patch release
+    may move the counts, so the check compares nothing across them."""
+    committed = json.loads((ROOT / "BENCH_counts.json").read_text())
+    other = {**counts.environment(), "python": committed["python"], "numpy": "0.0"}
+    monkeypatch.setattr(counts, "environment", lambda: other)
+    assert counts.main(["--check"]) == 1
+    assert "not comparable" in capsys.readouterr().out

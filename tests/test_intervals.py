@@ -86,9 +86,12 @@ class TestUnionCovers:
         assert not union_covers(
             [Interval(0.0, 0.0), Interval(two_ulps, 1.0)], Interval(0.0, 1.0)
         )
+        # The allowance starts after a span holds target.lo: 0.0 itself is bare.
+        assert not union_covers([Interval(tiny, 1.0)], Interval(0.0, 1.0))
 
     @given(st.lists(ivs(), max_size=8), ivs())
     @example([Interval(0.0, 0.0), Interval(5e-324, 1.0)], Interval(0.0, 1.0))
+    @example([Interval(5e-324, 1.0)], Interval(0.0, 1.0))
     def test_matches_pointwise_semantics(self, cover, target):
         """union_covers agrees with dense point probing."""
         claimed = union_covers(cover, target)

@@ -26,12 +26,12 @@ at the repository root:
 A count is taken after one warm-up run of every cell of the workload,
 so lazy imports and first-read caches are paid before it; each
 workload runs in its own interpreter, under ``PYTHONHASHSEED=0``.  The
-file records the interpreter version: counts are comparable only under
-the same major.minor version.
+file records the interpreter and numpy versions: standard-library and
+numpy Python code is counted too, so counts are comparable only under
+the same versions of both (CI pins them to the recorded ones).
 
     python tools/counts.py                 # regenerate BENCH_counts.json
     python tools/counts.py --check         # regenerate in memory and diff
-    python tools/counts.py --workload W    # one workload, printed
 
 ``--check`` prints every count that moved against the committed file
 and exits 1 when a cell's total calls, sweeps or cover decisions rose
@@ -177,11 +177,20 @@ def count_workload(name: str) -> dict[str, Any]:
     return {"readings": readings, "cells": cells}
 
 
-def collect(names: list[str]) -> dict[str, Any]:
+def environment() -> dict[str, str]:
+    """The versions whose Python code the counts include."""
+    import numpy
+
+    return {"numpy": numpy.__version__, "python": platform.python_version()}
+
+
+def collect() -> dict[str, Any]:
     """Each workload in a fresh interpreter under a fixed hash seed."""
+    from e2e.workloads import WORKLOADS
+
     env = dict(os.environ, PYTHONHASHSEED="0")
     workloads = {}
-    for name in names:
+    for name in WORKLOADS:
         done = subprocess.run(
             [sys.executable, __file__, "--one", name],
             env=env,
@@ -190,11 +199,7 @@ def collect(names: list[str]) -> dict[str, Any]:
             text=True,
         )
         workloads[name] = json.loads(done.stdout)
-    return {
-        "python": platform.python_version(),
-        "seed": 0,
-        "workloads": workloads,
-    }
+    return {**environment(), "seed": 0, "workloads": workloads}
 
 
 def dump(record: dict[str, Any]) -> str:
@@ -243,29 +248,25 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true")
-    parser.add_argument("--workload", choices=sorted(WORKLOADS))
     parser.add_argument("--one", choices=sorted(WORKLOADS), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.one:
         print(json.dumps(count_workload(args.one)))
         return 0
-    names = [args.workload] if args.workload else list(WORKLOADS)
-    record = collect(names)
-    if args.workload:
-        print(dump(record), end="")
-        return 0
+    if args.check:
+        committed = json.loads(OUT.read_text())
+        counted = {key: committed.get(key) for key in environment()}
+        if counted != environment():
+            print(
+                f"{OUT.name} was counted under {counted}; this is "
+                f"{environment()}: counts are not comparable"
+            )
+            return 1
+    record = collect()
     if not args.check:
         OUT.write_text(dump(record))
         print(f"wrote {OUT.relative_to(ROOT)}")
         return 0
-    committed = json.loads(OUT.read_text())
-    version = platform.python_version_tuple()[:2]
-    if committed["python"].split(".")[:2] != list(version):
-        print(
-            f"{OUT.name} was counted under Python {committed['python']}; "
-            f"this is {platform.python_version()}: counts are not comparable"
-        )
-        return 1
     moved, failed = compare(committed, record)
     for line in moved:
         print(line)
