@@ -17,11 +17,13 @@ import numpy as np
 
 from repro.matching import MatchingEngine
 from repro.model import (
+    Advertisement,
+    AdvertisementTable,
     IdentifiedSubscription,
     Interval,
     Location,
     SimpleEvent,
-    operator_from_identified,
+    root_operator,
 )
 from repro.model.intervals import union_covers
 from repro.network.eventstore import EventStore
@@ -32,11 +34,17 @@ from repro.workload.subscriptions import (
 )
 
 
+def _identified(sub_id, ranges):
+    """Root operator of an identified query whose sensors are advertised."""
+    ads = AdvertisementTable()
+    for sensor_id, (attribute, _, _) in ranges.items():
+        ads.add(ads.LOCAL, Advertisement(sensor_id, attribute, Location(0, 0)))
+    subscription = IdentifiedSubscription.from_ranges(sub_id, ranges, 5.0)
+    return root_operator(subscription, "n", ads)
+
+
 def _operator(width=5):
-    ranges = {f"d{i}": ("t", 0.0, 50.0) for i in range(width)}
-    return operator_from_identified(
-        IdentifiedSubscription.from_ranges("s", ranges, 5.0), "n"
-    )
+    return _identified("s", {f"d{i}": ("t", 0.0, 50.0) for i in range(width)})
 
 
 def _events(n_per_sensor=50, width=5):
@@ -175,12 +183,7 @@ def test_bench_eventstore_insert_and_query(benchmark):
 
 def test_bench_operator_coverage_check(benchmark):
     wide = _operator()
-    narrow = operator_from_identified(
-        IdentifiedSubscription.from_ranges(
-            "n", {f"d{i}": ("t", 10.0, 40.0) for i in range(5)}, 5.0
-        ),
-        "n",
-    )
+    narrow = _identified("n", {f"d{i}": ("t", 10.0, 40.0) for i in range(5)})
     benchmark(wide.covers, narrow)
 
 
@@ -308,11 +311,12 @@ def _calls(run_round):
             calls += 1
 
     gc.collect()
+    previous = sys.getprofile()
     sys.setprofile(count)
     try:
         run_round()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     return calls
 
 

@@ -147,10 +147,10 @@ class QueryHandle:
         cache_key = (delivery.generation(self.sub_id), len(delivered))
         if self._matches_cache is not None and self._matches_cache[0] == cache_key:
             return list(self._matches_cache[1])
-        if not delivered:
+        operator = self._root_operator() if delivered else None
+        if operator is None:
             self._matches_cache = (cache_key, [])
             return []
-        operator = self._root_operator()
         view = delivery.view(self.sub_id)
         out: list[ComplexMatch] = []
         for trigger in sorted(
@@ -226,7 +226,7 @@ class QueryHandle:
         return cancelled
 
     # ------------------------------------------------------------------
-    def _root_operator(self) -> CorrelationOperator:
+    def _root_operator(self) -> CorrelationOperator | None:
         from ..metrics.oracle import oracle_operator  # local: avoid cycle
 
         return oracle_operator(self.subscription, self._session.deployment)

@@ -19,11 +19,7 @@ from __future__ import annotations
 
 from ..model.events import EventKey, SimpleEvent
 from ..model.operators import CorrelationOperator, root_operator
-from ..model.subscriptions import (
-    AbstractSubscription,
-    IdentifiedSubscription,
-    Subscription,
-)
+from ..model.subscriptions import Subscription
 from ..network.messages import (
     AdvertisementMessage,
     EventMessage,
@@ -88,33 +84,13 @@ class CentralizedNode(Node):
     # ------------------------------------------------------------------
     # subscription side
     # ------------------------------------------------------------------
-    def build_root_operator(
-        self, subscription: Subscription
-    ) -> CorrelationOperator | None:
-        """Resolve with global knowledge (the centre knows everything)."""
-        if isinstance(subscription, IdentifiedSubscription):
-            known = {s.sensor_id for s in self.network.deployment.sensors}
-            if not subscription.sensor_ids <= known:
-                return None
-            return root_operator(subscription, self.node_id)
-        assert isinstance(subscription, AbstractSubscription)
-        sensors: dict[str, list[str]] = {}
-        for clause in subscription.clauses:
-            hits = [
-                s.sensor_id
-                for s in self.network.deployment.sensors
-                if s.attribute.name == clause.attribute
-                and clause.region.contains(s.location)
-            ]
-            if not hits:
-                return None
-            sensors[clause.attribute] = sorted(hits)
-        return root_operator(subscription, self.node_id, sensors)
-
     def subscribe(
         self, subscription: Subscription, plan: object | None = None
     ) -> None:
-        root = self.build_root_operator(subscription)
+        # The centre resolves with global knowledge: it knows everything.
+        root = root_operator(
+            subscription, self.node_id, self.network.deployment.advertisements
+        )
         if root is None:
             self.network.dropped_subscriptions.append(subscription.sub_id)
             return
@@ -135,18 +111,6 @@ class CentralizedNode(Node):
         # Only the centre receives operators (via unicast).
         assert self.node_id == self.network.center
         self.store_for(LOCAL).add(operator, covered=False)
-
-    def unsubscribe(self, sub_id: str) -> bool:
-        """Mirror of :meth:`subscribe`: the subscriber holds no matcher
-        and no per-sensor delivery index, only the registration."""
-        kept = [
-            entry for entry in self.local_subscriptions if entry[0].sub_id != sub_id
-        ]
-        if len(kept) == len(self.local_subscriptions):
-            return False
-        self.local_subscriptions = kept
-        self.retire_subscription(sub_id)
-        return True
 
     def retire_subscription(self, sub_id: str) -> None:
         """Cancellation: tell the centre to drop the operator.

@@ -28,8 +28,6 @@ on that pair, and every clone of a question holds the one frozen answer.
 
 from __future__ import annotations
 
-import bisect
-import copy
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -39,42 +37,30 @@ from ..matching.engine import OperatorMatcher, match_structure
 from ..model.events import EventKey, SimpleEvent
 from ..model.matching import instance_exists, match_at_trigger
 from ..model.operators import CorrelationOperator, root_operator
-from ..model.subscriptions import (
-    AbstractSubscription,
-    IdentifiedSubscription,
-    Subscription,
-)
+from ..model.subscriptions import Subscription
+from ..network.delivery import EventIndex
 from ..network.topology import Deployment
 from .fences import NO_FENCES, Fences
 
 ORACLE_METHODS = ("engine", "reference")
 
 
-class EventIndex:
-    """SlotEventProvider over an arbitrary event collection.
+class _FencedView:
+    """The reference truth pass's probe target: an :class:`EventIndex`
+    behind departure fences.
 
-    The reference truth pass fences it like the engine pass fences its
+    It is fenced like the engine pass fences its
     :class:`OperatorMatcher`: :meth:`fence_sensor` hides a departed
     sensor's earlier events from every later window query, the offline
     equivalent of the store-level fence a retraction flood applies
     online.  Events after a re-join are stamped later and stay visible.
     """
 
-    def __init__(self, events: Iterable[SimpleEvent]) -> None:
-        self._by_sensor: dict[str, list[tuple[float, int, SimpleEvent]]] = {}
-        self._fences: dict[str, float] = {}
-        for event in events:
-            self._by_sensor.setdefault(event.sensor_id, []).append(
-                (event.timestamp, event.seq, event)
-            )
-        for timeline in self._by_sensor.values():
-            timeline.sort()
+    __slots__ = ("_index", "_fences")
 
-    def unfenced(self) -> "EventIndex":
-        """A view sharing these events, with no fence applied yet."""
-        view = copy.copy(self)
-        view._fences = {}
-        return view
+    def __init__(self, index: EventIndex) -> None:
+        self._index = index
+        self._fences: dict[str, float] = {}
 
     def fence_sensor(self, sensor_id: str, until: float) -> None:
         """Hide ``sensor_id``'s events stamped at or before ``until``."""
@@ -84,19 +70,8 @@ class EventIndex:
     def events_for_sensor(
         self, sensor_id: str, after: float, until: float
     ) -> Sequence[SimpleEvent]:
-        timeline = self._by_sensor.get(sensor_id)
-        if not timeline:
-            return ()
         after = max(after, self._fences.get(sensor_id, after))
-        lo = bisect.bisect_right(timeline, (after, float("inf")))
-        hi = bisect.bisect_right(timeline, (until, float("inf")))
-        return [entry[2] for entry in timeline[lo:hi]]
-
-    def events_of(self, sensor_ids: Iterable[str]) -> list[SimpleEvent]:
-        out: list[SimpleEvent] = []
-        for sensor_id in sensor_ids:
-            out.extend(e for _, _, e in self._by_sensor.get(sensor_id, ()))
-        return out
+        return self._index.events_for_sensor(sensor_id, after, until)
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,20 +95,10 @@ class SubscriptionTruth:
 
 def oracle_operator(
     subscription: Subscription, deployment: Deployment
-) -> CorrelationOperator:
-    """Root operator resolved with global deployment knowledge."""
-    if isinstance(subscription, IdentifiedSubscription):
-        return root_operator(subscription, "oracle")
-    assert isinstance(subscription, AbstractSubscription)
-    sensors: dict[str, list[str]] = {}
-    for clause in subscription.clauses:
-        sensors[clause.attribute] = sorted(
-            s.sensor_id
-            for s in deployment.sensors
-            if s.attribute.name == clause.attribute
-            and clause.region.contains(s.location)
-        )
-    return root_operator(subscription, "oracle", sensors)
+) -> CorrelationOperator | None:
+    """Root operator resolved with global deployment knowledge; None
+    when a source is absent, exactly where the nodes drop it."""
+    return root_operator(subscription, "oracle", deployment.advertisements)
 
 
 class _OfflineEngine:
@@ -199,7 +164,7 @@ def operator_truth(
         exists = target.instance_exists
         at_trigger = target.match_at_trigger
     elif method == "reference":
-        target = index.unfenced()
+        target = _FencedView(index)
         exists = partial(instance_exists, operator, target)
         at_trigger = partial(match_at_trigger, operator, target)
     else:
@@ -253,10 +218,12 @@ def compute_truth(
     truth pass (see module docstring); ``fences`` — on the same clock as
     ``events`` — says what no approach could observe: readings lost in
     an outage gap, departed sensors' history and each query's lifetime
-    (see :mod:`repro.metrics.fences`).  Clones share one pass (module
-    docstring) and its stored answer: a later clone holds the first
-    truth's two frozensets and its operator's ``slots`` tuple, under its
-    own id — so its operator equals its own :func:`operator_truth`'s.
+    (see :mod:`repro.metrics.fences`).  A subscription with an absent
+    source gets no entry: the nodes drop it, so it has no true instance.
+    Clones share one pass (module docstring) and its stored answer: a
+    later clone holds the first truth's two frozensets and its
+    operator's ``slots`` tuple, under its own id — so its operator
+    equals its own :func:`operator_truth`'s.
     """
     index = EventIndex(fences.published(events))
     truths: dict[str, SubscriptionTruth] = {}
@@ -264,6 +231,8 @@ def compute_truth(
     for subscription in subscriptions:
         sub_id = subscription.sub_id
         operator = oracle_operator(subscription, deployment)
+        if operator is None:
+            continue  # dropped for an absent source: no true instance
         key = (match_structure(operator), fences.lifetime(sub_id))
         first = answered.get(key)
         if first is None:

@@ -45,8 +45,6 @@ from .matching import (
 from .operators import (
     CorrelationOperator,
     Slot,
-    operator_from_abstract,
-    operator_from_identified,
     root_operator,
 )
 from .subscriptions import (
@@ -97,8 +95,6 @@ __all__ = [
     "instance_exists",
     "match_at_trigger",
     "matches_involving",
-    "operator_from_abstract",
-    "operator_from_identified",
     "root_operator",
     "spatial_span",
     "union_covers",

@@ -10,7 +10,7 @@ advertisement path toward matching sensors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, KeysView, Mapping
 
 from .locations import Location, Region
 
@@ -86,8 +86,10 @@ class AdvertisementTable:
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-    def knows(self, sensor_id: str) -> bool:
-        return sensor_id in self._next_hop
+    @property
+    def known_ids(self) -> KeysView[str]:
+        """The ids of every advertised sensor (a live view)."""
+        return self._next_hop.keys()
 
     def get(self, sensor_id: str) -> Advertisement | None:
         origin = self._next_hop.get(sensor_id)

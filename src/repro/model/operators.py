@@ -24,16 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
+from .advertisements import AdvertisementTable
 from .events import SimpleEvent
 from .intervals import Interval
-from .subscriptions import (
-    AbstractSubscription,
-    IdentifiedSubscription,
-    Subscription,
-    UNBOUNDED,
-)
+from .subscriptions import IdentifiedSubscription, Subscription, UNBOUNDED
 
 
 @dataclass(frozen=True, slots=True)
@@ -400,47 +396,41 @@ _DERIVED: dict[str, Callable[[CorrelationOperator], object]] = {
 # ---------------------------------------------------------------------------
 # construction from subscriptions
 # ---------------------------------------------------------------------------
-def operator_from_identified(
-    subscription: IdentifiedSubscription, subscriber: str
-) -> CorrelationOperator:
-    """Root operator of an identified subscription: one slot per sensor."""
-    return CorrelationOperator(
-        subscription.sub_id,
-        subscriber,
-        (
-            Slot(f.sensor_id, f.attribute, f.interval, frozenset({f.sensor_id}))
-            for f in subscription.filters
-        ),
-        subscription.delta_t,
-    )
+def root_operator(
+    subscription: Subscription, subscriber: str, ads: AdvertisementTable
+) -> CorrelationOperator | None:
+    """The root operator of ``subscription`` at ``subscriber``, resolved
+    against the advertised sensors of ``ads``; None when some source is
+    absent (Algorithm 3, line 3: the subscription is dropped).
 
-
-def operator_from_abstract(
-    subscription: AbstractSubscription,
-    subscriber: str,
-    sensors_by_attribute: Mapping[str, Sequence[str]],
-) -> CorrelationOperator:
-    """Root operator of a resolved abstract subscription.
-
-    ``sensors_by_attribute`` comes from
-    :meth:`repro.model.subscriptions.AbstractSubscription.resolve`; every
-    attribute must have at least one sensor (otherwise the subscription
-    has absent sources and Algorithm 3 drops it before this point).
+    An identified subscription gets one slot per named sensor, each of
+    which must be advertised.  An abstract one gets one slot per
+    attribute, filled by the advertised sensors of that attribute inside
+    its region, and every attribute must have at least one.
     """
-    slots = []
+    if isinstance(subscription, IdentifiedSubscription):
+        if not subscription.sensor_ids <= ads.known_ids:
+            return None
+        return CorrelationOperator(
+            subscription.sub_id,
+            subscriber,
+            (
+                Slot(f.sensor_id, f.attribute, f.interval, frozenset({f.sensor_id}))
+                for f in subscription.filters
+            ),
+            subscription.delta_t,
+        )
+    slots: list[Slot] = []
     for clause in subscription.clauses:
-        sensors = sensors_by_attribute.get(clause.attribute, ())
-        if not sensors:
-            raise ValueError(
-                f"attribute {clause.attribute!r} of {subscription.sub_id} "
-                "has no advertised sensors in its region"
-            )
+        advertised = ads.sensors_matching(clause.attribute, clause.region)
+        if not advertised:
+            return None
         slots.append(
             Slot(
                 clause.attribute,
                 clause.attribute,
                 clause.condition.interval,
-                frozenset(sensors),
+                frozenset(ad.sensor_id for ad in advertised),
             )
         )
     return CorrelationOperator(
@@ -450,16 +440,3 @@ def operator_from_abstract(
         subscription.delta_t,
         subscription.delta_l,
     )
-
-
-def root_operator(
-    subscription: Subscription,
-    subscriber: str,
-    sensors_by_attribute: Mapping[str, Sequence[str]] | None = None,
-) -> CorrelationOperator:
-    """Dispatch on subscription flavour."""
-    if isinstance(subscription, IdentifiedSubscription):
-        return operator_from_identified(subscription, subscriber)
-    if sensors_by_attribute is None:
-        raise ValueError("abstract subscriptions need resolved sensors")
-    return operator_from_abstract(subscription, subscriber, sensors_by_attribute)

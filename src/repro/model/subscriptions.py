@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from . import checks
-from .advertisements import Advertisement, AdvertisementTable
 from .events import SimpleEvent
 from .filters import AbstractFilter, IdentifiedFilter, SimpleFilter
 from .intervals import Interval
@@ -137,22 +136,6 @@ class AbstractSubscription:
     def matches_simple(self, event: SimpleEvent) -> bool:
         """``a_d in A``, ``p_d in L`` and ``f_{a_d}(v)`` true."""
         return any(c.matches_event(event) for c in self.clauses)
-
-    def resolve(
-        self, advertisements: AdvertisementTable
-    ) -> dict[str, list[Advertisement]]:
-        """Concrete sensors per attribute, from advertised sources.
-
-        Returns ``{attribute: [advertisements in L]}``; an empty list for
-        some attribute means the subscription currently has absent
-        sources and must not be forwarded (Algorithm 3, line 3).
-        """
-        return {
-            clause.attribute: advertisements.sensors_matching(
-                clause.attribute, clause.region
-            )
-            for clause in self.clauses
-        }
 
     @classmethod
     def from_ranges(

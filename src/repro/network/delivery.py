@@ -16,8 +16,15 @@ from typing import Iterable, Mapping, Sequence
 from ..model.events import EventKey, SimpleEvent
 
 
-class _DeliveredView:
-    """SlotEventProvider over one subscription's delivered events."""
+class EventIndex:
+    """SlotEventProvider over an arbitrary event collection: one
+    ``(timestamp, seq, event)`` list per sensor, sorted, answering a
+    window query with two bisects.
+
+    :meth:`DeliveryLog.view` serves one subscription's delivered events
+    through it; the offline oracle serves the whole replay, and keeps
+    its departure fences in front of it (``repro.metrics.oracle``).
+    """
 
     def __init__(self, events: Iterable[SimpleEvent]) -> None:
         self._by_sensor: dict[str, list[tuple[float, int, SimpleEvent]]] = {}
@@ -37,6 +44,12 @@ class _DeliveredView:
         lo = bisect.bisect_right(timeline, (after, float("inf")))
         hi = bisect.bisect_right(timeline, (until, float("inf")))
         return [entry[2] for entry in timeline[lo:hi]]
+
+    def events_of(self, sensor_ids: Iterable[str]) -> list[SimpleEvent]:
+        out: list[SimpleEvent] = []
+        for sensor_id in sensor_ids:
+            out.extend(e for _, _, e in self._by_sensor.get(sensor_id, ()))
+        return out
 
 
 class DeliveryLog:
@@ -85,9 +98,9 @@ class DeliveryLog:
     def delivered_count(self, sub_id: str) -> int:
         return len(self._events.get(sub_id, {}))
 
-    def view(self, sub_id: str) -> _DeliveredView:
+    def view(self, sub_id: str) -> EventIndex:
         """Matching-compatible provider over the delivered events."""
-        return _DeliveredView(self._events.get(sub_id, {}).values())
+        return EventIndex(self._events.get(sub_id, {}).values())
 
     def subscriptions(self) -> list[str]:
         return sorted(self.registered | set(self._events))

@@ -31,11 +31,7 @@ from ..matching import HitMap, MatchingEngine
 from ..model.advertisements import Advertisement, AdvertisementTable
 from ..model.events import EventKey, SimpleEvent
 from ..model.operators import CorrelationOperator, Slot, root_operator
-from ..model.subscriptions import (
-    AbstractSubscription,
-    IdentifiedSubscription,
-    Subscription,
-)
+from ..model.subscriptions import Subscription
 from ..sketches.messages import SketchPushMessage, SketchSubscribeMessage
 from .eventstore import EventStore
 from .messages import (
@@ -533,15 +529,16 @@ class Node:
     ) -> None:
         """Register a local user subscription.
 
-        Resolves abstract subscriptions against the advertisement table
-        (local knowledge only — the table was filled by flooding) and
-        performs the absent-sources check of Algorithm 3, line 3.
+        Resolves it against this node's advertisement table (local
+        knowledge only — the table was filled by flooding); a
+        subscription with an absent source is dropped (Algorithm 3,
+        line 3).
 
         A compiled ``plan`` rides along to :meth:`handle_operator`,
         where it replaces the split; local delivery and the
         absent-sources check are identical either way.
         """
-        root = self.build_root_operator(subscription)
+        root = root_operator(subscription, self.node_id, self.ads)
         if root is None:
             self.network.dropped_subscriptions.append(subscription.sub_id)
             return
@@ -558,23 +555,6 @@ class Node:
         self._local_roots.add(root, covered=False)
         self._seq_source.begin_arrival()
         self.handle_operator(root, LOCAL, plan)
-
-    def build_root_operator(
-        self, subscription: Subscription
-    ) -> CorrelationOperator | None:
-        """Root operator, or None when some source is absent."""
-        if isinstance(subscription, IdentifiedSubscription):
-            if not all(self.ads.knows(s) for s in subscription.sensor_ids):
-                return None
-            return root_operator(subscription, self.node_id)
-        assert isinstance(subscription, AbstractSubscription)
-        resolved = subscription.resolve(self.ads)
-        if any(not ads for ads in resolved.values()):
-            return None
-        sensors = {
-            attr: [ad.sensor_id for ad in ads] for attr, ads in resolved.items()
-        }
-        return root_operator(subscription, self.node_id, sensors)
 
     # ------------------------------------------------------------------
     # the operator pipeline (Algorithms 3-4): filter, store, place

@@ -22,12 +22,13 @@ large (sources)    200     100       20       10, 11
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from ..model import checks
-from ..model.advertisements import Advertisement
+from ..model.advertisements import Advertisement, AdvertisementTable
 from ..model.attributes import AttributeType, SENSORSCOPE_ATTRIBUTES
 from ..model.locations import Location
 
@@ -167,6 +168,17 @@ class Deployment:
     def user_nodes(self) -> list[str]:
         """Nodes where user subscriptions may be injected (the relays)."""
         return list(self.relay_nodes)
+
+    @cached_property
+    def advertisements(self) -> AdvertisementTable:
+        """Every sensor's advertisement, filed under its host node: the
+        global knowledge the centre, the oracle and the placement
+        compiler resolve subscriptions against (built once, on first
+        read)."""
+        table = AdvertisementTable()
+        for s in self.sensors:
+            table.add(s.node_id, s.advertisement())
+        return table
 
     def sensors_of_group(self, group: int) -> list[SensorPlacement]:
         return list(self.groups[group])

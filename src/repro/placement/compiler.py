@@ -9,9 +9,11 @@ executes instead of the paper's split-at-every-divergence heuristic.
 
 Pass ordering, per query:
 
-1. **resolve** — build the root correlation operator and map every
-   sensor to its hosting node (identified subscriptions only; the
-   compiler has no advertisement tables to resolve abstract ones);
+1. **resolve** — build the root correlation operator against the
+   deployment's advertisements and map every sensor to its hosting
+   node (identified subscriptions only: an abstract one's slots are
+   whatever is advertised at its admission, and a plan is keyed on
+   fixed sensor sets);
 2. **enumerate** — candidate rendezvous nodes are exactly the nodes of
    the union of tree paths user -> host (the query's Steiner tree; any
    node off it is dominated by its projection onto it);
@@ -159,12 +161,16 @@ def compile_placement(
         if not isinstance(subscription, IdentifiedSubscription):
             raise ValueError(
                 "compiled placement requires identified subscriptions; "
-                f"{admission.sub_id!r} is abstract (the compiler has no "
-                "advertisement tables to resolve it against)"
+                f"{admission.sub_id!r} is abstract (its slots hold the "
+                "sensors advertised when it is admitted, which churn can "
+                "change after compilation, and a plan is keyed on fixed "
+                "sensor sets)"
             )
-        if not all(s in host_of for s in subscription.sensor_ids):
+        operator = root_operator(
+            subscription, admission.node_id, deployment.advertisements
+        )
+        if operator is None:
             continue
-        operator = root_operator(subscription, admission.node_id)
         plans[admission.sub_id] = compile_query(
             deployment,
             operator,

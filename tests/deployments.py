@@ -10,9 +10,10 @@ the imports unambiguous regardless of what else is collected.
 
 from __future__ import annotations
 
-from repro.model import Location, SimpleEvent
+from repro.model import Advertisement, AdvertisementTable, Location, SimpleEvent
 from repro.model.attributes import AttributeType
 from repro.model.intervals import Interval
+from repro.model.operators import root_operator
 from repro.network.network import Network
 from repro.network.topology import Deployment, Overlay, SensorPlacement, add_link
 from repro.sim import Simulator
@@ -26,6 +27,25 @@ from repro.sim import Simulator
 # relay/user nodes.  Small enough to reason about exact traffic counts.
 # ---------------------------------------------------------------------------
 ATTR = AttributeType("t", Interval(-1000.0, 1000.0))
+
+
+def advertised(attribute_of, at: Location = Location(0.0, 0.0)) -> AdvertisementTable:
+    """A table advertising each ``{sensor: attribute}`` at ``at``, as a
+    node's table holds them after the flood."""
+    table = AdvertisementTable()
+    for sensor_id, attribute in attribute_of.items():
+        table.add(table.LOCAL, Advertisement(sensor_id, attribute, at))
+    return table
+
+
+def identified_operator(subscription, subscriber: str):
+    """The root operator of an identified subscription whose sensors
+    are all advertised."""
+    return root_operator(
+        subscription,
+        subscriber,
+        advertised({f.sensor_id: f.attribute for f in subscription.filters}),
+    )
 
 
 def overlay(links) -> Overlay:

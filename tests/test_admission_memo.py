@@ -65,7 +65,7 @@ def test_memoised_split_equals_a_fresh_partition_after_every_step(steps):
             table.remove(sensor_id)
         else:
             # "move": the same sensor re-advertised from another origin.
-            if kind == "move" and table.knows(sensor_id):
+            if kind == "move" and sensor_id in table.known_ids:
                 (known,) = table.partition_by_origin([sensor_id])
                 origin = ORIGINS[(ORIGINS.index(known) + 1) % len(ORIGINS)]
             table.add(origin, Advertisement(sensor_id, "t", Location(0.0, 0.0)))

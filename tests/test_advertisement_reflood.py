@@ -48,7 +48,7 @@ def _holders(network: Network, sensor_id: str) -> dict[str, str]:
     return {
         node_id: next(iter(node.ads.partition_by_origin([sensor_id])))
         for node_id, node in network.nodes.items()
-        if node.ads.knows(sensor_id)
+        if sensor_id in node.ads.known_ids
     }
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,35 @@ def test_one_cell_counted_by_phase_and_by_package(counts):
     assert tally["sweeps"] == PINNED["fsf"][0]
     assert tally["cover_decisions"] > 0
     assert tally["layers"]["repro.core"] > 0
+
+
+def test_a_profile_hook_installed_before_a_run_is_back_after_it(
+    counts, monkeypatch
+):
+    """cProfile's ``disable`` clears the interpreter's profile hook, so
+    a caller's own hook (``tools/reach.py`` runs tier-1 under one) must
+    be put back, on success and on failure alike."""
+    import repro.workload.program as program
+
+    def hook(frame, event, arg):
+        pass
+
+    monkeypatch.setattr(program, "execute_program", lambda compiled, cell: cell)
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        assert counts.PhaseProfiles().run(None, "fsf") == "fsf"
+        assert sys.getprofile() is hook
+
+        def failing(compiled, cell):
+            raise RuntimeError(cell)
+
+        monkeypatch.setattr(program, "execute_program", failing)
+        with pytest.raises(RuntimeError):
+            counts.PhaseProfiles().run(None, "fsf")
+        assert sys.getprofile() is hook
+    finally:
+        sys.setprofile(previous)
 
 
 def test_the_committed_record_holds_every_cell(counts):

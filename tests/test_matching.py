@@ -17,11 +17,12 @@ from repro.model import (
     instance_exists,
     match_at_trigger,
     matches_involving,
-    operator_from_identified,
 )
 from repro.model.matching import build_complex_events
-from repro.model.operators import operator_from_abstract
+from repro.model.operators import root_operator
 from repro.model.subscriptions import AbstractSubscription
+
+from deployments import advertised, identified_operator
 
 
 def ev(sensor, value, ts, seq=0, loc=(0.0, 0.0), attr="t"):
@@ -31,7 +32,7 @@ def ev(sensor, value, ts, seq=0, loc=(0.0, 0.0), attr="t"):
 SUB = IdentifiedSubscription.from_ranges(
     "s", {"a": ("t", 0, 10), "b": ("t", 20, 30)}, delta_t=5.0
 )
-OP = operator_from_identified(SUB, "user")
+OP = identified_operator(SUB, "user")
 
 
 class TestPaperDefinition:
@@ -120,7 +121,7 @@ class TestTriggerAnchoredMatching:
         sub = AbstractSubscription.from_ranges(
             "x", {"t": (0, 10), "u": (0, 10)}, region, 5.0, delta_l=2.0
         )
-        op = operator_from_abstract(sub, "user", {"t": ["d1"], "u": ["d2", "d3"]})
+        op = root_operator(sub, "user", advertised({"d1": "t", "d2": "u", "d3": "u"}))
         near = ev("d2", 5, 2.0, loc=(1.5, 1), attr="u")
         far = ev("d3", 5, 2.0, loc=(80, 1), attr="u")
         idx = EventIndex([ev("d1", 5, 1.0, loc=(1, 1)), near, far])

@@ -16,6 +16,7 @@ from repro.model import (
     RectRegion,
     SimpleEvent,
     SimpleFilter,
+    root_operator,
 )
 from repro.model.filters import AbstractFilter, IdentifiedFilter
 
@@ -108,7 +109,8 @@ class TestAdvertisementTable:
             AdvertisementTable.LOCAL: ["d1"],
             "n2": ["d2"],
         }
-        assert table.knows("d1") and not table.knows("d9")
+        assert "d1" in table.known_ids and "d9" not in table.known_ids
+        assert table.known_ids == {"d1", "d2"}
 
     def test_duplicate_advertisement_not_new(self):
         table = AdvertisementTable()
@@ -187,13 +189,31 @@ class TestSubscriptions:
         assert not s.matches_simple(ev(value=4.0, loc=(20, 1)))
 
     def test_abstract_resolution(self):
+        """The resolver keeps the advertised sensors of each attribute
+        inside the region, and drops the query when one attribute has
+        none there."""
         region = RectRegion(Interval(0, 10), Interval(0, 10))
         s = AbstractSubscription.from_ranges("s", {"t": (0, 5)}, region, 2.0)
         table = AdvertisementTable()
         table.add("n1", Advertisement("d1", "t", Location(1, 1)))
         table.add("n1", Advertisement("d2", "t", Location(99, 99)))
-        resolved = s.resolve(table)
-        assert [a.sensor_id for a in resolved["t"]] == ["d1"]
+        table.add("n2", Advertisement("d3", "u", Location(2, 2)))
+        op = root_operator(s, "user", table)
+        assert [(slot.slot_id, slot.sensors) for slot in op.slots] == [
+            ("t", frozenset({"d1"}))
+        ]
+        assert (op.subscription_id, op.subscriber, op.delta_t) == ("s", "user", 2.0)
+        both = AbstractSubscription.from_ranges(
+            "s2", {"t": (0, 5), "u": (0, 5)}, region, 2.0
+        )
+        slots = root_operator(both, "user", table).slots
+        assert {slot.slot_id: slot.sensors for slot in slots} == {
+            "t": frozenset({"d1"}),
+            "u": frozenset({"d3"}),
+        }
+        table.remove("d1")  # t has no sensor left in the region
+        assert root_operator(s, "user", table) is None
+        assert root_operator(both, "user", table) is None
 
     def test_abstract_delta_l_validation(self):
         region = RectRegion(Interval(0, 1), Interval(0, 1))

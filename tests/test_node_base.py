@@ -23,7 +23,7 @@ class TestAdvertisementFlooding:
         net = make_network(line, filter_split_forward_approach())
         for node in net.nodes.values():
             for sensor in ("a", "b", "c"):
-                assert node.ads.knows(sensor)
+                assert sensor in node.ads.known_ids
 
     def test_next_hops_point_toward_sensor(self, line):
         net = make_network(line, filter_split_forward_approach())

@@ -7,12 +7,12 @@ from repro.model import (
     Interval,
     Location,
     SimpleEvent,
-    operator_from_identified,
 )
-from repro.model.operators import CorrelationOperator, Slot
+from repro.model.operators import CorrelationOperator, Slot, root_operator
 from repro.model.subscriptions import AbstractSubscription
 from repro.model.locations import RectRegion
-from repro.model.operators import operator_from_abstract
+
+from deployments import advertised, identified_operator
 
 
 def sub3(delta_t=5.0):
@@ -22,7 +22,7 @@ def sub3(delta_t=5.0):
 
 
 def op3(delta_t=5.0):
-    return operator_from_identified(sub3(delta_t), "n0")
+    return identified_operator(sub3(delta_t), "n0")
 
 
 def slots_of(operator):
@@ -44,10 +44,9 @@ class TestConstruction:
     def test_root_from_abstract(self):
         region = RectRegion(Interval(0, 10), Interval(0, 10))
         s = AbstractSubscription.from_ranges("s", {"t": (0, 5)}, region, 2.0)
-        op = operator_from_abstract(s, "n0", {"t": ["d1", "d2"]})
+        op = root_operator(s, "n0", advertised({"d1": "t", "d2": "t"}))
         assert slots_of(op)["t"].sensors == {"d1", "d2"}
-        with pytest.raises(ValueError):
-            operator_from_abstract(s, "n0", {"t": []})
+        assert root_operator(s, "n0", advertised({"d3": "u"})) is None
 
     def test_duplicate_slots_rejected(self):
         slot = Slot("a", "t", Interval(0, 1), frozenset({"a"}))
@@ -88,7 +87,7 @@ class TestProjection:
     def test_project_sensors_narrows_abstract_slot(self):
         region = RectRegion(Interval(0, 10), Interval(0, 10))
         s = AbstractSubscription.from_ranges("s", {"t": (0, 5)}, region, 2.0)
-        op = operator_from_abstract(s, "n0", {"t": ["d1", "d2", "d3"]})
+        op = root_operator(s, "n0", advertised({"d1": "t", "d2": "t", "d3": "t"}))
         piece = op.project_sensors(["d2"])
         assert slots_of(piece)["t"].sensors == {"d2"}
 
@@ -100,7 +99,7 @@ class TestProjection:
         assert dropped is not whole and dropped != whole
         region = RectRegion(Interval(0, 10), Interval(0, 10))
         s = AbstractSubscription.from_ranges("s", {"t": (0, 5)}, region, 2.0)
-        wide = operator_from_abstract(s, "n0", {"t": ["d1", "d2"]})
+        wide = root_operator(s, "n0", advertised({"d1": "t", "d2": "t"}))
         assert wide.project_sensors(["d1", "d2"]) is wide
         narrowed = wide.project_sensors(["d1"])
         assert narrowed != wide and narrowed.op_id == wide.op_id
@@ -142,7 +141,7 @@ class TestCoverage:
         assert op3().covers(op3())
 
     def test_wider_covers_narrower(self):
-        narrow = operator_from_identified(
+        narrow = identified_operator(
             IdentifiedSubscription.from_ranges(
                 "s2", {"a": ("t", 2, 8), "b": ("t", 22, 28), "c": ("t", 42, 48)}, 5.0
             ),
@@ -160,7 +159,7 @@ class TestCoverage:
         tight_sub = IdentifiedSubscription.from_ranges(
             "s2", {"a": ("t", 0, 10), "b": ("t", 20, 30), "c": ("t", 40, 50)}, 5.0
         )
-        tight = operator_from_identified(tight_sub, "n1")
+        tight = identified_operator(tight_sub, "n1")
         assert loose.covers(tight)
         assert not tight.covers(loose)
 

@@ -48,6 +48,7 @@ from repro.workload.subscriptions import (
     generate_subscriptions,
 )
 
+from deployments import advertised
 from test_matching_engine import random_events, random_operator
 
 
@@ -211,18 +212,13 @@ ORIGIN = Location(0.0, 0.0)
 
 
 def slot_deployment(operator):
-    """Every slot sensor placed at the origin, so any region holding
+    """Every slot sensor advertised at the origin, so any region holding
     the origin resolves an abstract clause to exactly its slot."""
     return SimpleNamespace(
-        sensors=[
-            SimpleNamespace(
-                sensor_id=sensor,
-                attribute=SimpleNamespace(name=slot.attribute),
-                location=ORIGIN,
-            )
-            for slot in operator.slots
-            for sensor in sorted(slot.sensors)
-        ]
+        advertisements=advertised(
+            {s: slot.attribute for slot in operator.slots for s in slot.sensors},
+            ORIGIN,
+        )
     )
 
 

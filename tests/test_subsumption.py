@@ -7,13 +7,15 @@ already stored on that slot contain the new range?  Its answer is
 
 from hypothesis import given, settings, strategies as st
 
-from repro.model import IdentifiedSubscription, Interval, operator_from_identified
+from repro.model import IdentifiedSubscription, Interval
 from repro.model.intervals import union_covers
 from repro.subsumption import find_cover
 
+from deployments import identified_operator
+
 
 def op(sub_id, ranges, delta_t=5.0, subscriber="n"):
-    return operator_from_identified(
+    return identified_operator(
         IdentifiedSubscription.from_ranges(
             sub_id, {k: ("t", lo, hi) for k, (lo, hi) in ranges.items()}, delta_t
         ),

@@ -106,12 +106,14 @@ class PhaseProfiles:
             return ingest(session, *args, **kwargs)
 
         Session.submit, Session.ingest_events = counted_submit, counted_ingest
+        previous = sys.getprofile()  # disable() clears it: put it back
         try:
             self.profiles["create"].enable()
             try:
                 return execute_program(compiled, cell)
             finally:
                 self.profiles[self.active].disable()
+                sys.setprofile(previous)
         finally:
             Session.submit, Session.ingest_events = submit, ingest
 
