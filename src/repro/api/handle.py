@@ -14,11 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import math
-
-from ..matching.spatial import grid_instance_exists, participating
+from ..matching.engine import replay
 from ..model.events import SimpleEvent
-from ..model.matching import window_candidates
 from ..model.operators import CorrelationOperator
 from ..model.subscriptions import Subscription
 
@@ -132,15 +129,15 @@ class QueryHandle:
         """The delivered match instances, as structured records.
 
         Replays the matching semantics over the delivered subset (the
-        same reconstruction the recall metric performs): an instance
-        exists for every delivered event that anchors a valid complex
-        event within the delivered events, with the spatial check routed
-        through the grid-pruned final check.  An instance's ``events``
-        are the members of valid combinations *containing* the trigger
-        — a spatially disjoint combination that merely shares the
-        trigger's window is a different instance and stays out of the
-        record.  Instances are returned in trigger (timestamp, key)
-        order.
+        same reconstruction the recall metric performs, on the same
+        offline matcher, :func:`repro.matching.engine.replay`): an
+        instance exists for every delivered event that anchors a valid
+        complex event within the delivered events.  An instance's
+        ``events`` are the members of valid combinations *containing*
+        the trigger (``OperatorMatcher.instance_members``) — a spatially
+        disjoint combination that merely shares the trigger's window is
+        a different instance and stays out of the record.  Instances are
+        returned in trigger (timestamp, key) order.
         """
         delivery = self._session.network.delivery
         delivered = delivery.delivered(self.sub_id)
@@ -151,17 +148,13 @@ class QueryHandle:
         if operator is None:
             self._matches_cache = (cache_key, [])
             return []
-        view = delivery.view(self.sub_id)
+        matcher = replay(operator, delivered.values())
         out: list[ComplexMatch] = []
         for trigger in sorted(
             delivered.values(), key=lambda e: (e.timestamp, e.key)
         ):
-            if operator.slot_for_event(trigger) is None:
-                continue
-            if not grid_instance_exists(operator, view, trigger):
-                continue
-            found = _instance_participants(operator, view, trigger)
-            if not found:
+            found = matcher.instance_members(trigger)
+            if found is None:
                 continue
             members = {e.key: e for events in found.values() for e in events}
             out.append(
@@ -231,47 +224,3 @@ class QueryHandle:
 
         return oracle_operator(self.subscription, self._session.deployment)
 
-
-def _instance_participants(
-    operator: CorrelationOperator, view, trigger: SimpleEvent
-) -> dict[str, list[SimpleEvent]] | None:
-    """Per-slot members of valid combinations *containing* ``trigger``.
-
-    Like the reference ``match_at_trigger`` but with the trigger's slot
-    pinned to the trigger itself: a complex event holds one member per
-    slot, so any combination containing the trigger uses it there, and
-    for finite ``delta_l`` every other member must lie within
-    ``delta_l`` of it.  Callers have already established the instance
-    exists (``grid_instance_exists``); ``None`` means a concurrent
-    mutation emptied the window.
-    """
-    candidates = window_candidates(operator, view, trigger.timestamp)
-    own = operator.slot_for_event(trigger)
-    assert own is not None
-    ordered = sorted(candidates)
-    if math.isinf(operator.delta_l):
-        return {
-            slot_id: (
-                [trigger] if slot_id == own.slot_id else candidates[slot_id]
-            )
-            for slot_id in ordered
-        }
-    delta_l = operator.delta_l
-    lists = []
-    for slot_id in ordered:
-        if slot_id == own.slot_id:
-            lists.append([trigger])
-        else:
-            lists.append(
-                [
-                    e
-                    for e in candidates[slot_id]
-                    if e.location.distance_to(trigger.location) < delta_l
-                ]
-            )
-    if any(not lst for lst in lists):
-        return None
-    kept = participating(lists, delta_l)
-    if kept is None:
-        return None
-    return dict(zip(ordered, kept))

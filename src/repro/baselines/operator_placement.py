@@ -29,11 +29,10 @@ class OperatorPlacementNode(Node):
 
     A covered operator is stored, not forwarded; its result stream is
     regenerated here from the covering operator's stream and forwarded
-    toward its user (``include_covered``).
+    toward its user.
     """
 
     is_covered = staticmethod(pairwise_covered)
-    include_covered = True
 
 
 def operator_placement_approach() -> Approach:

@@ -62,14 +62,13 @@ class FilterSplitForwardNode(Node):
     """Processing node running Algorithms 1-5: set filtering, simple
     splitting, per-neighbour forwarding.
 
-    ``include_covered``: an operator covered *at this node* still
-    generates its result set from here (Section V-A's "generates the
-    missing result set at the node where covering was detected");
-    per-link dedup keeps the traffic shared.
+    An operator covered *at this node* still generates its result set
+    from here (Section V-A's "generates the missing result set at the
+    node where covering was detected"); per-link dedup keeps the
+    traffic shared.
     """
 
     per_neighbor = True
-    include_covered = True
 
     def __init__(
         self, node_id: str, network: Network, config: FSFConfig | None = None
@@ -105,8 +104,8 @@ class FilterSplitForwardNode(Node):
         only with a partner on that slot, so a stored {a, b, c} never
         stands in for a new {a, b}.  The per-slot product still leaves
         a gap (see the module docstring): the covered operator generates
-        its result set at this node (``include_covered``) only from
-        events some covering operator forwarded.
+        its result set at this node only from events some covering
+        operator forwarded.
 
         Each slot's candidates come from one bucket of the store's
         per-sensor index: the intervals a walk of the whole store would

@@ -51,6 +51,8 @@ so a matcher's timelines always hold exactly the store-visible events
 its slots accept — which is what makes the engine provably equivalent
 to the reference matcher run against the same store (the property suite
 machine-checks this; the reference stays in-tree as the oracle).
+Offline, :func:`replay` builds a matcher over a fixed event set with no
+store behind it: every after-the-fact match question asks one.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import math
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..model.events import SimpleEvent
 from ..model.operators import CorrelationOperator, Slot
@@ -134,7 +136,9 @@ class OperatorMatcher:
         "_users",
     )
 
-    def __init__(self, operator: CorrelationOperator, engine: "MatchingEngine") -> None:
+    def __init__(
+        self, operator: CorrelationOperator, engine: "MatchingEngine | _NoExpiry"
+    ) -> None:
         self.structure = match_structure(operator)
         self._engine = engine
         self._slot_ids = [slot.slot_id for slot in operator.slots]
@@ -147,8 +151,8 @@ class OperatorMatcher:
 
     # ------------------------------------------------------------------
     # ingest path (live events route through the engine's registration
-    # lists instead; this slot-by-slot path serves the backfill and the
-    # offline oracle)
+    # lists instead; this slot-by-slot path serves the backfill and
+    # replay)
     # ------------------------------------------------------------------
     def ingest(self, event: SimpleEvent) -> None:
         """Index one stored event; acceptance tested once per slot."""
@@ -191,7 +195,7 @@ class OperatorMatcher:
 
         The churn fence, mirrored into the per-slot timelines: the
         online engine routes here via the store's ``sensor_fenced``
-        listener callback; the offline oracle pass calls it directly as
+        listener callback; the oracle's truth pass calls it directly as
         its trigger sweep crosses each scheduled departure.  Returns the
         number of dropped entries.
         """
@@ -235,32 +239,67 @@ class OperatorMatcher:
         trigger.  Like the reference, it does *not* require the trigger
         itself to be stored.
         """
+        lists = self._anchored(trigger)
+        if lists is None:
+            return False
+        return not self._finite or combination_exists(lists, self._delta_l)
+
+    def instance_members(
+        self, trigger: SimpleEvent
+    ) -> dict[str, list[SimpleEvent]] | None:
+        """Per-slot members of the valid combinations *containing*
+        ``trigger`` as their maximum member: the user's reconstruction of
+        one match instance.
+
+        None exactly where :meth:`instance_exists` says no.  A complex
+        event holds one member per slot, so the trigger's own slot holds
+        the trigger alone; with finite ``delta_l`` another slot keeps the
+        events taking part in a spatially valid combination with it.
+        Members come back in timeline order.
+        """
+        lists: Sequence[Sequence[SimpleEvent]] | None = self._anchored(trigger)
+        if lists is None:
+            return None
+        if self._finite:
+            lists = participating(lists, self._delta_l)
+            if lists is None:
+                return None
+        return {
+            slot_id: list(members) for slot_id, members in zip(self._slot_ids, lists)
+        }
+
+    def _anchored(self, trigger: SimpleEvent) -> list[Sequence[SimpleEvent]] | None:
+        """The trigger-anchored window, one candidate list per slot.
+
+        Every slot's window ``(t − Δt, t]`` at the trigger's timestamp
+        ``t`` must be non-empty; the trigger's own slot is then pinned
+        to the trigger, and for finite ``delta_l`` every other slot is
+        cut to the events closer than ``delta_l`` to it.  None when the
+        trigger fills no slot or a list comes out empty.
+        """
         own = self._own_slot_index(trigger)
         if own is None:
-            return False
+            return None
         self._prune()
         after = trigger.timestamp - self._delta_t
-        windows = [
+        windows: list[Sequence[SimpleEvent]] = [
             timeline.view(after, trigger.timestamp) for timeline in self._timelines
         ]
         if not all(windows):
-            return False
+            return None
+        windows[own] = [trigger]
         if not self._finite:
-            return True
+            return windows
         delta_l = self._delta_l
         location = trigger.location
-        lists: list[list[SimpleEvent]] = []
         for i, window in enumerate(windows):
             if i == own:
-                lists.append([trigger])
                 continue
-            near = [
-                e for e in window if e.location.distance_to(location) < delta_l
-            ]
+            near = [e for e in window if e.location.distance_to(location) < delta_l]
             if not near:
-                return False
-            lists.append(near)
-        return combination_exists(lists, delta_l)
+                return None
+            windows[i] = near
+        return windows
 
     def match_at_trigger(
         self, trigger_time: float
@@ -396,6 +435,32 @@ class OperatorMatcher:
         return sweep_plain(
             self._slot_ids, delta_t, ordered, entries, lo, hi, own, event_pos
         )
+
+
+class _NoExpiry:
+    """The engine a :func:`replay` matcher answers to: no store, so
+    nothing expires — the horizon its prunes clamp against sits at
+    ``-inf`` and every prune takes the O(1) nothing-expired path."""
+
+    __slots__ = ()
+
+    horizon = -_INF
+
+
+_NO_EXPIRY = _NoExpiry()
+
+
+def replay(
+    operator: CorrelationOperator, events: Iterable[SimpleEvent]
+) -> OperatorMatcher:
+    """An offline matcher holding ``events`` for good: what every
+    after-the-fact match question asks — the oracle over the published
+    stream, the recall metric and ``QueryHandle.matches`` over what was
+    delivered.  No store mirrors into it: the caller fences it."""
+    matcher = OperatorMatcher(operator, _NO_EXPIRY)
+    for event in events:
+        matcher.ingest(event)
+    return matcher
 
 
 def sweep_plain(

@@ -111,43 +111,6 @@ def participating(
     return result
 
 
-def grid_instance_exists(operator, provider, trigger) -> bool:
-    """Grid-pruned drop-in for :func:`repro.model.matching.instance_exists`.
-
-    The user-side final check (a match instance with maximum member
-    ``trigger`` exists in ``provider``'s events) with the spatial phase
-    routed through :class:`SlotGrid` instead of the reference's
-    all-pairs distance filter.  The decision is provably identical:
-    ``SlotGrid.near`` returns exactly the open ``delta_l``-ball members
-    the reference's list comprehension selects (the 3×3 neighbourhood is
-    a superset and every member is distance-checked), and the
-    backtracking search is the same.  ``provider`` is any
-    ``SlotEventProvider`` — the node's event store, a delivery view, or
-    the oracle's index.
-    """
-    from ..model.matching import window_candidates  # local: avoids cycle at import
-
-    own_slot = operator.slot_for_event(trigger)
-    if own_slot is None:
-        return False
-    candidates = window_candidates(operator, provider, trigger.timestamp)
-    if any(not lst for lst in candidates.values()):
-        return False
-    delta_l = operator.delta_l
-    if not (delta_l < float("inf")):
-        return True
-    lists: list[list[SimpleEvent]] = []
-    for slot_id in sorted(candidates):
-        if slot_id == own_slot.slot_id:
-            lists.append([trigger])
-            continue
-        near = SlotGrid(delta_l, candidates[slot_id]).near(trigger.location)
-        if not near:
-            return False
-        lists.append(near)
-    return combination_exists(lists, delta_l)
-
-
 def _anchored_combination_exists(
     grids: Sequence[SlotGrid],
     windows: Sequence[Sequence[SimpleEvent]],

@@ -9,11 +9,12 @@ part of no true match) can be quantified.
 
 Two interchangeable truth passes exist:
 
-* ``method="engine"`` (the default) reuses the incremental matching
-  engine's per-operator slot timelines and grid-pruned spatial search
-  (:mod:`repro.matching`) in an offline harness — filter acceptance is
-  evaluated once per (event, slot) instead of once per candidate
-  trigger, which is what makes full-scale figure runs affordable;
+* ``method="engine"`` (the default) replays the operator's published
+  events into an offline matcher (:func:`repro.matching.engine.replay`,
+  the one the recall metric and ``QueryHandle.matches`` replay the
+  delivered events into) — filter acceptance is evaluated once per
+  (event, slot) instead of once per candidate trigger, which is what
+  makes full-scale figure runs affordable;
 * ``method="reference"`` is the original per-trigger window rescan over
   :class:`EventIndex`, kept in-tree as the semantics oracle for the
   oracle itself — ``tests/test_oracle_engine.py`` machine-checks that
@@ -28,21 +29,53 @@ on that pair, and every clone of a question holds the one frozen answer.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Sequence
 
-from ..matching.engine import OperatorMatcher, match_structure
+from ..matching.engine import match_structure, replay
 from ..model.events import EventKey, SimpleEvent
 from ..model.matching import instance_exists, match_at_trigger
 from ..model.operators import CorrelationOperator, root_operator
 from ..model.subscriptions import Subscription
-from ..network.delivery import EventIndex
 from ..network.topology import Deployment
 from .fences import NO_FENCES, Fences
 
 ORACLE_METHODS = ("engine", "reference")
+
+
+class EventIndex:
+    """SlotEventProvider over the published stream: one ``(timestamp,
+    seq, event)`` list per sensor, sorted, answering a window query with
+    two bisects.  Both truth passes read each operator's candidates from
+    it; the reference pass probes its windows (:class:`_FencedView`)."""
+
+    def __init__(self, events: Iterable[SimpleEvent]) -> None:
+        self._by_sensor: dict[str, list[tuple[float, int, SimpleEvent]]] = {}
+        for event in events:
+            self._by_sensor.setdefault(event.sensor_id, []).append(
+                (event.timestamp, event.seq, event)
+            )
+        for timeline in self._by_sensor.values():
+            timeline.sort()
+
+    def events_for_sensor(
+        self, sensor_id: str, after: float, until: float
+    ) -> Sequence[SimpleEvent]:
+        timeline = self._by_sensor.get(sensor_id)
+        if not timeline:
+            return ()
+        lo = bisect.bisect_right(timeline, (after, float("inf")))
+        hi = bisect.bisect_right(timeline, (until, float("inf")))
+        return [entry[2] for entry in timeline[lo:hi]]
+
+    def events_of(self, sensor_ids: Iterable[str]) -> list[SimpleEvent]:
+        out: list[SimpleEvent] = []
+        for sensor_id in sensor_ids:
+            out.extend(e for _, _, e in self._by_sensor.get(sensor_id, ()))
+        return out
 
 
 class _FencedView:
@@ -101,25 +134,6 @@ def oracle_operator(
     return root_operator(subscription, "oracle", deployment.advertisements)
 
 
-class _OfflineEngine:
-    """Minimal :class:`~repro.matching.engine.MatchingEngine` stand-in.
-
-    The offline oracle has no event store and no expiry: every replayed
-    event is visible forever, so the horizon an
-    :class:`OperatorMatcher` clamps against sits at ``-inf`` and its
-    prune sweeps hit the O(1) nothing-expired fast path.  Nothing
-    mirrors a store into the matcher here: the oracle ingests and
-    fences it directly.
-    """
-
-    __slots__ = ()
-
-    horizon = float("-inf")
-
-
-_OFFLINE_ENGINE = _OfflineEngine()
-
-
 def operator_truth(
     operator: CorrelationOperator,
     sub_id: str,
@@ -130,11 +144,12 @@ def operator_truth(
     """Ground truth of one resolved operator over an indexed event set.
 
     ``method="reference"`` rescans windows via the reference matcher;
-    ``method="engine"`` ingests the operator's events into an offline
-    :class:`OperatorMatcher` once and answers every trigger probe from
-    its per-slot timelines.  Both enumerate the identical candidate
-    triggers (events of the operator's own sensors that fill a slot) and
-    produce identical ``triggers`` / ``participants`` sets.
+    ``method="engine"`` replays the operator's events into an offline
+    matcher once (:func:`repro.matching.engine.replay`) and answers
+    every trigger probe from its per-slot timelines.  Both enumerate
+    the identical candidate triggers (events of the operator's own
+    sensors that fill a slot) and produce identical ``triggers`` /
+    ``participants`` sets.
 
     ``fences`` (see :mod:`repro.metrics.fences`) bounds the query's
     lifetime and its sensors' departures.  Candidate triggers are swept
@@ -158,9 +173,7 @@ def operator_truth(
             triggers.sort(key=lambda e: (e.timestamp, e.key))
 
     if method == "engine":
-        target = OperatorMatcher(operator, _OFFLINE_ENGINE)
-        for event in candidates:
-            target.ingest(event)
+        target = replay(operator, candidates)
         exists = target.instance_exists
         at_trigger = target.match_at_trigger
     elif method == "reference":

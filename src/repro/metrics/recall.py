@@ -15,11 +15,12 @@ in no true instance of that subscription — pure extra traffic from the
 binary-join approximation.
 
 The reconstruction is the *user node's final local check* replayed over
-the delivered subset; its ``delta_l`` phase routes through the
-grid-pruned :func:`repro.matching.spatial.grid_instance_exists` (the
-same pruning the engine and the oracle already use) instead of the
-reference's all-pairs scan — identical decisions, machine-checked by
-``tests/test_spatial_final_check.py``.
+the delivered subset: the offline matcher
+:func:`repro.matching.engine.replay` builds over those events — the one
+the oracle asks over the published stream — decides each delivered
+trigger, with the same decisions as the reference
+:func:`repro.model.matching.instance_exists` (machine-checked by
+``tests/test_spatial_final_check.py``).
 
 What a user rebuilds depends only on the operator's match structure,
 the trigger set and the delivered events, so clones equal in all three
@@ -32,8 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from ..matching.engine import match_structure
-from ..matching.spatial import grid_instance_exists as instance_exists
+from ..matching.engine import match_structure, replay
 from ..network.delivery import DeliveryLog
 from .oracle import SubscriptionTruth
 
@@ -93,12 +93,12 @@ def measure_recall(
         if structure in shared:
             key = (structure, truth.triggers, frozenset(delivered))
         if key not in counted:
-            view = delivery.view(sub_id)
+            matcher = replay(truth.operator, delivered.values())
             counted[key] = sum(
                 1
                 for trigger_key in truth.triggers
                 if trigger_key in delivered
-                and instance_exists(truth.operator, view, delivered[trigger_key])
+                and matcher.instance_exists(delivered[trigger_key])
             )
         delivered_instances += counted[key]
     return RecallReport(

@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort_right
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING, Any, Hashable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator, Sequence
 
 from ..matching import HitMap, MatchingEngine
 from ..model.advertisements import Advertisement, AdvertisementTable
@@ -117,27 +117,22 @@ class StoredOperator:
 class StreamGroup:
     """The records of one store that share a matcher: one entry of an
     arrival's hit map answers all of them.  Each op id is one result
-    stream; the ids are kept as sets so the stream lane settles "which
-    of these streams still owe this event on this link" in one set
-    difference."""
+    stream, covered or not (a covered operator's stream starts at the
+    node that found its cover); the ids are kept as sets so the stream
+    lane settles "which of these streams still owe this event on this
+    link" in one set difference."""
 
-    __slots__ = ("records", "uncovered", "every", "planned")
+    __slots__ = ("records", "every", "planned")
 
     def __init__(self) -> None:
         self.records: list[StoredOperator] = []
-        self.uncovered: set[str] = set()
-        # The same set object until the group holds a covered record.
-        self.every = self.uncovered
+        self.every: set[str] = set()
         # Stored under a compiled placement plan (see handle_operator).
         self.planned: frozenset[str] = frozenset()
 
     def add(self, record: StoredOperator) -> None:
         op_id = record.operator.op_id
         self.records.append(record)
-        if not record.covered:
-            self.uncovered.add(op_id)
-        elif self.every is self.uncovered:
-            self.every = set(self.uncovered)
         self.every.add(op_id)
         if record.planned:
             self.planned |= {op_id}
@@ -145,10 +140,7 @@ class StreamGroup:
     def rescan(self) -> None:
         """Rebuild the sets after records left the group."""
         records = self.records
-        self.uncovered = {r.operator.op_id for r in records if not r.covered}
         self.every = {r.operator.op_id for r in records}
-        if len(self.every) == len(self.uncovered):
-            self.every = self.uncovered
         self.planned = frozenset(r.operator.op_id for r in records if r.planned)
 
 
@@ -258,8 +250,6 @@ class SubscriptionStore:
         record.covered = False
         if self._index is not None:
             _file(self._index, record)
-        if record.matcher is not None:
-            self.streams[record.matcher].uncovered.add(record.operator.op_id)
 
     def _built_index(self) -> dict[str, list[IndexEntry]]:
         if self._index is None:
@@ -343,17 +333,26 @@ class SubscriptionStore:
 class Node:
     """Base processing node: one operator pipeline and one event
     pipeline (Algorithms 3-5), parameterised by Table II's three axes —
-    filtering is :meth:`is_covered`, splitting
-    :meth:`on_operator_uncovered`, event propagation the two constants
-    below.  As they stand here: the naive approach.
+    filtering is :attr:`is_covered`, splitting
+    :meth:`on_operator_uncovered`, event propagation the constant
+    ``per_neighbor``.  As they stand here: the naive approach.
     """
 
+    #: Filtering: ``is_covered(operator, store, before=None)`` says
+    #: whether the uncovered operators ``store`` holds ranked before
+    #: ``before`` make ``operator`` redundant (protocol hook; None, as
+    #: here: no filtering — no operator is asked about, and a removal
+    #: leaves no cover decision to repair).  Arrival asks with
+    #: ``before=None``, cancellation repair with the record's rank: one
+    #: rule, so the repaired store is the store of a run that never saw
+    #: the cancelled subscription.  A rule reads its candidates from
+    #: ``store.candidates``.
+    is_covered: Callable[..., bool] | None = None
     #: Per-neighbour publish/subscribe forwarding (an event crosses a
     #: link once) instead of one result stream per stored operator.
+    #: Either way an operator covered at this node generates its result
+    #: set from here (Sections III-A, V-A).
     per_neighbor = False
-    #: Whether operators covered at this node generate their result
-    #: sets from here (Sections III-A, V-A).
-    include_covered = False
     #: Whether ``handle_operator`` can route pieces along a compiled
     #: placement plan; ``Network.check_plan`` refuses a plan on a node
     #: class that says no.
@@ -580,24 +579,14 @@ class Node:
         planned = plan is not None
         if planned and store.has_operator(operator):
             return
-        covered = not planned and self.is_covered(operator, store)
+        covered = (
+            not planned
+            and self.is_covered is not None
+            and self.is_covered(operator, store)
+        )
         record = store.add(operator, covered, planned=planned)
         if not covered:
             self.on_operator_uncovered(record, origin, store, plan)
-
-    def is_covered(
-        self,
-        operator: CorrelationOperator,
-        store: SubscriptionStore,
-        before: LifecycleSeq | None = None,
-    ) -> bool:
-        """Whether the uncovered operators ``store`` holds ranked before
-        ``before`` make ``operator`` redundant (protocol hook; default:
-        no filtering).  Arrival asks with ``before=None``, cancellation
-        repair with the record's rank: one rule, so the repaired store is
-        the store of a run that never saw the cancelled subscription.
-        A rule reads its candidates from ``store.candidates``."""
-        return False
 
     def on_operator_uncovered(
         self,
@@ -695,7 +684,10 @@ class Node:
         would have forwarded it.  The walk is promote-only — with
         arrival-ordered candidates a removal can never make an
         uncovered operator covered — so one ordered pass converges.
+        Without a cover rule nothing was stored covered: no walk.
         """
+        if self.is_covered is None:
+            return
         for record in store.records():
             if not record.covered:
                 continue
@@ -848,9 +840,9 @@ class Node:
             return  # dropped, or no operator here has a match
         self.deliver_local_matches(hits)  # lines 14-15 (j == n)
         if self.per_neighbor:
-            self.pubsub_forward(hits, origin, self.include_covered)
+            self.pubsub_forward(hits, origin)
         else:
-            self.stream_forward(hits, origin, self.include_covered)
+            self.stream_forward(hits, origin)
 
     def ingest(self, event: SimpleEvent) -> HitMap | None:
         """Insert into ``U`` and match.
@@ -911,14 +903,12 @@ class Node:
             if neighbor != LOCAL
         ]
 
-    def hit_links(
-        self, hits: HitMap, sender: str, include_covered: bool
-    ) -> list[tuple[str, list]]:
+    def hit_links(self, hits: HitMap, sender: str) -> list[tuple[str, list]]:
         """Per-link header of the two forward paths below.
 
         ``(neighbour, [(op ids, participants), ...])`` per link: one pair
-        per matcher in ``hits`` with streams from that neighbour (covered
-        ones only with ``include_covered``), however many share it.
+        per matcher in ``hits`` with streams from that neighbour, covered
+        ones included, however many share it.
         Toward the ``sender`` only plan-adopted streams count, the
         fold-back path of a compiled plan (:meth:`handle_operator`).
         """
@@ -933,7 +923,7 @@ class Node:
                 group = index.get(matcher)
                 if group is None:
                     continue
-                ops = group.every if include_covered else group.uncovered
+                ops = group.every
                 if neighbor == sender:
                     ops = group.planned and ops & group.planned
                 if ops:
@@ -942,9 +932,7 @@ class Node:
                 links.append((neighbor, owed))
         return links
 
-    def pubsub_forward(
-        self, hits: HitMap, sender: str, include_covered: bool
-    ) -> None:
+    def pubsub_forward(self, hits: HitMap, sender: str) -> None:
         """Per-neighbour publish/subscribe forwarding (Algorithm 5).
 
         For every neighbour ``j`` (except the sender), the event — and
@@ -953,7 +941,7 @@ class Node:
         ``j``, at most once per link.  ``hits`` holds those matches.
         """
         sent = self._sent
-        for neighbor, owed in self.hit_links(hits, sender, include_covered):
+        for neighbor, owed in self.hit_links(hits, sender):
             outgoing: dict[EventKey, SimpleEvent] = {}
             for _ops, participants in owed:
                 for events in participants.values():
@@ -967,23 +955,21 @@ class Node:
                 self.mark_sent(key, neighbor)
                 self.send_event(neighbor, member)
 
-    def stream_forward(
-        self, hits: HitMap, sender: str, include_covered: bool
-    ) -> None:
+    def stream_forward(self, hits: HitMap, sender: str) -> None:
         """Per-subscription result-set forwarding (naive / operator
         placement).
 
         Every stored operator is its own result stream: an event is sent
         once per (operator stream, link), so overlapping subscriptions
         pay repeatedly — exactly the redundancy the paper attributes to
-        these approaches.  With ``include_covered`` the streams of
-        operators covered *at this node* are generated here from the
-        covering operator's incoming stream (Section III-A: the covered
-        operator "generates traffic only from the node where coverage
-        was detected, to the user's node").  ``hits`` holds the matches.
+        these approaches.  The streams of operators covered *at this
+        node* are generated here from the covering operator's incoming
+        stream (Section III-A: the covered operator "generates traffic
+        only from the node where coverage was detected, to the user's
+        node").  ``hits`` holds the matches.
         """
         sent = self._sent
-        for neighbor, owed in self.hit_links(hits, sender, include_covered):
+        for neighbor, owed in self.hit_links(hits, sender):
             outgoing: dict[EventKey, tuple[SimpleEvent, list[str]]] = {}
             for ops, participants in owed:
                 for events in participants.values():

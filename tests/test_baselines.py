@@ -273,7 +273,7 @@ class TestMultiJoin:
         net.run_to_quiescence()
         assert not record.covered and record.matcher is matcher
         assert s_a.roles[record.operator.op_id] == JOIN
-        assert record.operator.op_id in s_a.stores["hub"].streams[matcher].uncovered
+        assert record.operator.op_id in s_a.stores["hub"].streams[matcher].every
         # Only the restored join has ``a`` as its main stream now.
         publish(net, "a", 8.0, ts=100.0)
         publish(net, "b", 8.0, ts=101.0)

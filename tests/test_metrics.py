@@ -6,7 +6,6 @@ from dataclasses import replace
 import pytest
 
 from repro.matching.engine import match_structure
-from repro.matching.spatial import grid_instance_exists
 from repro.metrics import (
     EventIndex,
     Fences,
@@ -17,6 +16,7 @@ from repro.metrics import (
     render_series_table,
 )
 from repro.model import IdentifiedSubscription, Location, SimpleEvent
+from repro.model.matching import instance_exists
 from repro.network.delivery import DeliveryLog
 from repro.network.faults import FaultPlan, LinkFault
 from repro.network.reliability import ReliabilityConfig
@@ -105,19 +105,19 @@ class TestRecall:
 
 
 def recall_loop(truths, delivery) -> RecallReport:
-    """Every subscription's delivered instances rebuilt on their own:
-    what ``measure_recall`` computed before clones shared a count,
-    kept as its oracle."""
+    """Every subscription's delivered instances rebuilt on their own by
+    the reference scan: what ``measure_recall`` computes without clones
+    sharing a count or the replay matcher, kept as its oracle."""
     true_instances = delivered_instances = delivered_events = false_positives = 0
     for sub_id, truth in truths.items():
         delivered = delivery.delivered(sub_id)
-        view = delivery.view(sub_id)
+        view = EventIndex(delivered.values())
         delivered_events += len(delivered)
         false_positives += sum(key not in truth.participants for key in delivered)
         true_instances += len(truth.triggers)
         delivered_instances += sum(
             key in delivered
-            and grid_instance_exists(truth.operator, view, delivered[key])
+            and instance_exists(truth.operator, view, delivered[key])
             for key in truth.triggers
         )
     return RecallReport(
@@ -230,13 +230,6 @@ class TestDeliveryLog:
         log.record_events("s", [e])
         log.record_events("s", [e])
         assert log.delivered_count("s") == 1
-
-    def test_view_is_matching_provider(self):
-        log = DeliveryLog()
-        log.record_events("s", [ev("a", 5, 1.0), ev("a", 6, 3.0, seq=1)])
-        view = log.view("s")
-        hits = view.events_for_sensor("a", 0.0, 2.0)
-        assert [e.timestamp for e in hits] == [1.0]
 
     def test_subscriptions_listing(self):
         log = DeliveryLog()

@@ -1,29 +1,32 @@
-"""Grid-routed user-node final check == reference scan.
+"""The replay matcher's user-node final check == reference scan.
 
 The recall metric (and ``QueryHandle.matches``) replays the user node's
-final local check over delivered events; its ``delta_l`` phase now runs
-through :func:`repro.matching.spatial.grid_instance_exists` instead of
-the reference's all-pairs distance filter.  These tests machine-check
-the two decisions identical on randomized abstract workloads — windows
-dense and sparse, delta_l from "nothing correlates" to unbounded — and
-pin the metric end-to-end.
+final local check over delivered events on the offline matcher
+:func:`repro.matching.engine.replay` builds — the one the oracle asks
+over the published stream.  These tests machine-check its decisions
+identical to the reference :func:`repro.model.matching.instance_exists`
+on randomized abstract workloads — windows dense and sparse, delta_l
+from "nothing correlates" to unbounded — check the members it
+reconstructs against a brute-force enumeration, and pin the metric
+end-to-end.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from repro import Query, Session
-from repro.matching.spatial import grid_instance_exists
+from repro.matching.engine import replay
 from repro.metrics.oracle import EventIndex
 from repro.metrics.recall import measure_recall
 from repro.model.events import SimpleEvent
 from repro.model.intervals import Interval
 from repro.model.locations import Location, RectRegion
-from repro.model.matching import instance_exists
+from repro.model.matching import instance_exists, window_candidates
 from repro.model.operators import CorrelationOperator, Slot
 
 
@@ -66,7 +69,7 @@ def random_events(rng, operator, n_events, area, t_span):
 
 @pytest.mark.parametrize("case", range(24))
 def test_grid_decision_equals_reference(case):
-    """Every candidate trigger decides identically under grid & scan."""
+    """Every candidate trigger decides identically under replay & scan."""
     rng = np.random.default_rng(case * 101 + 7)
     n_slots = int(rng.integers(2, 5))
     delta_l = float(rng.choice([3.0, 8.0, 25.0, math.inf]))
@@ -75,13 +78,13 @@ def test_grid_decision_equals_reference(case):
         rng, operator, n_events=int(rng.integers(20, 120)), area=30.0, t_span=40.0
     )
     provider = EventIndex(events)
+    matcher = replay(operator, events)
     decided = 0
     for trigger in events:
         if operator.slot_for_event(trigger) is None:
             continue
         reference = instance_exists(operator, provider, trigger)
-        grid = grid_instance_exists(operator, provider, trigger)
-        assert grid == reference, (case, trigger)
+        assert matcher.instance_exists(trigger) == reference, (case, trigger)
         decided += 1
     assert decided > 0, "case produced no candidate triggers"
 
@@ -97,13 +100,76 @@ def test_grid_handles_unstored_trigger():
     phantom = SimpleEvent(
         sensor, attribute, Location(4.0, 4.0), 50.0, timestamp=10.0, seq=999
     )
-    assert grid_instance_exists(operator, provider, phantom) == instance_exists(
+    assert replay(operator, events).instance_exists(phantom) == instance_exists(
         operator, provider, phantom
     )
 
 
+def brute_force_members(operator, events, trigger):
+    """Per-slot member keys of every valid combination with maximum
+    member ``trigger``, by enumeration: the product of the reference's
+    window candidates, the trigger's slot pinned to the trigger, every
+    pair closer than ``delta_l``.  None where no combination is valid."""
+    own = operator.slot_for_event(trigger)
+    if own is None:
+        return None
+    windows = window_candidates(operator, EventIndex(events), trigger.timestamp)
+    if not all(windows.values()):
+        return None
+    windows[own.slot_id] = [trigger]
+    slot_ids = sorted(windows)
+    members = {slot_id: set() for slot_id in slot_ids}
+    for combination in itertools.product(*(windows[s] for s in slot_ids)):
+        if all(
+            a.location.distance_to(b.location) < operator.delta_l
+            for a, b in itertools.combinations(combination, 2)
+        ):
+            for slot_id, event in zip(slot_ids, combination):
+                members[slot_id].add(event.key)
+    return members if members[own.slot_id] else None
+
+
+def member_keys(found):
+    if found is None:
+        return None
+    return {slot_id: {e.key for e in events} for slot_id, events in found.items()}
+
+
+@pytest.mark.parametrize("case", range(16))
+def test_instance_members_equal_a_brute_force_enumeration(case):
+    """``instance_members(trigger)`` holds exactly the members of the
+    valid combinations containing the trigger, for stored triggers and
+    for an unstored one of each slot, at finite and unbounded delta_l."""
+    rng = np.random.default_rng(case * 31 + 3)
+    delta_l = (3.0, 8.0, 25.0, math.inf)[case % 4]
+    operator = random_operator(rng, int(rng.integers(2, 4)), 2, delta_l)
+    events = random_events(
+        rng, operator, n_events=int(rng.integers(40, 100)), area=12.0, t_span=40.0
+    )
+    phantoms = [
+        SimpleEvent(
+            sorted(slot.sensors)[0],
+            slot.attribute,
+            Location(6.0, 6.0),
+            50.0,
+            timestamp=float(t),
+            seq=1000 + t,
+        )
+        for slot in operator.slots
+        for t in (10, 25)
+    ]
+    matcher = replay(operator, events)
+    found = 0
+    for trigger in events + phantoms:
+        want = brute_force_members(operator, events, trigger)
+        assert member_keys(matcher.instance_members(trigger)) == want, (case, trigger)
+        assert matcher.instance_exists(trigger) == (want is not None)
+        found += want is not None
+    assert found > 0, "case produced no match instance"
+
+
 def test_recall_metric_end_to_end_on_abstract_workload():
-    """measure_recall (grid-routed) equals a reference-scan recount."""
+    """measure_recall (replay matcher) equals a reference-scan recount."""
     session = Session.create(approach="fsf", nodes=30, groups=4, seed=3)
     region = RectRegion(Interval(-1e6, 1e6), Interval(-1e6, 1e6))
     handles = []
@@ -137,11 +203,11 @@ def test_recall_metric_end_to_end_on_abstract_workload():
     truths = session.truth(events)
     report = measure_recall(truths, session.delivery)
 
-    # Recount with the reference scan in place of the grid.
+    # Recount with the reference scan in place of the replay matcher.
     delivered_instances = 0
     for sub_id, truth in truths.items():
         delivered = session.delivery.delivered(sub_id)
-        view = session.delivery.view(sub_id)
+        view = EventIndex(delivered.values())
         for trigger_key in truth.triggers:
             trigger = delivered.get(trigger_key)
             if trigger is not None and instance_exists(

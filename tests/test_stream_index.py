@@ -62,14 +62,11 @@ def rescan(store: SubscriptionStore) -> dict:
     want: dict = {}
     for record in store.records():
         group = want.setdefault(
-            record.matcher,
-            {"records": [], "uncovered": set(), "every": set(), "planned": set()},
+            record.matcher, {"records": [], "every": set(), "planned": set()}
         )
         op_id = record.operator.op_id
         group["records"].append(record)
         group["every"].add(op_id)
-        if not record.covered:
-            group["uncovered"].add(op_id)
         if record.planned:
             group["planned"].add(op_id)
     return want
@@ -80,7 +77,6 @@ def assert_index_is_a_rescan(store: SubscriptionStore) -> None:
     assert set(store.streams) == set(want)
     for matcher, group in store.streams.items():
         assert sorted(group.records, key=lambda r: r.seq) == want[matcher]["records"]
-        assert group.uncovered == want[matcher]["uncovered"]
         assert group.every == want[matcher]["every"]
         assert group.planned == want[matcher]["planned"]
 
@@ -139,12 +135,12 @@ def test_two_records_with_one_op_id_are_one_stream(mode):
     assert first.matcher is twin.matcher is not narrowed.matcher
     shared, alone = store.streams[first.matcher], store.streams[narrowed.matcher]
     assert shared.records == [first, twin]
-    assert shared.every == shared.uncovered == {op_id}
-    assert alone.every == {op_id} and alone.uncovered == set()
+    assert shared.every == {op_id}
+    assert alone.every == {op_id}
     store.uncover(twin)  # already a stream through its uncovered twin
-    assert shared.uncovered == {op_id}
+    assert shared.every == {op_id}
     store.uncover(narrowed)
-    assert alone.uncovered == {op_id}
+    assert alone.every == {op_id}
     assert_index_is_a_rescan(store)
     # Another subscription's clone comes and goes: the twins stay.
     store.add(operator(1, 0), covered=False)
@@ -159,9 +155,9 @@ def test_two_records_with_one_op_id_are_one_stream(mode):
 # ---------------------------------------------------------------------------
 # (b) the walk: what the forward paths send == the per-record reference
 # ---------------------------------------------------------------------------
-def reference_pairs(node: Node, hits, sender: str, include_covered: bool):
+def reference_pairs(node: Node, hits, sender: str):
     """The replaced walk: per neighbour, every stored record the arrival
-    matched, one at a time, straight from ``records()``."""
+    matched, covered or not, one at a time, straight from ``records()``."""
     for neighbor in node.neighbors:
         store = node.stores.get(neighbor)
         if store is None:
@@ -170,14 +166,13 @@ def reference_pairs(node: Node, hits, sender: str, include_covered: bool):
             (record.operator, hits[record.matcher])
             for record in store.records()
             if record.matcher in hits
-            and (include_covered or not record.covered)
             and (neighbor != sender or record.planned)
         ]
         yield neighbor, matched
 
 
-def reference_pubsub_forward(node, hits, sender, include_covered=False):
-    for neighbor, matched in reference_pairs(node, hits, sender, include_covered):
+def reference_pubsub_forward(node, hits, sender):
+    for neighbor, matched in reference_pairs(node, hits, sender):
         outgoing = {}
         for _operator, participants in matched:
             for events in participants.values():
@@ -189,8 +184,8 @@ def reference_pubsub_forward(node, hits, sender, include_covered=False):
             node.send_event(neighbor, member)
 
 
-def reference_stream_forward(node, hits, sender, include_covered):
-    for neighbor, matched in reference_pairs(node, hits, sender, include_covered):
+def reference_stream_forward(node, hits, sender):
+    for neighbor, matched in reference_pairs(node, hits, sender):
         outgoing = {}
         for operator, participants in matched:
             tag = (operator.op_id, neighbor)
