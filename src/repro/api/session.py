@@ -75,7 +75,6 @@ class Session:
         deployment: Deployment | None = None,
         faults=None,
         reliability=None,
-        sketch=None,
     ) -> "Session":
         """Assemble a ready-to-use session.
 
@@ -90,11 +89,6 @@ class Session:
         ``faults``/``reliability`` switch the network onto the seeded
         unreliable transport (:mod:`repro.network.faults`) and the
         opt-in ack/refresh layer (:mod:`repro.network.reliability`).
-        A :class:`~repro.sketches.SketchConfig` as ``sketch`` turns on
-        the broker sketch lane: single-slot range queries are answered
-        from merged q-digests with a certified error bracket instead of
-        raw events (:meth:`approx_answers`); without one the session is
-        exact.
         """
         from ..protocols.registry import all_approaches  # local: avoid cycle
 
@@ -117,7 +111,6 @@ class Session:
             Simulator(seed=seed),
             faults=faults,
             reliability=reliability,
-            sketch=sketch,
         )
         resolved.populate(network)
         network.attach_all_sensors()
@@ -362,17 +355,6 @@ class Session:
     def delivery(self):
         """The run's delivery log."""
         return self.network.delivery
-
-    def approx_answers(self):
-        """Certified approximate answers of the sketch lane.
-
-        ``{sub_id: ApproxAnswer}`` for every sketch-eligible query whose
-        push tree has completed at least one round; empty in exact mode
-        (and before the first scheduled round).
-        """
-        if self.network.sketches is None:
-            return {}
-        return dict(self.network.sketches.query_answers())
 
     def active_queries(self) -> list[str]:
         """Ids of the queries currently live."""

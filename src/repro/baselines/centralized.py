@@ -41,10 +41,6 @@ class CentralizedNode(Node):
     # Registration unicasts to the centre: there is no operator tree
     # for a compiled plan to route.
     executes_plans = False
-    # Events stream to the centre regardless of who subscribed, so
-    # suppressing per-subscription forwarding saves nothing — the
-    # approximate lane has no traffic to trade error against.
-    hosts_sketches = False
 
     def __init__(self, node_id: str, network: "Network") -> None:
         super().__init__(node_id, network)

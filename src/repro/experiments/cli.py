@@ -9,7 +9,7 @@ Examples::
     repro-experiments fig7 --scale 0.2
     repro-experiments fig15 --scale smoke --workers 2
     repro-experiments all --scale nightly --workers 4
-    repro-experiments all --family faults --family sketches
+    repro-experiments all --family faults --family placement
     repro-experiments experiments-md --output EXPERIMENTS.md
 """
 
@@ -64,7 +64,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Derived from figures.FIGURES, so a figure in the table can
         # never be missing from the CLI (a regression test pins it).
         choices=[*targets, "all"],
-        help="what to regenerate (figs 13-22 go beyond the paper, in "
+        help="what to regenerate (figs 13-20 go beyond the paper, in "
         "the families --list names); omit with --list to browse what "
         "exists",
     )

@@ -16,8 +16,9 @@ def build_experiments_md(
     """Run everything and render the paper-vs-measured record.
 
     ``families`` appends the named beyond-paper families' figures
-    (``figures.family_names()``, or ``"beyond"`` for all of them).
-    Empty by default to keep the paper-facing record paper-shaped.
+    (``figures.family_names()``, or ``"beyond"`` for all of them) and
+    a note on the retired figures 21-22.  Empty by default to keep the
+    paper-facing record paper-shaped.
     """
     eff_scale = default_scale() if scale is None else scale
     parts: list[str] = [
@@ -65,6 +66,18 @@ def build_experiments_md(
             "```",
             figures.figure(fig_id, eff_scale).render(),
             "```",
+            "",
+        ]
+    if families:
+        parts += [
+            "## Figures 21-22 (retired)",
+            "",
+            "Figures 21-22 plotted an approximate answer lane (q-digest "
+            "range counts pushed along the advertisement tree) against the "
+            "exact frontier.  They were retired with the lane: the paper "
+            "compares exact answers only, the lane refused lossy links, "
+            "reliability and compiled placement, and it cost a branch on "
+            "every node's message path.",
             "",
         ]
     parts += [

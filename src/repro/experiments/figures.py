@@ -1,4 +1,4 @@
-"""Per-figure reproduction harnesses (Figs 4-12 paper, 13-22 beyond).
+"""Per-figure reproduction harnesses (Figs 4-12 paper, 13-20 beyond).
 
 Every figure is one :class:`FigureSpec` in :data:`FIGURES`, and
 :func:`figure` renders any of them as a :class:`FigureResult` with the
@@ -32,12 +32,10 @@ from ..workload.scenarios import (
     MEDIUM,
     PLACEMENT,
     SCALE_PRESETS,
-    SKETCHES,
     SMALL,
     Scenario,
     default_scale,
 )
-from ..sketches import SketchConfig
 from .runner import RunResult, SeriesResult, run_series
 
 APPROACH_LABELS = {key: a.name for key, a in all_approaches().items()}
@@ -155,7 +153,6 @@ def improvement(series: Mapping[str, Sequence[float]], metric: str) -> str:
 _QUERIES = "Number of injected queries"
 _RATES = "Query admissions per unit time"
 _LOSS = "Per-link drop probability"
-_SUBS = "Number of subscriptions"
 
 
 def _label(key: str) -> str:
@@ -422,102 +419,9 @@ def _fig20(runs: dict[str, SeriesResult]) -> Built:
     return runs["paper"].counts, _placement_lanes(runs, _recall), notes
 
 
-SKETCH_K_AXIS = (16, 64, 256)
-"""The digest-resolution axis of the sketch family: q-digest
-compression parameter ``k`` (``eps = levels / k``), one approximate
-lane per value.  Small ``k`` folds aggressively (cheap pushes, loose
-bound); large ``k`` keeps nearly every bucket (tight bound)."""
-
-
-def sketches_variant(k: int) -> Scenario:
-    """The ``sketches`` scenario answered approximately at resolution
-    ``k`` (own cache key).
-
-    One lane suffices per ``k``: sketch-eligible queries bypass the
-    exact pipeline entirely, so every supporting approach produces the
-    same lane traffic — FSF stands in for all of them.  The push
-    interval and bucket packing are pinned here so the lanes stay
-    comparable across ``k``.
-    """
-    return replace(
-        SKETCHES,
-        key=f"sketches@{k}",
-        sketch=SketchConfig(k=k, push_interval=240.0, buckets_per_unit=6),
-        approach_keys=("fsf",),
-    )
-
-
-SketchRuns = tuple[SeriesResult, dict[int, SeriesResult]]
-
-
-def _sketch_runs(scale: float | None) -> SketchRuns:
-    exact = scenario_series(SKETCHES, scale)
-    approx = {
-        k: scenario_series(sketches_variant(k), scale) for k in SKETCH_K_AXIS
-    }
-    return exact, approx
-
-
-def _sketch_lanes(
-    runs: SketchRuns,
-    exact_value: Callable[[RunResult], float],
-    approx_value: Callable[[RunResult], float],
-) -> Series:
-    """The exact approaches' lanes, then one approximate lane per ``k``."""
-    exact, approx = runs
-    series = {
-        f"{_label(key)} (exact)": tuple(exact_value(r) for r in results)
-        for key, results in exact.results.items()
-    }
-    for k in SKETCH_K_AXIS:
-        series[f"Approximate lane (k={k})"] = tuple(
-            approx_value(r) for r in approx[k].results["fsf"]
-        )
-    return series
-
-
-def _fig21(runs: SketchRuns) -> Built:
-    exact, approx = runs
-    frontier = min(_total_units(results[-1]) for results in exact.results.values())
-    ratios = ", ".join(
-        f"k={k}: {_total_units(approx[k].results['fsf'][-1]) / frontier:.3f}"
-        for k in SKETCH_K_AXIS
-    )
-    notes = (
-        "Approximate/cheapest-exact total-unit ratio at the "
-        f"largest point: {ratios}.  Lane traffic = push-tree setup on "
-        "the subscription channel + digest pushes on the event channel."
-    )
-    return exact.counts, _sketch_lanes(runs, _total_units, _total_units), notes
-
-
-def _fig22(runs: SketchRuns) -> Built:
-    # Exact lanes report end-user event recall; approximate lanes the
-    # oracle-checked count accuracy of their certified range answers
-    # (symmetric min/max ratio of estimate vs true count, 100% = every
-    # estimate exact).
-    exact, approx = runs
-    series = _sketch_lanes(
-        runs, _recall, lambda r: round(100 * r.approx.mean_recall, 1)
-    )
-    last = {k: approx[k].results["fsf"][-1].approx for k in SKETCH_K_AXIS}
-    errors = ", ".join(
-        f"k={k}: max |err| {report.max_observed_error} "
-        f"({report.bound_violations} violations)"
-        for k, report in last.items()
-    )
-    notes = (
-        "Observed rank error vs the q-digest guarantee at the "
-        f"largest point: {errors}.  A non-zero violation count would "
-        "mean a certificate lied; the benchmark gate asserts zero."
-    )
-    return exact.counts, series, notes
-
-
 _ADMIT_AXIS = ("admit-rate axis", ADMIT_RATE_AXIS)
 _LOSS_AXIS = ("link-loss axis", LOSS_AXIS)
 _PLACEMENT_AXIS = ("placement lanes", PLACEMENT_MODES)
-_SKETCH_AXIS = ("digest-resolution axis", SKETCH_K_AXIS)
 
 FIGURES: dict[str, FigureSpec] = {spec.fig_id: spec for spec in (
     _load(
@@ -664,26 +568,6 @@ FIGURES: dict[str, FigureSpec] = {spec.fig_id: spec for spec in (
         "smoke and ci scales, so the compiled placement's traffic savings "
         "are free of result loss.",
         family="placement", axis=_PLACEMENT_AXIS,
-    ),
-    # A single-attribute workload over a long replay; the benchmark
-    # gate machine-checks the claim's inequality.
-    FigureSpec(
-        "21", "Total traffic (units), exact frontier vs approximate lanes",
-        _SUBS, "sketches (exact frontier vs approximate lanes)", _sketch_runs, _fig21,
-        "Beyond the paper — accuracy-vs-traffic: broker-resident "
-        "q-digest lanes answer single-slot range queries from merged "
-        "summaries pushed at round intervals, spending strictly fewer "
-        "total units than every exact approach at the largest point.",
-        family="sketches", axis=_SKETCH_AXIS,
-    ),
-    FigureSpec(
-        "22",
-        "Answer accuracy (%), exact recall vs certified approximate counts",
-        _SUBS, "sketches (exact frontier vs approximate lanes)", _sketch_runs, _fig22,
-        "Beyond the paper — the accuracy half of fig 21: certified "
-        "count accuracy per digest resolution, with every observed rank "
-        "error inside the deterministic q-digest bound (zero violations).",
-        family="sketches", axis=_SKETCH_AXIS,
     ),
 )}
 """Every figure, in figure order: the one table the CLI targets, the

@@ -56,7 +56,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..metrics.approx import ApproxReport, measure_approx
 from ..metrics.oracle import SubscriptionTruth
 from ..metrics.recall import RecallReport, measure_recall
 from ..network.links import TrafficSnapshot
@@ -100,9 +99,7 @@ class RunResult:
     subscription load is ``after_setup.subscription_units`` and its
     publication load ``final.event_units``.
 
-    ``accuracy`` is the recall report over the delivery log,
-    ``approx`` the oracle check of the sketch lane's certified answers
-    (no answers on exact-mode runs).
+    ``accuracy`` is the recall report over the delivery log.
     """
 
     approach: str
@@ -115,7 +112,6 @@ class RunResult:
     after_setup: TrafficSnapshot
     final: TrafficSnapshot
     accuracy: RecallReport
-    approx: ApproxReport
 
 
 def run_program(
@@ -144,7 +140,6 @@ def run_program(
         after_setup=execution.after_setup,
         final=execution.final,
         accuracy=measure_recall(truths, network.delivery),
-        approx=measure_approx(network, compiled.events, compiled.fences),
     )
 
 

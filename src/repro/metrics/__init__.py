@@ -1,6 +1,5 @@
 """Metrics: traffic loads, the offline oracle, recall and reports."""
 
-from .approx import ApproxReport, ApproxStats, churn_fences, measure_approx
 from .fences import Fences
 from .oracle import (
     ORACLE_METHODS,
@@ -20,12 +19,8 @@ from .report import (
 )
 
 __all__ = [
-    "ApproxReport",
-    "ApproxStats",
     "EventIndex",
     "Fences",
-    "churn_fences",
-    "measure_approx",
     "ORACLE_METHODS",
     "RecallReport",
     "SubscriptionTruth",

@@ -21,8 +21,8 @@ and each rule is written here and nowhere else:
   cancel (a fresh query legitimately matches still-valid readings
   stored before it arrived, and members never postdate the trigger).
 
-:class:`Fences` is the frozen value both truth passes, the approximate
-oracle and the program compiler share.
+:class:`Fences` is the frozen value both truth passes and the program
+compiler share.
 """
 
 from __future__ import annotations
@@ -133,12 +133,6 @@ class Fences:
     def lifetime(self, sub_id: str) -> tuple[float, float]:
         """The closed ``(born, dies)`` interval a query exists on."""
         return self.lifetimes.get(sub_id, _FOREVER)
-
-    def last_departures(self) -> dict[str, float]:
-        """Each departed sensor's last effective departure: what an
-        answer computed after all churn still counts is only the
-        readings stamped after it."""
-        return {s: times[-1] for s, times in self.departures.items()}
 
 
 NO_FENCES = Fences()

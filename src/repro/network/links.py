@@ -30,11 +30,12 @@ class TrafficSnapshot:
     ``retransmission_units`` and ``refresh_units`` are likewise subsets
     (units re-sent by the reliability layer's ack timers, and units
     carried by soft-state refresh rounds): the reliability overhead
-    figure 18 plots.  ``sketch_units`` is the approximate lane's share
-    (group registrations on the subscription channel, digest pushes on
-    the event channel) — figures 21-22 split it out the same way.
-    ``dropped_messages`` counts transmissions the fault lane lost (or
-    that arrived at a crashed broker).
+    figure 18 plots.  ``dropped_messages`` counts transmissions the
+    fault lane lost (or that arrived at a crashed broker).
+    ``sketch_units`` is always 0 and no meter counts it: it is the
+    retired approximate lane's column, kept so the snapshot's field
+    tuple (which ``benchmarks/e2e/measure.py`` reads and hashes) keeps
+    its shape.
     """
 
     subscription_units: int
@@ -54,8 +55,11 @@ class TrafficSnapshot:
         )
 
 
-CHANNELS = tuple(f.name for f in fields(TrafficSnapshot))
-"""The snapshot's field names, in order: what a meter reading copies."""
+CHANNELS = tuple(
+    f.name for f in fields(TrafficSnapshot) if f.name != "sketch_units"
+)
+"""The metered field names, in order: what a meter reading copies
+(every field but the constant ``sketch_units``)."""
 
 
 class TrafficMeter:
@@ -70,7 +74,6 @@ class TrafficMeter:
         self.retransmission_units = 0
         self.refresh_units = 0
         self.dropped_messages = 0
-        self.sketch_units = 0
         self.per_link: Counter[LinkId] = Counter()
         self.per_link_events: Counter[LinkId] = Counter()
         self.per_link_subscriptions: Counter[LinkId] = Counter()
@@ -102,7 +105,6 @@ class TrafficMeter:
             self.retransmission_units += total
         if message.refresh_epoch is not None:
             self.refresh_units += sub + adv
-        self.sketch_units += message.sketch_units
         self.per_link[link] += total
         if evt:
             self.per_link_events[link] += evt

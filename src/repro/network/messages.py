@@ -12,11 +12,11 @@ what the paper's two headline metrics count:
   result sets (naive, operator placement, centralized).
 
 Every message class *declares* what the meter and the transport read,
-as class-level data: its three channel units, ``sketch_units`` (the
-approximate lane's share of them), ``teardown`` (it retires a query),
-``refresh_epoch`` (not ``None`` on a soft-state refresh copy) and
-``reliable`` (the reliability layer acks it).  No base class supplies
-defaults: a forgotten declaration fails in ``TrafficMeter.record``.
+as class-level data: its three channel units, ``teardown`` (it retires
+a query), ``refresh_epoch`` (not ``None`` on a soft-state refresh copy)
+and ``reliable`` (the reliability layer acks it).  No base class
+supplies defaults: a forgotten declaration fails in
+``TrafficMeter.record``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import ClassVar
 from ..model.advertisements import Advertisement
 from ..model.events import SimpleEvent
 from ..model.operators import CorrelationOperator
-from ..sketches.messages import SketchPushMessage, SketchSubscribeMessage
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,7 +55,6 @@ class AdvertisementMessage:
     subscription_units: ClassVar[int] = 0
     event_units: ClassVar[int] = 0
     advertisement_units: ClassVar[int] = 1
-    sketch_units: ClassVar[int] = 0
     teardown: ClassVar[bool] = False
     reliable: ClassVar[bool] = True
 
@@ -85,7 +83,6 @@ class OperatorMessage:
     subscription_units: ClassVar[int] = 1
     event_units: ClassVar[int] = 0
     advertisement_units: ClassVar[int] = 0
-    sketch_units: ClassVar[int] = 0
     teardown: ClassVar[bool] = False
     reliable: ClassVar[bool] = True
 
@@ -109,7 +106,6 @@ class UnsubscribeMessage:
     subscription_units: ClassVar[int] = 1
     event_units: ClassVar[int] = 0
     advertisement_units: ClassVar[int] = 0
-    sketch_units: ClassVar[int] = 0
     teardown: ClassVar[bool] = True
     refresh_epoch: ClassVar[None] = None
     reliable: ClassVar[bool] = True
@@ -131,7 +127,6 @@ class EventMessage:
 
     subscription_units: ClassVar[int] = 0
     advertisement_units: ClassVar[int] = 0
-    sketch_units: ClassVar[int] = 0
     teardown: ClassVar[bool] = False
     refresh_epoch: ClassVar[None] = None
     reliable: ClassVar[bool] = False
@@ -142,10 +137,5 @@ class EventMessage:
 
 
 Message = (
-    AdvertisementMessage
-    | OperatorMessage
-    | EventMessage
-    | UnsubscribeMessage
-    | SketchSubscribeMessage
-    | SketchPushMessage
+    AdvertisementMessage | OperatorMessage | EventMessage | UnsubscribeMessage
 )

@@ -21,7 +21,6 @@ from .faults import FaultPlan
 from .links import TrafficMeter
 from .messages import EventMessage, Message, OperatorMessage
 from .reliability import ReliabilityConfig, Transport
-from ..sketches import SketchConfig, SketchLane
 from .routing import RoutingTable, graph_center
 from .topology import Deployment
 
@@ -102,17 +101,7 @@ class Network:
         latency: float = 0.05,
         faults: FaultPlan | None = None,
         reliability: ReliabilityConfig | None = None,
-        sketch: "SketchConfig | None" = None,
     ) -> None:
-        if sketch is not None and (
-            faults is not None or reliability is not None
-        ):
-            raise ValueError(
-                "the approximate lane cannot ride the unreliable "
-                "transport: digest pushes assume lossless in-order "
-                "delivery (a lost push would silently widen the error "
-                "past the certified bound)"
-            )
         self.deployment = deployment
         self.sim = sim if sim is not None else Simulator(seed=deployment.seed)
         self.latency = latency
@@ -152,13 +141,6 @@ class Network:
             if (bool(self.faults) or reliability is not None)
             else None
         )
-        # Approximate answer lane: only built when a sketch config is
-        # given.  Without one ``sketches`` stays None and every hook in
-        # the node/event path is fenced off — byte-identical runs, same
-        # null-fence pattern as the transport above.
-        self.sketches: SketchLane | None = (
-            SketchLane(sketch) if sketch is not None else None
-        )
         # Open delivery batch for the plain (fault-free) send path:
         # ``(arrival_time, agenda_sequence, items)``.  See ``send``.
         self._batch: tuple[float, int, list] | None = None
@@ -171,12 +153,6 @@ class Network:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         if node.node_id not in self.deployment.graph:
             raise ValueError(f"{node.node_id!r} not in the deployment graph")
-        if self.sketches is not None and not node.hosts_sketches:
-            raise ValueError(
-                f"{type(node).__name__} does not support the approximate "
-                "answer lane (it has no per-subscription event forwarding "
-                "to trade for digest pushes)"
-            )
         self.nodes[node.node_id] = node
 
     def populate(self, node_factory) -> None:
@@ -352,10 +328,10 @@ class Network:
         return 4 * (delta_t + self._transit + 1.0)
 
     def check_plan(self, node_id: str, plan: object | None) -> None:
-        """Refuse a placement plan the node class or a lane of this
-        network cannot execute — before anything is written, so a
-        refused registration leaves no trace (``Session.submit`` calls
-        it ahead of its own bookkeeping)."""
+        """Refuse a placement plan the node class cannot execute —
+        before anything is written, so a refused registration leaves no
+        trace (``Session.submit`` calls it ahead of its own
+        bookkeeping)."""
         if plan is None:
             return
         node = self.nodes[node_id]
@@ -363,12 +339,6 @@ class Network:
             raise ValueError(
                 f"{type(node).__name__} does not execute compiled "
                 "placement plans"
-            )
-        if self.sketches is not None:
-            raise ValueError(
-                "compiled placement plans cannot be combined with the "
-                "approximate answer lane: eligible subscriptions bypass "
-                "operator placement entirely"
             )
 
     def cancel_subscription(self, node_id: str, sub_id: str) -> bool:
@@ -470,38 +440,6 @@ class Network:
         if node_id in self.down:
             return
         self.nodes[node_id].refresh_soft_state(epoch, expiry_rounds)
-
-    def schedule_sketch_rounds(
-        self, times: Iterable[tuple[float, int]]
-    ) -> int:
-        """Schedule digest push rounds at ``(absolute time, round no)``.
-
-        Each round ticks every broker (sorted order, one agenda entry
-        per broker, priority 1 — so a reading stamped at the round
-        instant is folded in before the round pushes, the same
-        tie-break churn and refresh use): leaves of every push tree
-        send their merged local summaries upstream, interior brokers
-        then merge and relay as the pushes arrive.  A finite timeline,
-        never self-rescheduling, so quiescence still exists.  Requires
-        the approximate lane (a ``sketch`` config).
-        """
-        if self.sketches is None:
-            raise ValueError(
-                "sketch rounds require Network(sketch=SketchConfig(...))"
-            )
-        entries = []
-        for time, round_no in times:
-            for node_id in sorted(self.nodes):
-                entries.append(
-                    (
-                        time,
-                        lambda n=node_id, r=round_no: self.sketches.begin_round(
-                            self.nodes[n], r
-                        ),
-                    )
-                )
-        self.sim.schedule_timeline(entries, priority=1)
-        return len(entries)
 
     # ------------------------------------------------------------------
     def run_to_quiescence(self, max_events: int | None = None) -> float:

@@ -32,7 +32,6 @@ from ..model.advertisements import Advertisement, AdvertisementTable
 from ..model.events import EventKey, SimpleEvent
 from ..model.operators import CorrelationOperator, Slot, root_operator
 from ..model.subscriptions import Subscription
-from ..sketches.messages import SketchPushMessage, SketchSubscribeMessage
 from .eventstore import EventStore
 from .messages import (
     AdvertisementMessage,
@@ -357,9 +356,6 @@ class Node:
     #: placement plan; ``Network.check_plan`` refuses a plan on a node
     #: class that says no.
     executes_plans = True
-    #: Whether the approximate answer lane can run on this node class;
-    #: ``Network.add_node`` refuses the combination otherwise.
-    hosts_sketches = True
 
     def __init__(self, node_id: str, network: "Network") -> None:
         self.node_id = node_id
@@ -379,10 +375,6 @@ class Node:
         # The matching engine mirrors the event store and matches each
         # arrival as it is stored (see ingest).
         self.matching = MatchingEngine(self.store)
-        if self.network.sketches is not None:
-            # The lane counts what the store accepts and forgets what
-            # it fences: no second copy of the churn fence.
-            self.store.add_listener(self.network.sketches.store_listener(self))
         # The whole root operators of the local subscriptions, a store
         # of their own: the final local check reads its stream index.
         self._local_roots = SubscriptionStore(self.matching)
@@ -446,10 +438,6 @@ class Node:
             self.handle_operator(message.operator, origin, message.plan)
         elif isinstance(message, UnsubscribeMessage):
             self.handle_unsubscribe(message.subscription_id, origin)
-        elif isinstance(message, SketchSubscribeMessage):
-            self.network.sketches.handle_subscribe(self, message, origin)
-        elif isinstance(message, SketchPushMessage):
-            self.network.sketches.handle_push(self, message, origin)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown message {message!r}")
 
@@ -541,12 +529,6 @@ class Node:
         if root is None:
             self.network.dropped_subscriptions.append(subscription.sub_id)
             return
-        lane = self.network.sketches
-        if lane is not None and lane.adopt(self, subscription, root):
-            # Sketch-eligible in approximate mode: the lane answers it
-            # from merged summaries — no operator flood, no matcher,
-            # no raw event forwarding for this subscription.
-            return
         self.local_subscriptions.append((subscription, root))
         # The whole root operator drives the final local check even when
         # handle_operator stores only fragments of it (its matcher is
@@ -633,9 +615,6 @@ class Node:
         locally registered (never submitted here, dropped for absent
         sources, or already cancelled).
         """
-        lane = self.network.sketches
-        if lane is not None and lane.forget(self.node_id, sub_id):
-            return True
         kept = [e for e in self.local_subscriptions if e[0].sub_id != sub_id]
         if len(kept) == len(self.local_subscriptions):
             return False
@@ -734,8 +713,8 @@ class Node:
 
     def fence_sensor_state(self, sensor_id: str) -> None:
         """Drop a departed sensor's events from ``U`` and the per-event
-        forwarded-to flags (the store's listeners — the matching engine,
-        the sketch lane's hosted summary — mirror the drop)."""
+        forwarded-to flags (the store's listener, the matching engine,
+        mirrors the drop)."""
         for key in self.store.fence_sensor(sensor_id, self.now):
             self._sent.pop(key, None)
 

@@ -9,10 +9,9 @@ the root spanning the whole domain).
 
 The structure is *functional*: :meth:`extended`, :meth:`merged` and
 :meth:`compressed` return new digests, so instances are frozen,
-hashable, picklable and order-independent to compare — exactly what the
-network layer needs to ship them inside frozen messages and what the
-property suite needs to state merge associativity/commutativity as
-plain equality.
+hashable, picklable and order-independent to compare — exactly what a
+frozen message needs to carry one and what the property suite needs to
+state merge associativity/commutativity as plain equality.
 
 Error contract (the deterministic q-digest guarantee, stated over the
 quantized domain): range-count queries are answered over the

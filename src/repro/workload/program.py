@@ -53,7 +53,6 @@ from ..network.faults import FaultPlan
 from ..network.reliability import ReliabilityConfig
 from ..network.topology import Deployment
 from ..seeding import derive_seed
-from ..sketches import SketchConfig
 from .sensorscope import (
     ChurnConfig,
     ChurnSchedule,
@@ -215,14 +214,9 @@ class WorkloadProgram:
       Compiled plans compose with ``churn``, ``faults`` and
       ``reliability``: a plan replaces only the split, so a departure's
       retraction fences the sensor's stored events at every broker,
-      planned pieces included, and a rejoin's re-flood lifts the fence;
-    * ``sketch`` (a :class:`~repro.sketches.SketchConfig`) turns on
-      the approximate answer lane.
-      Construction checks only what no network can: the placement
-      value, a sketch × compiled placement and the ``static_prefix``
-      range.  The lane rule (a sketch × an unreliable transport) is
-      ``Network``'s, raised by :func:`execute_program` before any
-      node is populated.
+      planned pieces included, and a rejoin's re-flood lifts the fence.
+      Construction checks the placement value and the ``static_prefix``
+      range.
 
     Programs are frozen, hashable and picklable — a program plus a
     deployment seed *is* the experiment, which is what makes points
@@ -239,7 +233,6 @@ class WorkloadProgram:
     faults: FaultPlan | None = None
     reliability: ReliabilityConfig | None = None
     placement: str = "paper"
-    sketch: SketchConfig | None = None
 
     def __post_init__(self) -> None:
         if self.static_prefix is not None:
@@ -247,13 +240,6 @@ class WorkloadProgram:
         if self.placement not in ("paper", "compiled"):
             raise ValueError(
                 f"placement must be 'paper' or 'compiled', got {self.placement!r}"
-            )
-        # Network raises the other lane rules when the program executes;
-        # this one stays because check_plan only sees a planned query.
-        if self.sketch is not None and self.placement == "compiled":
-            raise ValueError(
-                "compiled placement routes exact operator trees; "
-                "it cannot be combined with the sketch lane"
             )
         if self.prefix > self.subscriptions.n_subscriptions:
             raise ValueError(
@@ -378,7 +364,6 @@ class WorkloadProgram:
             faults=self.faults,
             reliability=self.reliability,
             plans=plans,
-            sketch=self.sketch,
         )
 
     def _explicit_admissions(self, deployment: Deployment) -> list["Admission"]:
@@ -456,7 +441,6 @@ class ProgramSource:
             faults=None,
             reliability=None,
             placement="paper",
-            sketch=None,
         )
         return (
             replace(self.program, **neutral) == replace(program, **neutral)
@@ -502,7 +486,6 @@ class CompiledProgram:
     faults: FaultPlan | None = None
     reliability: ReliabilityConfig | None = None
     plans: Mapping[str, object] | None = None
-    sketch: SketchConfig | None = None
 
     def plan_for(self, sub_id: str) -> object | None:
         """The compiled :class:`~repro.placement.plan.PlacementPlan` for
@@ -625,7 +608,6 @@ def execute_program(
         deployment=compiled.deployment,
         faults=compiled.faults,
         reliability=compiled.reliability,
-        sketch=compiled.sketch,
     )
     after_ads = session.traffic.snapshot()
     # Before any reading: a window admitted mid-replay needs events
@@ -673,17 +655,6 @@ def execute_program(
         rounds = periodic(compiled.reliability.refresh_interval)
         if rounds:
             session.network.schedule_refresh(rounds)
-    if session.network.sketches is not None:
-        # Push rounds across the replay span, plus one closing round
-        # after it: the final answers postdate every event and every
-        # churn transition, so cumulative summaries reflect the full
-        # (fenced) stream.
-        interval = session.network.sketches.config.push_interval
-        rounds = periodic(interval)
-        rounds.append(
-            (REPLAY_START + compiled.span + interval, len(rounds) + 1)
-        )
-        session.network.schedule_sketch_rounds(rounds)
 
     counters = {"admitted": 0, "retired": 0}
 

@@ -25,7 +25,6 @@ from ..network.topology import (
     small_scale,
     tiered_small_scale,
 )
-from ..sketches import SketchConfig
 from .program import QueryLifecycleConfig, WorkloadProgram
 from .sensorscope import ChurnConfig, DynamicReplayConfig, ReplayConfig
 from .subscriptions import SubscriptionWorkloadConfig
@@ -82,8 +81,7 @@ class Scenario:
     ``group_width_scale`` are the generator knobs that give the
     compiler routing freedom (cross-group queries, skewed
     selectivities); ``approach_keys`` restricts the measured approaches
-    (``None`` = the usual registry set); a ``sketch`` config answers the
-    scenario on the approximate lane.  All are frozen config
+    (``None`` = the usual registry set).  All are frozen config
     dataclasses, so scenarios stay hashable and picklable for the
     series runner's memo keys.
     """
@@ -106,7 +104,6 @@ class Scenario:
     span_groups: int = 1
     group_width_scale: tuple[float, ...] = ()
     approach_keys: tuple[str, ...] | None = None
-    sketch: SketchConfig | None = None
 
     def __post_init__(self) -> None:
         checks.positive_count(self, "paper_subscription_counts", "span_groups")
@@ -151,7 +148,6 @@ class Scenario:
             faults=self.faults,
             reliability=self.reliability,
             placement=self.placement,
-            sketch=self.sketch,
         )
 
 
@@ -271,28 +267,6 @@ lifecycle: the compiler still prices the static graph, and a departure
 fences the sensor's stored events at planned pieces as at any other,
 until its rejoin."""
 
-SKETCHES = Scenario(
-    key="sketches",
-    title="Sketches (60 nodes, single-slot range queries over a long "
-    "replay, exact frontier vs the approximate answer lane)",
-    deployment_factory=small_scale,
-    paper_subscription_counts=(100, 300),
-    attrs_min=1,
-    attrs_max=1,
-    include_centralized=True,
-    replay=ReplayConfig(rounds=96),
-)
-"""The accuracy-vs-traffic family: the small-scale deployment under a
-single-attribute workload, so every query is a single-slot range filter
-— exactly the sketch-eligible class — over a 96-round replay (the
-regime where a bounded-size digest beats shipping every reading).  The
-five exact approaches form the traffic frontier; figure 21's
-approximate lanes re-run the same scenario with a
-:class:`~repro.sketches.SketchConfig` at several q-digest resolutions
-(``sketches_variant``), trading bounded rank error for push-round
-traffic strictly below that frontier.  Figure 22 reports the accuracy
-side of the same trade."""
-
 ALL_SCENARIOS: dict[str, Scenario] = {
     s.key: s
     for s in (
@@ -304,6 +278,5 @@ ALL_SCENARIOS: dict[str, Scenario] = {
         ADMIT_RETIRE,
         FAULTS,
         PLACEMENT,
-        SKETCHES,
     )
 }

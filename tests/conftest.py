@@ -50,7 +50,6 @@ SHADOWED_MODULES = frozenset({
     "test_placement",
     "test_program_bit_identity",
     "test_reference_shadow",
-    "test_sketches_network",
 })
 
 

@@ -31,7 +31,6 @@ from repro.network.network import Network
 from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
 from repro.sim import Simulator
-from repro.sketches import SketchConfig
 
 
 def small_session(approach="fsf", seed=11, **kwargs):
@@ -288,27 +287,17 @@ class TestSession:
         assert len(handle.matches()) == 1
 
     @pytest.mark.parametrize(
-        "lane",
-        [
-            {"sketch": SketchConfig()},
-            {"approach": "centralized"},
-            {"approach": "multijoin"},
-        ],
-        ids=[
-            "sketches",
-            "centralized-no-approach",
-            "multijoin-no-approach",
-        ],
+        "approach",
+        ["centralized", "multijoin"],
+        ids=["centralized-no-approach", "multijoin-no-approach"],
     )
-    def test_refused_plan_leaves_old_incarnation_intact(self, lane):
-        """The plan x sketches / plan x node-class refusals fire before
-        anything is written, like every other
-        validation failure.  The node-class cases wrap a pre-built
-        network without naming its approach: the refusal is the node
-        class's, not the session's."""
-        session = small_session(**lane)
-        if "approach" in lane:
-            session = Session(session.network, session.deployment)
+    def test_refused_plan_leaves_old_incarnation_intact(self, approach):
+        """The plan x node-class refusal fires before anything is
+        written, like every other validation failure.  The session wraps
+        a pre-built network without naming its approach: the refusal is
+        the node class's, not the session's."""
+        built = small_session(approach)
+        session = Session(built.network, built.deployment)
         ambient, surface = pair_of_sensors(session)
         handle = session.submit(freeze_query(session), at="r2")
         session.ingest(ambient.sensor_id, 1.0, timestamp=session.now + 5.0)

@@ -13,7 +13,6 @@ from repro.experiments.tables import (
     run_fig3_walkthrough,
     table_i_subscriptions,
 )
-from repro.metrics.approx import ApproxReport
 from repro.metrics.recall import RecallReport
 from repro.network.links import TrafficSnapshot
 from repro.protocols.registry import (
@@ -59,7 +58,7 @@ def stub_table():
         "4": stub_spec("4", headline=("stub row 4", "10-20%")),
         "13": stub_spec("13", "churn"),
         "17": stub_spec("17", "faults"),
-        "21": stub_spec("21", "sketches"),
+        "19": stub_spec("19", "placement"),
     }
 
 
@@ -169,8 +168,7 @@ class TestCli:
     def test_cli_choices_track_figure_registry(self, capsys, monkeypatch):
         """A spec in ``figures.FIGURES`` is sufficient to make it a CLI
         target: the choices are derived from the table at parse time,
-        so the catalog can never drift ahead of the CLI again (fig21/22
-        were the near-miss that motivated this)."""
+        so the catalog can never drift ahead of the CLI again."""
         monkeypatch.setitem(figures.FIGURES, "98", stub_spec("98"))
         assert cli_main(["fig98"]) == 0
         assert "Figure 98" in capsys.readouterr().out
@@ -179,9 +177,9 @@ class TestCli:
         """One repeatable ``--family`` selects which beyond-paper
         figures ``all`` renders; the five per-family flags are gone."""
         monkeypatch.setattr(figures, "FIGURES", stub_table())
-        assert cli_main(["all", "--family", "faults", "--family", "sketches"]) == 0
+        assert cli_main(["all", "--family", "faults", "--family", "placement"]) == 0
         out = capsys.readouterr().out
-        assert all(f"Figure {i}:" in out for i in ("4", "17", "21"))
+        assert all(f"Figure {i}:" in out for i in ("4", "17", "19"))
         assert "Figure 13:" not in out
         assert "Sensor a" in out and "Set filtering" in out  # table1, table2
         for gone in ("--churn", "--beyond", "--faults", "--placement", "--approx"):
@@ -212,7 +210,7 @@ class TestFigureHarness:
     def test_all_figures_registered(self):
         assert list(figures.FIGURES) == [
             "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14",
-            "15", "16", "17", "18", "19", "20", "21", "22",
+            "15", "16", "17", "18", "19", "20",
         ]
         assert all(
             fig_id == spec.fig_id for fig_id, spec in figures.FIGURES.items()
@@ -228,7 +226,6 @@ class TestFigureHarness:
             "admit_retire": ["15", "16"],
             "faults": ["17", "18"],
             "placement": ["19", "20"],
-            "sketches": ["21", "22"],
         }
         assert figures.family_names() == list(beyond)
         # Figs 4-7 carry the headline margins, each with its load metric.
@@ -260,19 +257,19 @@ class TestFigureHarness:
             "churn (or --family beyond)]",
             "fig17: scenario stub-17 [beyond the paper; gate: --family "
             "faults (or --family beyond)]",
-            "fig21: scenario stub-21 [beyond the paper; gate: --family "
-            "sketches (or --family beyond)]",
+            "fig19: scenario stub-19 [beyond the paper; gate: --family "
+            "placement (or --family beyond)]",
         ]
 
     def test_family_selection_for_the_bulk_targets(self):
         paper = [str(i) for i in range(4, 13)]
         assert figures.selected_figures() == paper
-        assert figures.selected_figures(["faults", "sketches"]) == paper + [
-            "17", "18", "21", "22",
+        assert figures.selected_figures(["faults", "placement"]) == paper + [
+            "17", "18", "19", "20",
         ]
         assert figures.selected_figures(["beyond"]) == list(figures.FIGURES)
         with pytest.raises(ValueError, match="unknown figure families"):
-            figures.selected_figures(["approx"])
+            figures.selected_figures(["sketches"])
 
     def test_experiments_md_reads_the_specs(self, monkeypatch):
         """Each selected figure's section quotes its spec's claim, and
@@ -282,6 +279,8 @@ class TestFigureHarness:
         for fig_id in ("4", "17"):
             assert f"## Figure {fig_id}\n\nPaper: claim {fig_id}\n" in text
         assert "## Figure 13" not in text and "claim 13" not in text
+        # The beyond-paper record says which figures were retired.
+        assert "## Figures 21-22 (retired)" in text
         rows = [line for line in text.splitlines() if line.startswith("| stub")]
         assert rows == ["| stub row 4 | 10-20% | 50.0% .. 50.0% (mean 50.0%) |"]
 
@@ -315,7 +314,6 @@ class TestFigureHarness:
                 refresh_units=8,
             ),
             accuracy=RecallReport(0, 0, 0, 0),
-            approx=ApproxReport(()),
         )
         assert figures._total_units(run) == 75.0
 

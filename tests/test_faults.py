@@ -165,7 +165,6 @@ class TestPlanSemantics:
             outages=(OutageWindow(("s_a", "s_b"), 10.0, 20.0),),
         )
         assert fences.departures == {"a": (20.0, 30.0), "b": (10.0,)}
-        assert fences.last_departures() == {"a": 30.0, "b": 10.0}
 
     def test_oracle_outage_fence_only_removes_truth(self):
         deployment = line_deployment()

@@ -9,11 +9,9 @@ annotations reachable from ``Scenario``, ``WorkloadProgram``,
 ``True``; construction must raise ``ValueError`` as ``Class.field must
 be ...`` (the :mod:`repro.model.checks` format) unless :data:`ALLOWED`
 names the value with its reason.  A new config field is covered without
-anyone listing it.  ``SketchConfig.domains`` (named ``(attribute, lo, hi)``
-triples), ``SketchConfig.levels`` against the q-digest's range, the
-``attrs_min <= attrs_max`` pairs, the ``Query`` builders,
-``Network(latency=...)`` and ``EventStore(validity=...)`` are probed by
-hand below, the ``Session`` clock in ``test_api_session.py``.
+anyone listing it.  The ``attrs_min <= attrs_max`` pairs, the ``Query``
+builders, ``Network(latency=...)`` and ``EventStore(validity=...)`` are
+probed by hand below, the ``Session`` clock in ``test_api_session.py``.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ from repro.network import EventStore
 from repro.network.faults import OutageWindow
 from repro.network.network import Network
 from repro.network.topology import Deployment, build_deployment
-from repro.sketches import SketchConfig
 from repro.workload.program import ProgramQuery, WorkloadProgram
 from repro.workload.scenarios import SMALL, Scenario
 from repro.workload.subscriptions import SubscriptionWorkloadConfig
@@ -146,7 +143,7 @@ def test_the_walk_reaches_every_config():
         "Scenario", "WorkloadProgram", "ReplayConfig", "DynamicReplayConfig",
         "ChurnConfig", "FSFConfig", "ReliabilityConfig", "QueryLifecycleConfig",
         "ProgramQuery", "FaultPlan", "OutageWindow", "LinkFault",
-        "SubscriptionWorkloadConfig", "SketchConfig", "NodeSpec",
+        "SubscriptionWorkloadConfig", "NodeSpec",
     }
     assert set(ALLOWED) <= {case_id(*case) for case in CASES}
 
@@ -173,28 +170,6 @@ def test_a_refusal_names_the_field_and_the_whole_value():
     count_message = r"^Owner\.n must be an integer >= 0, got 3\.0$"
     with pytest.raises(ValueError, match=count_message):
         checks.count(Owner(), n=3.0)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "2"])
-def test_a_sketch_domain_is_finite(bad):
-    with pytest.raises(ValueError, match=r"^SketchConfig\.domains must be finite"):
-        SketchConfig(domains=(("ambient_temperature", bad, 60.0),))
-    with pytest.raises(ValueError, match=r"^SketchConfig\.domains must be finite"):
-        SketchConfig(domains=(("ambient_temperature", -40.0, bad),))
-
-
-@pytest.mark.parametrize("levels", [0, 31, 64])
-def test_sketch_levels_stay_in_the_qdigest_range(levels):
-    with pytest.raises(
-        ValueError, match=r"^SketchConfig\.levels must be an integer in \[1, 30\], got "
-    ):
-        SketchConfig(levels=levels)
-
-
-def test_sketch_levels_accept_the_qdigest_range():
-    for levels in (1, 30):
-        config = SketchConfig(levels=levels)
-        assert config.empty_summary(0.0, 1.0).levels == levels
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,6 @@ from benchlib import tiny_series_scenario
 from repro.baselines.naive import NaiveNode
 from repro.core import FSFConfig, filter_split_forward_approach
 from repro.experiments import RunResult, default_workers, run_series, runner
-from repro.metrics.approx import ApproxReport, ApproxStats
 from repro.metrics.recall import RecallReport
 from repro.network.faults import FaultPlan, LinkFault
 from repro.network.links import TrafficSnapshot
@@ -260,7 +259,7 @@ def _run_under_hashseed(script: str, hashseed: str) -> str:
 # Every class a RunResult's repr names, for eval().
 _REPR_NAMES = {
     cls.__name__: cls
-    for cls in (RunResult, TrafficSnapshot, RecallReport, ApproxReport, ApproxStats)
+    for cls in (RunResult, TrafficSnapshot, RecallReport)
 }
 
 

@@ -9,9 +9,8 @@ load and whole-run totals ``final`` — which holds only while
 * the advertisement phase carries advertisement units alone, and
 * the setup phase carries no event and no teardown units.
 
-Checked here over every approach on the two programs that put the most
-lanes in one run: churn + query lifecycle + lossy reliable transport,
-and the approximate-answer lane.
+Checked here over every approach on the program that puts the most
+lanes in one run: churn + query lifecycle + lossy reliable transport.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ from repro.network.faults import FaultPlan, LinkFault
 from repro.network.reliability import ReliabilityConfig
 from repro.network.topology import build_deployment
 from repro.protocols.registry import all_approaches
-from repro.sketches import SketchConfig
 from repro.workload.program import QueryLifecycleConfig, WorkloadProgram
-from repro.workload.sensorscope import ChurnConfig, DynamicReplayConfig, ReplayConfig
+from repro.workload.sensorscope import ChurnConfig, DynamicReplayConfig
 from repro.workload.subscriptions import SubscriptionWorkloadConfig
 
 COMPOSED = WorkloadProgram(
@@ -41,44 +39,22 @@ COMPOSED = WorkloadProgram(
     reliability=ReliabilityConfig(refresh_interval=30.0),
 )
 
-SKETCH = WorkloadProgram(
-    subscriptions=SubscriptionWorkloadConfig(
-        n_subscriptions=8, attrs_min=1, attrs_max=1, seed=6
-    ),
-    replay=ReplayConfig(rounds=24, seed=6),
-    sketch=SketchConfig(push_interval=40.0),
-)
-
-# The centralized node hosts no sketch (``Network`` refuses it).
-SKETCH_APPROACHES = [
-    key for key in all_approaches() if key != "centralized"
-]
-
 
 @functools.cache
-def compiled(name: str):
-    program = {"composed": COMPOSED, "sketch": SKETCH}[name]
-    point = program.compile(build_deployment(24, 3, seed=4))
+def compiled():
+    point = COMPOSED.compile(build_deployment(24, 3, seed=4))
     return point, point.truth()
 
 
-def run(name: str, key: str):
-    point, truths = compiled(name)
-    return run_program(all_approaches()[key], point, truths=truths)
-
-
-def assert_partition(result) -> None:
+@pytest.mark.parametrize("key", list(all_approaches()))
+def test_composed_run_phases_partition_the_channels(key):
+    point, truths = compiled()
+    result = run_program(all_approaches()[key], point, truths=truths)
     ads = result.after_advertisements
     setup = result.after_setup.minus(ads)
     assert (ads.subscription_units, ads.event_units) == (0, 0), ads
     assert (setup.event_units, setup.teardown_units) == (0, 0), setup
     assert setup.subscription_units > 0, setup
-
-
-@pytest.mark.parametrize("key", list(all_approaches()))
-def test_composed_run_phases_partition_the_channels(key):
-    result = run("composed", key)
-    assert_partition(result)
     # Every lane of the program ran in the replay phase.
     replay = result.final.minus(result.after_setup)
     assert replay.event_units > 0
@@ -86,11 +62,3 @@ def test_composed_run_phases_partition_the_channels(key):
     assert replay.teardown_units > 0 and result.retired_queries > 0
     assert replay.refresh_units > 0
     assert result.final.dropped_messages > 0
-
-
-@pytest.mark.parametrize("key", SKETCH_APPROACHES)
-def test_sketch_run_phases_partition_the_channels(key):
-    result = run("sketch", key)
-    assert_partition(result)
-    assert result.final.sketch_units > result.after_setup.sketch_units
-    assert result.approx.queries > 0

@@ -1,6 +1,6 @@
-"""Property suite for the sketch summary (q-digest).
+"""Property suite for the q-digest summary.
 
-The algebra the push trees rely on, stated as plain equality on the
+The algebra a merge tree relies on, stated as plain equality on the
 frozen canonical form: merge is associative and commutative, so
 summaries may combine along arbitrary tree paths in arbitrary order;
 compression is idempotent and preserves the counted multiset; the
@@ -20,7 +20,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.sketches import QDigest, SketchConfig
+from repro.sketches import QDigest
 
 LO, HI = 0.0, 1024.0
 
@@ -36,7 +36,7 @@ def digest_of(values, k=8, levels=6):
 
 
 def midpoint(digest, qlo, qhi):
-    """The lane's point estimate: the middle of the certified bracket."""
+    """The point estimate: the middle of the certified bracket."""
     lower, upper = digest.range_count_bounds(qlo, qhi)
     return lower + (upper - lower) // 2
 
@@ -194,15 +194,3 @@ def test_qdigest_validation():
         QDigest(8, 6, 5.0, 5.0)
     with pytest.raises(ValueError):
         digest_of([]).merged(QDigest(9, 6, LO, HI))
-
-
-def test_sketch_config_validation():
-    with pytest.raises(ValueError):
-        SketchConfig(k=0)
-    with pytest.raises(ValueError):
-        SketchConfig(push_interval=0.0)
-    with pytest.raises(ValueError):
-        SketchConfig(buckets_per_unit=0)
-    assert SketchConfig(k=8, levels=6).empty_summary(LO, HI) == QDigest(8, 6, LO, HI)
-    # default domains: the five SensorScope attributes
-    assert len(SketchConfig().domain_map()) == 5

@@ -19,7 +19,6 @@ from repro.network.messages import (
 from repro.network.network import Network
 from repro.network.reliability import ReliabilityConfig
 from repro.sim import Simulator
-from repro.sketches.messages import SketchPushMessage, SketchSubscribeMessage
 
 from deployments import line_deployment
 
@@ -108,25 +107,18 @@ def _advertisement(epoch):
 
 
 # message(refresh epoch) -> what one copy costs on one link:
-# (subscription, event, advertisement, teardown, sketch) units, and
-# whether the reliability layer acks it (control traffic; events and
-# sketch traffic ride best-effort).
+# (subscription, event, advertisement, teardown) units, and whether the
+# reliability layer acks it (control traffic; events ride best-effort).
 # ``None`` marks the classes that cannot be refresh copies.
 DECLARED_UNITS = [
-    (_advertisement, (0, 0, 1, 0, 0), True),
+    (_advertisement, (0, 0, 1, 0), True),
     (
         lambda epoch: OperatorMessage(_operator(), refresh_epoch=epoch),
-        (1, 0, 0, 0, 0),
+        (1, 0, 0, 0),
         True,
     ),
-    (lambda _: UnsubscribeMessage("q1"), (1, 0, 0, 1, 0), True),
-    (lambda _: EventMessage(_event(), streams=("x", "y")), (0, 2, 0, 0, 0), False),
-    (
-        lambda _: SketchSubscribeMessage("g", "t", frozenset({"d"}), "n"),
-        (1, 0, 0, 0, 1),
-        False,
-    ),
-    (lambda _: SketchPushMessage("g", 1, None, units=4), (0, 4, 0, 0, 4), False),
+    (lambda _: UnsubscribeMessage("q1"), (1, 0, 0, 1), True),
+    (lambda _: EventMessage(_event(), streams=("x", "y")), (0, 2, 0, 0), False),
 ]
 
 
@@ -147,7 +139,7 @@ class TestRecordOnDeclaredUnits:
     )
     def test_every_channel_and_subset(self, make, units, reliable):
         assert make(None).reliable is reliable
-        sub, evt, adv, teardown, sketch = units
+        sub, evt, adv, teardown = units
         for hops, retransmission, epoch in itertools.product(
             (1, 3), (False, True), (None, 2)
         ):
@@ -168,7 +160,6 @@ class TestRecordOnDeclaredUnits:
                 retransmission_units=(sub + evt + adv) * hops * retransmission,
                 refresh_units=(sub + adv) * hops * refresh,
                 dropped_messages=0,
-                sketch_units=sketch * hops,
             ), case
             # Every hop bills its own link.
             assert meter.per_link == dict.fromkeys(path, sub + evt + adv), case

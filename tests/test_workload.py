@@ -432,7 +432,7 @@ class TestSubscriptionGenerator:
 
 
 class TestScenarios:
-    def test_nine_scenarios_registered(self):
+    def test_eight_scenarios_registered(self):
         assert set(ALL_SCENARIOS) == {
             "small",
             "medium",
@@ -442,7 +442,6 @@ class TestScenarios:
             "admit_retire",
             "faults",
             "placement",
-            "sketches",
         }
         churn = ALL_SCENARIOS["churn"]
         # The acceptance floor of the dynamic family: at least two
@@ -469,17 +468,6 @@ class TestScenarios:
         assert placement.group_width_scale is not None
         wide, narrow = placement.group_width_scale
         assert wide > 1.0 > narrow
-        sketches = ALL_SCENARIOS["sketches"]
-        # The acceptance floor of the approximate-answer family: every
-        # generated query sketch-eligible (single-attribute clauses), a
-        # long replay so bounded-size digests beat raw shipping, and
-        # the exact frontier includes centralized raw shipping.  The
-        # scenario itself is the exact lane; the figure harness derives
-        # the approximate lanes via sketches_variant(k).
-        assert sketches.attrs_min == sketches.attrs_max == 1
-        assert sketches.replay is not None and sketches.replay.rounds >= 96
-        assert sketches.include_centralized
-        assert sketches.sketch is None
 
     def test_counts_scale(self):
         full = SMALL.subscription_counts(scale=1.0)
